@@ -73,6 +73,16 @@ class AuthCode:
                 np.fromiter(sorted(self.overlay.assignment[m][j]), dtype=np.int64) - 1
                 for j in range(len(self.overlay.level_set))))
         object.__setattr__(self, "_test_indices", tuple(idx))
+        valid = np.ones(self.message_count, dtype=bool)
+        if self.decimated is not None:
+            ids = np.fromiter(self.decimated, dtype=np.int64)
+            if np.any((ids < 0) | (ids >= self.message_count)):
+                raise AuthCodeError("decimated ids must be message ids")
+            valid[:] = False
+            valid[ids] = True
+            if self.base.null_id is not None:
+                valid[self.base.null_id] = True
+        object.__setattr__(self, "_valid", valid)
 
     @property
     def n(self) -> int:
@@ -114,10 +124,14 @@ class AuthCode:
         noise = self.rho_delta * np.sum(self.level_matrix**2, axis=1)
         return float(np.max(mean_sq + noise)) / self.n
 
+    @property
+    def valid_mask(self) -> np.ndarray:
+        """Boolean mask over message ids: a decode to ``m`` is accepted by
+        the decimation filter iff ``valid_mask[m]``."""
+        return self._valid  # type: ignore[attr-defined]
+
     def is_valid_message(self, m: int) -> bool:
-        if self.decimated is None:
-            return 0 <= m < self.message_count
-        return m in self.decimated or m == self.base.null_id
+        return 0 <= m < self.message_count and bool(self.valid_mask[m])
 
 
 def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
@@ -183,41 +197,37 @@ def auth_encode_batch(code: AuthCode, ms: np.ndarray,
             + code.level_matrix[ms] * (scale * unit_delta))
 
 
+def _level_statistics(code: AuthCode, ys: np.ndarray, m: int,
+                      rho_dec: float) -> list[np.ndarray]:
+    """Residual statistic of each row of ``ys`` against message ``m``,
+    one array of shape (rows,) per overlay level below 1."""
+    # same grouping as the encoder so clean level-0 coordinates cancel
+    # bitwise (the rho_dec = 0 sentinel relies on this)
+    resid = ys - (code.base.codewords[m] + code.t_table[m])
+    stats = []
+    for k, idx in zip(code.overlay.level_set.levels, code.test_indices(m)):
+        ssq = np.sum(resid[:, idx] ** 2, axis=1)
+        denom = k * k * code.rho_delta + rho_dec
+        # rho_dec = 0 diagnostic: a zero-variance level accepts only
+        # exactly-zero residuals.
+        stats.append(np.where(ssq == 0.0, 0.0, np.inf) if denom == 0.0
+                     else ssq / denom)
+    return stats
+
+
 def detect_batch(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
                  rho_dec: float, *, detector: bool = True) -> np.ndarray:
     """Rejection mask for a batch: residual statistics over the decoded
     message's per-level coordinate sets, plus the decimation filter."""
-    b = ys.shape[0]
-    rejected = np.zeros(b, dtype=bool)
-    ks = code.overlay.level_set.levels
+    rejected = ~code.valid_mask[base_decoded]
     if detector:
         thr = code.threshold
         for m in np.unique(base_decoded):
             sel = np.flatnonzero(base_decoded == m)
-            # same grouping as the encoder so clean level-0 coordinates
-            # cancel bitwise (the rho_dec = 0 sentinel relies on this)
-            center = code.base.codewords[m] + code.t_table[m]
-            resid = ys[sel] - center
-            fail = np.zeros(len(sel), dtype=bool)
-            for j, k in enumerate(ks):
-                idx = code.test_indices(int(m))[j]
-                if idx.size == 0:
-                    continue
-                denom = k * k * code.rho_delta + rho_dec
-                ssq = np.sum(resid[:, idx] ** 2, axis=1)
-                if denom == 0.0:
-                    # rho_dec = 0 diagnostic: a zero-variance level accepts
-                    # only exactly-zero residuals.
-                    stats = np.where(ssq == 0.0, 0.0, np.inf)
-                else:
-                    stats = ssq / denom
-                fail |= stats > thr
+            fail = rejected[sel]
+            for stat in _level_statistics(code, ys[sel], int(m), rho_dec):
+                fail |= stat > thr
             rejected[sel] = fail
-    if code.decimated is not None:
-        valid = np.fromiter(
-            (code.is_valid_message(int(m)) for m in base_decoded),
-            dtype=bool, count=b)
-        rejected |= ~valid
     return rejected
 
 
@@ -230,17 +240,12 @@ def auth_decode_detect(code: AuthCode, y: np.ndarray, rho_dec: float, *,
         raise AuthCodeError("rho_dec must be nonnegative")
     y = np.asarray(y, dtype=np.float64)
     m_hat = int(code.base.decode(y))
-    resid = y - (code.base.codewords[m_hat] + code.t_table[m_hat])
     stats: dict[float, float] = {}
-    rejected = False
     if detector:
-        for j, k in enumerate(code.overlay.level_set.levels):
-            idx = code.test_indices(m_hat)[j]
-            denom = k * k * code.rho_delta + rho_dec
-            ssq = float(np.sum(resid[idx] ** 2))
-            stats[k] = (0.0 if ssq == 0.0 else math.inf) if denom == 0.0 \
-                else ssq / denom
-            rejected |= stats[k] > code.threshold
+        stats = {k: float(stat[0]) for k, stat in zip(
+            code.overlay.level_set.levels,
+            _level_statistics(code, y[None, :], m_hat, rho_dec))}
+    rejected = any(s > code.threshold for s in stats.values())
     decim_reject = not code.is_valid_message(m_hat)
     decoded: int | str = REJECT if (rejected or decim_reject) else m_hat
     return DetectorOutcome(decoded=decoded, base_decoded=m_hat,

@@ -30,21 +30,22 @@ three standard errors); usage and validation problems exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import basecode as basecode_mod
 from . import bounds as bounds_mod
-from .adversary import AttackError, AttackSpec
+from .adversary import AttackSpec
 from .authcode import AuthCode, decimate, inject_noise
 from .basecode import BaseCode, antipodal_error_probability, make_antipodal_code
 from .overlay import (LevelSet, OverlayCode, construct_overlay, verify_overlay)
@@ -56,12 +57,6 @@ OUTPUT_DIR_ENV = "AWGNAUTH_OUTPUT_DIR"
 SCHEMA_VERSION = 1
 SWEEP_HEADER = ["axis", "metric", "estimate", "ci_lo", "ci_hi", "bound",
                 "dominated"]
-SWEEPABLE = {
-    "channel.rho_adv": "rho_adv", "rho_adv": "rho_adv",
-    "auth.rho_delta": "rho_delta", "rho_delta": "rho_delta",
-    "auth.delta": "delta", "delta": "delta",
-    "base.n": "n", "n": "n",
-}
 
 
 class ConfigError(ValueError):
@@ -70,93 +65,6 @@ class ConfigError(ValueError):
 
 class StageError(RuntimeError):
     """A module error annotated with the pipeline stage that raised it."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    base_kind: str = "antipodal"
-    n: int = 64
-    base_messages: int = 8
-    base_omega: float = 1.0
-    base_null: bool = False
-    base_seed: int = 0
-
-    overlay_levels: Any = (0.0, 0.5)     # tuple of floats, or "auto"
-    overlay_auto_count: int = 2
-    gamma: Any = 0.75                    # float, or "p/q" string
-    overlay_counts: tuple[int, ...] | None = None
-    overlay_rates: tuple[float, ...] | None = None
-    overlay_max_per_level: int | None = None
-    overlay_seed: int = 0
-
-    rho_delta: float = 1.0
-    delta: float = 0.2
-    t_zero: bool = False
-    auth_enforce: bool = True
-    auth_seed: int = 0
-
-    mod2_enabled: bool = False
-    mod2_agnostic: bool = False
-    mod2_target: int | None = None
-    mod2_seed: int = 0
-
-    rho_dec: float = 0.1
-    rho_adv: float = 0.0
-    power_budget: float | None = None
-
-    attack: str = "none"
-    weight_scale: float | None = None
-
-    metrics: tuple[str, ...] = ("epsilon",)
-    trials: int = 100_000
-    seed: int = 0
-    threads: int = 1
-    max_pairs: int = 20
-    message: int | None = None
-    detector: bool = True
-    out: str | None = None
-    trial_log: str | None = None
-
-    def gamma_value(self) -> float | Fraction:
-        if isinstance(self.gamma, str):
-            try:
-                return Fraction(self.gamma)
-            except (ValueError, ZeroDivisionError) as e:
-                raise ConfigError(f"overlay.gamma: cannot parse {self.gamma!r}") from e
-        return float(self.gamma)
-
-    def canonical(self) -> dict[str, Any]:
-        """Nested plain-data view of the fully resolved config."""
-        return {
-            "base": {"kind": self.base_kind, "n": self.n,
-                     "messages": self.base_messages, "omega": self.base_omega,
-                     "null": self.base_null, "seed": self.base_seed},
-            "overlay": {"levels": (self.overlay_levels
-                                   if isinstance(self.overlay_levels, str)
-                                   else list(self.overlay_levels)),
-                        "auto_count": self.overlay_auto_count,
-                        "gamma": self.gamma,
-                        "counts": (None if self.overlay_counts is None
-                                   else list(self.overlay_counts)),
-                        "rates": (None if self.overlay_rates is None
-                                  else list(self.overlay_rates)),
-                        "max_per_level": self.overlay_max_per_level,
-                        "seed": self.overlay_seed},
-            "auth": {"rho_delta": self.rho_delta, "delta": self.delta,
-                     "t_zero": self.t_zero, "enforce_bounds": self.auth_enforce,
-                     "seed": self.auth_seed},
-            "mod2": {"enabled": self.mod2_enabled,
-                     "agnostic": self.mod2_agnostic,
-                     "target_override": self.mod2_target,
-                     "seed": self.mod2_seed},
-            "channel": {"rho_dec": self.rho_dec, "rho_adv": self.rho_adv,
-                        "power_budget": self.power_budget},
-            "attack": {"spec": self.attack, "weight_scale": self.weight_scale},
-            "run": {"metrics": list(self.metrics), "trials": self.trials,
-                    "seed": self.seed, "threads": self.threads,
-                    "max_pairs": self.max_pairs, "message": self.message,
-                    "detector": self.detector},
-        }
 
 
 def _as_bool(key: str, value: Any) -> bool:
@@ -232,54 +140,118 @@ def _as_gamma(key: str, value: Any):
     return _as_float(key, value)
 
 
-_KEYS: dict[str, tuple[str, Any]] = {
-    "base.kind": ("base_kind", _as_str),
-    "base.n": ("n", _as_int),
-    "n": ("n", _as_int),
-    "base.messages": ("base_messages", _as_int),
-    "base.omega": ("base_omega", _as_float),
-    "base.null": ("base_null", _as_bool),
-    "base.seed": ("base_seed", _as_int),
-    "overlay.levels": ("overlay_levels", _as_levels),
-    "overlay.auto_count": ("overlay_auto_count", _as_int),
-    "overlay.gamma": ("gamma", _as_gamma),
-    "gamma": ("gamma", _as_gamma),
-    "overlay.counts": ("overlay_counts", _as_opt(_as_list(_as_int))),
-    "overlay.rates": ("overlay_rates", _as_opt(_as_list(_as_float))),
-    "overlay.max_per_level": ("overlay_max_per_level", _as_opt(_as_int)),
-    "overlay.seed": ("overlay_seed", _as_int),
-    "auth.rho_delta": ("rho_delta", _as_float),
-    "rho_delta": ("rho_delta", _as_float),
-    "auth.delta": ("delta", _as_float),
-    "delta": ("delta", _as_float),
-    "auth.t_zero": ("t_zero", _as_bool),
-    "auth.enforce_bounds": ("auth_enforce", _as_bool),
-    "auth.seed": ("auth_seed", _as_int),
-    "mod2.enabled": ("mod2_enabled", _as_bool),
-    "mod2.agnostic": ("mod2_agnostic", _as_bool),
-    "mod2.target_override": ("mod2_target", _as_opt(_as_int)),
-    "mod2.seed": ("mod2_seed", _as_int),
-    "channel.rho_dec": ("rho_dec", _as_float),
-    "rho_dec": ("rho_dec", _as_float),
-    "channel.rho_adv": ("rho_adv", _as_float),
-    "rho_adv": ("rho_adv", _as_float),
-    "channel.power_budget": ("power_budget", _as_opt(_as_float)),
-    "attack.spec": ("attack", _as_str),
-    "attack": ("attack", _as_str),
-    "attack.weight_scale": ("weight_scale", _as_opt(_as_float)),
-    "run.metrics": ("metrics", _as_list(_as_str)),
-    "metrics": ("metrics", _as_list(_as_str)),
-    "run.trials": ("trials", _as_int),
-    "trials": ("trials", _as_int),
-    "run.seed": ("seed", _as_int),
-    "seed": ("seed", _as_int),
-    "run.threads": ("threads", _as_int),
-    "run.max_pairs": ("max_pairs", _as_int),
-    "run.message": ("message", _as_opt(_as_int)),
-    "run.detector": ("detector", _as_bool),
-    "run.out": ("out", _as_opt(_as_str)),
-    "run.trial_log": ("trial_log", _as_opt(_as_str)),
-}
+# A domain is a (description, predicate) pair and a value is valid when
+# the predicate is true, so NaN fails every comparison-based domain.
+_POSITIVE = ("be positive and finite", lambda v: 0.0 < v < math.inf)
+
+
+def _setting(key: str, parse, default: Any = None, *, aliases=(),
+             domain: tuple[str, Callable[[Any], bool]] | None = None,
+             sweep: bool = False, hashed: bool = True) -> Any:
+    """Declare one config setting as an ``ExperimentConfig`` field:
+    ``key`` is its dotted name (the prefix is its section), ``aliases``
+    further names, ``parse(key, raw)`` its parser, ``domain`` must hold
+    unless the value is None, ``sweep`` makes it a ``sweep --axis`` and
+    ``hashed`` puts it in ``canonical()`` and so in ``config_hash``."""
+    return field(default=default, metadata={
+        "key": key, "aliases": aliases, "parse": parse, "domain": domain,
+        "sweep": sweep, "hashed": hashed})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment; each field is the only declaration of its setting."""
+
+    base_kind: str = _setting("base.kind", _as_str, "antipodal", domain=(
+        "be antipodal or gaussian", lambda v: v in ("antipodal", "gaussian")))
+    n: int = _setting("base.n", _as_int, 64, aliases=("n",), sweep=True,
+                      domain=("be at least 2", lambda v: v >= 2))
+    base_messages: int = _setting("base.messages", _as_int, 8)
+    base_omega: float = _setting("base.omega", _as_float, 1.0,
+                                 domain=_POSITIVE)
+    base_null: bool = _setting("base.null", _as_bool, False)
+    base_seed: int = _setting("base.seed", _as_int, 0)
+
+    # a tuple of floats, or "auto"
+    overlay_levels: Any = _setting("overlay.levels", _as_levels, (0.0, 0.5))
+    overlay_auto_count: int = _setting(
+        "overlay.auto_count", _as_int, 2, domain=("be positive", lambda v: v >= 1))
+    # a float, or a "p/q" string
+    gamma: Any = _setting("overlay.gamma", _as_gamma, 0.75, aliases=("gamma",))
+    overlay_counts: tuple[int, ...] | None = _setting(
+        "overlay.counts", _as_opt(_as_list(_as_int)))
+    overlay_rates: tuple[float, ...] | None = _setting(
+        "overlay.rates", _as_opt(_as_list(_as_float)))
+    overlay_max_per_level: int | None = _setting(
+        "overlay.max_per_level", _as_opt(_as_int))
+    overlay_seed: int = _setting("overlay.seed", _as_int, 0)
+
+    rho_delta: float = _setting("auth.rho_delta", _as_float, 1.0, sweep=True,
+                                aliases=("rho_delta",), domain=_POSITIVE)
+    delta: float = _setting("auth.delta", _as_float, 0.2, sweep=True,
+                            aliases=("delta",),
+                            domain=("lie in (0,1)", lambda v: 0.0 < v < 1.0))
+    t_zero: bool = _setting("auth.t_zero", _as_bool, False)
+    auth_enforce: bool = _setting("auth.enforce_bounds", _as_bool, True)
+    auth_seed: int = _setting("auth.seed", _as_int, 0)
+
+    mod2_enabled: bool = _setting("mod2.enabled", _as_bool, False)
+    mod2_agnostic: bool = _setting("mod2.agnostic", _as_bool, False)
+    mod2_target: int | None = _setting("mod2.target_override",
+                                       _as_opt(_as_int))
+    mod2_seed: int = _setting("mod2.seed", _as_int, 0)
+
+    rho_dec: float = _setting("channel.rho_dec", _as_float, 0.1,
+                              aliases=("rho_dec",), domain=_POSITIVE)
+    rho_adv: float = _setting(
+        "channel.rho_adv", _as_float, 0.0, aliases=("rho_adv",), sweep=True,
+        domain=("be nonnegative and finite", lambda v: 0.0 <= v < math.inf))
+    power_budget: float | None = _setting(
+        "channel.power_budget", _as_opt(_as_float), domain=_POSITIVE)
+
+    attack: str = _setting("attack.spec", _as_str, "none", aliases=("attack",))
+    weight_scale: float | None = _setting("attack.weight_scale",
+                                          _as_opt(_as_float))
+
+    metrics: tuple[str, ...] = _setting("run.metrics", _as_list(_as_str),
+                                        ("epsilon",), aliases=("metrics",))
+    trials: int = _setting("run.trials", _as_int, 100_000, aliases=("trials",),
+                           domain=("be nonnegative", lambda v: v >= 0))
+    seed: int = _setting("run.seed", _as_int, 0, aliases=("seed",))
+    threads: int = _setting("run.threads", _as_int, 1,
+                            domain=("be positive", lambda v: v >= 1))
+    max_pairs: int = _setting("run.max_pairs", _as_int, 20)
+    message: int | None = _setting("run.message", _as_opt(_as_int),
+                                   domain=("be nonnegative", lambda v: v >= 0))
+    detector: bool = _setting("run.detector", _as_bool, True)
+    out: str | None = _setting("run.out", _as_opt(_as_str), hashed=False)
+    trial_log: str | None = _setting("run.trial_log", _as_opt(_as_str),
+                                     hashed=False)
+
+    def gamma_value(self) -> float | Fraction:
+        if isinstance(self.gamma, str):
+            try:
+                return Fraction(self.gamma)
+            except (ValueError, ZeroDivisionError) as e:
+                raise ConfigError(f"overlay.gamma: cannot parse {self.gamma!r}") from e
+        return float(self.gamma)
+
+    def canonical(self) -> dict[str, Any]:
+        """Nested plain-data view of the hashed settings, by section."""
+        out: dict[str, dict[str, Any]] = {}
+        for f in fields(self):
+            if f.metadata["hashed"]:
+                section, _, name = f.metadata["key"].partition(".")
+                value = getattr(self, f.name)
+                out.setdefault(section, {})[name] = (
+                    list(value) if isinstance(value, tuple) else value)
+        return out
+
+
+_SETTINGS = {key: f for f in fields(ExperimentConfig)
+             for key in (f.metadata["key"], *f.metadata["aliases"])}
+SWEEPABLE = tuple(f.metadata["key"] for f in fields(ExperimentConfig)
+                  if f.metadata["sweep"])
 
 
 def _flatten(prefix: str, obj: Any, into: dict[str, Any]) -> None:
@@ -335,10 +307,10 @@ def apply_settings(cfg: ExperimentConfig,
                    settings: dict[str, Any]) -> ExperimentConfig:
     updates: dict[str, Any] = {}
     for key, raw in settings.items():
-        if key not in _KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
-        fieldname, cast = _KEYS[key]
-        updates[fieldname] = cast(key, raw)
+        f = _SETTINGS[key]
+        updates[f.name] = f.metadata["parse"](key, raw)
     return replace(cfg, **updates)
 
 
@@ -366,16 +338,15 @@ def parse_config(path: str | None = None,
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.base_kind not in ("antipodal", "gaussian"):
-        raise ConfigError(f"base.kind must be antipodal or gaussian, "
-                          f"got {cfg.base_kind!r}")
-    if cfg.n < 2:
-        raise ConfigError("base.n must be at least 2")
+    """Check every declared domain, then the checks no single field owns."""
+    for f in fields(cfg):
+        value, domain = getattr(cfg, f.name), f.metadata["domain"]
+        if domain is not None and value is not None and not domain[1](value):
+            raise ConfigError(
+                f"{f.metadata['key']} must {domain[0]}, got {value!r}")
     if isinstance(cfg.overlay_levels, str):
         if cfg.overlay_levels != "auto":
             raise ConfigError("overlay.levels must be a list or 'auto'")
-        if cfg.overlay_auto_count < 1:
-            raise ConfigError("overlay.auto_count must be positive")
     else:
         for k in cfg.overlay_levels:
             if not 0.0 <= k < 1.0:
@@ -383,28 +354,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if list(cfg.overlay_levels) != sorted(set(cfg.overlay_levels)):
             raise ConfigError("levels must be strictly increasing")
     g = cfg.gamma_value()
-    if not Fraction(1, 2) < Fraction(g) < 1:
+    if not Fraction(1, 2) < g < 1:
         raise ConfigError(
             f"overlay.gamma must lie strictly between 1/2 and 1, got {g}")
-    if not 0.0 < cfg.delta < 1.0:
-        raise ConfigError("auth.delta must lie in (0,1)")
-    if cfg.rho_delta <= 0.0:
-        raise ConfigError("auth.rho_delta must be positive")
-    if cfg.rho_dec <= 0.0:
-        raise ConfigError("channel.rho_dec must be positive")
-    if cfg.rho_adv < 0.0:
-        raise ConfigError("channel.rho_adv must be nonnegative")
-    if cfg.trials < 0:
-        raise ConfigError("run.trials must be nonnegative")
-    if cfg.threads < 1:
-        raise ConfigError("run.threads must be positive")
     for metric in cfg.metrics:
         if metric not in METRICS:
             raise ConfigError(f"run.metrics: unknown metric {metric!r}; "
                               f"choose from {METRICS}")
     try:
         AttackSpec.parse(cfg.attack)
-    except AttackError as e:
+    except ValueError as e:
         raise ConfigError(f"attack.spec: {e}") from e
 
 
@@ -498,26 +457,22 @@ def bounds_payload(cfg: ExperimentConfig, code: AuthCode) -> dict[str, Any]:
 def _metric_bound(cfg: ExperimentConfig, code: AuthCode,
                   bounds: dict[str, Any], metric: str
                   ) -> tuple[float | None, str | None]:
-    def pick(key: str, label: str) -> tuple[float | None, str | None]:
-        value = bounds.get(key)
+    def pick(value: Any, label: str) -> tuple[float | None, str | None]:
         if isinstance(value, float) and math.isfinite(value):
             return value, label
         return None, None
 
     if metric == "epsilon":
-        return pick("injected_error_bound",
+        return pick(bounds.get("injected_error_bound"),
                     "decode error after noise injection")
     if metric == "false_alarm":
-        terms = bounds.get("injected_error_terms", {})
-        value = terms.get("detector")
-        if isinstance(value, float) and math.isfinite(value):
-            return value, "detector false-alarm concentration"
-        return None, None
+        return pick(bounds.get("injected_error_terms", {}).get("detector"),
+                    "detector false-alarm concentration")
     if metric == "alpha_star":
-        return pick("targeted_false_auth_bound",
+        return pick(bounds.get("targeted_false_auth_bound"),
                     "targeted false authentication after noise injection")
     if metric == "alpha" and code.decimated is not None:
-        return pick("decimated_false_auth_bound",
+        return pick(bounds.get("decimated_false_auth_bound"),
                     "false authentication after decimation")
     return None, None
 
@@ -527,6 +482,9 @@ def run_estimates(cfg: ExperimentConfig, code: AuthCode,
     channel = ChannelParams(rho_dec=cfg.rho_dec, rho_adv=cfg.rho_adv,
                             power_budget=cfg.power_budget)
     attack = AttackSpec.parse(cfg.attack)
+    if cfg.trial_log:
+        # every metric appends its rows to the one log of this run
+        open(cfg.trial_log, "w").close()
     rows = []
     for metric in cfg.metrics:
         kwargs: dict[str, Any] = dict(
@@ -560,6 +518,7 @@ def run_estimates(cfg: ExperimentConfig, code: AuthCode,
     return rows
 
 
+@functools.cache
 def _version_string() -> str:
     try:
         from importlib.metadata import version
@@ -656,8 +615,11 @@ def resolve_out(path: str | None) -> str | None:
 
 
 def emit_json(payload: dict[str, Any], out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+    emit_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+              + "\n", out)
+
+
+def emit_text(text: str, out: str | None) -> None:
     path = resolve_out(out)
     if path is None:
         sys.stdout.write(text)
@@ -718,19 +680,16 @@ def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    if args.axis not in SWEEPABLE:
-        raise ConfigError(
-            f"axis {args.axis!r} is not sweepable; choose from "
-            f"{sorted(k for k in SWEEPABLE if '.' in k)}")
-    fieldname = SWEEPABLE[args.axis]
+    if args.axis not in _SETTINGS or not _SETTINGS[args.axis].metadata["sweep"]:
+        raise ConfigError(f"axis {args.axis!r} is not sweepable; choose from "
+                          f"{sorted(SWEEPABLE)}")
     values = []
     if args.values.strip():
         values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
     lines = [",".join(SWEEP_HEADER)]
     worst = True
     for value in values:
-        cast = _as_int if fieldname == "n" else _as_float
-        sub = replace(cfg, **{fieldname: cast(args.axis, value)})
+        sub = apply_settings(cfg, {args.axis: value})
         validate_config(sub)
         report = make_report(sub)
         for row in report["estimates"]:
@@ -745,13 +704,7 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                 "" if bound is None else f"{bound:.10g}",
                 "" if dominated is None else str(dominated).lower(),
             ]))
-    text = "\n".join(lines) + "\n"
-    path = resolve_out(cfg.out or args.out)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    emit_text("\n".join(lines) + "\n", cfg.out or args.out)
     return 0 if worst else 1
 
 
@@ -805,8 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="code JSON emitted by construct")
         if name == "sweep":
             p.add_argument("--axis", required=True,
-                           help="swept key: channel.rho_adv, auth.rho_delta, "
-                                "auth.delta, or base.n")
+                           help=f"swept key: one of {', '.join(SWEEPABLE)}")
             p.add_argument("--values", required=True,
                            help="comma-separated values (empty for a "
                                 "header-only table)")
@@ -832,10 +784,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "sweep": cmd_sweep,
         }[args.command]
         return handler(cfg, args)
-    except (ConfigError, StageError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as e:
+    except (ConfigError, StageError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

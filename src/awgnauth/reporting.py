@@ -14,7 +14,6 @@ def _z_value(confidence: float) -> float:
         return _Z[confidence]
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0,1), got {confidence}")
-    # Newton refinement of an erf-inverse seed keeps scipy out of this module.
     from scipy.special import ndtri
     return float(ndtri(0.5 + confidence / 2.0))
 

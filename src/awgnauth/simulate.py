@@ -62,13 +62,16 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         # rho_dec = 0 is allowed as a noiseless-pipe diagnostic for single
-        # trials; the estimators require a positive value.
-        if self.rho_dec < 0.0:
-            raise SimulateError("rho_dec must be nonnegative")
-        if self.rho_adv < 0.0:
-            raise SimulateError("rho_adv must be nonnegative")
-        if self.power_budget is not None and self.power_budget <= 0.0:
-            raise SimulateError("power_budget must be positive when given")
+        # trials; the estimators require a positive value.  The checks are
+        # written so that NaN fails them.
+        if not 0.0 <= self.rho_dec < math.inf:
+            raise SimulateError("rho_dec must be nonnegative and finite")
+        if not 0.0 <= self.rho_adv < math.inf:
+            raise SimulateError("rho_adv must be nonnegative and finite")
+        if self.power_budget is not None \
+                and not 0.0 < self.power_budget < math.inf:
+            raise SimulateError("power_budget must be positive and finite "
+                                "when given")
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,7 @@ def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
               m: int, seed: int, trial_index: int = 0) -> TrialOutcome:
     """A single trial, identical to row ``trial_index`` of a batched run."""
     _check_power(code, channel)
+    _check_messages(code, [m])
     ms, base_decoded, rejected = _simulate_block(
         code, channel, seed, trial_index, 1, attack=attack, fixed_m=m,
         detector=True)
@@ -148,6 +152,12 @@ def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
     return TrialOutcome(trial=trial_index, transmitted=int(ms[0]),
                         decoded=decoded,
                         classification=classify(attack, int(ms[0]), decoded))
+
+
+def _check_messages(code: AuthCode, ids: Sequence[Any]) -> None:
+    for m in ids:
+        if not isinstance(m, (int, np.integer)) or not code.is_valid_message(m):
+            raise SimulateError(f"{m!r} is not a valid message of this code")
 
 
 def _check_power(code: AuthCode, channel: ChannelParams) -> None:
@@ -169,8 +179,7 @@ def _blocks(trials: int, batch: int) -> list[tuple[int, int]]:
 
 def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
                   trials: int, *, attack: AttackSpec, fixed_m: int | None,
-                  detector: bool, threads: int, batch: int,
-                  log: list[TrialOutcome] | None
+                  detector: bool, threads: int, batch: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Runs all trials, returning concatenated per-trial results."""
     def work(block: tuple[int, int]):
@@ -187,12 +196,27 @@ def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
     ms = np.concatenate([p[0] for p in parts])
     dec = np.concatenate([p[1] for p in parts])
     rej = np.concatenate([p[2] for p in parts])
-    if log is not None:
-        for t in range(trials):
-            decoded: int | str = REJECT if rej[t] else int(dec[t])
-            log.append(TrialOutcome(t, int(ms[t]), decoded,
-                                    classify(attack, int(ms[t]), decoded)))
     return ms, dec, rej
+
+
+TRIAL_LOG_HEADER = ["metric", "trial", "transmitted", "target", "decoded",
+                    "classification"]
+
+
+def _append_trial_log(path: str, metric: str, attack: AttackSpec,
+                      ms: np.ndarray, dec: np.ndarray, rej: np.ndarray) -> None:
+    """Append one CSV row per trial; a new or empty file gets the header.
+    ``target`` is empty for metrics run without an attack."""
+    target = "" if attack.target is None else attack.target
+    with open(path, "a", newline="") as fh:
+        writer = csv.writer(fh)
+        if fh.tell() == 0:
+            writer.writerow(TRIAL_LOG_HEADER)
+        for t, (m, d, r) in enumerate(zip(ms.tolist(), dec.tolist(),
+                                          rej.tolist())):
+            decoded = REJECT if r else d
+            writer.writerow([metric, t, m, target, decoded,
+                             classify(attack, m, decoded)])
 
 
 def _default_pairs(code: AuthCode, impersonation: bool, max_pairs: int,
@@ -225,7 +249,10 @@ def estimate(code: AuthCode, channel: ChannelParams, metric: str,
     """Estimate one operational measure; see the module docstring for
     metric semantics.  ``pairs`` pins the ordered (transmit, target)
     pairs for the false-authentication metrics (otherwise all ordered
-    pairs are enumerated, subsampled to ``max_pairs``)."""
+    pairs are enumerated, subsampled to ``max_pairs``).  ``message`` and
+    every id in ``pairs`` must be valid messages of ``code``.  With
+    ``trial_log``, one CSV row per simulated trial is appended to that
+    file (``TRIAL_LOG_HEADER`` first when the file is empty)."""
     if metric not in METRICS:
         raise SimulateError(f"unknown metric {metric!r}; choose from {METRICS}")
     if trials < 100:
@@ -234,8 +261,19 @@ def estimate(code: AuthCode, channel: ChannelParams, metric: str,
         raise SimulateError("estimation needs rho_dec > 0 "
                             "(the zero sentinel is for single trials)")
     _check_power(code, channel)
+    _check_messages(code, ([] if message is None else [message])
+                    + [m for pair in pairs or () for m in pair])
     batch_n = _auto_batch(code.n, batch)
-    log: list[TrialOutcome] | None = [] if trial_log else None
+
+    def run(spec: AttackSpec, fixed_m: int | None):
+        ms, dec, rej = _run_counting(code, channel, seed, trials,
+                                     attack=spec, fixed_m=fixed_m,
+                                     detector=detector, threads=threads,
+                                     batch=batch_n)
+        if trial_log:
+            _append_trial_log(trial_log, metric, spec, ms, dec, rej)
+        return ms, dec, rej
+
     params: dict[str, Any] = {
         "rho_dec": channel.rho_dec, "rho_adv": channel.rho_adv,
         "n": code.n, "ell": code.ell, "delta": code.delta,
@@ -246,10 +284,7 @@ def estimate(code: AuthCode, channel: ChannelParams, metric: str,
         attack = attack or AttackSpec(kind="none")
         if attack.kind != "none":
             raise SimulateError(f"{metric} is defined under no attack")
-        ms, dec, rej = _run_counting(code, channel, seed, trials,
-                                     attack=attack, fixed_m=message,
-                                     detector=detector, threads=threads,
-                                     batch=batch_n, log=log)
+        ms, dec, rej = run(attack, message)
         if metric == "epsilon":
             successes = int(np.sum(rej | (dec != ms)))
             eff_trials = trials
@@ -267,10 +302,7 @@ def estimate(code: AuthCode, channel: ChannelParams, metric: str,
     elif metric == "genuine_acceptance":
         if message is None:
             raise SimulateError("genuine_acceptance needs a fixed message")
-        _, dec, rej = _run_counting(code, channel, seed, trials,
-                                    attack=AttackSpec(kind="none"),
-                                    fixed_m=message, detector=detector,
-                                    threads=threads, batch=batch_n, log=log)
+        _, dec, rej = run(AttackSpec(kind="none"), message)
         successes = int(np.sum(~rej & (dec == message)))
         params["message"] = message
         report = EstimateReport(metric=metric, successes=successes,
@@ -291,10 +323,7 @@ def estimate(code: AuthCode, channel: ChannelParams, metric: str,
         for a, b_t in pairs:
             spec = AttackSpec(kind="impersonation" if impersonation else "targeted",
                               target=b_t, weight_scale=weight_scale)
-            ms, dec, rej = _run_counting(code, channel, seed, trials,
-                                         attack=spec, fixed_m=a,
-                                         detector=detector, threads=threads,
-                                         batch=batch_n, log=log)
+            _, dec, rej = run(spec, a)
             if metric == "alpha_star":
                 succ = int(np.sum(~rej & (dec == b_t)))
             else:
@@ -315,12 +344,4 @@ def estimate(code: AuthCode, channel: ChannelParams, metric: str,
                                 trials=trials, confidence=confidence,
                                 seed=seed, params=params,
                                 detail={"per_pair": per_pair})
-
-    if trial_log and log is not None:
-        with open(trial_log, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "transmitted", "decoded", "classification"])
-            for row in log:
-                writer.writerow([row.trial, row.transmitted, row.decoded,
-                                 row.classification])
     return report

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,6 +275,20 @@ class TestDecimation:
         assert out.decoded == REJECT
         assert out.decimation_rejected
         assert out.statistics[0.0] == 0.0  # detector itself was happy
+
+    def test_batch_filter_matches_surviving_set(self, null_auth):
+        code = decimate(null_auth, rho_dec=0.1, seed=5,
+                        adversary_agnostic=True, target_size_override=3)
+        dec = np.repeat(np.arange(code.message_count), 2)
+        ys = np.zeros((dec.size, code.n))
+        rejected = detect_batch(code, ys, dec, 0.1, detector=False)
+        expected = [not (m in code.decimated or m == code.base.null_id)
+                    for m in dec.tolist()]
+        assert rejected.tolist() == expected
+
+    def test_decimated_ids_must_be_message_ids(self, small_auth):
+        with pytest.raises(AuthCodeError, match="message ids"):
+            replace(small_auth, decimated=frozenset({0, 6}))
 
     def test_null_always_survives_decoding(self, null_auth):
         code = decimate(null_auth, rho_dec=0.1, seed=5,

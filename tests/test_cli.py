@@ -101,6 +101,9 @@ class TestValidation:
             "auth.delta=1.5": r"auth.delta must lie in \(0,1\)",
             "channel.rho_dec=0": "rho_dec must be positive",
             "overlay.levels=[0.5, 0.25]": "strictly increasing",
+            "run.message=-3": "run.message must be nonnegative",
+            "auth.rho_delta=Infinity": "auth.rho_delta must be positive",
+            "channel.power_budget=NaN": "channel.power_budget must be positive",
         }
         for override, message in cases.items():
             with pytest.raises(ConfigError, match=message):

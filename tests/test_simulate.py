@@ -6,8 +6,9 @@ import pytest
 from scipy.stats import chi2, norm
 
 from awgnauth.adversary import AttackSpec
-from awgnauth.authcode import REJECT, inject_noise
+from awgnauth.authcode import REJECT, decimate, inject_noise
 from awgnauth.basecode import make_antipodal_code
+from awgnauth.cli import main
 from awgnauth.overlay import LevelSet, construct_overlay
 from awgnauth.simulate import (
     CLASS_CORRECT,
@@ -42,6 +43,45 @@ class TestChannelParams:
         with pytest.raises(SimulateError, match="power_budget"):
             ChannelParams(rho_dec=0.1, power_budget=0.0)
         ChannelParams(rho_dec=0.0)  # noiseless diagnostic is allowed
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(rho_dec=math.nan), dict(rho_dec=math.inf),
+        dict(rho_dec=0.1, rho_adv=math.nan),
+        dict(rho_dec=0.1, power_budget=math.nan),
+        dict(rho_dec=0.1, power_budget=math.inf),
+    ])
+    def test_rejects_values_that_are_not_finite(self, kwargs):
+        with pytest.raises(SimulateError, match="finite"):
+            ChannelParams(**kwargs)
+
+
+class TestMessageValidation:
+    # Each of these used to wrap to another message or raise IndexError.
+    @pytest.mark.parametrize("kwargs", [
+        dict(metric="alpha_star", pairs=[(-1, 0)]),
+        dict(metric="alpha_star", pairs=[(0, 6)]),
+        dict(metric="epsilon", message=-2),
+        dict(metric="epsilon", message=6),
+        dict(metric="genuine_acceptance", message=2.0),
+    ])
+    def test_estimate_rejects_invalid_ids(self, small_auth, kwargs):
+        channel = ChannelParams(rho_dec=0.1, rho_adv=0.1)
+        with pytest.raises(SimulateError, match="not a valid message"):
+            estimate(small_auth, channel, trials=100, **kwargs)
+
+    def test_decimated_away_message_is_invalid(self, small_auth):
+        code = decimate(small_auth, rho_dec=0.1, seed=3,
+                        adversary_agnostic=True, target_size_override=3)
+        dead = next(m for m in range(code.message_count)
+                    if m not in code.decimated)
+        with pytest.raises(SimulateError, match="not a valid message"):
+            estimate(code, ChannelParams(rho_dec=0.1), "epsilon", 100,
+                     message=dead)
+
+    def test_run_trial_rejects_invalid_id(self, small_auth):
+        with pytest.raises(SimulateError, match="not a valid message"):
+            run_trial(small_auth, ChannelParams(rho_dec=0.1),
+                      AttackSpec(kind="none"), -1, seed=0)
 
 
 class TestClassify:
@@ -263,8 +303,36 @@ class TestTrialLog:
             reader = csv.reader(fh)
             header = next(reader)
             rows = list(reader)
-        assert header == ["trial", "transmitted", "decoded", "classification"]
+        assert header == ["metric", "trial", "transmitted", "target",
+                          "decoded", "classification"]
         assert len(rows) == 150
-        assert [int(r[0]) for r in rows] == list(range(150))
-        assert all(r[3] in (CLASS_CORRECT, CLASS_MISS, CLASS_WRONG_MESSAGE)
+        assert [int(r[1]) for r in rows] == list(range(150))
+        assert all(r[0] == "epsilon" and r[3] == "" for r in rows)
+        assert all(r[5] in (CLASS_CORRECT, CLASS_MISS, CLASS_WRONG_MESSAGE)
                    for r in rows)
+
+    def test_pairs_sharing_a_transmit_message_are_told_apart(self, small_auth,
+                                                              tmp_path):
+        path = tmp_path / "log.csv"
+        estimate(small_auth, ChannelParams(rho_dec=0.1, rho_adv=0.1),
+                 "alpha_star", 100, seed=2, pairs=[(0, 1), (0, 2)],
+                 trial_log=str(path))
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 200
+        assert {(r["transmitted"], r["target"]) for r in rows} == {
+            ("0", "1"), ("0", "2")}
+        assert len({(r["target"], r["trial"]) for r in rows}) == 200
+
+    def test_one_cli_run_logs_every_metric(self, tmp_path, capsys):
+        path = tmp_path / "log.csv"
+        path.write_text("rows of an earlier run\n")
+        main(["simulate", "base.n=60", "run.trials=200",
+              'run.metrics=["epsilon","false_alarm"]',
+              f"run.trial_log={path}"])
+        capsys.readouterr()
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["metric"] for r in rows] == (["epsilon"] * 200
+                                               + ["false_alarm"] * 200)
+        assert [int(r["trial"]) for r in rows] == list(range(200)) * 2
