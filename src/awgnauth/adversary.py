@@ -12,6 +12,7 @@ tests can confirm the MMSE choice actually maximises acceptance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +44,9 @@ class AttackSpec:
             raise AttackError(f"{self.kind} attack needs a target message")
         if self.kind == "custom" and self.custom is None:
             raise AttackError("custom attack needs a callable")
+        if self.weight_scale is not None \
+                and not math.isfinite(self.weight_scale):
+            raise AttackError("weight_scale must be finite when given")
 
     @classmethod
     def parse(cls, text: str) -> "AttackSpec":

@@ -143,6 +143,8 @@ def _as_gamma(key: str, value: Any):
 # A domain is a (description, predicate) pair and a value is valid when
 # the predicate is true, so NaN fails every comparison-based domain.
 _POSITIVE = ("be positive and finite", lambda v: 0.0 < v < math.inf)
+_POSITIVE_INT = ("be positive", lambda v: v >= 1)
+_NONNEGATIVE = ("be nonnegative", lambda v: v >= 0)
 
 
 def _setting(key: str, parse, default: Any = None, *, aliases=(),
@@ -170,12 +172,12 @@ class ExperimentConfig:
     base_omega: float = _setting("base.omega", _as_float, 1.0,
                                  domain=_POSITIVE)
     base_null: bool = _setting("base.null", _as_bool, False)
-    base_seed: int = _setting("base.seed", _as_int, 0)
+    base_seed: int = _setting("base.seed", _as_int, 0, domain=_NONNEGATIVE)
 
     # a tuple of floats, or "auto"
     overlay_levels: Any = _setting("overlay.levels", _as_levels, (0.0, 0.5))
     overlay_auto_count: int = _setting(
-        "overlay.auto_count", _as_int, 2, domain=("be positive", lambda v: v >= 1))
+        "overlay.auto_count", _as_int, 2, domain=_POSITIVE_INT)
     # a float, or a "p/q" string
     gamma: Any = _setting("overlay.gamma", _as_gamma, 0.75, aliases=("gamma",))
     overlay_counts: tuple[int, ...] | None = _setting(
@@ -184,7 +186,8 @@ class ExperimentConfig:
         "overlay.rates", _as_opt(_as_list(_as_float)))
     overlay_max_per_level: int | None = _setting(
         "overlay.max_per_level", _as_opt(_as_int))
-    overlay_seed: int = _setting("overlay.seed", _as_int, 0)
+    overlay_seed: int = _setting("overlay.seed", _as_int, 0,
+                                 domain=_NONNEGATIVE)
 
     rho_delta: float = _setting("auth.rho_delta", _as_float, 1.0, sweep=True,
                                 aliases=("rho_delta",), domain=_POSITIVE)
@@ -193,13 +196,13 @@ class ExperimentConfig:
                             domain=("lie in (0,1)", lambda v: 0.0 < v < 1.0))
     t_zero: bool = _setting("auth.t_zero", _as_bool, False)
     auth_enforce: bool = _setting("auth.enforce_bounds", _as_bool, True)
-    auth_seed: int = _setting("auth.seed", _as_int, 0)
+    auth_seed: int = _setting("auth.seed", _as_int, 0, domain=_NONNEGATIVE)
 
     mod2_enabled: bool = _setting("mod2.enabled", _as_bool, False)
     mod2_agnostic: bool = _setting("mod2.agnostic", _as_bool, False)
     mod2_target: int | None = _setting("mod2.target_override",
                                        _as_opt(_as_int))
-    mod2_seed: int = _setting("mod2.seed", _as_int, 0)
+    mod2_seed: int = _setting("mod2.seed", _as_int, 0, domain=_NONNEGATIVE)
 
     rho_dec: float = _setting("channel.rho_dec", _as_float, 0.1,
                               aliases=("rho_dec",), domain=_POSITIVE)
@@ -210,19 +213,21 @@ class ExperimentConfig:
         "channel.power_budget", _as_opt(_as_float), domain=_POSITIVE)
 
     attack: str = _setting("attack.spec", _as_str, "none", aliases=("attack",))
-    weight_scale: float | None = _setting("attack.weight_scale",
-                                          _as_opt(_as_float))
+    weight_scale: float | None = _setting(
+        "attack.weight_scale", _as_opt(_as_float),
+        domain=("be finite", math.isfinite))
 
     metrics: tuple[str, ...] = _setting("run.metrics", _as_list(_as_str),
                                         ("epsilon",), aliases=("metrics",))
     trials: int = _setting("run.trials", _as_int, 100_000, aliases=("trials",),
-                           domain=("be nonnegative", lambda v: v >= 0))
-    seed: int = _setting("run.seed", _as_int, 0, aliases=("seed",))
-    threads: int = _setting("run.threads", _as_int, 1,
-                            domain=("be positive", lambda v: v >= 1))
-    max_pairs: int = _setting("run.max_pairs", _as_int, 20)
+                           domain=_NONNEGATIVE)
+    seed: int = _setting("run.seed", _as_int, 0, aliases=("seed",),
+                         domain=_NONNEGATIVE)
+    threads: int = _setting("run.threads", _as_int, 1, domain=_POSITIVE_INT)
+    max_pairs: int = _setting("run.max_pairs", _as_int, 20,
+                              domain=_POSITIVE_INT)
     message: int | None = _setting("run.message", _as_opt(_as_int),
-                                   domain=("be nonnegative", lambda v: v >= 0))
+                                   domain=_NONNEGATIVE)
     detector: bool = _setting("run.detector", _as_bool, True)
     out: str | None = _setting("run.out", _as_opt(_as_str), hashed=False)
     trial_log: str | None = _setting("run.trial_log", _as_opt(_as_str),

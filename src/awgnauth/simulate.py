@@ -20,7 +20,11 @@ Metrics
 
 Trial ``t`` always reads slice ``t`` of the per-role counter streams,
 so estimates are reproducible bit-for-bit regardless of batch size or
-thread count, and runs at different noise powers share randomness.
+thread count, and runs at different noise powers share randomness.  One
+``estimate`` call is one pass over blocks of trials that draws each
+block's streams once; every attack pair of the call reads those draws.
+Unless ``batch`` is given, a block has as many rows as keep its widest
+array (n-wide draws or decode scores, one per message) at 2**22 float64s.
 """
 
 from __future__ import annotations
@@ -99,45 +103,46 @@ def classify(attack: AttackSpec, transmitted: int,
 def _transmit_pool(code: AuthCode) -> np.ndarray:
     if code.decimated is not None:
         return np.fromiter(sorted(code.decimated), dtype=np.int64)
-    if code.base.null_id is not None:
-        return np.fromiter((m for m in range(code.message_count)
-                            if m != code.base.null_id), dtype=np.int64)
-    return np.arange(code.message_count, dtype=np.int64)
+    return np.array([m for m in range(code.message_count)
+                     if m != code.base.null_id], dtype=np.int64)
+
+
+# A run is an attack and its fixed transmit message (None: drawn per trial).
+Run = tuple[AttackSpec, int | None]
+Result = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
-                    t0: int, b: int, *, attack: AttackSpec,
-                    fixed_m: int | None, detector: bool
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (transmitted, base_decoded, rejected) for trials [t0, t0+b)."""
+                    t0: int, b: int, runs: Sequence[Run], *, detector: bool,
+                    pool: np.ndarray | None = None) -> list[Result]:
+    """(transmitted, base_decoded, rejected) of trials [t0, t0+b) for each
+    run.  The block's streams are drawn once and every run reads them;
+    ``pool`` is the transmit pool of the runs without a fixed message."""
     n = code.n
-    if fixed_m is not None:
-        ms = np.full(b, fixed_m, dtype=np.int64)
-    else:
-        pool = _transmit_pool(code)
-        ms = pool[choices(seed, Role.MESSAGE, t0, b, pool.size)]
-    xs = auth_encode_batch(code, ms, normals(seed, Role.DELTA, t0, b, n))
-
-    if attack.kind == "none":
-        zs = no_attack(n)
-    else:
-        vs = xs + math.sqrt(channel.rho_adv) * normals(
-            seed, Role.ADVERSARY, t0, b, n)
-        if attack.kind in ("targeted", "impersonation"):
-            if fixed_m is None:
-                raise SimulateError("targeted attacks need a fixed transmit message")
-            zs = mmse_targeted_attack_batch(
-                code, vs, fixed_m, attack.target, channel.rho_adv,
-                attack.weight_scale)
+    drawn_ms = (None if pool is None
+                else pool[choices(seed, Role.MESSAGE, t0, b, pool.size)])
+    g_delta = normals(seed, Role.DELTA, t0, b, n)
+    g_adv = (normals(seed, Role.ADVERSARY, t0, b, n)
+             if any(spec.kind != "none" for spec, _ in runs) else None)
+    g_dec = normals(seed, Role.DECODER, t0, b, n)
+    out = []
+    for spec, fixed_m in runs:
+        ms = drawn_ms if fixed_m is None else np.full(b, fixed_m, np.int64)
+        xs = auth_encode_batch(code, ms, g_delta)
+        if spec.kind == "none":
+            zs = no_attack(n)
+        elif spec.kind == "custom":
+            zs = np.stack([spec.custom(v, int(m), code) for v, m in
+                           zip(xs + math.sqrt(channel.rho_adv) * g_adv, ms)])
         else:
-            zs = np.stack([attack.custom(vs[i], int(ms[i]), code)
-                           for i in range(b)])
-    ys = xs + zs + math.sqrt(channel.rho_dec) * normals(
-        seed, Role.DECODER, t0, b, n)
-    base_decoded = code.base.decode_batch(ys)
-    rejected = detect_batch(code, ys, base_decoded, channel.rho_dec,
-                            detector=detector)
-    return ms, base_decoded, rejected
+            zs = mmse_targeted_attack_batch(
+                code, xs + math.sqrt(channel.rho_adv) * g_adv, fixed_m,
+                spec.target, channel.rho_adv, spec.weight_scale)
+        ys = xs + zs + math.sqrt(channel.rho_dec) * g_dec
+        base_decoded = code.base.decode_batch(ys)
+        out.append((ms, base_decoded, detect_batch(
+            code, ys, base_decoded, channel.rho_dec, detector=detector)))
+    return out
 
 
 def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
@@ -145,13 +150,11 @@ def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
     """A single trial, identical to row ``trial_index`` of a batched run."""
     _check_power(code, channel)
     _check_messages(code, [m])
-    ms, base_decoded, rejected = _simulate_block(
-        code, channel, seed, trial_index, 1, attack=attack, fixed_m=m,
-        detector=True)
+    [(_, base_decoded, rejected)] = _simulate_block(
+        code, channel, seed, trial_index, 1, [(attack, m)], detector=True)
     decoded: int | str = REJECT if rejected[0] else int(base_decoded[0])
-    return TrialOutcome(trial=trial_index, transmitted=int(ms[0]),
-                        decoded=decoded,
-                        classification=classify(attack, int(ms[0]), decoded))
+    return TrialOutcome(trial_index, int(m), decoded,
+                        classify(attack, int(m), decoded))
 
 
 def _check_messages(code: AuthCode, ids: Sequence[Any]) -> None:
@@ -167,36 +170,30 @@ def _check_power(code: AuthCode, channel: ChannelParams) -> None:
             f"{channel.power_budget:.6g}")
 
 
-def _auto_batch(n: int, batch: int | None) -> int:
-    if batch is not None:
-        return max(1, batch)
-    return max(512, int(3.2e7) // max(1, n))
-
-
-def _blocks(trials: int, batch: int) -> list[tuple[int, int]]:
-    return [(t0, min(batch, trials - t0)) for t0 in range(0, trials, batch)]
+def _auto_batch(n: int, message_count: int, batch: int | None) -> int:
+    # rows per block, sized as the module docstring says
+    return max(1, 2 ** 22 // max(n, message_count) if batch is None else batch)
 
 
 def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
-                  trials: int, *, attack: AttackSpec, fixed_m: int | None,
-                  detector: bool, threads: int, batch: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Runs all trials, returning concatenated per-trial results."""
-    def work(block: tuple[int, int]):
-        t0, b = block
-        return _simulate_block(code, channel, seed, t0, b, attack=attack,
-                               fixed_m=fixed_m, detector=detector)
+                  trials: int, runs: Sequence[Run], *, detector: bool,
+                  threads: int, batch: int) -> list[Result]:
+    """Each run's per-trial results, all runs in one pass over the blocks."""
+    pool = _transmit_pool(code) if any(m is None for _, m in runs) else None
 
-    blocks = _blocks(trials, batch)
+    def work(block: tuple[int, int]):
+        return _simulate_block(code, channel, seed, *block, runs,
+                               detector=detector, pool=pool)
+
+    blocks = [(t0, min(batch, trials - t0)) for t0 in range(0, trials, batch)]
     if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, blocks))
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            parts = list(executor.map(work, blocks))
     else:
         parts = [work(bl) for bl in blocks]
-    ms = np.concatenate([p[0] for p in parts])
-    dec = np.concatenate([p[1] for p in parts])
-    rej = np.concatenate([p[2] for p in parts])
-    return ms, dec, rej
+    # parts[block][run] -> per run, each of the three arrays over blocks
+    return [tuple(np.concatenate(arrays) for arrays in zip(*run_parts))
+            for run_parts in zip(*parts)]
 
 
 TRIAL_LOG_HEADER = ["metric", "trial", "transmitted", "target", "decoded",
@@ -219,20 +216,34 @@ def _append_trial_log(path: str, metric: str, attack: AttackSpec,
                              classify(attack, m, decoded)])
 
 
-def _default_pairs(code: AuthCode, impersonation: bool, max_pairs: int,
-                   seed: int) -> list[tuple[int, int]]:
-    targets = [int(m) for m in _transmit_pool(code)]
-    if impersonation:
-        if code.base.null_id is None:
-            raise SimulateError("impersonation needs a code with a null message")
-        pairs = [(code.base.null_id, b) for b in targets]
-    else:
-        pairs = [(a, b) for a in targets for b in targets if a != b]
-    if len(pairs) > max_pairs:
-        rng = one_shot_rng(seed, Role.MESSAGE, 1)
-        keep = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[int(i)] for i in sorted(keep)]
-    return pairs
+def _attack_runs(code: AuthCode, attack: AttackSpec | None,
+                 pairs: Sequence[tuple[int, int]] | None, max_pairs: int,
+                 seed: int) -> list[Run]:
+    """One run per (transmit, target) pair: the given ``pairs``, or every
+    ordered pair (from the null message under impersonation) subsampled
+    to ``max_pairs``."""
+    impersonation = attack is not None and attack.kind == "impersonation"
+    null = code.base.null_id
+    if impersonation and null is None:
+        raise SimulateError("impersonation needs a code with a null message")
+    if pairs is None:
+        targets = [int(m) for m in _transmit_pool(code)]
+        pairs = [(a, b) for a in ([null] if impersonation else targets)
+                 for b in targets if a != b]
+        if len(pairs) > max_pairs:
+            rng = one_shot_rng(seed, Role.MESSAGE, 1)
+            keep = rng.choice(len(pairs), size=max_pairs, replace=False)
+            pairs = [pairs[int(i)] for i in sorted(keep)]
+    for a, b in pairs:
+        if a == b:
+            raise SimulateError(f"pair ({a}, {b}): the target must differ "
+                                "from the transmitted message")
+        if impersonation and a != null:
+            raise SimulateError(f"pair ({a}, {b}): impersonation transmits "
+                                f"the null message {null}")
+    kind = "impersonation" if impersonation else "targeted"
+    scale = None if attack is None else attack.weight_scale
+    return [(AttackSpec(kind, b, weight_scale=scale), a) for a, b in pairs]
 
 
 def estimate(code: AuthCode, channel: ChannelParams, metric: str,
@@ -246,102 +257,79 @@ def estimate(code: AuthCode, channel: ChannelParams, metric: str,
              batch: int | None = None,
              trial_log: str | None = None,
              confidence: float = 0.95) -> EstimateReport:
-    """Estimate one operational measure; see the module docstring for
-    metric semantics.  ``pairs`` pins the ordered (transmit, target)
-    pairs for the false-authentication metrics (otherwise all ordered
-    pairs are enumerated, subsampled to ``max_pairs``).  ``message`` and
-    every id in ``pairs`` must be valid messages of ``code``.  With
-    ``trial_log``, one CSV row per simulated trial is appended to that
-    file (``TRIAL_LOG_HEADER`` first when the file is empty)."""
+    """Estimate one operational measure (see the module docstring).
+    ``pairs`` pins the ordered (transmit, target) pairs of the
+    false-authentication metrics; otherwise every ordered pair is
+    enumerated and subsampled to ``max_pairs``.  ``message`` and every
+    id in ``pairs`` must be valid messages of ``code``.  ``trial_log``
+    appends one CSV row per simulated trial to that file."""
     if metric not in METRICS:
         raise SimulateError(f"unknown metric {metric!r}; choose from {METRICS}")
     if trials < 100:
         raise SimulateError("trials must be at least 100")
+    if max_pairs < 1:
+        raise SimulateError("max_pairs must be at least 1")
     if channel.rho_dec == 0.0:
         raise SimulateError("estimation needs rho_dec > 0 "
                             "(the zero sentinel is for single trials)")
     _check_power(code, channel)
     _check_messages(code, ([] if message is None else [message])
                     + [m for pair in pairs or () for m in pair])
-    batch_n = _auto_batch(code.n, batch)
-
-    def run(spec: AttackSpec, fixed_m: int | None):
-        ms, dec, rej = _run_counting(code, channel, seed, trials,
-                                     attack=spec, fixed_m=fixed_m,
-                                     detector=detector, threads=threads,
-                                     batch=batch_n)
-        if trial_log:
-            _append_trial_log(trial_log, metric, spec, ms, dec, rej)
-        return ms, dec, rej
-
-    params: dict[str, Any] = {
-        "rho_dec": channel.rho_dec, "rho_adv": channel.rho_adv,
-        "n": code.n, "ell": code.ell, "delta": code.delta,
-        "rho_delta": code.rho_delta, "detector": detector,
-    }
-
-    if metric in ("epsilon", "false_alarm"):
-        attack = attack or AttackSpec(kind="none")
-        if attack.kind != "none":
-            raise SimulateError(f"{metric} is defined under no attack")
-        ms, dec, rej = run(attack, message)
-        if metric == "epsilon":
-            successes = int(np.sum(rej | (dec != ms)))
-            eff_trials = trials
-        else:
-            base_correct = dec == ms
-            successes = int(np.sum(rej & base_correct))
-            eff_trials = int(np.sum(base_correct))
-            params["raw_trials"] = trials
-            if eff_trials == 0:
-                raise SimulateError("no correctly decoded trials to condition on")
-        report = EstimateReport(metric=metric, successes=successes,
-                                trials=eff_trials, confidence=confidence,
-                                seed=seed, params=params)
-
-    elif metric == "genuine_acceptance":
-        if message is None:
-            raise SimulateError("genuine_acceptance needs a fixed message")
-        _, dec, rej = run(AttackSpec(kind="none"), message)
-        successes = int(np.sum(~rej & (dec == message)))
-        params["message"] = message
-        report = EstimateReport(metric=metric, successes=successes,
-                                trials=trials, confidence=confidence,
-                                seed=seed, params=params)
-
-    else:  # alpha_star / alpha
+    if metric in ("alpha_star", "alpha"):
         if channel.rho_adv <= 0.0:
             raise SimulateError("false-authentication metrics need rho_adv > 0")
-        impersonation = attack is not None and attack.kind == "impersonation"
-        if pairs is None:
-            pairs = _default_pairs(code, impersonation, max_pairs, seed)
-        if not pairs:
+        runs = _attack_runs(code, attack, pairs, max_pairs, seed)
+        if not runs:
             raise SimulateError("no attack pairs to run")
-        weight_scale = attack.weight_scale if attack is not None else None
+    else:
+        if attack is not None and attack.kind != "none":
+            raise SimulateError(f"{metric} is defined under no attack")
+        if metric == "genuine_acceptance" and message is None:
+            raise SimulateError("genuine_acceptance needs a fixed message")
+        runs = [(AttackSpec(kind="none"), message)]
+    results = _run_counting(code, channel, seed, trials, runs,
+                            detector=detector, threads=threads,
+                            batch=_auto_batch(code.n, code.message_count,
+                                              batch))
+    if trial_log:
+        for (spec, _), result in zip(runs, results):
+            _append_trial_log(trial_log, metric, spec, *result)
+
+    params: dict[str, Any] = {
+        "rho_dec": channel.rho_dec, "rho_adv": channel.rho_adv, "n": code.n,
+        "ell": code.ell, "delta": code.delta, "rho_delta": code.rho_delta,
+        "detector": detector}
+    detail: dict[str, Any] = {}
+    ms, dec, rej = results[0]
+    eff_trials = trials
+    if metric == "epsilon":
+        successes = int(np.sum(rej | (dec != ms)))
+    elif metric == "false_alarm":
+        base_correct = dec == ms
+        successes = int(np.sum(rej & base_correct))
+        eff_trials = int(np.sum(base_correct))
+        params["raw_trials"] = trials
+        if eff_trials == 0:
+            raise SimulateError("no correctly decoded trials to condition on")
+    elif metric == "genuine_acceptance":
+        successes = int(np.sum(~rej & (dec == message)))
+        params["message"] = message
+    else:  # alpha_star / alpha
         per_pair = []
-        best = None
-        for a, b_t in pairs:
-            spec = AttackSpec(kind="impersonation" if impersonation else "targeted",
-                              target=b_t, weight_scale=weight_scale)
-            _, dec, rej = run(spec, a)
-            if metric == "alpha_star":
-                succ = int(np.sum(~rej & (dec == b_t)))
-            else:
-                succ = int(np.sum(~rej & (dec != a)))
+        for (spec, a), (_, dec, rej) in zip(runs, results):
+            b_t = spec.target
+            hit = dec == b_t if metric == "alpha_star" else dec != a
+            succ = int(np.sum(~rej & hit))
             lo, hi = wilson_interval(succ, trials, confidence)
-            per_pair.append({"transmit": a, "target": b_t,
-                             "successes": succ, "trials": trials,
-                             "estimate": succ / trials,
+            per_pair.append({"transmit": a, "target": b_t, "successes": succ,
+                             "trials": trials, "estimate": succ / trials,
                              "ci_lo": lo, "ci_hi": hi})
-            if best is None or succ > best[0]:
-                best = (succ, a, b_t)
-        assert best is not None
-        successes, a_best, b_best = best
+        best = max(per_pair, key=lambda p: p["successes"])
+        successes = best["successes"]
         params.update({"pairs": len(per_pair),
-                       "argmax_pair": [a_best, b_best],
+                       "argmax_pair": [best["transmit"], best["target"]],
                        "max_is_lower_confidence_bound": True})
-        report = EstimateReport(metric=metric, successes=successes,
-                                trials=trials, confidence=confidence,
-                                seed=seed, params=params,
-                                detail={"per_pair": per_pair})
-    return report
+        detail = {"per_pair": per_pair}
+    return EstimateReport(metric=metric, successes=successes,
+                          trials=eff_trials, confidence=confidence,
+                          seed=seed, params=params, detail=detail)

@@ -47,6 +47,11 @@ class TestAttackSpec:
             AttackSpec(kind="jamming")
         AttackSpec(kind="custom", custom=lambda v, m, code: np.zeros_like(v))
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_weight_scale_must_be_finite(self, scale):
+        with pytest.raises(AttackError, match="weight_scale must be finite"):
+            AttackSpec(kind="targeted", target=1, weight_scale=scale)
+
 
 class TestMmseWeight:
     def test_values(self):

@@ -104,6 +104,14 @@ class TestValidation:
             "run.message=-3": "run.message must be nonnegative",
             "auth.rho_delta=Infinity": "auth.rho_delta must be positive",
             "channel.power_budget=NaN": "channel.power_budget must be positive",
+            "attack.weight_scale=nan": "attack.weight_scale must be finite",
+            "run.max_pairs=-1": "run.max_pairs must be positive",
+            "run.max_pairs=0": "run.max_pairs must be positive",
+            "base.seed=-1": "base.seed must be nonnegative",
+            "overlay.seed=-1": "overlay.seed must be nonnegative",
+            "auth.seed=-1": "auth.seed must be nonnegative",
+            "mod2.seed=-1": "mod2.seed must be nonnegative",
+            "run.seed=-1": "run.seed must be nonnegative",
         }
         for override, message in cases.items():
             with pytest.raises(ConfigError, match=message):

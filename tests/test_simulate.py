@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
+from awgnauth import simulate
 from awgnauth.adversary import AttackSpec
 from awgnauth.authcode import REJECT, decimate, inject_noise
 from awgnauth.basecode import make_antipodal_code
@@ -19,10 +20,12 @@ from awgnauth.simulate import (
     CLASS_WRONG_MESSAGE,
     ChannelParams,
     SimulateError,
+    _auto_batch,
     classify,
     estimate,
     run_trial,
 )
+from awgnauth.streams import Role
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +171,73 @@ class TestEstimateValidation:
         with pytest.raises(SimulateError, match="no attack pairs"):
             estimate(small_auth, ChannelParams(0.1, rho_adv=0.1),
                      "alpha_star", 100, pairs=[])
+
+    @pytest.mark.parametrize("code_name, kwargs, message", [
+        ("small_auth", dict(pairs=[(1, 1)]), "target must differ"),
+        ("small_auth", dict(max_pairs=-1), "max_pairs must be at least 1"),
+        ("small_auth", dict(max_pairs=0), "max_pairs must be at least 1"),
+        ("null_auth", dict(pairs=[(0, 3)], attack=AttackSpec(
+            kind="impersonation", target=3)), "transmits the null message"),
+    ])
+    def test_bad_pairs_fail_before_any_draw(self, request, monkeypatch,
+                                            code_name, kwargs, message):
+        def no_draws(*args):
+            raise AssertionError("drew streams before validating the pairs")
+
+        monkeypatch.setattr(simulate, "normals", no_draws)
+        code = request.getfixturevalue(code_name)
+        with pytest.raises(SimulateError, match=message):
+            estimate(code, ChannelParams(rho_dec=0.1, rho_adv=0.1),
+                     "alpha_star", 100, **kwargs)
+
+
+class TestOnePass:
+    PAIRS = [(2, 5), (0, 3), (4, 1)]
+
+    def test_each_block_draws_each_stream_once(self, small_auth, monkeypatch):
+        drawn = []
+        normals = simulate.normals
+
+        def counting(seed, role, start, trials, width):
+            drawn.append(Role(role))
+            return normals(seed, role, start, trials, width)
+
+        monkeypatch.setattr(simulate, "normals", counting)
+        rep = estimate(small_auth, ChannelParams(rho_dec=0.1, rho_adv=0.05),
+                       "alpha_star", 300, seed=6, pairs=self.PAIRS)
+        assert rep.params["pairs"] == 3
+        assert sorted(drawn) == [Role.DELTA, Role.ADVERSARY, Role.DECODER]
+
+    def test_a_pair_does_not_depend_on_the_other_pairs(self, small_auth,
+                                                       tmp_path):
+        ch = ChannelParams(rho_dec=0.1, rho_adv=0.05)
+
+        def run(pairs, **kw):
+            log = tmp_path / f"{len(pairs)}.csv"
+            rep = estimate(small_auth, ch, "alpha", 300, seed=6, pairs=pairs,
+                           trial_log=str(log), **kw)
+            with open(log, newline="") as fh:
+                rows = [r for r in csv.DictReader(fh)
+                        if (r["transmitted"], r["target"]) == ("0", "3")]
+            [entry] = [p for p in rep.detail["per_pair"]
+                       if (p["transmit"], p["target"]) == (0, 3)]
+            return entry, rows
+
+        alone = run([(0, 3)])
+        among = run(self.PAIRS, batch=57, threads=2)
+        assert alone == among
+        assert len(alone[1]) == 300
+
+    @pytest.mark.parametrize("n, messages", [
+        (60, 6), (600, 6), (256, 64), (600, 4096), (3, 2 ** 22), (2 ** 22, 2)])
+    def test_auto_block_holds_at_most_2_pow_22_values(self, n, messages):
+        rows = _auto_batch(n, messages, None)
+        width = max(n, messages)
+        assert 1 <= rows and rows * width <= 2 ** 22 < (rows + 1) * width
+
+    def test_block_rows_floor_and_explicit_batch(self):
+        assert _auto_batch(2 ** 23, 6, None) == 1
+        assert _auto_batch(600, 4096, 57) == 57
 
 
 class TestDeterminism:
