@@ -51,7 +51,7 @@ from .basecode import BaseCode, antipodal_error_probability, make_antipodal_code
 from .overlay import (LevelSet, OverlayCode, construct_overlay, verify_overlay)
 from .overlay import to_json_dict as overlay_to_json
 from .overlay import from_json_dict as overlay_from_json
-from .simulate import METRICS, ChannelParams, estimate
+from .simulate import FALSE_AUTH_METRICS, METRICS, ChannelParams, estimate
 
 OUTPUT_DIR_ENV = "AWGNAUTH_OUTPUT_DIR"
 SCHEMA_VERSION = 1
@@ -490,32 +490,32 @@ def run_estimates(cfg: ExperimentConfig, code: AuthCode,
     if cfg.trial_log:
         # every metric appends its rows to the one log of this run
         open(cfg.trial_log, "w").close()
+    if not cfg.metrics:
+        return []
+    kwargs: dict[str, Any] = dict(
+        trials=cfg.trials, seed=cfg.seed, threads=cfg.threads,
+        detector=cfg.detector, max_pairs=cfg.max_pairs,
+        trial_log=cfg.trial_log)
+    if any(m not in FALSE_AUTH_METRICS for m in cfg.metrics):
+        if "genuine_acceptance" in cfg.metrics and cfg.message is None:
+            raise ConfigError("run.message is required for the "
+                              "genuine_acceptance metric")
+        kwargs["message"] = cfg.message
+    if any(m in FALSE_AUTH_METRICS for m in cfg.metrics):
+        if attack.kind == "targeted" and cfg.message is not None:
+            kwargs["pairs"] = [(cfg.message, attack.target)]
+        elif attack.kind == "impersonation":
+            null = code.base.null_id
+            if null is None:
+                raise ConfigError("impersonation needs base.null = true")
+            kwargs["pairs"] = ([(null, attack.target)]
+                               if attack.target is not None else None)
+        if attack.kind != "none":
+            kwargs["attack"] = replace(attack, weight_scale=cfg.weight_scale)
+    reports = _stage("simulate", estimate, code, channel, list(cfg.metrics),
+                     **kwargs)
     rows = []
-    for metric in cfg.metrics:
-        kwargs: dict[str, Any] = dict(
-            trials=cfg.trials, seed=cfg.seed, threads=cfg.threads,
-            detector=cfg.detector, max_pairs=cfg.max_pairs,
-            trial_log=cfg.trial_log)
-        if metric in ("epsilon", "false_alarm"):
-            kwargs["message"] = cfg.message
-        elif metric == "genuine_acceptance":
-            if cfg.message is None:
-                raise ConfigError("run.message is required for the "
-                                  "genuine_acceptance metric")
-            kwargs["message"] = cfg.message
-        else:
-            if attack.kind == "targeted" and cfg.message is not None:
-                kwargs["pairs"] = [(cfg.message, attack.target)]
-            elif attack.kind == "impersonation":
-                null = code.base.null_id
-                if null is None:
-                    raise ConfigError("impersonation needs base.null = true")
-                kwargs["pairs"] = ([(null, attack.target)]
-                                   if attack.target is not None else None)
-            if attack.kind != "none":
-                kwargs["attack"] = replace(attack,
-                                           weight_scale=cfg.weight_scale)
-        report = _stage("simulate", estimate, code, channel, metric, **kwargs)
+    for metric, report in zip(cfg.metrics, reports):
         bound, label = _metric_bound(cfg, code, bounds, metric)
         if bound is not None:
             report = report.with_bound(bound, label)

@@ -20,9 +20,16 @@ Metrics
 
 Trial ``t`` always reads slice ``t`` of the per-role counter streams,
 so estimates are reproducible bit-for-bit regardless of batch size or
-thread count, and runs at different noise powers share randomness.  One
-``estimate`` call is one pass over blocks of trials that draws each
-block's streams once; every attack pair of the call reads those draws.
+thread count, and runs at different noise powers share randomness.
+
+``estimate`` takes one metric name or a sequence of them.  A *run* is an
+attack with its fixed transmit message (or messages drawn per trial):
+the first three metrics share one run under no attack, at ``message``
+if given; ``alpha_star`` and ``alpha`` share one run per attack pair,
+set by ``attack``, ``pairs`` and ``max_pairs``.  One call is one pass
+over blocks of trials that runs each distinct run once: every block's
+streams are drawn once and every run of every metric reads those draws,
+and runs that transmit the same fixed message share its encoding.
 Unless ``batch`` is given, a block has as many rows as keep its widest
 array (n-wide draws or decode scores, one per message) at 2**22 float64s.
 """
@@ -43,6 +50,7 @@ from .reporting import EstimateReport, binomial_se, wilson_interval  # noqa: F40
 from .streams import Role, choices, normals, one_shot_rng
 
 METRICS = ("epsilon", "false_alarm", "genuine_acceptance", "alpha_star", "alpha")
+FALSE_AUTH_METRICS = ("alpha_star", "alpha")
 
 CLASS_CORRECT = "correct"
 CLASS_MISS = "miss"
@@ -126,9 +134,13 @@ def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
              if any(spec.kind != "none" for spec, _ in runs) else None)
     g_dec = normals(seed, Role.DECODER, t0, b, n)
     out = []
+    encoded = None   # (transmit message, codewords) of the previous run
     for spec, fixed_m in runs:
         ms = drawn_ms if fixed_m is None else np.full(b, fixed_m, np.int64)
-        xs = auth_encode_batch(code, ms, g_delta)
+        if encoded is None or encoded[0] != fixed_m:
+            # runs that share a transmit message share its codewords
+            encoded = (fixed_m, auth_encode_batch(code, ms, g_delta))
+        xs = encoded[1]
         if spec.kind == "none":
             zs = no_attack(n)
         elif spec.kind == "custom":
@@ -172,7 +184,7 @@ def _check_power(code: AuthCode, channel: ChannelParams) -> None:
 
 def _auto_batch(n: int, message_count: int, batch: int | None) -> int:
     # rows per block, sized as the module docstring says
-    return max(1, 2 ** 22 // max(n, message_count) if batch is None else batch)
+    return max(1, 2 ** 22 // max(n, message_count)) if batch is None else batch
 
 
 def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
@@ -246,59 +258,19 @@ def _attack_runs(code: AuthCode, attack: AttackSpec | None,
     return [(AttackSpec(kind, b, weight_scale=scale), a) for a, b in pairs]
 
 
-def estimate(code: AuthCode, channel: ChannelParams, metric: str,
-             trials: int, seed: int = 0, *,
-             attack: AttackSpec | None = None,
-             message: int | None = None,
-             pairs: Sequence[tuple[int, int]] | None = None,
-             max_pairs: int = 20,
-             detector: bool = True,
-             threads: int = 1,
-             batch: int | None = None,
-             trial_log: str | None = None,
-             confidence: float = 0.95) -> EstimateReport:
-    """Estimate one operational measure (see the module docstring).
-    ``pairs`` pins the ordered (transmit, target) pairs of the
-    false-authentication metrics; otherwise every ordered pair is
-    enumerated and subsampled to ``max_pairs``.  ``message`` and every
-    id in ``pairs`` must be valid messages of ``code``.  ``trial_log``
-    appends one CSV row per simulated trial to that file."""
-    if metric not in METRICS:
-        raise SimulateError(f"unknown metric {metric!r}; choose from {METRICS}")
-    if trials < 100:
-        raise SimulateError("trials must be at least 100")
-    if max_pairs < 1:
-        raise SimulateError("max_pairs must be at least 1")
-    if channel.rho_dec == 0.0:
-        raise SimulateError("estimation needs rho_dec > 0 "
-                            "(the zero sentinel is for single trials)")
-    _check_power(code, channel)
-    _check_messages(code, ([] if message is None else [message])
-                    + [m for pair in pairs or () for m in pair])
-    if metric in ("alpha_star", "alpha"):
-        if channel.rho_adv <= 0.0:
-            raise SimulateError("false-authentication metrics need rho_adv > 0")
-        runs = _attack_runs(code, attack, pairs, max_pairs, seed)
-        if not runs:
-            raise SimulateError("no attack pairs to run")
-    else:
-        if attack is not None and attack.kind != "none":
-            raise SimulateError(f"{metric} is defined under no attack")
-        if metric == "genuine_acceptance" and message is None:
-            raise SimulateError("genuine_acceptance needs a fixed message")
-        runs = [(AttackSpec(kind="none"), message)]
-    results = _run_counting(code, channel, seed, trials, runs,
-                            detector=detector, threads=threads,
-                            batch=_auto_batch(code.n, code.message_count,
-                                              batch))
-    if trial_log:
-        for (spec, _), result in zip(runs, results):
-            _append_trial_log(trial_log, metric, spec, *result)
+def _check_positive_int(name: str, value: Any) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 1:
+        raise SimulateError(f"{name} must be a positive integer, "
+                            f"not {value!r}")
 
-    params: dict[str, Any] = {
-        "rho_dec": channel.rho_dec, "rho_adv": channel.rho_adv, "n": code.n,
-        "ell": code.ell, "delta": code.delta, "rho_delta": code.rho_delta,
-        "detector": detector}
+
+def _report(metric: str, runs: Sequence[Run], results: Sequence[Result], *,
+            trials: int, seed: int, message: int | None, confidence: float,
+            params: dict[str, Any]) -> EstimateReport:
+    """One metric's report from the results of its runs; ``params`` holds
+    the entries that every metric reports."""
+    params = dict(params)
     detail: dict[str, Any] = {}
     ms, dec, rej = results[0]
     eff_trials = trials
@@ -333,3 +305,87 @@ def estimate(code: AuthCode, channel: ChannelParams, metric: str,
     return EstimateReport(metric=metric, successes=successes,
                           trials=eff_trials, confidence=confidence,
                           seed=seed, params=params, detail=detail)
+
+
+def estimate(code: AuthCode, channel: ChannelParams,
+             metric: str | Sequence[str], trials: int, seed: int = 0, *,
+             attack: AttackSpec | None = None,
+             message: int | None = None,
+             pairs: Sequence[tuple[int, int]] | None = None,
+             max_pairs: int = 20,
+             detector: bool = True,
+             threads: int = 1,
+             batch: int | None = None,
+             trial_log: str | None = None,
+             confidence: float = 0.95
+             ) -> EstimateReport | list[EstimateReport]:
+    """Estimate one operational measure, or a sequence of them (see the
+    module docstring): one name gives one report, a sequence gives one
+    report per name, in order, from one pass over the blocks.
+    ``message`` fixes the transmit message of ``epsilon``, ``false_alarm``
+    and ``genuine_acceptance``.  ``attack``, ``pairs`` and ``max_pairs``
+    define the runs of ``alpha_star`` and ``alpha``: ``pairs`` pins the
+    ordered (transmit, target) pairs, otherwise every ordered pair is
+    enumerated and subsampled to ``max_pairs``.  ``message`` and every
+    id in ``pairs`` must be valid messages of ``code``.  ``trial_log``
+    appends one CSV row per simulated trial to that file, metric by
+    metric."""
+    metrics = [metric] if isinstance(metric, str) else list(metric)
+    if not metrics:
+        raise SimulateError("no metric requested")
+    for name in metrics:
+        if name not in METRICS:
+            raise SimulateError(f"unknown metric {name!r}; "
+                                f"choose from {METRICS}")
+    if trials < 100:
+        raise SimulateError("trials must be at least 100")
+    if max_pairs < 1:
+        raise SimulateError("max_pairs must be at least 1")
+    _check_positive_int("threads", threads)
+    if batch is not None:
+        _check_positive_int("batch", batch)
+    if channel.rho_dec == 0.0:
+        raise SimulateError("estimation needs rho_dec > 0 "
+                            "(the zero sentinel is for single trials)")
+    _check_power(code, channel)
+    _check_messages(code, ([] if message is None else [message])
+                    + [m for pair in pairs or () for m in pair])
+    pair_runs: list[Run] = []
+    if any(name in FALSE_AUTH_METRICS for name in metrics):
+        if channel.rho_adv <= 0.0:
+            raise SimulateError("false-authentication metrics need rho_adv > 0")
+        pair_runs = _attack_runs(code, attack, pairs, max_pairs, seed)
+        if not pair_runs:
+            raise SimulateError("no attack pairs to run")
+    elif attack is not None and attack.kind != "none":
+        raise SimulateError(f"{metrics[0]} is defined under no attack")
+    if "genuine_acceptance" in metrics and message is None:
+        raise SimulateError("genuine_acceptance needs a fixed message")
+
+    # one pass over the distinct runs of every metric
+    genuine_run: list[Run] = [(AttackSpec(kind="none"), message)]
+    runs_of = [pair_runs if name in FALSE_AUTH_METRICS else genuine_run
+               for name in metrics]
+    index: dict[Run, int] = {}
+    for runs in runs_of:
+        for run in runs:
+            index.setdefault(run, len(index))
+    results = _run_counting(code, channel, seed, trials, list(index),
+                            detector=detector, threads=threads,
+                            batch=_auto_batch(code.n, code.message_count,
+                                              batch))
+
+    params: dict[str, Any] = {
+        "rho_dec": channel.rho_dec, "rho_adv": channel.rho_adv, "n": code.n,
+        "ell": code.ell, "delta": code.delta, "rho_delta": code.rho_delta,
+        "detector": detector}
+    reports = []
+    for name, runs in zip(metrics, runs_of):
+        own = [results[index[run]] for run in runs]
+        if trial_log:
+            for (spec, _), result in zip(runs, own):
+                _append_trial_log(trial_log, name, spec, *result)
+        reports.append(_report(name, runs, own, trials=trials, seed=seed,
+                               message=message, confidence=confidence,
+                               params=params))
+    return reports[0] if isinstance(metric, str) else reports

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from awgnauth import cli
 from awgnauth.cli import (
     SWEEP_HEADER,
     ConfigError,
@@ -218,6 +219,22 @@ class TestSimulateCommand:
                                 "run.seed=3", "--out", str(p)], capsys)
             assert rc == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_one_estimate_call_per_report(self, capsys, monkeypatch):
+        calls = []
+        estimate = cli.estimate
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate", counting)
+        rc, out, _ = run_cli(["simulate", "base.n=60", "run.trials=150",
+                              'run.metrics=["epsilon","false_alarm"]'], capsys)
+        assert rc == 0
+        assert calls == [["epsilon", "false_alarm"]]
+        assert [row["metric"] for row in json.loads(out)["estimates"]] == [
+            "epsilon", "false_alarm"]
 
 
 class TestSweepCommand:

@@ -240,6 +240,97 @@ class TestOnePass:
         assert _auto_batch(600, 4096, 57) == 57
 
 
+class TestSeveralMetrics:
+    PAIRS = [(0, 1), (0, 2), (3, 1)]
+
+    @pytest.mark.parametrize("metrics, kwargs", [
+        (["epsilon", "false_alarm", "genuine_acceptance"], dict(message=2)),
+        (["alpha_star", "alpha"], dict(max_pairs=4)),
+        (["alpha", "epsilon", "alpha_star", "false_alarm"],
+         dict(pairs=PAIRS, attack=AttackSpec("targeted", 1, weight_scale=0.5))),
+    ])
+    def test_one_call_equals_one_call_per_metric(self, small_auth, tmp_path,
+                                                 metrics, kwargs):
+        ch = ChannelParams(rho_dec=0.1, rho_adv=0.05)
+        together = tmp_path / "together.csv"
+        reports = estimate(small_auth, ch, metrics, 300, seed=4,
+                           trial_log=str(together), **kwargs)
+        apart = tmp_path / "apart.csv"
+        singles = [estimate(small_auth, ch, name, 300, seed=4,
+                            trial_log=str(apart),
+                            **{k: v for k, v in kwargs.items()
+                               if k != "attack"
+                               or name in simulate.FALSE_AUTH_METRICS})
+                   for name in metrics]
+        assert [r.to_json_dict() for r in reports] == [
+            r.to_json_dict() for r in singles]
+        assert together.read_bytes() == apart.read_bytes()
+
+    def test_one_name_gives_one_report(self, small_auth):
+        ch = ChannelParams(rho_dec=0.1)
+        [listed] = estimate(small_auth, ch, ["epsilon"], 200, seed=4)
+        assert estimate(small_auth, ch, "epsilon", 200,
+                        seed=4).to_json_dict() == listed.to_json_dict()
+
+    def test_each_block_draws_each_stream_once(self, small_auth, monkeypatch):
+        drawn = []
+        normals = simulate.normals
+
+        def counting(seed, role, start, trials, width):
+            drawn.append((Role(role), start))
+            return normals(seed, role, start, trials, width)
+
+        monkeypatch.setattr(simulate, "normals", counting)
+        estimate(small_auth, ChannelParams(rho_dec=0.1, rho_adv=0.05),
+                 ["epsilon", "false_alarm", "alpha_star", "alpha"], 300,
+                 seed=6, pairs=self.PAIRS, batch=100)
+        assert sorted(drawn) == sorted(
+            (role, t0) for t0 in (0, 100, 200)
+            for role in (Role.DELTA, Role.ADVERSARY, Role.DECODER))
+
+    def test_pairs_sharing_a_transmit_message_encode_once(self, small_auth,
+                                                          monkeypatch):
+        encoded = []
+        encode = simulate.auth_encode_batch
+
+        def counting(code, ms, g_delta):
+            encoded.append(sorted(set(ms.tolist())))
+            return encode(code, ms, g_delta)
+
+        monkeypatch.setattr(simulate, "auth_encode_batch", counting)
+        estimate(small_auth, ChannelParams(rho_dec=0.1, rho_adv=0.05),
+                 ["alpha_star", "alpha"], 300, seed=6, pairs=self.PAIRS)
+        assert encoded == [[0], [3]]
+
+    @pytest.mark.parametrize("metrics, kwargs, message", [
+        (["epsilon", "alpha"], {}, "rho_adv > 0"),
+        (["epsilon", "false_alarm"],
+         dict(channel=ChannelParams(0.1, rho_adv=0.1),
+              attack=AttackSpec("targeted", 1)),
+         "epsilon is defined under no attack"),
+        (["alpha", "genuine_acceptance"],
+         dict(channel=ChannelParams(0.1, rho_adv=0.1)), "fixed message"),
+        (["epsilon", "bias"], {}, "unknown metric 'bias'"),
+        ([], {}, "no metric requested"),
+        (["epsilon"], dict(batch=-5), "batch must be a positive integer"),
+        (["epsilon"], dict(batch=0), "batch must be a positive integer"),
+        (["epsilon"], dict(batch=2.5), "batch must be a positive integer"),
+        (["epsilon"], dict(threads=0), "threads must be a positive integer"),
+        (["epsilon"], dict(threads=-1), "threads must be a positive integer"),
+        ("epsilon", dict(threads=1.0), "threads must be a positive integer"),
+    ])
+    def test_bad_calls_fail_before_any_draw(self, small_auth, monkeypatch,
+                                            metrics, kwargs, message):
+        def no_draws(*args):
+            raise AssertionError("drew streams before validating the call")
+
+        monkeypatch.setattr(simulate, "normals", no_draws)
+        kwargs = dict(kwargs)
+        channel = kwargs.pop("channel", ChannelParams(rho_dec=0.1))
+        with pytest.raises(SimulateError, match=message):
+            estimate(small_auth, channel, metrics, 100, **kwargs)
+
+
 class TestDeterminism:
     def test_bit_identical_reports(self, small_auth):
         ch = ChannelParams(rho_dec=0.1, rho_adv=0.05)
