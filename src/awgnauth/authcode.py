@@ -67,12 +67,6 @@ class AuthCode:
             raise AuthCodeError("t_table must match the codeword table shape")
         object.__setattr__(self, "t_table", t)
         object.__setattr__(self, "_levels", self.overlay.level_matrix())
-        idx = []
-        for m in range(self.overlay.message_count):
-            idx.append(tuple(
-                np.fromiter(sorted(self.overlay.assignment[m][j]), dtype=np.int64) - 1
-                for j in range(len(self.overlay.level_set))))
-        object.__setattr__(self, "_test_indices", tuple(idx))
         valid = np.ones(self.message_count, dtype=bool)
         if self.decimated is not None:
             ids = np.fromiter(self.decimated, dtype=np.int64)
@@ -106,7 +100,7 @@ class AuthCode:
 
     def test_indices(self, m: int) -> tuple[np.ndarray, ...]:
         """0-based coordinate arrays of message m, one per level in K."""
-        return self._test_indices[m]  # type: ignore[attr-defined]
+        return self.overlay.test_indices(m)
 
     @property
     def rate(self) -> float:

@@ -12,8 +12,11 @@ level of the second entirely.
 Construction: levels are filled in ascending order; at each level a
 uniformly random ell-subset of the *surviving* coordinate slots is
 drawn per level-message, then mapped order-preservingly into the actual
-unassigned coordinates.  Built codes are verified and resampled until
-the pairwise property holds.
+unassigned coordinates.  A message is a digit string, one digit per
+level, so messages that share a digit prefix share their lower-level
+sets: the code is assembled, and verified, once per prefix group, with
+an exhaustive pairwise scan kept for codes the group check cannot
+prove.  Built codes are resampled until the pairwise property holds.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -84,37 +88,69 @@ def _check_gamma(gamma_exact: Fraction) -> None:
             f"gamma must lie strictly between 1/2 and 1, got {gamma_exact}")
 
 
-@dataclass(frozen=True, eq=False)
+def _index_dtype(levels: int) -> np.dtype:
+    return np.min_scalar_type(levels)
+
+
+def _index_from_rows(n: int, levels: int,
+                     rows: Sequence[Sequence[Iterable[int]]]) -> np.ndarray:
+    """Level-index array of per-message coordinate sets (1-based)."""
+    index = np.full((len(rows), n), levels, dtype=_index_dtype(levels))
+    for m, row in enumerate(rows):
+        if len(row) != levels:
+            raise OverlayError("assignment row arity != level count")
+        for j, coords in enumerate(row):
+            cols = np.fromiter(coords, dtype=np.int64) - 1
+            if np.any((cols < 0) | (cols >= n)):
+                raise OverlayError("coordinate index out of range")
+            if np.any(index[m, cols] != levels):
+                raise OverlayError("levels assign overlapping coordinates")
+            index[m, cols] = j
+    return index
+
+
 class OverlayCode:
     """A concrete overlay: per message, one coordinate set per level in K.
 
-    ``assignment[m][j]`` is the frozenset of 1-based coordinates that
-    message ``m`` carries at ``level_set.levels[j]``; coordinates in no
-    set sit at level 1.  ``gamma_exact`` preserves the threshold as a
-    rational so boundary overlap comparisons are exact.
+    The code is held as one small-int ``(message_count, n)`` array,
+    ``level_index``: entry ``[m, i]`` is the index into
+    ``level_set.levels`` of the level that message ``m`` carries at
+    coordinate ``i + 1``, or ``len(level_set)`` for level 1.  Give either
+    ``assignment`` (``assignment[m][j]`` the 1-based coordinates of
+    message ``m`` at ``level_set.levels[j]``) or ``level_index``, which
+    is made read-only.  ``assignment`` reads back as frozensets, built on
+    first access.
+    ``gamma_exact`` preserves the threshold as a rational so boundary
+    overlap comparisons are exact.
     """
 
-    n: int
-    level_set: LevelSet
-    gamma: float
-    gamma_exact: Fraction
-    assignment: tuple[tuple[frozenset[int], ...], ...]
-    radices: tuple[int, ...] | None = None
-    attempts: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n < len(self.level_set.extended):
+    def __init__(self, n: int, level_set: LevelSet, gamma: float,
+                 gamma_exact: Fraction,
+                 assignment: Sequence[Sequence[Iterable[int]]] | None = None,
+                 radices: Sequence[int] | None = None, attempts: int = 1, *,
+                 level_index: np.ndarray | None = None) -> None:
+        if n < len(level_set.extended):
             raise OverlayError("n must be at least the extended level count")
-        for row in self.assignment:
-            if len(row) != len(self.level_set):
-                raise OverlayError("assignment row arity != level count")
-            seen: set[int] = set()
-            for coords in row:
-                if any(not 1 <= i <= self.n for i in coords):
-                    raise OverlayError("coordinate index out of range")
-                if seen & coords:
-                    raise OverlayError("levels assign overlapping coordinates")
-                seen |= coords
+        levels = len(level_set)
+        if (assignment is None) == (level_index is None):
+            raise OverlayError("give exactly one of assignment and level_index")
+        if level_index is None:
+            level_index = _index_from_rows(n, levels, assignment)
+        elif (level_index.ndim != 2 or level_index.shape[1] != n
+              or level_index.dtype != _index_dtype(levels)
+              or np.any(level_index > levels)):
+            raise OverlayError(
+                f"level_index must be a 2-d {_index_dtype(levels)} array "
+                f"with {n} columns and entries <= {levels}")
+        level_index.setflags(write=False)
+        self.n = n
+        self.level_set = level_set
+        self.gamma = gamma
+        self.gamma_exact = gamma_exact
+        self.level_index = level_index
+        self.radices = None if radices is None else tuple(radices)
+        self.attempts = attempts
+        self._levels: np.ndarray | None = None
 
     @property
     def ell(self) -> int:
@@ -122,30 +158,55 @@ class OverlayCode:
 
     @property
     def message_count(self) -> int:
-        return len(self.assignment)
+        return self.level_index.shape[0]
 
     @property
     def max_overlap(self) -> int:
         """Largest integer overlap count not exceeding gamma*ell."""
         return math.floor(self.gamma_exact * self.ell)
 
+    @cached_property
+    def _columns(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per level in K: the 0-based columns of every message, row after
+        row, and the (message_count + 1,) offsets of each row's run."""
+        columns = []
+        for j in range(len(self.level_set)):
+            rows, cols = np.nonzero(self.level_index == j)
+            offsets = np.zeros(self.message_count + 1, dtype=np.intp)
+            np.cumsum(np.bincount(rows, minlength=self.message_count),
+                      out=offsets[1:])
+            columns.append((cols, offsets))
+        return columns
+
+    def test_indices(self, m: int) -> tuple[np.ndarray, ...]:
+        """Ascending 0-based coordinates of message m, one array per level
+        in K."""
+        return tuple(cols[offsets[m]:offsets[m + 1]]
+                     for cols, offsets in self._columns)
+
+    @cached_property
+    def assignment(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        return tuple(tuple(frozenset((idx + 1).tolist())
+                           for idx in self.test_indices(m))
+                     for m in range(self.message_count))
+
     def level_coords(self, m: int, k: float) -> frozenset[int]:
         """Coordinates of message m at level k (k may be 1.0)."""
-        if k == 1.0:
-            assigned = frozenset().union(*self.assignment[m]) if self.assignment[m] else frozenset()
-            return frozenset(range(1, self.n + 1)) - assigned
-        return self.assignment[m][self.level_set.levels.index(k)]
+        j = len(self.level_set) if k == 1.0 else self.level_set.levels.index(k)
+        return frozenset((np.flatnonzero(self.level_index[m] == j) + 1).tolist())
 
     def levels_vector(self, m: int) -> np.ndarray:
         """Length-n vector of level values for message m."""
-        f = np.ones(self.n)
-        for j, coords in enumerate(self.assignment[m]):
-            f[np.fromiter(coords, int) - 1] = self.level_set.levels[j]
-        return f
+        return np.asarray(self.level_set.extended)[self.level_index[m]]
 
     def level_matrix(self) -> np.ndarray:
-        """(message_count, n) matrix of level values."""
-        return np.stack([self.levels_vector(m) for m in range(self.message_count)])
+        """(message_count, n) matrix of level values, built on the first
+        call and shared, read-only, by every later one."""
+        if self._levels is None:
+            levels = np.asarray(self.level_set.extended)[self.level_index]
+            levels.setflags(write=False)
+            self._levels = levels
+        return self._levels
 
     def decompose(self, m: int) -> tuple[int, ...]:
         """Per-level digits of message m (ascending levels, first digit
@@ -164,20 +225,32 @@ class OverlayCode:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of exhaustive ordered-pair verification."""
+    """Outcome of ``verify_overlay``; ``witness`` examines one ordered
+    pair of ``code`` on demand."""
 
     passed: bool
     ell: int
     max_overlap_allowed: int
-    witness_level: np.ndarray       # (M, M) index into K; -1 diagonal, -2 none
-    witness_overlap: np.ndarray     # (M, M) overlap count at the witness level
-    violations: tuple[str, ...] = ()
+    violations: tuple[str, ...]
+    code: OverlayCode = field(repr=False, compare=False)
 
-    def witness(self, m: int, m_prime: int) -> tuple[float, int] | None:
-        idx = int(self.witness_level[m, m_prime])
-        if idx < 0:
+    def witness(self, m: int, m_prime: int) -> tuple[int, int] | None:
+        """Lowest witness of the ordered pair: (index into K, overlap count
+        there), or None when m == m_prime or the pair has no witness."""
+        count = self.code.message_count
+        for v in (m, m_prime):
+            if not 0 <= v < count:
+                raise OverlayError(f"message id {v} out of range")
+        if m == m_prime:
             return None
-        return idx, int(self.witness_overlap[m, m_prime])
+        mine, other = self.code.level_index[m], self.code.level_index[m_prime]
+        for kidx in range(len(self.code.level_set)):
+            at_k = mine == kidx
+            overlap = int(np.count_nonzero(at_k & (other == kidx)))
+            if overlap <= self.max_overlap_allowed \
+                    and not np.any(at_k & (other < kidx)):
+                return kidx, overlap
+        return None
 
 
 def order_preserving_map(source: Iterable[int], target: Iterable[int],
@@ -288,26 +361,30 @@ def _resolve_counts(n: int, level_set: LevelSet, gamma: float | Fraction,
     return counts
 
 
-def _assemble(n: int, level_set: LevelSet, counts: Sequence[int],
-              tables: Sequence[Sequence[frozenset[int]]]) -> tuple[tuple[frozenset[int], ...], ...]:
-    """Build every message row from per-level subset tables by following
-    ascending levels through the shrinking pool of unassigned coordinates."""
-    rows = []
-    for m in range(math.prod(counts)):
-        digits = []
-        rem = m
-        for radix in reversed(counts):
-            digits.append(rem % radix)
-            rem //= radix
-        digits.reverse()
-        pool = list(range(1, n + 1))  # stays sorted; slot s -> pool[s-1]
-        row = []
-        for j, d in enumerate(digits):
-            image = frozenset(pool[s - 1] for s in tables[j][d])
-            row.append(image)
-            pool = [i for i in pool if i not in image]
-        rows.append(tuple(row))
-    return tuple(rows)
+def _assemble(n: int, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Level-index array of the product code.  Table ``j`` is a ``(c_j,
+    ell)`` array of 0-based slots; message ``m``, whose digits are
+    ``d_0 .. d_{L-1}`` (mixed radix, ``d_0`` most significant), carries
+    at level ``j`` the coordinates that slots ``tables[j][d_j]`` pick, in
+    increasing order, among those its lower levels left free.  Messages
+    that share a digit prefix share those free coordinates, so the work
+    is done once per prefix."""
+    levels = len(tables)
+    index = np.full((1, n), levels, dtype=_index_dtype(levels))
+    free = np.arange(n)[None, :]    # (prefixes, free coordinates), ascending
+    for j, table in enumerate(tables):
+        c = table.shape[0]
+        index = np.repeat(index, c, axis=0)
+        by_digit = index.reshape(free.shape[0], c, n)
+        prefixes = np.arange(free.shape[0])[:, None]
+        for d, slots in enumerate(table):
+            by_digit[prefixes, d, free[:, slots]] = j
+        if j + 1 < levels:
+            keep = np.ones((c, free.shape[1]), dtype=bool)
+            keep[np.arange(c)[:, None], table] = False
+            slots = np.nonzero(keep)[1].reshape(c, -1)
+            free = free[:, slots].reshape(index.shape[0], -1)
+    return index
 
 
 def construct_overlay(n: int, level_set: LevelSet, gamma: float | Fraction,
@@ -334,21 +411,25 @@ def construct_overlay(n: int, level_set: LevelSet, gamma: float | Fraction,
     ell = n // len(level_set.extended)
 
     if subset_tables is not None:
-        tables = [[frozenset(map(int, s)) for s in per_level]
-                  for per_level in subset_tables]
-        if len(tables) != len(level_set):
+        sets = [[frozenset(map(int, s)) for s in per_level]
+                for per_level in subset_tables]
+        if len(sets) != len(level_set):
             raise OverlayError("one subset table per level in K is required")
-        counts = [len(t) for t in tables]
-        for j, table in enumerate(tables):
+        if not all(sets):
+            raise OverlayError("every subset table needs at least one subset")
+        for j, table in enumerate(sets):
             n_k = n - ell * j
             for s in table:
                 if len(s) != ell or any(not 1 <= v <= n_k for v in s):
                     raise OverlayError(
                         f"level {level_set.levels[j]}: subsets must be "
                         f"ell={ell} slots within 1..{n_k}")
-        assignment = _assemble(n, level_set, counts, tables)
+        tables = [np.array([sorted(s) for s in table],
+                           dtype=np.intp).reshape(len(table), ell) - 1
+                  for table in sets]
         code = OverlayCode(n, level_set, float(gamma_exact), gamma_exact,
-                           assignment, radices=tuple(counts))
+                           radices=[len(t) for t in tables],
+                           level_index=_assemble(n, tables))
         report = verify_overlay(code)
         if not report.passed:
             raise OverlayError(
@@ -360,88 +441,117 @@ def construct_overlay(n: int, level_set: LevelSet, gamma: float | Fraction,
                              counts_per_level, max_messages_per_level)
     for attempt in range(retry_limit):
         rng = one_shot_rng(seed, Role.OVERLAY, attempt)
-        tables = []
-        for j, c in enumerate(counts):
-            n_k = n - ell * j
-            tables.append([frozenset(rng.choice(n_k, size=ell, replace=False) + 1)
-                           for _ in range(c)])
-        assignment = _assemble(n, level_set, counts, tables)
+        tables = [np.array([rng.choice(n - ell * j, size=ell, replace=False)
+                            for _ in range(c)])
+                  for j, c in enumerate(counts)]
         code = OverlayCode(n, level_set, float(gamma_exact), gamma_exact,
-                           assignment, radices=tuple(counts),
-                           attempts=attempt + 1)
+                           radices=counts, attempts=attempt + 1,
+                           level_index=_assemble(n, tables))
         if verify_overlay(code).passed:
             return code
     raise OverlayError(f"verification failed for {retry_limit} attempts; "
                        f"rates are likely too aggressive for n={n}")
 
 
-def verify_overlay(code: OverlayCode, block: int = 1024) -> VerifyReport:
-    """Exhaustively check the pairwise overlay property over all ordered
-    message pairs, recording the first (lowest) witness level per pair,
-    plus the per-level cardinality requirement."""
-    m_count = code.message_count
-    ell = code.ell
-    levels = code.level_set.levels
+def _prefix_groups_separated(code: OverlayCode) -> bool:
+    """Sufficient condition for every ordered pair to have a witness, for
+    a code with radices: for each level j, within each group of messages
+    that share digits < j, (a) messages that also share digit j share
+    their level-j set, and (b) the level-j sets of different digits
+    overlap by at most ``max_overlap``.  By (a) at the levels below j, a
+    pair that first differs at digit j shares every lower-level set, so
+    its level-j set avoids the other message's lower levels and (b) makes
+    level j a witness.  O(M n) memory; O(M n sum_j c_j) time."""
+    radices = code.radices
+    count = code.message_count
+    if radices is None or len(radices) != len(code.level_set) \
+            or math.prod(radices) != count:
+        return False
+    rows = max(1, (1 << 20) // code.n)    # message rows per chunk of work
+    groups = 1
+    for j, c in enumerate(radices):
+        sub = count // (groups * c)       # messages per (prefix, digit j)
+        at_j = code.level_index == j
+        if sub > 1:
+            for r0 in range(0, count, rows):                 # (a)
+                first = np.arange(r0, min(r0 + rows, count)) // sub * sub
+                if not np.array_equal(at_j[r0:r0 + rows], at_j[first]):
+                    return False
+        sets = at_j[::sub].reshape(groups, c, code.n)
+        step = max(1, rows // c)
+        for g0 in range(0, groups, step):                    # (b)
+            chunk = sets[g0:g0 + step].astype(np.float32)
+            overlap = chunk @ chunk.transpose(0, 2, 1)    # exact: counts <= n
+            overlap[:, np.arange(c), np.arange(c)] = 0
+            if np.any(overlap > code.max_overlap):
+                return False
+        groups *= c
+    return True
+
+
+def _pair_failures(code: OverlayCode, block: int) -> list[str]:
+    """Exhaustive scan of all ordered pairs, ``block`` rows at a time: one
+    line per pair with no witness level (the first eight, then a count)."""
+    count = code.message_count
     allowed = code.max_overlap
-
-    violations: list[str] = []
-    masks = []
-    for j, k in enumerate(levels):
-        bk = np.zeros((m_count, code.n), dtype=np.float32)
-        for m, row in enumerate(code.assignment):
-            coords = row[j]
-            if len(coords) != ell:
-                violations.append(
-                    f"message {m} has {len(coords)} coordinates at level {k}, "
-                    f"expected {ell}")
-            if coords:
-                bk[m, np.fromiter(coords, int) - 1] = 1.0
-        masks.append(bk)
-
-    witness_level = np.full((m_count, m_count), -2, dtype=np.int8)
-    witness_overlap = np.zeros((m_count, m_count), dtype=np.int32)
-    np.fill_diagonal(witness_level, -1)
-
-    for r0 in range(0, m_count, block):
-        r1 = min(r0 + block, m_count)
-        found = np.zeros((r1 - r0, m_count), dtype=bool)
-        for kidx in range(len(levels)):
-            overlap = np.rint(masks[kidx][r0:r1] @ masks[kidx].T).astype(np.int32)
-            ok = overlap <= allowed
-            for jidx in range(kidx):
-                cross = masks[kidx][r0:r1] @ masks[jidx].T
-                ok &= np.rint(cross).astype(np.int32) == 0
-            newly = ok & ~found
-            newly[:, r0:r1] &= ~np.eye(r1 - r0, dtype=bool)
-            witness_level[r0:r1][newly] = kidx
-            witness_overlap[r0:r1][newly] = overlap[newly]
+    masks = [(code.level_index == j).astype(np.float32)
+             for j in range(len(code.level_set))]
+    lines: list[str] = []
+    total = 0
+    for r0 in range(0, count, block):
+        r1 = min(r0 + block, count)
+        found = np.zeros((r1 - r0, count), dtype=bool)
+        for kidx, mask in enumerate(masks):
+            ok = mask[r0:r1] @ mask.T <= allowed
+            for lower in masks[:kidx]:
+                ok &= mask[r0:r1] @ lower.T == 0
             found |= ok
+        found[:, r0:r1] |= np.eye(r1 - r0, dtype=bool)
+        bad = np.argwhere(~found)
+        total += len(bad)
+        lines += [f"no witness level for ordered pair ({r0 + m}, {mp})"
+                  for m, mp in bad[:8 - len(lines)]]
+    if total > 8:
+        lines.append(f"... and {total - 8} more failing pairs")
+    return lines
 
-    pair_fail = witness_level == -2
-    if pair_fail.any():
-        bad = np.argwhere(pair_fail)
-        for m, mp in bad[:8]:
-            violations.append(f"no witness level for ordered pair ({m}, {mp})")
-        if len(bad) > 8:
-            violations.append(f"... and {len(bad) - 8} more failing pairs")
 
+def verify_overlay(code: OverlayCode, block: int = 1024) -> VerifyReport:
+    """Check the overlay property: every message carries ell coordinates
+    at each level in K, and every ordered pair of distinct messages has a
+    witness level.
+
+    A code with radices is first checked by prefix group (see
+    ``_prefix_groups_separated``), in O(M n) memory.  When that check
+    cannot prove the property (it fails, or the code has no radices),
+    every ordered pair is scanned exhaustively, ``block`` rows at a time,
+    so the verdict and the violations are those of the exhaustive scan
+    either way.  ``VerifyReport.witness`` finds one pair's lowest witness
+    on demand."""
+    ell = code.ell
+    violations: list[str] = []
+    for j, k in enumerate(code.level_set.levels):
+        sizes = np.count_nonzero(code.level_index == j, axis=1)
+        violations += [f"message {m} has {sizes[m]} coordinates at level {k}, "
+                       f"expected {ell}" for m in np.flatnonzero(sizes != ell)]
+    if not _prefix_groups_separated(code):
+        violations += _pair_failures(code, block)
     return VerifyReport(passed=not violations, ell=ell,
-                        max_overlap_allowed=allowed,
-                        witness_level=witness_level,
-                        witness_overlap=witness_overlap,
-                        violations=tuple(violations))
+                        max_overlap_allowed=code.max_overlap,
+                        violations=tuple(violations), code=code)
 
 
 def to_json_dict(code: OverlayCode) -> dict[str, Any]:
     """JSON form: levels listed ascending, coordinates 1-based."""
+    keys = [repr(k) for k in code.level_set.levels]
     out: dict[str, Any] = {
         "n": code.n,
         "gamma": code.gamma,
         "levels": list(code.level_set.levels),
         "messages": [
-            {"level_coords": {repr(code.level_set.levels[j]): sorted(row[j])
-                              for j in range(len(code.level_set))}}
-            for row in code.assignment
+            {"level_coords": {key: (idx + 1).tolist() for key, idx
+                              in zip(keys, code.test_indices(m))}}
+            for m in range(code.message_count)
         ],
     }
     out["gamma_exact"] = f"{code.gamma_exact.numerator}/{code.gamma_exact.denominator}"
@@ -458,10 +568,8 @@ def from_json_dict(data: dict[str, Any]) -> OverlayCode:
     else:
         gamma_exact = Fraction(float(data["gamma"]))
     key = [repr(k) for k in level_set.levels]
-    assignment = tuple(
-        tuple(frozenset(msg["level_coords"][key[j]])
-              for j in range(len(level_set)))
-        for msg in data["messages"])
+    assignment = [[msg["level_coords"][key[j]] for j in range(len(level_set))]
+                  for msg in data["messages"]]
     radices = tuple(data["radices"]) if "radices" in data else None
     return OverlayCode(int(data["n"]), level_set, float(data["gamma"]),
                        gamma_exact, assignment, radices=radices)

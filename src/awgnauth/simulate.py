@@ -232,15 +232,22 @@ def _attack_runs(code: AuthCode, attack: AttackSpec | None,
                  pairs: Sequence[tuple[int, int]] | None, max_pairs: int,
                  seed: int) -> list[Run]:
     """One run per (transmit, target) pair: the given ``pairs``, or every
-    ordered pair (from the null message under impersonation) subsampled
-    to ``max_pairs``."""
+    ordered pair (aimed at the target of a targeted attack, from the null
+    message under impersonation) subsampled to ``max_pairs``."""
+    if attack is not None and attack.kind == "custom":
+        raise SimulateError("alpha_star and alpha run the MMSE attack; a "
+                            "custom attack runs only through run_trial")
     impersonation = attack is not None and attack.kind == "impersonation"
     null = code.base.null_id
     if impersonation and null is None:
         raise SimulateError("impersonation needs a code with a null message")
     if pairs is None:
-        targets = [int(m) for m in _transmit_pool(code)]
-        pairs = [(a, b) for a in ([null] if impersonation else targets)
+        pool = [int(m) for m in _transmit_pool(code)]
+        targets = pool
+        if attack is not None and attack.kind == "targeted":
+            _check_messages(code, [attack.target])
+            targets = [attack.target]
+        pairs = [(a, b) for a in ([null] if impersonation else pool)
                  for b in targets if a != b]
         if len(pairs) > max_pairs:
             rng = one_shot_rng(seed, Role.MESSAGE, 1)
@@ -325,8 +332,9 @@ def estimate(code: AuthCode, channel: ChannelParams,
     ``message`` fixes the transmit message of ``epsilon``, ``false_alarm``
     and ``genuine_acceptance``.  ``attack``, ``pairs`` and ``max_pairs``
     define the runs of ``alpha_star`` and ``alpha``: ``pairs`` pins the
-    ordered (transmit, target) pairs, otherwise every ordered pair is
-    enumerated and subsampled to ``max_pairs``.  ``message`` and every
+    ordered (transmit, target) pairs, otherwise every ordered pair (aimed
+    at the target of a targeted attack) is enumerated and subsampled to
+    ``max_pairs``.  ``message`` and every
     id in ``pairs`` must be valid messages of ``code``.  ``trial_log``
     appends one CSV row per simulated trial to that file, metric by
     metric."""

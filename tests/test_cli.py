@@ -212,6 +212,17 @@ class TestSimulateCommand:
         assert row["estimate"] > row["bound"]
         assert row["bound"] < 1.0
 
+    def test_targeted_attack_without_message_keeps_its_target(self, capsys):
+        rc, out, _ = run_cli(["simulate", "base.kind=gaussian", "base.n=60",
+                              "base.messages=6", "overlay.counts=[3,2]",
+                              "channel.rho_adv=0.1", "attack=targeted:3",
+                              'run.metrics=["alpha_star"]', "run.trials=100"],
+                             capsys)
+        (row,) = json.loads(out)["estimates"]
+        assert [(p["transmit"], p["target"])
+                for p in row["detail"]["per_pair"]] == [
+            (0, 3), (1, 3), (2, 3), (4, 3), (5, 3)]
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:

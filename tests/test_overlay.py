@@ -1,14 +1,22 @@
+import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from awgnauth import overlay
+from awgnauth.authcode import inject_noise
+from awgnauth.basecode import make_random_gaussian_code
 from awgnauth.overlay import (
     LevelSet,
     OverlayCode,
     OverlayError,
+    _assemble,
     construct_overlay,
     default_level_message_counts,
     from_json_dict,
@@ -35,6 +43,88 @@ def brute_force_witness(code, m, mp):
             continue
         return kidx
     return None
+
+
+def reference_rows(n, tables):
+    """Per-message coordinate sets of the product code, assembled one
+    message at a time with ``order_preserving_map``."""
+    rows = []
+    for digits in np.ndindex(*[len(t) for t in tables]):
+        free = set(range(1, n + 1))
+        row = []
+        for j, d in enumerate(digits):
+            slots = range(1, len(free) + 1)
+            row.append(order_preserving_map(slots, free, tables[j][d]))
+            free -= row[-1]
+        rows.append(tuple(row))
+    return rows
+
+
+def check_against_references(code):
+    """``verify_overlay`` agrees with the exhaustive scan (the same code
+    without radices) and with ``brute_force_witness`` on every pair."""
+    report = verify_overlay(code)
+    exhaustive = verify_overlay(OverlayCode(
+        code.n, code.level_set, code.gamma, code.gamma_exact,
+        level_index=code.level_index))
+    assert report.passed == exhaustive.passed
+    assert report.violations == exhaustive.violations
+    M = code.message_count
+    rows = code.assignment
+    failing = []
+    for m in range(M):
+        for mp in range(M):
+            expect = None if m == mp else brute_force_witness(code, m, mp)
+            if m != mp and expect is None:
+                failing.append((m, mp))
+            got = report.witness(m, mp)
+            if expect is None:
+                assert got is None
+            else:
+                assert got == (expect, len(rows[m][expect] & rows[mp][expect]))
+    sizes_ok = all(len(s) == code.ell for row in rows for s in row)
+    assert report.passed == (sizes_ok and not failing)
+    listed = [v for v in report.violations if v.startswith(("no witness", "..."))]
+    assert listed == [f"no witness level for ordered pair ({m}, {mp})"
+                      for m, mp in failing[:8]] + (
+        [f"... and {len(failing) - 8} more failing pairs"]
+        if len(failing) > 8 else [])
+    return report
+
+
+def level_set_of(size):
+    return LevelSet(tuple(j / (size + 1) for j in range(size)))
+
+
+GAMMAS = [Fraction(5, 9), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5)]
+
+
+@st.composite
+def product_tables(draw):
+    levels = draw(st.integers(1, 3))
+    ell = draw(st.integers(1, 4))
+    n = ell * (levels + 1) + draw(st.integers(0, levels))
+    tables = [[draw(st.frozensets(st.integers(1, n - ell * j),
+                                  min_size=ell, max_size=ell))
+               for _ in range(draw(st.integers(1, 3)))]
+              for j in range(levels)]
+    return n, level_set_of(levels), draw(st.sampled_from(GAMMAS)), tables
+
+
+@st.composite
+def hand_built_codes(draw):
+    """Random level assignments, with or without (possibly inconsistent)
+    radices."""
+    levels = draw(st.integers(1, 3))
+    n = draw(st.integers(levels + 1, 3 * (levels + 1)))
+    M = draw(st.integers(1, 8))
+    index = np.array(draw(st.lists(
+        st.lists(st.integers(0, levels), min_size=n, max_size=n),
+        min_size=M, max_size=M)), dtype=np.uint8)
+    radices = draw(st.sampled_from([None, (M,) + (1,) * (levels - 1),
+                                    (1,) * (levels - 1) + (M,), (M + 1,)]))
+    return OverlayCode(n, level_set_of(levels), 0.75, Fraction(3, 4),
+                       radices=radices, level_index=index)
 
 
 class TestLevelSet:
@@ -255,6 +345,9 @@ class TestConstructionErrors:
         with pytest.raises(OverlayError, match="fail verification"):
             construct_overlay(8, LevelSet((0.0,)), 0.75,
                               subset_tables=[[{1, 2, 3, 4}, {1, 2, 3, 4}]])
+        with pytest.raises(OverlayError, match="at least one subset"):
+            construct_overlay(8, LevelSet((0.0, 0.5)), 0.75,
+                              subset_tables=[[{1, 2}], []])
 
 
 class TestVerifyFailures:
@@ -350,3 +443,124 @@ class TestJsonRoundTrip:
         back = from_json_dict(json.loads(json.dumps(to_json_dict(code))))
         assert back.gamma_exact == Fraction(7, 10)
         assert back.max_overlap == 7
+
+
+class TestPrefixGroupVerify:
+    @settings(max_examples=150, deadline=None)
+    @given(product_tables())
+    def test_product_codes(self, case):
+        n, level_set, gamma, tables = case
+        rows = reference_rows(n, tables)
+        code = OverlayCode(n, level_set, float(gamma), gamma, rows,
+                           radices=[len(t) for t in tables])
+        slots = [np.array([sorted(s) for s in t]) - 1 for t in tables]
+        assert np.array_equal(code.level_index, _assemble(n, slots))
+        check_against_references(code)
+
+    @settings(max_examples=150, deadline=None)
+    @given(product_tables(), st.data())
+    def test_perturbed_product_codes(self, case, data):
+        # one coordinate of one message moves to another level, so prefix
+        # groups stop sharing lower sets or a set loses its cardinality
+        n, level_set, gamma, tables = case
+        rows = reference_rows(n, tables)
+        index = OverlayCode(n, level_set, float(gamma), gamma,
+                            rows).level_index.copy()
+        m = data.draw(st.integers(0, len(rows) - 1))
+        i = data.draw(st.integers(0, n - 1))
+        index[m, i] = data.draw(st.integers(0, len(level_set)))
+        check_against_references(OverlayCode(
+            n, level_set, float(gamma), gamma,
+            radices=[len(t) for t in tables], level_index=index))
+
+    @settings(max_examples=150, deadline=None)
+    @given(hand_built_codes())
+    def test_hand_built_codes(self, code):
+        check_against_references(code)
+
+    def test_pair_scan_decides_when_prefix_check_cannot(self):
+        # level-0 sets overlap 3 > floor(5/9 * 4) = 2, yet every pair that
+        # first differs at digit 0 finds a witness at level 1/3
+        tables = [[{2, 4, 7, 12}, {1, 2, 4, 7}], [{2, 5, 6, 7}, {2, 3, 4, 6}]]
+        code = construct_overlay(12, LevelSet((0.0, 1 / 3)), Fraction(5, 9),
+                                 subset_tables=tables)
+        assert not overlay._prefix_groups_separated(code)
+        report = check_against_references(code)
+        assert report.passed and report.witness(0, 2) == (1, 2)
+
+    def test_witness_rejects_unknown_ids(self, small_overlay):
+        report = verify_overlay(small_overlay)
+        for pair in ((-1, 0), (0, 6)):
+            with pytest.raises(OverlayError, match="out of range"):
+                report.witness(*pair)
+
+
+class TestGoldenCodes:
+    """sha256 of the codes that fixed seeds build: the level matrix, the
+    test indices, the t-table wrapped on them and the attempt that
+    verification accepted.  Construction and verification must keep
+    every one of them."""
+
+    CELLS = {
+        "small_overlay": (dict(n=60, level_set=LevelSet((0.0, 0.5)),
+                               gamma=0.75, counts_per_level=[3, 2], seed=11),
+                          "7241f94e37d4aeae436e93540e840e693054d035cdc90bdbe01b85f7695bfcb5",
+                          "f5366968edd47f64dfa7a01cb6e20a9b072fbdde6be66547f59faa09d6e7e3a0",
+                          "b83a924ad686890036bcdbd2990fdc95b0b736057ccff0abe8be33fcc2063f72"),
+        "three_level": (dict(n=300, level_set=LevelSet((0.0, 1 / 3, 2 / 3)),
+                             gamma=Fraction(3, 4), max_messages_per_level=6,
+                             seed=2),
+                        "9bc2f1f1179219ea3e32fb4d09968547e23059ae37137bfb494f5b79929d5123",
+                        "3439501a682f51c85a39808f63d8bc5e523cff932ce63e6c2a289855d8856846",
+                        "7723fb995fc7926744fb35580d26e8b796461f95060e1651ba4bf6bb24c535ce"),
+        "large_codebook": (dict(n=600, level_set=LevelSet((0.0, 0.5)),
+                                gamma=0.75, counts_per_level=[64, 64], seed=7),
+                           "ab9cd2bb3cbe5cc1456ac118bff0c491abae0efe9b4edd817923368466dbfde8",
+                           "78f46c2668b745c51c3b46fa38dfaaed3faedf5a9c0481087b9f07c1d43e40e8",
+                           "ba1611fbeb166d3434fc00b6515fd1aa2968eecd38799bbf0239049677a17a80"),
+    }
+
+    @pytest.mark.parametrize("name", CELLS)
+    def test_code_hashes(self, name):
+        kwargs, levels, indices, t_table = self.CELLS[name]
+        code = construct_overlay(**kwargs)
+        assert code.attempts == 1
+        M = code.message_count
+        auth = inject_noise(make_random_gaussian_code(code.n, M, 1.0, seed=3),
+                            code, 1.0, 0.1, seed=3)
+        assert hashlib.sha256(code.level_matrix().tobytes()).hexdigest() == levels
+        h = hashlib.sha256()
+        for m in range(M):
+            for idx in auth.test_indices(m):
+                h.update(np.asarray(idx, dtype=np.int64).tobytes())
+        assert h.hexdigest() == indices
+        assert hashlib.sha256(auth.t_table.tobytes()).hexdigest() == t_table
+
+    @pytest.mark.parametrize("n, level_set, counts, attempts", [
+        (12, LevelSet((0.0,)), [6],
+         [1, 2, 1, 3, 2, 2, 1, 1, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 3, 1]),
+        (24, LevelSet((0.0, 0.5)), [4, 4],
+         [1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1]),
+    ])
+    def test_accepted_attempts(self, n, level_set, counts, attempts):
+        assert [construct_overlay(n, level_set, 0.75, counts_per_level=counts,
+                                  seed=s).attempts
+                for s in range(20)] == attempts
+
+
+def test_construction_memory_is_bounded(monkeypatch):
+    # M = 16384: an exhaustive (M, M) witness table alone would take 1.3 GB;
+    # a passing product code never reaches the pairwise scan.
+    def no_pair_scan(*args):
+        raise AssertionError("the prefix-group check fell back to the pair scan")
+
+    monkeypatch.setattr(overlay, "_pair_failures", no_pair_scan)
+    tracemalloc.start()
+    try:
+        code = construct_overlay(600, LevelSet((0.0, 0.5)), 0.75,
+                                 counts_per_level=[128, 128], seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code.message_count == 16384
+    assert peak < 64 * 2 ** 20, peak

@@ -178,6 +178,11 @@ class TestEstimateValidation:
         ("small_auth", dict(max_pairs=0), "max_pairs must be at least 1"),
         ("null_auth", dict(pairs=[(0, 3)], attack=AttackSpec(
             kind="impersonation", target=3)), "transmits the null message"),
+        ("small_auth", dict(attack=AttackSpec(
+            "custom", custom=lambda v, m, code: np.zeros(code.n))),
+         "custom attack runs only through run_trial"),
+        ("small_auth", dict(attack=AttackSpec("targeted", 6)),
+         "6 is not a valid message"),
     ])
     def test_bad_pairs_fail_before_any_draw(self, request, monkeypatch,
                                             code_name, kwargs, message):
@@ -453,6 +458,18 @@ class TestFalseAuthentication:
         ch = ChannelParams(rho_dec=0.1, rho_adv=0.1)
         rep = estimate(small_auth, ch, "alpha_star", 100, seed=3, max_pairs=5)
         assert rep.params["pairs"] == 5  # 30 ordered pairs subsampled
+
+    def test_targeted_attack_without_pairs_keeps_its_target(self, small_auth):
+        ch = ChannelParams(rho_dec=0.1, rho_adv=0.1)
+        every = estimate(small_auth, ch, "alpha_star", 100, seed=3,
+                         attack=AttackSpec("targeted", 3))
+        assert [(p["transmit"], p["target"])
+                for p in every.detail["per_pair"]] == [
+            (0, 3), (1, 3), (2, 3), (4, 3), (5, 3)]
+        some = estimate(small_auth, ch, "alpha_star", 100, seed=3,
+                        attack=AttackSpec("targeted", 3), max_pairs=2)
+        assert some.params["pairs"] == 2
+        assert all(p["target"] == 3 for p in some.detail["per_pair"])
 
 
 class TestTrialLog:
