@@ -6,12 +6,11 @@ decimation), the optimal MMSE adversary, Monte Carlo estimation of the
 operational measures, and closed-form evaluation of every guarantee.
 """
 
-from .adversary import (AttackError, AttackSpec, impersonation_attack,
-                        mmse_targeted_attack, mmse_targeted_attack_batch,
-                        mmse_weight, mu_residual, residual_variance_vector)
-from .authcode import (REJECT, AuthCode, AuthCodeError, DetectorOutcome,
-                       auth_decode_detect, auth_encode, decimate,
-                       inject_noise)
+from .adversary import (AttackError, AttackSpec, mmse_targeted_attack_batch,
+                        mmse_weight, residual_variance_vector)
+from .authcode import (REJECT, AuthCode, AuthCodeError, auth_encode_batch,
+                       decimate, detect_batch, inject_noise,
+                       level_statistics)
 from .basecode import (BaseCode, BaseCodeError, antipodal_error_probability,
                        base_error_probability, make_antipodal_code,
                        make_random_gaussian_code)
@@ -37,20 +36,19 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackError", "AttackSpec", "AuthCode", "AuthCodeError", "BaseCode",
     "BaseCodeError", "BoundsError", "ChannelParams", "DecimationBounds",
-    "DetectorOutcome", "EstimateReport", "InjectionBounds", "LevelSet",
-    "METRICS", "OptimalLevels", "OverlayCode", "OverlayError", "RateGap",
-    "REJECT", "SimulateError", "TrialOutcome", "VerifyReport",
-    "antipodal_error_probability", "auth_decode_detect", "auth_encode",
+    "EstimateReport", "InjectionBounds", "LevelSet", "METRICS",
+    "OptimalLevels", "OverlayCode", "OverlayError", "RateGap", "REJECT",
+    "SimulateError", "TrialOutcome", "VerifyReport",
+    "antipodal_error_probability", "auth_encode_batch",
     "base_error_probability", "binomial_se", "bounds_report", "capacity",
     "chi_square_tail_bound", "classify", "construct_overlay", "d2",
-    "decimate", "decimation_bounds", "decimation_rate", "detection_margin",
-    "estimate", "gaussian_cdf", "gaussian_posterior", "h2",
-    "hoeffding_wo_replacement_bound", "hypergeom_log_bound",
-    "i2", "impersonation_attack", "inject_noise", "injection_bounds",
-    "injection_power_bound", "make_antipodal_code",
-    "make_random_gaussian_code", "mixed_variance_lower_tail_bound",
-    "mmse_targeted_attack", "mmse_targeted_attack_batch", "mmse_weight",
-    "mu_residual", "optimal_levels", "overlay_rate_asymptotic",
+    "decimate", "decimation_bounds", "decimation_rate", "detect_batch",
+    "detection_margin", "estimate", "gaussian_cdf", "gaussian_posterior",
+    "h2", "hoeffding_wo_replacement_bound", "hypergeom_log_bound", "i2",
+    "inject_noise", "injection_bounds", "injection_power_bound",
+    "level_statistics", "make_antipodal_code", "make_random_gaussian_code",
+    "mixed_variance_lower_tail_bound", "mmse_targeted_attack_batch",
+    "mmse_weight", "optimal_levels", "overlay_rate_asymptotic",
     "overlay_rate_finite", "quantization_radius", "quantization_slack",
     "rate_gap", "residual_variance", "residual_variance_vector", "run_trial",
     "targeted_false_auth_bound", "verify_overlay", "wilson_interval",

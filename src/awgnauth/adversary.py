@@ -6,8 +6,11 @@ message m', the best it can do is subtract its MMSE estimate of the
 transmitted signal and substitute the target's mean signal, driving the
 decoder-side conditional mean of Y - x(m') - t(m') to zero; what
 remains is independent noise whose per-coordinate variance is the
-residual-variance law.  The per-level cancellation weight is exposed so
-tests can confirm the MMSE choice actually maximises acceptance.
+residual-variance law.  ``mmse_targeted_attack_batch`` is the one attack
+path: it works on a batch of observations of one transmitted message,
+and impersonation is the same attack launched from the null message.
+``weight_scale`` scales the per-coordinate cancellation weight so tests
+can confirm the MMSE choice actually maximises acceptance.
 """
 
 from __future__ import annotations
@@ -74,8 +77,20 @@ def mmse_weight(level: float, rho_delta: float, rho_adv: float) -> float:
     return injected / (injected + rho_adv)
 
 
-def _weights(code: AuthCode, m: int, rho_adv: float,
-             weight_scale: float | None) -> np.ndarray:
+def mmse_targeted_attack_batch(code: AuthCode, vs: np.ndarray, m: int,
+                               m_target: int, rho_adv: float,
+                               weight_scale: float | None = None) -> np.ndarray:
+    """z = x(m') + t(m') - x(m) - t(m) - w . (v - x(m) - t(m)) rowwise,
+    with the MMSE weight w = f^2 rho_delta / (f^2 rho_delta + rho_adv) of
+    f = f(m) (zero where the coordinate carries no injected noise), times
+    ``weight_scale`` when given.  This nulls the conditional mean of
+    Y - x(m') - t(m') given (V, Z)."""
+    if rho_adv < 0.0:
+        raise AttackError("rho_adv must be nonnegative")
+    if m == m_target:
+        raise AttackError("target must differ from the transmitted message")
+    mean_m = code.base.codewords[m] + code.t_table[m]
+    mean_t = code.base.codewords[m_target] + code.t_table[m_target]
     f = code.level_matrix[m]
     injected = f * f * code.rho_delta
     with np.errstate(invalid="ignore"):
@@ -83,51 +98,7 @@ def _weights(code: AuthCode, m: int, rho_adv: float,
                      injected / (injected + rho_adv), 0.0)
     if weight_scale is not None:
         w = weight_scale * w
-    return w
-
-
-def mmse_targeted_attack_batch(code: AuthCode, vs: np.ndarray, m: int,
-                               m_target: int, rho_adv: float,
-                               weight_scale: float | None = None) -> np.ndarray:
-    """z = x(m') + t(m') - x(m) - t(m) - w . (v - x(m) - t(m)) rowwise."""
-    if rho_adv < 0.0:
-        raise AttackError("rho_adv must be nonnegative")
-    if m == m_target:
-        raise AttackError("target must differ from the transmitted message")
-    mean_m = code.base.codewords[m] + code.t_table[m]
-    mean_t = code.base.codewords[m_target] + code.t_table[m_target]
-    w = _weights(code, m, rho_adv, weight_scale)
     return mean_t - mean_m - w * (vs - mean_m)
-
-
-def mmse_targeted_attack(code: AuthCode, v: np.ndarray, m: int, m_target: int,
-                         rho_adv: float,
-                         weight_scale: float | None = None) -> np.ndarray:
-    return mmse_targeted_attack_batch(
-        code, np.asarray(v, dtype=np.float64)[None, :], m, m_target, rho_adv,
-        weight_scale)[0]
-
-
-def impersonation_attack(code: AuthCode, v: np.ndarray, m_target: int,
-                         rho_adv: float,
-                         weight_scale: float | None = None) -> np.ndarray:
-    """Targeted attack launched from the null ('not transmitting')
-    message, whose codeword is zero."""
-    if code.base.null_id is None:
-        raise AttackError("code has no null message to impersonate from")
-    return mmse_targeted_attack(code, v, code.base.null_id, m_target,
-                                rho_adv, weight_scale)
-
-
-def mu_residual(code: AuthCode, v: np.ndarray, z: np.ndarray, m: int,
-                m_target: int, rho_adv: float) -> np.ndarray:
-    """Conditional mean of Y - x(m') - t(m') given (V, Z) = (v, z):
-    x(m) + t(m) - x(m') - t(m') + z + w . (v - x(m) - t(m)).
-    The MMSE targeted attack returns the unique z that nulls this."""
-    mean_m = code.base.codewords[m] + code.t_table[m]
-    mean_t = code.base.codewords[m_target] + code.t_table[m_target]
-    w = _weights(code, m, rho_adv, None)
-    return mean_m - mean_t + np.asarray(z) + w * (np.asarray(v) - mean_m)
 
 
 def residual_variance_vector(code: AuthCode, m: int, rho_adv: float,

@@ -7,6 +7,12 @@ The decoder re-runs the base decoder and then, per overlay level k
 below 1, checks that the squared residuals on the decoded message's
 level-k coordinates are no larger than a chi-square-calibrated
 threshold ell (1 + delta); any failure yields the rejection symbol.
+There is one detector path, for a batch of received rows:
+``level_statistics`` gives each row's statistic per level and
+``detect_batch`` turns them, with the decimation filter, into a
+rejection mask.  A code whose overlay gives some message a level set
+of other than ell coordinates is rejected on construction, since its
+statistics would not be chi-square with ell degrees of freedom.
 
 Decimation: a uniformly chosen subset of messages survives; decoding to
 a non-survivor is rejected.  This trades a small rate loss for a
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -32,15 +39,6 @@ REJECT = "!"
 
 class AuthCodeError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class DetectorOutcome:
-    decoded: int | str              # message id, or REJECT
-    base_decoded: int
-    statistics: dict[float, float]  # level -> residual statistic
-    threshold: float
-    decimation_rejected: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +64,13 @@ class AuthCode:
         if t.shape != self.base.codewords.shape:
             raise AuthCodeError("t_table must match the codeword table shape")
         object.__setattr__(self, "t_table", t)
+        for j, k in enumerate(self.overlay.level_set.levels):
+            sizes = np.count_nonzero(self.overlay.level_index == j, axis=1)
+            if np.any(sizes != self.ell):
+                m = int(np.argmax(sizes != self.ell))
+                raise AuthCodeError(
+                    f"message {m} has {sizes[m]} coordinates at level {k}, "
+                    f"expected {self.ell}: the detector needs exactly ell")
         object.__setattr__(self, "_levels", self.overlay.level_matrix())
         valid = np.ones(self.message_count, dtype=bool)
         if self.decimated is not None:
@@ -98,9 +103,17 @@ class AuthCode:
     def level_matrix(self) -> np.ndarray:
         return self._levels  # type: ignore[attr-defined]
 
-    def test_indices(self, m: int) -> tuple[np.ndarray, ...]:
-        """0-based coordinate arrays of message m, one per level in K."""
-        return self.overlay.test_indices(m)
+    @cached_property
+    def _tested(self) -> np.ndarray:
+        """(message_count, |K| ell) flat indices into the (message_count, n)
+        code tables: each message's coordinates at each level in K, level
+        by level, ascending within a level.  Built on the first detect."""
+        width = len(self.overlay.level_set) * self.ell
+        # a stable sort of each row's level indices lists the level-0
+        # columns first, in ascending order, then level 1 and so on
+        order = np.argsort(self.overlay.level_index, axis=1, kind="stable")
+        return order[:, :width] + (np.arange(self.message_count)
+                                   * self.n)[:, None]
 
     @property
     def rate(self) -> float:
@@ -174,77 +187,72 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
         f"mean-shift table failed the construction checks {retry_limit} times")
 
 
-def auth_encode(code: AuthCode, m: int,
-                rng: np.random.Generator | int = 0) -> np.ndarray:
-    """One transmission of message m: x(m) + t(m) + f(m) . G_delta."""
-    if isinstance(rng, (int, np.integer)):
-        rng = one_shot_rng(int(rng), Role.DELTA)
-    unit = rng.standard_normal(code.n)
-    return auth_encode_batch(code, np.asarray([m]), unit[None, :])[0]
-
-
 def auth_encode_batch(code: AuthCode, ms: np.ndarray,
                       unit_delta: np.ndarray) -> np.ndarray:
-    """Vectorised encoder; ``unit_delta`` holds unit normals (B, n)."""
+    """Vectorised encoder x(m) + t(m) + f(m) . G_delta; ``unit_delta``
+    holds unit normals (B, n)."""
     scale = math.sqrt(code.rho_delta)
     return (code.base.codewords[ms] + code.t_table[ms]
             + code.level_matrix[ms] * (scale * unit_delta))
 
 
-def _level_statistics(code: AuthCode, ys: np.ndarray, m: int,
-                      rho_dec: float) -> list[np.ndarray]:
-    """Residual statistic of each row of ``ys`` against message ``m``,
-    one array of shape (rows,) per overlay level below 1."""
-    # same grouping as the encoder so clean level-0 coordinates cancel
-    # bitwise (the rho_dec = 0 sentinel relies on this)
-    resid = ys - (code.base.codewords[m] + code.t_table[m])
-    stats = []
-    for k, idx in zip(code.overlay.level_set.levels, code.test_indices(m)):
-        ssq = np.sum(resid[:, idx] ** 2, axis=1)
+def _check_ids(code: AuthCode, base_decoded: np.ndarray) -> None:
+    ids = np.asarray(base_decoded)
+    if ids.size and (ids.min() < 0 or ids.max() >= code.message_count):
+        raise AuthCodeError("base_decoded must hold message ids")
+
+
+def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
+                     rho_dec: float) -> np.ndarray:
+    """(B, |K|) residual statistics: entry [b, j] is the sum of squares of
+    ys[b] - (x(m) + t(m)) over the level-j coordinates of m =
+    base_decoded[b], divided by k_j^2 rho_delta + rho_dec.
+
+    Each row's tested coordinates are gathered from the flat tables, so
+    no code loops over messages, and each row's sums do not depend on
+    the other rows; rows go in chunks of 2**18 // n to bound the
+    gathered arrays."""
+    if rho_dec < 0.0:
+        raise AuthCodeError("rho_dec must be nonnegative")
+    _check_ids(code, base_decoded)
+    n, ell = code.n, code.ell
+    levels = code.overlay.level_set.levels
+    x, t = code.base.codewords, code.t_table
+    stats = np.empty((len(base_decoded), len(levels)))
+    step = max(1, 2 ** 18 // n)
+    for r0 in range(0, len(base_decoded), step):
+        dec = base_decoded[r0:r0 + step]
+        at = code._tested[dec]
+        # same grouping as the encoder so clean level-0 coordinates
+        # cancel bitwise (the rho_dec = 0 sentinel relies on this)
+        mean = np.take(x, at) + np.take(t, at)
+        at += ((np.arange(len(dec)) - dec) * n)[:, None]   # into ys rows
+        resid = np.take(ys[r0:r0 + step], at) - mean
+        # a sum over the contiguous last axis takes numpy's pairwise
+        # order for every (row, level), whatever the chunk holds
+        stats[r0:r0 + step] = np.sum(
+            (resid ** 2).reshape(len(dec), len(levels), ell), axis=2)
+    for j, k in enumerate(levels):
         denom = k * k * code.rho_delta + rho_dec
         # rho_dec = 0 diagnostic: a zero-variance level accepts only
         # exactly-zero residuals.
-        stats.append(np.where(ssq == 0.0, 0.0, np.inf) if denom == 0.0
-                     else ssq / denom)
+        stats[:, j] = (np.where(stats[:, j] == 0.0, 0.0, np.inf)
+                       if denom == 0.0 else stats[:, j] / denom)
     return stats
 
 
 def detect_batch(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
                  rho_dec: float, *, detector: bool = True) -> np.ndarray:
-    """Rejection mask for a batch: residual statistics over the decoded
-    message's per-level coordinate sets, plus the decimation filter."""
+    """Rejection mask for a batch: the decimation filter, or'd with any
+    level statistic above the threshold ell (1 + delta).  Level 1 is never
+    tested; ``detector=False`` (the delta -> infinity sentinel) leaves only
+    the decimation filter."""
+    _check_ids(code, base_decoded)
     rejected = ~code.valid_mask[base_decoded]
     if detector:
-        thr = code.threshold
-        for m in np.unique(base_decoded):
-            sel = np.flatnonzero(base_decoded == m)
-            fail = rejected[sel]
-            for stat in _level_statistics(code, ys[sel], int(m), rho_dec):
-                fail |= stat > thr
-            rejected[sel] = fail
+        stats = level_statistics(code, ys, base_decoded, rho_dec)
+        rejected |= np.any(stats > code.threshold, axis=1)
     return rejected
-
-
-def auth_decode_detect(code: AuthCode, y: np.ndarray, rho_dec: float, *,
-                       detector: bool = True) -> DetectorOutcome:
-    """Base decode then per-level residual tests; level 1 is never
-    tested.  ``detector=False`` disables the residual tests (the
-    delta -> infinity sentinel), leaving only decimation filtering."""
-    if rho_dec < 0.0:
-        raise AuthCodeError("rho_dec must be nonnegative")
-    y = np.asarray(y, dtype=np.float64)
-    m_hat = int(code.base.decode(y))
-    stats: dict[float, float] = {}
-    if detector:
-        stats = {k: float(stat[0]) for k, stat in zip(
-            code.overlay.level_set.levels,
-            _level_statistics(code, y[None, :], m_hat, rho_dec))}
-    rejected = any(s > code.threshold for s in stats.values())
-    decim_reject = not code.is_valid_message(m_hat)
-    decoded: int | str = REJECT if (rejected or decim_reject) else m_hat
-    return DetectorOutcome(decoded=decoded, base_decoded=m_hat,
-                           statistics=stats, threshold=code.threshold,
-                           decimation_rejected=decim_reject)
 
 
 def sample_decimation_subset(message_count: int, size: int,

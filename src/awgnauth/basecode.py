@@ -88,13 +88,7 @@ def make_random_gaussian_code(n: int, message_count: int, omega: float,
     omega exactly; optionally appends the zero codeword as a null message."""
     if n < 1 or message_count < 1 or omega <= 0.0:
         raise BaseCodeError("n >= 1, message_count >= 1, omega > 0 required")
-    rng = one_shot_rng(seed, Role.CODEBOOK)
-    for _ in range(8):
-        cw = rng.standard_normal((message_count, n))
-        if len({cw[m].tobytes() for m in range(message_count)}) == message_count:
-            break
-    else:  # pragma: no cover - measure-zero event
-        raise BaseCodeError("could not draw distinct codewords")
+    cw = one_shot_rng(seed, Role.CODEBOOK).standard_normal((message_count, n))
     cw *= math.sqrt(omega / np.max(np.mean(cw**2, axis=1)))
     null_id = None
     if null_message:

@@ -504,12 +504,6 @@ def run_estimates(cfg: ExperimentConfig, code: AuthCode,
     if any(m in FALSE_AUTH_METRICS for m in cfg.metrics):
         if attack.kind == "targeted" and cfg.message is not None:
             kwargs["pairs"] = [(cfg.message, attack.target)]
-        elif attack.kind == "impersonation":
-            null = code.base.null_id
-            if null is None:
-                raise ConfigError("impersonation needs base.null = true")
-            kwargs["pairs"] = ([(null, attack.target)]
-                               if attack.target is not None else None)
         if attack.kind != "none":
             kwargs["attack"] = replace(attack, weight_scale=cfg.weight_scale)
     reports = _stage("simulate", estimate, code, channel, list(cfg.metrics),

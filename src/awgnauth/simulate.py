@@ -162,6 +162,9 @@ def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
     """A single trial, identical to row ``trial_index`` of a batched run."""
     _check_power(code, channel)
     _check_messages(code, [m])
+    if attack.kind == "impersonation" and m != code.base.null_id:
+        raise SimulateError(f"impersonation transmits the null message; "
+                            f"{m} is not the null message of this code")
     [(_, base_decoded, rejected)] = _simulate_block(
         code, channel, seed, trial_index, 1, [(attack, m)], detector=True)
     decoded: int | str = REJECT if rejected[0] else int(base_decoded[0])
@@ -232,8 +235,8 @@ def _attack_runs(code: AuthCode, attack: AttackSpec | None,
                  pairs: Sequence[tuple[int, int]] | None, max_pairs: int,
                  seed: int) -> list[Run]:
     """One run per (transmit, target) pair: the given ``pairs``, or every
-    ordered pair (aimed at the target of a targeted attack, from the null
-    message under impersonation) subsampled to ``max_pairs``."""
+    ordered pair (aimed at the attack's target, from the null message
+    under impersonation) subsampled to ``max_pairs``."""
     if attack is not None and attack.kind == "custom":
         raise SimulateError("alpha_star and alpha run the MMSE attack; a "
                             "custom attack runs only through run_trial")
@@ -244,7 +247,7 @@ def _attack_runs(code: AuthCode, attack: AttackSpec | None,
     if pairs is None:
         pool = [int(m) for m in _transmit_pool(code)]
         targets = pool
-        if attack is not None and attack.kind == "targeted":
+        if attack is not None and attack.target is not None:
             _check_messages(code, [attack.target])
             targets = [attack.target]
         pairs = [(a, b) for a in ([null] if impersonation else pool)
@@ -333,8 +336,8 @@ def estimate(code: AuthCode, channel: ChannelParams,
     and ``genuine_acceptance``.  ``attack``, ``pairs`` and ``max_pairs``
     define the runs of ``alpha_star`` and ``alpha``: ``pairs`` pins the
     ordered (transmit, target) pairs, otherwise every ordered pair (aimed
-    at the target of a targeted attack) is enumerated and subsampled to
-    ``max_pairs``.  ``message`` and every
+    at the attack's target, from the null message under impersonation) is
+    enumerated and subsampled to ``max_pairs``.  ``message`` and every
     id in ``pairs`` must be valid messages of ``code``.  ``trial_log``
     appends one CSV row per simulated trial to that file, metric by
     metric."""

@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from awgnauth import cli
 from awgnauth.adversary import (
     AttackError,
     AttackSpec,
-    impersonation_attack,
-    mmse_targeted_attack,
     mmse_targeted_attack_batch,
     mmse_weight,
-    mu_residual,
     no_attack,
     residual_variance_vector,
 )
 from awgnauth.authcode import auth_encode_batch, detect_batch
+from awgnauth.simulate import ChannelParams, estimate
 
 # Frozen values of the residual-variance law tau(a) = a^2 rho_D rho_A /
 # (a^2 rho_D + rho_A) + rho_dec.
@@ -68,9 +67,15 @@ class TestResidualNulling:
     def test_attack_nulls_the_conditional_mean(self, small_auth, rng):
         code = small_auth
         m, m_target, rho_adv = 1, 4, 0.3
-        v = rng.normal(size=code.n) * 2.0
-        z = mmse_targeted_attack(code, v, m, m_target, rho_adv)
-        mu = mu_residual(code, v, z, m, m_target, rho_adv)
+        vs = rng.normal(size=(4, code.n)) * 2.0
+        zs = mmse_targeted_attack_batch(code, vs, m, m_target, rho_adv)
+        # E[Y - x(m') - t(m') | V, Z] = x(m) + t(m) - x(m') - t(m') + z
+        #                               + w . (v - x(m) - t(m))
+        mean_m = code.base.codewords[m] + code.t_table[m]
+        mean_t = code.base.codewords[m_target] + code.t_table[m_target]
+        w = np.array([mmse_weight(f, code.rho_delta, rho_adv)
+                      for f in code.level_matrix[m]])
+        mu = mean_m - mean_t + zs + w * (vs - mean_m)
         assert np.max(np.abs(mu)) <= 1e-9
 
     def test_no_cancellation_on_level_zero(self, small_auth, rng):
@@ -142,16 +147,24 @@ class TestResidualVarianceLaw:
 
 
 class TestImpersonation:
-    def test_requires_null_message(self, small_auth):
-        with pytest.raises(AttackError, match="null message"):
-            impersonation_attack(small_auth, np.zeros(60), 1, 0.1)
+    def test_requires_null_message(self):
+        # estimate raises SimulateError (test_simulate), and the CLI exits 2
+        assert cli.main(["simulate", "base.kind=gaussian", "base.n=60",
+                         "base.messages=6", "overlay.counts=[3,2]",
+                         "channel.rho_adv=0.1", "attack=impersonation:1",
+                         'run.metrics=["alpha_star"]',
+                         "run.trials=100"]) == 2
 
-    def test_equals_targeted_attack_from_null(self, null_auth, rng):
-        code = null_auth
-        v = rng.normal(size=code.n)
-        a = impersonation_attack(code, v, 2, 0.25)
-        b = mmse_targeted_attack(code, v, code.base.null_id, 2, 0.25)
-        assert np.array_equal(a, b)
+    def test_equals_targeted_attack_from_null(self, null_auth):
+        ch = ChannelParams(rho_dec=0.1, rho_adv=0.25)
+        null = null_auth.base.null_id
+        a = estimate(null_auth, ch, ["alpha_star", "alpha"], 200, seed=3,
+                     attack=AttackSpec("impersonation", 2))
+        b = estimate(null_auth, ch, ["alpha_star", "alpha"], 200, seed=3,
+                     pairs=[(null, 2)])
+        for imp, tgt in zip(a, b):
+            assert imp.detail["per_pair"] == tgt.detail["per_pair"]
+            assert imp.successes == tgt.successes
 
     def test_null_row_carries_its_own_shift(self, null_auth):
         # The silent state is an ordinary message: zero codeword but a

@@ -1,29 +1,28 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 from awgnauth.authcode import (
-    REJECT,
     AuthCode,
     AuthCodeError,
-    auth_decode_detect,
-    auth_encode,
     auth_encode_batch,
     decimate,
     detect_batch,
     from_json_dict,
     inject_noise,
+    level_statistics,
     sample_decimation_subset,
     to_json_dict,
 )
 from awgnauth.basecode import make_random_gaussian_code
 from awgnauth.bounds import injection_power_bound
-from awgnauth.overlay import LevelSet, construct_overlay
-from awgnauth.streams import one_shot_rng
+from awgnauth.overlay import LevelSet, OverlayCode, construct_overlay
+from awgnauth.streams import Role, normals, one_shot_rng
 
 
 @pytest.fixture(scope="module")
@@ -125,21 +124,27 @@ class TestEncoder:
         assert np.all(a[f > 0] != b[f > 0])
 
     def test_single_encode_reproducible(self, small_auth):
-        a = auth_encode(small_auth, 3, rng=77)
-        b = auth_encode(small_auth, 3, rng=77)
-        assert np.array_equal(a, b)
-        assert a.shape == (60,)
+        # a one-row encode of trial t equals row t of a batch encode
+        ms = np.array([3, 0, 5, 3])
+        batch = auth_encode_batch(small_auth, ms,
+                                  normals(77, Role.DELTA, 0, 4, 60))
+        for t, m in enumerate(ms):
+            row = auth_encode_batch(small_auth, ms[t:t + 1],
+                                    normals(77, Role.DELTA, t, 1, 60))
+            assert row.shape == (1, 60)
+            assert np.array_equal(row[0], batch[t])
 
 
 class TestDetector:
     def test_clean_center_accepted_with_zero_stats(self, small_auth):
-        for m in range(small_auth.message_count):
-            y = small_auth.base.codewords[m] + small_auth.t_table[m]
-            out = auth_decode_detect(small_auth, y, rho_dec=0.1)
-            assert out.decoded == m
-            assert out.base_decoded == m
-            assert out.statistics == {0.0: 0.0, 0.5: 0.0}
-            assert out.threshold == small_auth.ell * 1.2
+        centers = small_auth.base.codewords + small_auth.t_table
+        dec = small_auth.base.decode_batch(centers)
+        assert dec.tolist() == list(range(small_auth.message_count))
+        stats = level_statistics(small_auth, centers, dec, rho_dec=0.1)
+        assert stats.shape == (small_auth.message_count, 2)
+        assert not np.any(stats)
+        assert not np.any(detect_batch(small_auth, centers, dec, 0.1))
+        assert small_auth.threshold == small_auth.ell * 1.2
 
     def test_statistics_are_chi_square_calibrated(self, small_auth, rng):
         # Genuine traffic: the level-k statistic is chi^2 with ell degrees
@@ -151,36 +156,33 @@ class TestDetector:
         dec = code.base.decode_batch(ys)
         good = dec == ms
         assert np.mean(good) > 0.999
-        stats = {0.0: [], 0.5: []}
-        for m in range(code.message_count):
-            sel = good & (ms == m)
-            resid = ys[sel] - code.base.codewords[m] - code.t_table[m]
-            for j, k in enumerate(code.overlay.level_set.levels):
-                idx = code.test_indices(m)[j]
-                denom = k * k * code.rho_delta + rho_dec
-                stats[k].append(np.sum(resid[:, idx] ** 2, axis=1) / denom)
-        for k, parts in stats.items():
-            pooled = np.concatenate(parts)
+        stats = level_statistics(code, ys[good], dec[good], rho_dec)
+        for pooled in stats.T:
             assert pooled.mean() == pytest.approx(code.ell, rel=0.05)
             assert pooled.var() == pytest.approx(2.0 * code.ell, rel=0.05)
 
     def test_statistics_match_single_shot_api(self, small_auth, rng):
+        # each row's statistics and verdict are those of a one-row call,
+        # and equal the residual energy over its level sets
         code, rho_dec = small_auth, 0.1
         ms = rng.integers(0, code.message_count, size=50)
         enc = auth_encode_batch(code, ms, rng.standard_normal((50, code.n)))
         ys = enc + math.sqrt(rho_dec) * rng.standard_normal((50, code.n))
         dec = code.base.decode_batch(ys)
+        stats = level_statistics(code, ys, dec, rho_dec)
         mask = detect_batch(code, ys, dec, rho_dec)
+        assert np.array_equal(mask, np.any(stats > code.threshold, axis=1))
         for i in range(50):
-            out = auth_decode_detect(code, ys[i], rho_dec)
-            assert out.base_decoded == dec[i]
-            assert (out.decoded == REJECT) == bool(mask[i])
+            one = level_statistics(code, ys[i:i + 1], dec[i:i + 1], rho_dec)
+            assert np.array_equal(one[0], stats[i])
+            assert detect_batch(code, ys[i:i + 1], dec[i:i + 1],
+                                rho_dec)[0] == mask[i]
             m = int(dec[i])
             resid = ys[i] - code.base.codewords[m] - code.t_table[m]
             for j, k in enumerate(code.overlay.level_set.levels):
-                idx = code.test_indices(m)[j]
+                idx = code.overlay.test_indices(m)[j]
                 denom = k * k * code.rho_delta + rho_dec
-                assert out.statistics[k] == pytest.approx(
+                assert stats[i, j] == pytest.approx(
                     float(np.sum(resid[idx] ** 2) / denom), rel=1e-12)
 
     def test_inflated_residuals_rejected_at_chi_square_rate(self, small_auth,
@@ -219,19 +221,130 @@ class TestDetector:
 
     def test_zero_decoder_noise_sentinel(self, small_auth):
         code = small_auth
-        m = 1
+        m = np.array([1])
         y = code.base.codewords[m] + code.t_table[m]
-        out = auth_decode_detect(code, y, rho_dec=0.0)
-        assert out.decoded == m
-        assert out.statistics[0.0] == 0.0
+        assert level_statistics(code, y, m, rho_dec=0.0)[0, 0] == 0.0
+        assert not detect_batch(code, y, m, 0.0)[0]
         # any energy on a zero-variance level is conclusive evidence
         bad = y.copy()
-        bad[code.test_indices(m)[0][0]] += 1e-9
-        out2 = auth_decode_detect(code, bad, rho_dec=0.0)
-        assert out2.decoded == REJECT
-        assert out2.statistics[0.0] == math.inf
+        bad[0, code.overlay.test_indices(1)[0][0]] += 1e-9
+        assert code.base.decode_batch(bad)[0] == 1
+        assert level_statistics(code, bad, m, rho_dec=0.0)[0, 0] == math.inf
+        assert detect_batch(code, bad, m, 0.0)[0]
         with pytest.raises(AuthCodeError, match="nonnegative"):
-            auth_decode_detect(code, y, rho_dec=-0.1)
+            level_statistics(code, y, m, rho_dec=-0.1)
+        with pytest.raises(AuthCodeError, match="nonnegative"):
+            detect_batch(code, y, m, -0.1)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_decoded_ids_must_be_message_ids(self, small_auth, bad):
+        ys = np.zeros((3, small_auth.n))
+        dec = np.array([0, bad, 2])
+        with pytest.raises(AuthCodeError, match="message ids"):
+            level_statistics(small_auth, ys, dec, 0.1)
+        for detector in (True, False):
+            with pytest.raises(AuthCodeError, match="message ids"):
+                detect_batch(small_auth, ys, dec, 0.1, detector=detector)
+
+
+def reference_statistics(code, ys, base_decoded, rho_dec):
+    """The detector as a loop over the distinct decoded messages: the
+    implementation that ``level_statistics`` replaced, kept as the
+    reference it must match bitwise."""
+    levels = code.overlay.level_set.levels
+    stats = np.empty((len(base_decoded), len(levels)))
+    for m in np.unique(base_decoded):
+        sel = np.flatnonzero(base_decoded == m)
+        resid = ys[sel] - (code.base.codewords[m] + code.t_table[m])
+        for j, (k, idx) in enumerate(zip(levels,
+                                         code.overlay.test_indices(int(m)))):
+            ssq = np.sum(resid[:, idx] ** 2, axis=1)
+            denom = k * k * code.rho_delta + rho_dec
+            stats[sel, j] = (np.where(ssq == 0.0, 0.0, np.inf)
+                             if denom == 0.0 else ssq / denom)
+    return stats
+
+
+def reference_detect(code, ys, base_decoded, rho_dec, detector=True):
+    rejected = ~code.valid_mask[base_decoded]
+    if detector:
+        for m in np.unique(base_decoded):
+            sel = np.flatnonzero(base_decoded == m)
+            fail = rejected[sel]
+            stats = reference_statistics(code, ys[sel], base_decoded[sel],
+                                         rho_dec)
+            for stat in stats.T:
+                fail |= stat > code.threshold
+            rejected[sel] = fail
+    return rejected
+
+
+@pytest.fixture(scope="module")
+def wide_auth():
+    """512 messages at n=120."""
+    base = make_random_gaussian_code(120, 512, omega=1.0, seed=3)
+    overlay = construct_overlay(120, LevelSet((0.0, 0.5)), 0.75,
+                                counts_per_level=[16, 32], seed=3)
+    return inject_noise(base, overlay, rho_delta=1.0, delta=0.2, seed=3)
+
+
+class TestAgainstReferenceLoop:
+    """``level_statistics`` and ``detect_batch`` against the per-message
+    loop, on batches that cross the 2**18 // n row chunks.
+
+    The loop's sum of squares took numpy's pairwise order on a message
+    with one row in the batch (a contiguous (1, ell) slice) and plain
+    left-to-right order on a message with several (the fancy-indexed
+    slice is column-major).  ``level_statistics`` sums every row in the
+    pairwise order, whatever else is in the batch, so it equals the loop
+    bitwise on the one-row messages and within the float64 rounding of
+    an ell-term sum of nonnegative terms elsewhere."""
+
+    @staticmethod
+    def traffic(code, rows, rho_dec, seed):
+        rng = np.random.default_rng(seed)
+        ms = rng.integers(0, code.message_count, size=rows)
+        ys = auth_encode_batch(code, ms, rng.standard_normal((rows, code.n)))
+        ys += math.sqrt(max(rho_dec, 0.05)) * rng.standard_normal(ys.shape)
+        # exact centres, so rho_dec = 0 meets both of its outcomes
+        ys[::7] = code.base.codewords[ms[::7]] + code.t_table[ms[::7]]
+        dec = code.base.decode_batch(ys)
+        dec[::5] = ms[::5]    # some rows tested against the wrong message
+        return ys, dec
+
+    @pytest.mark.parametrize("name, rows, rho_dec", [
+        ("small_auth", 10000, 0.1),
+        ("small_auth", 5000, 0.0),
+        ("decimated_null_auth", 9000, 0.1),
+        ("wide_auth", 5000, 0.1),
+        ("wide_auth", 300, 0.0),
+        ("wide_auth", 300, 0.1),
+    ])
+    def test_equal_to_the_loop(self, request, name, rows, rho_dec):
+        if name == "decimated_null_auth":
+            code = decimate(request.getfixturevalue("null_auth"), 0.1,
+                            seed=5, adversary_agnostic=True,
+                            target_size_override=3)
+        else:
+            code = request.getfixturevalue(name)
+        ys, dec = self.traffic(code, rows, rho_dec, seed=rows)
+        stats = level_statistics(code, ys, dec, rho_dec)
+        ref = reference_statistics(code, ys, dec, rho_dec)
+        alone = np.bincount(dec)[dec] == 1
+        assert np.array_equal(stats[alone], ref[alone])
+        np.testing.assert_allclose(stats, ref, atol=0,
+                                   rtol=2 * code.ell * np.finfo(float).eps)
+        for detector in (True, False):
+            assert np.array_equal(
+                detect_batch(code, ys, dec, rho_dec, detector=detector),
+                reference_detect(code, ys, dec, rho_dec, detector))
+
+    def test_batches_cross_row_chunks(self, small_auth, wide_auth):
+        assert 10000 > 2 ** 18 // small_auth.n
+        assert 5000 > 2 ** 18 // wide_auth.n
+        # one-row messages occur only in the short wide_auth batches
+        _, dec = self.traffic(wide_auth, 300, 0.1, seed=300)
+        assert np.sum(np.bincount(dec)[dec] == 1) > 100
 
 
 class TestRateAndPower:
@@ -270,11 +383,13 @@ class TestDecimation:
         assert code.decimated is not None
         dead = next(m for m in range(code.message_count)
                     if m not in code.decimated)
-        y = code.base.codewords[dead] + code.t_table[dead]
-        out = auth_decode_detect(code, y, rho_dec=0.1)
-        assert out.decoded == REJECT
-        assert out.decimation_rejected
-        assert out.statistics[0.0] == 0.0  # detector itself was happy
+        ms = np.array([dead])
+        y = code.base.codewords[ms] + code.t_table[ms]
+        assert code.base.decode_batch(y)[0] == dead
+        assert detect_batch(code, y, ms, 0.1)[0]
+        assert detect_batch(code, y, ms, 0.1, detector=False)[0]
+        # the detector itself was happy
+        assert not np.any(level_statistics(code, y, ms, 0.1))
 
     def test_batch_filter_matches_surviving_set(self, null_auth):
         code = decimate(null_auth, rho_dec=0.1, seed=5,
@@ -297,8 +412,10 @@ class TestDecimation:
         assert null is not None
         assert null not in code.decimated  # never drawn...
         assert code.is_valid_message(null)  # ...but always valid
-        y = code.base.codewords[null] + code.t_table[null]
-        assert auth_decode_detect(code, y, rho_dec=0.1).decoded == null
+        ms = np.array([null])
+        y = code.base.codewords[ms] + code.t_table[ms]
+        assert code.base.decode_batch(y)[0] == null
+        assert not detect_batch(code, y, ms, 0.1)[0]
 
     def test_seed_determinism(self, small_auth):
         a = decimate(small_auth, 0.1, seed=9, adversary_agnostic=True,
@@ -367,6 +484,20 @@ class TestAuthCodeValidation:
     def test_t_table_shape(self, small_base, small_overlay):
         with pytest.raises(AuthCodeError, match="shape"):
             AuthCode(small_base, small_overlay, 1.0, 0.2, np.zeros((6, 59)))
+
+    def test_level_sets_of_other_than_ell_coordinates(self, small_base,
+                                                      small_overlay):
+        # the planted short set of test_overlay's TestVerifyFailures
+        rows = list(small_overlay.assignment)
+        rows[0] = (frozenset(list(rows[0][0])[:-1]), rows[0][1])
+        broken = OverlayCode(60, small_overlay.level_set, 0.75,
+                             Fraction(3, 4), tuple(rows))
+        with pytest.raises(AuthCodeError, match="message 0 has 19 "
+                           "coordinates at level 0.0, expected 20"):
+            AuthCode(small_base, broken, 1.0, 0.2,
+                     np.zeros_like(small_base.codewords))
+        with pytest.raises(AuthCodeError, match="expected 20"):
+            inject_noise(small_base, broken, 1.0, 0.2)
 
     def test_threshold_property(self, small_auth):
         assert small_auth.threshold == pytest.approx(20 * 1.2)

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from awgnauth import cli
+from awgnauth.adversary import AttackSpec
 from awgnauth.cli import (
     SWEEP_HEADER,
     ConfigError,
     ExperimentConfig,
     apply_settings,
+    build_pipeline,
     config_hash,
     main,
     parse_config,
@@ -16,6 +18,7 @@ from awgnauth.cli import (
 )
 from awgnauth.overlay import LevelSet, OverlayCode
 from awgnauth.overlay import to_json_dict as overlay_to_json
+from awgnauth.simulate import ChannelParams, estimate
 
 
 def run_cli(args, capsys):
@@ -222,6 +225,22 @@ class TestSimulateCommand:
         assert [(p["transmit"], p["target"])
                 for p in row["detail"]["per_pair"]] == [
             (0, 3), (1, 3), (2, 3), (4, 3), (5, 3)]
+
+    def test_impersonation_matches_the_library(self, capsys):
+        args = ["base.kind=gaussian", "base.n=60", "base.messages=6",
+                "base.null=true", "overlay.counts=[7,1]",
+                "channel.rho_adv=0.1", "attack=impersonation:0",
+                'run.metrics=["alpha_star"]', "run.trials=100"]
+        rc, out, _ = run_cli(["simulate", *args], capsys)
+        (row,) = json.loads(out)["estimates"]
+        cfg = parse_config(None, args)
+        report = estimate(build_pipeline(cfg),
+                          ChannelParams(cfg.rho_dec, cfg.rho_adv),
+                          "alpha_star", cfg.trials, cfg.seed,
+                          attack=AttackSpec.parse(cfg.attack))
+        assert row["detail"]["per_pair"] == report.detail["per_pair"]
+        assert [(p["transmit"], p["target"])
+                for p in report.detail["per_pair"]] == [(6, 0)]
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

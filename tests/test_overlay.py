@@ -531,7 +531,7 @@ class TestGoldenCodes:
         assert hashlib.sha256(code.level_matrix().tobytes()).hexdigest() == levels
         h = hashlib.sha256()
         for m in range(M):
-            for idx in auth.test_indices(m):
+            for idx in code.test_indices(m):
                 h.update(np.asarray(idx, dtype=np.int64).tobytes())
         assert h.hexdigest() == indices
         assert hashlib.sha256(auth.t_table.tobytes()).hexdigest() == t_table

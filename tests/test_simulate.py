@@ -145,6 +145,17 @@ class TestRunTrial:
         assert out.decoded == REJECT
         assert out.classification == CLASS_CORRECT_REJECT
 
+    def test_impersonation_transmits_the_null_message(self, small_auth,
+                                                      null_auth):
+        ch = ChannelParams(rho_dec=0.1, rho_adv=0.1)
+        attack = AttackSpec(kind="impersonation", target=2)
+        for code in (small_auth, null_auth):
+            with pytest.raises(SimulateError, match="0 is not the null"):
+                run_trial(code, ch, attack, 0, seed=1)
+        null = null_auth.base.null_id
+        assert run_trial(null_auth, ch, attack, null, seed=1).transmitted \
+            == null
+
     def test_power_budget_enforced(self, small_auth):
         channel = ChannelParams(rho_dec=0.1,
                                 power_budget=small_auth.power * 0.5)
@@ -441,12 +452,17 @@ class TestFalseAuthentication:
         assert rep.params["max_is_lower_confidence_bound"] is True
 
     def test_impersonation_pairs_start_at_null(self, null_auth):
+        # aimed at the attack's target, like a targeted attack
         ch = ChannelParams(rho_dec=0.1, rho_adv=0.1)
         rep = estimate(null_auth, ch, "alpha_star", 100, seed=4,
                        attack=AttackSpec(kind="impersonation", target=0))
         null = null_auth.base.null_id
-        assert rep.params["pairs"] == 6
-        assert all(p["transmit"] == null for p in rep.detail["per_pair"])
+        assert rep.params["pairs"] == 1
+        assert [(p["transmit"], p["target"])
+                for p in rep.detail["per_pair"]] == [(null, 0)]
+        with pytest.raises(SimulateError, match="7 is not a valid message"):
+            estimate(null_auth, ch, "alpha_star", 100,
+                     attack=AttackSpec(kind="impersonation", target=7))
 
     def test_impersonation_needs_null(self, small_auth):
         ch = ChannelParams(rho_dec=0.1, rho_adv=0.1)
