@@ -68,22 +68,24 @@ def no_attack(n: int) -> np.ndarray:
     return np.zeros(n)
 
 
-def mmse_weight(level: float, rho_delta: float, rho_adv: float) -> float:
-    """Cancellation weight f^2 rho_delta / (f^2 rho_delta + rho_adv);
-    zero when the coordinate carries no injected noise."""
+def mmse_weight(level: float | np.ndarray, rho_delta: float,
+                rho_adv: float) -> float | np.ndarray:
+    """Cancellation weight f^2 rho_delta / (f^2 rho_delta + rho_adv),
+    elementwise over an array of levels; zero where the coordinate
+    carries no injected noise and the observation is noiseless."""
+    level = np.asarray(level, dtype=np.float64)
     injected = level * level * rho_delta
-    if injected + rho_adv == 0.0:
-        return 0.0
-    return injected / (injected + rho_adv)
+    total = injected + rho_adv
+    with np.errstate(invalid="ignore"):   # [()]: a scalar for a scalar level
+        return np.where(total > 0.0, injected / total, 0.0)[()]
 
 
 def mmse_targeted_attack_batch(code: AuthCode, vs: np.ndarray, m: int,
                                m_target: int, rho_adv: float,
                                weight_scale: float | None = None) -> np.ndarray:
     """z = x(m') + t(m') - x(m) - t(m) - w . (v - x(m) - t(m)) rowwise,
-    with the MMSE weight w = f^2 rho_delta / (f^2 rho_delta + rho_adv) of
-    f = f(m) (zero where the coordinate carries no injected noise), times
-    ``weight_scale`` when given.  This nulls the conditional mean of
+    with w the ``mmse_weight`` of f(m), times ``weight_scale`` when
+    given.  This nulls the conditional mean of
     Y - x(m') - t(m') given (V, Z)."""
     if rho_adv < 0.0:
         raise AttackError("rho_adv must be nonnegative")
@@ -91,11 +93,7 @@ def mmse_targeted_attack_batch(code: AuthCode, vs: np.ndarray, m: int,
         raise AttackError("target must differ from the transmitted message")
     mean_m = code.base.codewords[m] + code.t_table[m]
     mean_t = code.base.codewords[m_target] + code.t_table[m_target]
-    f = code.level_matrix[m]
-    injected = f * f * code.rho_delta
-    with np.errstate(invalid="ignore"):
-        w = np.where(injected + rho_adv > 0.0,
-                     injected / (injected + rho_adv), 0.0)
+    w = mmse_weight(code.level_matrix[m], code.rho_delta, rho_adv)
     if weight_scale is not None:
         w = weight_scale * w
     return mean_t - mean_m - w * (vs - mean_m)
@@ -104,10 +102,7 @@ def mmse_targeted_attack_batch(code: AuthCode, vs: np.ndarray, m: int,
 def residual_variance_vector(code: AuthCode, m: int, rho_adv: float,
                              rho_dec: float) -> np.ndarray:
     """Per-coordinate variance of Y - x(m') - t(m') under the MMSE
-    attack: the residual-variance law evaluated at f(m)."""
-    f = code.level_matrix[m]
-    injected = f * f * code.rho_delta
-    with np.errstate(invalid="ignore"):
-        cancel = np.where(injected + rho_adv > 0.0,
-                          injected * rho_adv / (injected + rho_adv), 0.0)
-    return cancel + rho_dec
+    attack: the residual-variance law evaluated at f(m), that is the
+    cancelled share w rho_adv of the injected noise plus rho_dec."""
+    w = mmse_weight(code.level_matrix[m], code.rho_delta, rho_adv)
+    return w * rho_adv + rho_dec

@@ -9,7 +9,7 @@ from typing import Any
 import numpy as np
 
 from .reporting import EstimateReport
-from .streams import Role, choices, normals, one_shot_rng
+from .streams import Role, block_rows, check_int, choices, normals, one_shot_rng
 
 
 class BaseCodeError(ValueError):
@@ -58,12 +58,6 @@ class BaseCode:
         """(1/n) ln(message count), nats per symbol."""
         return math.log(self.message_count) / self.n
 
-    def encode(self, m: int) -> np.ndarray:
-        return self.codewords[m].copy()
-
-    def decode(self, y: np.ndarray) -> int:
-        return int(self.decode_batch(np.asarray(y, dtype=np.float64)[None, :])[0])
-
     def decode_batch(self, ys: np.ndarray) -> np.ndarray:
         """Minimum Euclidean distance decode of a (batch, n) matrix."""
         ys = np.asarray(ys, dtype=np.float64)
@@ -104,22 +98,23 @@ def antipodal_error_probability(n: int, omega: float, rho_dec: float) -> float:
 
 
 def base_error_probability(code: BaseCode, rho_dec: float, trials: int,
-                           seed: int = 0, *, batch: int = 65536,
-                           include_null: bool = False) -> EstimateReport:
+                           seed: int = 0) -> EstimateReport:
     """Monte Carlo block-error rate under AWGN of variance rho_dec with
-    messages drawn uniformly (the arithmetic-mean error criterion).
+    messages drawn uniformly from the non-null messages (the
+    arithmetic-mean error criterion).
 
     Channel noise is the DECODER role's unit normals scaled by
     sqrt(rho_dec), so estimates at different rho_dec values share
-    randomness and are pointwise monotone.
+    randomness and are pointwise monotone.  Blocks of trials are sized
+    by ``streams.block_rows``.
     """
-    if trials < 100:
-        raise BaseCodeError("trials must be at least 100")
-    if rho_dec <= 0.0:
-        raise BaseCodeError("rho_dec must be positive")
-    m_pool = code.message_count if (include_null or code.null_id is None) \
-        else code.message_count - 1
+    check_int("trials", trials, BaseCodeError, 100)
+    check_int("seed", seed, BaseCodeError, 0)
+    if not 0.0 < rho_dec < math.inf:
+        raise BaseCodeError("rho_dec must be positive and finite")
+    m_pool = code.message_count - (code.null_id is not None)
     scale = math.sqrt(rho_dec)
+    batch = block_rows(code.n, code.message_count)
     errors = 0
     for t0 in range(0, trials, batch):
         b = min(batch, trials - t0)

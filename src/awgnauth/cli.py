@@ -648,8 +648,9 @@ def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.code:
         with open(args.code) as fh:
             data = json.load(fh)
-        overlay = _stage("overlay", overlay_from_json,
-                         data.get("overlay", data))
+        if isinstance(data, dict):
+            data = data.get("overlay", data)
+        overlay = _stage("overlay", overlay_from_json, data)
     else:
         overlay = build_overlay(cfg, build_base(cfg))
     report = verify_overlay(overlay)

@@ -1,13 +1,16 @@
-"""Overlay codes: per-message noise-level assignments with guaranteed
+"""Overlay codes: per-message noise-level vectors with guaranteed
 pairwise separation.
 
 An overlay over n coordinates picks a strictly increasing set of levels
 K inside [0,1) (level 1 is implicit) and gives every message exactly
 ell = floor(n / (|K|+1)) coordinates at each level of K, the remainder
-at level 1.  The defining pairwise property: for any two distinct
-messages there is a level k whose shared-k coordinate count is at most
-gamma*ell while the first message's k-coordinates avoid every lower
-level of the second entirely.
+at level 1.  The code is its level-index array, ``OverlayCode.level_index``
+(per message and coordinate, the index of the level carried there); level
+values, per-level coordinates and the JSON form are computed from it.
+The defining pairwise property: for any two distinct messages there is a
+level k whose shared-k coordinate count is at most gamma*ell while the
+first message's k-coordinates avoid every lower level of the second
+entirely.
 
 Construction: levels are filled in ascending order; at each level a
 uniformly random ell-subset of the *surviving* coordinate slots is
@@ -24,13 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from . import numerics
-from .streams import Role, one_shot_rng
+from .streams import Role, check_int, one_shot_rng
 
 MAX_TOTAL_MESSAGES = 1 << 20  # materialization guard
 DEFECT_COEFF = {"construction": 1.0 / 3.0, "theorem": 4.0 / 3.0}
@@ -98,9 +100,14 @@ def _index_from_rows(n: int, levels: int,
     index = np.full((len(rows), n), levels, dtype=_index_dtype(levels))
     for m, row in enumerate(rows):
         if len(row) != levels:
-            raise OverlayError("assignment row arity != level count")
+            raise OverlayError(f"message {m} needs one coordinate list "
+                               f"per level, got {len(row)}")
         for j, coords in enumerate(row):
-            cols = np.fromiter(coords, dtype=np.int64) - 1
+            cols = np.array(list(coords))
+            if cols.size and cols.dtype.kind not in "iu":
+                raise OverlayError(f"message {m}: coordinates must be "
+                                   f"integers, got {cols.dtype} values")
+            cols = cols.astype(np.int64) - 1
             if np.any((cols < 0) | (cols >= n)):
                 raise OverlayError("coordinate index out of range")
             if np.any(index[m, cols] != levels):
@@ -110,38 +117,33 @@ def _index_from_rows(n: int, levels: int,
 
 
 class OverlayCode:
-    """A concrete overlay: per message, one coordinate set per level in K.
+    """A concrete overlay, held as its level-index array.
 
-    The code is held as one small-int ``(message_count, n)`` array,
-    ``level_index``: entry ``[m, i]`` is the index into
-    ``level_set.levels`` of the level that message ``m`` carries at
-    coordinate ``i + 1``, or ``len(level_set)`` for level 1.  Give either
-    ``assignment`` (``assignment[m][j]`` the 1-based coordinates of
-    message ``m`` at ``level_set.levels[j]``) or ``level_index``, which
-    is made read-only.  ``assignment`` reads back as frozensets, built on
-    first access.
+    ``level_index`` is a small-int ``(message_count, n)`` array, made
+    read-only: entry ``[m, i]`` is the index into ``level_set.levels`` of
+    the level that message ``m`` carries at coordinate ``i + 1``, or
+    ``len(level_set)`` for level 1.  ``radices`` gives the per-level
+    digit counts of a product code (message ids are mixed-radix digit
+    strings, as ``np.unravel_index(m, radices)`` reads them).
     ``gamma_exact`` preserves the threshold as a rational so boundary
     overlap comparisons are exact.
     """
 
     def __init__(self, n: int, level_set: LevelSet, gamma: float,
-                 gamma_exact: Fraction,
-                 assignment: Sequence[Sequence[Iterable[int]]] | None = None,
-                 radices: Sequence[int] | None = None, attempts: int = 1, *,
-                 level_index: np.ndarray | None = None) -> None:
+                 gamma_exact: Fraction, level_index: np.ndarray,
+                 radices: Sequence[int] | None = None,
+                 attempts: int = 1) -> None:
         if n < len(level_set.extended):
             raise OverlayError("n must be at least the extended level count")
         levels = len(level_set)
-        if (assignment is None) == (level_index is None):
-            raise OverlayError("give exactly one of assignment and level_index")
-        if level_index is None:
-            level_index = _index_from_rows(n, levels, assignment)
-        elif (level_index.ndim != 2 or level_index.shape[1] != n
-              or level_index.dtype != _index_dtype(levels)
-              or np.any(level_index > levels)):
+        if (level_index.ndim != 2 or level_index.shape[1] != n
+                or level_index.dtype != _index_dtype(levels)
+                or np.any(level_index > levels)):
             raise OverlayError(
                 f"level_index must be a 2-d {_index_dtype(levels)} array "
                 f"with {n} columns and entries <= {levels}")
+        for radix in radices or ():
+            check_int("radix", radix, OverlayError)
         level_index.setflags(write=False)
         self.n = n
         self.level_set = level_set
@@ -165,39 +167,17 @@ class OverlayCode:
         """Largest integer overlap count not exceeding gamma*ell."""
         return math.floor(self.gamma_exact * self.ell)
 
-    @cached_property
-    def _columns(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per level in K: the 0-based columns of every message, row after
-        row, and the (message_count + 1,) offsets of each row's run."""
-        columns = []
-        for j in range(len(self.level_set)):
-            rows, cols = np.nonzero(self.level_index == j)
-            offsets = np.zeros(self.message_count + 1, dtype=np.intp)
-            np.cumsum(np.bincount(rows, minlength=self.message_count),
-                      out=offsets[1:])
-            columns.append((cols, offsets))
-        return columns
-
     def test_indices(self, m: int) -> tuple[np.ndarray, ...]:
         """Ascending 0-based coordinates of message m, one array per level
-        in K."""
-        return tuple(cols[offsets[m]:offsets[m + 1]]
-                     for cols, offsets in self._columns)
-
-    @cached_property
-    def assignment(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        return tuple(tuple(frozenset((idx + 1).tolist())
-                           for idx in self.test_indices(m))
-                     for m in range(self.message_count))
-
-    def level_coords(self, m: int, k: float) -> frozenset[int]:
-        """Coordinates of message m at level k (k may be 1.0)."""
-        j = len(self.level_set) if k == 1.0 else self.level_set.levels.index(k)
-        return frozenset((np.flatnonzero(self.level_index[m] == j) + 1).tolist())
-
-    def levels_vector(self, m: int) -> np.ndarray:
-        """Length-n vector of level values for message m."""
-        return np.asarray(self.level_set.extended)[self.level_index[m]]
+        in K: the detector's stable sort of the row's level indices, split
+        at each level's own count."""
+        if not 0 <= m < self.message_count:
+            raise OverlayError(f"message id {m} out of range")
+        row = self.level_index[m]
+        levels = len(self.level_set)
+        order = np.argsort(row, kind="stable")
+        ends = np.cumsum(np.bincount(row, minlength=levels + 1)[:levels])
+        return tuple(np.split(order, ends)[:levels])
 
     def level_matrix(self) -> np.ndarray:
         """(message_count, n) matrix of level values, built on the first
@@ -207,20 +187,6 @@ class OverlayCode:
             levels.setflags(write=False)
             self._levels = levels
         return self._levels
-
-    def decompose(self, m: int) -> tuple[int, ...]:
-        """Per-level digits of message m (ascending levels, first digit
-        most significant); requires radices."""
-        if self.radices is None:
-            raise OverlayError("code carries no per-level radices")
-        digits = []
-        rem = m
-        for radix in reversed(self.radices):
-            digits.append(rem % radix)
-            rem //= radix
-        if rem:
-            raise OverlayError(f"message id {m} out of range")
-        return tuple(reversed(digits))
 
 
 @dataclass(frozen=True)
@@ -253,39 +219,31 @@ class VerifyReport:
         return None
 
 
-def order_preserving_map(source: Iterable[int], target: Iterable[int],
-                         subset: Iterable[int]) -> frozenset[int]:
-    """Image of ``subset`` under the unique increasing bijection from
-    ``source`` onto ``target`` (equal sizes required)."""
-    src = sorted(source)
-    tgt = sorted(target)
-    if len(src) != len(tgt):
-        raise OverlayError("source and target must have equal size")
-    if len(set(src)) != len(src) or len(set(tgt)) != len(tgt):
-        raise OverlayError("source and target must not contain duplicates")
-    lut = dict(zip(src, tgt))
-    try:
-        return frozenset(lut[s] for s in subset)
-    except KeyError as e:
-        raise OverlayError(f"subset element {e.args[0]} not in source") from None
-
-
-def default_level_message_counts(n: int, level_set: LevelSet,
-                                 gamma: float | Fraction,
-                                 defect: str = "construction") -> list[int]:
-    """Per-level message counts floor(exp(n_k * r_k)) from the displayed
-    per-level rate r_k = |i2(gamma || ell/n_k) - coef/n_k - (2/n_k) ln(n_k sqrt(ell))|+.
-    """
+def _level_exponents(n: int, level_set: LevelSet, gamma: float | Fraction,
+                     defect: str) -> list[float]:
+    """Per level in K, with n_k = n - ell*j the slots left after the
+    lower levels: n_k |i2(gamma || ell/n_k) - coef/n_k - (2/n_k) ln(n_k sqrt(ell))|+,
+    the log message count of the displayed per-level rate."""
     coef = DEFECT_COEFF[defect]
     g = float(gamma)
     ell = n // len(level_set.extended)
-    counts = []
+    exponents = []
     for j in range(len(level_set)):
         n_k = n - ell * j
         bracket = (numerics.i2(g, ell / n_k)
                    - coef / n_k
                    - (2.0 / n_k) * math.log(n_k * math.sqrt(ell)))
-        exponent = n_k * max(0.0, bracket)
+        exponents.append(n_k * max(0.0, bracket))
+    return exponents
+
+
+def default_level_message_counts(n: int, level_set: LevelSet,
+                                 gamma: float | Fraction,
+                                 defect: str = "construction") -> list[int]:
+    """Per-level message counts floor(exp(n_k * r_k)) of the displayed
+    per-level rate r_k (see ``_level_exponents``)."""
+    counts = []
+    for exponent in _level_exponents(n, level_set, gamma, defect):
         if exponent > math.log(MAX_TOTAL_MESSAGES) + 1:
             counts.append(MAX_TOTAL_MESSAGES + 1)  # triggers the guard upstream
         else:
@@ -301,19 +259,10 @@ def overlay_rate_finite(n: int, level_set: LevelSet, gamma: float,
     ``defect`` selects the additive-defect coefficient: the conservative
     4/3 (default) or the construction's 1/3.
     """
-    coef = DEFECT_COEFF[defect]
     _check_gamma(_as_fraction(gamma))
-    ell = n // len(level_set.extended)
-    if ell < 1:
+    if n < len(level_set.extended):
         raise OverlayError("n too small for the level count")
-    total = 0.0
-    for j in range(len(level_set)):
-        n_k = n - ell * j
-        bracket = (numerics.i2(float(gamma), ell / n_k)
-                   - coef / n_k
-                   - (2.0 / n_k) * math.log(n_k * math.sqrt(ell)))
-        total += n_k * max(0.0, bracket)
-    return total / n
+    return sum(_level_exponents(n, level_set, gamma, defect)) / n
 
 
 def overlay_rate_asymptotic(ktilde_size: int, gamma: float) -> float:
@@ -428,8 +377,7 @@ def construct_overlay(n: int, level_set: LevelSet, gamma: float | Fraction,
                            dtype=np.intp).reshape(len(table), ell) - 1
                   for table in sets]
         code = OverlayCode(n, level_set, float(gamma_exact), gamma_exact,
-                           radices=[len(t) for t in tables],
-                           level_index=_assemble(n, tables))
+                           _assemble(n, tables), [len(t) for t in tables])
         report = verify_overlay(code)
         if not report.passed:
             raise OverlayError(
@@ -445,8 +393,7 @@ def construct_overlay(n: int, level_set: LevelSet, gamma: float | Fraction,
                             for _ in range(c)])
                   for j, c in enumerate(counts)]
         code = OverlayCode(n, level_set, float(gamma_exact), gamma_exact,
-                           radices=counts, attempts=attempt + 1,
-                           level_index=_assemble(n, tables))
+                           _assemble(n, tables), counts, attempt + 1)
         if verify_overlay(code).passed:
             return code
     raise OverlayError(f"verification failed for {retry_limit} attempts; "
@@ -553,23 +500,34 @@ def to_json_dict(code: OverlayCode) -> dict[str, Any]:
                               in zip(keys, code.test_indices(m))}}
             for m in range(code.message_count)
         ],
+        "gamma_exact": f"{code.gamma_exact.numerator}/{code.gamma_exact.denominator}",
     }
-    out["gamma_exact"] = f"{code.gamma_exact.numerator}/{code.gamma_exact.denominator}"
     if code.radices is not None:
         out["radices"] = list(code.radices)
     return out
 
 
 def from_json_dict(data: dict[str, Any]) -> OverlayCode:
-    level_set = LevelSet(tuple(data["levels"]))
-    if "gamma_exact" in data:
-        num, den = data["gamma_exact"].split("/")
-        gamma_exact = Fraction(int(num), int(den))
-    else:
-        gamma_exact = Fraction(float(data["gamma"]))
-    key = [repr(k) for k in level_set.levels]
-    assignment = [[msg["level_coords"][key[j]] for j in range(len(level_set))]
-                  for msg in data["messages"]]
-    radices = tuple(data["radices"]) if "radices" in data else None
-    return OverlayCode(int(data["n"]), level_set, float(data["gamma"]),
-                       gamma_exact, assignment, radices=radices)
+    """Inverse of ``to_json_dict``; malformed input (a missing key, a
+    value of the wrong type) raises ``OverlayError``."""
+    try:
+        level_set = LevelSet(tuple(data["levels"]))
+        if "gamma_exact" in data:
+            num, den = data["gamma_exact"].split("/")
+            gamma_exact = Fraction(int(num), int(den))
+        else:
+            gamma_exact = Fraction(float(data["gamma"]))
+        n = data["n"]
+        check_int("n", n, OverlayError)
+        keys = [repr(k) for k in level_set.levels]
+        rows = [[msg["level_coords"][key] for key in keys]
+                for msg in data["messages"]]
+        radices = tuple(data["radices"]) if "radices" in data else None
+        return OverlayCode(n, level_set, float(data["gamma"]), gamma_exact,
+                           _index_from_rows(n, len(level_set), rows), radices)
+    except OverlayError:
+        raise
+    except KeyError as e:
+        raise OverlayError(f"overlay JSON lacks the key {e}") from None
+    except (TypeError, AttributeError, ValueError) as e:
+        raise OverlayError(f"malformed overlay JSON: {e}") from None

@@ -47,7 +47,8 @@ import numpy as np
 from .adversary import AttackSpec, mmse_targeted_attack_batch, no_attack
 from .authcode import REJECT, AuthCode, auth_encode_batch, detect_batch
 from .reporting import EstimateReport, binomial_se, wilson_interval  # noqa: F401
-from .streams import Role, choices, normals, one_shot_rng
+from .streams import (Role, block_rows, check_int, choices, normals,
+                      one_shot_rng)
 
 METRICS = ("epsilon", "false_alarm", "genuine_acceptance", "alpha_star", "alpha")
 FALSE_AUTH_METRICS = ("alpha_star", "alpha")
@@ -160,6 +161,8 @@ def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
 def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
               m: int, seed: int, trial_index: int = 0) -> TrialOutcome:
     """A single trial, identical to row ``trial_index`` of a batched run."""
+    check_int("seed", seed, SimulateError, 0)
+    check_int("trial_index", trial_index, SimulateError, 0)
     _check_power(code, channel)
     _check_messages(code, [m])
     if attack.kind == "impersonation" and m != code.base.null_id:
@@ -174,7 +177,8 @@ def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
 
 def _check_messages(code: AuthCode, ids: Sequence[Any]) -> None:
     for m in ids:
-        if not isinstance(m, (int, np.integer)) or not code.is_valid_message(m):
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) \
+                or not code.is_valid_message(m):
             raise SimulateError(f"{m!r} is not a valid message of this code")
 
 
@@ -183,11 +187,6 @@ def _check_power(code: AuthCode, channel: ChannelParams) -> None:
         raise SimulateError(
             f"code power {code.power:.6g} exceeds the budget "
             f"{channel.power_budget:.6g}")
-
-
-def _auto_batch(n: int, message_count: int, batch: int | None) -> int:
-    # rows per block, sized as the module docstring says
-    return max(1, 2 ** 22 // max(n, message_count)) if batch is None else batch
 
 
 def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
@@ -268,13 +267,6 @@ def _attack_runs(code: AuthCode, attack: AttackSpec | None,
     return [(AttackSpec(kind, b, weight_scale=scale), a) for a, b in pairs]
 
 
-def _check_positive_int(name: str, value: Any) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < 1:
-        raise SimulateError(f"{name} must be a positive integer, "
-                            f"not {value!r}")
-
-
 def _report(metric: str, runs: Sequence[Run], results: Sequence[Result], *,
             trials: int, seed: int, message: int | None, confidence: float,
             params: dict[str, Any]) -> EstimateReport:
@@ -348,13 +340,15 @@ def estimate(code: AuthCode, channel: ChannelParams,
         if name not in METRICS:
             raise SimulateError(f"unknown metric {name!r}; "
                                 f"choose from {METRICS}")
-    if trials < 100:
-        raise SimulateError("trials must be at least 100")
-    if max_pairs < 1:
-        raise SimulateError("max_pairs must be at least 1")
-    _check_positive_int("threads", threads)
+    check_int("trials", trials, SimulateError, 100)
+    check_int("seed", seed, SimulateError, 0)
+    check_int("max_pairs", max_pairs, SimulateError)
+    check_int("threads", threads, SimulateError)
     if batch is not None:
-        _check_positive_int("batch", batch)
+        check_int("batch", batch, SimulateError)
+    if not isinstance(confidence, (int, float)) or not 0.0 < confidence < 1.0:
+        raise SimulateError(f"confidence must lie in (0, 1), not "
+                            f"{confidence!r}")
     if channel.rho_dec == 0.0:
         raise SimulateError("estimation needs rho_dec > 0 "
                             "(the zero sentinel is for single trials)")
@@ -383,8 +377,8 @@ def estimate(code: AuthCode, channel: ChannelParams,
             index.setdefault(run, len(index))
     results = _run_counting(code, channel, seed, trials, list(index),
                             detector=detector, threads=threads,
-                            batch=_auto_batch(code.n, code.message_count,
-                                              batch))
+                            batch=block_rows(code.n, code.message_count,
+                                             batch))
 
     params: dict[str, Any] = {
         "rho_dec": channel.rho_dec, "rho_adv": channel.rho_adv, "n": code.n,

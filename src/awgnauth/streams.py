@@ -11,16 +11,22 @@ exactly one 64-bit word.  Consequences:
 * the same (seed, role) pair always yields the same *unit-variance*
   draws, which are scaled by ``sqrt(rho)`` at the point of use — runs
   at different noise powers share randomness (common random numbers).
+
+``block_rows`` sizes the blocks of trials that the estimators draw at
+once, and ``check_int`` validates their integer arguments (trial
+counts, seeds, trial indices) before any draw.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
+from typing import Any
 
 import numpy as np
 from scipy.special import ndtri
 
 _U_MIN = 2.0**-53  # smallest uniform we feed the quantile function
+BLOCK_VALUES = 2 ** 22  # float64 values in a block's widest array
 
 
 class Role(IntEnum):
@@ -80,3 +86,23 @@ def one_shot_rng(master_seed: int, role: int, *extra: int) -> np.random.Generato
     """Generator for non-trial-indexed sampling (tables, codebooks, retries)."""
     return np.random.default_rng(
         np.random.SeedSequence((int(master_seed), int(role), *map(int, extra))))
+
+
+def block_rows(n: int, message_count: int, batch: int | None = None) -> int:
+    """Trials per block: ``batch`` when given, else as many as keep the
+    widest per-block array (n-wide draws, or one decode score per
+    message) at ``BLOCK_VALUES`` float64s."""
+    if batch is not None:
+        return batch
+    return max(1, BLOCK_VALUES // max(n, message_count))
+
+
+def check_int(name: str, value: Any, error: type[Exception],
+              minimum: int = 1) -> None:
+    """Raise ``error`` unless ``value`` is an integer (not a bool) of at
+    least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < minimum:
+        what = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            minimum, f"an integer of at least {minimum}")
+        raise error(f"{name} must be {what}, not {value!r}")

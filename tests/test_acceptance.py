@@ -57,11 +57,10 @@ def test_criterion_01_overlay_reproduction():
                              subset_tables=[s_zero, s_half])
     assert code.message_count == 12
     assert code.ell == 3
-    got = np.vstack([code.levels_vector(m) for m in range(12)])
-    assert np.array_equal(got, expected)
+    assert np.array_equal(code.level_matrix(), expected)
     # the highlighted row: fourth level-0 table entry is {2,6,9}, second
     # half-level entry {3,4,6} maps into the surviving slots
-    assert np.array_equal(code.levels_vector(7),
+    assert np.array_equal(code.level_matrix()[7],
                           np.array([1, 0, 1, .5, .5, 0, 1, .5, 0]))
     report = verify_overlay(code)
     assert report.passed

@@ -488,10 +488,10 @@ class TestAuthCodeValidation:
     def test_level_sets_of_other_than_ell_coordinates(self, small_base,
                                                       small_overlay):
         # the planted short set of test_overlay's TestVerifyFailures
-        rows = list(small_overlay.assignment)
-        rows[0] = (frozenset(list(rows[0][0])[:-1]), rows[0][1])
+        index = small_overlay.level_index.copy()
+        index[0, small_overlay.test_indices(0)[0][-1]] = 2   # to level 1
         broken = OverlayCode(60, small_overlay.level_set, 0.75,
-                             Fraction(3, 4), tuple(rows))
+                             Fraction(3, 4), index)
         with pytest.raises(AuthCodeError, match="message 0 has 19 "
                            "coordinates at level 0.0, expected 20"):
             AuthCode(small_base, broken, 1.0, 0.2,

@@ -16,7 +16,7 @@ from awgnauth.cli import (
     parse_config,
     parse_config_text,
 )
-from awgnauth.overlay import LevelSet, OverlayCode
+from awgnauth.overlay import LevelSet, OverlayCode, _index_from_rows
 from awgnauth.overlay import to_json_dict as overlay_to_json
 from awgnauth.simulate import ChannelParams, estimate
 
@@ -155,7 +155,7 @@ class TestConstructVerify:
     def test_verify_exit_one_on_violation(self, tmp_path, capsys):
         row = (frozenset({1, 2, 3, 4}),)
         broken = OverlayCode(8, LevelSet((0.0,)), 0.75, Fraction(3, 4),
-                             (row, row))
+                             _index_from_rows(8, 1, (row, row)))
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"overlay": overlay_to_json(broken)}))
         rc, out, _ = run_cli(["verify", "--code", str(path)], capsys)
@@ -163,6 +163,30 @@ class TestConstructVerify:
         report = json.loads(out)
         assert report["passed"] is False
         assert any("no witness level" in v for v in report["violations"])
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: {k: v for k, v in blob.items() if k != "levels"},
+         "lacks the key 'levels'"),
+        (lambda blob: {**blob, "levels": [0.0, 0.5]}, "lacks the key '0.5'"),
+        (lambda blob: [blob], "malformed overlay JSON"),
+        (lambda blob: {**blob, "radices": [2.5]}, "radix must be a positive"),
+        (lambda blob: {**blob, "n": 8.5}, "n must be a positive integer"),
+    ], ids=["no-levels", "coords-not-at-levels", "top-level-list",
+            "float-radix", "float-n"])
+    def test_verify_exit_two_on_malformed_code(self, tmp_path, capsys, edit,
+                                               message):
+        # missing levels, level_coords keys that do not match the levels,
+        # a top-level list, a non-integer radix or n: each a domain error
+        # (exit 2), not a traceback
+        row = (frozenset({1, 2, 3, 4}),)
+        blob = overlay_to_json(OverlayCode(
+            8, LevelSet((0.0,)), 0.75, Fraction(3, 4),
+            _index_from_rows(8, 1, (row,))))
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(edit(blob)))
+        rc, out, err = run_cli(["verify", "--code", str(path)], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: overlay: ") and message in err
 
     def test_mismatched_message_count(self, capsys):
         rc, _, err = run_cli(["construct", "base.n=60",

@@ -17,10 +17,10 @@ from awgnauth.overlay import (
     OverlayCode,
     OverlayError,
     _assemble,
+    _index_from_rows,
     construct_overlay,
     default_level_message_counts,
     from_json_dict,
-    order_preserving_map,
     overlay_rate_asymptotic,
     overlay_rate_finite,
     to_json_dict,
@@ -31,18 +31,40 @@ from awgnauth.overlay import (
 ASYMPTOTIC_8_075 = 0.2472460116410684
 
 
+def coord_sets(code, m):
+    """Message m's 1-based coordinates, one frozenset per level in K."""
+    return tuple(frozenset((idx + 1).tolist()) for idx in code.test_indices(m))
+
+
 def brute_force_witness(code, m, mp):
     """Independent re-check of the ordered-pair property: the lowest level
     k in K with overlap <= max_overlap and empty intersection against
     every strictly lower level of the second message."""
+    mine, other = coord_sets(code, m), coord_sets(code, mp)
     for kidx in range(len(code.level_set)):
-        mine = code.assignment[m][kidx]
-        if len(mine & code.assignment[mp][kidx]) > code.max_overlap:
+        if len(mine[kidx] & other[kidx]) > code.max_overlap:
             continue
-        if any(mine & code.assignment[mp][j] for j in range(kidx)):
+        if any(mine[kidx] & other[j] for j in range(kidx)):
             continue
         return kidx
     return None
+
+
+def order_preserving_map(source, target, subset):
+    """Image of ``subset`` under the unique increasing bijection from
+    ``source`` onto ``target``: the construction's slot-to-coordinate
+    rule, one set at a time."""
+    src = sorted(source)
+    tgt = sorted(target)
+    if len(src) != len(tgt):
+        raise OverlayError("source and target must have equal size")
+    if len(set(src)) != len(src) or len(set(tgt)) != len(tgt):
+        raise OverlayError("source and target must not contain duplicates")
+    lut = dict(zip(src, tgt))
+    try:
+        return frozenset(lut[s] for s in subset)
+    except KeyError as e:
+        raise OverlayError(f"subset element {e.args[0]} not in source") from None
 
 
 def reference_rows(n, tables):
@@ -70,7 +92,7 @@ def check_against_references(code):
     assert report.passed == exhaustive.passed
     assert report.violations == exhaustive.violations
     M = code.message_count
-    rows = code.assignment
+    rows = [coord_sets(code, m) for m in range(M)]
     failing = []
     for m in range(M):
         for mp in range(M):
@@ -219,7 +241,8 @@ class TestConstruction:
         assert code.ell == 20
         assert code.message_count == 6
         assert code.radices == (3, 2)
-        for row in code.assignment:
+        for m in range(code.message_count):
+            row = coord_sets(code, m)
             disjoint = set()
             for coords in row:
                 assert len(coords) == code.ell
@@ -235,25 +258,34 @@ class TestConstruction:
                               counts_per_level=[3, 2], seed=11)
         c = construct_overlay(60, LevelSet((0.0, 0.5)), 0.75,
                               counts_per_level=[3, 2], seed=12)
-        assert a.assignment == b.assignment
-        assert a.assignment != c.assignment
+        assert np.array_equal(a.level_index, b.level_index)
+        assert not np.array_equal(a.level_index, c.level_index)
 
     def test_shared_prefix_between_messages(self, small_overlay):
         code = small_overlay
         for m in range(code.message_count):
             for mp in range(code.message_count):
-                dm, dmp = code.decompose(m), code.decompose(mp)
+                dm = np.unravel_index(m, code.radices)
+                dmp = np.unravel_index(mp, code.radices)
                 if dm[0] == dmp[0]:
-                    assert code.assignment[m][0] == code.assignment[mp][0]
+                    assert coord_sets(code, m)[0] == coord_sets(code, mp)[0]
 
-    def test_decompose_mixed_radix(self, small_overlay):
-        # radices (3, 2): id = d0*2 + d1, level-0 digit most significant.
-        assert small_overlay.decompose(0) == (0, 0)
-        assert small_overlay.decompose(1) == (0, 1)
-        assert small_overlay.decompose(2) == (1, 0)
-        assert small_overlay.decompose(5) == (2, 1)
-        with pytest.raises(OverlayError, match="out of range"):
-            small_overlay.decompose(6)
+    def test_decompose_mixed_radix(self):
+        # radices (4, 3): id = d0*3 + d1, the level-0 digit most
+        # significant, so message m carries s_zero[d0] at level 0 and the
+        # image of s_half[d1] at level 1/2.
+        s_zero = [{2, 7, 8}, {1, 2, 6}, {2, 6, 9}, {1, 5, 9}]
+        s_half = [{2, 4, 5}, {3, 4, 6}, {1, 3, 5}]
+        code = construct_overlay(9, LevelSet((0.0, 0.5)), Fraction(2, 3),
+                                 subset_tables=[s_zero, s_half])
+        assert code.radices == (4, 3)
+        for m in range(12):
+            d0, d1 = np.unravel_index(m, code.radices)
+            assert m == 3 * d0 + d1
+            zero, half = coord_sets(code, m)
+            assert zero == s_zero[d0]
+            free = sorted(set(range(1, 10)) - zero)
+            assert half == {free[s - 1] for s in s_half[d1]}
 
     def test_single_message_vacuous(self):
         code = construct_overlay(8, LevelSet((0.0,)), 0.75,
@@ -277,8 +309,8 @@ class TestConstruction:
                 kidx, overlap = got
                 assert kidx == expect
                 assert overlap <= report.max_overlap_allowed
-                assert overlap == len(small_overlay.assignment[m][kidx]
-                                      & small_overlay.assignment[mp][kidx])
+                assert overlap == len(coord_sets(small_overlay, m)[kidx]
+                                      & coord_sets(small_overlay, mp)[kidx])
 
     def test_three_level_medium_block(self):
         code = construct_overlay(300, LevelSet((0.0, 1 / 3, 2 / 3)),
@@ -289,24 +321,27 @@ class TestConstruction:
         assert verify_overlay(code).passed
 
     def test_levels_vector_and_matrix(self, small_overlay):
-        f = small_overlay.levels_vector(0)
+        f = small_overlay.level_matrix()[0]
         assert f.shape == (60,)
         vals, counts = np.unique(f, return_counts=True)
         assert list(vals) == [0.0, 0.5, 1.0]
         assert list(counts) == [20, 20, 20]
         F = small_overlay.level_matrix()
         assert F.shape == (6, 60)
-        assert np.array_equal(F[0], f)
+        assert np.array_equal(F[0], np.asarray(small_overlay.level_set.extended)[
+            small_overlay.level_index[0]])
 
     def test_level_coords_including_top(self, small_overlay):
         m = 3
         union = set()
-        for j, k in enumerate(small_overlay.level_set.levels):
-            coords = small_overlay.level_coords(m, k)
-            assert coords == small_overlay.assignment[m][j]
+        for j, coords in enumerate(coord_sets(small_overlay, m)):
+            assert coords == set(np.flatnonzero(
+                small_overlay.level_matrix()[m]
+                == small_overlay.level_set.levels[j]) + 1)
             union |= coords
-        top = small_overlay.level_coords(m, 1.0)
-        assert top == frozenset(range(1, 61)) - union
+        top = set(np.flatnonzero(small_overlay.level_matrix()[m] == 1.0) + 1)
+        assert top == set(range(1, 61)) - union
+        assert len(top) == 20
 
     def test_retry_counter(self, small_overlay):
         assert small_overlay.attempts >= 1
@@ -352,11 +387,11 @@ class TestConstructionErrors:
 
 class TestVerifyFailures:
     def test_planted_cardinality_violation(self, small_overlay):
-        rows = list(small_overlay.assignment)
+        rows = [coord_sets(small_overlay, m) for m in range(6)]
         short = frozenset(list(rows[0][0])[:-1])
         rows[0] = (short, rows[0][1])
         broken = OverlayCode(60, small_overlay.level_set, 0.75,
-                             Fraction(3, 4), tuple(rows))
+                             Fraction(3, 4), _index_from_rows(60, 2, rows))
         report = verify_overlay(broken)
         assert not report.passed
         assert any("expected 20" in v for v in report.violations)
@@ -364,7 +399,7 @@ class TestVerifyFailures:
     def test_planted_pairwise_violation(self):
         row = (frozenset({1, 2, 3, 4}),)
         code = OverlayCode(8, LevelSet((0.0,)), 0.75, Fraction(3, 4),
-                           (row, row))
+                           _index_from_rows(8, 1, (row, row)))
         report = verify_overlay(code)
         assert not report.passed
         assert any("no witness level" in v for v in report.violations)
@@ -433,7 +468,7 @@ class TestJsonRoundTrip:
         assert back.n == small_overlay.n
         assert back.level_set.levels == small_overlay.level_set.levels
         assert back.gamma_exact == small_overlay.gamma_exact
-        assert back.assignment == small_overlay.assignment
+        assert np.array_equal(back.level_index, small_overlay.level_index)
         assert back.radices == small_overlay.radices
         assert verify_overlay(back).passed
 
@@ -451,7 +486,8 @@ class TestPrefixGroupVerify:
     def test_product_codes(self, case):
         n, level_set, gamma, tables = case
         rows = reference_rows(n, tables)
-        code = OverlayCode(n, level_set, float(gamma), gamma, rows,
+        code = OverlayCode(n, level_set, float(gamma), gamma,
+                           _index_from_rows(n, len(level_set), rows),
                            radices=[len(t) for t in tables])
         slots = [np.array([sorted(s) for s in t]) - 1 for t in tables]
         assert np.array_equal(code.level_index, _assemble(n, slots))
@@ -464,8 +500,7 @@ class TestPrefixGroupVerify:
         # groups stop sharing lower sets or a set loses its cardinality
         n, level_set, gamma, tables = case
         rows = reference_rows(n, tables)
-        index = OverlayCode(n, level_set, float(gamma), gamma,
-                            rows).level_index.copy()
+        index = _index_from_rows(n, len(level_set), rows)
         m = data.draw(st.integers(0, len(rows) - 1))
         i = data.draw(st.integers(0, n - 1))
         index[m, i] = data.draw(st.integers(0, len(level_set)))
@@ -493,6 +528,27 @@ class TestPrefixGroupVerify:
         for pair in ((-1, 0), (0, 6)):
             with pytest.raises(OverlayError, match="out of range"):
                 report.witness(*pair)
+
+
+class TestTestIndices:
+    @settings(max_examples=150, deadline=None)
+    @given(hand_built_codes())
+    def test_against_flatnonzero_and_json_round_trip(self, code):
+        # hand-built level sets are of any size, not only ell
+        for m in range(code.message_count):
+            got = code.test_indices(m)
+            assert len(got) == len(code.level_set)
+            for j, idx in enumerate(got):
+                assert np.array_equal(idx,
+                                      np.flatnonzero(code.level_index[m] == j))
+        for m in (-1, code.message_count):
+            with pytest.raises(OverlayError, match="out of range"):
+                code.test_indices(m)
+        back = from_json_dict(json.loads(json.dumps(to_json_dict(code))))
+        assert back.level_index.dtype == code.level_index.dtype
+        assert np.array_equal(back.level_index, code.level_index)
+        assert back.radices == code.radices
+        assert back.gamma_exact == code.gamma_exact
 
 
 class TestGoldenCodes:

@@ -8,7 +8,8 @@ from scipy.stats import chi2, norm
 from awgnauth import simulate
 from awgnauth.adversary import AttackSpec
 from awgnauth.authcode import REJECT, decimate, inject_noise
-from awgnauth.basecode import make_antipodal_code
+from awgnauth.basecode import (BaseCodeError, base_error_probability,
+                               make_antipodal_code)
 from awgnauth.cli import main
 from awgnauth.overlay import LevelSet, construct_overlay
 from awgnauth.simulate import (
@@ -20,12 +21,11 @@ from awgnauth.simulate import (
     CLASS_WRONG_MESSAGE,
     ChannelParams,
     SimulateError,
-    _auto_batch,
     classify,
     estimate,
     run_trial,
 )
-from awgnauth.streams import Role
+from awgnauth.streams import Role, block_rows
 
 
 @pytest.fixture(scope="module")
@@ -185,8 +185,8 @@ class TestEstimateValidation:
 
     @pytest.mark.parametrize("code_name, kwargs, message", [
         ("small_auth", dict(pairs=[(1, 1)]), "target must differ"),
-        ("small_auth", dict(max_pairs=-1), "max_pairs must be at least 1"),
-        ("small_auth", dict(max_pairs=0), "max_pairs must be at least 1"),
+        ("small_auth", dict(max_pairs=-1), "max_pairs must be a positive int"),
+        ("small_auth", dict(max_pairs=0), "max_pairs must be a positive int"),
         ("null_auth", dict(pairs=[(0, 3)], attack=AttackSpec(
             kind="impersonation", target=3)), "transmits the null message"),
         ("small_auth", dict(attack=AttackSpec(
@@ -205,6 +205,43 @@ class TestEstimateValidation:
         with pytest.raises(SimulateError, match=message):
             estimate(code, ChannelParams(rho_dec=0.1, rho_adv=0.1),
                      "alpha_star", 100, **kwargs)
+
+
+    @pytest.mark.parametrize("fn, kwargs, message", [
+        ("estimate", dict(trials=1000.0), "trials must be an integer of at "
+         "least 100"),
+        ("estimate", dict(seed=-1), "seed must be a nonnegative integer"),
+        ("estimate", dict(seed=1.5), "seed must be a nonnegative integer"),
+        ("estimate", dict(confidence=1.5), r"confidence must lie in \(0, 1\)"),
+        ("estimate", dict(confidence=math.nan), "confidence must lie"),
+        ("estimate", dict(confidence="0.9"), "confidence must lie"),
+        ("estimate", dict(max_pairs=2.5), "max_pairs must be a positive int"),
+        ("estimate", dict(max_pairs=True), "max_pairs must be a positive int"),
+        ("estimate", dict(message=True), "True is not a valid message"),
+        ("run_trial", dict(seed=-1), "seed must be a nonnegative integer"),
+        ("run_trial", dict(seed=1.5), "seed must be a nonnegative integer"),
+        ("run_trial", dict(trial_index=-1), "trial_index must be a nonneg"),
+        ("base_error_probability", dict(trials=1000.0), "trials must be an "
+         "integer of at least 100"),
+        ("base_error_probability", dict(seed=-1), "seed must be a nonneg"),
+        ("base_error_probability", dict(seed=1.5), "seed must be a nonneg"),
+    ])
+    def test_bad_arguments_fail_at_the_boundary(self, small_auth, fn, kwargs,
+                                                message):
+        calls = {
+            "estimate": lambda trials=1000, **kw: estimate(
+                small_auth, ChannelParams(0.1, rho_adv=0.1), "alpha", trials,
+                **kw),
+            "run_trial": lambda seed=0, **kw: run_trial(
+                small_auth, ChannelParams(0.1), AttackSpec("none"), 0, seed,
+                **kw),
+            "base_error_probability": lambda trials=1000, **kw:
+                base_error_probability(small_auth.base, 0.1, trials, **kw),
+        }
+        error = BaseCodeError if fn == "base_error_probability" \
+            else SimulateError
+        with pytest.raises(error, match=message):
+            calls[fn](**kwargs)
 
 
 class TestOnePass:
@@ -247,13 +284,13 @@ class TestOnePass:
     @pytest.mark.parametrize("n, messages", [
         (60, 6), (600, 6), (256, 64), (600, 4096), (3, 2 ** 22), (2 ** 22, 2)])
     def test_auto_block_holds_at_most_2_pow_22_values(self, n, messages):
-        rows = _auto_batch(n, messages, None)
+        rows = block_rows(n, messages)
         width = max(n, messages)
         assert 1 <= rows and rows * width <= 2 ** 22 < (rows + 1) * width
 
     def test_block_rows_floor_and_explicit_batch(self):
-        assert _auto_batch(2 ** 23, 6, None) == 1
-        assert _auto_batch(600, 4096, 57) == 57
+        assert block_rows(2 ** 23, 6) == 1
+        assert block_rows(600, 4096, 57) == 57
 
 
 class TestSeveralMetrics:
