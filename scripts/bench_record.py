@@ -1,0 +1,114 @@
+"""Summarise parent and change benchmark results into one BENCH record.
+
+    python3 scripts/bench_record.py --label 8 --out BENCH_8.json \\
+        --parent p1.json p2.json ... --change c1.json c2.json ...
+
+Each input is a ``perfbench/out/result-*.json`` file written by
+``perfbench/run.py``; the i-th parent file and the i-th change file are
+one pair (two runs made one after the other, alternating which side ran
+first).  A file's value for a metric is the median over its executions.
+For every workload and every metric that ``BENCHMARK.json`` declares,
+the record gives each side's per-pair values with their median and
+quartiles, and the number of pairs in which the change was better.
+Machines, seeds, traces and thread budgets are copied from the inputs.
+
+Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+from typing import Any
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load(path: str) -> dict[str, Any]:
+    with open(path) as fh:
+        result = json.load(fh)
+    for key in ("workload", "seed", "samples", "machine"):
+        if key not in result:
+            raise SystemExit(f"{path}: not a perfbench result (no {key!r})")
+    return result
+
+
+def spread(values: list[float]) -> dict[str, Any]:
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                 if len(values) > 1 else values * 3)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "runs": values}
+
+
+def record(parents: list[dict[str, Any]], changes: list[dict[str, Any]],
+           declared: dict[str, dict[str, str]]) -> dict[str, Any]:
+    """The summary of the paired results, workload by workload."""
+    workloads: dict[str, Any] = {}
+    for parent, change in zip(parents, changes):
+        if parent["workload"] != change["workload"]:
+            raise SystemExit(f"pair of {parent['workload']} and "
+                             f"{change['workload']}: workloads differ")
+        entry = workloads.setdefault(parent["workload"], {
+            "pairs": 0, "seeds": [], "trace": parent.get("trace"),
+            "threads": parent.get("threads"), "failed": [], "pair_values": {}})
+        entry["pairs"] += 1
+        entry["seeds"].append([parent["seed"], change["seed"]])
+        entry["failed"].append([parent.get("failed"), change.get("failed")])
+        for name in declared:
+            if name in parent["samples"] and name in change["samples"]:
+                entry["pair_values"].setdefault(name, []).append(
+                    (statistics.median(parent["samples"][name]),
+                     statistics.median(change["samples"][name])))
+    for entry in workloads.values():
+        metrics = {}
+        for name, pairs in entry.pop("pair_values").items():
+            sign = 1 if declared[name]["better"] == "higher" else -1
+            metrics[name] = {
+                "unit": declared[name]["unit"],
+                "better": declared[name]["better"],
+                "parent": spread([p for p, _ in pairs]),
+                "change": spread([c for _, c in pairs]),
+                "change_better_pairs": sum(sign * (c - p) > 0
+                                           for p, c in pairs)}
+        entry["metrics"] = metrics
+    machines = [r["machine"] for r in parents + changes]
+    return {"machine": machines[0],
+            "machines_differ": any(m != machines[0] for m in machines),
+            "workloads": workloads}
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True,
+                    help="names the record: BENCH_<label>")
+    ap.add_argument("--parent", nargs="+", required=True)
+    ap.add_argument("--change", nargs="+", required=True)
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"),
+                    help="declares each metric's unit and direction")
+    ap.add_argument("--note", default="", help="free text kept in the record")
+    args = ap.parse_args(argv)
+    if len(args.parent) != len(args.change):
+        ap.error("give one change result per parent result")
+    with open(args.benchmark) as fh:
+        bench = json.load(fh)
+    declared = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
+    summary = record([load(p) for p in args.parent],
+                     [load(c) for c in args.change], declared)
+    out = {"record": f"BENCH_{args.label}", "note": args.note, **summary}
+    with open(args.out, "w") as fh:
+        json.dump(out, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for workload, entry in out["workloads"].items():
+        for name, m in entry["metrics"].items():
+            print(f"{workload:15s} {name:28s} parent {m['parent']['median']:.6g}"
+                  f" change {m['change']['median']:.6g} (change better in "
+                  f"{m['change_better_pairs']}/{entry['pairs']} pairs)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

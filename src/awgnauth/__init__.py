@@ -6,8 +6,8 @@ decimation), the optimal MMSE adversary, Monte Carlo estimation of the
 operational measures, and closed-form evaluation of every guarantee.
 """
 
-from .adversary import (AttackError, AttackSpec, mmse_targeted_attack_batch,
-                        mmse_weight, residual_variance_vector)
+from .adversary import (AttackError, AttackSpec, mmse_attack_terms,
+                        mmse_targeted_attack_batch, residual_variance_vector)
 from .authcode import (REJECT, AuthCode, AuthCodeError, auth_encode_batch,
                        decimate, detect_batch, inject_noise,
                        level_statistics)
@@ -19,7 +19,8 @@ from .bounds import (BoundsError, DecimationBounds, InjectionBounds,
                      decimation_bounds, decimation_rate, detection_margin,
                      hoeffding_wo_replacement_bound, hypergeom_log_bound,
                      injection_bounds, injection_power_bound,
-                     mixed_variance_lower_tail_bound, optimal_levels,
+                     mixed_variance_lower_tail_bound, mmse_weight,
+                     optimal_levels,
                      quantization_radius, rate_gap, residual_variance,
                      targeted_false_auth_bound)
 from .numerics import (chi_square_tail_bound, d2, gaussian_cdf,
@@ -47,7 +48,8 @@ __all__ = [
     "h2", "hoeffding_wo_replacement_bound", "hypergeom_log_bound", "i2",
     "inject_noise", "injection_bounds", "injection_power_bound",
     "level_statistics", "make_antipodal_code", "make_random_gaussian_code",
-    "mixed_variance_lower_tail_bound", "mmse_targeted_attack_batch",
+    "mixed_variance_lower_tail_bound", "mmse_attack_terms",
+    "mmse_targeted_attack_batch",
     "mmse_weight", "optimal_levels", "overlay_rate_asymptotic",
     "overlay_rate_finite", "quantization_radius", "quantization_slack",
     "rate_gap", "residual_variance", "residual_variance_vector", "run_trial",

@@ -7,10 +7,13 @@ transmitted signal and substitute the target's mean signal, driving the
 decoder-side conditional mean of Y - x(m') - t(m') to zero; what
 remains is independent noise whose per-coordinate variance is the
 residual-variance law.  ``mmse_targeted_attack_batch`` is the one attack
-path: it works on a batch of observations of one transmitted message,
-and impersonation is the same attack launched from the null message.
-``weight_scale`` scales the per-coordinate cancellation weight so tests
-can confirm the MMSE choice actually maximises acceptance.
+path: ``mmse_attack_terms`` computes the constants of an attack from one
+transmitted message to one target once, and the batch function applies
+them to each block of observations; impersonation is the same attack
+launched from the null message.  ``weight_scale`` scales the
+per-coordinate cancellation weight so tests can confirm the MMSE choice
+actually maximises acceptance.  ``mmse_weight`` lives in ``bounds``,
+where the scalar residual-variance law uses it too.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .authcode import AuthCode
+from .bounds import mmse_weight
 
 
 class AttackError(ValueError):
@@ -68,25 +72,13 @@ def no_attack(n: int) -> np.ndarray:
     return np.zeros(n)
 
 
-def mmse_weight(level: float | np.ndarray, rho_delta: float,
-                rho_adv: float) -> float | np.ndarray:
-    """Cancellation weight f^2 rho_delta / (f^2 rho_delta + rho_adv),
-    elementwise over an array of levels; zero where the coordinate
-    carries no injected noise and the observation is noiseless."""
-    level = np.asarray(level, dtype=np.float64)
-    injected = level * level * rho_delta
-    total = injected + rho_adv
-    with np.errstate(invalid="ignore"):   # [()]: a scalar for a scalar level
-        return np.where(total > 0.0, injected / total, 0.0)[()]
-
-
-def mmse_targeted_attack_batch(code: AuthCode, vs: np.ndarray, m: int,
-                               m_target: int, rho_adv: float,
-                               weight_scale: float | None = None) -> np.ndarray:
-    """z = x(m') + t(m') - x(m) - t(m) - w . (v - x(m) - t(m)) rowwise,
-    with w the ``mmse_weight`` of f(m), times ``weight_scale`` when
-    given.  This nulls the conditional mean of
-    Y - x(m') - t(m') given (V, Z)."""
+def mmse_attack_terms(code: AuthCode, m: int, m_target: int, rho_adv: float,
+                      weight_scale: float | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constants of the MMSE attack from ``m`` to ``m_target``,
+    computed once per attacked run: the mean shift x(m') + t(m') - x(m)
+    - t(m), the mean x(m) + t(m), and the ``mmse_weight`` w of f(m),
+    times ``weight_scale`` when given."""
     if rho_adv < 0.0:
         raise AttackError("rho_adv must be nonnegative")
     if m == m_target:
@@ -96,7 +88,19 @@ def mmse_targeted_attack_batch(code: AuthCode, vs: np.ndarray, m: int,
     w = mmse_weight(code.level_matrix[m], code.rho_delta, rho_adv)
     if weight_scale is not None:
         w = weight_scale * w
-    return mean_t - mean_m - w * (vs - mean_m)
+    return mean_t - mean_m, mean_m, w
+
+
+def mmse_targeted_attack_batch(
+        vs: np.ndarray, terms: tuple[np.ndarray, np.ndarray, np.ndarray]
+        ) -> np.ndarray:
+    """z = x(m') + t(m') - x(m) - t(m) - w . (v - x(m) - t(m)) rowwise,
+    from the ``mmse_attack_terms`` of (m, m').  This nulls the
+    conditional mean of Y - x(m') - t(m') given (V, Z)."""
+    shift, mean_m, w = terms
+    zs = vs - mean_m
+    zs *= w
+    return np.subtract(shift, zs, out=zs)
 
 
 def residual_variance_vector(code: AuthCode, m: int, rho_adv: float,

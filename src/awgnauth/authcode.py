@@ -138,6 +138,11 @@ class AuthCode:
         return self._valid  # type: ignore[attr-defined]
 
     def is_valid_message(self, m: int) -> bool:
+        """Whether ``m`` is a message id that the decoder may accept: an
+        integer in range that survives decimation.  A bool or any other
+        non-integer raises ``AuthCodeError``."""
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise AuthCodeError(f"a message id is an integer, not {m!r}")
         return 0 <= m < self.message_count and bool(self.valid_mask[m])
 
 
@@ -190,10 +195,15 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
 def auth_encode_batch(code: AuthCode, ms: np.ndarray,
                       unit_delta: np.ndarray) -> np.ndarray:
     """Vectorised encoder x(m) + t(m) + f(m) . G_delta; ``unit_delta``
-    holds unit normals (B, n)."""
-    scale = math.sqrt(code.rho_delta)
-    return (code.base.codewords[ms] + code.t_table[ms]
-            + code.level_matrix[ms] * (scale * unit_delta))
+    holds unit normals (B, n).  The sum is formed in place, in the order
+    (x + t) + f (sqrt(rho_delta) G_delta)."""
+    xs = np.take(code.base.codewords, ms, axis=0)   # take always copies
+    noise = np.take(code.t_table, ms, axis=0)
+    xs += noise
+    np.take(code.level_matrix, ms, axis=0, out=noise)
+    noise *= math.sqrt(code.rho_delta) * unit_delta
+    xs += noise
+    return xs
 
 
 def _check_ids(code: AuthCode, base_decoded: np.ndarray) -> None:
@@ -210,8 +220,10 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
 
     Each row's tested coordinates are gathered from the flat tables, so
     no code loops over messages, and each row's sums do not depend on
-    the other rows; rows go in chunks of 2**18 // n to bound the
-    gathered arrays."""
+    the other rows.  Rows go in chunks of 2**15 // n, so that the three
+    gathered arrays (at most 2**15 values each) and a block's received
+    rows (2**17 values, ``streams.block_rows``) fit in a 2 MiB L2 cache
+    together."""
     if rho_dec < 0.0:
         raise AuthCodeError("rho_dec must be nonnegative")
     _check_ids(code, base_decoded)
@@ -219,19 +231,23 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
     levels = code.overlay.level_set.levels
     x, t = code.base.codewords, code.t_table
     stats = np.empty((len(base_decoded), len(levels)))
-    step = max(1, 2 ** 18 // n)
+    step = max(1, 2 ** 15 // n)
     for r0 in range(0, len(base_decoded), step):
         dec = base_decoded[r0:r0 + step]
         at = code._tested[dec]
         # same grouping as the encoder so clean level-0 coordinates
         # cancel bitwise (the rho_dec = 0 sentinel relies on this)
-        mean = np.take(x, at) + np.take(t, at)
+        mean = np.take(x, at)
+        resid = np.take(t, at)
+        mean += resid
         at += ((np.arange(len(dec)) - dec) * n)[:, None]   # into ys rows
-        resid = np.take(ys[r0:r0 + step], at) - mean
+        np.take(ys[r0:r0 + step], at, out=resid)
+        resid -= mean
+        np.square(resid, out=resid)
         # a sum over the contiguous last axis takes numpy's pairwise
         # order for every (row, level), whatever the chunk holds
         stats[r0:r0 + step] = np.sum(
-            (resid ** 2).reshape(len(dec), len(levels), ell), axis=2)
+            resid.reshape(len(dec), len(levels), ell), axis=2)
     for j, k in enumerate(levels):
         denom = k * k * code.rho_delta + rho_dec
         # rho_dec = 0 diagnostic: a zero-variance level accepts only

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -58,12 +59,18 @@ class BaseCode:
         """(1/n) ln(message count), nats per symbol."""
         return math.log(self.message_count) / self.n
 
+    @cached_property
+    def _half_norms(self) -> np.ndarray:
+        """||x||^2 / 2 per message, computed on the first decode."""
+        return 0.5 * np.sum(self.codewords**2, axis=1)
+
     def decode_batch(self, ys: np.ndarray) -> np.ndarray:
         """Minimum Euclidean distance decode of a (batch, n) matrix."""
         ys = np.asarray(ys, dtype=np.float64)
         # ||y - x||^2 = ||y||^2 - 2 y.x + ||x||^2; the ||y||^2 column is
         # constant per row and can be dropped from the argmin.
-        scores = ys @ self.codewords.T - 0.5 * np.sum(self.codewords**2, axis=1)
+        scores = ys @ self.codewords.T
+        scores -= self._half_norms
         return np.argmax(scores, axis=1).astype(np.int64)
 
 

@@ -1,7 +1,8 @@
 """Closed-form performance bounds and design helpers.
 
-Everything here is scalar arithmetic: residual variances after optimal
-adversarial cancellation, the detection margin that drives the
+Everything here is scalar arithmetic: the MMSE cancellation weight
+(``mmse_weight``, which the adversary applies elementwise) and the
+residual variances it leaves, the detection margin that drives the
 false-authentication exponents, power/error/rate bounds for the two
 code modifications, capacity and rate-gap references, and the
 combinatorial tail bounds the analysis rests on.
@@ -13,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import numerics
 from .overlay import LevelSet
 
@@ -21,18 +24,28 @@ class BoundsError(ValueError):
     pass
 
 
+def mmse_weight(level: float | np.ndarray, rho_delta: float,
+                rho_adv: float) -> float | np.ndarray:
+    """Cancellation weight f^2 rho_delta / (f^2 rho_delta + rho_adv),
+    elementwise over an array of levels; zero where the coordinate
+    carries no injected noise and the observation is noiseless."""
+    level = np.asarray(level, dtype=np.float64)
+    injected = level * level * rho_delta
+    total = injected + rho_adv
+    with np.errstate(invalid="ignore"):   # [()]: a scalar for a scalar level
+        return np.where(total > 0.0, injected / total, 0.0)[()]
+
+
 def residual_variance(level: float, rho_delta: float, rho_adv: float,
                       rho_dec: float) -> float:
     """Decoder-side variance left on a level-``a`` coordinate after the
-    adversary's best cancellation: a^2 rho_D rho_A / (a^2 rho_D + rho_A)
-    + rho_dec.  Degenerates to rho_dec when the coordinate carries no
-    injected noise or the adversary observes noiselessly."""
+    adversary's best cancellation: w rho_A + rho_dec with w the
+    ``mmse_weight`` of ``a``, that is a^2 rho_D rho_A / (a^2 rho_D +
+    rho_A) + rho_dec.  Degenerates to rho_dec when the coordinate carries
+    no injected noise or the adversary observes noiselessly."""
     if rho_delta < 0 or rho_adv < 0 or rho_dec <= 0:
         raise BoundsError("rho_delta, rho_adv >= 0 and rho_dec > 0 required")
-    injected = level * level * rho_delta
-    if injected + rho_adv == 0.0:
-        return rho_dec
-    return injected * rho_adv / (injected + rho_adv) + rho_dec
+    return float(mmse_weight(level, rho_delta, rho_adv) * rho_adv + rho_dec)
 
 
 def detection_margin(level_set: LevelSet, gamma: float, delta: float,

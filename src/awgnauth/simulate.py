@@ -30,21 +30,40 @@ set by ``attack``, ``pairs`` and ``max_pairs``.  One call is one pass
 over blocks of trials that runs each distinct run once: every block's
 streams are drawn once and every run of every metric reads those draws,
 and runs that transmit the same fixed message share its encoding.
-Unless ``batch`` is given, a block has as many rows as keep its widest
-array (n-wide draws or decode scores, one per message) at 2**22 float64s.
+Unless ``batch`` is given, a block has as many rows as keep its n-wide
+arrays (draws, codewords, received rows) at 2**17 float64s, 1 MiB, so
+that they stay in cache, and its decode scores (one per message) at
+2**22 (``streams.block_rows``).
+
+Each block is reduced to four counters per run as soon as it is done:
+trials decoded correctly and accepted, decoded correctly, decoded wrongly
+and accepted, and decoded to the run's target and accepted.  Every
+metric follows from these counts, so a call holds no per-trial array
+beyond the block in hand, whatever the trial count; on several threads
+at most ``2 * threads`` blocks are in flight.  Per-trial rows exist only
+while a trial log is written: each block's rows are spooled to a
+temporary file beside the log and copied into it metric by metric and
+run by run, so the log reads as if each run had been written whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import tempfile
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .adversary import AttackSpec, mmse_targeted_attack_batch, no_attack
+from .adversary import (AttackSpec, mmse_attack_terms,
+                        mmse_targeted_attack_batch, no_attack)
 from .authcode import REJECT, AuthCode, auth_encode_batch, detect_batch
 from .reporting import EstimateReport, binomial_se, wilson_interval  # noqa: F401
 from .streams import (Role, block_rows, check_int, choices, normals,
@@ -119,24 +138,43 @@ def _transmit_pool(code: AuthCode) -> np.ndarray:
 # A run is an attack and its fixed transmit message (None: drawn per trial).
 Run = tuple[AttackSpec, int | None]
 Result = tuple[np.ndarray, np.ndarray, np.ndarray]
+AttackTerms = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+# A run's counters: column i of a (runs, 4) count array.
+CORRECT_ACCEPTED, CORRECT, WRONG_ACCEPTED, TARGET_ACCEPTED = range(4)
+
+
+def _attack_terms(code: AuthCode, channel: ChannelParams,
+                  runs: Sequence[Run]) -> list[AttackTerms | None]:
+    """The MMSE attack constants of each attacked run, once per run."""
+    return [mmse_attack_terms(code, m, spec.target, channel.rho_adv,
+                              spec.weight_scale)
+            if spec.kind in ("targeted", "impersonation") else None
+            for spec, m in runs]
 
 
 def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
-                    t0: int, b: int, runs: Sequence[Run], *, detector: bool,
+                    t0: int, b: int, runs: Sequence[Run],
+                    terms: Sequence[AttackTerms | None], *, detector: bool,
                     pool: np.ndarray | None = None) -> list[Result]:
     """(transmitted, base_decoded, rejected) of trials [t0, t0+b) for each
-    run.  The block's streams are drawn once and every run reads them;
-    ``pool`` is the transmit pool of the runs without a fixed message."""
+    run.  The block's streams are drawn, and its channel noises scaled,
+    once, and every run reads them; ``terms`` are the runs'
+    ``_attack_terms`` and ``pool`` is the transmit pool of the runs
+    without a fixed message."""
     n = code.n
     drawn_ms = (None if pool is None
                 else pool[choices(seed, Role.MESSAGE, t0, b, pool.size)])
     g_delta = normals(seed, Role.DELTA, t0, b, n)
-    g_adv = (normals(seed, Role.ADVERSARY, t0, b, n)
-             if any(spec.kind != "none" for spec, _ in runs) else None)
-    g_dec = normals(seed, Role.DECODER, t0, b, n)
+    adv_noise = None
+    if any(spec.kind != "none" for spec, _ in runs):
+        adv_noise = normals(seed, Role.ADVERSARY, t0, b, n)
+        adv_noise *= math.sqrt(channel.rho_adv)
+    dec_noise = normals(seed, Role.DECODER, t0, b, n)
+    dec_noise *= math.sqrt(channel.rho_dec)
     out = []
     encoded = None   # (transmit message, codewords) of the previous run
-    for spec, fixed_m in runs:
+    for (spec, fixed_m), run_terms in zip(runs, terms):
         ms = drawn_ms if fixed_m is None else np.full(b, fixed_m, np.int64)
         if encoded is None or encoded[0] != fixed_m:
             # runs that share a transmit message share its codewords
@@ -145,13 +183,12 @@ def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
         if spec.kind == "none":
             zs = no_attack(n)
         elif spec.kind == "custom":
-            zs = np.stack([spec.custom(v, int(m), code) for v, m in
-                           zip(xs + math.sqrt(channel.rho_adv) * g_adv, ms)])
+            zs = np.stack([spec.custom(v, int(m), code)
+                           for v, m in zip(xs + adv_noise, ms)])
         else:
-            zs = mmse_targeted_attack_batch(
-                code, xs + math.sqrt(channel.rho_adv) * g_adv, fixed_m,
-                spec.target, channel.rho_adv, spec.weight_scale)
-        ys = xs + zs + math.sqrt(channel.rho_dec) * g_dec
+            zs = mmse_targeted_attack_batch(xs + adv_noise, run_terms)
+        ys = xs + zs
+        ys += dec_noise
         base_decoded = code.base.decode_batch(ys)
         out.append((ms, base_decoded, detect_batch(
             code, ys, base_decoded, channel.rho_dec, detector=detector)))
@@ -168,8 +205,10 @@ def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
     if attack.kind == "impersonation" and m != code.base.null_id:
         raise SimulateError(f"impersonation transmits the null message; "
                             f"{m} is not the null message of this code")
+    runs = [(attack, m)]
     [(_, base_decoded, rejected)] = _simulate_block(
-        code, channel, seed, trial_index, 1, [(attack, m)], detector=True)
+        code, channel, seed, trial_index, 1, runs,
+        _attack_terms(code, channel, runs), detector=True)
     decoded: int | str = REJECT if rejected[0] else int(base_decoded[0])
     return TrialOutcome(trial_index, int(m), decoded,
                         classify(attack, int(m), decoded))
@@ -189,45 +228,127 @@ def _check_power(code: AuthCode, channel: ChannelParams) -> None:
             f"{channel.power_budget:.6g}")
 
 
+def _count(runs: Sequence[Run], results: Sequence[Result]) -> np.ndarray:
+    """The (runs, 4) counters of one block's results."""
+    counts = np.zeros((len(runs), 4), np.int64)
+    for row, ((spec, _), (ms, dec, rej)) in zip(counts, zip(runs, results)):
+        accepted = ~rej
+        correct = dec == ms
+        row[CORRECT_ACCEPTED] = np.count_nonzero(correct & accepted)
+        row[CORRECT] = np.count_nonzero(correct)
+        row[WRONG_ACCEPTED] = np.count_nonzero(~correct & accepted)
+        if spec.target is not None:
+            row[TARGET_ACCEPTED] = np.count_nonzero(
+                (dec == spec.target) & accepted)
+    return counts
+
+
+def _in_block_order(work: Callable[[tuple[int, int]], Any],
+                    blocks: Sequence[tuple[int, int]],
+                    threads: int) -> Iterator[Any]:
+    """``work(block)`` for each block, yielded in block order.  With
+    several threads a pool runs the blocks, at most ``2 * threads`` of
+    them submitted ahead of the one being consumed."""
+    if threads == 1 or len(blocks) == 1:
+        yield from map(work, blocks)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as executor:
+        pending: deque[Future] = deque()
+        for block in blocks:
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+            pending.append(executor.submit(work, block))
+        while pending:
+            yield pending.popleft().result()
+
+
 def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
                   trials: int, runs: Sequence[Run], *, detector: bool,
-                  threads: int, batch: int) -> list[Result]:
-    """Each run's per-trial results, all runs in one pass over the blocks."""
+                  threads: int, batch: int,
+                  log: _TrialLog | None = None) -> np.ndarray:
+    """The (runs, 4) counters of every run, all runs in one pass over the
+    blocks.  A block's per-trial results are dropped once counted, unless
+    ``log`` is given: it then receives them, block by block in order."""
     pool = _transmit_pool(code) if any(m is None for _, m in runs) else None
+    terms = _attack_terms(code, channel, runs)
 
     def work(block: tuple[int, int]):
-        return _simulate_block(code, channel, seed, *block, runs,
-                               detector=detector, pool=pool)
+        results = _simulate_block(code, channel, seed, *block, runs, terms,
+                                  detector=detector, pool=pool)
+        return (block[0], _count(runs, results),
+                results if log is not None else None)
 
     blocks = [(t0, min(batch, trials - t0)) for t0 in range(0, trials, batch)]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            parts = list(executor.map(work, blocks))
-    else:
-        parts = [work(bl) for bl in blocks]
-    # parts[block][run] -> per run, each of the three arrays over blocks
-    return [tuple(np.concatenate(arrays) for arrays in zip(*run_parts))
-            for run_parts in zip(*parts)]
+    counts = np.zeros((len(runs), 4), np.int64)
+    for t0, block_counts, results in _in_block_order(work, blocks, threads):
+        counts += block_counts
+        if log is not None:
+            log.add(t0, results)
+    return counts
 
 
 TRIAL_LOG_HEADER = ["metric", "trial", "transmitted", "target", "decoded",
                     "classification"]
 
 
-def _append_trial_log(path: str, metric: str, attack: AttackSpec,
-                      ms: np.ndarray, dec: np.ndarray, rej: np.ndarray) -> None:
-    """Append one CSV row per trial; a new or empty file gets the header.
-    ``target`` is empty for metrics run without an attack."""
-    target = "" if attack.target is None else attack.target
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if fh.tell() == 0:
-            writer.writerow(TRIAL_LOG_HEADER)
-        for t, (m, d, r) in enumerate(zip(ms.tolist(), dec.tolist(),
-                                          rej.tolist())):
-            decoded = REJECT if r else d
-            writer.writerow([metric, t, m, target, decoded,
-                             classify(attack, m, decoded)])
+def _csv_bytes(rows: Iterable[Sequence[Any]]) -> bytes:
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode()
+
+
+class _TrialLog:
+    """The trial log of one ``estimate`` call: one CSV row per trial of
+    each (metric, run), all of a metric's rows after those of the metrics
+    before it and each run's rows after those of the runs before it, in
+    trial order.  Blocks arrive in trial order, so each block's rows are
+    spooled per (metric, run) into one temporary file beside the log, and
+    ``write`` copies a metric's spooled rows out in that order; only one
+    block's rows are ever held in memory.  ``target`` is empty for runs
+    without an attack target, and a new or empty log gets the header."""
+
+    def __init__(self, path: str, runs: Sequence[Run],
+                 runs_of: Sequence[tuple[str, Sequence[int]]]):
+        self.path = path
+        self.runs = runs
+        # per metric, per run: (metric, run index, spooled (offset, size)s)
+        self.spooled: list[list[tuple[str, int, list[tuple[int, int]]]]] = [
+            [(name, i, []) for i in indices] for name, indices in runs_of]
+        self.size = 0
+        self.spool = tempfile.TemporaryFile(
+            dir=os.path.dirname(os.path.abspath(path)))
+
+    def __enter__(self) -> "_TrialLog":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.spool.close()
+
+    def add(self, t0: int, results: Sequence[Result]) -> None:
+        for name, i, segments in itertools.chain.from_iterable(self.spooled):
+            spec = self.runs[i][0]
+            target = "" if spec.target is None else spec.target
+            ms, dec, rej = results[i]
+            rows = []
+            for t, (m, d, r) in enumerate(zip(ms.tolist(), dec.tolist(),
+                                              rej.tolist()), t0):
+                decoded = REJECT if r else d
+                rows.append([name, t, m, target, decoded,
+                             classify(spec, m, decoded)])
+            data = _csv_bytes(rows)
+            self.spool.write(data)
+            segments.append((self.size, len(data)))
+            self.size += len(data)
+
+    def write(self, pos: int) -> None:
+        """Append the rows of the metric at position ``pos``."""
+        with open(self.path, "ab") as fh:
+            if fh.tell() == 0:
+                fh.write(_csv_bytes([TRIAL_LOG_HEADER]))
+            for _, _, segments in self.spooled[pos]:
+                for offset, size in segments:
+                    self.spool.seek(offset)
+                    fh.write(self.spool.read(size))
 
 
 def _attack_runs(code: AuthCode, attack: AttackSpec | None,
@@ -267,33 +388,32 @@ def _attack_runs(code: AuthCode, attack: AttackSpec | None,
     return [(AttackSpec(kind, b, weight_scale=scale), a) for a, b in pairs]
 
 
-def _report(metric: str, runs: Sequence[Run], results: Sequence[Result], *,
+def _report(metric: str, runs: Sequence[Run], counts: np.ndarray, *,
             trials: int, seed: int, message: int | None, confidence: float,
             params: dict[str, Any]) -> EstimateReport:
-    """One metric's report from the results of its runs; ``params`` holds
-    the entries that every metric reports."""
+    """One metric's report from the (runs, 4) counters of its runs;
+    ``params`` holds the entries that every metric reports."""
     params = dict(params)
     detail: dict[str, Any] = {}
-    ms, dec, rej = results[0]
+    first = [int(c) for c in counts[0]]
     eff_trials = trials
-    if metric == "epsilon":
-        successes = int(np.sum(rej | (dec != ms)))
-    elif metric == "false_alarm":
-        base_correct = dec == ms
-        successes = int(np.sum(rej & base_correct))
-        eff_trials = int(np.sum(base_correct))
+    if metric == "epsilon":   # rejected or wrongly decoded
+        successes = trials - first[CORRECT_ACCEPTED]
+    elif metric == "false_alarm":   # rejected among the correctly decoded
+        successes = first[CORRECT] - first[CORRECT_ACCEPTED]
+        eff_trials = first[CORRECT]
         params["raw_trials"] = trials
         if eff_trials == 0:
             raise SimulateError("no correctly decoded trials to condition on")
-    elif metric == "genuine_acceptance":
-        successes = int(np.sum(~rej & (dec == message)))
+    elif metric == "genuine_acceptance":   # the run transmits ``message``
+        successes = first[CORRECT_ACCEPTED]
         params["message"] = message
     else:  # alpha_star / alpha
         per_pair = []
-        for (spec, a), (_, dec, rej) in zip(runs, results):
+        column = TARGET_ACCEPTED if metric == "alpha_star" else WRONG_ACCEPTED
+        for (spec, a), run_counts in zip(runs, counts):
             b_t = spec.target
-            hit = dec == b_t if metric == "alpha_star" else dec != a
-            succ = int(np.sum(~rej & hit))
+            succ = int(run_counts[column])
             lo, hi = wilson_interval(succ, trials, confidence)
             per_pair.append({"transmit": a, "target": b_t, "successes": succ,
                              "trials": trials, "estimate": succ / trials,
@@ -369,28 +489,30 @@ def estimate(code: AuthCode, channel: ChannelParams,
 
     # one pass over the distinct runs of every metric
     genuine_run: list[Run] = [(AttackSpec(kind="none"), message)]
-    runs_of = [pair_runs if name in FALSE_AUTH_METRICS else genuine_run
-               for name in metrics]
     index: dict[Run, int] = {}
-    for runs in runs_of:
-        for run in runs:
-            index.setdefault(run, len(index))
-    results = _run_counting(code, channel, seed, trials, list(index),
-                            detector=detector, threads=threads,
-                            batch=block_rows(code.n, code.message_count,
-                                             batch))
+    runs_of: list[tuple[str, list[int]]] = []
+    for name in metrics:
+        own = pair_runs if name in FALSE_AUTH_METRICS else genuine_run
+        runs_of.append((name, [index.setdefault(run, len(index))
+                               for run in own]))
+    runs = list(index)
 
     params: dict[str, Any] = {
         "rho_dec": channel.rho_dec, "rho_adv": channel.rho_adv, "n": code.n,
         "ell": code.ell, "delta": code.delta, "rho_delta": code.rho_delta,
         "detector": detector}
     reports = []
-    for name, runs in zip(metrics, runs_of):
-        own = [results[index[run]] for run in runs]
-        if trial_log:
-            for (spec, _), result in zip(runs, own):
-                _append_trial_log(trial_log, name, spec, *result)
-        reports.append(_report(name, runs, own, trials=trials, seed=seed,
-                               message=message, confidence=confidence,
-                               params=params))
+    with (_TrialLog(trial_log, runs, runs_of) if trial_log
+          else contextlib.nullcontext()) as log:
+        counts = _run_counting(code, channel, seed, trials, runs,
+                               detector=detector, threads=threads,
+                               batch=block_rows(code.n, code.message_count,
+                                                batch), log=log)
+        for pos, (name, indices) in enumerate(runs_of):
+            if log is not None:
+                log.write(pos)
+            reports.append(_report(name, [runs[i] for i in indices],
+                                   counts[indices], trials=trials, seed=seed,
+                                   message=message, confidence=confidence,
+                                   params=params))
     return reports[0] if isinstance(metric, str) else reports

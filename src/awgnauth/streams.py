@@ -13,20 +13,25 @@ exactly one 64-bit word.  Consequences:
   at different noise powers share randomness (common random numbers).
 
 ``block_rows`` sizes the blocks of trials that the estimators draw at
-once, and ``check_int`` validates their integer arguments (trial
-counts, seeds, trial indices) before any draw.
+once: as many rows as keep a block's n-wide arrays (draws, codewords,
+received rows) at 2**17 float64s, 1 MiB, so that they stay in cache,
+and its decode score matrix (one score per message) at 2**22.
+``check_int`` validates their integer arguments (trial counts, seeds,
+trial indices) before any draw.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
 from scipy.special import ndtri
 
 _U_MIN = 2.0**-53  # smallest uniform we feed the quantile function
-BLOCK_VALUES = 2 ** 22  # float64 values in a block's widest array
+ROW_VALUES = 2 ** 17     # float64 values in a block's n-wide arrays
+SCORE_VALUES = 2 ** 22   # float64 values in a block's decode score matrix
 
 
 class Role(IntEnum):
@@ -42,9 +47,13 @@ class Role(IntEnum):
     CODEBOOK = 7     # random base-code construction
 
 
-def _philox(master_seed: int, role: int) -> np.random.Philox:
-    ss = np.random.SeedSequence((int(master_seed), int(role)))
-    return np.random.Philox(key=ss.generate_state(2, np.uint64))
+@lru_cache(maxsize=64)
+def _philox_key(master_seed: int, role: int) -> np.ndarray:
+    """The Philox key of a (seed, role) stream, derived once; read-only."""
+    ss = np.random.SeedSequence((master_seed, role))
+    key = ss.generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
 
 
 def _stride(width: int) -> int:
@@ -59,7 +68,7 @@ def uniforms(master_seed: int, role: int, start_trial: int, trials: int,
     if trials < 0 or width <= 0 or start_trial < 0:
         raise ValueError("start_trial >= 0, trials >= 0, width >= 1 required")
     stride = _stride(width)
-    bg = _philox(master_seed, role)
+    bg = np.random.Philox(key=_philox_key(int(master_seed), int(role)))
     if start_trial:
         bg.advance(start_trial * stride // 4)
     u = np.random.Generator(bg).random((trials, stride))
@@ -68,9 +77,11 @@ def uniforms(master_seed: int, role: int, start_trial: int, trials: int,
 
 def normals(master_seed: int, role: int, start_trial: int, trials: int,
             width: int) -> np.ndarray:
-    """(trials, width) unit normals, counter-aligned like :func:`uniforms`."""
+    """(trials, width) unit normals, counter-aligned like :func:`uniforms`;
+    computed in the uniforms' own buffer."""
     u = uniforms(master_seed, role, start_trial, trials, width)
-    return ndtri(np.maximum(u, _U_MIN))
+    np.maximum(u, _U_MIN, out=u)
+    return ndtri(u, out=u)
 
 
 def choices(master_seed: int, role: int, start_trial: int, trials: int,
@@ -90,11 +101,11 @@ def one_shot_rng(master_seed: int, role: int, *extra: int) -> np.random.Generato
 
 def block_rows(n: int, message_count: int, batch: int | None = None) -> int:
     """Trials per block: ``batch`` when given, else as many as keep the
-    widest per-block array (n-wide draws, or one decode score per
-    message) at ``BLOCK_VALUES`` float64s."""
+    n-wide arrays of a block at ``ROW_VALUES`` float64s and its decode
+    scores, one per message, at ``SCORE_VALUES``; at least one."""
     if batch is not None:
         return batch
-    return max(1, BLOCK_VALUES // max(n, message_count))
+    return max(1, min(ROW_VALUES // n, SCORE_VALUES // message_count))
 
 
 def check_int(name: str, value: Any, error: type[Exception],

@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import hypergeom
 
-from awgnauth.adversary import (AttackSpec, mmse_targeted_attack_batch,
+from awgnauth.adversary import (AttackSpec, mmse_attack_terms,
+                                mmse_targeted_attack_batch,
                                 residual_variance_vector)
 from awgnauth.authcode import (auth_encode_batch, inject_noise,
                                sample_decimation_subset)
@@ -216,7 +217,8 @@ def test_criterion_07_residual_variance_law():
         enc = auth_encode_batch(code, np.full(chunk, a),
                                 rng.standard_normal((chunk, n)))
         v = enc + math.sqrt(rho_adv) * rng.standard_normal((chunk, n))
-        z = mmse_targeted_attack_batch(code, v, a, b, rho_adv)
+        z = mmse_targeted_attack_batch(v, mmse_attack_terms(code, a, b,
+                                                            rho_adv))
         y = enc + z + math.sqrt(rho_dec) * rng.standard_normal((chunk, n))
         resid = y - center_b
         for level, mask in masks.items():

@@ -7,12 +7,14 @@ from awgnauth import cli
 from awgnauth.adversary import (
     AttackError,
     AttackSpec,
+    mmse_attack_terms,
     mmse_targeted_attack_batch,
     mmse_weight,
     no_attack,
     residual_variance_vector,
 )
 from awgnauth.authcode import auth_encode_batch, detect_batch
+from awgnauth.bounds import residual_variance
 from awgnauth.simulate import ChannelParams, estimate
 
 # Frozen values of the residual-variance law tau(a) = a^2 rho_D rho_A /
@@ -68,7 +70,8 @@ class TestResidualNulling:
         code = small_auth
         m, m_target, rho_adv = 1, 4, 0.3
         vs = rng.normal(size=(4, code.n)) * 2.0
-        zs = mmse_targeted_attack_batch(code, vs, m, m_target, rho_adv)
+        zs = mmse_targeted_attack_batch(
+            vs, mmse_attack_terms(code, m, m_target, rho_adv))
         # E[Y - x(m') - t(m') | V, Z] = x(m) + t(m) - x(m') - t(m') + z
         #                               + w . (v - x(m) - t(m))
         mean_m = code.base.codewords[m] + code.t_table[m]
@@ -84,7 +87,8 @@ class TestResidualNulling:
         code = small_auth
         m, m_target = 0, 5
         vs = rng.normal(size=(8, code.n))
-        zs = mmse_targeted_attack_batch(code, vs, m, m_target, 0.2)
+        zs = mmse_targeted_attack_batch(
+            vs, mmse_attack_terms(code, m, m_target, 0.2))
         f = code.level_matrix[m]
         swap = (code.base.codewords[m_target] + code.t_table[m_target]
                 - code.base.codewords[m] - code.t_table[m])
@@ -92,11 +96,10 @@ class TestResidualNulling:
                            np.broadcast_to(swap[f == 0.0], (8, 20)), atol=0)
 
     def test_errors(self, small_auth):
-        vs = np.zeros((1, 60))
         with pytest.raises(AttackError, match="nonnegative"):
-            mmse_targeted_attack_batch(small_auth, vs, 0, 1, -0.5)
+            mmse_attack_terms(small_auth, 0, 1, -0.5)
         with pytest.raises(AttackError, match="differ"):
-            mmse_targeted_attack_batch(small_auth, vs, 2, 2, 0.5)
+            mmse_attack_terms(small_auth, 2, 2, 0.5)
 
 
 class TestResidualVarianceLaw:
@@ -107,6 +110,27 @@ class TestResidualVarianceLaw:
         assert np.allclose(vec[f == 0.0], 0.1, rtol=1e-12)
         assert np.allclose(vec[f == 0.5], 0.3, rtol=1e-12)
         assert np.allclose(vec[f == 1.0], TAU_FULL_1_1_01, rtol=1e-12)
+
+    @pytest.mark.parametrize("rho_delta", [0.0, 0.3, 1.0, 2.5])
+    def test_scalar_law_equals_the_vector_bitwise(self, rho_delta):
+        # one formula, w rho_adv + rho_dec, for the scalar law of the
+        # bounds and the per-coordinate law of the attack
+        levels = np.array([0.0, 0.1, 0.25, 1 / 3, 0.5, 0.7, 0.9, 1.0])
+        for rho_adv in (0.0, 1e-12, 1e-3, 0.01, 0.05, 0.3, 1.0, 7.5):
+            for rho_dec in (1e-3, 0.1, 0.7, 4.0):
+                scalar = [residual_variance(float(f), rho_delta, rho_adv,
+                                            rho_dec) for f in levels]
+                vector = (mmse_weight(levels, rho_delta, rho_adv) * rho_adv
+                          + rho_dec)
+                assert scalar == vector.tolist()
+
+    def test_code_vector_equals_the_scalar_law(self, small_auth):
+        f = small_auth.level_matrix[2]
+        for rho_adv, rho_dec in ((0.0, 0.1), (0.05, 0.1), (1.0, 0.3)):
+            vec = residual_variance_vector(small_auth, 2, rho_adv, rho_dec)
+            assert vec.tolist() == [
+                residual_variance(float(k), small_auth.rho_delta, rho_adv,
+                                  rho_dec) for k in f]
 
     def test_monotone_in_level(self, small_auth):
         vec = residual_variance_vector(small_auth, 0, 0.1, 0.1)
@@ -123,7 +147,8 @@ class TestResidualVarianceLaw:
         ms = np.full(B, m)
         xs = auth_encode_batch(code, ms, rng.standard_normal((B, code.n)))
         vs = xs + math.sqrt(rho_adv) * rng.standard_normal((B, code.n))
-        zs = mmse_targeted_attack_batch(code, vs, m, m_target, rho_adv)
+        zs = mmse_targeted_attack_batch(
+            vs, mmse_attack_terms(code, m, m_target, rho_adv))
         ys = xs + zs + math.sqrt(rho_dec) * rng.standard_normal((B, code.n))
         resid = ys - (code.base.codewords[m_target] + code.t_table[m_target])
         f = code.level_matrix[m]
@@ -140,7 +165,8 @@ class TestResidualVarianceLaw:
         ms = np.full(B, m)
         xs = auth_encode_batch(code, ms, rng.standard_normal((B, code.n)))
         vs = xs + math.sqrt(1e-12) * rng.standard_normal((B, code.n))
-        zs = mmse_targeted_attack_batch(code, vs, m, m_target, 1e-12)
+        zs = mmse_targeted_attack_batch(
+            vs, mmse_attack_terms(code, m, m_target, 1e-12))
         ys = xs + zs + math.sqrt(rho_dec) * rng.standard_normal((B, code.n))
         resid = ys - (code.base.codewords[m_target] + code.t_table[m_target])
         assert np.var(resid) == pytest.approx(rho_dec, rel=0.05)
@@ -186,8 +212,8 @@ class TestWeightGridDiscrimination:
         for scale in (0.0, 0.5, 1.0, 1.5, 2.0):
             xs = auth_encode_batch(code, ms, rng.standard_normal((B, code.n)))
             vs = xs + math.sqrt(rho_adv) * rng.standard_normal((B, code.n))
-            zs = mmse_targeted_attack_batch(code, vs, m, m_target, rho_adv,
-                                            weight_scale=scale)
+            zs = mmse_targeted_attack_batch(vs, mmse_attack_terms(
+                code, m, m_target, rho_adv, weight_scale=scale))
             ys = xs + zs + math.sqrt(rho_dec) * rng.standard_normal((B, code.n))
             dec = code.base.decode_batch(ys)
             rej = detect_batch(code, ys, dec, rho_dec)

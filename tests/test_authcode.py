@@ -504,3 +504,13 @@ class TestAuthCodeValidation:
         assert small_auth.ell == 20
         assert small_auth.n == 60
         assert small_auth.message_count == 6
+
+    @pytest.mark.parametrize("m", [True, 1.0])
+    def test_message_ids_must_be_integers(self, small_auth, m):
+        with pytest.raises(AuthCodeError, match="a message id is an integer"):
+            small_auth.is_valid_message(m)
+
+    def test_out_of_range_ids_are_invalid(self, small_auth):
+        assert not small_auth.is_valid_message(-1)
+        assert not small_auth.is_valid_message(small_auth.message_count)
+        assert small_auth.is_valid_message(np.int64(1))

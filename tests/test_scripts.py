@@ -1,5 +1,7 @@
-"""Smoke tests: each experiment script runs at a small trial count."""
+"""Smoke tests: each experiment script runs at a small trial count, and
+the benchmark record script summarises synthetic results."""
 
+import json
 import os
 import subprocess
 import sys
@@ -33,3 +35,37 @@ def test_script_runs_and_writes_its_outputs(tmp_path, script, outputs):
     assert proc.stdout
     for name in outputs:
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_bench_record_summarises_a_parent_and_a_change(tmp_path):
+    machine = {"cpu_model": "test", "nproc": 2}
+
+    def result(name, rates, rss):
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "workload": "genuine_cli", "seed": 1, "trace": False,
+            "threads": {"pool": 2, "blas": 1}, "failed": 0,
+            "machine": machine,
+            "samples": {"trials_per_s": rates, "peak_rss_mb": rss,
+                        "not_declared": [1.0]}}))
+        return str(path)
+
+    parent = result("parent.json", [100.0, 120.0, 110.0], [400.0, 410.0])
+    change = result("change.json", [130.0, 150.0, 140.0], [70.0, 80.0])
+    out = tmp_path / "BENCH_0.json"
+    proc = run_script("bench_record.py", "--label", "0", "--parent", parent,
+                      "--change", change, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(out.read_text())
+    assert rec["record"] == "BENCH_0" and rec["machine"] == machine
+    entry = rec["workloads"]["genuine_cli"]
+    assert entry["pairs"] == 1 and entry["seeds"] == [[1, 1]]
+    assert set(entry["metrics"]) == {"trials_per_s", "peak_rss_mb"}
+    rate = entry["metrics"]["trials_per_s"]
+    assert rate["parent"]["median"] == 110.0
+    assert rate["change"] == {"median": 140.0, "q1": 140.0, "q3": 140.0,
+                              "runs": [140.0]}
+    assert rate["change_better_pairs"] == 1
+    rss = entry["metrics"]["peak_rss_mb"]
+    assert (rss["better"], rss["change"]["median"]) == ("lower", 75.0)
+    assert rss["change_better_pairs"] == 1

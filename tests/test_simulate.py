@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from awgnauth import simulate
 from awgnauth.adversary import AttackSpec
 from awgnauth.authcode import REJECT, decimate, inject_noise
 from awgnauth.basecode import (BaseCodeError, base_error_probability,
-                               make_antipodal_code)
+                               make_antipodal_code, make_random_gaussian_code)
 from awgnauth.cli import main
 from awgnauth.overlay import LevelSet, construct_overlay
 from awgnauth.simulate import (
@@ -284,13 +285,63 @@ class TestOnePass:
     @pytest.mark.parametrize("n, messages", [
         (60, 6), (600, 6), (256, 64), (600, 4096), (3, 2 ** 22), (2 ** 22, 2)])
     def test_auto_block_holds_at_most_2_pow_22_values(self, n, messages):
+        # the largest row count whose n-wide arrays hold at most 2**17
+        # values and whose decode scores hold at most 2**22, floor 1
+        def fits(rows):
+            return rows * n <= 2 ** 17 and rows * messages <= 2 ** 22
+
         rows = block_rows(n, messages)
-        width = max(n, messages)
-        assert 1 <= rows and rows * width <= 2 ** 22 < (rows + 1) * width
+        assert rows >= 1 and (rows == 1 or fits(rows)) and not fits(rows + 1)
 
     def test_block_rows_floor_and_explicit_batch(self):
         assert block_rows(2 ** 23, 6) == 1
         assert block_rows(600, 4096, 57) == 57
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_results_do_not_depend_on_the_block_rule(self, small_auth,
+                                                     tmp_path, threads):
+        # 3000 trials are two auto blocks at n=60 (2184 rows keep the
+        # n-wide arrays at 2**17 values) and one block under a 2**22
+        # rule; reports and trial logs must not see the difference
+        trials = 3000
+        assert block_rows(60, 6) < trials <= 2 ** 22 // 60
+        ch = ChannelParams(rho_dec=0.1, rho_adv=0.05)
+
+        def run(batch, threads, name=None):
+            log = tmp_path / f"{name or batch}-{threads}.csv"
+            reports = estimate(small_auth, ch, ["epsilon", "alpha_star",
+                                                "false_alarm", "alpha"],
+                               trials, seed=6, pairs=TestSeveralMetrics.PAIRS,
+                               batch=batch, threads=threads,
+                               trial_log=str(log))
+            return [r.to_json_dict() for r in reports], log.read_bytes()
+
+        one_block = run(trials, 1, name="one-block")
+        for batch in (None, 57, trials):
+            assert run(batch, threads) == one_block
+
+
+class TestBoundedMemory:
+    def test_peak_memory_does_not_grow_with_trials(self):
+        # counts, not per-trial rows, are kept: ten times the trials over
+        # 20 pairs peak no higher than a small constant above
+        ov = construct_overlay(12, LevelSet((0.0, 0.5)), 0.75,
+                               counts_per_level=[3, 2], seed=11)
+        code = inject_noise(make_random_gaussian_code(12, 6, 1.0, seed=11),
+                            ov, rho_delta=1.0, delta=0.2, seed=11)
+        ch = ChannelParams(rho_dec=0.1, rho_adv=0.05)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                reports = estimate(code, ch, ["alpha_star", "alpha"], trials,
+                                   seed=3, max_pairs=20)
+                assert reports[0].params["pairs"] == 20
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10 ** 6) <= peak(10 ** 5) + 2 ** 20
 
 
 class TestSeveralMetrics:
