@@ -92,13 +92,15 @@ def mmse_attack_terms(code: AuthCode, m: int, m_target: int, rho_adv: float,
 
 
 def mmse_targeted_attack_batch(
-        vs: np.ndarray, terms: tuple[np.ndarray, np.ndarray, np.ndarray]
-        ) -> np.ndarray:
+        vs: np.ndarray, terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+        out: np.ndarray | None = None) -> np.ndarray:
     """z = x(m') + t(m') - x(m) - t(m) - w . (v - x(m) - t(m)) rowwise,
     from the ``mmse_attack_terms`` of (m, m').  This nulls the
-    conditional mean of Y - x(m') - t(m') given (V, Z)."""
+    conditional mean of Y - x(m') - t(m') given (V, Z).  ``out``, an
+    array of the shape of ``vs`` (``vs`` itself included), receives z in
+    place of a new array."""
     shift, mean_m, w = terms
-    zs = vs - mean_m
+    zs = np.subtract(vs, mean_m, out=out)
     zs *= w
     return np.subtract(shift, zs, out=zs)
 

@@ -192,24 +192,32 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
         f"mean-shift table failed the construction checks {retry_limit} times")
 
 
-def auth_encode_batch(code: AuthCode, ms: np.ndarray,
-                      unit_delta: np.ndarray) -> np.ndarray:
+def auth_encode_batch(code: AuthCode, ms: np.ndarray, unit_delta: np.ndarray,
+                      out: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+                      = None) -> np.ndarray:
     """Vectorised encoder x(m) + t(m) + f(m) . G_delta; ``unit_delta``
     holds unit normals (B, n).  The sum is formed in place, in the order
-    (x + t) + f (sqrt(rho_delta) G_delta)."""
-    xs = np.take(code.base.codewords, ms, axis=0)   # take always copies
-    noise = np.take(code.t_table, ms, axis=0)
+    (x + t) + (sqrt(rho_delta) G_delta) f.  ``out`` holds three (B, n)
+    arrays used in place of new ones: the codewords are written to the
+    first and returned, the other two are scratch."""
+    _check_ids(code, ms, "ms")
+    xs, noise, levels = (None, None, None) if out is None else out
+    # mode="clip" gathers straight into ``out`` (the default copies);
+    # the ids are checked above
+    xs = np.take(code.base.codewords, ms, axis=0, out=xs, mode="clip")
+    noise = np.take(code.t_table, ms, axis=0, out=noise, mode="clip")
     xs += noise
-    np.take(code.level_matrix, ms, axis=0, out=noise)
-    noise *= math.sqrt(code.rho_delta) * unit_delta
+    noise = np.multiply(unit_delta, math.sqrt(code.rho_delta), out=noise)
+    noise *= np.take(code.level_matrix, ms, axis=0, out=levels, mode="clip")
     xs += noise
     return xs
 
 
-def _check_ids(code: AuthCode, base_decoded: np.ndarray) -> None:
-    ids = np.asarray(base_decoded)
+def _check_ids(code: AuthCode, ids: np.ndarray,
+               name: str = "base_decoded") -> None:
+    ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= code.message_count):
-        raise AuthCodeError("base_decoded must hold message ids")
+        raise AuthCodeError(f"{name} must hold message ids")
 
 
 def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,

@@ -59,6 +59,12 @@ class BaseCode:
         """(1/n) ln(message count), nats per symbol."""
         return math.log(self.message_count) / self.n
 
+    @property
+    def non_null_ids(self) -> np.ndarray:
+        """The id of every message but the null message, ascending."""
+        ids = np.arange(self.message_count, dtype=np.int64)
+        return ids if self.null_id is None else np.delete(ids, self.null_id)
+
     @cached_property
     def _half_norms(self) -> np.ndarray:
         """||x||^2 / 2 per message, computed on the first decode."""
@@ -119,13 +125,13 @@ def base_error_probability(code: BaseCode, rho_dec: float, trials: int,
     check_int("seed", seed, BaseCodeError, 0)
     if not 0.0 < rho_dec < math.inf:
         raise BaseCodeError("rho_dec must be positive and finite")
-    m_pool = code.message_count - (code.null_id is not None)
+    pool = code.non_null_ids
     scale = math.sqrt(rho_dec)
     batch = block_rows(code.n, code.message_count)
     errors = 0
     for t0 in range(0, trials, batch):
         b = min(batch, trials - t0)
-        ms = choices(seed, Role.MESSAGE, t0, b, m_pool)
+        ms = pool[choices(seed, Role.MESSAGE, t0, b, pool.size)]
         noise = normals(seed, Role.DECODER, t0, b, code.n)
         decoded = code.decode_batch(code.codewords[ms] + scale * noise)
         errors += int(np.sum(decoded != ms))

@@ -33,7 +33,10 @@ and runs that transmit the same fixed message share its encoding.
 Unless ``batch`` is given, a block has as many rows as keep its n-wide
 arrays (draws, codewords, received rows) at 2**17 float64s, 1 MiB, so
 that they stay in cache, and its decode scores (one per message) at
-2**22 (``streams.block_rows``).
+2**22 (``streams.block_rows``).  Each worker thread allocates those
+n-wide arrays once per call, in a ``_Workspace``, and every block it runs
+draws, encodes, attacks and sums into them; the workspace is dropped
+when the call returns.
 
 Each block is reduced to four counters per run as soon as it is done:
 trials decoded correctly and accepted, decoded correctly, decoded wrongly
@@ -55,6 +58,7 @@ import itertools
 import math
 import os
 import tempfile
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -66,8 +70,8 @@ from .adversary import (AttackSpec, mmse_attack_terms,
                         mmse_targeted_attack_batch, no_attack)
 from .authcode import REJECT, AuthCode, auth_encode_batch, detect_batch
 from .reporting import EstimateReport, binomial_se, wilson_interval  # noqa: F401
-from .streams import (Role, block_rows, check_int, choices, normals,
-                      one_shot_rng)
+from .streams import (Role, block_rows, check_int, choices, draw_buffer,
+                      normals, one_shot_rng)
 
 METRICS = ("epsilon", "false_alarm", "genuine_acceptance", "alpha_star", "alpha")
 FALSE_AUTH_METRICS = ("alpha_star", "alpha")
@@ -131,8 +135,7 @@ def classify(attack: AttackSpec, transmitted: int,
 def _transmit_pool(code: AuthCode) -> np.ndarray:
     if code.decimated is not None:
         return np.fromiter(sorted(code.decimated), dtype=np.int64)
-    return np.array([m for m in range(code.message_count)
-                     if m != code.base.null_id], dtype=np.int64)
+    return code.base.non_null_ids
 
 
 # A run is an attack and its fixed transmit message (None: drawn per trial).
@@ -153,41 +156,65 @@ def _attack_terms(code: AuthCode, channel: ChannelParams,
             for spec, m in runs]
 
 
+class _Workspace:
+    """The n-wide arrays of one worker's blocks, allocated once per
+    ``estimate`` call and reused by every block the worker runs: the
+    DELTA, ADVERSARY (attacked runs only) and DECODER draws, the
+    codewords, the encoder's scratch and the received rows.  A block of
+    ``b`` rows uses the first ``b`` rows of each."""
+
+    def __init__(self, n: int, rows: int, attacked: bool):
+        self.delta = draw_buffer(rows, n)
+        self.adversary = draw_buffer(rows, n) if attacked else None
+        self.decoder = draw_buffer(rows, n)
+        self.codewords, self.scratch, self.received = (
+            np.empty((rows, n)) for _ in range(3))
+
+
 def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
                     t0: int, b: int, runs: Sequence[Run],
-                    terms: Sequence[AttackTerms | None], *, detector: bool,
+                    terms: Sequence[AttackTerms | None], ws: _Workspace, *,
+                    detector: bool,
                     pool: np.ndarray | None = None) -> list[Result]:
     """(transmitted, base_decoded, rejected) of trials [t0, t0+b) for each
     run.  The block's streams are drawn, and its channel noises scaled,
     once, and every run reads them; ``terms`` are the runs'
     ``_attack_terms`` and ``pool`` is the transmit pool of the runs
-    without a fixed message."""
+    without a fixed message.  Every n-wide array is a row prefix of
+    ``ws``; the results are new arrays, which outlive the block."""
     n = code.n
     drawn_ms = (None if pool is None
                 else pool[choices(seed, Role.MESSAGE, t0, b, pool.size)])
-    g_delta = normals(seed, Role.DELTA, t0, b, n)
+    g_delta = normals(seed, Role.DELTA, t0, b, n, out=ws.delta[:b])
     adv_noise = None
-    if any(spec.kind != "none" for spec, _ in runs):
-        adv_noise = normals(seed, Role.ADVERSARY, t0, b, n)
+    if ws.adversary is not None:
+        adv_noise = normals(seed, Role.ADVERSARY, t0, b, n,
+                            out=ws.adversary[:b])
         adv_noise *= math.sqrt(channel.rho_adv)
-    dec_noise = normals(seed, Role.DECODER, t0, b, n)
+    dec_noise = normals(seed, Role.DECODER, t0, b, n, out=ws.decoder[:b])
     dec_noise *= math.sqrt(channel.rho_dec)
+    xs, ys = ws.codewords[:b], ws.received[:b]
     out = []
-    encoded = None   # (transmit message, codewords) of the previous run
+    encoded = None   # (transmit message,) of the codewords in ``xs``
     for (spec, fixed_m), run_terms in zip(runs, terms):
         ms = drawn_ms if fixed_m is None else np.full(b, fixed_m, np.int64)
-        if encoded is None or encoded[0] != fixed_m:
-            # runs that share a transmit message share its codewords
-            encoded = (fixed_m, auth_encode_batch(code, ms, g_delta))
-        xs = encoded[1]
+        if encoded != (fixed_m,):
+            # runs that share a transmit message share its codewords; the
+            # received rows are free to take the encoder's gathered f
+            auth_encode_batch(code, ms, g_delta,
+                              out=(xs, ws.scratch[:b], ys))
+            encoded = (fixed_m,)
         if spec.kind == "none":
             zs = no_attack(n)
-        elif spec.kind == "custom":
-            zs = np.stack([spec.custom(v, int(m), code)
-                           for v, m in zip(xs + adv_noise, ms)])
         else:
-            zs = mmse_targeted_attack_batch(xs + adv_noise, run_terms)
-        ys = xs + zs
+            # the attack observes, and writes z, in the received rows
+            vs = np.add(xs, adv_noise, out=ys)
+            if spec.kind == "custom":
+                zs = np.stack([spec.custom(v, int(m), code)
+                               for v, m in zip(vs, ms)])
+            else:
+                zs = mmse_targeted_attack_batch(vs, run_terms, out=ys)
+        np.add(xs, zs, out=ys)
         ys += dec_noise
         base_decoded = code.base.decode_batch(ys)
         out.append((ms, base_decoded, detect_batch(
@@ -208,7 +235,8 @@ def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
     runs = [(attack, m)]
     [(_, base_decoded, rejected)] = _simulate_block(
         code, channel, seed, trial_index, 1, runs,
-        _attack_terms(code, channel, runs), detector=True)
+        _attack_terms(code, channel, runs),
+        _Workspace(code.n, 1, attack.kind != "none"), detector=True)
     decoded: int | str = REJECT if rejected[0] else int(base_decoded[0])
     return TrialOutcome(trial_index, int(m), decoded,
                         classify(attack, int(m), decoded))
@@ -271,10 +299,15 @@ def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
     ``log`` is given: it then receives them, block by block in order."""
     pool = _transmit_pool(code) if any(m is None for _, m in runs) else None
     terms = _attack_terms(code, channel, runs)
+    attacked = any(spec.kind != "none" for spec, _ in runs)
+    local = threading.local()   # one workspace per worker, dropped on return
 
     def work(block: tuple[int, int]):
+        ws = getattr(local, "ws", None)
+        if ws is None:
+            ws = local.ws = _Workspace(code.n, min(batch, trials), attacked)
         results = _simulate_block(code, channel, seed, *block, runs, terms,
-                                  detector=detector, pool=pool)
+                                  ws, detector=detector, pool=pool)
         return (block[0], _count(runs, results),
                 results if log is not None else None)
 

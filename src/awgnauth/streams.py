@@ -16,6 +16,9 @@ exactly one 64-bit word.  Consequences:
 once: as many rows as keep a block's n-wide arrays (draws, codewords,
 received rows) at 2**17 float64s, 1 MiB, so that they stay in cache,
 and its decode score matrix (one score per message) at 2**22.
+``uniforms`` and ``normals`` draw into an ``out=`` array from
+``draw_buffer`` when given one, so that the estimators allocate a
+block's draws once per worker per call and reuse them in every block.
 ``check_int`` validates their integer arguments (trial counts, seeds,
 trial indices) before any draw.
 """
@@ -62,24 +65,32 @@ def _stride(width: int) -> int:
     return ((int(width) + 3) // 4) * 4
 
 
+def draw_buffer(trials: int, width: int) -> np.ndarray:
+    """An ``out=`` array for the draws of up to ``trials`` trials of
+    ``width`` values; its first ``b`` rows hold a draw of ``b`` trials."""
+    return np.empty((trials, _stride(width)))
+
+
 def uniforms(master_seed: int, role: int, start_trial: int, trials: int,
-             width: int) -> np.ndarray:
-    """(trials, width) uniforms on [0,1); trial t is counter slice t."""
+             width: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(trials, width) uniforms on [0,1); trial t is counter slice t.
+    ``out``, the first ``trials`` rows of a ``draw_buffer(_, width)``,
+    receives them in place of a new array; the result is a view of it."""
     if trials < 0 or width <= 0 or start_trial < 0:
         raise ValueError("start_trial >= 0, trials >= 0, width >= 1 required")
     stride = _stride(width)
     bg = np.random.Philox(key=_philox_key(int(master_seed), int(role)))
     if start_trial:
         bg.advance(start_trial * stride // 4)
-    u = np.random.Generator(bg).random((trials, stride))
+    u = np.random.Generator(bg).random((trials, stride), out=out)
     return u[:, :width]
 
 
 def normals(master_seed: int, role: int, start_trial: int, trials: int,
-            width: int) -> np.ndarray:
+            width: int, out: np.ndarray | None = None) -> np.ndarray:
     """(trials, width) unit normals, counter-aligned like :func:`uniforms`;
-    computed in the uniforms' own buffer."""
-    u = uniforms(master_seed, role, start_trial, trials, width)
+    computed in the uniforms' own buffer, ``out`` when given."""
+    u = uniforms(master_seed, role, start_trial, trials, width, out)
     np.maximum(u, _U_MIN, out=u)
     return ndtri(u, out=u)
 

@@ -81,6 +81,18 @@ class TestResidualNulling:
         mu = mean_m - mean_t + zs + w * (vs - mean_m)
         assert np.max(np.abs(mu)) <= 1e-9
 
+    def test_attacking_into_an_array_equals_a_new_attack(self, small_auth,
+                                                         rng):
+        terms = mmse_attack_terms(small_auth, 1, 4, 0.3)
+        vs = rng.normal(size=(6, small_auth.n))
+        want = mmse_targeted_attack_batch(vs, terms)
+        out = np.full_like(vs, np.nan)
+        assert mmse_targeted_attack_batch(vs, terms, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        # in place over the observation, as the simulation runs it
+        assert mmse_targeted_attack_batch(vs, terms, out=vs) is vs
+        assert vs.tobytes() == want.tobytes()
+
     def test_no_cancellation_on_level_zero(self, small_auth, rng):
         # w = 0 where f(m) = 0: the attack there is the pure mean swap,
         # independent of the observation.

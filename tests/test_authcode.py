@@ -134,6 +134,21 @@ class TestEncoder:
             assert row.shape == (1, 60)
             assert np.array_equal(row[0], batch[t])
 
+    def test_encoding_into_arrays_equals_a_new_encode(self, small_auth):
+        ms = np.array([3, 0, 5, 3, 1])
+        unit = normals(77, Role.DELTA, 0, 5, 60)
+        out = tuple(np.full((5, 60), np.nan) for _ in range(3))
+        got = auth_encode_batch(small_auth, ms, unit, out=out)
+        assert got is out[0]
+        assert got.tobytes() == auth_encode_batch(small_auth, ms,
+                                                  unit).tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_ids_outside_the_code_are_refused(self, small_auth, bad):
+        with pytest.raises(AuthCodeError, match="ms must hold message ids"):
+            auth_encode_batch(small_auth, np.array([0, bad]),
+                              np.zeros((2, 60)))
+
 
 class TestDetector:
     def test_clean_center_accepted_with_zero_stats(self, small_auth):

@@ -166,6 +166,24 @@ class TestErrorProbability:
         decoded = code.decode_batch(code.codewords[ms] + math.sqrt(rho) * noise)
         assert rep.successes == int(np.sum(decoded != ms))
 
+    def test_null_message_first_is_never_transmitted(self, monkeypatch):
+        # with null_id = 0 the pool is ids 1..4, not 0..3; nearly noiseless
+        # decoding recovers every transmitted id
+        words = make_random_gaussian_code(16, 4, 1.0, seed=4).codewords
+        code = BaseCode(np.vstack([np.zeros(16), words]), null_id=0)
+        seen = set()
+        decode = BaseCode.decode_batch
+
+        def recording(self, ys):
+            decoded = decode(self, ys)
+            seen.update(decoded.tolist())
+            return decoded
+
+        monkeypatch.setattr(BaseCode, "decode_batch", recording)
+        rep = base_error_probability(code, 1e-12, 2000, seed=3)
+        assert rep.successes == 0
+        assert seen == {1, 2, 3, 4}
+
     def test_domain(self):
         code = make_antipodal_code(4, 1.0)
         with pytest.raises(BaseCodeError, match="at least 100"):

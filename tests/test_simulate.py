@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,12 @@ from awgnauth.simulate import (
     estimate,
     run_trial,
 )
-from awgnauth.streams import Role, block_rows
+from awgnauth.streams import Role, block_rows, choices
+
+try:
+    import resource
+except ImportError:   # not on every platform
+    resource = None
 
 
 @pytest.fixture(scope="module")
@@ -252,9 +258,9 @@ class TestOnePass:
         drawn = []
         normals = simulate.normals
 
-        def counting(seed, role, start, trials, width):
+        def counting(seed, role, start, trials, width, **kwargs):
             drawn.append(Role(role))
-            return normals(seed, role, start, trials, width)
+            return normals(seed, role, start, trials, width, **kwargs)
 
         monkeypatch.setattr(simulate, "normals", counting)
         rep = estimate(small_auth, ChannelParams(rho_dec=0.1, rho_adv=0.05),
@@ -344,6 +350,79 @@ class TestBoundedMemory:
         assert peak(10 ** 6) <= peak(10 ** 5) + 2 ** 20
 
 
+class TestWorkspace:
+    PAIRS = [(0, 1), (0, 2), (3, 1)]
+    TRIALS = 2300   # two auto blocks at n=60: 2184 rows and 116
+
+    @pytest.fixture(scope="class")
+    def replayed(self, small_auth):
+        """The trial log of ``["alpha_star", "alpha", "epsilon"]`` built
+        from trials replayed one by one, each with arrays of its own."""
+        ch = ChannelParams(rho_dec=0.1, rho_adv=0.05)
+        pool = simulate._transmit_pool(small_auth)
+        drawn = pool[choices(6, Role.MESSAGE, 0, self.TRIALS, pool.size)]
+        pair_rows = []
+        for a, b in self.PAIRS:
+            pair_rows += [[t, a, b, run_trial(
+                small_auth, ch, AttackSpec("targeted", b), a, 6, t)]
+                for t in range(self.TRIALS)]
+        genuine = [[t, int(m), "", run_trial(small_auth, ch,
+                                             AttackSpec("none"), int(m), 6, t)]
+                   for t, m in enumerate(drawn)]
+        return [[name, str(t), str(m), str(target), str(out.decoded),
+                 out.classification]
+                for name, rows in (("alpha_star", pair_rows),
+                                   ("alpha", pair_rows), ("epsilon", genuine))
+                for t, m, target, out in rows]
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_blocks_reusing_arrays_equal_trials_alone(self, small_auth,
+                                                      tmp_path, replayed,
+                                                      threads):
+        assert block_rows(60, 6) < self.TRIALS
+        ch = ChannelParams(rho_dec=0.1, rho_adv=0.05)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # interleave the workers often
+        try:
+            runs = []
+            for batch in (None, 57, self.TRIALS):
+                log = tmp_path / f"{batch}.csv"
+                reports = estimate(small_auth, ch,
+                                   ["alpha_star", "alpha", "epsilon"],
+                                   self.TRIALS, seed=6, pairs=self.PAIRS,
+                                   batch=batch, threads=threads,
+                                   trial_log=str(log))
+                runs.append(([r.to_json_dict() for r in reports],
+                             log.read_bytes()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        with open(tmp_path / "None.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == replayed
+
+    @pytest.mark.skipif(resource is None, reason="needs resource.getrusage")
+    def test_blocks_do_not_fault_their_arrays_in_again(self):
+        # n=256, M=64: 512-row blocks of 1 MiB arrays.  Arrays allocated
+        # per block and handed back to the kernel cost about 1,500 minor
+        # faults per block; reused, next to none.
+        ov = construct_overlay(256, LevelSet((0.0, 0.5)), 0.75,
+                               counts_per_level=[8, 8], seed=0)
+        code = inject_noise(make_random_gaussian_code(256, 64, 1.0, seed=0),
+                            ov, rho_delta=1.0, delta=0.2, seed=0)
+
+        def faults(trials):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            estimate(code, ChannelParams(rho_dec=0.1), "epsilon", trials,
+                     seed=1)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(20_000)   # warm up
+        few, many = faults(20_000), faults(200_000)
+        extra_blocks = -(-200_000 // 512) - -(-20_000 // 512)
+        assert block_rows(256, 64) == 512
+        assert many - few < 64 * extra_blocks
+
+
 class TestSeveralMetrics:
     PAIRS = [(0, 1), (0, 2), (3, 1)]
 
@@ -380,9 +459,9 @@ class TestSeveralMetrics:
         drawn = []
         normals = simulate.normals
 
-        def counting(seed, role, start, trials, width):
+        def counting(seed, role, start, trials, width, **kwargs):
             drawn.append((Role(role), start))
-            return normals(seed, role, start, trials, width)
+            return normals(seed, role, start, trials, width, **kwargs)
 
         monkeypatch.setattr(simulate, "normals", counting)
         estimate(small_auth, ChannelParams(rho_dec=0.1, rho_adv=0.05),
@@ -397,9 +476,9 @@ class TestSeveralMetrics:
         encoded = []
         encode = simulate.auth_encode_batch
 
-        def counting(code, ms, g_delta):
+        def counting(code, ms, g_delta, **kwargs):
             encoded.append(sorted(set(ms.tolist())))
-            return encode(code, ms, g_delta)
+            return encode(code, ms, g_delta, **kwargs)
 
         monkeypatch.setattr(simulate, "auth_encode_batch", counting)
         estimate(small_auth, ChannelParams(rho_dec=0.1, rho_adv=0.05),
