@@ -32,7 +32,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .basecode import BaseCode
 from .overlay import OverlayCode
-from .streams import Role, one_shot_rng
+from .streams import ROW_VALUES, Role, one_shot_rng
 
 REJECT = "!"
 
@@ -107,13 +107,20 @@ class AuthCode:
     def _tested(self) -> np.ndarray:
         """(message_count, |K| ell) flat indices into the (message_count, n)
         code tables: each message's coordinates at each level in K, level
-        by level, ascending within a level.  Built on the first detect."""
+        by level, ascending within a level.  Built on the first detect, in
+        chunks of rows, so that no (message_count, n) temporary exists."""
         width = len(self.overlay.level_set) * self.ell
-        # a stable sort of each row's level indices lists the level-0
-        # columns first, in ascending order, then level 1 and so on
-        order = np.argsort(self.overlay.level_index, axis=1, kind="stable")
-        return order[:, :width] + (np.arange(self.message_count)
-                                   * self.n)[:, None]
+        tested = np.empty((self.message_count, width), dtype=np.intp)
+        step = max(1, ROW_VALUES // self.n)
+        for m0 in range(0, self.message_count, step):
+            # a stable sort of each row's level indices lists the level-0
+            # columns first, in ascending order, then level 1 and so on
+            order = np.argsort(self.overlay.level_index[m0:m0 + step],
+                               axis=1, kind="stable")
+            np.add(order[:, :width], (np.arange(m0, m0 + len(order))
+                                      * self.n)[:, None],
+                   out=tested[m0:m0 + step])
+        return tested
 
     @property
     def rate(self) -> float:
@@ -236,20 +243,32 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
         raise AuthCodeError("rho_dec must be nonnegative")
     _check_ids(code, base_decoded)
     n, ell = code.n, code.ell
+    if np.shape(ys) != (len(base_decoded), n):
+        # the gather below clips its indices instead of checking them
+        raise AuthCodeError("ys must be a (rows, n) matrix, one row per "
+                            "decoded id")
     levels = code.overlay.level_set.levels
     x, t = code.base.codewords, code.t_table
     stats = np.empty((len(base_decoded), len(levels)))
     step = max(1, 2 ** 15 // n)
+    width = len(levels) * ell
+    # the chunk's three arrays, reused by every chunk
+    chunk = [np.empty((min(step, len(base_decoded)), width), dtype)
+             for dtype in (np.intp, np.float64, np.float64)]
     for r0 in range(0, len(base_decoded), step):
         dec = base_decoded[r0:r0 + step]
-        at = code._tested[dec]
+        at, mean, resid = (a[:len(dec)] for a in chunk)
+        # mode="clip" gathers straight into the chunk's arrays (the default
+        # gathers into a temporary and copies): the ids are checked above
+        # and the indices come from ``_tested``, so all are in range
+        np.take(code._tested, dec, axis=0, out=at, mode="clip")
         # same grouping as the encoder so clean level-0 coordinates
         # cancel bitwise (the rho_dec = 0 sentinel relies on this)
-        mean = np.take(x, at)
-        resid = np.take(t, at)
+        np.take(x, at, out=mean, mode="clip")
+        np.take(t, at, out=resid, mode="clip")
         mean += resid
         at += ((np.arange(len(dec)) - dec) * n)[:, None]   # into ys rows
-        np.take(ys[r0:r0 + step], at, out=resid)
+        np.take(ys[r0:r0 + step], at, out=resid, mode="clip")
         resid -= mean
         np.square(resid, out=resid)
         # a sum over the contiguous last axis takes numpy's pairwise

@@ -10,11 +10,26 @@ from typing import Any
 import numpy as np
 
 from .reporting import EstimateReport
-from .streams import Role, block_rows, check_int, choices, normals, one_shot_rng
+from .streams import (Role, block_rows, check_int, choices, draw_buffer,
+                      normals, one_shot_rng)
+
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53   # unit roundoffs of float32 and float64
+# the absolute error a float32 operation may add when its result underflows,
+# doubled: covers gradual underflow and flush-to-zero alike
+_FLUSH32 = 2.0 ** -125
+# magnitudes that the float32 screen's operands, sums and scores may reach
+_RANGE32 = 2.0 ** 120
 
 
 class BaseCodeError(ValueError):
     pass
+
+
+def _gamma(k: int, u: float) -> float:
+    """Higham's gamma_k = k u / (1 - k u): a k-term dot product computed
+    with unit roundoff u, in any summation order and with or without
+    fused multiply-adds, is within gamma_k sum |x_i y_i| of exact."""
+    return k * u / (1.0 - k * u) if k * u < 1.0 else math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,7 +37,17 @@ class BaseCode:
     """A codeword table with minimum-distance decoding (ties resolve to
     the smallest message id, which on an antipodal pair reproduces the
     sign rule exactly).  ``null_id`` marks an optional 'not transmitting'
-    message whose codeword is the zero vector."""
+    message whose codeword is the zero vector.
+
+    Precision contract: ``decode_batch`` returns, bit for bit, the float64
+    argmax of ``ys @ codewords.T - ||x||^2 / 2`` (ties to the smallest
+    id).  It scores a block in float32 first, against a float32 copy of
+    the codewords built on the first decode, and keeps a row's float32
+    argmax only when its lead over every other message exceeds a
+    rigorous bound on the float32 and float64 scoring errors, so that the
+    float64 argmax is provably the same unique message.  If any row of a
+    block is not certified (exact or near ties, values outside float32's
+    range or near its underflow), the whole block is scored in float64."""
 
     codewords: np.ndarray  # (message_count, n) float64
     null_id: int | None = None
@@ -70,11 +95,54 @@ class BaseCode:
         """||x||^2 / 2 per message, computed on the first decode."""
         return 0.5 * np.sum(self.codewords**2, axis=1)
 
+    @cached_property
+    def _screen(self) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+        """The float32 codewords and half-norms, the largest codeword norm
+        X, the largest half-norm H and the relative error bound g of the
+        two scorings; computed on the first decode."""
+        half = self._half_norms
+        hmax = float(np.max(half))
+        # a code beyond float32's range never passes the range check
+        with np.errstate(over="ignore"):
+            words = self.codewords.astype(np.float32)
+            half32 = half.astype(np.float32)
+        return (words, half32, math.sqrt(2.0 * hmax), hmax,
+                _gamma(self.n + 3, _U32) + _gamma(self.n + 3, _U64))
+
     def decode_batch(self, ys: np.ndarray) -> np.ndarray:
-        """Minimum Euclidean distance decode of a (batch, n) matrix."""
+        """Minimum Euclidean distance decode of a (rows, n) matrix; see the
+        class docstring for the precision contract."""
         ys = np.asarray(ys, dtype=np.float64)
+        if ys.ndim != 2 or ys.shape[1] != self.n:
+            raise BaseCodeError("ys must be a (rows, n) matrix")
         # ||y - x||^2 = ||y||^2 - 2 y.x + ||x||^2; the ||y||^2 column is
         # constant per row and can be dropped from the argmin.
+        words, half, xmax, hmax, g = self._screen
+        norms = np.sqrt(np.einsum("ij,ij->i", ys, ys))
+        # |y_i| <= ||y||, every partial dot sum is at most ||y|| X and every
+        # score at most ||y|| X + H: in range, nothing overflows in float32
+        # (NaN or infinite rows fail here too)
+        if np.all(norms * (xmax + 1.0) + hmax < _RANGE32):
+            scores = ys.astype(np.float32) @ words.T
+            scores -= half
+            best = np.argmax(scores, axis=1)
+            top = np.take(scores.reshape(-1),
+                          best + np.arange(len(ys)) * self.message_count)
+            # Each float32 score is within err of its float64 twin (Higham
+            # 3.1: the rounding of y, x and H to float32, the n-term dot
+            # products and the subtraction of H, in both precisions, plus
+            # an absolute term for float32 underflow).  A lead above 2 err
+            # makes the float64 argmax the same unique message.  The floor
+            # sits 4 err below the top so that its own rounding to float32
+            # (at most u (||y|| X + H) <= err / 4) keeps the lead above
+            # 2 err; each row's top is at or above its floor, so the count
+            # equals the row count only if no other score reaches a floor.
+            err = (g * (norms * xmax + hmax) + _FLUSH32
+                   * (math.sqrt(self.n) * (norms + xmax) + self.n + 2))
+            floor = (top - 4.0 * err).astype(np.float32)
+            if np.count_nonzero(scores >= floor[:, None]) == len(ys):
+                return best.astype(np.int64)
+            del scores
         scores = ys @ self.codewords.T
         scores -= self._half_norms
         return np.argmax(scores, axis=1).astype(np.int64)
@@ -119,7 +187,8 @@ def base_error_probability(code: BaseCode, rho_dec: float, trials: int,
     Channel noise is the DECODER role's unit normals scaled by
     sqrt(rho_dec), so estimates at different rho_dec values share
     randomness and are pointwise monotone.  Blocks of trials are sized
-    by ``streams.block_rows``.
+    by ``streams.block_rows`` and drawn, gathered and summed into arrays
+    allocated once per call.
     """
     check_int("trials", trials, BaseCodeError, 100)
     check_int("seed", seed, BaseCodeError, 0)
@@ -128,12 +197,20 @@ def base_error_probability(code: BaseCode, rho_dec: float, trials: int,
     pool = code.non_null_ids
     scale = math.sqrt(rho_dec)
     batch = block_rows(code.n, code.message_count)
+    # one block's draws and received rows, reused by every block
+    rows = min(batch, trials)
+    noise_buf, ys_buf = draw_buffer(rows, code.n), np.empty((rows, code.n))
     errors = 0
     for t0 in range(0, trials, batch):
         b = min(batch, trials - t0)
         ms = pool[choices(seed, Role.MESSAGE, t0, b, pool.size)]
-        noise = normals(seed, Role.DECODER, t0, b, code.n)
-        decoded = code.decode_batch(code.codewords[ms] + scale * noise)
+        noise = normals(seed, Role.DECODER, t0, b, code.n, out=noise_buf[:b])
+        noise *= scale
+        # mode="clip" gathers straight into ``ys_buf`` (the default
+        # copies); the ids come from ``pool`` and are in range
+        ys = np.take(code.codewords, ms, axis=0, out=ys_buf[:b], mode="clip")
+        ys += noise
+        decoded = code.decode_batch(ys)
         errors += int(np.sum(decoded != ms))
     return EstimateReport(
         metric="base_error", successes=errors, trials=trials, seed=seed,

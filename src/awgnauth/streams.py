@@ -34,7 +34,9 @@ from scipy.special import ndtri
 
 _U_MIN = 2.0**-53  # smallest uniform we feed the quantile function
 ROW_VALUES = 2 ** 17     # float64 values in a block's n-wide arrays
-SCORE_VALUES = 2 ** 22   # float64 values in a block's decode score matrix
+# scores in a block's decode score matrix: float32 in the decode's screen,
+# float64 in a block that falls back to the exact float64 scoring
+SCORE_VALUES = 2 ** 22
 
 
 class Role(IntEnum):

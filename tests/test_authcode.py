@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from awgnauth import authcode
 from awgnauth.authcode import (
     AuthCode,
     AuthCodeError,
@@ -250,6 +252,48 @@ class TestDetector:
             level_statistics(code, y, m, rho_dec=-0.1)
         with pytest.raises(AuthCodeError, match="nonnegative"):
             detect_batch(code, y, m, -0.1)
+
+    @pytest.mark.parametrize("shape", [(3, 59), (3, 61), (2, 60), (180,)])
+    def test_rows_must_match_the_decoded_ids(self, small_auth, shape):
+        dec = np.array([0, 1, 2])
+        with pytest.raises(AuthCodeError, match="one row per decoded id"):
+            level_statistics(small_auth, np.zeros(shape), dec, 0.1)
+
+    def test_gathers_into_its_own_arrays(self):
+        # n=256, ell=85, |K|=2: each 128-row chunk gathers into three
+        # (128, 170) arrays of 174 KB; a gather through a temporary, or a
+        # chunk's arrays allocated while the last chunk's live, adds a
+        # fourth.  Beside them: the stats and numpy's ufunc buffer (one
+        # getbufsize() of values) for the broadcast row offsets.
+        ov = construct_overlay(256, LevelSet((0.0, 0.5)), 0.75,
+                               counts_per_level=[8, 8], seed=0)
+        code = inject_noise(make_random_gaussian_code(256, 64, 1.0, seed=0),
+                            ov, rho_delta=1.0, delta=0.2, seed=0)
+        rng = np.random.default_rng(0)
+        ms = rng.integers(0, 64, size=512)
+        ys = auth_encode_batch(code, ms, rng.standard_normal((512, 256)))
+        level_statistics(code, ys, ms, 0.1)   # builds the tested table
+        tracemalloc.start()
+        try:
+            level_statistics(code, ys, ms, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = 128 * 2 * 85 * 8
+        assert code.ell == 85 and 2 ** 15 // 256 == 128
+        assert 3 * chunk <= peak < 3 * chunk + 8 * np.getbufsize() + 24_000
+
+    def test_tested_table_is_built_in_row_chunks(self, wide_auth,
+                                                 monkeypatch):
+        order = np.argsort(wide_auth.overlay.level_index, axis=1,
+                           kind="stable")
+        whole = order[:, :2 * wide_auth.ell] \
+            + (np.arange(512) * wide_auth.n)[:, None]
+        for rows in (1, 37, 512, 2000):
+            monkeypatch.setattr(authcode, "ROW_VALUES", rows * wide_auth.n)
+            tested = replace(wide_auth)._tested   # a fresh cache
+            assert tested.dtype == np.intp
+            assert np.array_equal(tested, whole)
 
     @pytest.mark.parametrize("bad", [-1, 6])
     def test_decoded_ids_must_be_message_ids(self, small_auth, bad):

@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from awgnauth.basecode import (
@@ -15,7 +18,27 @@ from awgnauth.basecode import (
     make_random_gaussian_code,
     to_json_dict,
 )
-from awgnauth.streams import Role, choices, normals
+from awgnauth.streams import Role, block_rows, choices, normals
+
+try:
+    import resource
+except ImportError:   # not on every platform
+    resource = None
+
+
+def float64_decode(codewords, ys):
+    """The float64 minimum-distance decode that ``decode_batch`` must
+    reproduce bit for bit."""
+    scores = ys @ codewords.T - 0.5 * np.sum(codewords**2, axis=1)
+    return np.argmax(scores, axis=1)
+
+
+def plus_minus_one_code(n, message_count, seed):
+    """Distinct +-1 codewords: every score of a row of halves is exact."""
+    rng = np.random.default_rng(seed)
+    words = np.unique(rng.choice([-1.0, 1.0], size=(4 * message_count, n)),
+                      axis=0)
+    return BaseCode(words[rng.permutation(len(words))[:message_count]])
 
 
 class TestAntipodal:
@@ -112,6 +135,94 @@ class TestDecoding:
         assert out.shape == (7,)
         assert out.dtype == np.int64
 
+    @pytest.mark.parametrize("ys", [np.zeros(4), np.zeros((3, 5)),
+                                    np.zeros((2, 3)), np.zeros((1, 2, 4))])
+    def test_rows_must_be_n_wide(self, ys):
+        code = make_antipodal_code(4, 1.0)
+        with pytest.raises(BaseCodeError, match="ys must be a"):
+            code.decode_batch(ys)
+
+
+class TestFloat32Screen:
+    """``decode_batch`` scores in float32 and keeps only certified rows;
+    the decoded ids must equal the float64 decode's everywhere."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), message_count=st.integers(1, 512),
+           rows=st.integers(0, 60), noise=st.floats(0.0, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_float64_decode(self, n, message_count, rows, noise,
+                                       seed):
+        rng = np.random.default_rng(seed)
+        code = BaseCode(rng.standard_normal((message_count, n)))
+        ys = code.codewords[rng.integers(0, message_count, rows)]
+        ys += math.sqrt(noise * code.power) * rng.standard_normal(ys.shape)
+        assert np.array_equal(code.decode_batch(ys),
+                              float64_decode(code.codewords, ys))
+
+    def test_exact_ties_go_to_the_smallest_id(self):
+        code = plus_minus_one_code(24, 40, seed=2)
+        a, b = np.triu_indices(code.message_count, 1)
+        ys = 0.5 * (code.codewords[a] + code.codewords[b])   # exact midpoints
+        exact = ys @ code.codewords.T   # halves and integers: no rounding
+        assert np.all(np.sum(exact == exact.max(axis=1)[:, None], axis=1) >= 2)
+        got = code.decode_batch(ys)
+        assert np.array_equal(got, np.argmax(exact, axis=1))
+        assert np.all(got <= a)
+        # the antipodal zero row: message 0
+        assert make_antipodal_code(5, 2.0).decode_batch(np.zeros((3, 5))) \
+            .tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("spread", [1e-5, 1e-6, 1e-7])
+    def test_near_ties_where_float32_errs(self, spread):
+        code = make_random_gaussian_code(64, 16, 1.0, seed=3)
+        words = code.codewords
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 16, 400)
+        b = (a + rng.integers(1, 16, 400)) % 16
+        ys = 0.5 * (words[a] + words[b]) + spread * rng.standard_normal(
+            (400, 64))
+        want = float64_decode(words, ys)
+        plain32 = float64_decode(words.astype(np.float32),
+                                 ys.astype(np.float32))
+        assert np.any(plain32 != want)   # float32 alone gets rows wrong
+        assert np.array_equal(code.decode_batch(ys), want)
+        assert [code.decode_batch(y[None])[0] for y in ys[:100]] \
+            == want[:100].tolist()
+
+    @pytest.mark.parametrize("omega", [1e30, 1e-30, 1e40, 1e-40, 1e80,
+                                       1e-80])
+    def test_extreme_scales_decode_like_float64(self, omega, rng):
+        # omega = 1e40 and 1e80 put the scores beyond float32's range,
+        # 1e-40 and 1e-80 among or below its subnormals: such blocks
+        # take the float64 path; 1e30 and 1e-30 stay in the screen
+        code = make_random_gaussian_code(32, 64, omega, seed=5)
+        ys = code.codewords[rng.integers(0, 64, 400)]
+        ys += math.sqrt(2.0 * omega) * rng.standard_normal(ys.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = code.decode_batch(ys)
+        assert np.array_equal(got, float64_decode(code.codewords, ys))
+        assert np.array_equal(code.decode_batch(code.codewords),
+                              np.arange(64))
+
+    def test_one_uncertified_row_sends_its_block_to_float64(self,
+                                                            monkeypatch):
+        code = plus_minus_one_code(24, 40, seed=2)
+        words, half, *bounds = code._screen
+        # a screen that scores message j with codeword j + 1: every row
+        # it certifies comes back shifted by one
+        shift = np.roll(np.arange(40), -1)
+        monkeypatch.setitem(code.__dict__, "_screen",
+                            (words[shift], half[shift], *bounds))
+        clean = code.codewords[5:15]
+        assert np.array_equal(code.decode_batch(clean), np.arange(4, 14))
+        tie = 0.5 * (code.codewords[[20]] + code.codewords[[30]])
+        block = np.vstack([clean, tie])
+        assert np.array_equal(code.decode_batch(block),
+                              float64_decode(code.codewords, block))
+        assert code.decode_batch(block)[:10].tolist() == list(range(5, 15))
+
 
 class TestErrorProbability:
     def test_closed_form_value(self):
@@ -183,6 +294,23 @@ class TestErrorProbability:
         rep = base_error_probability(code, 1e-12, 2000, seed=3)
         assert rep.successes == 0
         assert seen == {1, 2, 3, 4}
+
+    @pytest.mark.skipif(resource is None, reason="needs resource.getrusage")
+    def test_blocks_do_not_fault_their_arrays_in_again(self):
+        # n=256, M=64: 512-row blocks.  Arrays allocated per block cost
+        # about 480 minor faults per block; reused, next to none.
+        code = make_random_gaussian_code(256, 64, 1.0, seed=0)
+
+        def faults(trials):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            base_error_probability(code, 0.1, trials, seed=1)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(20_000)   # warm up
+        few, many = faults(20_000), faults(200_000)
+        extra_blocks = -(-200_000 // 512) - -(-20_000 // 512)
+        assert block_rows(256, 64) == 512
+        assert many - few < 64 * extra_blocks
 
     def test_domain(self):
         code = make_antipodal_code(4, 1.0)
