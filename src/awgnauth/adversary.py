@@ -85,7 +85,7 @@ def mmse_attack_terms(code: AuthCode, m: int, m_target: int, rho_adv: float,
         raise AttackError("target must differ from the transmitted message")
     mean_m = code.base.codewords[m] + code.t_table[m]
     mean_t = code.base.codewords[m_target] + code.t_table[m_target]
-    w = mmse_weight(code.level_matrix[m], code.rho_delta, rho_adv)
+    w = mmse_weight(code.overlay.level_matrix(m), code.rho_delta, rho_adv)
     if weight_scale is not None:
         w = weight_scale * w
     return mean_t - mean_m, mean_m, w
@@ -110,5 +110,5 @@ def residual_variance_vector(code: AuthCode, m: int, rho_adv: float,
     """Per-coordinate variance of Y - x(m') - t(m') under the MMSE
     attack: the residual-variance law evaluated at f(m), that is the
     cancelled share w rho_adv of the injected noise plus rho_dec."""
-    w = mmse_weight(code.level_matrix[m], code.rho_delta, rho_adv)
+    w = mmse_weight(code.overlay.level_matrix(m), code.rho_delta, rho_adv)
     return w * rho_adv + rho_dec

@@ -14,6 +14,15 @@ rejection mask.  A code whose overlay gives some message a level set
 of other than ell coordinates is rejected on construction, since its
 statistics would not be chi-square with ell degrees of freedom.
 
+Memory: per (message, coordinate) entry a code holds the float64
+codeword and mean shift (8 bytes each), the overlay's one-byte level
+index, after the first decode the base code's float32 screen (4 bytes),
+and after the first detect the detector's column table ``_tested``, 1 or
+2 bytes on the |K| ell tested coordinates of every n; level values are
+gathered from the level index when read.  At n = 600 with two levels
+below 1 that is about 22.3 bytes per entry.  Set-up works in chunks of rows and holds no whole-table
+temporary beyond the mean-shift table it draws.
+
 Decimation: a uniformly chosen subset of messages survives; decoding to
 a non-survivor is rejected.  This trades a small rate loss for a
 false-authentication guarantee that holds for *any* wrong message, not
@@ -32,7 +41,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from .basecode import BaseCode
 from .overlay import OverlayCode
-from .streams import ROW_VALUES, Role, one_shot_rng
+from .streams import (CHUNK_VALUES, ROW_VALUES, Role, one_shot_rng,
+                      row_chunks)
 
 REJECT = "!"
 
@@ -71,7 +81,6 @@ class AuthCode:
                 raise AuthCodeError(
                     f"message {m} has {sizes[m]} coordinates at level {k}, "
                     f"expected {self.ell}: the detector needs exactly ell")
-        object.__setattr__(self, "_levels", self.overlay.level_matrix())
         valid = np.ones(self.message_count, dtype=bool)
         if self.decimated is not None:
             ids = np.fromiter(self.decimated, dtype=np.int64)
@@ -99,27 +108,22 @@ class AuthCode:
     def threshold(self) -> float:
         return self.overlay.ell * (1.0 + self.delta)
 
-    @property
-    def level_matrix(self) -> np.ndarray:
-        return self._levels  # type: ignore[attr-defined]
-
     @cached_property
     def _tested(self) -> np.ndarray:
-        """(message_count, |K| ell) flat indices into the (message_count, n)
-        code tables: each message's coordinates at each level in K, level
-        by level, ascending within a level.  Built on the first detect, in
-        chunks of rows, so that no (message_count, n) temporary exists."""
+        """(message_count, |K| ell) columns: each message's coordinates at
+        each level in K, level by level, ascending within a level, in the
+        narrowest unsigned dtype that holds n - 1 (uint8 up to n = 256,
+        uint16 up to n = 65,536).  Built on the first detect, in chunks of
+        rows, so that no (message_count, n) temporary exists."""
         width = len(self.overlay.level_set) * self.ell
-        tested = np.empty((self.message_count, width), dtype=np.intp)
-        step = max(1, ROW_VALUES // self.n)
-        for m0 in range(0, self.message_count, step):
+        tested = np.empty((self.message_count, width),
+                          dtype=np.min_scalar_type(self.n - 1))
+        for c in row_chunks(self.message_count, self.n, ROW_VALUES):
             # a stable sort of each row's level indices lists the level-0
             # columns first, in ascending order, then level 1 and so on
-            order = np.argsort(self.overlay.level_index[m0:m0 + step],
-                               axis=1, kind="stable")
-            np.add(order[:, :width], (np.arange(m0, m0 + len(order))
-                                      * self.n)[:, None],
-                   out=tested[m0:m0 + step])
+            order = np.argsort(self.overlay.level_index[c], axis=1,
+                               kind="stable")
+            tested[c] = order[:, :width]
         return tested
 
     @property
@@ -130,13 +134,19 @@ class AuthCode:
             return self.base.rate
         return math.log(len(self.decimated)) / self.n
 
-    @property
+    @cached_property
     def power(self) -> float:
         """Exact max-message average transmit power:
-        max_m (1/n)(sum (x+t)^2 + rho_delta sum f^2)."""
-        mean_sq = np.sum((self.base.codewords + self.t_table) ** 2, axis=1)
-        noise = self.rho_delta * np.sum(self.level_matrix**2, axis=1)
-        return float(np.max(mean_sq + noise)) / self.n
+        max_m (1/n)(sum (x+t)^2 + rho_delta sum f^2), computed on first
+        use in chunks of rows, each row by that one expression."""
+        x, t = self.base.codewords, self.t_table
+        per_row = np.empty(self.message_count)
+        for c in row_chunks(self.message_count, self.n, ROW_VALUES):
+            levels = self.overlay.level_matrix(np.arange(c.start, c.stop))
+            per_row[c] = (np.sum((x[c] + t[c]) ** 2, axis=1)
+                          + self.rho_delta * np.sum(levels**2, axis=1))
+            del levels   # before the next chunk's levels exist
+        return float(np.max(per_row)) / self.n
 
     @property
     def valid_mask(self) -> np.ndarray:
@@ -164,7 +174,9 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
     sum_i 2 t_i x_i <= 2n sqrt(2 omega (r+1) rho_delta) for every
     message, and the exact wrapped power staying under the analysed
     power bound.  ``t_zero`` pins the table to zero (the derandomised
-    variant, power bound omega + rho_delta).
+    variant, power bound omega + rho_delta).  Every attempt draws into
+    the one table, scaled in place by sqrt((1 - k^2) rho_delta) per
+    level; the checks go in chunks of rows.
     """
     if rho_delta <= 0.0:
         raise AuthCodeError("rho_delta must be positive")
@@ -174,8 +186,6 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
         raise AuthCodeError("base and overlay must agree on message count")
     if base.n != overlay.n:
         raise AuthCodeError("base and overlay must agree on n")
-    levels = overlay.level_matrix()
-    t_var = (1.0 - levels**2) * rho_delta
     if t_zero:
         return AuthCode(base, overlay, rho_delta, delta,
                         np.zeros_like(base.codewords), t_zero=True)
@@ -185,14 +195,22 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
     power_cap = bounds_mod.injection_power_bound(
         omega_h, rate_h, rho_delta, base.n, len(overlay.level_set.extended),
         len(overlay.level_set))
+    # the standard deviation of t at each level index
+    scale = np.sqrt((1.0 - np.asarray(overlay.level_set.extended) ** 2)
+                    * rho_delta)
+    chunks = list(row_chunks(base.message_count, base.n, ROW_VALUES))
+    t = np.empty(base.codewords.shape)
     for attempt in range(retry_limit):
-        rng = one_shot_rng(seed, Role.T_TABLE, attempt)
-        t = rng.standard_normal(base.codewords.shape) * np.sqrt(t_var)
+        # a failed attempt's table, and its code, are drawn over
+        one_shot_rng(seed, Role.T_TABLE, attempt).standard_normal(out=t)
+        for c in chunks:
+            t[c] *= np.take(scale, overlay.level_index[c])
         code = AuthCode(base, overlay, rho_delta, delta, t,
                         attempts=attempt + 1)
         if not enforce_bounds:
             return code
-        corr_ok = bool(np.all(np.sum(2.0 * t * base.codewords, axis=1) <= corr_cap))
+        corr_ok = all(np.all(np.sum(2.0 * t[c] * base.codewords[c], axis=1)
+                             <= corr_cap) for c in chunks)
         if corr_ok and code.power <= power_cap:
             return code
     raise AuthCodeError(
@@ -215,7 +233,7 @@ def auth_encode_batch(code: AuthCode, ms: np.ndarray, unit_delta: np.ndarray,
     noise = np.take(code.t_table, ms, axis=0, out=noise, mode="clip")
     xs += noise
     noise = np.multiply(unit_delta, math.sqrt(code.rho_delta), out=noise)
-    noise *= np.take(code.level_matrix, ms, axis=0, out=levels, mode="clip")
+    noise *= code.overlay.level_matrix(ms, out=levels)
     xs += noise
     return xs
 
@@ -235,8 +253,8 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
 
     Each row's tested coordinates are gathered from the flat tables, so
     no code loops over messages, and each row's sums do not depend on
-    the other rows.  Rows go in chunks of 2**15 // n, so that the three
-    gathered arrays (at most 2**15 values each) and a block's received
+    the other rows.  Rows go in chunks of ``CHUNK_VALUES`` // n, so that
+    the gathered arrays (at most 2**15 values each) and a block's received
     rows (2**17 values, ``streams.block_rows``) fit in a 2 MiB L2 cache
     together."""
     if rho_dec < 0.0:
@@ -250,30 +268,33 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
     levels = code.overlay.level_set.levels
     x, t = code.base.codewords, code.t_table
     stats = np.empty((len(base_decoded), len(levels)))
-    step = max(1, 2 ** 15 // n)
     width = len(levels) * ell
-    # the chunk's three arrays, reused by every chunk
-    chunk = [np.empty((min(step, len(base_decoded)), width), dtype)
-             for dtype in (np.intp, np.float64, np.float64)]
-    for r0 in range(0, len(base_decoded), step):
-        dec = base_decoded[r0:r0 + step]
-        at, mean, resid = (a[:len(dec)] for a in chunk)
+    # the chunk's four arrays, reused by every chunk
+    chunk = [np.empty((min(max(1, CHUNK_VALUES // n), len(base_decoded)),
+                       width), dtype)
+             for dtype in (code._tested.dtype, np.intp, np.float64,
+                           np.float64)]
+    for c in row_chunks(len(base_decoded), n, CHUNK_VALUES):
+        dec = base_decoded[c]
+        cols, at, mean, resid = (a[:len(dec)] for a in chunk)
         # mode="clip" gathers straight into the chunk's arrays (the default
         # gathers into a temporary and copies): the ids are checked above
         # and the indices come from ``_tested``, so all are in range
-        np.take(code._tested, dec, axis=0, out=at, mode="clip")
+        np.take(code._tested, dec, axis=0, out=cols, mode="clip")
+        at[...] = cols   # a cast; an add with a cast would need buffers
+        at += (dec * n)[:, None]   # flat indices into the code tables
         # same grouping as the encoder so clean level-0 coordinates
         # cancel bitwise (the rho_dec = 0 sentinel relies on this)
         np.take(x, at, out=mean, mode="clip")
         np.take(t, at, out=resid, mode="clip")
         mean += resid
         at += ((np.arange(len(dec)) - dec) * n)[:, None]   # into ys rows
-        np.take(ys[r0:r0 + step], at, out=resid, mode="clip")
+        np.take(ys[c], at, out=resid, mode="clip")
         resid -= mean
         np.square(resid, out=resid)
         # a sum over the contiguous last axis takes numpy's pairwise
         # order for every (row, level), whatever the chunk holds
-        stats[r0:r0 + step] = np.sum(
+        stats[c] = np.sum(
             resid.reshape(len(dec), len(levels), ell), axis=2)
     for j, k in enumerate(levels):
         denom = k * k * code.rho_delta + rho_dec

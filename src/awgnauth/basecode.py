@@ -10,8 +10,8 @@ from typing import Any
 import numpy as np
 
 from .reporting import EstimateReport
-from .streams import (Role, block_rows, check_int, choices, draw_buffer,
-                      normals, one_shot_rng)
+from .streams import (ROW_VALUES, Role, block_rows, check_int, choices,
+                      draw_buffer, normals, one_shot_rng, row_chunks)
 
 _U32, _U64 = 2.0 ** -24, 2.0 ** -53   # unit roundoffs of float32 and float64
 # the absolute error a float32 operation may add when its result underflows,
@@ -19,10 +19,48 @@ _U32, _U64 = 2.0 ** -24, 2.0 ** -53   # unit roundoffs of float32 and float64
 _FLUSH32 = 2.0 ** -125
 # magnitudes that the float32 screen's operands, sums and scores may reach
 _RANGE32 = 2.0 ** 120
+# 2**64 / golden ratio, odd: ``_distinct`` multiplies column i of a row's
+# words by (2i + 1) times it, an odd multiplier per column
+_GOLDEN64 = np.uint64(0x9E3779B97F4A7C15)
 
 
 class BaseCodeError(ValueError):
     pass
+
+
+def _mean_squares(cw: np.ndarray) -> np.ndarray:
+    """(1/n) sum_i x_i^2 of each row, computed in chunks of rows, each row
+    by that one expression."""
+    out = np.empty(cw.shape[0])
+    for c in row_chunks(cw.shape[0], cw.shape[1], ROW_VALUES):
+        out[c] = np.mean(cw[c] ** 2, axis=1)
+    return out
+
+
+def _distinct(cw: np.ndarray) -> bool:
+    """Whether the rows of ``cw`` differ pairwise bit for bit (0.0 and -0.0
+    differ, as their bytes do).  Each row's 64-bit words are folded and
+    hashed with wrapping integer arithmetic, in chunks of rows; only rows
+    whose hashes collide are compared, so no row is copied otherwise."""
+    count, n = cw.shape
+    bits = cw.view(np.uint64)
+    mult = np.arange(1, 2 * n, 2, dtype=np.uint64) * _GOLDEN64
+    hashes = np.empty(count, dtype=np.uint64)
+    for c in row_chunks(count, n, ROW_VALUES):
+        # the fold carries the sign bit into bit 31, where the
+        # multipliers spread it: sign flips alone seldom cancel
+        words = bits[c] >> np.uint64(32)
+        words ^= bits[c]
+        hashes[c] = words @ mult
+        del words   # before the next chunk's words exist
+    order = np.argsort(hashes, kind="stable")
+    ordered = hashes[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(np.r_[starts, count])
+    for start, size in zip(starts[sizes > 1], sizes[sizes > 1]):
+        if len({bits[m].tobytes() for m in order[start:start + size]}) < size:
+            return False
+    return True
 
 
 def _gamma(k: int, u: float) -> float:
@@ -62,8 +100,7 @@ class BaseCode:
                 raise BaseCodeError("null_id out of range")
             if np.any(cw[self.null_id]):
                 raise BaseCodeError("the null message must map to the zero codeword")
-        seen = {cw[m].tobytes() for m in range(cw.shape[0])}
-        if len(seen) != cw.shape[0]:
+        if not _distinct(cw):
             raise BaseCodeError("codewords must be pairwise distinct")
 
     @property
@@ -74,10 +111,11 @@ class BaseCode:
     def message_count(self) -> int:
         return self.codewords.shape[0]
 
-    @property
+    @cached_property
     def power(self) -> float:
-        """Max-message average power: max_m (1/n) sum_i x_i(m)^2."""
-        return float(np.max(np.mean(self.codewords**2, axis=1)))
+        """Max-message average power: max_m (1/n) sum_i x_i(m)^2, computed
+        on first use in chunks of rows."""
+        return float(np.max(_mean_squares(self.codewords)))
 
     @property
     def rate(self) -> float:
@@ -164,7 +202,7 @@ def make_random_gaussian_code(n: int, message_count: int, omega: float,
     if n < 1 or message_count < 1 or omega <= 0.0:
         raise BaseCodeError("n >= 1, message_count >= 1, omega > 0 required")
     cw = one_shot_rng(seed, Role.CODEBOOK).standard_normal((message_count, n))
-    cw *= math.sqrt(omega / np.max(np.mean(cw**2, axis=1)))
+    cw *= math.sqrt(omega / np.max(_mean_squares(cw)))
     null_id = None
     if null_message:
         cw = np.vstack([cw, np.zeros(n)])

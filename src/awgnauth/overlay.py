@@ -5,8 +5,10 @@ An overlay over n coordinates picks a strictly increasing set of levels
 K inside [0,1) (level 1 is implicit) and gives every message exactly
 ell = floor(n / (|K|+1)) coordinates at each level of K, the remainder
 at level 1.  The code is its level-index array, ``OverlayCode.level_index``
-(per message and coordinate, the index of the level carried there); level
-values, per-level coordinates and the JSON form are computed from it.
+(per message and coordinate, the index of the level carried there, one
+byte per entry for up to 255 levels); level values, per-level coordinates
+and the JSON form are computed from it, and no float64 copy of the level
+values is stored.
 The defining pairwise property: for any two distinct messages there is a
 level k whose shared-k coordinate count is at most gamma*ell while the
 first message's k-coordinates avoid every lower level of the second
@@ -32,7 +34,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from . import numerics
-from .streams import Role, check_int, one_shot_rng
+from .streams import CHUNK_VALUES, Role, check_int, one_shot_rng, row_chunks
 
 MAX_TOTAL_MESSAGES = 1 << 20  # materialization guard
 DEFECT_COEFF = {"construction": 1.0 / 3.0, "theorem": 4.0 / 3.0}
@@ -119,10 +121,11 @@ def _index_from_rows(n: int, levels: int,
 class OverlayCode:
     """A concrete overlay, held as its level-index array.
 
-    ``level_index`` is a small-int ``(message_count, n)`` array, made
-    read-only: entry ``[m, i]`` is the index into ``level_set.levels`` of
-    the level that message ``m`` carries at coordinate ``i + 1``, or
-    ``len(level_set)`` for level 1.  ``radices`` gives the per-level
+    ``level_index`` is a small-int ``(message_count, n)`` array (one
+    byte per entry for up to 255 levels), made read-only: entry
+    ``[m, i]`` is the index into ``level_set.levels`` of the level that
+    message ``m`` carries at coordinate ``i + 1``, or ``len(level_set)``
+    for level 1; ``level_matrix`` gathers the level values from it.  ``radices`` gives the per-level
     digit counts of a product code (message ids are mixed-radix digit
     strings, as ``np.unravel_index(m, radices)`` reads them).
     ``gamma_exact`` preserves the threshold as a rational so boundary
@@ -152,7 +155,6 @@ class OverlayCode:
         self.level_index = level_index
         self.radices = None if radices is None else tuple(radices)
         self.attempts = attempts
-        self._levels: np.ndarray | None = None
 
     @property
     def ell(self) -> int:
@@ -179,14 +181,38 @@ class OverlayCode:
         ends = np.cumsum(np.bincount(row, minlength=levels + 1)[:levels])
         return tuple(np.split(order, ends)[:levels])
 
-    def level_matrix(self) -> np.ndarray:
-        """(message_count, n) matrix of level values, built on the first
-        call and shared, read-only, by every later one."""
-        if self._levels is None:
-            levels = np.asarray(self.level_set.extended)[self.level_index]
-            levels.setflags(write=False)
-            self._levels = levels
-        return self._levels
+    def level_matrix(self, rows: Any = None, *,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Level values f(m): the float64 rows of the message ids ``rows``
+        (an integer or a 1-d integer array; every message when None), of
+        shape ``np.shape(rows) + (n,)``, gathered from ``level_index`` on
+        each call.  Nothing is cached: the code stores one byte per
+        (message, coordinate) entry, where the values would take eight.
+        ``out``, a float64 array of the result's shape, receives the
+        values in place of a new array.  The gather goes in chunks of
+        ``CHUNK_VALUES`` values, so that the index temporaries are a
+        chunk's, not the result's."""
+        ids = np.arange(self.message_count) if rows is None \
+            else np.asarray(rows)
+        if ids.ndim > 1 or ids.dtype.kind not in "iu":
+            raise OverlayError("rows must be a message id or a 1-d array "
+                               "of them")
+        if ids.size and (ids.min() < 0 or ids.max() >= self.message_count):
+            raise OverlayError("rows must hold message ids")
+        shape = ids.shape + (self.n,)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64:
+            raise OverlayError(f"out must be a float64 array of shape {shape}")
+        flat, by_row = ids.reshape(-1), out if ids.ndim else out[None]
+        values = np.asarray(self.level_set.extended)
+        # mode="clip" gathers straight into ``out`` (the default copies):
+        # the ids are checked above and every level index is in range
+        for c in row_chunks(len(flat), self.n, CHUNK_VALUES):
+            np.take(values, np.take(self.level_index, flat[c], axis=0,
+                                    mode="clip"),
+                    out=by_row[c], mode="clip")
+        return out
 
 
 @dataclass(frozen=True)

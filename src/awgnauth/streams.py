@@ -16,6 +16,9 @@ exactly one 64-bit word.  Consequences:
 once: as many rows as keep a block's n-wide arrays (draws, codewords,
 received rows) at 2**17 float64s, 1 MiB, so that they stay in cache,
 and its decode score matrix (one score per message) at 2**22.
+``row_chunks`` splits a table's rows into chunks of at most a given
+number of values, so that a pass over a whole code table holds no
+temporary of the table's size.
 ``uniforms`` and ``normals`` draw into an ``out=`` array from
 ``draw_buffer`` when given one, so that the estimators allocate a
 block's draws once per worker per call and reuse them in every block.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 from functools import lru_cache
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 from scipy.special import ndtri
@@ -37,6 +40,9 @@ ROW_VALUES = 2 ** 17     # float64 values in a block's n-wide arrays
 # scores in a block's decode score matrix: float32 in the decode's screen,
 # float64 in a block that falls back to the exact float64 scoring
 SCORE_VALUES = 2 ** 22
+# values in a chunk of a block's gathers: a chunk's arrays and a block's
+# received rows (ROW_VALUES) fit in a 2 MiB L2 cache together
+CHUNK_VALUES = 2 ** 15
 
 
 class Role(IntEnum):
@@ -119,6 +125,13 @@ def block_rows(n: int, message_count: int, batch: int | None = None) -> int:
     if batch is not None:
         return batch
     return max(1, min(ROW_VALUES // n, SCORE_VALUES // message_count))
+
+
+def row_chunks(rows: int, n: int, values: int) -> Iterator[slice]:
+    """Slices that cover ``range(rows)`` in order, each of at most
+    ``values // n`` rows of ``n`` values (one row at least)."""
+    step = max(1, values // n)
+    return (slice(r0, min(r0 + step, rows)) for r0 in range(0, rows, step))
 
 
 def check_int(name: str, value: Any, error: type[Exception],

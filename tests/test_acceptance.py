@@ -202,7 +202,7 @@ def test_criterion_07_residual_variance_law():
     code = inject_noise(base, overlay, rho_delta=1.0, delta=0.2, seed=7)
     a, b = 0, 4
     law = residual_variance_vector(code, a, rho_adv, rho_dec)
-    masks = {level: code.level_matrix[a] == level
+    masks = {level: code.overlay.level_matrix()[a] == level
              for level in (0.0, 0.5, 1.0)}
     expect = {0.0: 0.1, 0.5: 0.3, 1.0: 0.6}
     for level, mask in masks.items():

@@ -77,7 +77,7 @@ class TestResidualNulling:
         mean_m = code.base.codewords[m] + code.t_table[m]
         mean_t = code.base.codewords[m_target] + code.t_table[m_target]
         w = np.array([mmse_weight(f, code.rho_delta, rho_adv)
-                      for f in code.level_matrix[m]])
+                      for f in code.overlay.level_matrix()[m]])
         mu = mean_m - mean_t + zs + w * (vs - mean_m)
         assert np.max(np.abs(mu)) <= 1e-9
 
@@ -101,7 +101,7 @@ class TestResidualNulling:
         vs = rng.normal(size=(8, code.n))
         zs = mmse_targeted_attack_batch(
             vs, mmse_attack_terms(code, m, m_target, 0.2))
-        f = code.level_matrix[m]
+        f = code.overlay.level_matrix()[m]
         swap = (code.base.codewords[m_target] + code.t_table[m_target]
                 - code.base.codewords[m] - code.t_table[m])
         assert np.allclose(zs[:, f == 0.0],
@@ -118,7 +118,7 @@ class TestResidualVarianceLaw:
     def test_vector_matches_frozen_values(self, small_auth):
         vec = residual_variance_vector(small_auth, m=2, rho_adv=1.0,
                                        rho_dec=0.1)
-        f = small_auth.level_matrix[2]
+        f = small_auth.overlay.level_matrix()[2]
         assert np.allclose(vec[f == 0.0], 0.1, rtol=1e-12)
         assert np.allclose(vec[f == 0.5], 0.3, rtol=1e-12)
         assert np.allclose(vec[f == 1.0], TAU_FULL_1_1_01, rtol=1e-12)
@@ -137,7 +137,7 @@ class TestResidualVarianceLaw:
                 assert scalar == vector.tolist()
 
     def test_code_vector_equals_the_scalar_law(self, small_auth):
-        f = small_auth.level_matrix[2]
+        f = small_auth.overlay.level_matrix()[2]
         for rho_adv, rho_dec in ((0.0, 0.1), (0.05, 0.1), (1.0, 0.3)):
             vec = residual_variance_vector(small_auth, 2, rho_adv, rho_dec)
             assert vec.tolist() == [
@@ -146,7 +146,7 @@ class TestResidualVarianceLaw:
 
     def test_monotone_in_level(self, small_auth):
         vec = residual_variance_vector(small_auth, 0, 0.1, 0.1)
-        f = small_auth.level_matrix[0]
+        f = small_auth.overlay.level_matrix()[0]
         assert np.all(vec[f == 0.0] < vec[f == 0.5][0])
         assert np.all(vec[f == 0.5] < vec[f == 1.0][0])
         assert vec[f == 1.0][0] == pytest.approx(TAU_FULL_1_01_01, rel=1e-12)
@@ -163,7 +163,7 @@ class TestResidualVarianceLaw:
             vs, mmse_attack_terms(code, m, m_target, rho_adv))
         ys = xs + zs + math.sqrt(rho_dec) * rng.standard_normal((B, code.n))
         resid = ys - (code.base.codewords[m_target] + code.t_table[m_target])
-        f = code.level_matrix[m]
+        f = code.overlay.level_matrix()[m]
         for level, expect in ((0.0, 0.1), (0.5, 0.3), (1.0, 0.6)):
             pooled = resid[:, f == level]
             assert np.mean(pooled) == pytest.approx(0.0, abs=0.01)
@@ -209,7 +209,7 @@ class TestImpersonation:
         # live mean-shift row the attacker must cancel.
         null = null_auth.base.null_id
         assert not np.any(null_auth.base.codewords[null])
-        f = null_auth.level_matrix[null]
+        f = null_auth.overlay.level_matrix()[null]
         assert np.any(null_auth.t_table[null][f < 1.0] != 0.0)
 
 

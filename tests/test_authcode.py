@@ -24,7 +24,18 @@ from awgnauth.authcode import (
 from awgnauth.basecode import make_random_gaussian_code
 from awgnauth.bounds import injection_power_bound
 from awgnauth.overlay import LevelSet, OverlayCode, construct_overlay
+from awgnauth.simulate import ChannelParams, estimate
 from awgnauth.streams import Role, normals, one_shot_rng
+
+
+def non_dyadic_auth(levels, counts, n=61):
+    """A code whose levels are not dyadic, so that the order of the
+    encoder's products shows in the last bits."""
+    ov = construct_overlay(n, LevelSet(levels), 0.75, counts_per_level=counts,
+                           seed=3)
+    return inject_noise(make_random_gaussian_code(n, ov.message_count, 1.0,
+                                                  seed=3),
+                        ov, rho_delta=0.7, delta=0.2, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +50,12 @@ def big_auth():
 
 class TestMeanShiftTable:
     def test_zero_on_top_level_coordinates(self, big_auth):
-        F = big_auth.level_matrix
+        F = big_auth.overlay.level_matrix()
         assert np.all(big_auth.t_table[F == 1.0] == 0.0)
 
     def test_pooled_variance_per_level(self, big_auth):
         # t_i ~ N(0, (1 - f_i^2) rho_delta): rho at level 0, 3/4 rho at 1/2.
-        F = big_auth.level_matrix
+        F = big_auth.overlay.level_matrix()
         for level, expect in ((0.0, 1.0), (0.5, 0.75)):
             samples = big_auth.t_table[F == level]
             assert samples.size == 9600
@@ -66,6 +77,44 @@ class TestMeanShiftTable:
         assert np.all(np.sum(2.0 * code.t_table * x, axis=1) <= cap)
         assert code.power <= injection_power_bound(
             omega, rate, code.rho_delta, code.n, 3, 2)
+
+
+class TestTableMemory:
+    M, N = 1024, 300
+
+    @pytest.fixture(scope="class")
+    def parts(self):
+        ov = construct_overlay(self.N, LevelSet((0.0, 0.5)), 0.75,
+                               counts_per_level=[32, 32], seed=2)
+        return make_random_gaussian_code(self.N, self.M, 1.0, seed=2), ov
+
+    def test_no_float64_table_but_codewords_and_shifts(self, parts):
+        base, ov = parts
+        code = inject_noise(base, ov, rho_delta=1.0, delta=0.2, seed=2)
+        estimate(code, ChannelParams(rho_dec=0.1), "epsilon", 300, seed=1)
+        assert code.power > 0.0 and base.power > 0.0
+        held = []
+        for obj in (code, base, ov):
+            for value in vars(obj).values():
+                held += value if isinstance(value, tuple) else [value]
+        tables = [a for a in held if isinstance(a, np.ndarray)
+                  and a.shape == (self.M, self.N) and a.dtype == np.float64]
+        assert len(tables) == 2
+        assert any(a is base.codewords for a in tables)
+        assert any(a is code.t_table for a in tables)
+        assert code._tested.dtype == np.uint16
+
+    def test_inject_noise_holds_one_table_beside_its_own(self, parts):
+        base, ov = parts
+        table = self.M * self.N * 8
+        tracemalloc.start()
+        try:
+            code = inject_noise(base, ov, rho_delta=1.0, delta=0.2, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code.t_table.nbytes == table
+        assert peak < 2 * table
 
 
 class TestInjectNoiseValidation:
@@ -95,7 +144,7 @@ class TestEncoder:
         unit = rng.standard_normal((B, small_auth.n))
         enc = auth_encode_batch(small_auth, np.full(B, m), unit)
         center = small_auth.base.codewords[m] + small_auth.t_table[m]
-        f = small_auth.level_matrix[m]
+        f = small_auth.overlay.level_matrix()[m]
         emp = enc.mean(axis=0)
         live = f > 0
         z = (emp[live] - center[live]) * math.sqrt(B) / (f[live] * 1.0)
@@ -110,7 +159,7 @@ class TestEncoder:
         unit = rng.standard_normal((B, small_auth.n))
         enc = auth_encode_batch(small_auth, np.full(B, m), unit)
         resid = enc - (small_auth.base.codewords[m] + small_auth.t_table[m])
-        f = small_auth.level_matrix[m]
+        f = small_auth.overlay.level_matrix()[m]
         assert np.all(resid[:, f == 0.0] == 0.0)
         assert np.var(resid[:, f == 0.5]) == pytest.approx(0.25, rel=0.05)
         assert np.var(resid[:, f == 1.0]) == pytest.approx(1.0, rel=0.05)
@@ -121,7 +170,7 @@ class TestEncoder:
                               rng.standard_normal((1, 60)))[0]
         b = auth_encode_batch(small_auth, np.array([m]),
                               rng.standard_normal((1, 60)))[0]
-        f = small_auth.level_matrix[m]
+        f = small_auth.overlay.level_matrix()[m]
         assert np.array_equal(a[f == 0.0], b[f == 0.0])
         assert np.all(a[f > 0] != b[f > 0])
 
@@ -144,6 +193,23 @@ class TestEncoder:
         assert got is out[0]
         assert got.tobytes() == auth_encode_batch(small_auth, ms,
                                                   unit).tobytes()
+
+    @pytest.mark.parametrize("levels, counts", [((0.0, 0.3), [4, 3]),
+                                                ((0.1, 0.45, 0.8), [3, 2, 2])])
+    def test_equals_the_level_gather_expression(self, levels, counts):
+        code = non_dyadic_auth(levels, counts)
+        ov = code.overlay
+        # more rows than one chunk of the level gather (2**15 // 61 = 537)
+        ms = np.random.default_rng(8).integers(0, code.message_count, 1300)
+        unit = normals(9, Role.DELTA, 0, len(ms), code.n)
+        values = np.asarray(ov.level_set.extended)
+        want = ((code.base.codewords[ms] + code.t_table[ms])
+                + (math.sqrt(code.rho_delta) * unit)
+                * values[ov.level_index[ms]])
+        out = tuple(np.empty((len(ms), code.n)) for _ in range(3))
+        for got in (auth_encode_batch(code, ms, unit),
+                    auth_encode_batch(code, ms, unit, out=out)):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [-1, 6])
     def test_ids_outside_the_code_are_refused(self, small_auth, bad):
@@ -261,10 +327,11 @@ class TestDetector:
 
     def test_gathers_into_its_own_arrays(self):
         # n=256, ell=85, |K|=2: each 128-row chunk gathers into three
-        # (128, 170) arrays of 174 KB; a gather through a temporary, or a
-        # chunk's arrays allocated while the last chunk's live, adds a
-        # fourth.  Beside them: the stats and numpy's ufunc buffer (one
-        # getbufsize() of values) for the broadcast row offsets.
+        # (128, 170) arrays of 174 KB and one (128, 170) uint8 column
+        # chunk of 22 KB; a gather through a temporary, or a chunk's
+        # arrays allocated while the last chunk's live, adds a fourth
+        # float64 array.  Beside them: the stats and numpy's ufunc buffer
+        # (one getbufsize() of values) for the broadcast row offsets.
         ov = construct_overlay(256, LevelSet((0.0, 0.5)), 0.75,
                                counts_per_level=[8, 8], seed=0)
         code = inject_noise(make_random_gaussian_code(256, 64, 1.0, seed=0),
@@ -279,21 +346,33 @@ class TestDetector:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk = 128 * 2 * 85 * 8
+        chunk, columns = 128 * 2 * 85 * 8, 128 * 2 * 85
         assert code.ell == 85 and 2 ** 15 // 256 == 128
-        assert 3 * chunk <= peak < 3 * chunk + 8 * np.getbufsize() + 24_000
+        assert code._tested.dtype == np.uint8
+        assert 3 * chunk + columns <= peak \
+            < 3 * chunk + columns + 8 * np.getbufsize() + 24_000
 
     def test_tested_table_is_built_in_row_chunks(self, wide_auth,
                                                  monkeypatch):
         order = np.argsort(wide_auth.overlay.level_index, axis=1,
                            kind="stable")
-        whole = order[:, :2 * wide_auth.ell] \
-            + (np.arange(512) * wide_auth.n)[:, None]
+        whole = order[:, :2 * wide_auth.ell]
         for rows in (1, 37, 512, 2000):
             monkeypatch.setattr(authcode, "ROW_VALUES", rows * wide_auth.n)
             tested = replace(wide_auth)._tested   # a fresh cache
-            assert tested.dtype == np.intp
+            assert tested.dtype == np.uint8 and wide_auth.n == 120
             assert np.array_equal(tested, whole)
+
+    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16),
+                                          (600, np.uint16)])
+    def test_tested_columns_are_the_narrowest_dtype(self, n, dtype):
+        ov = construct_overlay(n, LevelSet((0.0, 0.5)), 0.75,
+                               counts_per_level=[4, 3], seed=1)
+        code = inject_noise(make_random_gaussian_code(n, 12, 1.0, seed=1),
+                            ov, rho_delta=1.0, delta=0.2, seed=1)
+        assert code._tested.dtype == dtype == np.min_scalar_type(n - 1)
+        order = np.argsort(ov.level_index, axis=1, kind="stable")
+        assert np.array_equal(code._tested, order[:, :2 * code.ell])
 
     @pytest.mark.parametrize("bad", [-1, 6])
     def test_decoded_ids_must_be_message_ids(self, small_auth, bad):
@@ -414,9 +493,26 @@ class TestRateAndPower:
         code = small_auth
         by_hand = max(
             (np.sum((code.base.codewords[m] + code.t_table[m]) ** 2)
-             + code.rho_delta * np.sum(code.level_matrix[m] ** 2)) / code.n
+             + code.rho_delta
+             * np.sum(code.overlay.level_matrix()[m] ** 2)) / code.n
             for m in range(code.message_count))
         assert code.power == pytest.approx(by_hand, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["small_auth", "null_auth", "big_auth",
+                                      "n=61, M=42"])
+    def test_power_equals_the_whole_table_expression(self, name, request,
+                                                     monkeypatch):
+        code = (non_dyadic_auth((0.1, 0.45, 0.8), [7, 3, 2])
+                if name == "n=61, M=42" else request.getfixturevalue(name))
+        levels = np.asarray(code.overlay.level_set.extended)[
+            code.overlay.level_index]
+        mean_sq = np.sum((code.base.codewords + code.t_table) ** 2, axis=1)
+        noise = code.rho_delta * np.sum(levels**2, axis=1)
+        want = float(np.max(mean_sq + noise)) / code.n
+        assert code.power == want
+        for rows in (1, 5):
+            monkeypatch.setattr(authcode, "ROW_VALUES", rows * code.n)
+            assert replace(code).power == want   # a fresh cache
 
     def test_t_zero_variant(self, small_base, small_overlay):
         code = inject_noise(small_base, small_overlay, 1.0, 0.2, t_zero=True)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from awgnauth import basecode
 from awgnauth.basecode import (
     BaseCode,
     BaseCodeError,
@@ -18,7 +20,7 @@ from awgnauth.basecode import (
     make_random_gaussian_code,
     to_json_dict,
 )
-from awgnauth.streams import Role, block_rows, choices, normals
+from awgnauth.streams import Role, block_rows, choices, normals, one_shot_rng
 
 try:
     import resource
@@ -87,6 +89,21 @@ class TestGaussianCode:
         assert not np.array_equal(a.codewords, c.codewords)
         assert len({a.codewords[m].tobytes() for m in range(8)}) == 8
 
+    @pytest.mark.parametrize("n, count, omega", [(64, 16, 0.05), (61, 42, 1.0),
+                                                 (600, 300, 3.0)])
+    def test_rescaled_by_the_whole_table_expression(self, n, count, omega,
+                                                    monkeypatch):
+        # the table as the old whole-table rescale built it, bit for bit,
+        # also when the rows go in chunks of one or seven
+        cw = one_shot_rng(5, Role.CODEBOOK).standard_normal((count, n))
+        cw *= math.sqrt(omega / np.max(np.mean(cw**2, axis=1)))
+        for rows in (None, 1, 7):
+            if rows is not None:
+                monkeypatch.setattr(basecode, "ROW_VALUES", rows * n)
+            code = make_random_gaussian_code(n, count, omega, seed=5)
+            assert code.codewords.tobytes() == cw.tobytes()
+            assert code.power == float(np.max(np.mean(cw**2, axis=1)))
+
     def test_null_message_row(self):
         code = make_random_gaussian_code(32, 8, 1.0, seed=3, null_message=True)
         assert code.message_count == 9
@@ -105,6 +122,49 @@ class TestBaseCodeValidation:
         with pytest.raises(BaseCodeError, match="distinct"):
             BaseCode(np.ones((2, 4)))
 
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_rejects_duplicates_in_different_chunks(self, rows, monkeypatch):
+        monkeypatch.setattr(basecode, "ROW_VALUES", rows * 5)
+        cw = np.random.default_rng(2).standard_normal((40, 5))
+        BaseCode(cw.copy())
+        for a, b in ((0, 39), (3, 4), (38, 1)):
+            dup = cw.copy()
+            dup[b] = dup[a]
+            with pytest.raises(BaseCodeError, match="distinct"):
+                BaseCode(dup)
+
+    def test_signed_zeros_stay_distinct(self):
+        # rows that differ only in the sign of a zero have different bytes
+        rows = np.array([[0.0, 1.0, 0.0], [-0.0, 1.0, 0.0],
+                         [0.0, 1.0, -0.0], [-0.0, 1.0, -0.0]])
+        assert BaseCode(rows).message_count == 4
+        with pytest.raises(BaseCodeError, match="distinct"):
+            BaseCode(np.vstack([rows, rows[3]]))
+        # antipodal rows differ in every sign bit
+        assert make_antipodal_code(64, 1.0).message_count == 2
+
+    def test_colliding_hashes_are_compared_bit_for_bit(self, monkeypatch):
+        # with zero multipliers every row hashes alike: the verdict then
+        # rests on the bitwise comparison alone
+        monkeypatch.setattr(basecode, "_GOLDEN64", np.uint64(0))
+        cw = np.random.default_rng(4).standard_normal((30, 8))
+        BaseCode(cw)
+        BaseCode(np.vstack([cw, -cw]))
+        with pytest.raises(BaseCodeError, match="distinct"):
+            BaseCode(np.vstack([cw, cw[17]]))
+
+    def test_codewords_are_not_copied_by_the_check(self):
+        cw = np.random.default_rng(1).standard_normal((2048, 256))
+        tracemalloc.start()
+        try:
+            BaseCode(cw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2**17-value chunk of hashed words (1 MiB), against 4 MiB of
+        # rows that a copy of each row would take
+        assert peak < cw.nbytes // 2
+
     def test_rejects_nonzero_null(self):
         with pytest.raises(BaseCodeError, match="zero codeword"):
             BaseCode(np.vstack([np.zeros(4), np.ones(4)]), null_id=1)
@@ -118,6 +178,28 @@ class TestBaseCodeValidation:
     def test_null_id_range(self):
         with pytest.raises(BaseCodeError, match="out of range"):
             BaseCode(np.ones((1, 3)), null_id=5)
+
+
+def old_power(codewords):
+    """``BaseCode.power`` as the whole-table expression."""
+    return float(np.max(np.mean(codewords**2, axis=1)))
+
+
+class TestPower:
+    @pytest.mark.parametrize("build", [
+        lambda: make_random_gaussian_code(60, 6, 1.0, seed=11),
+        lambda: make_random_gaussian_code(61, 42, 0.7, seed=3),
+        lambda: make_random_gaussian_code(60, 6, 1.0, seed=5,
+                                          null_message=True),
+        lambda: BaseCode(plus_minus_one_code(300, 700, 2).codewords * 0.3),
+    ])
+    def test_equals_the_whole_table_expression(self, build, monkeypatch):
+        code = build()
+        want = old_power(code.codewords)
+        assert code.power == want
+        for rows in (1, 5):
+            monkeypatch.setattr(basecode, "ROW_VALUES", rows * code.n)
+            assert BaseCode(code.codewords, code.null_id).power == want
 
 
 class TestDecoding:

@@ -331,6 +331,34 @@ class TestConstruction:
         assert np.array_equal(F[0], np.asarray(small_overlay.level_set.extended)[
             small_overlay.level_index[0]])
 
+    def test_level_matrix_gathers_rows_into_out(self, small_overlay,
+                                                monkeypatch):
+        whole = np.asarray(small_overlay.level_set.extended)[
+            small_overlay.level_index]
+        ids = np.array([5, 0, 5, 2, 3, 1, 4])
+        for values in (60, 120, 2 ** 15):   # chunks of 1 row, 2 rows, all
+            monkeypatch.setattr(overlay, "CHUNK_VALUES", values)
+            assert np.array_equal(small_overlay.level_matrix(), whole)
+            assert np.array_equal(small_overlay.level_matrix(ids), whole[ids])
+            out = np.full((7, 60), np.nan)
+            assert small_overlay.level_matrix(ids, out=out) is out
+            assert np.array_equal(out, whole[ids])
+        assert np.array_equal(small_overlay.level_matrix(4), whole[4])
+        assert small_overlay.level_matrix(ids[:0]).shape == (0, 60)
+
+    @pytest.mark.parametrize("rows, out, match", [
+        (np.array([0, 6]), None, "message ids"),
+        (np.array([-1]), None, "message ids"),
+        (np.array([0.0]), None, "1-d array"),
+        (np.zeros((2, 2), dtype=int), None, "1-d array"),
+        (np.array([0, 1]), np.empty((3, 60)), "out must be"),
+        (np.array([0, 1]), np.empty((2, 60), np.float32), "out must be"),
+    ])
+    def test_level_matrix_refuses_bad_rows(self, small_overlay, rows, out,
+                                           match):
+        with pytest.raises(OverlayError, match=match):
+            small_overlay.level_matrix(rows, out=out)
+
     def test_level_coords_including_top(self, small_overlay):
         m = 3
         union = set()

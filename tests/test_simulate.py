@@ -544,7 +544,8 @@ class TestEpsilonAndFalseAlarm:
         # per-level test sets make the per-level statistics independent.
         code, rho_dec, trials = pair_auth, 4.0, 10 ** 5
         sig = code.base.codewords + code.t_table
-        var = (code.rho_delta * np.sum(code.level_matrix ** 2, axis=1)
+        var = (code.rho_delta
+               * np.sum(code.overlay.level_matrix() ** 2, axis=1)
                + code.n * rho_dec)
         eps_base = float(np.mean(norm.cdf(-np.abs(sig.sum(axis=1))
                                           / np.sqrt(var))))
