@@ -41,8 +41,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from .basecode import BaseCode
 from .overlay import OverlayCode
-from .streams import (CHUNK_VALUES, ROW_VALUES, Role, one_shot_rng,
-                      row_chunks)
+from .streams import (CHUNK_VALUES, RETRY_LIMIT, ROW_VALUES, Role,
+                      one_shot_rng, row_chunks)
 
 REJECT = "!"
 
@@ -74,13 +74,14 @@ class AuthCode:
         if t.shape != self.base.codewords.shape:
             raise AuthCodeError("t_table must match the codeword table shape")
         object.__setattr__(self, "t_table", t)
-        for j, k in enumerate(self.overlay.level_set.levels):
-            sizes = np.count_nonzero(self.overlay.level_index == j, axis=1)
-            if np.any(sizes != self.ell):
-                m = int(np.argmax(sizes != self.ell))
-                raise AuthCodeError(
-                    f"message {m} has {sizes[m]} coordinates at level {k}, "
-                    f"expected {self.ell}: the detector needs exactly ell")
+        counts = self.overlay.level_counts
+        bad = np.argwhere(counts.T != self.ell)   # (level, message) pairs
+        if len(bad):
+            j, m = bad[0]
+            raise AuthCodeError(
+                f"message {m} has {counts[m, j]} coordinates at level "
+                f"{self.overlay.level_set.levels[j]}, expected {self.ell}: "
+                f"the detector needs exactly ell")
         valid = np.ones(self.message_count, dtype=bool)
         if self.decimated is not None:
             ids = np.fromiter(self.decimated, dtype=np.int64)
@@ -165,8 +166,7 @@ class AuthCode:
 
 def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
                  delta: float, seed: int = 0, *, t_zero: bool = False,
-                 enforce_bounds: bool = True,
-                 retry_limit: int = 64) -> AuthCode:
+                 enforce_bounds: bool = True) -> AuthCode:
     """Wrap ``base`` with overlay noise (the first code modification).
 
     The mean-shift table is resampled until both construction checks
@@ -176,7 +176,7 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
     power bound.  ``t_zero`` pins the table to zero (the derandomised
     variant, power bound omega + rho_delta).  Every attempt draws into
     the one table, scaled in place by sqrt((1 - k^2) rho_delta) per
-    level; the checks go in chunks of rows.
+    level; the checks go in row chunks; at most ``RETRY_LIMIT`` attempts.
     """
     if rho_delta <= 0.0:
         raise AuthCodeError("rho_delta must be positive")
@@ -200,7 +200,7 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
                     * rho_delta)
     chunks = list(row_chunks(base.message_count, base.n, ROW_VALUES))
     t = np.empty(base.codewords.shape)
-    for attempt in range(retry_limit):
+    for attempt in range(RETRY_LIMIT):
         # a failed attempt's table, and its code, are drawn over
         one_shot_rng(seed, Role.T_TABLE, attempt).standard_normal(out=t)
         for c in chunks:
@@ -214,7 +214,7 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
         if corr_ok and code.power <= power_cap:
             return code
     raise AuthCodeError(
-        f"mean-shift table failed the construction checks {retry_limit} times")
+        f"mean-shift table failed the construction checks {RETRY_LIMIT} times")
 
 
 def auth_encode_batch(code: AuthCode, ms: np.ndarray, unit_delta: np.ndarray,

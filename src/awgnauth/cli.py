@@ -2,8 +2,9 @@
 
 Subcommands: ``construct``, ``verify``, ``bounds``, ``simulate``,
 ``sweep``.  Every run is configured by dotted ``key = value`` settings,
-taken from (in increasing precedence) a config file, positional
-``key=value`` overrides, and ``--key value`` flags.
+taken from a config file and then from command-line overrides,
+``key=value`` or ``--key value`` alike, applied left to right so that a
+later setting wins (``--out FILE`` is ``run.out``).
 
 Config grammar (line oriented; ``#`` starts a comment)::
 
@@ -68,8 +69,8 @@ class StageError(RuntimeError):
 
 
 def _as_bool(key: str, value: Any) -> bool:
-    if isinstance(value, bool):
-        return value
+    if isinstance(value, int) and value in (0, 1):   # True and False too
+        return bool(value)
     if isinstance(value, str) and value.lower() in ("true", "false", "1", "0",
                                                     "yes", "no"):
         return value.lower() in ("true", "1", "yes")
@@ -185,7 +186,7 @@ class ExperimentConfig:
     overlay_rates: tuple[float, ...] | None = _setting(
         "overlay.rates", _as_opt(_as_list(_as_float)))
     overlay_max_per_level: int | None = _setting(
-        "overlay.max_per_level", _as_opt(_as_int))
+        "overlay.max_per_level", _as_opt(_as_int), domain=_POSITIVE_INT)
     overlay_seed: int = _setting("overlay.seed", _as_int, 0,
                                  domain=_NONNEGATIVE)
 
@@ -229,7 +230,8 @@ class ExperimentConfig:
     message: int | None = _setting("run.message", _as_opt(_as_int),
                                    domain=_NONNEGATIVE)
     detector: bool = _setting("run.detector", _as_bool, True)
-    out: str | None = _setting("run.out", _as_opt(_as_str), hashed=False)
+    out: str | None = _setting("run.out", _as_opt(_as_str), aliases=("out",),
+                               hashed=False)
     trial_log: str | None = _setting("run.trial_log", _as_opt(_as_str),
                                      hashed=False)
 
@@ -321,8 +323,8 @@ def apply_settings(cfg: ExperimentConfig,
 
 def parse_config(path: str | None = None,
                  overrides: Sequence[str] = ()) -> ExperimentConfig:
-    """Build a validated config from an optional file plus ``key=value``
-    override strings."""
+    """Build a validated config from an optional file, then ``key=value``
+    override strings in order."""
     cfg = ExperimentConfig()
     if path is not None:
         try:
@@ -331,13 +333,11 @@ def parse_config(path: str | None = None,
         except OSError as e:
             raise ConfigError(f"cannot read config {path!r}: {e}") from e
         cfg = apply_settings(cfg, parse_config_text(text, source=path))
-    flat: dict[str, Any] = {}
-    for item in overrides:
+    for item in overrides:   # one at a time, so that the last one wins
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, _, value = item.partition("=")
-        flat[key.strip()] = _parse_value(value)
-    cfg = apply_settings(cfg, flat)
+        cfg = apply_settings(cfg, {key.strip(): _parse_value(value)})
     validate_config(cfg)
     return cfg
 
@@ -410,9 +410,8 @@ def build_overlay(cfg: ExperimentConfig, base: BaseCode) -> OverlayCode:
         counts = (base.message_count,) + (1,) * (len(levels) - 1)
     code = _stage("overlay", construct_overlay, cfg.n, levels,
                   cfg.gamma_value(),
-                  rates_per_level=(list(cfg.overlay_rates)
-                                   if cfg.overlay_rates else None),
-                  counts_per_level=list(counts) if counts else None,
+                  rates_per_level=cfg.overlay_rates or None,
+                  counts_per_level=counts or None,
                   max_messages_per_level=cfg.overlay_max_per_level,
                   seed=cfg.overlay_seed)
     if code.message_count != base.message_count:
@@ -603,28 +602,23 @@ def make_report(cfg: ExperimentConfig, *, estimates: bool = True
     return _sanitize(report)
 
 
-def resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        os.makedirs(base, exist_ok=True)
-        return os.path.join(base, path)
-    return path
-
-
 def emit_json(payload: dict[str, Any], out: str | None) -> None:
     emit_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
               + "\n", out)
 
 
 def emit_text(text: str, out: str | None) -> None:
-    path = resolve_out(out)
-    if path is None:
+    """Write ``text`` to stdout, or to the file ``out`` (a relative path
+    lands in ``$AWGNAUTH_OUTPUT_DIR`` when that is set)."""
+    if out is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return
+    base = os.environ.get(OUTPUT_DIR_ENV)
+    if base and not os.path.isabs(out):
+        os.makedirs(base, exist_ok=True)
+        out = os.path.join(base, out)
+    with open(out, "w") as fh:
+        fh.write(text)
 
 
 def cmd_construct(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
@@ -640,7 +634,7 @@ def cmd_construct(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         "overlay": overlay_to_json(code.overlay),
         "auth": auth_to_json(code, "inline", "inline"),
     })
-    emit_json(payload, cfg.out or args.out)
+    emit_json(payload, cfg.out)
     return 0
 
 
@@ -663,19 +657,18 @@ def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         "violations": report.violations,
         "messages": overlay.message_count,
     })
-    emit_json(payload, cfg.out or args.out)
+    emit_json(payload, cfg.out)
     return 0 if report.passed else 1
 
 
 def cmd_bounds(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    report = make_report(cfg, estimates=False)
-    emit_json(report, cfg.out or args.out)
+    emit_json(make_report(cfg, estimates=False), cfg.out)
     return 0
 
 
 def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     report = make_report(cfg)
-    emit_json(report, cfg.out or args.out)
+    emit_json(report, cfg.out)
     return 0 if report["pass"] else 1
 
 
@@ -683,9 +676,10 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.axis not in _SETTINGS or not _SETTINGS[args.axis].metadata["sweep"]:
         raise ConfigError(f"axis {args.axis!r} is not sweepable; choose from "
                           f"{sorted(SWEEPABLE)}")
-    values = []
-    if args.values.strip():
-        values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
+    if cfg.trial_log:   # each point would truncate the one before's rows
+        raise ConfigError("run.trial_log is not supported by sweep: the log "
+                          "has no point column")
+    values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
     lines = [",".join(SWEEP_HEADER)]
     worst = True
     for value in values:
@@ -704,7 +698,7 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                 "" if bound is None else f"{bound:.10g}",
                 "" if dominated is None else str(dominated).lower(),
             ]))
-    emit_text("\n".join(lines) + "\n", cfg.out or args.out)
+    emit_text("\n".join(lines) + "\n", cfg.out)
     return 0 if worst else 1
 
 
@@ -712,22 +706,15 @@ def _split_overrides(extras: list[str]) -> list[str]:
     """Turn ['--channel.rho_adv', '1', 'run.trials=500'] into key=value
     strings; reject malformed flags."""
     out: list[str] = []
-    i = 0
-    while i < len(extras):
-        item = extras[i]
-        if item.startswith("--"):
-            key = item[2:]
-            if "=" in key:
-                out.append(key)
-                i += 1
-                continue
-            if i + 1 >= len(extras):
-                raise ConfigError(f"flag --{key} is missing a value")
-            out.append(f"{key}={extras[i + 1]}")
-            i += 2
+    items = iter(extras)
+    for item in items:
+        if item.startswith("--") and "=" not in item:
+            value = next(items, None)
+            if value is None:
+                raise ConfigError(f"flag {item} is missing a value")
+            out.append(f"{item[2:]}={value}")
         elif "=" in item:
-            out.append(item)
-            i += 1
+            out.append(item.removeprefix("--"))
         else:
             raise ConfigError(f"cannot parse argument {item!r}; expected "
                               "key=value or --key value")
@@ -740,19 +727,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Keyless authentication over AWGN channels: construct "
                     "codes, evaluate bounds, and run Monte Carlo experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("construct", "build the code pipeline and emit its tables"),
-        ("verify", "check the pairwise overlay property by exact counting"),
-        ("bounds", "evaluate every closed-form guarantee"),
-        ("simulate", "estimate operational measures and pair with bounds"),
-        ("sweep", "repeat an experiment along one parameter axis"),
+    for name, handler, help_text in [
+        ("construct", cmd_construct,
+         "build the code pipeline and emit its tables"),
+        ("verify", cmd_verify,
+         "check the pairwise overlay property by exact counting"),
+        ("bounds", cmd_bounds, "evaluate every closed-form guarantee"),
+        ("simulate", cmd_simulate,
+         "estimate operational measures and pair with bounds"),
+        ("sweep", cmd_sweep, "repeat an experiment along one parameter axis"),
     ]:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", default=None, help="config file "
                        "(key = value lines or JSON)")
-        p.add_argument("--out", default=None,
-                       help=f"output path (relative paths land in "
-                            f"${OUTPUT_DIR_ENV} when set)")
         if name == "verify":
             p.add_argument("--code", default=None,
                            help="code JSON emitted by construct")
@@ -765,8 +753,10 @@ def build_parser() -> argparse.ArgumentParser:
         # key=value / --key value overrides are collected from the
         # unparsed remainder so that flag/value adjacency survives; a
         # declared positional would swallow the values out of order
-        p.epilog = ("remaining arguments are config overrides: key=value "
-                    "or --key value")
+        p.epilog = ("remaining arguments are config overrides, key=value "
+                    "or --key value, applied left to right; --out FILE is "
+                    f"run.out (relative paths land in ${OUTPUT_DIR_ENV} "
+                    "when set)")
     return parser
 
 
@@ -775,15 +765,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args, extras = parser.parse_known_args(argv)
     try:
         overrides = _split_overrides(extras)
-        cfg = parse_config(args.config, overrides)
-        handler = {
-            "construct": cmd_construct,
-            "verify": cmd_verify,
-            "bounds": cmd_bounds,
-            "simulate": cmd_simulate,
-            "sweep": cmd_sweep,
-        }[args.command]
-        return handler(cfg, args)
+        return args.handler(parse_config(args.config, overrides), args)
     except (ConfigError, StageError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

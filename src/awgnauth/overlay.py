@@ -29,12 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from . import numerics
-from .streams import CHUNK_VALUES, Role, check_int, one_shot_rng, row_chunks
+from .streams import (CHUNK_VALUES, RETRY_LIMIT, ROW_VALUES, SCORE_VALUES,
+                      Role, check_int, one_shot_rng, row_chunks)
 
 MAX_TOTAL_MESSAGES = 1 << 20  # materialization guard
 DEFECT_COEFF = {"construction": 1.0 / 3.0, "theorem": 4.0 / 3.0}
@@ -125,9 +127,10 @@ class OverlayCode:
     byte per entry for up to 255 levels), made read-only: entry
     ``[m, i]`` is the index into ``level_set.levels`` of the level that
     message ``m`` carries at coordinate ``i + 1``, or ``len(level_set)``
-    for level 1; ``level_matrix`` gathers the level values from it.  ``radices`` gives the per-level
-    digit counts of a product code (message ids are mixed-radix digit
-    strings, as ``np.unravel_index(m, radices)`` reads them).
+    for level 1; ``level_matrix`` gathers the level values from it and
+    ``level_counts`` counts them.  ``radices`` gives the per-level digit
+    counts of a product code (message ids are mixed-radix digit strings,
+    as ``np.unravel_index(m, radices)`` reads them).
     ``gamma_exact`` preserves the threshold as a rational so boundary
     overlap comparisons are exact.
     """
@@ -169,17 +172,28 @@ class OverlayCode:
         """Largest integer overlap count not exceeding gamma*ell."""
         return math.floor(self.gamma_exact * self.ell)
 
+    @cached_property
+    def level_counts(self) -> np.ndarray:
+        """Read-only ``(message_count, |K|)`` counts of each message's
+        coordinates at each level in K (``ell`` in a valid overlay), made
+        on first use in chunks of rows: no (message_count, n) temporary."""
+        counts = np.empty((self.message_count, len(self.level_set)),
+                          dtype=np.intp)
+        for c in row_chunks(self.message_count, self.n, ROW_VALUES):
+            for j in range(counts.shape[1]):
+                counts[c, j] = np.count_nonzero(self.level_index[c] == j,
+                                                axis=1)
+        counts.setflags(write=False)
+        return counts
+
     def test_indices(self, m: int) -> tuple[np.ndarray, ...]:
         """Ascending 0-based coordinates of message m, one array per level
         in K: the detector's stable sort of the row's level indices, split
         at each level's own count."""
         if not 0 <= m < self.message_count:
             raise OverlayError(f"message id {m} out of range")
-        row = self.level_index[m]
-        levels = len(self.level_set)
-        order = np.argsort(row, kind="stable")
-        ends = np.cumsum(np.bincount(row, minlength=levels + 1)[:levels])
-        return tuple(np.split(order, ends)[:levels])
+        order = np.argsort(self.level_index[m], kind="stable")
+        return tuple(np.split(order, np.cumsum(self.level_counts[m]))[:-1])
 
     def level_matrix(self, rows: Any = None, *,
                      out: np.ndarray | None = None) -> np.ndarray:
@@ -320,7 +334,9 @@ def _resolve_counts(n: int, level_set: LevelSet, gamma: float | Fraction,
     if any(c < 1 for c in counts):
         raise OverlayError("per-level message counts must be >= 1")
     if max_messages_per_level is not None:
-        counts = [min(c, int(max_messages_per_level)) for c in counts]
+        check_int("max_messages_per_level", max_messages_per_level,
+                  OverlayError)
+        counts = [min(c, max_messages_per_level) for c in counts]
     for j, c in enumerate(counts):
         n_k = n - ell * j
         if c > math.comb(n_k, ell):
@@ -367,15 +383,15 @@ def construct_overlay(n: int, level_set: LevelSet, gamma: float | Fraction,
                       seed: int = 0, *,
                       counts_per_level: Sequence[int] | None = None,
                       subset_tables: Sequence[Sequence[Iterable[int]]] | None = None,
-                      max_messages_per_level: int | None = None,
-                      retry_limit: int = 64) -> OverlayCode:
+                      max_messages_per_level: int | None = None
+                      ) -> OverlayCode:
     """Construct an overlay code by iterated random subsets.
 
     Per level k (ascending), each level-message draws a uniform
     ell-subset of {1..n_k} where n_k counts the slots not consumed by
     lower levels; the subset is mapped order-preservingly into the
     remaining coordinates.  The full product code is verified and the
-    subsets resampled until verification passes (`retry_limit` caps the
+    subsets resampled until verification passes (``RETRY_LIMIT`` caps the
     attempts).  Explicit ``subset_tables`` (one table per level, each a
     list of 1-based slot subsets) bypass sampling.
     """
@@ -413,7 +429,7 @@ def construct_overlay(n: int, level_set: LevelSet, gamma: float | Fraction,
 
     counts = _resolve_counts(n, level_set, gamma_exact, rates_per_level,
                              counts_per_level, max_messages_per_level)
-    for attempt in range(retry_limit):
+    for attempt in range(RETRY_LIMIT):
         rng = one_shot_rng(seed, Role.OVERLAY, attempt)
         tables = [np.array([rng.choice(n - ell * j, size=ell, replace=False)
                             for _ in range(c)])
@@ -422,7 +438,7 @@ def construct_overlay(n: int, level_set: LevelSet, gamma: float | Fraction,
                            _assemble(n, tables), counts, attempt + 1)
         if verify_overlay(code).passed:
             return code
-    raise OverlayError(f"verification failed for {retry_limit} attempts; "
+    raise OverlayError(f"verification failed for {RETRY_LIMIT} attempts; "
                        f"rates are likely too aggressive for n={n}")
 
 
@@ -462,8 +478,9 @@ def _prefix_groups_separated(code: OverlayCode) -> bool:
     return True
 
 
-def _pair_failures(code: OverlayCode, block: int) -> list[str]:
-    """Exhaustive scan of all ordered pairs, ``block`` rows at a time: one
+def _pair_failures(code: OverlayCode) -> list[str]:
+    """Exhaustive scan of all ordered pairs, in row chunks whose ``(rows,
+    message_count)`` products hold at most ``SCORE_VALUES`` entries: one
     line per pair with no witness level (the first eight, then a count)."""
     count = code.message_count
     allowed = code.max_overlap
@@ -471,25 +488,25 @@ def _pair_failures(code: OverlayCode, block: int) -> list[str]:
              for j in range(len(code.level_set))]
     lines: list[str] = []
     total = 0
-    for r0 in range(0, count, block):
-        r1 = min(r0 + block, count)
-        found = np.zeros((r1 - r0, count), dtype=bool)
+    for c in row_chunks(count, count, SCORE_VALUES):
+        rows = c.stop - c.start
+        found = np.zeros((rows, count), dtype=bool)
         for kidx, mask in enumerate(masks):
-            ok = mask[r0:r1] @ mask.T <= allowed
+            ok = mask[c] @ mask.T <= allowed
             for lower in masks[:kidx]:
-                ok &= mask[r0:r1] @ lower.T == 0
+                ok &= mask[c] @ lower.T == 0
             found |= ok
-        found[:, r0:r1] |= np.eye(r1 - r0, dtype=bool)
+        found[:, c] |= np.eye(rows, dtype=bool)
         bad = np.argwhere(~found)
         total += len(bad)
-        lines += [f"no witness level for ordered pair ({r0 + m}, {mp})"
+        lines += [f"no witness level for ordered pair ({c.start + m}, {mp})"
                   for m, mp in bad[:8 - len(lines)]]
     if total > 8:
         lines.append(f"... and {total - 8} more failing pairs")
     return lines
 
 
-def verify_overlay(code: OverlayCode, block: int = 1024) -> VerifyReport:
+def verify_overlay(code: OverlayCode) -> VerifyReport:
     """Check the overlay property: every message carries ell coordinates
     at each level in K, and every ordered pair of distinct messages has a
     witness level.
@@ -497,18 +514,18 @@ def verify_overlay(code: OverlayCode, block: int = 1024) -> VerifyReport:
     A code with radices is first checked by prefix group (see
     ``_prefix_groups_separated``), in O(M n) memory.  When that check
     cannot prove the property (it fails, or the code has no radices),
-    every ordered pair is scanned exhaustively, ``block`` rows at a time,
+    every ordered pair is scanned exhaustively (see ``_pair_failures``),
     so the verdict and the violations are those of the exhaustive scan
-    either way.  ``VerifyReport.witness`` finds one pair's lowest witness
-    on demand."""
+    either way.  The sizes are read from ``level_counts``.
+    ``VerifyReport.witness`` finds one pair's lowest witness on demand."""
     ell = code.ell
     violations: list[str] = []
     for j, k in enumerate(code.level_set.levels):
-        sizes = np.count_nonzero(code.level_index == j, axis=1)
+        sizes = code.level_counts[:, j]
         violations += [f"message {m} has {sizes[m]} coordinates at level {k}, "
                        f"expected {ell}" for m in np.flatnonzero(sizes != ell)]
     if not _prefix_groups_separated(code):
-        violations += _pair_failures(code, block)
+        violations += _pair_failures(code)
     return VerifyReport(passed=not violations, ell=ell,
                         max_overlap_allowed=code.max_overlap,
                         violations=tuple(violations), code=code)

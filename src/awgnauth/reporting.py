@@ -6,15 +6,12 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-_Z = {0.90: 1.6448536269514722, 0.95: 1.959963984540054, 0.99: 2.5758293035489004}
+from scipy.special import ndtri
 
 
 def _z_value(confidence: float) -> float:
-    if confidence in _Z:
-        return _Z[confidence]
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0,1), got {confidence}")
-    from scipy.special import ndtri
     return float(ndtri(0.5 + confidence / 2.0))
 
 

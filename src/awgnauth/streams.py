@@ -43,6 +43,7 @@ SCORE_VALUES = 2 ** 22
 # values in a chunk of a block's gathers: a chunk's arrays and a block's
 # received rows (ROW_VALUES) fit in a 2 MiB L2 cache together
 CHUNK_VALUES = 2 ** 15
+RETRY_LIMIT = 64   # draws of a set-up table before its construction fails
 
 
 class Role(IntEnum):

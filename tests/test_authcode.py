@@ -116,6 +116,23 @@ class TestTableMemory:
         assert code.t_table.nbytes == table
         assert peak < 2 * table
 
+    def test_no_level_recount_over_a_counted_overlay(self, parts):
+        # the overlay counts its levels once: a new code over it, and a
+        # decimated one, allocate less than one (M, n) boolean table
+        base, ov = parts
+        code = inject_noise(base, ov, rho_delta=1.0, delta=0.2, seed=2)
+        for build in (
+                lambda: AuthCode(base, ov, 1.0, 0.2, code.t_table),
+                lambda: decimate(code, 0.1, seed=2, adversary_agnostic=True,
+                                 target_size_override=64)):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < self.M * self.N, peak
+
 
 class TestInjectNoiseValidation:
     def test_delta_open_interval(self, small_base, small_overlay):

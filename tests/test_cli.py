@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -120,6 +121,31 @@ class TestValidation:
         for override, message in cases.items():
             with pytest.raises(ConfigError, match=message):
                 parse_config(None, [override])
+
+    @pytest.mark.parametrize("value", [-1, 0])
+    def test_max_per_level_must_be_positive(self, value, capsys):
+        rc, out, err = run_cli(["construct", "base.n=60",
+                                f"overlay.max_per_level={value}"], capsys)
+        assert rc == 2 and out == ""
+        assert err == ("error: overlay.max_per_level must be positive, "
+                       f"got {value}\n")
+
+    @pytest.mark.parametrize("raw, expected", [
+        (0, False), (1, True), ("0", False), ("1", True), (True, True),
+        (False, False), (2, None), (-1, None), (1.0, None), (0.0, None),
+        (0.5, None)])
+    def test_integer_booleans(self, raw, expected):
+        settings = {"run.detector": raw, "base.null": raw}
+        if expected is None:
+            with pytest.raises(ConfigError, match="expected a boolean"):
+                apply_settings(ExperimentConfig(), settings)
+        else:
+            cfg = apply_settings(ExperimentConfig(), settings)
+            assert cfg.detector is expected and cfg.base_null is expected
+
+    def test_integer_boolean_overrides(self):
+        cfg = parse_config(None, ["run.detector=0", "base.null=1"])
+        assert cfg.detector is False and cfg.base_null is True
 
     def test_gamma_fraction_string(self):
         with pytest.raises(ConfigError, match="cannot parse"):
@@ -316,6 +342,21 @@ class TestSweepCommand:
         assert rc == 2
         assert "not sweepable" in err
 
+    def test_trial_log_is_refused_before_any_point(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_point(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(cli, "make_report", no_point)
+        log = tmp_path / "trials.csv"
+        rc, out, err = run_cli(["sweep", "--axis", "channel.rho_adv",
+                                "--values", "0.0,0.1", "base.n=60",
+                                "run.trials=100", f"run.trial_log={log}"],
+                               capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: run.trial_log is not supported by sweep")
+        assert not log.exists()
+
     def test_exit_one_when_any_point_violates(self, capsys):
         rc, out, _ = run_cli(["sweep", "--axis", "channel.rho_adv",
                               "--values", "0.1",
@@ -361,3 +402,34 @@ class TestOutputHandling:
         rc, _, err = run_cli(["bounds", "--base.n"], capsys)
         assert rc == 2
         assert "missing a value" in err
+
+
+class TestFlagSurface:
+    def test_subcommand_flags_are_not_settings(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        flags = {opt for p in commands.values() for a in p._actions
+                 for opt in a.option_strings} - {"-h", "--help"}
+        assert flags == {"--config", "--code", "--axis", "--values"}
+        assert not {f[2:] for f in flags} & set(cli._SETTINGS)
+
+    def test_out_overrides_the_config_file(self, tmp_path, capsys):
+        config = tmp_path / "exp.ini"
+        config.write_text(f"base.n = 60\nrun.out = {tmp_path / 'file.json'}\n")
+        flag = tmp_path / "flag.json"
+        rc, out, _ = run_cli(["bounds", "--config", str(config),
+                              "--out", str(flag)], capsys)
+        assert rc == 0 and out == ""
+        assert flag.exists() and not (tmp_path / "file.json").exists()
+
+    @pytest.mark.parametrize("args, trials", [
+        (["--run.trials", "500", "run.trials=100"], 100),
+        (["run.trials=100", "--run.trials", "500"], 500),
+        (["run.trials=1", "trials=2", "--run.trials=3"], 3),
+        (["trials=2", "run.trials=1", "trials=3"], 3),
+    ])
+    def test_settings_apply_left_to_right(self, args, trials, capsys):
+        rc, out, _ = run_cli(["bounds", "base.n=60", *args], capsys)
+        assert rc == 0
+        assert json.loads(out)["config"]["run"]["trials"] == trials

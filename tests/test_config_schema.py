@@ -27,8 +27,8 @@ def test_every_field_has_a_dotted_key():
 def test_keys_and_aliases_are_unique():
     names = [k for f in SETTINGS
              for k in (f.metadata["key"], *f.metadata["aliases"])]
-    assert len(names) == len(set(names)) == 46
-    assert sum(1 for f in SETTINGS for _ in f.metadata["aliases"]) == 10
+    assert len(names) == len(set(names)) == 47
+    assert sum(1 for f in SETTINGS for _ in f.metadata["aliases"]) == 11
 
 
 def test_sweep_axes():

@@ -412,6 +412,13 @@ class TestConstructionErrors:
             construct_overlay(8, LevelSet((0.0, 0.5)), 0.75,
                               subset_tables=[[{1, 2}], []])
 
+    @pytest.mark.parametrize("cap", [-1, 0])
+    def test_max_messages_per_level_must_be_positive(self, cap):
+        with pytest.raises(OverlayError, match="max_messages_per_level must "
+                                               "be a positive integer"):
+            construct_overlay(60, LevelSet((0.0, 0.5)), 0.75,
+                              max_messages_per_level=cap)
+
 
 class TestVerifyFailures:
     def test_planted_cardinality_violation(self, small_overlay):
@@ -432,6 +439,42 @@ class TestVerifyFailures:
         assert not report.passed
         assert any("no witness level" in v for v in report.violations)
         assert report.witness(0, 1) is None
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 5])
+    def test_pair_scan_is_the_same_in_any_row_chunks(self, monkeypatch,
+                                                     rows_per_chunk):
+        # six sets, each given to two messages: every message has exactly
+        # one partner without a witness, so the listed pairs span chunks
+        sets = [{1, 2, 3, 4}, {1, 2, 3, 5}, {1, 2, 3, 6}, {1, 2, 3, 7},
+                {1, 2, 3, 8}, {1, 2, 4, 5}]
+        rows = [(frozenset(sets[m // 2]),) for m in range(12)]
+        code = OverlayCode(8, LevelSet((0.0,)), 0.75, Fraction(3, 4),
+                           _index_from_rows(8, 1, rows))
+        whole = verify_overlay(code).violations
+        assert whole == tuple(
+            [f"no witness level for ordered pair ({m}, {m ^ 1})"
+             for m in range(8)] + ["... and 4 more failing pairs"])
+        monkeypatch.setattr(overlay, "SCORE_VALUES", 12 * rows_per_chunk)
+        assert verify_overlay(code).violations == whole
+
+
+class TestLevelCounts:
+    def test_counts_match_the_level_index(self, small_overlay):
+        counts = small_overlay.level_counts
+        assert counts.shape == (6, 2) and not counts.flags.writeable
+        assert np.all(counts == small_overlay.ell)
+        assert small_overlay.level_counts is counts   # counted once
+
+    def test_counts_of_a_broken_overlay(self, small_overlay):
+        index = small_overlay.level_index.copy()
+        index[3, small_overlay.test_indices(3)[1][:2]] = 0   # level 1/2 -> 0
+        broken = OverlayCode(60, small_overlay.level_set, 0.75,
+                             Fraction(3, 4), index)
+        expected = [[np.count_nonzero(index[m] == j) for j in range(2)]
+                    for m in range(6)]
+        assert broken.level_counts.tolist() == expected
+        assert broken.level_counts[3].tolist() == [22, 18]
+        assert [len(c) for c in broken.test_indices(3)] == [22, 18]
 
 
 class TestRates:
