@@ -2,9 +2,11 @@
 
 Subcommands: ``construct``, ``verify``, ``bounds``, ``simulate``,
 ``sweep``.  Every run is configured by dotted ``key = value`` settings,
-taken from a config file and then from command-line overrides,
-``key=value`` or ``--key value`` alike, applied left to right so that a
-later setting wins (``--out FILE`` is ``run.out``).
+taken from a config file and then from the command line (``key=value``,
+``--key value`` or ``--key=value``; ``--out FILE`` is ``run.out``), and
+applied in the order written: the last setting of a field wins, whatever
+its spelling, and a malformed setting exits 2 even when a later one
+replaces it.  ``sweep`` checks every point before it runs any.
 
 Config grammar (line oriented; ``#`` starts a comment)::
 
@@ -184,7 +186,8 @@ class ExperimentConfig:
     overlay_counts: tuple[int, ...] | None = _setting(
         "overlay.counts", _as_opt(_as_list(_as_int)))
     overlay_rates: tuple[float, ...] | None = _setting(
-        "overlay.rates", _as_opt(_as_list(_as_float)))
+        "overlay.rates", _as_opt(_as_list(_as_float)), domain=(
+            "be finite", lambda v: all(map(math.isfinite, v))))
     overlay_max_per_level: int | None = _setting(
         "overlay.max_per_level", _as_opt(_as_int), domain=_POSITIVE_INT)
     overlay_seed: int = _setting("overlay.seed", _as_int, 0,
@@ -261,12 +264,19 @@ SWEEPABLE = tuple(f.metadata["key"] for f in fields(ExperimentConfig)
                   if f.metadata["sweep"])
 
 
-def _flatten(prefix: str, obj: Any, into: dict[str, Any]) -> None:
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, into)
+Settings = list[tuple[str, Any]]
+
+
+class _JSONObject(list):
+    """A JSON object as its (key, value) pairs, repeated keys kept."""
+
+
+def _flatten(prefix: str, obj: Any, into: Settings) -> None:
+    if isinstance(obj, _JSONObject):
+        for k, v in obj:
+            _flatten(f"{prefix}.{k}" if prefix else k, v, into)
     else:
-        into[prefix] = obj
+        into.append((prefix, obj))
 
 
 def _parse_value(text: str) -> Any:
@@ -277,19 +287,17 @@ def _parse_value(text: str) -> Any:
         return text
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, Any]:
-    """Parse the line-oriented config grammar into a flat dotted-key map,
-    reporting errors with line numbers."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+def parse_config_text(text: str, source: str = "<config>") -> Settings:
+    """Parse the line grammar, or a JSON object, into dotted ``(key,
+    value)`` settings in the order written; errors carry line numbers."""
+    settings: Settings = []
+    if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_JSONObject)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{source}: invalid JSON config: {e}") from e
-        flat: dict[str, Any] = {}
-        _flatten("", data, flat)
-        return flat
-    flat = {}
+        _flatten("", data, settings)
+        return settings
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -306,14 +314,17 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, Any]:
         if not key:
             raise ConfigError(f"{source}:{lineno}: empty key")
         full = f"{section}.{key}" if section and "." not in key else key
-        flat[full] = _parse_value(value)
-    return flat
+        settings.append((full, _parse_value(value)))
+    return settings
 
 
 def apply_settings(cfg: ExperimentConfig,
-                   settings: dict[str, Any]) -> ExperimentConfig:
+                   settings: Settings) -> ExperimentConfig:
+    """Parse every ``(key, value)`` setting, in order, and apply them at
+    once: the last setting of a field wins, whatever its spelling, and a
+    malformed one fails even when a later one replaces it."""
     updates: dict[str, Any] = {}
-    for key, raw in settings.items():
+    for key, raw in settings:
         if key not in _SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
         f = _SETTINGS[key]
@@ -323,21 +334,28 @@ def apply_settings(cfg: ExperimentConfig,
 
 def parse_config(path: str | None = None,
                  overrides: Sequence[str] = ()) -> ExperimentConfig:
-    """Build a validated config from an optional file, then ``key=value``
-    override strings in order."""
-    cfg = ExperimentConfig()
+    """Build a validated config from an optional file, then command-line
+    arguments ``key=value``, ``--key value`` or ``--key=value``; every
+    setting applies in the order written (see ``apply_settings``)."""
+    settings: Settings = []
     if path is not None:
         try:
             with open(path) as fh:
-                text = fh.read()
+                settings = parse_config_text(fh.read(), source=path)
         except OSError as e:
             raise ConfigError(f"cannot read config {path!r}: {e}") from e
-        cfg = apply_settings(cfg, parse_config_text(text, source=path))
-    for item in overrides:   # one at a time, so that the last one wins
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        key, _, value = item.partition("=")
-        cfg = apply_settings(cfg, {key.strip(): _parse_value(value)})
+    items = iter(overrides)
+    for item in items:
+        key, eq, value = item.removeprefix("--").partition("=")
+        if not eq and item.startswith("--"):
+            value = next(items, None)
+            if value is None:
+                raise ConfigError(f"flag {item} is missing a value")
+        elif not eq:
+            raise ConfigError(f"cannot parse argument {item!r}; expected "
+                              "key=value or --key value")
+        settings.append((key.strip(), _parse_value(value)))
+    cfg = apply_settings(ExperimentConfig(), settings)
     validate_config(cfg)
     return cfg
 
@@ -541,6 +559,14 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _header(cfg: ExperimentConfig | None = None) -> dict[str, Any]:
+    """Every payload's first fields, with the config's own if it has one."""
+    header = {"schema_version": SCHEMA_VERSION, "version": _version_string()}
+    if cfg is not None:
+        header.update(config_hash=config_hash(cfg), config=cfg.canonical())
+    return header
+
+
 def _sanitize(obj: Any) -> Any:
     """Make a payload strictly JSON serialisable and deterministic."""
     if isinstance(obj, dict):
@@ -590,10 +616,7 @@ def make_report(cfg: ExperimentConfig, *, estimates: bool = True
             if estimates and cfg.trials > 0 else [])
     checks = [r["dominated"] for r in rows if "dominated" in r]
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "version": _version_string(),
-        "config_hash": config_hash(cfg),
-        "config": cfg.canonical(),
+        **_header(cfg),
         "code": summarize_code(code),
         "bounds": bounds,
         "estimates": rows,
@@ -625,10 +648,7 @@ def cmd_construct(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     code = build_pipeline(cfg)
     from .authcode import to_json_dict as auth_to_json
     payload = _sanitize({
-        "schema_version": SCHEMA_VERSION,
-        "version": _version_string(),
-        "config_hash": config_hash(cfg),
-        "config": cfg.canonical(),
+        **_header(cfg),
         "summary": summarize_code(code),
         "base": basecode_mod.to_json_dict(code.base),
         "overlay": overlay_to_json(code.overlay),
@@ -649,8 +669,7 @@ def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         overlay = build_overlay(cfg, build_base(cfg))
     report = verify_overlay(overlay)
     payload = _sanitize({
-        "schema_version": SCHEMA_VERSION,
-        "version": _version_string(),
+        **_header(),
         "passed": report.passed,
         "ell": report.ell,
         "max_overlap_allowed": report.max_overlap_allowed,
@@ -680,12 +699,13 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         raise ConfigError("run.trial_log is not supported by sweep: the log "
                           "has no point column")
     values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
+    points = [apply_settings(cfg, [(args.axis, v)]) for v in values]
+    for point in points:   # every point is checked before any runs
+        validate_config(point)
     lines = [",".join(SWEEP_HEADER)]
     worst = True
-    for value in values:
-        sub = apply_settings(cfg, {args.axis: value})
-        validate_config(sub)
-        report = make_report(sub)
+    for value, point in zip(values, points):
+        report = make_report(point)
         for row in report["estimates"]:
             bound = row.get("bound")
             dominated = row.get("dominated")
@@ -700,25 +720,6 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             ]))
     emit_text("\n".join(lines) + "\n", cfg.out)
     return 0 if worst else 1
-
-
-def _split_overrides(extras: list[str]) -> list[str]:
-    """Turn ['--channel.rho_adv', '1', 'run.trials=500'] into key=value
-    strings; reject malformed flags."""
-    out: list[str] = []
-    items = iter(extras)
-    for item in items:
-        if item.startswith("--") and "=" not in item:
-            value = next(items, None)
-            if value is None:
-                raise ConfigError(f"flag {item} is missing a value")
-            out.append(f"{item[2:]}={value}")
-        elif "=" in item:
-            out.append(item.removeprefix("--"))
-        else:
-            raise ConfigError(f"cannot parse argument {item!r}; expected "
-                              "key=value or --key value")
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -753,19 +754,17 @@ def build_parser() -> argparse.ArgumentParser:
         # key=value / --key value overrides are collected from the
         # unparsed remainder so that flag/value adjacency survives; a
         # declared positional would swallow the values out of order
-        p.epilog = ("remaining arguments are config overrides, key=value "
-                    "or --key value, applied left to right; --out FILE is "
-                    f"run.out (relative paths land in ${OUTPUT_DIR_ENV} "
-                    "when set)")
+        p.epilog = ("remaining arguments are settings, key=value or --key "
+                    "value, applied after the config file's in the order "
+                    "written; --out FILE is run.out (relative paths land "
+                    f"in ${OUTPUT_DIR_ENV} when set)")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
     try:
-        overrides = _split_overrides(extras)
-        return args.handler(parse_config(args.config, overrides), args)
+        return args.handler(parse_config(args.config, extras), args)
     except (ConfigError, StageError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

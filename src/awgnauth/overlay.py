@@ -131,16 +131,20 @@ class OverlayCode:
     ``level_counts`` counts them.  ``radices`` gives the per-level digit
     counts of a product code (message ids are mixed-radix digit strings,
     as ``np.unravel_index(m, radices)`` reads them).
-    ``gamma_exact`` preserves the threshold as a rational so boundary
-    overlap comparisons are exact.
+    ``gamma_exact`` is the threshold, a rational in (1/2, 1), so that
+    boundary overlap comparisons are exact; ``gamma`` is its float.
     """
 
-    def __init__(self, n: int, level_set: LevelSet, gamma: float,
-                 gamma_exact: Fraction, level_index: np.ndarray,
+    def __init__(self, n: int, level_set: LevelSet, gamma_exact: Fraction,
+                 level_index: np.ndarray,
                  radices: Sequence[int] | None = None,
                  attempts: int = 1) -> None:
         if n < len(level_set.extended):
             raise OverlayError("n must be at least the extended level count")
+        if not isinstance(gamma_exact, Fraction):
+            raise OverlayError("gamma_exact must be a Fraction, got "
+                               f"{gamma_exact!r}")
+        _check_gamma(gamma_exact)
         levels = len(level_set)
         if (level_index.ndim != 2 or level_index.shape[1] != n
                 or level_index.dtype != _index_dtype(levels)
@@ -153,11 +157,14 @@ class OverlayCode:
         level_index.setflags(write=False)
         self.n = n
         self.level_set = level_set
-        self.gamma = gamma
         self.gamma_exact = gamma_exact
         self.level_index = level_index
         self.radices = None if radices is None else tuple(radices)
         self.attempts = attempts
+
+    @property
+    def gamma(self) -> float:
+        return float(self.gamma_exact)
 
     @property
     def ell(self) -> int:
@@ -325,8 +332,15 @@ def _resolve_counts(n: int, level_set: LevelSet, gamma: float | Fraction,
     elif rates_per_level is not None:
         if len(rates_per_level) != len(level_set):
             raise OverlayError("one rate per level in K is required")
-        counts = [max(1, math.floor(math.exp((n - ell * j) * max(0.0, r))))
-                  for j, r in enumerate(rates_per_level)]
+        if not all(math.isfinite(r) for r in rates_per_level):
+            raise OverlayError(f"rates must be finite, got "
+                               f"{list(rates_per_level)}")
+        try:
+            counts = [max(1, math.floor(math.exp((n - ell * j) * max(0.0, r))))
+                      for j, r in enumerate(rates_per_level)]
+        except OverflowError:
+            raise OverlayError(f"rates {list(rates_per_level)} overflow the "
+                               f"message counts at n={n}") from None
     else:
         counts = default_level_message_counts(n, level_set, gamma)
     if len(counts) != len(level_set):
@@ -418,7 +432,7 @@ def construct_overlay(n: int, level_set: LevelSet, gamma: float | Fraction,
         tables = [np.array([sorted(s) for s in table],
                            dtype=np.intp).reshape(len(table), ell) - 1
                   for table in sets]
-        code = OverlayCode(n, level_set, float(gamma_exact), gamma_exact,
+        code = OverlayCode(n, level_set, gamma_exact,
                            _assemble(n, tables), [len(t) for t in tables])
         report = verify_overlay(code)
         if not report.passed:
@@ -434,7 +448,7 @@ def construct_overlay(n: int, level_set: LevelSet, gamma: float | Fraction,
         tables = [np.array([rng.choice(n - ell * j, size=ell, replace=False)
                             for _ in range(c)])
                   for j, c in enumerate(counts)]
-        code = OverlayCode(n, level_set, float(gamma_exact), gamma_exact,
+        code = OverlayCode(n, level_set, gamma_exact,
                            _assemble(n, tables), counts, attempt + 1)
         if verify_overlay(code).passed:
             return code
@@ -555,18 +569,22 @@ def from_json_dict(data: dict[str, Any]) -> OverlayCode:
     value of the wrong type) raises ``OverlayError``."""
     try:
         level_set = LevelSet(tuple(data["levels"]))
+        gamma = float(data["gamma"])
         if "gamma_exact" in data:
             num, den = data["gamma_exact"].split("/")
             gamma_exact = Fraction(int(num), int(den))
+            if float(gamma_exact) != gamma:
+                raise OverlayError(f"gamma {gamma} disagrees with gamma_exact "
+                                   f"{data['gamma_exact']}")
         else:
-            gamma_exact = Fraction(float(data["gamma"]))
+            gamma_exact = Fraction(gamma)
         n = data["n"]
         check_int("n", n, OverlayError)
         keys = [repr(k) for k in level_set.levels]
         rows = [[msg["level_coords"][key] for key in keys]
                 for msg in data["messages"]]
         radices = tuple(data["radices"]) if "radices" in data else None
-        return OverlayCode(n, level_set, float(data["gamma"]), gamma_exact,
+        return OverlayCode(n, level_set, gamma_exact,
                            _index_from_rows(n, len(level_set), rows), radices)
     except OverlayError:
         raise

@@ -662,8 +662,8 @@ class TestAuthCodeValidation:
         # the planted short set of test_overlay's TestVerifyFailures
         index = small_overlay.level_index.copy()
         index[0, small_overlay.test_indices(0)[0][-1]] = 2   # to level 1
-        broken = OverlayCode(60, small_overlay.level_set, 0.75,
-                             Fraction(3, 4), index)
+        broken = OverlayCode(60, small_overlay.level_set, Fraction(3, 4),
+                             index)
         with pytest.raises(AuthCodeError, match="message 0 has 19 "
                            "coordinates at level 0.0, expected 20"):
             AuthCode(small_base, broken, 1.0, 0.2,

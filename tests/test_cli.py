@@ -1,8 +1,12 @@
 import argparse
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awgnauth import cli
 from awgnauth.adversary import AttackSpec
@@ -49,20 +53,20 @@ class TestConfigGrammar:
         run.trials = 12345
         base.n = 80
         """
-        flat = parse_config_text(text)
+        flat = dict(parse_config_text(text))
         assert flat["base.kind"] == "antipodal"
         assert flat["channel.rho_dec"] == 0.5
         assert flat["channel.rho_adv"] == 1.0
         assert flat["run.metrics"] == ["epsilon", "false_alarm"]
         assert flat["run.trials"] == 12345
-        cfg = apply_settings(ExperimentConfig(), flat)
+        cfg = apply_settings(ExperimentConfig(), list(flat.items()))
         assert cfg.rho_dec == 0.5
         assert cfg.metrics == ("epsilon", "false_alarm")
         assert cfg.n == 80
 
     def test_dotted_key_ignores_section(self):
         flat = parse_config_text("[channel]\nrun.trials = 200\nrho_adv = 2.0")
-        assert flat == {"run.trials": 200, "channel.rho_adv": 2.0}
+        assert flat == [("run.trials", 200), ("channel.rho_adv", 2.0)]
 
     def test_json_config(self):
         text = json.dumps({"channel": {"rho_dec": 0.25},
@@ -81,7 +85,7 @@ class TestConfigGrammar:
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key 'base.m'"):
-            apply_settings(ExperimentConfig(), {"base.m": 3})
+            apply_settings(ExperimentConfig(), [("base.m", 3)])
 
     def test_override_forms(self):
         cfg = parse_config(None, ["run.trials=500", "channel.rho_adv=0.5",
@@ -91,7 +95,8 @@ class TestConfigGrammar:
         assert cfg.gamma_value() == Fraction(2, 3)
 
     def test_bad_override_shape(self):
-        with pytest.raises(ConfigError, match="not of the form key=value"):
+        with pytest.raises(ConfigError, match="cannot parse argument 'trials'; "
+                           "expected key=value or --key value"):
             parse_config(None, ["trials"])
 
 
@@ -135,13 +140,21 @@ class TestValidation:
         (False, False), (2, None), (-1, None), (1.0, None), (0.0, None),
         (0.5, None)])
     def test_integer_booleans(self, raw, expected):
-        settings = {"run.detector": raw, "base.null": raw}
+        settings = [("run.detector", raw), ("base.null", raw)]
         if expected is None:
             with pytest.raises(ConfigError, match="expected a boolean"):
                 apply_settings(ExperimentConfig(), settings)
         else:
             cfg = apply_settings(ExperimentConfig(), settings)
             assert cfg.detector is expected and cfg.base_null is expected
+
+    @pytest.mark.parametrize("rates", ["[Infinity,0.1]", "[0.1,NaN]"])
+    def test_rates_must_be_finite(self, rates, capsys):
+        rc, out, err = run_cli(["construct", "base.kind=gaussian", "base.n=60",
+                                "base.messages=2", f"overlay.rates={rates}"],
+                               capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: overlay.rates must be finite, got (")
 
     def test_integer_boolean_overrides(self):
         cfg = parse_config(None, ["run.detector=0", "base.null=1"])
@@ -180,7 +193,7 @@ class TestConstructVerify:
 
     def test_verify_exit_one_on_violation(self, tmp_path, capsys):
         row = (frozenset({1, 2, 3, 4}),)
-        broken = OverlayCode(8, LevelSet((0.0,)), 0.75, Fraction(3, 4),
+        broken = OverlayCode(8, LevelSet((0.0,)), Fraction(3, 4),
                              _index_from_rows(8, 1, (row, row)))
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"overlay": overlay_to_json(broken)}))
@@ -197,8 +210,13 @@ class TestConstructVerify:
         (lambda blob: [blob], "malformed overlay JSON"),
         (lambda blob: {**blob, "radices": [2.5]}, "radix must be a positive"),
         (lambda blob: {**blob, "n": 8.5}, "n must be a positive integer"),
+        (lambda blob: {**blob, "gamma": 1.0, "gamma_exact": "1/1",
+                       "messages": blob["messages"] * 6},
+         "gamma must lie strictly between 1/2 and 1, got 1"),
+        (lambda blob: {**blob, "gamma": 0.8},
+         "gamma 0.8 disagrees with gamma_exact 3/4"),
     ], ids=["no-levels", "coords-not-at-levels", "top-level-list",
-            "float-radix", "float-n"])
+            "float-radix", "float-n", "gamma-one", "gamma-disagrees"])
     def test_verify_exit_two_on_malformed_code(self, tmp_path, capsys, edit,
                                                message):
         # missing levels, level_coords keys that do not match the levels,
@@ -206,7 +224,7 @@ class TestConstructVerify:
         # (exit 2), not a traceback
         row = (frozenset({1, 2, 3, 4}),)
         blob = overlay_to_json(OverlayCode(
-            8, LevelSet((0.0,)), 0.75, Fraction(3, 4),
+            8, LevelSet((0.0,)), Fraction(3, 4),
             _index_from_rows(8, 1, (row,))))
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(edit(blob)))
@@ -357,6 +375,19 @@ class TestSweepCommand:
         assert err.startswith("error: run.trial_log is not supported by sweep")
         assert not log.exists()
 
+    def test_every_point_is_checked_before_any_runs(self, capsys,
+                                                    monkeypatch):
+        def no_point(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(cli, "make_report", no_point)
+        rc, out, err = run_cli(["sweep", "--axis", "channel.rho_adv",
+                                "--values", "0.1,-1", "base.n=60",
+                                "run.trials=100"], capsys)
+        assert rc == 2 and out == ""
+        assert err == ("error: channel.rho_adv must be nonnegative and "
+                       "finite, got -1.0\n")
+
     def test_exit_one_when_any_point_violates(self, capsys):
         rc, out, _ = run_cli(["sweep", "--axis", "channel.rho_adv",
                               "--values", "0.1",
@@ -433,3 +464,66 @@ class TestFlagSurface:
         rc, out, _ = run_cli(["bounds", "base.n=60", *args], capsys)
         assert rc == 0
         assert json.loads(out)["config"]["run"]["trials"] == trials
+
+
+# aliased fields, their spellings and values that parse back to themselves
+ALIASED = {"trials": (("trials", "run.trials"), st.integers(0, 10**6)),
+           "n": (("n", "base.n"), st.integers(2, 10**4)),
+           "out": (("out", "run.out"),
+                   st.from_regex(r"[a-z]{1,6}\.json", fullmatch=True))}
+ARGUMENT_FORMS = (lambda key, value: [f"{key}={value}"],
+                  lambda key, value: [f"--{key}", f"{value}"],
+                  lambda key, value: [f"--{key}={value}"])
+
+
+@st.composite
+def setting_sequences(draw):
+    """Settings of the aliased fields, a split point between a config file
+    and the command line, and a form for each command-line setting."""
+    sequence = draw(st.lists(st.sampled_from(sorted(ALIASED)).flatmap(
+        lambda name: st.tuples(st.just(name),
+                               st.sampled_from(ALIASED[name][0]),
+                               ALIASED[name][1])), min_size=1, max_size=8))
+    split = draw(st.integers(0, len(sequence)))
+    forms = draw(st.lists(st.sampled_from(ARGUMENT_FORMS),
+                          min_size=len(sequence), max_size=len(sequence)))
+    return sequence, split, forms
+
+
+class TestSettingsOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(setting_sequences())
+    def test_last_setting_wins_across_file_and_arguments(self, case):
+        sequence, split, forms = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "exp.ini")
+            with open(path, "w") as fh:
+                fh.writelines(f"{key} = {value}\n"
+                              for _, key, value in sequence[:split])
+            args = [token for (_, key, value), form
+                    in zip(sequence[split:], forms)
+                    for token in form(key, value)]
+            cfg = parse_config(path, args)
+        expected = {name: getattr(ExperimentConfig(), name)
+                    for name in ALIASED}
+        expected.update({name: value for name, _, value in sequence})
+        assert {name: getattr(cfg, name) for name in ALIASED} == expected
+
+    def test_config_file_last_line_wins(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("trials = 1\nrun.trials = 2\ntrials = 3\n")
+        assert parse_config(str(path)).trials == 3
+
+    def test_json_config_last_setting_wins(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text('{"trials": 1, "run": {"trials": 2}, "trials": 3}')
+        assert parse_config(str(path)).trials == 3
+
+    def test_malformed_setting_fails_even_when_replaced(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text("trials = abc\ntrials = 5\n")
+        rc, out, err = run_cli(["bounds", "--config", str(path),
+                                "base.n=60"], capsys)
+        assert rc == 2 and out == ""
+        assert err == "error: trials: expected an integer, got 'abc'\n"

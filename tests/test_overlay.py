@@ -87,7 +87,7 @@ def check_against_references(code):
     without radices) and with ``brute_force_witness`` on every pair."""
     report = verify_overlay(code)
     exhaustive = verify_overlay(OverlayCode(
-        code.n, code.level_set, code.gamma, code.gamma_exact,
+        code.n, code.level_set, code.gamma_exact,
         level_index=code.level_index))
     assert report.passed == exhaustive.passed
     assert report.violations == exhaustive.violations
@@ -145,7 +145,7 @@ def hand_built_codes(draw):
         min_size=M, max_size=M)), dtype=np.uint8)
     radices = draw(st.sampled_from([None, (M,) + (1,) * (levels - 1),
                                     (1,) * (levels - 1) + (M,), (M + 1,)]))
-    return OverlayCode(n, level_set_of(levels), 0.75, Fraction(3, 4),
+    return OverlayCode(n, level_set_of(levels), Fraction(3, 4),
                        radices=radices, level_index=index)
 
 
@@ -232,6 +232,19 @@ class TestGammaHandling:
                                  counts_per_level=[2], seed=0)
         assert code.gamma_exact == Fraction(3, 5)
         assert code.gamma == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("gamma", [Fraction(1, 2), Fraction(1),
+                                       Fraction(3, 2), 0.75])
+    def test_constructor_checks_gamma(self, gamma):
+        index = _index_from_rows(8, 1, ((frozenset({1, 2, 3, 4}),),))
+        with pytest.raises(OverlayError, match="gamma"):
+            OverlayCode(8, LevelSet((0.0,)), gamma, index)
+
+    def test_gamma_is_the_float_of_the_fraction(self):
+        index = _index_from_rows(8, 1, ((frozenset({1, 2, 3, 4}),),))
+        code = OverlayCode(8, LevelSet((0.0,)), Fraction(2, 3), index)
+        assert code.gamma == float(Fraction(2, 3))
+        assert to_json_dict(code)["gamma"] == code.gamma
 
 
 class TestConstruction:
@@ -376,6 +389,20 @@ class TestConstruction:
 
 
 class TestConstructionErrors:
+    @pytest.mark.parametrize("rates", [[math.inf, 0.1], [0.1, math.nan],
+                                       [-math.inf, 0.1]])
+    def test_rates_must_be_finite(self, rates):
+        # a NaN rate used to be read as 0 (one message), an infinite one
+        # raised a raw OverflowError
+        with pytest.raises(OverlayError, match="rates must be finite"):
+            construct_overlay(60, LevelSet((0.0, 0.5)), 0.75,
+                              rates_per_level=rates)
+
+    def test_rate_overflow_is_an_overlay_error(self):
+        with pytest.raises(OverlayError, match="overflow the message counts"):
+            construct_overlay(60, LevelSet((0.0, 0.5)), 0.75,
+                              rates_per_level=[100.0, 0.1])
+
     def test_rates_and_counts_mutually_exclusive(self):
         with pytest.raises(OverlayError, match="not both"):
             construct_overlay(60, LevelSet((0.0,)), 0.75,
@@ -425,15 +452,15 @@ class TestVerifyFailures:
         rows = [coord_sets(small_overlay, m) for m in range(6)]
         short = frozenset(list(rows[0][0])[:-1])
         rows[0] = (short, rows[0][1])
-        broken = OverlayCode(60, small_overlay.level_set, 0.75,
-                             Fraction(3, 4), _index_from_rows(60, 2, rows))
+        broken = OverlayCode(60, small_overlay.level_set, Fraction(3, 4),
+                             _index_from_rows(60, 2, rows))
         report = verify_overlay(broken)
         assert not report.passed
         assert any("expected 20" in v for v in report.violations)
 
     def test_planted_pairwise_violation(self):
         row = (frozenset({1, 2, 3, 4}),)
-        code = OverlayCode(8, LevelSet((0.0,)), 0.75, Fraction(3, 4),
+        code = OverlayCode(8, LevelSet((0.0,)), Fraction(3, 4),
                            _index_from_rows(8, 1, (row, row)))
         report = verify_overlay(code)
         assert not report.passed
@@ -448,7 +475,7 @@ class TestVerifyFailures:
         sets = [{1, 2, 3, 4}, {1, 2, 3, 5}, {1, 2, 3, 6}, {1, 2, 3, 7},
                 {1, 2, 3, 8}, {1, 2, 4, 5}]
         rows = [(frozenset(sets[m // 2]),) for m in range(12)]
-        code = OverlayCode(8, LevelSet((0.0,)), 0.75, Fraction(3, 4),
+        code = OverlayCode(8, LevelSet((0.0,)), Fraction(3, 4),
                            _index_from_rows(8, 1, rows))
         whole = verify_overlay(code).violations
         assert whole == tuple(
@@ -468,8 +495,8 @@ class TestLevelCounts:
     def test_counts_of_a_broken_overlay(self, small_overlay):
         index = small_overlay.level_index.copy()
         index[3, small_overlay.test_indices(3)[1][:2]] = 0   # level 1/2 -> 0
-        broken = OverlayCode(60, small_overlay.level_set, 0.75,
-                             Fraction(3, 4), index)
+        broken = OverlayCode(60, small_overlay.level_set, Fraction(3, 4),
+                             index)
         expected = [[np.count_nonzero(index[m] == j) for j in range(2)]
                     for m in range(6)]
         assert broken.level_counts.tolist() == expected
@@ -557,7 +584,7 @@ class TestPrefixGroupVerify:
     def test_product_codes(self, case):
         n, level_set, gamma, tables = case
         rows = reference_rows(n, tables)
-        code = OverlayCode(n, level_set, float(gamma), gamma,
+        code = OverlayCode(n, level_set, gamma,
                            _index_from_rows(n, len(level_set), rows),
                            radices=[len(t) for t in tables])
         slots = [np.array([sorted(s) for s in t]) - 1 for t in tables]
@@ -576,7 +603,7 @@ class TestPrefixGroupVerify:
         i = data.draw(st.integers(0, n - 1))
         index[m, i] = data.draw(st.integers(0, len(level_set)))
         check_against_references(OverlayCode(
-            n, level_set, float(gamma), gamma,
+            n, level_set, gamma,
             radices=[len(t) for t in tables], level_index=index))
 
     @settings(max_examples=150, deadline=None)
