@@ -32,7 +32,7 @@ just a targeted one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any
 
@@ -42,7 +42,7 @@ from . import bounds as bounds_mod
 from .basecode import BaseCode
 from .overlay import OverlayCode
 from .streams import (CHUNK_VALUES, RETRY_LIMIT, ROW_VALUES, Role,
-                      one_shot_rng, row_chunks)
+                      check_ids, one_shot_rng, row_chunks)
 
 REJECT = "!"
 
@@ -64,6 +64,8 @@ class AuthCode:
     decimated: frozenset[int] | None = None
     decimation_info: bounds_mod.DecimationBounds | None = None
     attempts: int = 1
+    # a decode to m passes the decimation filter iff valid_mask[m]
+    valid_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.base.message_count != self.overlay.message_count:
@@ -82,16 +84,14 @@ class AuthCode:
                 f"message {m} has {counts[m, j]} coordinates at level "
                 f"{self.overlay.level_set.levels[j]}, expected {self.ell}: "
                 f"the detector needs exactly ell")
-        valid = np.ones(self.message_count, dtype=bool)
+        valid = np.full(self.message_count, self.decimated is None)
         if self.decimated is not None:
-            ids = np.fromiter(self.decimated, dtype=np.int64)
-            if np.any((ids < 0) | (ids >= self.message_count)):
-                raise AuthCodeError("decimated ids must be message ids")
-            valid[:] = False
-            valid[ids] = True
+            for m in self.decimated:   # one at a time: no bool passes
+                valid[check_ids("decimated", m, self.message_count,
+                                AuthCodeError)] = True
             if self.base.null_id is not None:
                 valid[self.base.null_id] = True
-        object.__setattr__(self, "_valid", valid)
+        object.__setattr__(self, "valid_mask", valid)
 
     @property
     def n(self) -> int:
@@ -149,19 +149,12 @@ class AuthCode:
             del levels   # before the next chunk's levels exist
         return float(np.max(per_row)) / self.n
 
-    @property
-    def valid_mask(self) -> np.ndarray:
-        """Boolean mask over message ids: a decode to ``m`` is accepted by
-        the decimation filter iff ``valid_mask[m]``."""
-        return self._valid  # type: ignore[attr-defined]
-
     def is_valid_message(self, m: int) -> bool:
-        """Whether ``m`` is a message id that the decoder may accept: an
-        integer in range that survives decimation.  A bool or any other
-        non-integer raises ``AuthCodeError``."""
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-            raise AuthCodeError(f"a message id is an integer, not {m!r}")
-        return 0 <= m < self.message_count and bool(self.valid_mask[m])
+        """Whether ``m`` is a message id that the decoder may accept: in
+        [0, M) and surviving decimation.  False when ``0 <= m < M`` fails;
+        else a bool or any other non-integer raises ``AuthCodeError``."""
+        return 0 <= m < self.message_count and bool(self.valid_mask[
+            check_ids("m", m, self.message_count, AuthCodeError)])
 
 
 def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
@@ -178,8 +171,8 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
     the one table, scaled in place by sqrt((1 - k^2) rho_delta) per
     level; the checks go in row chunks; at most ``RETRY_LIMIT`` attempts.
     """
-    if rho_delta <= 0.0:
-        raise AuthCodeError("rho_delta must be positive")
+    if not 0.0 < rho_delta < math.inf:
+        raise AuthCodeError("rho_delta must be positive and finite")
     if not 0.0 < delta < 1.0:
         raise AuthCodeError("delta must lie in (0,1)")
     if base.message_count != overlay.message_count:
@@ -225,7 +218,7 @@ def auth_encode_batch(code: AuthCode, ms: np.ndarray, unit_delta: np.ndarray,
     (x + t) + (sqrt(rho_delta) G_delta) f.  ``out`` holds three (B, n)
     arrays used in place of new ones: the codewords are written to the
     first and returned, the other two are scratch."""
-    _check_ids(code, ms, "ms")
+    ms = check_ids("ms", ms, code.message_count, AuthCodeError)
     xs, noise, levels = (None, None, None) if out is None else out
     # mode="clip" gathers straight into ``out`` (the default copies);
     # the ids are checked above
@@ -236,13 +229,6 @@ def auth_encode_batch(code: AuthCode, ms: np.ndarray, unit_delta: np.ndarray,
     noise *= code.overlay.level_matrix(ms, out=levels)
     xs += noise
     return xs
-
-
-def _check_ids(code: AuthCode, ids: np.ndarray,
-               name: str = "base_decoded") -> None:
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= code.message_count):
-        raise AuthCodeError(f"{name} must hold message ids")
 
 
 def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
@@ -257,11 +243,12 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
     the gathered arrays (at most 2**15 values each) and a block's received
     rows (2**17 values, ``streams.block_rows``) fit in a 2 MiB L2 cache
     together."""
-    if rho_dec < 0.0:
-        raise AuthCodeError("rho_dec must be nonnegative")
-    _check_ids(code, base_decoded)
+    if not 0.0 <= rho_dec < math.inf:
+        raise AuthCodeError("rho_dec must be nonnegative and finite")
+    base_decoded = check_ids("base_decoded", base_decoded,
+                             code.message_count, AuthCodeError)
     n, ell = code.n, code.ell
-    if np.shape(ys) != (len(base_decoded), n):
+    if base_decoded.ndim != 1 or np.shape(ys) != (len(base_decoded), n):
         # the gather below clips its indices instead of checking them
         raise AuthCodeError("ys must be a (rows, n) matrix, one row per "
                             "decoded id")
@@ -311,7 +298,8 @@ def detect_batch(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
     level statistic above the threshold ell (1 + delta).  Level 1 is never
     tested; ``detector=False`` (the delta -> infinity sentinel) leaves only
     the decimation filter."""
-    _check_ids(code, base_decoded)
+    base_decoded = check_ids("base_decoded", base_decoded,
+                             code.message_count, AuthCodeError)
     rejected = ~code.valid_mask[base_decoded]
     if detector:
         stats = level_statistics(code, ys, base_decoded, rho_dec)
@@ -326,7 +314,8 @@ def sample_decimation_subset(message_count: int, size: int,
     excluding the null id)."""
     pool = np.array([m for m in range(message_count) if m != exclude])
     if size > pool.size:
-        raise AuthCodeError("subset size exceeds candidate messages")
+        raise AuthCodeError(f"target size {size} exceeds available messages "
+                            f"{pool.size}")
     return frozenset(int(v) for v in rng.choice(pool, size=size, replace=False))
 
 
@@ -360,10 +349,6 @@ def decimate(code: AuthCode, rho_dec: float, seed: int = 0, *,
             f"- margin term {info.terms['margin_term']:.6g} "
             f"- quantization term {info.terms['quantization_term']:.6g}) "
             f"gives target size {info.target_size}")
-    candidates = code.message_count - (1 if code.base.null_id is not None else 0)
-    if size > candidates:
-        raise AuthCodeError(
-            f"target size {size} exceeds available messages {candidates}")
     rng = one_shot_rng(seed, Role.DECIMATION)
     surviving = sample_decimation_subset(code.message_count, size, rng,
                                          exclude=code.base.null_id)

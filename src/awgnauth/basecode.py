@@ -10,8 +10,8 @@ from typing import Any
 import numpy as np
 
 from .reporting import EstimateReport
-from .streams import (ROW_VALUES, Role, block_rows, check_int, choices,
-                      draw_buffer, normals, one_shot_rng, row_chunks)
+from .streams import (ROW_VALUES, Role, block_rows, check_ids, check_int,
+                      choices, draw_buffer, normals, one_shot_rng, row_chunks)
 
 _U32, _U64 = 2.0 ** -24, 2.0 ** -53   # unit roundoffs of float32 and float64
 # the absolute error a float32 operation may add when its result underflows,
@@ -96,8 +96,7 @@ class BaseCode:
             raise BaseCodeError("codewords must be a (messages, n) matrix")
         object.__setattr__(self, "codewords", cw)
         if self.null_id is not None:
-            if not 0 <= self.null_id < cw.shape[0]:
-                raise BaseCodeError("null_id out of range")
+            check_ids("null_id", self.null_id, cw.shape[0], BaseCodeError)
             if np.any(cw[self.null_id]):
                 raise BaseCodeError("the null message must map to the zero codeword")
         if not _distinct(cw):

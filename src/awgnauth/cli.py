@@ -6,7 +6,7 @@ taken from a config file and then from the command line (``key=value``,
 ``--key value`` or ``--key=value``; ``--out FILE`` is ``run.out``), and
 applied in the order written: the last setting of a field wins, whatever
 its spelling, and a malformed setting exits 2 even when a later one
-replaces it.  ``sweep`` checks every point before it runs any.
+replaces it.  ``sweep`` checks and builds every point before it runs any.
 
 Config grammar (line oriented; ``#`` starts a comment)::
 
@@ -700,8 +700,9 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                           "has no point column")
     values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
     points = [apply_settings(cfg, [(args.axis, v)]) for v in values]
-    for point in points:   # every point is checked before any runs
+    for point in points:   # every point is checked and built before any runs
         validate_config(point)
+        build_pipeline(point)   # seeded: the point's run builds the same code
     lines = [",".join(SWEEP_HEADER)]
     worst = True
     for value, point in zip(values, points):

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import numerics
 from .streams import (CHUNK_VALUES, RETRY_LIMIT, ROW_VALUES, SCORE_VALUES,
-                      Role, check_int, one_shot_rng, row_chunks)
+                      Role, check_ids, check_int, one_shot_rng, row_chunks)
 
 MAX_TOTAL_MESSAGES = 1 << 20  # materialization guard
 DEFECT_COEFF = {"construction": 1.0 / 3.0, "theorem": 4.0 / 3.0}
@@ -197,8 +197,7 @@ class OverlayCode:
         """Ascending 0-based coordinates of message m, one array per level
         in K: the detector's stable sort of the row's level indices, split
         at each level's own count."""
-        if not 0 <= m < self.message_count:
-            raise OverlayError(f"message id {m} out of range")
+        check_ids("m", m, self.message_count, OverlayError)
         order = np.argsort(self.level_index[m], kind="stable")
         return tuple(np.split(order, np.cumsum(self.level_counts[m]))[:-1])
 
@@ -214,12 +213,10 @@ class OverlayCode:
         ``CHUNK_VALUES`` values, so that the index temporaries are a
         chunk's, not the result's."""
         ids = np.arange(self.message_count) if rows is None \
-            else np.asarray(rows)
-        if ids.ndim > 1 or ids.dtype.kind not in "iu":
+            else check_ids("rows", rows, self.message_count, OverlayError)
+        if ids.ndim > 1:
             raise OverlayError("rows must be a message id or a 1-d array "
                                "of them")
-        if ids.size and (ids.min() < 0 or ids.max() >= self.message_count):
-            raise OverlayError("rows must hold message ids")
         shape = ids.shape + (self.n,)
         if out is None:
             out = np.empty(shape)
@@ -250,10 +247,8 @@ class VerifyReport:
     def witness(self, m: int, m_prime: int) -> tuple[int, int] | None:
         """Lowest witness of the ordered pair: (index into K, overlap count
         there), or None when m == m_prime or the pair has no witness."""
-        count = self.code.message_count
-        for v in (m, m_prime):
-            if not 0 <= v < count:
-                raise OverlayError(f"message id {v} out of range")
+        for name, v in (("m", m), ("m_prime", m_prime)):
+            check_ids(name, v, self.code.message_count, OverlayError)
         if m == m_prime:
             return None
         mine, other = self.code.level_index[m], self.code.level_index[m_prime]

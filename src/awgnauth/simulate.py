@@ -70,8 +70,8 @@ from .adversary import (AttackSpec, mmse_attack_terms,
                         mmse_targeted_attack_batch, no_attack)
 from .authcode import REJECT, AuthCode, auth_encode_batch, detect_batch
 from .reporting import EstimateReport, binomial_se, wilson_interval  # noqa: F401
-from .streams import (Role, block_rows, check_int, choices, draw_buffer,
-                      normals, one_shot_rng)
+from .streams import (Role, block_rows, check_ids, check_int, choices,
+                      draw_buffer, normals, one_shot_rng)
 
 METRICS = ("epsilon", "false_alarm", "genuine_acceptance", "alpha_star", "alpha")
 FALSE_AUTH_METRICS = ("alpha_star", "alpha")
@@ -228,7 +228,9 @@ def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
     check_int("seed", seed, SimulateError, 0)
     check_int("trial_index", trial_index, SimulateError, 0)
     _check_power(code, channel)
-    _check_messages(code, [m])
+    _check_messages(code, "m", [m])
+    if attack.target is not None:
+        _check_messages(code, "attack target", [attack.target])
     if attack.kind == "impersonation" and m != code.base.null_id:
         raise SimulateError(f"impersonation transmits the null message; "
                             f"{m} is not the null message of this code")
@@ -242,10 +244,10 @@ def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
                         classify(attack, int(m), decoded))
 
 
-def _check_messages(code: AuthCode, ids: Sequence[Any]) -> None:
+def _check_messages(code: AuthCode, name: str, ids: Iterable[Any]) -> None:
     for m in ids:
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) \
-                or not code.is_valid_message(m):
+        check_ids(name, m, code.message_count, SimulateError)
+        if not code.is_valid_message(m):
             raise SimulateError(f"{m!r} is not a valid message of this code")
 
 
@@ -401,7 +403,7 @@ def _attack_runs(code: AuthCode, attack: AttackSpec | None,
         pool = [int(m) for m in _transmit_pool(code)]
         targets = pool
         if attack is not None and attack.target is not None:
-            _check_messages(code, [attack.target])
+            _check_messages(code, "attack target", [attack.target])
             targets = [attack.target]
         pairs = [(a, b) for a in ([null] if impersonation else pool)
                  for b in targets if a != b]
@@ -506,8 +508,8 @@ def estimate(code: AuthCode, channel: ChannelParams,
         raise SimulateError("estimation needs rho_dec > 0 "
                             "(the zero sentinel is for single trials)")
     _check_power(code, channel)
-    _check_messages(code, ([] if message is None else [message])
-                    + [m for pair in pairs or () for m in pair])
+    _check_messages(code, "message", [] if message is None else [message])
+    _check_messages(code, "pairs", [m for pair in pairs or () for m in pair])
     pair_runs: list[Run] = []
     if any(name in FALSE_AUTH_METRICS for name in metrics):
         if channel.rho_adv <= 0.0:

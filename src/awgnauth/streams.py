@@ -22,8 +22,8 @@ temporary of the table's size.
 ``uniforms`` and ``normals`` draw into an ``out=`` array from
 ``draw_buffer`` when given one, so that the estimators allocate a
 block's draws once per worker per call and reuse them in every block.
-``check_int`` validates their integer arguments (trial counts, seeds,
-trial indices) before any draw.
+``check_int`` validates integer arguments (trial counts, seeds, trial
+indices) before any draw, and ``check_ids`` is the one message-id test.
 """
 
 from __future__ import annotations
@@ -144,3 +144,17 @@ def check_int(name: str, value: Any, error: type[Exception],
         what = {0: "a nonnegative integer", 1: "a positive integer"}.get(
             minimum, f"an integer of at least {minimum}")
         raise error(f"{name} must be {what}, not {value!r}")
+
+
+def check_ids(name: str, ids: Any, count: int,
+              error: type[Exception]) -> np.ndarray:
+    """``ids``, one message id or an array of them, as an array; raise
+    ``error`` unless its dtype is integer (bools and floats fail) and every
+    id is in [0, count).  Check scalars one at a time: [True, 0] is ints."""
+    arr = np.asarray(ids)
+    if arr.dtype.kind not in "iu" or arr.size and not (
+            0 <= int(arr) < count if arr.ndim == 0   # a scalar: no reduction
+            else 0 <= arr.min() and arr.max() < count):
+        raise error(f"{name} must hold message ids, integers in [0, {count}):"
+                    f" {ids!r} is not a valid message id")
+    return arr

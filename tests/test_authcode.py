@@ -679,7 +679,7 @@ class TestAuthCodeValidation:
 
     @pytest.mark.parametrize("m", [True, 1.0])
     def test_message_ids_must_be_integers(self, small_auth, m):
-        with pytest.raises(AuthCodeError, match="a message id is an integer"):
+        with pytest.raises(AuthCodeError, match="m must hold message ids"):
             small_auth.is_valid_message(m)
 
     def test_out_of_range_ids_are_invalid(self, small_auth):

@@ -176,7 +176,8 @@ class TestBaseCodeValidation:
             BaseCode(np.zeros((0, 4)))
 
     def test_null_id_range(self):
-        with pytest.raises(BaseCodeError, match="out of range"):
+        with pytest.raises(BaseCodeError,
+                           match="null_id must hold message ids"):
             BaseCode(np.ones((1, 3)), null_id=5)
 
 

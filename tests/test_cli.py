@@ -253,6 +253,20 @@ class TestBoundsCommand:
         assert report["config_hash"]
         assert report["schema_version"] == 1
 
+    def test_auto_levels_come_from_optimal_levels(self, capsys):
+        rc, out, _ = run_cli(["bounds", "overlay.levels=auto"], capsys)
+        assert rc == 0
+        report = json.loads(out)
+        assert report["config"]["overlay"]["levels"] == "auto"
+        assert report["code"]["overlay"]["levels"] == [0.0, 0.1]
+
+    def test_auto_levels_outside_the_unit_interval_exit_two(self, capsys):
+        rc, out, err = run_cli(["bounds", "overlay.levels=auto",
+                                "channel.rho_dec=2"], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: overlay: optimal levels fall outside "
+                              "[0,1)")
+
 
 class TestSimulateCommand:
     def test_exit_zero_when_dominated(self, capsys):
@@ -387,6 +401,18 @@ class TestSweepCommand:
         assert rc == 2 and out == ""
         assert err == ("error: channel.rho_adv must be nonnegative and "
                        "finite, got -1.0\n")
+
+    def test_every_point_is_built_before_any_runs(self, capsys, monkeypatch):
+        # n = 2 passes the config check but not the overlay construction
+        def no_point(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(cli, "make_report", no_point)
+        rc, out, err = run_cli(["sweep", "--axis", "base.n", "--values",
+                                "64,2", "run.trials=20000"], capsys)
+        assert rc == 2 and out == ""
+        assert err == ("error: overlay: n must be at least the extended "
+                       "level count\n")
 
     def test_exit_one_when_any_point_violates(self, capsys):
         rc, out, _ = run_cli(["sweep", "--axis", "channel.rho_adv",

@@ -362,7 +362,7 @@ class TestConstruction:
     @pytest.mark.parametrize("rows, out, match", [
         (np.array([0, 6]), None, "message ids"),
         (np.array([-1]), None, "message ids"),
-        (np.array([0.0]), None, "1-d array"),
+        (np.array([0.0]), None, "message ids"),
         (np.zeros((2, 2), dtype=int), None, "1-d array"),
         (np.array([0, 1]), np.empty((3, 60)), "out must be"),
         (np.array([0, 1]), np.empty((2, 60), np.float32), "out must be"),
@@ -624,7 +624,7 @@ class TestPrefixGroupVerify:
     def test_witness_rejects_unknown_ids(self, small_overlay):
         report = verify_overlay(small_overlay)
         for pair in ((-1, 0), (0, 6)):
-            with pytest.raises(OverlayError, match="out of range"):
+            with pytest.raises(OverlayError, match="must hold message ids"):
                 report.witness(*pair)
 
 
@@ -640,7 +640,7 @@ class TestTestIndices:
                 assert np.array_equal(idx,
                                       np.flatnonzero(code.level_index[m] == j))
         for m in (-1, code.message_count):
-            with pytest.raises(OverlayError, match="out of range"):
+            with pytest.raises(OverlayError, match="m must hold message ids"):
                 code.test_indices(m)
         back = from_json_dict(json.loads(json.dumps(to_json_dict(code))))
         assert back.level_index.dtype == code.level_index.dtype
