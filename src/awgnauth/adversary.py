@@ -26,7 +26,7 @@ import numpy as np
 
 from .authcode import AuthCode
 from .bounds import mmse_weight
-from .streams import check_ids
+from .streams import check_ids, check_powers
 
 
 class AttackError(ValueError):
@@ -80,8 +80,7 @@ def mmse_attack_terms(code: AuthCode, m: int, m_target: int, rho_adv: float,
     computed once per attacked run: the mean shift x(m') + t(m') - x(m)
     - t(m), the mean x(m) + t(m), and the ``mmse_weight`` w of f(m),
     times ``weight_scale`` when given."""
-    if not 0.0 <= rho_adv < math.inf:
-        raise AttackError("rho_adv must be nonnegative and finite")
+    check_powers(AttackError, rho_adv=rho_adv)
     for name, v in (("m", m), ("m_target", m_target)):
         check_ids(name, v, code.message_count, AttackError)
     if m == m_target:
@@ -113,8 +112,7 @@ def residual_variance_vector(code: AuthCode, m: int, rho_adv: float,
     """Per-coordinate variance of Y - x(m') - t(m') under the MMSE
     attack: the residual-variance law evaluated at f(m), that is the
     cancelled share w rho_adv of the injected noise plus rho_dec."""
-    if not (0.0 <= rho_adv < math.inf and 0.0 <= rho_dec < math.inf):
-        raise AttackError("rho_adv and rho_dec must be nonnegative and finite")
+    check_powers(AttackError, rho_adv=rho_adv, rho_dec=rho_dec)
     check_ids("m", m, code.message_count, AttackError)
     w = mmse_weight(code.overlay.level_matrix(m), code.rho_delta, rho_adv)
     return w * rho_adv + rho_dec

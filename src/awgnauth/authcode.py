@@ -42,7 +42,7 @@ from . import bounds as bounds_mod
 from .basecode import BaseCode
 from .overlay import OverlayCode
 from .streams import (CHUNK_VALUES, RETRY_LIMIT, ROW_VALUES, Role,
-                      check_ids, one_shot_rng, row_chunks)
+                      check_ids, check_powers, one_shot_rng, row_chunks)
 
 REJECT = "!"
 
@@ -68,6 +68,9 @@ class AuthCode:
     valid_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_powers(AuthCodeError, positive=True, rho_delta=self.rho_delta)
+        if not 0.0 <= self.delta < 1.0:   # 0: the threshold is ell itself
+            raise AuthCodeError("delta must lie in [0,1)")
         if self.base.message_count != self.overlay.message_count:
             raise AuthCodeError("base and overlay must agree on message count")
         if self.base.n != self.overlay.n:
@@ -151,9 +154,11 @@ class AuthCode:
 
     def is_valid_message(self, m: int) -> bool:
         """Whether ``m`` is a message id that the decoder may accept: in
-        [0, M) and surviving decimation.  False when ``0 <= m < M`` fails;
-        else a bool or any other non-integer raises ``AuthCodeError``."""
-        return 0 <= m < self.message_count and bool(self.valid_mask[
+        [0, M) and surviving decimation.  False for an integer outside
+        [0, M); a bool or any other non-integer raises ``AuthCodeError``."""
+        if np.asarray(m).dtype.kind in "iu" and not 0 <= m < self.message_count:
+            return False
+        return bool(self.valid_mask[
             check_ids("m", m, self.message_count, AuthCodeError)])
 
 
@@ -171,17 +176,12 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
     the one table, scaled in place by sqrt((1 - k^2) rho_delta) per
     level; the checks go in row chunks; at most ``RETRY_LIMIT`` attempts.
     """
-    if not 0.0 < rho_delta < math.inf:
-        raise AuthCodeError("rho_delta must be positive and finite")
-    if not 0.0 < delta < 1.0:
+    if not 0.0 < delta < 1.0:   # a code may carry delta = 0; a build may not
         raise AuthCodeError("delta must lie in (0,1)")
-    if base.message_count != overlay.message_count:
-        raise AuthCodeError("base and overlay must agree on message count")
-    if base.n != overlay.n:
-        raise AuthCodeError("base and overlay must agree on n")
+    code = AuthCode(base, overlay, rho_delta, delta,   # checks the rest
+                    np.zeros(base.codewords.shape), t_zero=True)
     if t_zero:
-        return AuthCode(base, overlay, rho_delta, delta,
-                        np.zeros_like(base.codewords), t_zero=True)
+        return code
 
     omega_h, rate_h = base.power, base.rate
     corr_cap = 2.0 * base.n * math.sqrt(2.0 * omega_h * (rate_h + 1.0) * rho_delta)
@@ -192,7 +192,7 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
     scale = np.sqrt((1.0 - np.asarray(overlay.level_set.extended) ** 2)
                     * rho_delta)
     chunks = list(row_chunks(base.message_count, base.n, ROW_VALUES))
-    t = np.empty(base.codewords.shape)
+    t = code.t_table   # the zero code's table is the draws' one table
     for attempt in range(RETRY_LIMIT):
         # a failed attempt's table, and its code, are drawn over
         one_shot_rng(seed, Role.T_TABLE, attempt).standard_normal(out=t)
@@ -219,6 +219,8 @@ def auth_encode_batch(code: AuthCode, ms: np.ndarray, unit_delta: np.ndarray,
     arrays used in place of new ones: the codewords are written to the
     first and returned, the other two are scratch."""
     ms = check_ids("ms", ms, code.message_count, AuthCodeError)
+    if ms.ndim != 1 or np.shape(unit_delta) != (len(ms), code.n):
+        raise AuthCodeError("ms must be 1-d, one id per row of unit_delta")
     xs, noise, levels = (None, None, None) if out is None else out
     # mode="clip" gathers straight into ``out`` (the default copies);
     # the ids are checked above
@@ -243,8 +245,7 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
     the gathered arrays (at most 2**15 values each) and a block's received
     rows (2**17 values, ``streams.block_rows``) fit in a 2 MiB L2 cache
     together."""
-    if not 0.0 <= rho_dec < math.inf:
-        raise AuthCodeError("rho_dec must be nonnegative and finite")
+    check_powers(AuthCodeError, rho_dec=rho_dec)
     base_decoded = check_ids("base_decoded", base_decoded,
                              code.message_count, AuthCodeError)
     n, ell = code.n, code.ell
@@ -336,6 +337,8 @@ def decimate(code: AuthCode, rho_dec: float, seed: int = 0, *,
     """
     if code.decimated is not None:
         raise AuthCodeError("code is already decimated")
+    check_powers(AuthCodeError, positive=True, rho_dec=rho_dec)
+    check_powers(AuthCodeError, rho_adv=0.0 if rho_adv is None else rho_adv)
     info = bounds_mod.decimation_bounds(
         code.n, code.overlay.level_set, code.overlay.gamma, code.delta,
         code.rho_delta, rho_dec, code.power, code.base.rate,

@@ -11,7 +11,8 @@ import numpy as np
 
 from .reporting import EstimateReport
 from .streams import (ROW_VALUES, Role, block_rows, check_ids, check_int,
-                      choices, draw_buffer, normals, one_shot_rng, row_chunks)
+                      check_powers, choices, draw_buffer, normals,
+                      one_shot_rng, row_chunks)
 
 _U32, _U64 = 2.0 ** -24, 2.0 ** -53   # unit roundoffs of float32 and float64
 # the absolute error a float32 operation may add when its result underflows,
@@ -188,8 +189,8 @@ class BaseCode:
 def make_antipodal_code(n: int, omega: float) -> BaseCode:
     """Two messages at +-sqrt(omega) on every coordinate; decoding reduces
     to the sign of sum(y) with ties going to message 0."""
-    if n < 1 or omega <= 0.0:
-        raise BaseCodeError("n >= 1 and omega > 0 required")
+    check_int("n", n, BaseCodeError)
+    check_powers(BaseCodeError, positive=True, omega=omega)
     amp = math.sqrt(omega)
     return BaseCode(np.vstack([np.full(n, amp), np.full(n, -amp)]))
 
@@ -198,8 +199,9 @@ def make_random_gaussian_code(n: int, message_count: int, omega: float,
                               seed: int = 0, *, null_message: bool = False) -> BaseCode:
     """I.i.d. Gaussian codewords rescaled so the max-message power equals
     omega exactly; optionally appends the zero codeword as a null message."""
-    if n < 1 or message_count < 1 or omega <= 0.0:
-        raise BaseCodeError("n >= 1, message_count >= 1, omega > 0 required")
+    check_int("n", n, BaseCodeError)
+    check_int("message_count", message_count, BaseCodeError)
+    check_powers(BaseCodeError, positive=True, omega=omega)
     cw = one_shot_rng(seed, Role.CODEBOOK).standard_normal((message_count, n))
     cw *= math.sqrt(omega / np.max(_mean_squares(cw)))
     null_id = None
@@ -212,6 +214,7 @@ def make_random_gaussian_code(n: int, message_count: int, omega: float,
 def antipodal_error_probability(n: int, omega: float, rho_dec: float) -> float:
     """Closed-form block error of the antipodal pair: Phi(-sqrt(n*omega/rho_dec))."""
     from .numerics import gaussian_cdf
+    check_powers(BaseCodeError, positive=True, omega=omega, rho_dec=rho_dec)
     return gaussian_cdf(-math.sqrt(n * omega / rho_dec))
 
 
@@ -229,8 +232,7 @@ def base_error_probability(code: BaseCode, rho_dec: float, trials: int,
     """
     check_int("trials", trials, BaseCodeError, 100)
     check_int("seed", seed, BaseCodeError, 0)
-    if not 0.0 < rho_dec < math.inf:
-        raise BaseCodeError("rho_dec must be positive and finite")
+    check_powers(BaseCodeError, positive=True, rho_dec=rho_dec)
     pool = code.non_null_ids
     scale = math.sqrt(rho_dec)
     batch = block_rows(code.n, code.message_count)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import numerics
 from .overlay import LevelSet
+from .streams import check_powers
 
 
 class BoundsError(ValueError):
@@ -29,6 +30,7 @@ def mmse_weight(level: float | np.ndarray, rho_delta: float,
     """Cancellation weight f^2 rho_delta / (f^2 rho_delta + rho_adv),
     elementwise over an array of levels; zero where the coordinate
     carries no injected noise and the observation is noiseless."""
+    check_powers(BoundsError, rho_delta=rho_delta, rho_adv=rho_adv)
     level = np.asarray(level, dtype=np.float64)
     injected = level * level * rho_delta
     total = injected + rho_adv
@@ -43,8 +45,7 @@ def residual_variance(level: float, rho_delta: float, rho_adv: float,
     ``mmse_weight`` of ``a``, that is a^2 rho_D rho_A / (a^2 rho_D +
     rho_A) + rho_dec.  Degenerates to rho_dec when the coordinate carries
     no injected noise or the adversary observes noiselessly."""
-    if rho_delta < 0 or rho_adv < 0 or rho_dec <= 0:
-        raise BoundsError("rho_delta, rho_adv >= 0 and rho_dec > 0 required")
+    check_powers(BoundsError, positive=True, rho_dec=rho_dec)
     return float(mmse_weight(level, rho_delta, rho_adv) * rho_adv + rho_dec)
 
 
@@ -61,6 +62,8 @@ def detection_margin(level_set: LevelSet, gamma: float, delta: float,
         denom = (gamma * residual_variance(k, rho_delta, rho_adv, rho_dec)
                  + (1.0 - gamma) * residual_variance(d_k, rho_delta, rho_adv, rho_dec))
         val = 1.0 - (1.0 + delta) * (k * k * rho_delta + rho_dec) / denom
+        if math.isnan(val):   # NaN never compares below best
+            raise BoundsError(f"margin term at level {k} is NaN (gamma, delta)")
         if val < best:
             best, best_level = val, k
     return max(0.0, best), best_level
@@ -72,6 +75,7 @@ def injection_power_bound(omega_h: float, rate_h: float, rho_delta: float,
     """Power bound for the noise-injected code: omega_h +
     2 sqrt(2 omega_h rho_D (r+1)) + rho_D (1 + C [r + 1 + ln|K|/n]) with
     C = 8|K~| (default) or C = 8|K|+1 (variant)."""
+    check_powers(BoundsError, omega_h=omega_h, rho_delta=rho_delta)
     coeff = (8 * k_size + 1) if variant else 8 * ktilde_size
     extra = rate_h + 1.0 + math.log(k_size) / n
     return (omega_h + 2.0 * math.sqrt(2.0 * omega_h * rho_delta * (rate_h + 1.0))
@@ -109,6 +113,7 @@ def injection_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
     """Evaluate the rate/power/error/false-authentication guarantees of
     the noise-injection modification.  ``epsilon_h`` must be the base
     code's error probability at combined noise rho_dec + rho_delta."""
+    check_powers(BoundsError, omega_h=omega_h)   # t_zero's power checks none
     ell = n // len(level_set.extended)
     lam, argmin = detection_margin(level_set, gamma, delta, rho_delta,
                                    rho_adv, rho_dec)
@@ -146,6 +151,7 @@ def quantization_radius(n: int, omega: float, rho_delta: float,
     """theta = max(1, sqrt(3n [omega + (rho_D + rho_dec)(1 + delta +
     2 lam^2 + 2 r)])) — the radius of attack means the decimation
     argument must cover with a quantization net."""
+    check_powers(BoundsError, omega=omega, rho_delta=rho_delta, rho_dec=rho_dec)
     inner = omega + (rho_delta + rho_dec) * (1.0 + delta + 2.0 * lam * lam
                                              + 2.0 * rate)
     return max(1.0, math.sqrt(3.0 * n * inner))
@@ -189,6 +195,7 @@ def decimation_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
     the (exactly computable) power of the noise-injected code; in
     adversary-agnostic mode lambda is pinned to 0 and no rho_adv is
     needed."""
+    check_powers(BoundsError, positive=True, rho_dec=rho_dec)
     if adversary_agnostic:
         lam = 0.0
     else:
@@ -225,8 +232,8 @@ def decimation_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
 def capacity(rho: float, rho_dec: float, rho_adv: float) -> float:
     """Authenticated-channel capacity: (1/2) ln(1 + rho/rho_dec) when the
     adversary's observation is noisy (rho_adv > 0), else 0."""
-    if rho < 0 or rho_dec <= 0 or rho_adv < 0:
-        raise BoundsError("rho >= 0, rho_dec > 0, rho_adv >= 0 required")
+    check_powers(BoundsError, rho=rho, rho_adv=rho_adv)
+    check_powers(BoundsError, positive=True, rho_dec=rho_dec)
     if rho_adv == 0.0:
         return 0.0
     return 0.5 * math.log1p(rho / rho_dec)
@@ -260,8 +267,7 @@ def optimal_levels(count: int, gamma: float, rho_delta: float,
         raise BoundsError("count must be >= 1")
     if not 0.5 < gamma < 1.0:
         raise BoundsError("gamma must lie in (1/2, 1)")
-    if rho_delta <= 0 or rho_dec <= 0:
-        raise BoundsError("rho_delta and rho_dec must be positive")
+    check_powers(BoundsError, positive=True, rho_delta=rho_delta, rho_dec=rho_dec)
     root = 1.0 / count
     c = rho_dec**root / (gamma * rho_dec**root
                          + (1.0 - gamma) * (rho_delta + rho_dec)**root)
@@ -294,10 +300,10 @@ def rate_gap(rho: float, rho_dec: float, rho_delta: float) -> RateGap:
     telescopes to (1/2)ln(1 + rho_delta/rho_dec) — independent of rho.
     The series form uses c = (rho+rho_dec)/(rho+rho_dec+rho_delta(1+rho/rho_dec)).
     """
+    check_powers(BoundsError, rho=rho)
+    check_powers(BoundsError, positive=True, rho_dec=rho_dec, rho_delta=rho_delta)
     if rho_delta >= rho:
         raise BoundsError("rho_delta must be smaller than the power budget rho")
-    if rho_dec <= 0 or rho_delta <= 0:
-        raise BoundsError("rho_dec and rho_delta must be positive")
     exact = (0.5 * math.log1p(rho / rho_dec)
              - 0.5 * math.log1p((rho - rho_delta) / (rho_dec + rho_delta)))
     c = (rho + rho_dec) / (rho + rho_dec + rho_delta * (1.0 + rho / rho_dec))
@@ -386,6 +392,7 @@ def bounds_report(n: int, level_set: LevelSet, gamma: float, delta: float,
     """Flat, labelled report of every closed-form quantity for a
     parameter point; the injection block needs rho_adv, the decimation
     block runs with lambda = 0 when adversary-agnostic."""
+    check_powers(BoundsError, omega_h=omega_h)   # NaN would skip the rate gap
     out: dict[str, Any] = {
         "ell": n // len(level_set.extended),
         "levels": list(level_set.levels),

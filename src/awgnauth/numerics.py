@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+from .streams import check_powers
+
 _EPS = math.ulp(1.0)
 
 
@@ -86,8 +88,9 @@ def gaussian_posterior(rho: float, a: float, z: float) -> tuple[float, float]:
     """Moments of X | {X + G_a = z} for X ~ N(0, rho), G_a ~ N(0, a):
     mean (rho/(rho+a)) z, variance rho*a/(rho+a).
     """
-    if rho < 0.0 or a < 0.0 or rho + a <= 0.0:
-        raise ValueError("variances must be nonnegative and not both zero")
+    check_powers(ValueError, rho=rho, a=a)
+    if rho + a <= 0.0:
+        raise ValueError("variances must not both be zero")
     return (rho / (rho + a)) * z, rho * a / (rho + a)
 
 
@@ -97,8 +100,8 @@ def quantization_slack(n: int, rho_vec: Sequence[float], c: float) -> float:
         raise ValueError(f"rho_vec must have length n={n}, got {len(rho_vec)}")
     if c <= 0.0:
         raise ValueError("c must be positive")
-    if any(r <= 0.0 for r in rho_vec):
-        raise ValueError("all variances must be positive")
+    check_powers(ValueError, positive=True,
+                 **{f"rho_vec[{i}]": r for i, r in enumerate(rho_vec)})
     return math.sqrt(sum(1.0 / (2.0 * r) for r in rho_vec)) / c
 
 

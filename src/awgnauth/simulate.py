@@ -70,8 +70,8 @@ from .adversary import (AttackSpec, mmse_attack_terms,
                         mmse_targeted_attack_batch, no_attack)
 from .authcode import REJECT, AuthCode, auth_encode_batch, detect_batch
 from .reporting import EstimateReport, binomial_se, wilson_interval  # noqa: F401
-from .streams import (Role, block_rows, check_ids, check_int, choices,
-                      draw_buffer, normals, one_shot_rng)
+from .streams import (Role, block_rows, check_ids, check_int, check_powers,
+                      choices, draw_buffer, normals, one_shot_rng)
 
 METRICS = ("epsilon", "false_alarm", "genuine_acceptance", "alpha_star", "alpha")
 FALSE_AUTH_METRICS = ("alpha_star", "alpha")
@@ -98,16 +98,11 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         # rho_dec = 0 is allowed as a noiseless-pipe diagnostic for single
-        # trials; the estimators require a positive value.  The checks are
-        # written so that NaN fails them.
-        if not 0.0 <= self.rho_dec < math.inf:
-            raise SimulateError("rho_dec must be nonnegative and finite")
-        if not 0.0 <= self.rho_adv < math.inf:
-            raise SimulateError("rho_adv must be nonnegative and finite")
-        if self.power_budget is not None \
-                and not 0.0 < self.power_budget < math.inf:
-            raise SimulateError("power_budget must be positive and finite "
-                                "when given")
+        # trials; the estimators require a positive value.
+        check_powers(SimulateError, rho_dec=self.rho_dec, rho_adv=self.rho_adv)
+        if self.power_budget is not None:
+            check_powers(SimulateError, positive=True,
+                         power_budget=self.power_budget)
 
 
 @dataclass(frozen=True)
@@ -227,7 +222,7 @@ def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
     """A single trial, identical to row ``trial_index`` of a batched run."""
     check_int("seed", seed, SimulateError, 0)
     check_int("trial_index", trial_index, SimulateError, 0)
-    _check_power(code, channel)
+    _check_budget(code, channel)
     _check_messages(code, "m", [m])
     if attack.target is not None:
         _check_messages(code, "attack target", [attack.target])
@@ -251,7 +246,7 @@ def _check_messages(code: AuthCode, name: str, ids: Iterable[Any]) -> None:
             raise SimulateError(f"{m!r} is not a valid message of this code")
 
 
-def _check_power(code: AuthCode, channel: ChannelParams) -> None:
+def _check_budget(code: AuthCode, channel: ChannelParams) -> None:
     if channel.power_budget is not None and code.power > channel.power_budget:
         raise SimulateError(
             f"code power {code.power:.6g} exceeds the budget "
@@ -507,7 +502,7 @@ def estimate(code: AuthCode, channel: ChannelParams,
     if channel.rho_dec == 0.0:
         raise SimulateError("estimation needs rho_dec > 0 "
                             "(the zero sentinel is for single trials)")
-    _check_power(code, channel)
+    _check_budget(code, channel)
     _check_messages(code, "message", [] if message is None else [message])
     _check_messages(code, "pairs", [m for pair in pairs or () for m in pair])
     pair_runs: list[Run] = []

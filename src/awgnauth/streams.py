@@ -22,8 +22,8 @@ temporary of the table's size.
 ``uniforms`` and ``normals`` draw into an ``out=`` array from
 ``draw_buffer`` when given one, so that the estimators allocate a
 block's draws once per worker per call and reuse them in every block.
-``check_int`` validates integer arguments (trial counts, seeds, trial
-indices) before any draw, and ``check_ids`` is the one message-id test.
+``check_int`` tests integer arguments (counts, seeds, trial indices),
+``check_ids`` is the one message-id test, ``check_powers`` the one power test.
 """
 
 from __future__ import annotations
@@ -158,3 +158,15 @@ def check_ids(name: str, ids: Any, count: int,
         raise error(f"{name} must hold message ids, integers in [0, {count}):"
                     f" {ids!r} is not a valid message id")
     return arr
+
+
+def check_powers(error: type[Exception], *, positive: bool = False,
+                 **powers: Any) -> None:
+    """Raise ``error`` unless every named value is a real number (not a
+    bool), finite and at least 0, or above 0 when ``positive``: NaN fails."""
+    what = "positive" if positive else "nonnegative"
+    for name, value in powers.items():
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)) \
+                or not 0.0 <= value < np.inf or positive and value == 0.0:
+            raise error(f"{name} must be a {what} finite number, not {value!r}")
