@@ -11,6 +11,7 @@ combinatorial tail bounds the analysis rests on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -23,6 +24,24 @@ from .streams import check_powers
 
 class BoundsError(ValueError):
     pass
+
+
+# the domain of each design parameter; any other name (a rate, a margin
+# lam) lies in [0, inf)
+_DOMAINS = {"gamma": ("(1/2, 1)", lambda v: 0.5 < v < 1.0),
+            "delta": ("[0, 1)", lambda v: 0.0 <= v < 1.0)}
+_NONNEGATIVE = ("[0, inf)", lambda v: 0.0 <= v < math.inf)
+
+
+def _check_design(**values: Any) -> None:
+    """Raise ``BoundsError`` unless every named value is a real number
+    (not a bool) in its domain: ``gamma`` in (1/2, 1), ``delta`` in
+    [0, 1), a rate or a margin ``lam`` finite and at least 0; NaN fails."""
+    for name, value in values.items():
+        domain, holds = _DOMAINS.get(name, _NONNEGATIVE)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not holds(value):
+            raise BoundsError(f"{name} must lie in {domain}, not {value!r}")
 
 
 def mmse_weight(level: float | np.ndarray, rho_delta: float,
@@ -55,6 +74,7 @@ def detection_margin(level_set: LevelSet, gamma: float, delta: float,
     """The margin lambda = |min_k 1 - (1+delta)(k^2 rho_D + rho_dec) /
     (gamma tau(k) + (1-gamma) tau(d_k))|+ together with the minimising
     level; d_k is the next extended level above k."""
+    _check_design(gamma=gamma, delta=delta)
     best = math.inf
     best_level = level_set.levels[0]
     for k in level_set.levels:
@@ -62,8 +82,6 @@ def detection_margin(level_set: LevelSet, gamma: float, delta: float,
         denom = (gamma * residual_variance(k, rho_delta, rho_adv, rho_dec)
                  + (1.0 - gamma) * residual_variance(d_k, rho_delta, rho_adv, rho_dec))
         val = 1.0 - (1.0 + delta) * (k * k * rho_delta + rho_dec) / denom
-        if math.isnan(val):   # NaN never compares below best
-            raise BoundsError(f"margin term at level {k} is NaN (gamma, delta)")
         if val < best:
             best, best_level = val, k
     return max(0.0, best), best_level
@@ -76,6 +94,7 @@ def injection_power_bound(omega_h: float, rate_h: float, rho_delta: float,
     2 sqrt(2 omega_h rho_D (r+1)) + rho_D (1 + C [r + 1 + ln|K|/n]) with
     C = 8|K~| (default) or C = 8|K|+1 (variant)."""
     check_powers(BoundsError, omega_h=omega_h, rho_delta=rho_delta)
+    _check_design(rate_h=rate_h)
     coeff = (8 * k_size + 1) if variant else 8 * ktilde_size
     extra = rate_h + 1.0 + math.log(k_size) / n
     return (omega_h + 2.0 * math.sqrt(2.0 * omega_h * rho_delta * (rate_h + 1.0))
@@ -84,6 +103,7 @@ def injection_power_bound(omega_h: float, rate_h: float, rho_delta: float,
 
 def targeted_false_auth_bound(ell: int, gamma: float, lam: float) -> float:
     """exp(-ell (1-gamma) lam^2 / 8) + exp(-ell gamma lam^2 / 8)."""
+    _check_design(gamma=gamma, lam=lam)
     return (math.exp(-ell * (1.0 - gamma) * lam * lam / 8.0)
             + math.exp(-ell * gamma * lam * lam / 8.0))
 
@@ -114,6 +134,7 @@ def injection_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
     the noise-injection modification.  ``epsilon_h`` must be the base
     code's error probability at combined noise rho_dec + rho_delta."""
     check_powers(BoundsError, omega_h=omega_h)   # t_zero's power checks none
+    _check_design(gamma=gamma, delta=delta, rate_h=rate_h)
     ell = n // len(level_set.extended)
     lam, argmin = detection_margin(level_set, gamma, delta, rho_delta,
                                    rho_adv, rho_dec)
@@ -152,6 +173,7 @@ def quantization_radius(n: int, omega: float, rho_delta: float,
     2 lam^2 + 2 r)])) — the radius of attack means the decimation
     argument must cover with a quantization net."""
     check_powers(BoundsError, omega=omega, rho_delta=rho_delta, rho_dec=rho_dec)
+    _check_design(delta=delta, lam=lam, rate=rate)
     inner = omega + (rho_delta + rho_dec) * (1.0 + delta + 2.0 * lam * lam
                                              + 2.0 * rate)
     return max(1.0, math.sqrt(3.0 * n * inner))
@@ -161,6 +183,7 @@ def decimation_rate(n: int, rate_h: float, gamma: float, ell: int,
                     lam: float, theta: float) -> float:
     """Surviving rate after decimation:
     (1 - 1/n) r - ((1-gamma) ell / (4n)) lam^2 - (2 + ln(2 theta)) / n."""
+    _check_design(rate_h=rate_h, gamma=gamma, lam=lam)
     return ((1.0 - 1.0 / n) * rate_h
             - (1.0 - gamma) * ell / (4.0 * n) * lam * lam
             - (2.0 + math.log(2.0 * theta)) / n)
@@ -196,6 +219,7 @@ def decimation_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
     adversary-agnostic mode lambda is pinned to 0 and no rho_adv is
     needed."""
     check_powers(BoundsError, positive=True, rho_dec=rho_dec)
+    _check_design(gamma=gamma, delta=delta, rate_h=rate_h)
     if adversary_agnostic:
         lam = 0.0
     else:
@@ -265,8 +289,7 @@ def optimal_levels(count: int, gamma: float, rho_delta: float,
     """
     if count < 1:
         raise BoundsError("count must be >= 1")
-    if not 0.5 < gamma < 1.0:
-        raise BoundsError("gamma must lie in (1/2, 1)")
+    _check_design(gamma=gamma, delta=delta)
     check_powers(BoundsError, positive=True, rho_delta=rho_delta, rho_dec=rho_dec)
     root = 1.0 / count
     c = rho_dec**root / (gamma * rho_dec**root
@@ -393,6 +416,7 @@ def bounds_report(n: int, level_set: LevelSet, gamma: float, delta: float,
     parameter point; the injection block needs rho_adv, the decimation
     block runs with lambda = 0 when adversary-agnostic."""
     check_powers(BoundsError, omega_h=omega_h)   # NaN would skip the rate gap
+    _check_design(gamma=gamma, delta=delta, rate_h=rate_h)
     out: dict[str, Any] = {
         "ell": n // len(level_set.extended),
         "levels": list(level_set.levels),

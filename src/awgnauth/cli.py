@@ -218,7 +218,7 @@ class ExperimentConfig:
 
     attack: str = _setting("attack.spec", _as_str, "none", aliases=("attack",))
     weight_scale: float | None = _setting(
-        "attack.weight_scale", _as_opt(_as_float),
+        "attack.weight_scale", _as_opt(_as_float), sweep=True,
         domain=("be finite", math.isfinite))
 
     metrics: tuple[str, ...] = _setting("run.metrics", _as_list(_as_str),
@@ -608,9 +608,10 @@ def summarize_code(code: AuthCode) -> dict[str, Any]:
     }
 
 
-def make_report(cfg: ExperimentConfig, *, estimates: bool = True
-                ) -> dict[str, Any]:
-    code = build_pipeline(cfg)
+def make_report(cfg: ExperimentConfig, code: AuthCode, *,
+                estimates: bool = True) -> dict[str, Any]:
+    """The report of ``cfg`` on ``code``, the code that
+    ``build_pipeline(cfg)`` built."""
     bounds = bounds_payload(cfg, code)
     rows = (run_estimates(cfg, code, bounds)
             if estimates and cfg.trials > 0 else [])
@@ -681,12 +682,12 @@ def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    emit_json(make_report(cfg, estimates=False), cfg.out)
+    emit_json(make_report(cfg, build_pipeline(cfg), estimates=False), cfg.out)
     return 0
 
 
 def cmd_simulate(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    report = make_report(cfg)
+    report = make_report(cfg, build_pipeline(cfg))
     emit_json(report, cfg.out)
     return 0 if report["pass"] else 1
 
@@ -700,13 +701,14 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                           "has no point column")
     values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
     points = [apply_settings(cfg, [(args.axis, v)]) for v in values]
+    codes = []
     for point in points:   # every point is checked and built before any runs
         validate_config(point)
-        build_pipeline(point)   # seeded: the point's run builds the same code
+        codes.append(build_pipeline(point))
     lines = [",".join(SWEEP_HEADER)]
     passed = True
-    for value, point in zip(values, points):
-        report = make_report(point)
+    for value, point, code in zip(values, points, codes):
+        report = make_report(point, code)
         passed &= report["pass"]
         for row in report["estimates"]:
             bound = row.get("bound")

@@ -488,24 +488,33 @@ def _prefix_groups_separated(code: OverlayCode) -> bool:
 
 
 def _pair_failures(code: OverlayCode) -> list[str]:
-    """Exhaustive scan of all ordered pairs, in row chunks whose ``(rows,
-    message_count)`` products hold at most ``SCORE_VALUES`` entries: one
-    line per pair with no witness level (the first eight, then a count)."""
-    count = code.message_count
+    """Exhaustive scan of all ordered pairs, in square tiles of at most
+    ``ROW_VALUES // n`` messages a side (and ``SCORE_VALUES`` verdicts a
+    row of tiles): one line per pair with no witness level (the first
+    eight, then a count).  A tile's masks come from its ``level_index``
+    rows, so no whole ``(M, n)`` mask is held."""
+    count, levels = code.message_count, len(code.level_set)
     allowed = code.max_overlap
-    masks = [(code.level_index == j).astype(np.float32)
-             for j in range(len(code.level_set))]
+    step = max(1, min(SCORE_VALUES // count, ROW_VALUES // code.n))
+    tiles = [slice(s, min(s + step, count)) for s in range(0, count, step)]
+
+    def masks(tile: slice) -> list[np.ndarray]:
+        return [(code.level_index[tile] == j).astype(np.float32)
+                for j in range(levels)]
+
     lines: list[str] = []
     total = 0
-    for c in row_chunks(count, count, SCORE_VALUES):
-        rows = c.stop - c.start
-        found = np.zeros((rows, count), dtype=bool)
-        for kidx, mask in enumerate(masks):
-            ok = mask[c] @ mask.T <= allowed
-            for lower in masks[:kidx]:
-                ok &= mask[c] @ lower.T == 0
-            found |= ok
-        found[:, c] |= np.eye(rows, dtype=bool)
+    for c in tiles:
+        mine = masks(c)
+        found = np.zeros((c.stop - c.start, count), dtype=bool)
+        for d in tiles:
+            other = masks(d)
+            for kidx in range(levels):
+                ok = mine[kidx] @ other[kidx].T <= allowed
+                for lower in other[:kidx]:
+                    ok &= mine[kidx] @ lower.T == 0
+                found[:, d] |= ok
+        found[:, c] |= np.eye(c.stop - c.start, dtype=bool)
         bad = np.argwhere(~found)
         total += len(bad)
         lines += [f"no witness level for ordered pair ({c.start + m}, {mp})"

@@ -13,11 +13,16 @@ A noise or signal power is a finite real number (not a bool), at least 0,
 above 0 where a formula divides by it; ``streams.check_powers`` is the
 one test of it.  The power table works the same way, with NaN, infinity,
 -1 and ``True``, and its own guard.
+
+``bounds._check_design`` tests the design parameters of ``bounds``
+entries (``gamma``, ``delta``, a rate, a margin ``lam``); their table
+reuses the power table's calls and bad values, with a guard of its own.
 """
 
 import inspect
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -262,7 +267,11 @@ POWER_CALLS = {
         epsilon_h=math.nan, rho_adv=0.1, omega_wrapped=1.5)),
     "capacity": (BoundsError, dict(rho=1.0, rho_dec=0.1, rho_adv=0.1)),
     "optimal_levels": (BoundsError, dict(
-        count=2, gamma=0.75, rho_delta=1.0, rho_dec=0.1)),
+        count=2, gamma=0.75, rho_delta=1.0, rho_dec=0.1, delta=0.2)),
+    "targeted_false_auth_bound": (BoundsError, dict(
+        ell=16, gamma=0.75, lam=0.1)),
+    "decimation_rate": (BoundsError, dict(
+        n=64, rate_h=0.03, gamma=0.75, ell=16, lam=0.1, theta=10.0)),
     "rate_gap": (BoundsError, dict(rho=1.0, rho_dec=0.1, rho_delta=0.2)),
     "gaussian_posterior": (ValueError, dict(rho=1.0, a=0.5, z=0.3)),
     "quantization_slack": (ValueError, dict(n=1, rho_vec=[0.5], c=1.0)),
@@ -338,12 +347,47 @@ def test_every_power_parameter_is_in_the_table():
 @pytest.mark.parametrize("gamma, delta", [(0.75, math.nan), (math.nan, 0.2)])
 def test_a_nan_margin_term_is_refused(level_set, gamma, delta):
     # a NaN term never compared below the running minimum, +inf, so the
-    # margin read inf and the targeted bound 0, a perfect guarantee
-    with pytest.raises(BoundsError, match="margin term at level 0.0 is NaN"):
+    # margin read inf and the targeted bound 0, a perfect guarantee; a
+    # NaN gamma or delta is refused before any term is formed
+    match = r"(gamma|delta) must lie in .*, not nan"
+    with pytest.raises(BoundsError, match=match):
         detection_margin(level_set, gamma, delta, 1.0, 0.1, 0.1)
-    with pytest.raises(BoundsError, match="is NaN"):
+    with pytest.raises(BoundsError, match=match):
         bounds_report(64, level_set, gamma, delta, 1.0, 0.1, 1.0, 0.03,
                       math.nan, rho_adv=0.1)
+
+
+DESIGN_PARAMS = {"gamma", "delta", "rate_h", "rate", "lam"}
+DESIGN_ROWS = sorted(
+    (entry, p) for entry, (_, kwargs) in POWER_CALLS.items()
+    if getattr(awgnauth, entry).__module__ == "awgnauth.bounds"
+    for p in kwargs if p in DESIGN_PARAMS)
+# values past each domain's edges, and one accepted on or near an edge
+DESIGN_EDGES = {"gamma": ([0.5, 1.0, 2.0], Fraction(3, 4)),
+                "delta": ([1.0, 1.5], 0.0)}
+
+
+@pytest.mark.parametrize("row", DESIGN_ROWS, ids=lambda row: "-".join(row))
+def test_bad_design_values_raise_bounds_error(small_auth, row):
+    # a NaN rate gave quantization radius 1, and delta = 1.5 or gamma = 2
+    # the vacuous targeted bound 2, without complaint
+    refused, accepted = DESIGN_EDGES.get(row[1], ([], 0.0))
+    for bad in BAD_POWERS + refused:
+        with pytest.raises(BoundsError, match=f"{row[1]} must lie in"):
+            _call_power_row(small_auth, *row, bad)[1]()
+    _call_power_row(small_auth, *row, accepted)[1]()
+
+
+def test_every_design_parameter_is_in_the_table():
+    found = {(name, p) for name in awgnauth.__all__
+             if inspect.isfunction(obj := getattr(awgnauth, name))
+             and obj.__module__ == "awgnauth.bounds"
+             for p in inspect.signature(obj).parameters
+             if p in DESIGN_PARAMS}
+    assert ("quantization_radius", "rate") in found
+    assert ("targeted_false_auth_bound", "lam") in found
+    missing = found - set(DESIGN_ROWS)
+    assert not missing, f"design parameters without a boundary row: {missing}"
 
 
 @pytest.mark.parametrize("rho_dec", [math.nan, 0.0], ids=repr)

@@ -79,8 +79,8 @@ class TestDetectionMargin:
         assert level == 0.0
 
     def test_clamped_at_zero(self):
-        # a huge threshold slack makes every level's margin negative
-        lam, _ = detection_margin(K2, 0.75, 10.0, 1.0, 0.1, 0.1)
+        # a loose threshold slack makes every level's margin negative
+        lam, _ = detection_margin(K2, 0.75, 0.5, 1.0, 0.1, 0.1)
         assert lam == 0.0
 
     def test_argmin_is_the_weakest_level(self):

@@ -414,6 +414,40 @@ class TestSweepCommand:
         assert err == ("error: overlay: n must be at least the extended "
                        "level count\n")
 
+    def test_each_point_is_built_once(self, capsys, monkeypatch):
+        calls = []
+        for name in ("build_pipeline", "make_report"):
+            def counting(*args, _fn=getattr(cli, name), _name=name, **kw):
+                calls.append(_name)
+                return _fn(*args, **kw)
+            monkeypatch.setattr(cli, name, counting)
+        assert run_cli(["sweep", "--axis", "channel.rho_adv", "--values",
+                        "0.0,0.1,0.2", "base.n=60", "run.trials=100"],
+                       capsys)[0] == 0
+        assert calls == ["build_pipeline"] * 3 + ["make_report"] * 3
+        calls.clear()
+        assert run_cli(["simulate", "base.n=60", "run.trials=100"],
+                       capsys)[0] == 0
+        assert calls == ["build_pipeline", "make_report"]
+
+    def test_rows_match_one_point_simulate_runs(self, capsys):
+        args = ["base.n=60", "attack=targeted:1", "run.trials=150",
+                'run.metrics=["epsilon","false_alarm","alpha_star"]']
+        rc, out, _ = run_cli(["sweep", "--axis", "channel.rho_adv",
+                              "--values", "0.05,0.2", *args], capsys)
+        assert rc == 0
+        expected = [",".join(SWEEP_HEADER)]
+        for value in ("0.05", "0.2"):
+            _, report, _ = run_cli(["simulate", *args,
+                                    f"channel.rho_adv={value}"], capsys)
+            for row in json.loads(report)["estimates"]:
+                expected.append(",".join([
+                    value, row["metric"],
+                    *(f"{row[k]:.10g}"
+                      for k in ("estimate", "ci_lo", "ci_hi", "bound")),
+                    str(row["dominated"]).lower()]))
+        assert out.splitlines() == expected
+
     def test_exit_one_when_any_point_violates(self, capsys):
         rc, out, _ = run_cli(["sweep", "--axis", "channel.rho_adv",
                               "--values", "0.1",

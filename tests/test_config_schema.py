@@ -33,7 +33,7 @@ def test_keys_and_aliases_are_unique():
 
 def test_sweep_axes():
     assert SWEEPABLE == ("base.n", "auth.rho_delta", "auth.delta",
-                         "channel.rho_adv")
+                         "channel.rho_adv", "attack.weight_scale")
 
 
 @pytest.mark.parametrize("overrides", [

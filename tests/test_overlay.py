@@ -718,3 +718,30 @@ def test_construction_memory_is_bounded(monkeypatch):
         tracemalloc.stop()
     assert code.message_count == 16384
     assert peak < 64 * 2 ** 20, peak
+
+
+def test_pair_scan_memory_is_bounded():
+    # a radix-less overlay goes straight to the pair scan, which held one
+    # whole (M, n) float32 mask per level: 37 MB here with its products
+    built = construct_overlay(600, LevelSet((0.0, 0.5)), 0.75,
+                              counts_per_level=[64, 32], seed=0)
+    code = OverlayCode(built.n, built.level_set, built.gamma_exact,
+                       level_index=built.level_index)
+    tracemalloc.start()
+    try:
+        report = verify_overlay(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < code.message_count * code.n * 4, peak   # one whole mask
+
+
+def test_pair_scan_tiles_keep_the_lines_and_their_order(monkeypatch):
+    rng = np.random.default_rng(5)
+    code = OverlayCode(24, LevelSet((0.0, 0.5)), Fraction(3, 4),
+                       rng.integers(0, 3, size=(40, 24)).astype(np.uint8))
+    whole = overlay._pair_failures(code)   # one tile
+    assert len(whole) == 9   # eight pairs and the count of the rest
+    monkeypatch.setattr(overlay, "ROW_VALUES", 3 * code.n)   # 3-message tiles
+    assert check_against_references(code).violations[-9:] == tuple(whole)

@@ -1,40 +1,33 @@
-"""Smoke tests: each experiment script runs at a small trial count, and
-the benchmark record script summarises synthetic results."""
+"""The README's experiments run through the CLI at a small trial count,
+and the benchmark record script summarises synthetic results."""
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import awgnauth
+from awgnauth import cli
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def run_script(name, *args):
-    env = dict(os.environ)
-    src = str(Path(awgnauth.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
-                          env=env, capture_output=True, text=True,
-                          timeout=300)
+ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script, outputs", [
-    ("adversary_noise_sweep.py",
-     ["alpha_vs_rho_adv.csv", "tradeoff_vs_delta.csv"]),
-    ("targeted_attack_experiment.py", ["targeted_attack.json"]),
-])
-def test_script_runs_and_writes_its_outputs(tmp_path, script, outputs):
-    proc = run_script(script, "--trials", "100", "--out", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
-    for name in outputs:
-        assert (tmp_path / name).stat().st_size > 0
+def test_readme_experiments_run_and_write_their_tables(tmp_path,
+                                                       monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"\n## Experiments\n.*?```sh\n(.*?)```", readme,
+                      re.S).group(1).replace("\\\n", " ")
+    argvs = [shlex.split(line)[1:] for line in block.splitlines()]
+    assert [argv[2] for argv in argvs] == [
+        "channel.rho_adv", "auth.delta", "attack.weight_scale"]
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    for argv in argvs:
+        assert cli.main([*argv, "run.trials=100"]) == 0, capsys.readouterr().err
+        out = argv[argv.index("--out") + 1]
+        assert (tmp_path / out).stat().st_size > 0
 
 
 def test_bench_record_summarises_a_parent_and_a_change(tmp_path):
@@ -53,8 +46,14 @@ def test_bench_record_summarises_a_parent_and_a_change(tmp_path):
     parent = result("parent.json", [100.0, 120.0, 110.0], [400.0, 410.0])
     change = result("change.json", [130.0, 150.0, 140.0], [70.0, 80.0])
     out = tmp_path / "BENCH_0.json"
-    proc = run_script("bench_record.py", "--label", "0", "--parent", parent,
-                      "--change", change, "--out", str(out))
+    env = dict(os.environ)
+    src = str(Path(awgnauth.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--label",
+         "0", "--parent", parent, "--change", change, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rec = json.loads(out.read_text())
     assert rec["record"] == "BENCH_0" and rec["machine"] == machine
