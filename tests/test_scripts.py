@@ -9,24 +9,44 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import awgnauth
 from awgnauth import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_readme_experiments_run_and_write_their_tables(tmp_path,
-                                                       monkeypatch, capsys):
+def readme_experiments():
+    """The argv of each command in the README's Experiments block."""
     readme = (ROOT / "README.md").read_text()
     block = re.search(r"\n## Experiments\n.*?```sh\n(.*?)```", readme,
                       re.S).group(1).replace("\\\n", " ")
-    argvs = [shlex.split(line)[1:] for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in block.splitlines()]
+
+
+# Each case names the deleted script whose experiment the README commands
+# writing `outputs` now run.
+EXPERIMENTS = [
+    ("adversary_noise_sweep.py",
+     ["alpha_vs_rho_adv.csv", "tradeoff_vs_delta.csv"]),
+    ("targeted_attack_experiment.py", ["weight_grid.csv"]),
+]
+
+
+@pytest.mark.parametrize("script, outputs", EXPERIMENTS)
+def test_script_runs_and_writes_its_outputs(tmp_path, monkeypatch, capsys,
+                                            script, outputs):
+    assert not (ROOT / "scripts" / script).exists()
+    argvs = readme_experiments()
     assert [argv[2] for argv in argvs] == [
         "channel.rho_adv", "auth.delta", "attack.weight_scale"]
+    outs = {argv[argv.index("--out") + 1]: argv for argv in argvs}
+    assert sorted(outs) == sorted(o for _, names in EXPERIMENTS for o in names)
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
-    for argv in argvs:
-        assert cli.main([*argv, "run.trials=100"]) == 0, capsys.readouterr().err
-        out = argv[argv.index("--out") + 1]
+    for out in outputs:
+        assert cli.main([*outs[out], "run.trials=100"]) == 0, \
+            capsys.readouterr().err
         assert (tmp_path / out).stat().st_size > 0
 
 
