@@ -14,6 +14,16 @@ launched from the null message.  ``weight_scale`` scales the
 per-coordinate cancellation weight so tests can confirm the MMSE choice
 actually maximises acceptance.  ``mmse_weight`` lives in ``bounds``,
 where the scalar residual-variance law uses it too.
+
+``AttackSpec`` is the one description of an attack, from a config's
+``attack.spec`` string (``AttackSpec.parse``) to the simulator's runs;
+``AttackSpec("none")`` (``simulate.NO_ATTACK``) is the only spelling of
+"no chosen attack".  A malformed spec raises ``AttackError``: an unknown
+kind, a missing or non-integer target, a target on a none attack, a
+callable on any attack but a custom one, or a ``weight_scale`` that is
+not a finite real number (a bool is refused).
+Whether a spec fits a run (its target, its transmit message) is checked
+by ``simulate``, once per run.
 """
 
 from __future__ import annotations
@@ -37,8 +47,11 @@ CustomAttack = Callable[[np.ndarray, int, AuthCode], np.ndarray]
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """Attack family selector: 'none', 'targeted', 'impersonation', or
-    'custom' (a callable of (v, transmitted m, code) -> z)."""
+    """The one description of an attack: 'none', 'targeted',
+    'impersonation', or 'custom' (a callable of (v, transmitted m, code)
+    -> z).  A targeted or impersonation attack names its target message,
+    a 'none' attack names none; ``weight_scale``, a finite real number,
+    scales the MMSE weight of every MMSE attack run under this spec."""
 
     kind: str
     target: int | None = None
@@ -50,23 +63,37 @@ class AttackSpec:
             raise AttackError(f"unknown attack kind {self.kind!r}")
         if self.kind in ("targeted", "impersonation") and self.target is None:
             raise AttackError(f"{self.kind} attack needs a target message")
+        if self.kind == "none" and self.target is not None:
+            raise AttackError("a none attack takes no target message")
         if self.kind == "custom" and self.custom is None:
             raise AttackError("custom attack needs a callable")
-        if self.weight_scale is not None \
-                and not math.isfinite(self.weight_scale):
-            raise AttackError("weight_scale must be finite when given")
+        if self.kind != "custom" and self.custom is not None:
+            raise AttackError(f"a {self.kind} attack takes no callable; only "
+                              "a custom attack does")
+        scale = self.weight_scale
+        if scale is not None and (isinstance(scale, bool) or not isinstance(
+                scale, (int, float, np.integer, np.floating))
+                or not math.isfinite(scale)):
+            raise AttackError(f"weight_scale must be finite and real (not a "
+                              f"bool) when given, not {scale!r}")
 
     @classmethod
     def parse(cls, text: str) -> "AttackSpec":
-        """Parse 'none', 'targeted:<id>', or 'impersonation:<id>'."""
-        name, _, arg = text.strip().partition(":")
-        if name == "none":
+        """Parse 'none', 'targeted:<id>', or 'impersonation:<id>', where
+        ``<id>`` is an integer; anything else raises ``AttackError``."""
+        name, sep, arg = text.strip().partition(":")
+        if name == "none" and not sep:
             return cls(kind="none")
-        if name in ("targeted", "impersonation"):
-            if not arg:
-                raise AttackError(f"{name} attack needs ':<target id>'")
-            return cls(kind=name, target=int(arg))
-        raise AttackError(f"cannot parse attack spec {text!r}")
+        if name not in ("targeted", "impersonation"):
+            raise AttackError(f"cannot parse attack spec {text!r}")
+        if not arg:
+            raise AttackError(f"{name} attack needs ':<target id>'")
+        try:
+            target = int(arg)
+        except ValueError:
+            raise AttackError(f"{name} attack needs an integer target id, "
+                              f"not {arg!r}") from None
+        return cls(kind=name, target=target)
 
 
 def no_attack(n: int) -> np.ndarray:

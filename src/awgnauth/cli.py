@@ -6,7 +6,8 @@ taken from a config file and then from the command line (``key=value``,
 ``--key value`` or ``--key=value``; ``--out FILE`` is ``run.out``), and
 applied in the order written: the last setting of a field wins, whatever
 its spelling, and a malformed setting exits 2 even when a later one
-replaces it.  ``sweep`` checks and builds every point before it runs any.
+replaces it.  ``sweep`` checks every point and builds its code before it
+runs any; points with one ``code_key`` share one code.
 
 Config grammar (line oriented; ``#`` starts a comment)::
 
@@ -459,6 +460,20 @@ def build_pipeline(cfg: ExperimentConfig) -> AuthCode:
     return build_auth(cfg, base, overlay)
 
 
+def code_key(cfg: ExperimentConfig) -> str:
+    """The settings ``build_pipeline`` reads, so configs with one key
+    build one code: the ``base``, ``overlay``, ``auth`` and ``mod2``
+    sections and ``channel.rho_dec``, plus ``channel.rho_adv`` when
+    ``mod2.enabled`` is set and ``mod2.agnostic`` is not, the one case
+    where ``decimate`` reads it."""
+    canon = cfg.canonical()
+    key = {s: canon[s] for s in ("base", "overlay", "auth", "mod2")}
+    key["channel"] = {"rho_dec": cfg.rho_dec}
+    if cfg.mod2_enabled and not cfg.mod2_agnostic:
+        key["channel"]["rho_adv"] = cfg.rho_adv
+    return json.dumps(key, sort_keys=True)
+
+
 def _base_epsilon_closed_form(cfg: ExperimentConfig, noise: float) -> float:
     if cfg.base_kind == "antipodal" and not cfg.base_null:
         return antipodal_error_probability(cfg.n, cfg.base_omega, noise)
@@ -521,8 +536,7 @@ def run_estimates(cfg: ExperimentConfig, code: AuthCode,
     if any(m in FALSE_AUTH_METRICS for m in cfg.metrics):
         if attack.kind == "targeted" and cfg.message is not None:
             kwargs["pairs"] = [(cfg.message, attack.target)]
-        if attack.kind != "none":
-            kwargs["attack"] = replace(attack, weight_scale=cfg.weight_scale)
+        kwargs["attack"] = replace(attack, weight_scale=cfg.weight_scale)
     reports = _stage("simulate", estimate, code, channel, list(cfg.metrics),
                      **kwargs)
     rows = []
@@ -701,14 +715,16 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                           "has no point column")
     values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
     points = [apply_settings(cfg, [(args.axis, v)]) for v in values]
-    codes = []
+    codes: dict[str, AuthCode] = {}
     for point in points:   # every point is checked and built before any runs
         validate_config(point)
-        codes.append(build_pipeline(point))
+        key = code_key(point)
+        if key not in codes:
+            codes[key] = build_pipeline(point)
     lines = [",".join(SWEEP_HEADER)]
     passed = True
-    for value, point, code in zip(values, points, codes):
-        report = make_report(point, code)
+    for value, point in zip(values, points):
+        report = make_report(point, codes[code_key(point)])
         passed &= report["pass"]
         for row in report["estimates"]:
             bound = row.get("bound")

@@ -26,10 +26,18 @@ thread count, and runs at different noise powers share randomness.
 attack with its fixed transmit message (or messages drawn per trial):
 the first three metrics share one run under no attack, at ``message``
 if given; ``alpha_star`` and ``alpha`` share one run per attack pair,
-set by ``attack``, ``pairs`` and ``max_pairs``.  One call is one pass
-over blocks of trials that runs each distinct run once: every block's
-streams are drawn once and every run of every metric reads those draws,
-and runs that transmit the same fixed message share its encoding.
+set by ``attack``, ``pairs`` and ``max_pairs``.  Each pair's spec is
+``attack`` aimed at the pair's target, so its ``weight_scale`` reaches
+every pair, and the default ``NO_ATTACK`` gives the targeted MMSE
+attack.  ``_check_run`` is the one check of a run, for ``run_trial``
+and for every pair alike, and raises ``SimulateError``: the target is a
+valid message other than the transmit message, impersonation transmits
+the null message, and a custom attack runs only through ``run_trial``.
+
+One call is one pass over blocks of trials that runs each distinct run
+once: every block's streams are drawn once and every run of every metric
+reads those draws, and runs that transmit the same fixed message share
+its encoding.
 Unless ``batch`` is given, a block has as many rows as keep its n-wide
 arrays (draws, codewords, received rows) at 2**17 float64s, 1 MiB, so
 that they stay in cache, and its decode scores (one per message) at
@@ -61,7 +69,7 @@ import tempfile
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -75,6 +83,7 @@ from .streams import (Role, block_rows, check_ids, check_int, check_powers,
 
 METRICS = ("epsilon", "false_alarm", "genuine_acceptance", "alpha_star", "alpha")
 FALSE_AUTH_METRICS = ("alpha_star", "alpha")
+NO_ATTACK = AttackSpec("none")   # ``estimate``'s attack unless one is given
 
 CLASS_CORRECT = "correct"
 CLASS_MISS = "miss"
@@ -224,12 +233,7 @@ def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
     check_int("trial_index", trial_index, SimulateError, 0)
     _check_budget(code, channel)
     _check_messages(code, "m", [m])
-    if attack.target is not None:
-        _check_messages(code, "attack target", [attack.target])
-    if attack.kind == "impersonation" and m != code.base.null_id:
-        raise SimulateError(f"impersonation transmits the null message; "
-                            f"{m} is not the null message of this code")
-    runs = [(attack, m)]
+    runs = [_check_run(code, attack, m, custom=True)]
     [(_, base_decoded, rejected)] = _simulate_block(
         code, channel, seed, trial_index, 1, runs,
         _attack_terms(code, channel, runs),
@@ -244,6 +248,22 @@ def _check_messages(code: AuthCode, name: str, ids: Iterable[Any]) -> None:
         check_ids(name, m, code.message_count, SimulateError)
         if not code.is_valid_message(m):
             raise SimulateError(f"{m!r} is not a valid message of this code")
+
+
+def _check_run(code: AuthCode, spec: AttackSpec, m: int, custom: bool) -> Run:
+    """The checked run (``spec``, ``m``); ``custom`` admits a custom attack."""
+    if spec.kind == "custom" and not custom:
+        raise SimulateError("alpha_star and alpha run the MMSE attack; a "
+                            "custom attack runs only through run_trial")
+    _check_messages(code, "attack target",
+                    [] if spec.target is None else [spec.target])
+    if spec.target == m:
+        raise SimulateError(f"run ({m}, {spec.target}): the target must "
+                            "differ from the transmitted message")
+    if spec.kind == "impersonation" and m != code.base.null_id:
+        raise SimulateError(f"impersonation transmits the null message; "
+                            f"{m} is not the null message of this code")
+    return spec, m
 
 
 def _check_budget(code: AuthCode, channel: ChannelParams) -> None:
@@ -381,41 +401,27 @@ class _TrialLog:
                     fh.write(self.spool.read(size))
 
 
-def _attack_runs(code: AuthCode, attack: AttackSpec | None,
+def _attack_runs(code: AuthCode, attack: AttackSpec,
                  pairs: Sequence[tuple[int, int]] | None, max_pairs: int,
                  seed: int) -> list[Run]:
-    """One run per (transmit, target) pair: the given ``pairs``, or every
-    ordered pair (aimed at the attack's target, from the null message
-    under impersonation) subsampled to ``max_pairs``."""
-    if attack is not None and attack.kind == "custom":
-        raise SimulateError("alpha_star and alpha run the MMSE attack; a "
-                            "custom attack runs only through run_trial")
-    impersonation = attack is not None and attack.kind == "impersonation"
+    """One run per (transmit, target) pair, ``attack`` aimed at the target
+    (targeted when none): the given ``pairs``, or every ordered pair
+    (aimed at the attack's target, from the null message under
+    impersonation if the code has one) subsampled to ``max_pairs``."""
     null = code.base.null_id
-    if impersonation and null is None:
-        raise SimulateError("impersonation needs a code with a null message")
     if pairs is None:
         pool = [int(m) for m in _transmit_pool(code)]
-        targets = pool
-        if attack is not None and attack.target is not None:
-            _check_messages(code, "attack target", [attack.target])
-            targets = [attack.target]
-        pairs = [(a, b) for a in ([null] if impersonation else pool)
-                 for b in targets if a != b]
+        sources = ([null] if attack.kind == "impersonation"
+                   and null is not None else pool)
+        targets = pool if attack.target is None else [attack.target]
+        pairs = [(a, b) for a in sources for b in targets if a != b]
         if len(pairs) > max_pairs:
             rng = one_shot_rng(seed, Role.MESSAGE, 1)
             keep = rng.choice(len(pairs), size=max_pairs, replace=False)
             pairs = [pairs[int(i)] for i in sorted(keep)]
-    for a, b in pairs:
-        if a == b:
-            raise SimulateError(f"pair ({a}, {b}): the target must differ "
-                                "from the transmitted message")
-        if impersonation and a != null:
-            raise SimulateError(f"pair ({a}, {b}): impersonation transmits "
-                                f"the null message {null}")
-    kind = "impersonation" if impersonation else "targeted"
-    scale = None if attack is None else attack.weight_scale
-    return [(AttackSpec(kind, b, weight_scale=scale), a) for a, b in pairs]
+    kind = "targeted" if attack.kind == "none" else attack.kind
+    return [_check_run(code, replace(attack, kind=kind, target=b), a,
+                       custom=False) for a, b in pairs]
 
 
 def _report(metric: str, runs: Sequence[Run], counts: np.ndarray, *,
@@ -461,7 +467,7 @@ def _report(metric: str, runs: Sequence[Run], counts: np.ndarray, *,
 
 def estimate(code: AuthCode, channel: ChannelParams,
              metric: str | Sequence[str], trials: int, seed: int = 0, *,
-             attack: AttackSpec | None = None,
+             attack: AttackSpec = NO_ATTACK,
              message: int | None = None,
              pairs: Sequence[tuple[int, int]] | None = None,
              max_pairs: int = 20,
@@ -479,10 +485,12 @@ def estimate(code: AuthCode, channel: ChannelParams,
     define the runs of ``alpha_star`` and ``alpha``: ``pairs`` pins the
     ordered (transmit, target) pairs, otherwise every ordered pair (aimed
     at the attack's target, from the null message under impersonation) is
-    enumerated and subsampled to ``max_pairs``.  ``message`` and every
-    id in ``pairs`` must be valid messages of ``code``.  ``trial_log``
-    appends one CSV row per simulated trial to that file, metric by
-    metric."""
+    enumerated and subsampled to ``max_pairs``; each pair runs ``attack``
+    aimed at its target, the targeted MMSE attack under the default
+    ``NO_ATTACK``.  ``message`` and every id in ``pairs`` must be valid
+    messages of ``code``, and every pair passes ``_check_run``.
+    ``trial_log`` appends one CSV row per simulated trial to that file,
+    metric by metric."""
     metrics = [metric] if isinstance(metric, str) else list(metric)
     if not metrics:
         raise SimulateError("no metric requested")
@@ -499,6 +507,8 @@ def estimate(code: AuthCode, channel: ChannelParams,
     if not isinstance(confidence, (int, float)) or not 0.0 < confidence < 1.0:
         raise SimulateError(f"confidence must lie in (0, 1), not "
                             f"{confidence!r}")
+    if not isinstance(attack, AttackSpec):
+        raise SimulateError(f"attack must be an AttackSpec, not {attack!r}")
     if channel.rho_dec == 0.0:
         raise SimulateError("estimation needs rho_dec > 0 "
                             "(the zero sentinel is for single trials)")
@@ -512,13 +522,13 @@ def estimate(code: AuthCode, channel: ChannelParams,
         pair_runs = _attack_runs(code, attack, pairs, max_pairs, seed)
         if not pair_runs:
             raise SimulateError("no attack pairs to run")
-    elif attack is not None and attack.kind != "none":
+    elif attack.kind != "none":
         raise SimulateError(f"{metrics[0]} is defined under no attack")
     if "genuine_acceptance" in metrics and message is None:
         raise SimulateError("genuine_acceptance needs a fixed message")
 
     # one pass over the distinct runs of every metric
-    genuine_run: list[Run] = [(AttackSpec(kind="none"), message)]
+    genuine_run: list[Run] = [(NO_ATTACK, message)]
     index: dict[Run, int] = {}
     runs_of: list[tuple[str, list[int]]] = []
     for name in metrics:

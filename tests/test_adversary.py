@@ -53,6 +53,41 @@ class TestAttackSpec:
         with pytest.raises(AttackError, match="weight_scale must be finite"):
             AttackSpec(kind="targeted", target=1, weight_scale=scale)
 
+    @pytest.mark.parametrize("text, message", [
+        ("targeted:abc", "needs an integer target id, not 'abc'"),
+        ("targeted:1.5", "needs an integer target id, not '1.5'"),
+        ("impersonation:x", "needs an integer target id"),
+        ("none:3", "cannot parse attack spec 'none:3'"),
+        ("none:", "cannot parse attack spec"),
+    ])
+    def test_malformed_specs_raise_attack_error(self, text, message):
+        with pytest.raises(AttackError, match=message):
+            AttackSpec.parse(text)
+
+    @pytest.mark.parametrize("scale", [True, False, "x", "1.0", None, 2,
+                                       np.float32(0.5), np.int64(3)])
+    def test_weight_scale_is_a_real_number(self, scale):
+        if scale is None or not isinstance(scale, (bool, str)):
+            AttackSpec(kind="targeted", target=1, weight_scale=scale)
+            return
+        with pytest.raises(AttackError, match="weight_scale must be finite "
+                                              "and real"):
+            AttackSpec(kind="targeted", target=1, weight_scale=scale)
+
+    def test_none_attack_takes_no_target(self):
+        with pytest.raises(AttackError, match="takes no target"):
+            AttackSpec(kind="none", target=3)
+
+    @pytest.mark.parametrize("kind, target", [("none", None),
+                                              ("targeted", 1),
+                                              ("impersonation", 1)])
+    def test_only_a_custom_attack_takes_a_callable(self, kind, target):
+        # the MMSE path would ignore the callable
+        with pytest.raises(AttackError, match=f"a {kind} attack takes no "
+                                              "callable"):
+            AttackSpec(kind=kind, target=target,
+                       custom=lambda v, m, code: np.zeros_like(v))
+
 
 class TestMmseWeight:
     def test_values(self):

@@ -414,6 +414,9 @@ class TestSweepCommand:
         assert err == ("error: overlay: n must be at least the extended "
                        "level count\n")
 
+    MOD2 = ["base.kind=gaussian", "base.messages=6", "overlay.counts=[3,2]",
+            "mod2.enabled=true", "mod2.target_override=4"]
+
     def test_each_point_is_built_once(self, capsys, monkeypatch):
         calls = []
         for name in ("build_pipeline", "make_report"):
@@ -421,32 +424,72 @@ class TestSweepCommand:
                 calls.append(_name)
                 return _fn(*args, **kw)
             monkeypatch.setattr(cli, name, counting)
-        assert run_cli(["sweep", "--axis", "channel.rho_adv", "--values",
-                        "0.0,0.1,0.2", "base.n=60", "run.trials=100"],
-                       capsys)[0] == 0
-        assert calls == ["build_pipeline"] * 3 + ["make_report"] * 3
+        for axis, values, args, builds in [
+            # the channel's adversary and the attack's weight build no code
+            ("channel.rho_adv", "0.0,0.1,0.2", [], 1),
+            ("attack.weight_scale", "0.5,1.0,2.0", ["channel.rho_adv=0.1"], 1),
+            ("base.n", "60,64,68", [], 3),
+            # decimation reads rho_adv unless it is adversary-agnostic
+            ("channel.rho_adv", "0.05,0.1,0.2", self.MOD2, 3),
+            ("channel.rho_adv", "0.05,0.1,0.2",
+             [*self.MOD2, "mod2.agnostic=true"], 1),
+        ]:
+            calls.clear()
+            assert run_cli(["sweep", "--axis", axis, "--values", values,
+                            "base.n=60", *args, "run.trials=100"],
+                           capsys)[0] == 0
+            assert calls == ["build_pipeline"] * builds + ["make_report"] * 3
         calls.clear()
         assert run_cli(["simulate", "base.n=60", "run.trials=100"],
                        capsys)[0] == 0
         assert calls == ["build_pipeline", "make_report"]
 
-    def test_rows_match_one_point_simulate_runs(self, capsys):
-        args = ["base.n=60", "attack=targeted:1", "run.trials=150",
-                'run.metrics=["epsilon","false_alarm","alpha_star"]']
-        rc, out, _ = run_cli(["sweep", "--axis", "channel.rho_adv",
-                              "--values", "0.05,0.2", *args], capsys)
+    def sweep_and_points(self, axis, values, args, capsys):
+        """The sweep's CSV lines, and the lines that one-point ``simulate``
+        runs of its values give."""
+        rc, out, _ = run_cli(["sweep", "--axis", axis, "--values",
+                              ",".join(values), *args], capsys)
         assert rc == 0
         expected = [",".join(SWEEP_HEADER)]
-        for value in ("0.05", "0.2"):
-            _, report, _ = run_cli(["simulate", *args,
-                                    f"channel.rho_adv={value}"], capsys)
+        for value in values:
+            _, report, _ = run_cli(["simulate", *args, f"{axis}={value}"],
+                                   capsys)
             for row in json.loads(report)["estimates"]:
+                bound = row.get("bound")
                 expected.append(",".join([
                     value, row["metric"],
-                    *(f"{row[k]:.10g}"
-                      for k in ("estimate", "ci_lo", "ci_hi", "bound")),
-                    str(row["dominated"]).lower()]))
-        assert out.splitlines() == expected
+                    *(f"{row[k]:.10g}" for k in ("estimate", "ci_lo",
+                                                 "ci_hi")),
+                    "" if bound is None else f"{bound:.10g}",
+                    str(row.get("dominated", "")).lower()]))
+        return out.splitlines(), expected
+
+    def test_rows_match_one_point_simulate_runs(self, capsys):
+        for axis, values, args in [
+            ("channel.rho_adv", ("0.05", "0.2"), []),
+            ("channel.rho_adv", ("0.05", "0.2"), self.MOD2),
+            ("channel.rho_adv", ("0.05", "0.2"),
+             [*self.MOD2, "mod2.agnostic=true"]),
+            ("attack.weight_scale", ("0.5", "2.0"),
+             [*self.MOD2, "channel.rho_adv=0.1"]),
+            ("attack.weight_scale", ("0.5", "2.0"),
+             [*self.MOD2, "mod2.agnostic=true", "channel.rho_adv=0.1"]),
+        ]:
+            args = ["base.n=60", "attack=targeted:1", "run.trials=150", *args,
+                    'run.metrics=["epsilon","false_alarm","alpha_star",'
+                    '"alpha"]']
+            rows, expected = self.sweep_and_points(axis, values, args, capsys)
+            assert rows == expected, (axis, args)
+
+    def test_weight_scale_applies_without_an_attack_spec(self, capsys):
+        # attack.spec is left at none: alpha_star still runs the MMSE
+        # attack over its pairs, and the weight scale reaches it
+        args = ["base.n=60", "channel.rho_adv=0.1", "run.trials=200",
+                'run.metrics=["alpha_star"]']
+        rows, expected = self.sweep_and_points(
+            "attack.weight_scale", ("0.0", "2.0"), args, capsys)
+        assert rows == expected
+        assert rows[1].split(",")[2] != rows[2].split(",")[2]
 
     def test_exit_one_when_any_point_violates(self, capsys):
         rc, out, _ = run_cli(["sweep", "--axis", "channel.rho_adv",

@@ -163,6 +163,27 @@ class TestRunTrial:
         assert run_trial(null_auth, ch, attack, null, seed=1).transmitted \
             == null
 
+    @pytest.mark.parametrize("code_name, spec, m, kwargs, message", [
+        ("small_auth", AttackSpec("targeted", 1), 1, dict(pairs=[(1, 1)]),
+         "the target must differ from the transmitted message"),
+        ("small_auth", AttackSpec("targeted", 6), 0, {},
+         "6 is not a valid message"),
+        ("null_auth", AttackSpec("impersonation", 3), 0,
+         dict(pairs=[(0, 3)]), "0 is not the null message"),
+        ("small_auth", AttackSpec("impersonation", 3), 0, {},
+         "0 is not the null message"),
+    ])
+    def test_run_trial_and_estimate_refuse_the_same_run(
+            self, request, code_name, spec, m, kwargs, message):
+        # one check of a run: the same bad run, the same SimulateError
+        code = request.getfixturevalue(code_name)
+        ch = ChannelParams(rho_dec=0.1, rho_adv=0.1)
+        with pytest.raises(SimulateError, match=message) as single:
+            run_trial(code, ch, spec, m, seed=0)
+        with pytest.raises(SimulateError, match=message) as batched:
+            estimate(code, ch, "alpha_star", 100, attack=spec, **kwargs)
+        assert str(single.value) == str(batched.value)
+
     def test_power_budget_enforced(self, small_auth):
         channel = ChannelParams(rho_dec=0.1,
                                 power_budget=small_auth.power * 0.5)
@@ -189,6 +210,8 @@ class TestEstimateValidation:
         with pytest.raises(SimulateError, match="no attack pairs"):
             estimate(small_auth, ChannelParams(0.1, rho_adv=0.1),
                      "alpha_star", 100, pairs=[])
+        with pytest.raises(SimulateError, match="must be an AttackSpec"):
+            estimate(small_auth, ch, "epsilon", 100, attack=None)
 
     @pytest.mark.parametrize("code_name, kwargs, message", [
         ("small_auth", dict(pairs=[(1, 1)]), "target must differ"),
