@@ -36,7 +36,7 @@ import numpy as np
 
 from .authcode import AuthCode
 from .bounds import mmse_weight
-from .streams import check_ids, check_powers
+from .streams import check_ids, check_reals
 
 
 class AttackError(ValueError):
@@ -107,7 +107,7 @@ def mmse_attack_terms(code: AuthCode, m: int, m_target: int, rho_adv: float,
     computed once per attacked run: the mean shift x(m') + t(m') - x(m)
     - t(m), the mean x(m) + t(m), and the ``mmse_weight`` w of f(m),
     times ``weight_scale`` when given."""
-    check_powers(AttackError, rho_adv=rho_adv)
+    check_reals(AttackError, rho_adv=rho_adv)
     for name, v in (("m", m), ("m_target", m_target)):
         check_ids(name, v, code.message_count, AttackError)
     if m == m_target:
@@ -139,7 +139,7 @@ def residual_variance_vector(code: AuthCode, m: int, rho_adv: float,
     """Per-coordinate variance of Y - x(m') - t(m') under the MMSE
     attack: the residual-variance law evaluated at f(m), that is the
     cancelled share w rho_adv of the injected noise plus rho_dec."""
-    check_powers(AttackError, rho_adv=rho_adv, rho_dec=rho_dec)
+    check_reals(AttackError, rho_adv=rho_adv, rho_dec=rho_dec)
     check_ids("m", m, code.message_count, AttackError)
     w = mmse_weight(code.overlay.level_matrix(m), code.rho_delta, rho_adv)
     return w * rho_adv + rho_dec

@@ -42,7 +42,8 @@ from . import bounds as bounds_mod
 from .basecode import BaseCode
 from .overlay import OverlayCode
 from .streams import (CHUNK_VALUES, RETRY_LIMIT, ROW_VALUES, Role,
-                      check_ids, check_powers, one_shot_rng, row_chunks)
+                      check_ids, check_int, check_reals, one_shot_rng,
+                      row_chunks)
 
 REJECT = "!"
 
@@ -68,9 +69,9 @@ class AuthCode:
     valid_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_powers(AuthCodeError, positive=True, rho_delta=self.rho_delta)
-        if not 0.0 <= self.delta < 1.0:   # 0: the threshold is ell itself
-            raise AuthCodeError("delta must lie in [0,1)")
+        # delta = 0 is allowed: the threshold is ell itself
+        check_reals(AuthCodeError, positive=True, rho_delta=self.rho_delta,
+                    delta=self.delta)
         if self.base.message_count != self.overlay.message_count:
             raise AuthCodeError("base and overlay must agree on message count")
         if self.base.n != self.overlay.n:
@@ -79,12 +80,12 @@ class AuthCode:
         if t.shape != self.base.codewords.shape:
             raise AuthCodeError("t_table must match the codeword table shape")
         object.__setattr__(self, "t_table", t)
-        counts = self.overlay.level_counts
-        bad = np.argwhere(counts.T != self.ell)   # (level, message) pairs
+        bad = self.overlay.ell_violations()   # (level, message) pairs
         if len(bad):
             j, m = bad[0]
             raise AuthCodeError(
-                f"message {m} has {counts[m, j]} coordinates at level "
+                f"message {m} has {self.overlay.level_counts[m, j]} "
+                f"coordinates at level "
                 f"{self.overlay.level_set.levels[j]}, expected {self.ell}: "
                 f"the detector needs exactly ell")
         valid = np.full(self.message_count, self.decimated is None)
@@ -176,8 +177,9 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
     the one table, scaled in place by sqrt((1 - k^2) rho_delta) per
     level; the checks go in row chunks; at most ``RETRY_LIMIT`` attempts.
     """
-    if not 0.0 < delta < 1.0:   # a code may carry delta = 0; a build may not
-        raise AuthCodeError("delta must lie in (0,1)")
+    check_int("seed", seed, AuthCodeError, 0)
+    if delta == 0:   # a code may carry delta = 0; a build may not
+        raise AuthCodeError("delta must lie in (0,1) for a build, not 0")
     code = AuthCode(base, overlay, rho_delta, delta,   # checks the rest
                     np.zeros(base.codewords.shape), t_zero=True)
     if t_zero:
@@ -245,7 +247,7 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
     the gathered arrays (at most 2**15 values each) and a block's received
     rows (2**17 values, ``streams.block_rows``) fit in a 2 MiB L2 cache
     together."""
-    check_powers(AuthCodeError, rho_dec=rho_dec)
+    check_reals(AuthCodeError, rho_dec=rho_dec)
     base_decoded = check_ids("base_decoded", base_decoded,
                              code.message_count, AuthCodeError)
     n, ell = code.n, code.ell
@@ -337,15 +339,19 @@ def decimate(code: AuthCode, rho_dec: float, seed: int = 0, *,
     """
     if code.decimated is not None:
         raise AuthCodeError("code is already decimated")
-    check_powers(AuthCodeError, positive=True, rho_dec=rho_dec)
-    check_powers(AuthCodeError, rho_adv=0.0 if rho_adv is None else rho_adv)
+    check_reals(AuthCodeError, positive=True, rho_dec=rho_dec)
+    check_reals(AuthCodeError, rho_adv=0.0 if rho_adv is None else rho_adv)
+    check_int("seed", seed, AuthCodeError, 0)
+    if target_size_override is not None:
+        check_int("target_size_override", target_size_override,
+                  AuthCodeError, 2)
     info = bounds_mod.decimation_bounds(
         code.n, code.overlay.level_set, code.overlay.gamma, code.delta,
         code.rho_delta, rho_dec, code.power, code.base.rate,
         rho_adv=rho_adv, adversary_agnostic=adversary_agnostic)
     size = target_size_override if target_size_override is not None \
         else info.target_size
-    if size < 2 or info.r_decimated <= 0 and target_size_override is None:
+    if target_size_override is None and (size < 2 or info.r_decimated <= 0):
         raise AuthCodeError(
             "decimation infeasible: surviving rate "
             f"{info.r_decimated:.6g} (rate term {info.terms['rate_term']:.6g} "

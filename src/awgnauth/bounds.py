@@ -6,12 +6,18 @@ residual variances it leaves, the detection margin that drives the
 false-authentication exponents, power/error/rate bounds for the two
 code modifications, capacity and rate-gap references, and the
 combinatorial tail bounds the analysis rests on.
+
+Every entry checks each argument on its own with ``streams.check_int``
+(sizes ``n``, ``ell``, ``count`` and the lemmas' integers) or
+``streams.check_reals`` (powers, rates, margins, the radius ``theta``,
+``gamma``, ``delta`` and the lemmas' reals), raising ``BoundsError``;
+only rules that relate two arguments are written out here.
+``epsilon_h`` may be NaN.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -19,29 +25,11 @@ import numpy as np
 
 from . import numerics
 from .overlay import LevelSet
-from .streams import check_powers
+from .streams import check_int, check_reals
 
 
 class BoundsError(ValueError):
     pass
-
-
-# the domain of each design parameter; any other name (a rate, a margin
-# lam) lies in [0, inf)
-_DOMAINS = {"gamma": ("(1/2, 1)", lambda v: 0.5 < v < 1.0),
-            "delta": ("[0, 1)", lambda v: 0.0 <= v < 1.0)}
-_NONNEGATIVE = ("[0, inf)", lambda v: 0.0 <= v < math.inf)
-
-
-def _check_design(**values: Any) -> None:
-    """Raise ``BoundsError`` unless every named value is a real number
-    (not a bool) in its domain: ``gamma`` in (1/2, 1), ``delta`` in
-    [0, 1), a rate or a margin ``lam`` finite and at least 0; NaN fails."""
-    for name, value in values.items():
-        domain, holds = _DOMAINS.get(name, _NONNEGATIVE)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                or not holds(value):
-            raise BoundsError(f"{name} must lie in {domain}, not {value!r}")
 
 
 def mmse_weight(level: float | np.ndarray, rho_delta: float,
@@ -49,7 +37,7 @@ def mmse_weight(level: float | np.ndarray, rho_delta: float,
     """Cancellation weight f^2 rho_delta / (f^2 rho_delta + rho_adv),
     elementwise over an array of levels; zero where the coordinate
     carries no injected noise and the observation is noiseless."""
-    check_powers(BoundsError, rho_delta=rho_delta, rho_adv=rho_adv)
+    check_reals(BoundsError, rho_delta=rho_delta, rho_adv=rho_adv)
     level = np.asarray(level, dtype=np.float64)
     injected = level * level * rho_delta
     total = injected + rho_adv
@@ -64,7 +52,7 @@ def residual_variance(level: float, rho_delta: float, rho_adv: float,
     ``mmse_weight`` of ``a``, that is a^2 rho_D rho_A / (a^2 rho_D +
     rho_A) + rho_dec.  Degenerates to rho_dec when the coordinate carries
     no injected noise or the adversary observes noiselessly."""
-    check_powers(BoundsError, positive=True, rho_dec=rho_dec)
+    check_reals(BoundsError, positive=True, rho_dec=rho_dec)
     return float(mmse_weight(level, rho_delta, rho_adv) * rho_adv + rho_dec)
 
 
@@ -74,7 +62,7 @@ def detection_margin(level_set: LevelSet, gamma: float, delta: float,
     """The margin lambda = |min_k 1 - (1+delta)(k^2 rho_D + rho_dec) /
     (gamma tau(k) + (1-gamma) tau(d_k))|+ together with the minimising
     level; d_k is the next extended level above k."""
-    _check_design(gamma=gamma, delta=delta)
+    check_reals(BoundsError, gamma=gamma, delta=delta)
     best = math.inf
     best_level = level_set.levels[0]
     for k in level_set.levels:
@@ -93,8 +81,11 @@ def injection_power_bound(omega_h: float, rate_h: float, rho_delta: float,
     """Power bound for the noise-injected code: omega_h +
     2 sqrt(2 omega_h rho_D (r+1)) + rho_D (1 + C [r + 1 + ln|K|/n]) with
     C = 8|K~| (default) or C = 8|K|+1 (variant)."""
-    check_powers(BoundsError, omega_h=omega_h, rho_delta=rho_delta)
-    _check_design(rate_h=rate_h)
+    check_reals(BoundsError, omega_h=omega_h, rho_delta=rho_delta,
+                rate_h=rate_h)
+    check_int("n", n, BoundsError)
+    check_int("ktilde_size", ktilde_size, BoundsError, 2)
+    check_int("k_size", k_size, BoundsError)
     coeff = (8 * k_size + 1) if variant else 8 * ktilde_size
     extra = rate_h + 1.0 + math.log(k_size) / n
     return (omega_h + 2.0 * math.sqrt(2.0 * omega_h * rho_delta * (rate_h + 1.0))
@@ -103,7 +94,8 @@ def injection_power_bound(omega_h: float, rate_h: float, rho_delta: float,
 
 def targeted_false_auth_bound(ell: int, gamma: float, lam: float) -> float:
     """exp(-ell (1-gamma) lam^2 / 8) + exp(-ell gamma lam^2 / 8)."""
-    _check_design(gamma=gamma, lam=lam)
+    check_int("ell", ell, BoundsError)
+    check_reals(BoundsError, gamma=gamma, lam=lam)
     return (math.exp(-ell * (1.0 - gamma) * lam * lam / 8.0)
             + math.exp(-ell * gamma * lam * lam / 8.0))
 
@@ -133,8 +125,9 @@ def injection_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
     """Evaluate the rate/power/error/false-authentication guarantees of
     the noise-injection modification.  ``epsilon_h`` must be the base
     code's error probability at combined noise rho_dec + rho_delta."""
-    check_powers(BoundsError, omega_h=omega_h)   # t_zero's power checks none
-    _check_design(gamma=gamma, delta=delta, rate_h=rate_h)
+    check_int("n", n, BoundsError)   # with t_zero, no power bound checks n
+    check_reals(BoundsError, omega_h=omega_h, gamma=gamma, delta=delta,
+                rate_h=rate_h)
     ell = n // len(level_set.extended)
     lam, argmin = detection_margin(level_set, gamma, delta, rho_delta,
                                    rho_adv, rho_dec)
@@ -172,8 +165,9 @@ def quantization_radius(n: int, omega: float, rho_delta: float,
     """theta = max(1, sqrt(3n [omega + (rho_D + rho_dec)(1 + delta +
     2 lam^2 + 2 r)])) — the radius of attack means the decimation
     argument must cover with a quantization net."""
-    check_powers(BoundsError, omega=omega, rho_delta=rho_delta, rho_dec=rho_dec)
-    _check_design(delta=delta, lam=lam, rate=rate)
+    check_int("n", n, BoundsError)
+    check_reals(BoundsError, omega=omega, rho_delta=rho_delta, rho_dec=rho_dec,
+                delta=delta, lam=lam, rate=rate)
     inner = omega + (rho_delta + rho_dec) * (1.0 + delta + 2.0 * lam * lam
                                              + 2.0 * rate)
     return max(1.0, math.sqrt(3.0 * n * inner))
@@ -183,7 +177,10 @@ def decimation_rate(n: int, rate_h: float, gamma: float, ell: int,
                     lam: float, theta: float) -> float:
     """Surviving rate after decimation:
     (1 - 1/n) r - ((1-gamma) ell / (4n)) lam^2 - (2 + ln(2 theta)) / n."""
-    _check_design(rate_h=rate_h, gamma=gamma, lam=lam)
+    check_int("n", n, BoundsError)
+    check_int("ell", ell, BoundsError)
+    check_reals(BoundsError, rate_h=rate_h, gamma=gamma, lam=lam)
+    check_reals(BoundsError, positive=True, theta=theta)
     return ((1.0 - 1.0 / n) * rate_h
             - (1.0 - gamma) * ell / (4.0 * n) * lam * lam
             - (2.0 + math.log(2.0 * theta)) / n)
@@ -218,8 +215,9 @@ def decimation_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
     the (exactly computable) power of the noise-injected code; in
     adversary-agnostic mode lambda is pinned to 0 and no rho_adv is
     needed."""
-    check_powers(BoundsError, positive=True, rho_dec=rho_dec)
-    _check_design(gamma=gamma, delta=delta, rate_h=rate_h)
+    check_int("n", n, BoundsError)
+    check_reals(BoundsError, positive=True, rho_dec=rho_dec)
+    check_reals(BoundsError, gamma=gamma, delta=delta, rate_h=rate_h)
     if adversary_agnostic:
         lam = 0.0
     else:
@@ -256,8 +254,8 @@ def decimation_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
 def capacity(rho: float, rho_dec: float, rho_adv: float) -> float:
     """Authenticated-channel capacity: (1/2) ln(1 + rho/rho_dec) when the
     adversary's observation is noisy (rho_adv > 0), else 0."""
-    check_powers(BoundsError, rho=rho, rho_adv=rho_adv)
-    check_powers(BoundsError, positive=True, rho_dec=rho_dec)
+    check_reals(BoundsError, rho=rho, rho_adv=rho_adv)
+    check_reals(BoundsError, positive=True, rho_dec=rho_dec)
     if rho_adv == 0.0:
         return 0.0
     return 0.5 * math.log1p(rho / rho_dec)
@@ -287,10 +285,11 @@ def optimal_levels(count: int, gamma: float, rho_delta: float,
 
     Levels landing outside [0,1) are flagged invalid, never clamped.
     """
-    if count < 1:
-        raise BoundsError("count must be >= 1")
-    _check_design(gamma=gamma, delta=delta)
-    check_powers(BoundsError, positive=True, rho_delta=rho_delta, rho_dec=rho_dec)
+    check_int("count", count, BoundsError)
+    if ell is not None:
+        check_int("ell", ell, BoundsError)
+    check_reals(BoundsError, positive=True, gamma=gamma, delta=delta,
+                rho_delta=rho_delta, rho_dec=rho_dec)
     root = 1.0 / count
     c = rho_dec**root / (gamma * rho_dec**root
                          + (1.0 - gamma) * (rho_delta + rho_dec)**root)
@@ -323,8 +322,8 @@ def rate_gap(rho: float, rho_dec: float, rho_delta: float) -> RateGap:
     telescopes to (1/2)ln(1 + rho_delta/rho_dec) — independent of rho.
     The series form uses c = (rho+rho_dec)/(rho+rho_dec+rho_delta(1+rho/rho_dec)).
     """
-    check_powers(BoundsError, rho=rho)
-    check_powers(BoundsError, positive=True, rho_dec=rho_dec, rho_delta=rho_delta)
+    check_reals(BoundsError, rho=rho)
+    check_reals(BoundsError, positive=True, rho_dec=rho_dec, rho_delta=rho_delta)
     if rho_delta >= rho:
         raise BoundsError("rho_delta must be smaller than the power budget rho")
     exact = (0.5 * math.log1p(rho / rho_dec)
@@ -339,6 +338,8 @@ def hypergeom_log_bound(a: int, b: int, c: int) -> float:
     """Lower bound on -ln Pr(overlap of two uniform b-subsets of [a] is
     exactly c): a*i2(c/b || b/a) - 1/3 - 2 ln a.  Requires
     a > b > c >= max(b - (a - b), 1)."""
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        check_int(name, value, BoundsError)
     if not (a > b > c >= max(b - (a - b), 1)):
         raise BoundsError(
             f"need a > b > c >= max(2b - a, 1), got a={a}, b={b}, c={c}")
@@ -357,10 +358,13 @@ def hoeffding_wo_replacement_bound(set_size: int, beta: int, mu: float,
     population with mean mu and per-element ceiling eta,
     Pr(mean >= c mu) <= exp(-beta D2(c mu || mu)) and, sharpened by the
     ceiling, <= exp(-beta D2(c mu / eta || mu / eta))."""
-    if not 1 <= beta <= set_size:
-        raise BoundsError("need 1 <= beta <= set_size")
-    if not 0.0 < mu <= eta <= 1.0:
-        raise BoundsError("need 0 < mu <= eta <= 1")
+    check_int("set_size", set_size, BoundsError)
+    check_int("beta", beta, BoundsError)
+    check_reals(BoundsError, positive=True, mu=mu, eta=eta, c=c)
+    if beta > set_size:
+        raise BoundsError("need beta <= set_size")
+    if not mu <= eta <= 1.0:
+        raise BoundsError("need mu <= eta <= 1")
     if not 1.0 < c <= eta / mu:
         raise BoundsError("need 1 < c <= eta/mu")
     lemma = math.exp(-beta * numerics.d2(c * mu, mu))
@@ -385,19 +389,19 @@ def mixed_variance_lower_tail_bound(tau: Sequence[float], alpha: float,
     n = len(tau)
     if n == 0:
         raise BoundsError("tau must be nonempty")
-    if alpha <= 0 or beta < alpha:
-        raise BoundsError("need 0 < alpha <= beta")
+    check_reals(BoundsError, positive=True, alpha=alpha, beta=beta,
+                gamma_frac=gamma_frac, b=b,
+                **{f"tau[{i}]": t for i, t in enumerate(tau)})
+    check_reals(BoundsError, c=c)
+    if beta < alpha:
+        raise BoundsError("need alpha <= beta")
     if any(t < alpha for t in tau):
         raise BoundsError("every variance must be at least alpha")
-    if not 0.0 < gamma_frac < 1.0:
-        raise BoundsError("gamma_frac must lie in (0,1)")
     below = sum(1 for t in tau if t < beta) / n
-    if gamma_frac < below:
+    if not below <= gamma_frac < 1.0:
         raise BoundsError(
-            f"gamma_frac={gamma_frac} below the fraction {below} of "
-            f"variances under beta")
-    if b <= 0 or c < 0:
-        raise BoundsError("need b > 0 and c >= 0")
+            f"gamma_frac={gamma_frac} must lie below 1 and not below the "
+            f"fraction {below} of variances under beta")
     lam = max(0.0, 1.0 - (1.0 + c) * b
               / (gamma_frac * alpha + (1.0 - gamma_frac) * beta))
     bound = (math.exp(-n * gamma_frac * lam * lam / 8.0)
@@ -415,8 +419,10 @@ def bounds_report(n: int, level_set: LevelSet, gamma: float, delta: float,
     """Flat, labelled report of every closed-form quantity for a
     parameter point; the injection block needs rho_adv, the decimation
     block runs with lambda = 0 when adversary-agnostic."""
-    check_powers(BoundsError, omega_h=omega_h)   # NaN would skip the rate gap
-    _check_design(gamma=gamma, delta=delta, rate_h=rate_h)
+    check_int("n", n, BoundsError)
+    # a NaN omega_h would skip the rate gap
+    check_reals(BoundsError, omega_h=omega_h, gamma=gamma, delta=delta,
+                rate_h=rate_h)
     out: dict[str, Any] = {
         "ell": n // len(level_set.extended),
         "levels": list(level_set.levels),

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .streams import check_powers
+from .streams import check_int, check_reals
 
 _EPS = math.ulp(1.0)
 
@@ -27,6 +27,7 @@ def h2(a: float) -> float:
 
 def d2(a: float, b: float) -> float:
     """Binary divergence a ln(a/b) + (1-a) ln((1-a)/(1-b))."""
+    check_reals(ValueError, b=b)
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"d2 first argument must lie in [0,1], got {a}")
     if b <= 0.0 or b >= 1.0:
@@ -76,10 +77,8 @@ def chi_square_tail_bound(n: int, c: float) -> float:
     """Upper bound on Pr(sum of n squared N(0,rho) deviates by factor 1+-c):
     exp(-c^2 n / 8) for c <= 1, exp(-c n / 8) for c > 1.  Independent of rho.
     """
-    if n <= 0:
-        raise ValueError("n must be a positive integer")
-    if c < 0.0:
-        raise ValueError("c must be nonnegative")
+    check_int("n", n, ValueError)
+    check_reals(ValueError, c=c)
     expo = c * c * n / 8.0 if c <= 1.0 else c * n / 8.0
     return math.exp(-expo)
 
@@ -88,7 +87,7 @@ def gaussian_posterior(rho: float, a: float, z: float) -> tuple[float, float]:
     """Moments of X | {X + G_a = z} for X ~ N(0, rho), G_a ~ N(0, a):
     mean (rho/(rho+a)) z, variance rho*a/(rho+a).
     """
-    check_powers(ValueError, rho=rho, a=a)
+    check_reals(ValueError, rho=rho, a=a)
     if rho + a <= 0.0:
         raise ValueError("variances must not both be zero")
     return (rho / (rho + a)) * z, rho * a / (rho + a)
@@ -96,12 +95,11 @@ def gaussian_posterior(rho: float, a: float, z: float) -> tuple[float, float]:
 
 def quantization_slack(n: int, rho_vec: Sequence[float], c: float) -> float:
     """Mean-grid slack c^{-1} sqrt(sum_i 1/(2 rho_i))."""
+    check_int("n", n, ValueError)
     if len(rho_vec) != n:
         raise ValueError(f"rho_vec must have length n={n}, got {len(rho_vec)}")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
-    check_powers(ValueError, positive=True,
-                 **{f"rho_vec[{i}]": r for i, r in enumerate(rho_vec)})
+    check_reals(ValueError, positive=True, c=c,
+                **{f"rho_vec[{i}]": r for i, r in enumerate(rho_vec)})
     return math.sqrt(sum(1.0 / (2.0 * r) for r in rho_vec)) / c
 
 

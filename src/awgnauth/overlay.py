@@ -22,6 +22,12 @@ level, so messages that share a digit prefix share their lower-level
 sets: the code is assembled, and verified, once per prefix group, with
 an exhaustive pairwise scan kept for codes the group check cannot
 prove.  Built codes are resampled until the pairwise property holds.
+
+Arguments: gamma and the levels go through ``streams.check_reals``,
+sizes, counts and seeds through ``streams.check_int``, and ``_ell``
+states the rule n >= |K~| once.  ``OverlayCode.ell_violations`` lists
+the messages whose level set is not ell coordinates; ``verify_overlay``
+and ``AuthCode`` read it.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ import numpy as np
 
 from . import numerics
 from .streams import (CHUNK_VALUES, RETRY_LIMIT, ROW_VALUES, SCORE_VALUES,
-                      Role, check_ids, check_int, one_shot_rng, row_chunks)
+                      Role, check_ids, check_int, check_reals, one_shot_rng,
+                      row_chunks)
 
 MAX_TOTAL_MESSAGES = 1 << 20  # materialization guard
 DEFECT_COEFF = {"construction": 1.0 / 3.0, "theorem": 4.0 / 3.0}
@@ -53,11 +60,11 @@ class LevelSet:
     levels: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for k in self.levels:
+            check_reals(OverlayError, levels=k)
         ks = tuple(float(k) for k in self.levels)
         if not ks:
             raise OverlayError("at least one level below 1 is required")
-        if any(not 0.0 <= k < 1.0 for k in ks):
-            raise OverlayError(f"levels must lie in [0,1), got {ks}")
         if any(a >= b for a, b in zip(ks, ks[1:])):
             raise OverlayError(f"levels must be strictly increasing, got {ks}")
         object.__setattr__(self, "levels", ks)
@@ -65,8 +72,7 @@ class LevelSet:
     @classmethod
     def uniform(cls, ktilde_size: int) -> "LevelSet":
         """{0, 1/s, ..., (s-1)/s} for extended size s."""
-        if ktilde_size < 2:
-            raise OverlayError("extended level count must be at least 2")
+        check_int("ktilde_size", ktilde_size, OverlayError, 2)
         return cls(tuple(i / ktilde_size for i in range(ktilde_size)))
 
     @property
@@ -84,14 +90,11 @@ class LevelSet:
         raise OverlayError(f"no level above {k}")
 
 
-def _as_fraction(gamma: float | Fraction) -> Fraction:
-    return gamma if isinstance(gamma, Fraction) else Fraction(float(gamma))
-
-
-def _check_gamma(gamma_exact: Fraction) -> None:
-    if not Fraction(1, 2) < gamma_exact < 1:
-        raise OverlayError(
-            f"gamma must lie strictly between 1/2 and 1, got {gamma_exact}")
+def _ell(n: int, level_set: LevelSet) -> int:
+    """ell = floor(n / |K~|) of an n of at least |K~|, the extended level
+    count, so that every level in K gets a coordinate."""
+    check_int("n", n, OverlayError, len(level_set.extended))
+    return n // len(level_set.extended)
 
 
 def _index_dtype(levels: int) -> np.dtype:
@@ -139,12 +142,11 @@ class OverlayCode:
                  level_index: np.ndarray,
                  radices: Sequence[int] | None = None,
                  attempts: int = 1) -> None:
-        if n < len(level_set.extended):
-            raise OverlayError("n must be at least the extended level count")
+        _ell(n, level_set)   # n >= |K~|
+        check_reals(OverlayError, gamma=gamma_exact)
         if not isinstance(gamma_exact, Fraction):
             raise OverlayError("gamma_exact must be a Fraction, got "
                                f"{gamma_exact!r}")
-        _check_gamma(gamma_exact)
         levels = len(level_set)
         if (level_index.ndim != 2 or level_index.shape[1] != n
                 or level_index.dtype != _index_dtype(levels)
@@ -192,6 +194,12 @@ class OverlayCode:
                                                 axis=1)
         counts.setflags(write=False)
         return counts
+
+    def ell_violations(self) -> np.ndarray:
+        """The (level index, message) pairs, level by level and in message
+        order within a level, at which a message has other than ``ell``
+        coordinates at a level in K: none in a valid overlay."""
+        return np.argwhere(self.level_counts.T != self.ell)
 
     def test_indices(self, m: int) -> tuple[np.ndarray, ...]:
         """Ascending 0-based coordinates of message m, one array per level
@@ -268,7 +276,7 @@ def _level_exponents(n: int, level_set: LevelSet, gamma: float | Fraction,
     the log message count of the displayed per-level rate."""
     coef = DEFECT_COEFF[defect]
     g = float(gamma)
-    ell = n // len(level_set.extended)
+    ell = _ell(n, level_set)
     exponents = []
     for j in range(len(level_set)):
         n_k = n - ell * j
@@ -301,17 +309,14 @@ def overlay_rate_finite(n: int, level_set: LevelSet, gamma: float,
     ``defect`` selects the additive-defect coefficient: the conservative
     4/3 (default) or the construction's 1/3.
     """
-    _check_gamma(_as_fraction(gamma))
-    if n < len(level_set.extended):
-        raise OverlayError("n too small for the level count")
+    check_reals(OverlayError, gamma=gamma)
     return sum(_level_exponents(n, level_set, gamma, defect)) / n
 
 
 def overlay_rate_asymptotic(ktilde_size: int, gamma: float) -> float:
     """Large-n overlay rate limit |gamma ln|K~| - gamma - h2(gamma)|+."""
-    if ktilde_size < 2:
-        raise OverlayError("extended level count must be at least 2")
-    _check_gamma(_as_fraction(gamma))
+    check_int("ktilde_size", ktilde_size, OverlayError, 2)
+    check_reals(OverlayError, gamma=gamma)
     return max(0.0, gamma * math.log(ktilde_size) - gamma - numerics.h2(gamma))
 
 
@@ -319,10 +324,12 @@ def _resolve_counts(n: int, level_set: LevelSet, gamma: float | Fraction,
                     rates_per_level: Sequence[float] | None,
                     counts_per_level: Sequence[int] | None,
                     max_messages_per_level: int | None) -> list[int]:
-    ell = n // len(level_set.extended)
+    ell = _ell(n, level_set)
     if rates_per_level is not None and counts_per_level is not None:
         raise OverlayError("give rates_per_level or counts_per_level, not both")
     if counts_per_level is not None:
+        for c in counts_per_level:
+            check_int("counts_per_level", c, OverlayError)
         counts = [int(c) for c in counts_per_level]
     elif rates_per_level is not None:
         if len(rates_per_level) != len(level_set):
@@ -340,8 +347,6 @@ def _resolve_counts(n: int, level_set: LevelSet, gamma: float | Fraction,
         counts = default_level_message_counts(n, level_set, gamma)
     if len(counts) != len(level_set):
         raise OverlayError("one message count per level in K is required")
-    if any(c < 1 for c in counts):
-        raise OverlayError("per-level message counts must be >= 1")
     if max_messages_per_level is not None:
         check_int("max_messages_per_level", max_messages_per_level,
                   OverlayError)
@@ -404,11 +409,11 @@ def construct_overlay(n: int, level_set: LevelSet, gamma: float | Fraction,
     attempts).  Explicit ``subset_tables`` (one table per level, each a
     list of 1-based slot subsets) bypass sampling.
     """
-    gamma_exact = _as_fraction(gamma)
-    _check_gamma(gamma_exact)
-    if n < len(level_set.extended):
-        raise OverlayError("n must be at least the extended level count")
-    ell = n // len(level_set.extended)
+    check_reals(OverlayError, gamma=gamma)
+    check_int("seed", seed, OverlayError, 0)
+    gamma_exact = gamma if isinstance(gamma, Fraction) \
+        else Fraction(float(gamma))
+    ell = _ell(n, level_set)
 
     if subset_tables is not None:
         sets = [[frozenset(map(int, s)) for s in per_level]
@@ -534,14 +539,12 @@ def verify_overlay(code: OverlayCode) -> VerifyReport:
     cannot prove the property (it fails, or the code has no radices),
     every ordered pair is scanned exhaustively (see ``_pair_failures``),
     so the verdict and the violations are those of the exhaustive scan
-    either way.  The sizes are read from ``level_counts``.
+    either way.  The sizes are read from ``ell_violations``.
     ``VerifyReport.witness`` finds one pair's lowest witness on demand."""
-    ell = code.ell
-    violations: list[str] = []
-    for j, k in enumerate(code.level_set.levels):
-        sizes = code.level_counts[:, j]
-        violations += [f"message {m} has {sizes[m]} coordinates at level {k}, "
-                       f"expected {ell}" for m in np.flatnonzero(sizes != ell)]
+    ell, counts = code.ell, code.level_counts
+    violations = [f"message {m} has {counts[m, j]} coordinates at level "
+                  f"{code.level_set.levels[j]}, expected {ell}"
+                  for j, m in code.ell_violations()]
     if not _prefix_groups_separated(code):
         violations += _pair_failures(code)
     return VerifyReport(passed=not violations, ell=ell,

@@ -8,6 +8,15 @@ from typing import Any
 
 from scipy.special import ndtri
 
+from .streams import check_int
+
+
+def _check_counts(successes: int, trials: int) -> None:
+    check_int("trials", trials, ValueError)
+    check_int("successes", successes, ValueError, 0)
+    if successes > trials:
+        raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
+
 
 def _z_value(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
@@ -18,10 +27,7 @@ def _z_value(confidence: float) -> float:
 def wilson_interval(successes: int, trials: int,
                     confidence: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if not 0 <= successes <= trials:
-        raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
+    _check_counts(successes, trials)
     z = _z_value(confidence)
     p = successes / trials
     z2 = z * z
@@ -35,6 +41,7 @@ def wilson_interval(successes: int, trials: int,
 
 
 def binomial_se(successes: int, trials: int) -> float:
+    _check_counts(successes, trials)
     p = successes / trials
     return math.sqrt(p * (1.0 - p) / trials)
 

@@ -78,7 +78,7 @@ from .adversary import (AttackSpec, mmse_attack_terms,
                         mmse_targeted_attack_batch, no_attack)
 from .authcode import REJECT, AuthCode, auth_encode_batch, detect_batch
 from .reporting import EstimateReport, binomial_se, wilson_interval  # noqa: F401
-from .streams import (Role, block_rows, check_ids, check_int, check_powers,
+from .streams import (Role, block_rows, check_ids, check_int, check_reals,
                       choices, draw_buffer, normals, one_shot_rng)
 
 METRICS = ("epsilon", "false_alarm", "genuine_acceptance", "alpha_star", "alpha")
@@ -108,9 +108,9 @@ class ChannelParams:
     def __post_init__(self) -> None:
         # rho_dec = 0 is allowed as a noiseless-pipe diagnostic for single
         # trials; the estimators require a positive value.
-        check_powers(SimulateError, rho_dec=self.rho_dec, rho_adv=self.rho_adv)
+        check_reals(SimulateError, rho_dec=self.rho_dec, rho_adv=self.rho_adv)
         if self.power_budget is not None:
-            check_powers(SimulateError, positive=True,
+            check_reals(SimulateError, positive=True,
                          power_budget=self.power_budget)
 
 

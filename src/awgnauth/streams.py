@@ -22,14 +22,20 @@ temporary of the table's size.
 ``uniforms`` and ``normals`` draw into an ``out=`` array from
 ``draw_buffer`` when given one, so that the estimators allocate a
 block's draws once per worker per call and reuse them in every block.
-``check_int`` tests integer arguments (counts, seeds, trial indices),
-``check_ids`` is the one message-id test, ``check_powers`` the one power test.
+Each single-value rule on a numeric argument is stated once, here:
+``check_int`` tests integers (sizes, counts, seeds, trial indices),
+``check_ids`` message ids, and ``check_reals`` real numbers (powers,
+rates, margins, ``gamma``, ``delta`` and levels), the domain of each
+real read from its name.  Rules that relate two arguments stay with
+the entry that states them.
 """
 
 from __future__ import annotations
 
+import numbers
 from enum import IntEnum
 from functools import lru_cache
+from math import inf
 from typing import Any, Iterator
 
 import numpy as np
@@ -160,13 +166,27 @@ def check_ids(name: str, ids: Any, count: int,
     return arr
 
 
-def check_powers(error: type[Exception], *, positive: bool = False,
-                 **powers: Any) -> None:
+# the domain of a real number of one of these names, and its test; any
+# other name is finite and at least 0, or above 0 when ``positive``
+_UNIT = ("lie in [0,1)", lambda v: 0 <= v < 1)
+# (exact for a Fraction gamma: a float compares with it exactly)
+_DOMAINS = {"gamma": ("lie in (1/2,1)", lambda v: 0.5 < v < 1),
+            "delta": _UNIT, "levels": _UNIT}
+_FINITE = {False: ("be a nonnegative finite number", lambda v: 0 <= v < inf),
+           True: ("be a positive finite number", lambda v: 0 < v < inf)}
+# the concrete types first: an instance check against the ABC is slow
+_REALS = (float, int, np.floating, np.integer, numbers.Real)
+
+
+def check_reals(error: type[Exception], *, positive: bool = False,
+                **values: Any) -> None:
     """Raise ``error`` unless every named value is a real number (not a
-    bool), finite and at least 0, or above 0 when ``positive``: NaN fails."""
-    what = "positive" if positive else "nonnegative"
-    for name, value in powers.items():
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float, np.integer, np.floating)) \
-                or not 0.0 <= value < np.inf or positive and value == 0.0:
-            raise error(f"{name} must be a {what} finite number, not {value!r}")
+    bool) in the domain of its name: ``gamma`` in (1/2, 1), compared
+    exactly, ``delta`` and ``levels`` in [0, 1), any other name (a power,
+    a rate, a margin) finite and at least 0, or above 0 when
+    ``positive``.  NaN lies in no domain."""
+    for name, value in values.items():
+        domain, holds = _DOMAINS.get(name) or _FINITE[positive]
+        if isinstance(value, bool) or not isinstance(value, _REALS) \
+                or not holds(value):
+            raise error(f"{name} must {domain}, not {value!r}")

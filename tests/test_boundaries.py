@@ -1,28 +1,36 @@
-"""Every public entry that takes a message id or a power refuses a bad
-one with its own module's error.
+"""Every public entry that takes a number refuses a bad one with its own
+module's error, never a raw ``IndexError``, ``TypeError``,
+``OverflowError`` or ``ZeroDivisionError``, a NaN or a result.
 
-A message id is an integer (not a bool) in [0, M); ``streams.check_ids``
-is the one test of it.  The table below holds one row per (entry,
-parameter); each row is called with ids that wrap, overflow, pass as a
-bool or are floats, and must raise its module's ``ValueError`` subclass,
-never an ``IndexError``, a ``TypeError`` or a result.  The guard test
-scans the package for id-named parameters, so that a new entry point
-cannot skip the table.
+``streams`` states each single-value rule once, in one of three checks,
+and each has a table here with one row per (entry, parameter) and a
+guard that scans ``awgnauth.__all__``, so that a new parameter cannot
+skip its table:
 
-A noise or signal power is a finite real number (not a bool), at least 0,
-above 0 where a formula divides by it; ``streams.check_powers`` is the
-one test of it.  The power table works the same way, with NaN, infinity,
--1 and ``True``, and its own guard.
+* ``check_ids``: a message id is an integer (not a bool) in [0, M).
+  Each id row is called with ids that wrap, overflow, pass as a bool or
+  are floats.
+* ``check_reals``: a real number (not a bool) whose domain comes from
+  its name.  The power table calls each power row with NaN, infinity,
+  -1 and ``True`` (and 0 where a formula divides); the design table
+  does the same for ``gamma`` in (1/2, 1), ``delta`` and levels in
+  [0, 1), rates, margins and the reals of the lemmas, with a string and
+  the values past each domain's edges too.
+* ``check_int``: the integer table calls each row with 1.5, ``True``
+  and a value below the entry's minimum.
 
-``bounds._check_design`` tests the design parameters of ``bounds``
-entries (``gamma``, ``delta``, a rate, a margin ``lam``); their table
-reuses the power table's calls and bad values, with a guard of its own.
+``b``, ``c`` and ``beta`` are integers in some entries and reals in
+others, so both tables are keyed by (entry, parameter).  The last test
+holds one call for each leak that reached a raw error or a silent result
+before these checks.
 """
 
 import inspect
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -32,10 +40,15 @@ from awgnauth import (AttackError, AttackSpec, AuthCode, AuthCodeError,
                       BaseCode, BaseCodeError, BoundsError, ChannelParams,
                       LevelSet, OverlayCode, OverlayError, SimulateError,
                       VerifyReport, auth_encode_batch, bounds_report,
+                      chi_square_tail_bound, construct_overlay, d2, decimate,
                       decimation_bounds, detect_batch, detection_margin,
-                      estimate, inject_noise, level_statistics,
-                      mmse_attack_terms, residual_variance_vector, run_trial,
-                      verify_overlay)
+                      estimate, hypergeom_log_bound, inject_noise,
+                      injection_power_bound, level_statistics,
+                      make_random_gaussian_code,
+                      mixed_variance_lower_tail_bound, mmse_attack_terms,
+                      optimal_levels, overlay_rate_asymptotic,
+                      quantization_slack, residual_variance_vector, run_trial,
+                      targeted_false_auth_bound, verify_overlay)
 from awgnauth.authcode import from_json_dict, to_json_dict
 
 M = 6   # messages of the ``small_auth`` fixture
@@ -201,36 +214,40 @@ def test_the_encoder_needs_one_id_per_row(small_auth, ms):
         auth_encode_batch(small_auth, ms, np.zeros((1, small_auth.n)))
 
 
-# The power table.  Each entry is called by keyword with good values; a
-# row is one power parameter among them, whose call substitutes the bad
-# value (in a list for ``rho_vec``).  ``_Code`` stands for the fixture's
-# code or one of its attributes.
+# The call table, shared by the power, design and integer tables.  Each
+# entry is called by keyword with good values; a row is one parameter
+# among them, whose call substitutes the bad value (inside a sequence for
+# the parameters of ``WRAP``).  ``_Code`` stands for the fixture's code
+# or one of its (dotted) attributes.
 class _Code:
     def __init__(self, attr=None):
         self.attr = attr
 
     def of(self, code):
-        return code if self.attr is None else getattr(code, self.attr)
+        return code if self.attr is None else attrgetter(self.attr)(code)
 
 
 CODE, BASE, OVERLAY = _Code(), _Code("base"), _Code("overlay")
+WRAP = {"rho_vec": lambda v: [v], "tau": lambda v: [v, 2.0],
+        "levels": lambda v: (v, 0.5), "counts_per_level": lambda v: [v, 2],
+        "radices": lambda v: [v, 2]}
 POWER_PARAMS = {"rho", "rho_dec", "rho_adv", "rho_delta", "omega", "omega_h",
                 "omega_wrapped", "power_budget", "rho_vec"}
 BAD_POWERS = [math.nan, math.inf, -1.0, True]
 LEVELS = LevelSet((0.0, 0.5))
 POINT = dict(n=64, level_set=LEVELS, gamma=0.75, delta=0.2)
 ROWS = dict(ys=np.zeros((1, 60)), base_decoded=np.array([0]))
-POWER_CALLS = {
+CALLS = {
     "AuthCode": (AuthCodeError, dict(
         base=BASE, overlay=OVERLAY, rho_delta=1.0, delta=0.2,
         t_table=_Code("t_table"))),
     "inject_noise": (AuthCodeError, dict(
-        base=BASE, overlay=OVERLAY, rho_delta=1.0, delta=0.2,
+        base=BASE, overlay=OVERLAY, rho_delta=1.0, delta=0.2, seed=0,
         enforce_bounds=False)),
     "level_statistics": (AuthCodeError, dict(code=CODE, **ROWS, rho_dec=0.1)),
     "detect_batch": (AuthCodeError, dict(code=CODE, **ROWS, rho_dec=0.1)),
     "decimate": (AuthCodeError, dict(
-        code=CODE, rho_dec=0.1, rho_adv=0.1, target_size_override=3)),
+        code=CODE, rho_dec=0.1, seed=0, rho_adv=0.1, target_size_override=3)),
     "mmse_attack_terms": (AttackError, dict(
         code=CODE, m=0, m_target=1, rho_adv=0.1)),
     "residual_variance_vector": (AttackError, dict(
@@ -238,10 +255,10 @@ POWER_CALLS = {
     "ChannelParams": (SimulateError, dict(
         rho_dec=0.1, rho_adv=0.1, power_budget=2.0)),
     "base_error_probability": (BaseCodeError, dict(
-        code=BASE, rho_dec=0.1, trials=100)),
+        code=BASE, rho_dec=0.1, trials=100, seed=0)),
     "make_antipodal_code": (BaseCodeError, dict(n=8, omega=1.0)),
     "make_random_gaussian_code": (BaseCodeError, dict(
-        n=8, message_count=4, omega=1.0)),
+        n=8, message_count=4, omega=1.0, seed=0)),
     "antipodal_error_probability": (BaseCodeError, dict(
         n=8, omega=1.0, rho_dec=0.5)),
     "mmse_weight": (BoundsError, dict(level=0.5, rho_delta=1.0, rho_adv=0.1)),
@@ -267,7 +284,7 @@ POWER_CALLS = {
         epsilon_h=math.nan, rho_adv=0.1, omega_wrapped=1.5)),
     "capacity": (BoundsError, dict(rho=1.0, rho_dec=0.1, rho_adv=0.1)),
     "optimal_levels": (BoundsError, dict(
-        count=2, gamma=0.75, rho_delta=1.0, rho_dec=0.1, delta=0.2)),
+        count=2, gamma=0.75, rho_delta=1.0, rho_dec=0.1, delta=0.2, ell=16)),
     "targeted_false_auth_bound": (BoundsError, dict(
         ell=16, gamma=0.75, lam=0.1)),
     "decimation_rate": (BoundsError, dict(
@@ -275,10 +292,39 @@ POWER_CALLS = {
     "rate_gap": (BoundsError, dict(rho=1.0, rho_dec=0.1, rho_delta=0.2)),
     "gaussian_posterior": (ValueError, dict(rho=1.0, a=0.5, z=0.3)),
     "quantization_slack": (ValueError, dict(n=1, rho_vec=[0.5], c=1.0)),
+    "LevelSet": (OverlayError, dict(levels=(0.0, 0.5))),
+    "LevelSet.uniform": (OverlayError, dict(ktilde_size=3)),
+    "OverlayCode": (OverlayError, dict(
+        n=_Code("overlay.n"), level_set=_Code("overlay.level_set"),
+        gamma_exact=_Code("overlay.gamma_exact"),
+        level_index=_Code("overlay.level_index"),
+        radices=_Code("overlay.radices"))),
+    "construct_overlay": (OverlayError, dict(
+        n=60, level_set=LEVELS, gamma=0.75, seed=0, counts_per_level=[3, 2],
+        max_messages_per_level=3)),
+    "overlay_rate_finite": (OverlayError, dict(
+        n=60, level_set=LEVELS, gamma=0.75)),
+    "overlay_rate_asymptotic": (OverlayError, dict(ktilde_size=3,
+                                                   gamma=0.75)),
+    "estimate": (SimulateError, dict(
+        code=CODE, channel=CHANNEL, metric="epsilon", trials=100, seed=0,
+        max_pairs=1, threads=1, batch=10)),
+    "run_trial": (SimulateError, dict(
+        code=CODE, channel=CHANNEL, attack=AttackSpec("none"), m=0, seed=0,
+        trial_index=0)),
+    "hypergeom_log_bound": (BoundsError, dict(a=10, b=4, c=3)),
+    "hoeffding_wo_replacement_bound": (BoundsError, dict(
+        set_size=20, beta=5, mu=0.2, eta=0.5, c=1.5)),
+    "mixed_variance_lower_tail_bound": (BoundsError, dict(
+        tau=[1.5, 2.0], alpha=1.0, beta=2.0, gamma_frac=0.5, b=0.5, c=0.1)),
+    "chi_square_tail_bound": (ValueError, dict(n=10, c=0.5)),
+    "d2": (ValueError, dict(a=0.5, b=0.25)),
+    "wilson_interval": (ValueError, dict(successes=5, trials=10)),
+    "binomial_se": (ValueError, dict(successes=5, trials=10)),
 }
 # a variance that no power name covers, added by hand
 EXTRA_POWERS = {("gaussian_posterior", "a")}
-POWER_ROWS = sorted({(entry, p) for entry, (_, kwargs) in POWER_CALLS.items()
+POWER_ROWS = sorted({(entry, p) for entry, (_, kwargs) in CALLS.items()
                      for p in kwargs if p in POWER_PARAMS} | EXTRA_POWERS)
 # rows whose formula divides by the power: 0 is refused too
 POSITIVE = {("AuthCode", "rho_delta"), ("inject_noise", "rho_delta"),
@@ -296,19 +342,19 @@ POSITIVE = {("AuthCode", "rho_delta"), ("inject_noise", "rho_delta"),
             ("quantization_slack", "rho_vec")}
 
 
-def _call_power_row(code, entry, param=None, value=None):
-    error, kwargs = POWER_CALLS[entry]
+def _call_row(code, entry, param=None, value=None):
+    error, kwargs = CALLS[entry]
     kwargs = {k: v.of(code) if isinstance(v, _Code) else v
               for k, v in kwargs.items()}
     if param is not None:
-        kwargs[param] = [value] if param == "rho_vec" else value
-    return error, lambda: getattr(awgnauth, entry)(**kwargs)
+        kwargs[param] = WRAP.get(param, lambda v: v)(value)
+    return error, lambda: attrgetter(entry)(awgnauth)(**kwargs)
 
 
 @pytest.mark.parametrize("bad", BAD_POWERS, ids=repr)
 @pytest.mark.parametrize("row", POWER_ROWS, ids=lambda row: "-".join(row))
 def test_bad_powers_raise_the_module_error(small_auth, row, bad):
-    error, call = _call_power_row(small_auth, *row, bad)
+    error, call = _call_row(small_auth, *row, bad)
     with pytest.raises(ValueError, match="finite") as info:
         call()
     assert type(info.value) is error
@@ -317,25 +363,20 @@ def test_bad_powers_raise_the_module_error(small_auth, row, bad):
 @pytest.mark.parametrize("row", sorted(POSITIVE),
                          ids=lambda row: "-".join(row))
 def test_zero_is_refused_where_a_formula_divides(small_auth, row):
-    error, call = _call_power_row(small_auth, *row, 0.0)
+    error, call = _call_row(small_auth, *row, 0.0)
     with pytest.raises(error, match="must be a positive finite number"):
         call()
 
 
-@pytest.mark.parametrize("entry", POWER_CALLS)
+@pytest.mark.parametrize("entry", CALLS)
 def test_the_table_calls_succeed_at_good_powers(small_auth, entry):
     # so that a row's error comes from its bad power alone
-    _call_power_row(small_auth, entry)[1]()
+    _call_row(small_auth, entry)[1]()
 
 
 def test_every_power_parameter_is_in_the_table():
-    found = set()
-    for name in awgnauth.__all__:
-        obj = getattr(awgnauth, name)
-        if callable(obj) and not (inspect.isclass(obj)
-                                  and issubclass(obj, BaseException)):
-            found |= {(name, p) for p in inspect.signature(obj).parameters
-                      if p in POWER_PARAMS}
+    found = {(name, p) for name, p, _ in _public_parameters()
+             if p in POWER_PARAMS}
     assert ("bounds_report", "omega_wrapped") in found
     assert ("ChannelParams", "power_budget") in found
     missing = found - set(POWER_ROWS)
@@ -357,37 +398,167 @@ def test_a_nan_margin_term_is_refused(level_set, gamma, delta):
                       math.nan, rho_adv=0.1)
 
 
-DESIGN_PARAMS = {"gamma", "delta", "rate_h", "rate", "lam"}
+# the results the package returns; no entry takes their fields as input
+RECORDS = {"DecimationBounds", "EstimateReport", "InjectionBounds",
+           "OptimalLevels", "RateGap", "TrialOutcome", "VerifyReport"}
+
+
+def _public_parameters():
+    """(entry, parameter, annotation) for every parameter of the package's
+    public callables, the exceptions and the result records aside."""
+    for name in set(awgnauth.__all__) - RECORDS:
+        obj = getattr(awgnauth, name)
+        if callable(obj) and not (inspect.isclass(obj)
+                                  and issubclass(obj, BaseException)):
+            for p, param in inspect.signature(obj).parameters.items():
+                yield name, p, str(param.annotation)
+
+
+# The design table: one row per (entry, real parameter) whose domain
+# ``check_reals`` reads from its name (gamma, delta, levels), or that is
+# a rate, a margin, the radius theta or a real of a lemma, finite and at
+# least 0 (above 0 in ``POSITIVE_REALS``).  ``b``, ``c`` and ``beta`` are integers in some
+# entries: those rows are in the integer table.
+DESIGN_PARAMS = {"gamma", "gamma_exact", "delta", "levels", "rate_h", "rate",
+                 "lam", "theta", "tau", "alpha", "beta", "gamma_frac", "b",
+                 "c", "mu", "eta"}
+INT_ANNOTATIONS = {"int", "int | None", "Sequence[int] | None"}
+POSITIVE_REALS = {("mixed_variance_lower_tail_bound", p)
+                  for p in ("tau", "alpha", "beta", "gamma_frac", "b")} | {
+    ("hoeffding_wo_replacement_bound", p) for p in ("mu", "eta", "c")} | {
+    ("quantization_slack", "c"), ("decimation_rate", "theta")}
+# (entry, parameter) -> the least integer the entry accepts
+INT_ROWS = {
+    ("LevelSet.uniform", "ktilde_size"): 2,
+    ("OverlayCode", "n"): 3, ("OverlayCode", "radices"): 1,
+    ("construct_overlay", "n"): 3, ("construct_overlay", "seed"): 0,
+    ("construct_overlay", "counts_per_level"): 1,
+    ("construct_overlay", "max_messages_per_level"): 1,
+    ("overlay_rate_finite", "n"): 3,
+    ("overlay_rate_asymptotic", "ktilde_size"): 2,
+    ("inject_noise", "seed"): 0, ("decimate", "seed"): 0,
+    ("decimate", "target_size_override"): 2,
+    ("make_antipodal_code", "n"): 1, ("make_random_gaussian_code", "n"): 1,
+    ("make_random_gaussian_code", "message_count"): 1,
+    ("make_random_gaussian_code", "seed"): 0,
+    ("antipodal_error_probability", "n"): 1,
+    ("base_error_probability", "trials"): 100,
+    ("base_error_probability", "seed"): 0,
+    ("estimate", "trials"): 100, ("estimate", "seed"): 0,
+    ("estimate", "max_pairs"): 1, ("estimate", "threads"): 1,
+    ("estimate", "batch"): 1,
+    ("run_trial", "seed"): 0, ("run_trial", "trial_index"): 0,
+    ("injection_power_bound", "n"): 1,
+    ("injection_power_bound", "ktilde_size"): 2,
+    ("injection_power_bound", "k_size"): 1,
+    ("targeted_false_auth_bound", "ell"): 1, ("injection_bounds", "n"): 1,
+    ("quantization_radius", "n"): 1, ("decimation_rate", "n"): 1,
+    ("decimation_rate", "ell"): 1, ("decimation_bounds", "n"): 1,
+    ("bounds_report", "n"): 1, ("optimal_levels", "count"): 1,
+    ("optimal_levels", "ell"): 1,
+    ("hypergeom_log_bound", "a"): 1, ("hypergeom_log_bound", "b"): 1,
+    ("hypergeom_log_bound", "c"): 1,
+    ("hoeffding_wo_replacement_bound", "set_size"): 1,
+    ("hoeffding_wo_replacement_bound", "beta"): 1,
+    ("chi_square_tail_bound", "n"): 1, ("quantization_slack", "n"): 1,
+    ("wilson_interval", "successes"): 0, ("wilson_interval", "trials"): 1,
+    ("binomial_se", "successes"): 0, ("binomial_se", "trials"): 1,
+}
 DESIGN_ROWS = sorted(
-    (entry, p) for entry, (_, kwargs) in POWER_CALLS.items()
-    if getattr(awgnauth, entry).__module__ == "awgnauth.bounds"
-    for p in kwargs if p in DESIGN_PARAMS)
-# values past each domain's edges, and one accepted on or near an edge
+    (entry, p) for entry, (_, kwargs) in CALLS.items()
+    for p in kwargs if p in DESIGN_PARAMS and (entry, p) not in INT_ROWS)
+# values past the edges of a named domain, and one accepted on or near an
+# edge (0.0 where none is named; none where the row refuses 0)
 DESIGN_EDGES = {"gamma": ([0.5, 1.0, 2.0], Fraction(3, 4)),
-                "delta": ([1.0, 1.5], 0.0)}
+                "gamma_exact": ([0.5, 1.0, 2.0], Fraction(3, 4)),
+                "delta": ([1.0, 1.5], 0.0), "levels": ([1.0], 0.0),
+                ("inject_noise", "delta"): ([1.0, 1.5], 0.5),
+                ("d2", "b"): ([], None)}
+# the name in the message, where it is not the parameter's
+NAMES = {"gamma_exact": "gamma", "tau": "tau[0]", "radices": "radix"}
+# a domain that ``check_reals`` has no name for, tested by hand
+HAND_WRITTEN = {("i2", "b")}
 
 
-@pytest.mark.parametrize("row", DESIGN_ROWS, ids=lambda row: "-".join(row))
+def _design_match(entry, param):
+    name = NAMES.get(param, param)
+    if name in ("gamma", "delta", "levels"):
+        domain = "lie in (1/2,1)" if name == "gamma" else "lie in [0,1)"
+    else:
+        domain = "be a {} finite number".format(
+            "positive" if (entry, param) in POSITIVE_REALS else "nonnegative")
+    return re.escape(f"{name} must {domain}, not ")
+
+
+def _check_design_row(code, row):
+    refused, accepted = DESIGN_EDGES.get(row, DESIGN_EDGES.get(
+        row[1], ([0.0], None) if row in POSITIVE_REALS else ([], 0.0)))
+    for bad in BAD_POWERS + ["0.75"] + refused:
+        error, call = _call_row(code, *row, bad)
+        with pytest.raises(ValueError, match=_design_match(*row)) as info:
+            call()
+        assert type(info.value) is error
+    if accepted is not None:
+        _call_row(code, *row, accepted)[1]()
+
+
+@pytest.mark.parametrize("row", [row for row in DESIGN_ROWS if attrgetter(
+    row[0])(awgnauth).__module__ == "awgnauth.bounds"],
+    ids=lambda row: "-".join(row))
 def test_bad_design_values_raise_bounds_error(small_auth, row):
     # a NaN rate gave quantization radius 1, and delta = 1.5 or gamma = 2
     # the vacuous targeted bound 2, without complaint
-    refused, accepted = DESIGN_EDGES.get(row[1], ([], 0.0))
-    for bad in BAD_POWERS + refused:
-        with pytest.raises(BoundsError, match=f"{row[1]} must lie in"):
-            _call_power_row(small_auth, *row, bad)[1]()
-    _call_power_row(small_auth, *row, accepted)[1]()
+    _check_design_row(small_auth, row)
+
+
+@pytest.mark.parametrize("row", [row for row in DESIGN_ROWS if attrgetter(
+    row[0])(awgnauth).__module__ != "awgnauth.bounds"],
+    ids=lambda row: "-".join(row))
+def test_bad_design_values_raise_the_module_error(small_auth, row):
+    # a NaN or infinite gamma raised a raw ValueError or OverflowError
+    # from Fraction, and a NaN argument of a numerics helper gave NaN
+    _check_design_row(small_auth, row)
 
 
 def test_every_design_parameter_is_in_the_table():
-    found = {(name, p) for name in awgnauth.__all__
-             if inspect.isfunction(obj := getattr(awgnauth, name))
-             and obj.__module__ == "awgnauth.bounds"
-             for p in inspect.signature(obj).parameters
-             if p in DESIGN_PARAMS}
+    found = {(name, p) for name, p, annotation in _public_parameters()
+             if p in DESIGN_PARAMS and annotation not in INT_ANNOTATIONS}
     assert ("quantization_radius", "rate") in found
     assert ("targeted_false_auth_bound", "lam") in found
-    missing = found - set(DESIGN_ROWS)
+    assert ("OverlayCode", "gamma_exact") in found
+    assert ("mixed_variance_lower_tail_bound", "b") in found
+    missing = found - set(DESIGN_ROWS) - HAND_WRITTEN
     assert not missing, f"design parameters without a boundary row: {missing}"
+
+
+@pytest.mark.parametrize("row", sorted(INT_ROWS),
+                         ids=lambda row: "-".join(row))
+def test_bad_integers_raise_the_module_error(small_auth, row):
+    # a float count was truncated, a bool read as 1, a negative seed
+    # reached numpy's own ValueError and n = 0 divided by zero
+    minimum = INT_ROWS[row]
+    what = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+        minimum, f"an integer of at least {minimum}")
+    for bad in (1.5, True, minimum - 1):
+        error, call = _call_row(small_auth, *row, bad)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{NAMES.get(row[1], row[1])} must be {what}, not ")) as info:
+            call()
+        assert type(info.value) is error
+
+
+# ids, whose table is above; the build counters that a code records
+NOT_SIZES = ID_PARAMS | {"target", "transmitted", "decoded", "attempts"}
+
+
+def test_every_integer_parameter_is_in_the_table():
+    found = {(name, p) for name, p, annotation in _public_parameters()
+             if annotation in INT_ANNOTATIONS and p not in NOT_SIZES}
+    assert ("hypergeom_log_bound", "b") in found
+    assert ("construct_overlay", "counts_per_level") in found
+    assert ("mixed_variance_lower_tail_bound", "b") not in found
+    missing = found - set(INT_ROWS)
+    assert not missing, f"integer parameters without a boundary row: {missing}"
 
 
 @pytest.mark.parametrize("rho_dec", [math.nan, 0.0], ids=repr)
@@ -408,7 +579,7 @@ def test_the_code_owns_its_delta(small_auth, delta):
     blob = to_json_dict(code, "base.json", "overlay.json")
     with pytest.raises(AuthCodeError, match=r"delta must lie in \[0,1\)"):
         from_json_dict({**blob, "delta": delta}, code.base, code.overlay)
-    with pytest.raises(AuthCodeError, match=r"delta must lie in \(0,1\)"):
+    with pytest.raises(AuthCodeError, match=r"delta must lie in \[0,1\)"):
         inject_noise(code.base, code.overlay, 1.0, delta)
 
 
@@ -419,3 +590,71 @@ def test_a_code_may_carry_delta_zero_but_no_build_gives_one(small_auth):
     assert replace(code, delta=0.0).threshold == code.ell
     with pytest.raises(AuthCodeError, match=r"delta must lie in \(0,1\)"):
         inject_noise(code.base, code.overlay, 1.0, 0.0)
+
+
+# Each leak below got past the entry's checks before ``check_reals`` and
+# the integer checks: it raised a raw ValueError, TypeError, OverflowError
+# or ZeroDivisionError, returned NaN or a number, or built a code.
+NAN, INF = math.nan, math.inf
+LEAKS = {
+    "construct_overlay-gamma-nan": (OverlayError, lambda code:
+        construct_overlay(60, LEVELS, NAN, counts_per_level=[3, 2])),
+    "construct_overlay-gamma-inf": (OverlayError, lambda code:
+        construct_overlay(60, LEVELS, INF, counts_per_level=[3, 2])),
+    "construct_overlay-gamma-str": (OverlayError, lambda code:
+        construct_overlay(60, LEVELS, "0.75", counts_per_level=[3, 2])),
+    "overlay_rate_asymptotic-gamma-str": (OverlayError, lambda code:
+        overlay_rate_asymptotic(3, "0.75")),
+    "LevelSet-str": (OverlayError, lambda code: LevelSet(("0.5",))),
+    "LevelSet-bool": (OverlayError, lambda code: LevelSet((False, 0.5))),
+    "mixed_variance-tau-nan": (BoundsError, lambda code:
+        mixed_variance_lower_tail_bound([NAN, 2.0], 1.0, 2.0, 0.5, 0.5, 0.1)),
+    "mixed_variance-b-nan": (BoundsError, lambda code:
+        mixed_variance_lower_tail_bound([1.5, 2.0], 1.0, 2.0, 0.5, NAN, 0.1)),
+    "mixed_variance-c-nan": (BoundsError, lambda code:
+        mixed_variance_lower_tail_bound([1.5, 2.0], 1.0, 2.0, 0.5, 0.5, NAN)),
+    "chi_square_tail_bound-c-nan": (ValueError, lambda code:
+        chi_square_tail_bound(10, NAN)),
+    "quantization_slack-c-nan": (ValueError, lambda code:
+        quantization_slack(1, [0.5], NAN)),
+    "d2-b-nan": (ValueError, lambda code: d2(0.5, NAN)),
+    "injection_power_bound-n-0": (BoundsError, lambda code:
+        injection_power_bound(1.0, 0.03, 1.0, 0, 3, 2)),
+    "optimal_levels-count-float": (BoundsError, lambda code:
+        optimal_levels(1.5, 0.75, 1.0, 0.1)),
+    "optimal_levels-count-bool": (BoundsError, lambda code:
+        optimal_levels(True, 0.75, 1.0, 0.1)),
+    "hypergeom_log_bound-a-float": (BoundsError, lambda code:
+        hypergeom_log_bound(10.5, 5, 3)),
+    "targeted_false_auth_bound-ell-negative": (BoundsError, lambda code:
+        targeted_false_auth_bound(-5, 0.75, 0.1)),
+    "construct_overlay-seed-negative": (OverlayError, lambda code:
+        construct_overlay(60, LEVELS, 0.75, seed=-1,
+                          counts_per_level=[3, 2])),
+    "inject_noise-seed-negative": (AuthCodeError, lambda code:
+        inject_noise(code.base, code.overlay, 1.0, 0.2, seed=-1)),
+    "decimate-seed-negative": (AuthCodeError, lambda code:
+        decimate(code, 0.1, seed=-1, adversary_agnostic=True,
+                 target_size_override=3)),
+    "make_random_gaussian_code-seed-negative": (BaseCodeError, lambda code:
+        make_random_gaussian_code(8, 4, 1.0, seed=-1)),
+    "construct_overlay-counts-float": (OverlayError, lambda code:
+        construct_overlay(60, LEVELS, 0.75, counts_per_level=[2.5, 2])),
+    "decimate-target_size_override-float": (AuthCodeError, lambda code:
+        decimate(code, 0.1, adversary_agnostic=True,
+                 target_size_override=3.5)),
+    "construct_overlay-n-float": (OverlayError, lambda code:
+        construct_overlay(60.0, LEVELS, 0.75, counts_per_level=[3, 2])),
+    "LevelSet.uniform-float": (OverlayError, lambda code:
+        LevelSet.uniform(2.5)),
+    "AuthCode-delta-bool": (AuthCodeError, lambda code:
+        AuthCode(code.base, code.overlay, 1.0, False, code.t_table)),
+}
+
+
+@pytest.mark.parametrize("leak", LEAKS)
+def test_a_leak_raises_the_module_error(small_auth, leak):
+    error, call = LEAKS[leak]
+    with pytest.raises(ValueError) as info:
+        call(small_auth)
+    assert type(info.value) is error

@@ -212,7 +212,7 @@ class TestConstructVerify:
         (lambda blob: {**blob, "n": 8.5}, "n must be a positive integer"),
         (lambda blob: {**blob, "gamma": 1.0, "gamma_exact": "1/1",
                        "messages": blob["messages"] * 6},
-         "gamma must lie strictly between 1/2 and 1, got 1"),
+         "gamma must lie in (1/2,1), not Fraction(1, 1)"),
         (lambda blob: {**blob, "gamma": 0.8},
          "gamma 0.8 disagrees with gamma_exact 3/4"),
     ], ids=["no-levels", "coords-not-at-levels", "top-level-list",
@@ -411,8 +411,8 @@ class TestSweepCommand:
         rc, out, err = run_cli(["sweep", "--axis", "base.n", "--values",
                                 "64,2", "run.trials=20000"], capsys)
         assert rc == 2 and out == ""
-        assert err == ("error: overlay: n must be at least the extended "
-                       "level count\n")
+        assert err == ("error: overlay: n must be an integer of at least 3, "
+                       "not 2\n")
 
     MOD2 = ["base.kind=gaussian", "base.messages=6", "overlay.counts=[3,2]",
             "mod2.enabled=true", "mod2.target_override=4"]

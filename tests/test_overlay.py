@@ -215,7 +215,7 @@ class TestGammaHandling:
     def test_gamma_bounds(self):
         for bad in (0.5, 1.0, 0.0, 1.5):
             with pytest.raises(OverlayError,
-                               match="gamma must lie strictly between"):
+                               match=r"gamma must lie in \(1/2,1\), not"):
                 construct_overlay(8, LevelSet((0.0,)), bad,
                                   counts_per_level=[2])
 
