@@ -28,7 +28,6 @@ by ``simulate``, once per run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,12 +69,8 @@ class AttackSpec:
         if self.kind != "custom" and self.custom is not None:
             raise AttackError(f"a {self.kind} attack takes no callable; only "
                               "a custom attack does")
-        scale = self.weight_scale
-        if scale is not None and (isinstance(scale, bool) or not isinstance(
-                scale, (int, float, np.integer, np.floating))
-                or not math.isfinite(scale)):
-            raise AttackError(f"weight_scale must be finite and real (not a "
-                              f"bool) when given, not {scale!r}")
+        if self.weight_scale is not None:
+            check_reals(AttackError, weight_scale=self.weight_scale)
 
     @classmethod
     def parse(cls, text: str) -> "AttackSpec":
@@ -116,7 +111,8 @@ def mmse_attack_terms(code: AuthCode, m: int, m_target: int, rho_adv: float,
     mean_t = code.base.codewords[m_target] + code.t_table[m_target]
     w = mmse_weight(code.overlay.level_matrix(m), code.rho_delta, rho_adv)
     if weight_scale is not None:
-        w = weight_scale * w
+        check_reals(AttackError, weight_scale=weight_scale)
+        w = float(weight_scale) * w
     return mean_t - mean_m, mean_m, w
 
 

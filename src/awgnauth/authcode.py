@@ -70,8 +70,8 @@ class AuthCode:
 
     def __post_init__(self) -> None:
         # delta = 0 is allowed: the threshold is ell itself
-        check_reals(AuthCodeError, positive=True, rho_delta=self.rho_delta,
-                    delta=self.delta)
+        check_reals(AuthCodeError, domain="positive", rho_delta=self.rho_delta)
+        check_reals(AuthCodeError, delta=self.delta)
         if self.base.message_count != self.overlay.message_count:
             raise AuthCodeError("base and overlay must agree on message count")
         if self.base.n != self.overlay.n:
@@ -244,9 +244,9 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
     Each row's tested coordinates are gathered from the flat tables, so
     no code loops over messages, and each row's sums do not depend on
     the other rows.  Rows go in chunks of ``CHUNK_VALUES`` // n, so that
-    the gathered arrays (at most 2**15 values each) and a block's received
-    rows (2**17 values, ``streams.block_rows``) fit in a 2 MiB L2 cache
-    together."""
+    the gathered arrays (at most 2**15 values each) and the received rows
+    they read fit in a 2 MiB L2 cache together, whatever the block's
+    rows (``streams.block_rows``)."""
     check_reals(AuthCodeError, rho_dec=rho_dec)
     base_decoded = check_ids("base_decoded", base_decoded,
                              code.message_count, AuthCodeError)
@@ -339,7 +339,7 @@ def decimate(code: AuthCode, rho_dec: float, seed: int = 0, *,
     """
     if code.decimated is not None:
         raise AuthCodeError("code is already decimated")
-    check_reals(AuthCodeError, positive=True, rho_dec=rho_dec)
+    check_reals(AuthCodeError, domain="positive", rho_dec=rho_dec)
     check_reals(AuthCodeError, rho_adv=0.0 if rho_adv is None else rho_adv)
     check_int("seed", seed, AuthCodeError, 0)
     if target_size_override is not None:

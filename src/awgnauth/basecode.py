@@ -10,9 +10,10 @@ from typing import Any
 import numpy as np
 
 from .reporting import EstimateReport
-from .streams import (ROW_VALUES, Role, block_rows, check_ids, check_int,
-                      check_reals, choices, draw_buffer, normals,
-                      one_shot_rng, row_chunks)
+from .streams import (ROW_VALUES, TILE_VALUES, Role, block_rows,
+                      check_ids, check_int, check_reals, choices,
+                      chunk_rows, draw_buffer, normals, one_shot_rng,
+                      row_chunks)
 
 _U32, _U64 = 2.0 ** -24, 2.0 ** -53   # unit roundoffs of float32 and float64
 # the absolute error a float32 operation may add when its result underflows,
@@ -29,12 +30,12 @@ class BaseCodeError(ValueError):
     pass
 
 
-def _mean_squares(cw: np.ndarray) -> np.ndarray:
-    """(1/n) sum_i x_i^2 of each row, computed in chunks of rows, each row
-    by that one expression."""
+def _sum_squares(cw: np.ndarray) -> np.ndarray:
+    """sum_i x_i^2 of each row, computed in chunks of rows, each row by
+    that one expression (``np.mean`` divides this very sum by n)."""
     out = np.empty(cw.shape[0])
     for c in row_chunks(cw.shape[0], cw.shape[1], ROW_VALUES):
-        out[c] = np.mean(cw[c] ** 2, axis=1)
+        out[c] = np.sum(cw[c] ** 2, axis=1)
     return out
 
 
@@ -64,6 +65,37 @@ def _distinct(cw: np.ndarray) -> bool:
     return True
 
 
+def _tiled_top(ys: np.ndarray, words: np.ndarray, half: np.ndarray,
+               second: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of ``ys``, the id and value of its largest score
+    ``ys @ words[m] - half[m]`` (the first on ties, NaN above all, as
+    ``np.argmax`` reads a whole row) and, when ``second``, the largest of
+    its other scores.  The messages go in tiles of at most
+    ``TILE_VALUES`` scores, computed in one buffer allocated per call."""
+    rows, count = len(ys), len(words)
+    step = max(1, TILE_VALUES // max(rows, 1))
+    buf = np.empty(rows * min(step, count), ys.dtype)
+    best = np.zeros(rows, np.int64)
+    top = np.full(rows, -np.inf, ys.dtype)
+    runner = np.full(rows, -np.inf, ys.dtype)
+    at = np.arange(rows)
+    for m0 in range(0, count, step):
+        tile = slice(m0, min(m0 + step, count))
+        scores = buf[:rows * (tile.stop - m0)].reshape(rows, tile.stop - m0)
+        np.matmul(ys, words[tile].T, out=scores)
+        scores -= half[tile]
+        ids = np.argmax(scores, axis=1)
+        vals = scores[at, ids]
+        if second:
+            scores[at, ids] = -np.inf
+            np.maximum(runner, np.minimum(top, vals), out=runner)
+            np.maximum(runner, np.max(scores, axis=1), out=runner)
+        wins = (vals > top) | (np.isnan(vals) & ~np.isnan(top))
+        best[wins] = ids[wins] + m0
+        np.maximum(top, vals, out=top)
+    return best, top, runner
+
+
 def _gamma(k: int, u: float) -> float:
     """Higham's gamma_k = k u / (1 - k u): a k-term dot product computed
     with unit roundoff u, in any summation order and with or without
@@ -86,7 +118,11 @@ class BaseCode:
     rigorous bound on the float32 and float64 scoring errors, so that the
     float64 argmax is provably the same unique message.  If any row of a
     block is not certified (exact or near ties, values outside float32's
-    range or near its underflow), the whole block is scored in float64."""
+    range or near its underflow), the whole block is scored in float64.
+    Both scorings go in message tiles of at most ``TILE_VALUES`` scores
+    and keep a running best per row, so a block of any size holds one
+    tile of scores; the float32 scoring also keeps each row's
+    second-best score, against which the row is certified."""
 
     codewords: np.ndarray  # (message_count, n) float64
     null_id: int | None = None
@@ -115,7 +151,7 @@ class BaseCode:
     def power(self) -> float:
         """Max-message average power: max_m (1/n) sum_i x_i(m)^2, computed
         on first use in chunks of rows."""
-        return float(np.max(_mean_squares(self.codewords)))
+        return float(np.max(_sum_squares(self.codewords) / self.n))
 
     @property
     def rate(self) -> float:
@@ -130,8 +166,9 @@ class BaseCode:
 
     @cached_property
     def _half_norms(self) -> np.ndarray:
-        """||x||^2 / 2 per message, computed on the first decode."""
-        return 0.5 * np.sum(self.codewords**2, axis=1)
+        """||x||^2 / 2 per message, computed on the first decode in chunks
+        of rows."""
+        return 0.5 * _sum_squares(self.codewords)
 
     @cached_property
     def _screen(self) -> tuple[np.ndarray, np.ndarray, float, float, float]:
@@ -161,11 +198,8 @@ class BaseCode:
         # score at most ||y|| X + H: in range, nothing overflows in float32
         # (NaN or infinite rows fail here too)
         if np.all(norms * (xmax + 1.0) + hmax < _RANGE32):
-            scores = ys.astype(np.float32) @ words.T
-            scores -= half
-            best = np.argmax(scores, axis=1)
-            top = np.take(scores.reshape(-1),
-                          best + np.arange(len(ys)) * self.message_count)
+            best, top, runner = _tiled_top(ys.astype(np.float32), words,
+                                           half, second=True)
             # Each float32 score is within err of its float64 twin (Higham
             # 3.1: the rounding of y, x and H to float32, the n-term dot
             # products and the subtraction of H, in both precisions, plus
@@ -173,24 +207,22 @@ class BaseCode:
             # makes the float64 argmax the same unique message.  The floor
             # sits 4 err below the top so that its own rounding to float32
             # (at most u (||y|| X + H) <= err / 4) keeps the lead above
-            # 2 err; each row's top is at or above its floor, so the count
-            # equals the row count only if no other score reaches a floor.
+            # 2 err; a row is certified when its second-best score, and so
+            # every other score, lies below its floor.
             err = (g * (norms * xmax + hmax) + _FLUSH32
                    * (math.sqrt(self.n) * (norms + xmax) + self.n + 2))
             floor = (top - 4.0 * err).astype(np.float32)
-            if np.count_nonzero(scores >= floor[:, None]) == len(ys):
-                return best.astype(np.int64)
-            del scores
-        scores = ys @ self.codewords.T
-        scores -= self._half_norms
-        return np.argmax(scores, axis=1).astype(np.int64)
+            if np.all(runner < floor):
+                return best
+        return _tiled_top(ys, self.codewords, self._half_norms,
+                          second=False)[0]
 
 
 def make_antipodal_code(n: int, omega: float) -> BaseCode:
     """Two messages at +-sqrt(omega) on every coordinate; decoding reduces
     to the sign of sum(y) with ties going to message 0."""
     check_int("n", n, BaseCodeError)
-    check_reals(BaseCodeError, positive=True, omega=omega)
+    check_reals(BaseCodeError, domain="positive", omega=omega)
     amp = math.sqrt(omega)
     return BaseCode(np.vstack([np.full(n, amp), np.full(n, -amp)]))
 
@@ -202,9 +234,9 @@ def make_random_gaussian_code(n: int, message_count: int, omega: float,
     check_int("n", n, BaseCodeError)
     check_int("message_count", message_count, BaseCodeError)
     check_int("seed", seed, BaseCodeError, 0)
-    check_reals(BaseCodeError, positive=True, omega=omega)
+    check_reals(BaseCodeError, domain="positive", omega=omega)
     cw = one_shot_rng(seed, Role.CODEBOOK).standard_normal((message_count, n))
-    cw *= math.sqrt(omega / np.max(_mean_squares(cw)))
+    cw *= math.sqrt(omega / np.max(_sum_squares(cw) / n))
     null_id = None
     if null_message:
         cw = np.vstack([cw, np.zeros(n)])
@@ -216,7 +248,8 @@ def antipodal_error_probability(n: int, omega: float, rho_dec: float) -> float:
     """Closed-form block error of the antipodal pair: Phi(-sqrt(n*omega/rho_dec))."""
     from .numerics import gaussian_cdf
     check_int("n", n, BaseCodeError)
-    check_reals(BaseCodeError, positive=True, omega=omega, rho_dec=rho_dec)
+    check_reals(BaseCodeError, domain="positive", omega=omega,
+                rho_dec=rho_dec)
     return gaussian_cdf(-math.sqrt(n * omega / rho_dec))
 
 
@@ -228,30 +261,36 @@ def base_error_probability(code: BaseCode, rho_dec: float, trials: int,
 
     Channel noise is the DECODER role's unit normals scaled by
     sqrt(rho_dec), so estimates at different rho_dec values share
-    randomness and are pointwise monotone.  Blocks of trials are sized
-    by ``streams.block_rows`` and drawn, gathered and summed into arrays
-    allocated once per call.
+    randomness and are pointwise monotone.  Trials go in blocks sized by
+    ``streams.block_rows``, each drawn, gathered and summed in chunks of
+    ``streams.chunk_rows`` rows into the block's received rows and then
+    decoded at once; the arrays are allocated once per call.
     """
     check_int("trials", trials, BaseCodeError, 100)
     check_int("seed", seed, BaseCodeError, 0)
-    check_reals(BaseCodeError, positive=True, rho_dec=rho_dec)
+    check_reals(BaseCodeError, domain="positive", rho_dec=rho_dec)
     pool = code.non_null_ids
     scale = math.sqrt(rho_dec)
     batch = block_rows(code.n, code.message_count)
-    # one block's draws and received rows, reused by every block
+    # one chunk's draws and one block's received rows, reused throughout
     rows = min(batch, trials)
-    noise_buf, ys_buf = draw_buffer(rows, code.n), np.empty((rows, code.n))
+    chunk = min(chunk_rows(code.n), rows)
+    noise_buf, ys_buf = draw_buffer(chunk, code.n), np.empty((rows, code.n))
     errors = 0
     for t0 in range(0, trials, batch):
         b = min(batch, trials - t0)
         ms = pool[choices(seed, Role.MESSAGE, t0, b, pool.size)]
-        noise = normals(seed, Role.DECODER, t0, b, code.n, out=noise_buf[:b])
-        noise *= scale
-        # mode="clip" gathers straight into ``ys_buf`` (the default
-        # copies); the ids come from ``pool`` and are in range
-        ys = np.take(code.codewords, ms, axis=0, out=ys_buf[:b], mode="clip")
-        ys += noise
-        decoded = code.decode_batch(ys)
+        for c0 in range(0, b, chunk):
+            k = min(chunk, b - c0)
+            noise = normals(seed, Role.DECODER, t0 + c0, k, code.n,
+                            out=noise_buf[:k])
+            noise *= scale
+            # mode="clip" gathers straight into ``ys_buf`` (the default
+            # copies); the ids come from ``pool`` and are in range
+            ys = np.take(code.codewords, ms[c0:c0 + k], axis=0,
+                         out=ys_buf[c0:c0 + k], mode="clip")
+            ys += noise
+        decoded = code.decode_batch(ys_buf[:b])
         errors += int(np.sum(decoded != ms))
     return EstimateReport(
         metric="base_error", successes=errors, trials=trials, seed=seed,

@@ -52,7 +52,7 @@ def residual_variance(level: float, rho_delta: float, rho_adv: float,
     ``mmse_weight`` of ``a``, that is a^2 rho_D rho_A / (a^2 rho_D +
     rho_A) + rho_dec.  Degenerates to rho_dec when the coordinate carries
     no injected noise or the adversary observes noiselessly."""
-    check_reals(BoundsError, positive=True, rho_dec=rho_dec)
+    check_reals(BoundsError, domain="positive", rho_dec=rho_dec)
     return float(mmse_weight(level, rho_delta, rho_adv) * rho_adv + rho_dec)
 
 
@@ -180,7 +180,7 @@ def decimation_rate(n: int, rate_h: float, gamma: float, ell: int,
     check_int("n", n, BoundsError)
     check_int("ell", ell, BoundsError)
     check_reals(BoundsError, rate_h=rate_h, gamma=gamma, lam=lam)
-    check_reals(BoundsError, positive=True, theta=theta)
+    check_reals(BoundsError, domain="positive", theta=theta)
     return ((1.0 - 1.0 / n) * rate_h
             - (1.0 - gamma) * ell / (4.0 * n) * lam * lam
             - (2.0 + math.log(2.0 * theta)) / n)
@@ -216,7 +216,7 @@ def decimation_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
     adversary-agnostic mode lambda is pinned to 0 and no rho_adv is
     needed."""
     check_int("n", n, BoundsError)
-    check_reals(BoundsError, positive=True, rho_dec=rho_dec)
+    check_reals(BoundsError, domain="positive", rho_dec=rho_dec)
     check_reals(BoundsError, gamma=gamma, delta=delta, rate_h=rate_h)
     if adversary_agnostic:
         lam = 0.0
@@ -255,7 +255,7 @@ def capacity(rho: float, rho_dec: float, rho_adv: float) -> float:
     """Authenticated-channel capacity: (1/2) ln(1 + rho/rho_dec) when the
     adversary's observation is noisy (rho_adv > 0), else 0."""
     check_reals(BoundsError, rho=rho, rho_adv=rho_adv)
-    check_reals(BoundsError, positive=True, rho_dec=rho_dec)
+    check_reals(BoundsError, domain="positive", rho_dec=rho_dec)
     if rho_adv == 0.0:
         return 0.0
     return 0.5 * math.log1p(rho / rho_dec)
@@ -288,8 +288,9 @@ def optimal_levels(count: int, gamma: float, rho_delta: float,
     check_int("count", count, BoundsError)
     if ell is not None:
         check_int("ell", ell, BoundsError)
-    check_reals(BoundsError, positive=True, gamma=gamma, delta=delta,
-                rho_delta=rho_delta, rho_dec=rho_dec)
+    check_reals(BoundsError, gamma=gamma, delta=delta)
+    check_reals(BoundsError, domain="positive", rho_delta=rho_delta,
+                rho_dec=rho_dec)
     root = 1.0 / count
     c = rho_dec**root / (gamma * rho_dec**root
                          + (1.0 - gamma) * (rho_delta + rho_dec)**root)
@@ -323,7 +324,8 @@ def rate_gap(rho: float, rho_dec: float, rho_delta: float) -> RateGap:
     The series form uses c = (rho+rho_dec)/(rho+rho_dec+rho_delta(1+rho/rho_dec)).
     """
     check_reals(BoundsError, rho=rho)
-    check_reals(BoundsError, positive=True, rho_dec=rho_dec, rho_delta=rho_delta)
+    check_reals(BoundsError, domain="positive", rho_dec=rho_dec,
+                rho_delta=rho_delta)
     if rho_delta >= rho:
         raise BoundsError("rho_delta must be smaller than the power budget rho")
     exact = (0.5 * math.log1p(rho / rho_dec)
@@ -360,7 +362,7 @@ def hoeffding_wo_replacement_bound(set_size: int, beta: int, mu: float,
     ceiling, <= exp(-beta D2(c mu / eta || mu / eta))."""
     check_int("set_size", set_size, BoundsError)
     check_int("beta", beta, BoundsError)
-    check_reals(BoundsError, positive=True, mu=mu, eta=eta, c=c)
+    check_reals(BoundsError, domain="positive", mu=mu, eta=eta, c=c)
     if beta > set_size:
         raise BoundsError("need beta <= set_size")
     if not mu <= eta <= 1.0:
@@ -389,7 +391,7 @@ def mixed_variance_lower_tail_bound(tau: Sequence[float], alpha: float,
     n = len(tau)
     if n == 0:
         raise BoundsError("tau must be nonempty")
-    check_reals(BoundsError, positive=True, alpha=alpha, beta=beta,
+    check_reals(BoundsError, domain="positive", alpha=alpha, beta=beta,
                 gamma_frac=gamma_frac, b=b,
                 **{f"tau[{i}]": t for i, t in enumerate(tau)})
     check_reals(BoundsError, c=c)

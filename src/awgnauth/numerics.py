@@ -20,17 +20,14 @@ def _xlogx(a: float) -> float:
 
 def h2(a: float) -> float:
     """Binary entropy -a ln a - (1-a) ln(1-a); endpoints give 0."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"h2 argument must lie in [0,1], got {a}")
+    check_reals(ValueError, domain="[0,1]", a=a)
     return -_xlogx(a) - _xlogx(1.0 - a)
 
 
 def d2(a: float, b: float) -> float:
     """Binary divergence a ln(a/b) + (1-a) ln((1-a)/(1-b))."""
-    check_reals(ValueError, b=b)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"d2 first argument must lie in [0,1], got {a}")
-    if b <= 0.0 or b >= 1.0:
+    check_reals(ValueError, domain="[0,1]", a=a, b=b)
+    if b == 0.0 or b == 1.0:
         if a == b:
             return 0.0
         raise ValueError(f"d2 second argument must lie in (0,1), got {b}")
@@ -43,8 +40,7 @@ def d2(a: float, b: float) -> float:
 
 
 def _i2_mixture(a: float, b: float) -> float:
-    if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
-        raise ValueError(f"i2 arguments must lie in (0,1), got a={a}, b={b}")
+    check_reals(ValueError, domain="(0,1)", a=a, b=b)
     m = b * (1.0 - a) / (1.0 - b)
     if m > 1.0:
         # (1-a) amplifies a half-ulp of a into ~a/(1-a) ulps of m, so the
@@ -98,7 +94,7 @@ def quantization_slack(n: int, rho_vec: Sequence[float], c: float) -> float:
     check_int("n", n, ValueError)
     if len(rho_vec) != n:
         raise ValueError(f"rho_vec must have length n={n}, got {len(rho_vec)}")
-    check_reals(ValueError, positive=True, c=c,
+    check_reals(ValueError, domain="positive", c=c,
                 **{f"rho_vec[{i}]": r for i, r in enumerate(rho_vec)})
     return math.sqrt(sum(1.0 / (2.0 * r) for r in rho_vec)) / c
 

@@ -320,6 +320,15 @@ def overlay_rate_asymptotic(ktilde_size: int, gamma: float) -> float:
     return max(0.0, gamma * math.log(ktilde_size) - gamma - numerics.h2(gamma))
 
 
+def _slots(subset: Iterable[Any]) -> frozenset[int]:
+    """The 1-based slots of an explicit subset; each must be an integer
+    (the range 1..n_k of its level is checked by the caller)."""
+    slots = list(subset)
+    for v in slots:
+        check_int("slot", v, OverlayError)
+    return frozenset(int(v) for v in slots)
+
+
 def _resolve_counts(n: int, level_set: LevelSet, gamma: float | Fraction,
                     rates_per_level: Sequence[float] | None,
                     counts_per_level: Sequence[int] | None,
@@ -334,9 +343,8 @@ def _resolve_counts(n: int, level_set: LevelSet, gamma: float | Fraction,
     elif rates_per_level is not None:
         if len(rates_per_level) != len(level_set):
             raise OverlayError("one rate per level in K is required")
-        if not all(math.isfinite(r) for r in rates_per_level):
-            raise OverlayError(f"rates must be finite, got "
-                               f"{list(rates_per_level)}")
+        for r in rates_per_level:
+            check_reals(OverlayError, rates=r)
         try:
             counts = [max(1, math.floor(math.exp((n - ell * j) * max(0.0, r))))
                       for j, r in enumerate(rates_per_level)]
@@ -416,8 +424,7 @@ def construct_overlay(n: int, level_set: LevelSet, gamma: float | Fraction,
     ell = _ell(n, level_set)
 
     if subset_tables is not None:
-        sets = [[frozenset(map(int, s)) for s in per_level]
-                for per_level in subset_tables]
+        sets = [[_slots(s) for s in per_level] for per_level in subset_tables]
         if len(sets) != len(level_set):
             raise OverlayError("one subset table per level in K is required")
         if not all(sets):

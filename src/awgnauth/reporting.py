@@ -8,7 +8,7 @@ from typing import Any
 
 from scipy.special import ndtri
 
-from .streams import check_int
+from .streams import check_int, check_reals
 
 
 def _check_counts(successes: int, trials: int) -> None:
@@ -19,8 +19,7 @@ def _check_counts(successes: int, trials: int) -> None:
 
 
 def _z_value(confidence: float) -> float:
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0,1), got {confidence}")
+    check_reals(ValueError, confidence=confidence)
     return float(ndtri(0.5 + confidence / 2.0))
 
 

@@ -38,13 +38,20 @@ One call is one pass over blocks of trials that runs each distinct run
 once: every block's streams are drawn once and every run of every metric
 reads those draws, and runs that transmit the same fixed message share
 its encoding.
-Unless ``batch`` is given, a block has as many rows as keep its n-wide
-arrays (draws, codewords, received rows) at 2**17 float64s, 1 MiB, so
-that they stay in cache, and its decode scores (one per message) at
-2**22 (``streams.block_rows``).  Each worker thread allocates those
-n-wide arrays once per call, in a ``_Workspace``, and every block it runs
-draws, encodes, attacks and sums into them; the workspace is dropped
-when the call returns.
+A block goes in chunks of ``streams.chunk_rows(n)`` rows, whose n-wide
+arrays (draws, codewords, the encoder's scratch) hold 2**17 float64s,
+1 MiB, so that they stay in cache: each chunk is drawn, encoded,
+attacked and summed into the block's received rows, and the block is
+decoded and detected once its chunks are summed.  Unless ``batch`` is
+given, a block is whole chunks, about a quarter of the message count,
+so that the decode's pass over the codebook serves enough rows, with
+the received rows of all runs at most 2**19 values
+(``streams.block_rows``).  A block of one chunk keeps one buffer of
+received rows, which its runs take in turn, each decoded right after
+its sum, so 20 attack pairs hold one buffer, not 20.  Each worker
+thread allocates these arrays once per call, in a ``_Workspace``, and
+every block it runs reuses them; the workspace is dropped when the
+call returns.
 
 Each block is reduced to four counters per run as soon as it is done:
 trials decoded correctly and accepted, decoded correctly, decoded wrongly
@@ -79,7 +86,8 @@ from .adversary import (AttackSpec, mmse_attack_terms,
 from .authcode import REJECT, AuthCode, auth_encode_batch, detect_batch
 from .reporting import EstimateReport, binomial_se, wilson_interval  # noqa: F401
 from .streams import (Role, block_rows, check_ids, check_int, check_reals,
-                      choices, draw_buffer, normals, one_shot_rng)
+                      choices, chunk_rows, draw_buffer, normals,
+                      one_shot_rng)
 
 METRICS = ("epsilon", "false_alarm", "genuine_acceptance", "alpha_star", "alpha")
 FALSE_AUTH_METRICS = ("alpha_star", "alpha")
@@ -110,7 +118,7 @@ class ChannelParams:
         # trials; the estimators require a positive value.
         check_reals(SimulateError, rho_dec=self.rho_dec, rho_adv=self.rho_adv)
         if self.power_budget is not None:
-            check_reals(SimulateError, positive=True,
+            check_reals(SimulateError, domain="positive",
                          power_budget=self.power_budget)
 
 
@@ -161,18 +169,22 @@ def _attack_terms(code: AuthCode, channel: ChannelParams,
 
 
 class _Workspace:
-    """The n-wide arrays of one worker's blocks, allocated once per
-    ``estimate`` call and reused by every block the worker runs: the
-    DELTA, ADVERSARY (attacked runs only) and DECODER draws, the
-    codewords, the encoder's scratch and the received rows.  A block of
-    ``b`` rows uses the first ``b`` rows of each."""
+    """The arrays of one worker's blocks, allocated once per ``estimate``
+    call and reused by every block the worker runs: a chunk's n-wide
+    arrays (the DELTA, ADVERSARY (attacked runs only) and DECODER draws,
+    the codewords and the encoder's scratch) and a block's received rows.
+    A block of one chunk has one buffer of received rows, which its runs
+    take in turn; a longer block has one per run, each held until the
+    block is decoded.  A chunk of ``k`` rows uses the first ``k`` rows of
+    each n-wide array."""
 
-    def __init__(self, n: int, rows: int, attacked: bool):
+    def __init__(self, n: int, block: int, runs: int, attacked: bool):
+        rows = min(chunk_rows(n), block)
         self.delta = draw_buffer(rows, n)
         self.adversary = draw_buffer(rows, n) if attacked else None
         self.decoder = draw_buffer(rows, n)
-        self.codewords, self.scratch, self.received = (
-            np.empty((rows, n)) for _ in range(3))
+        self.codewords, self.scratch = (np.empty((rows, n)) for _ in range(2))
+        self.received = np.empty((1 if block <= rows else runs, block, n))
 
 
 def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
@@ -181,48 +193,65 @@ def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
                     detector: bool,
                     pool: np.ndarray | None = None) -> list[Result]:
     """(transmitted, base_decoded, rejected) of trials [t0, t0+b) for each
-    run.  The block's streams are drawn, and its channel noises scaled,
-    once, and every run reads them; ``terms`` are the runs'
-    ``_attack_terms`` and ``pool`` is the transmit pool of the runs
-    without a fixed message.  Every n-wide array is a row prefix of
-    ``ws``; the results are new arrays, which outlive the block."""
-    n = code.n
+    run.  The block goes in chunks of the workspace's rows: each chunk's
+    streams are drawn, and its channel noises scaled, once, and every run
+    reads them and sums its received rows.  A block of one chunk decodes
+    and detects each run as soon as it is summed; a longer block decodes
+    and detects each run once all its chunks are summed.  ``terms`` are
+    the runs' ``_attack_terms`` and ``pool`` is the transmit pool of the
+    runs without a fixed message.  Every array is a row prefix of ``ws``;
+    the results are new arrays, which outlive the block."""
+    n, chunk = code.n, ws.codewords.shape[0]
+    shared = b <= chunk   # one chunk: its runs take one received buffer
     drawn_ms = (None if pool is None
                 else pool[choices(seed, Role.MESSAGE, t0, b, pool.size)])
-    g_delta = normals(seed, Role.DELTA, t0, b, n, out=ws.delta[:b])
-    adv_noise = None
-    if ws.adversary is not None:
-        adv_noise = normals(seed, Role.ADVERSARY, t0, b, n,
-                            out=ws.adversary[:b])
-        adv_noise *= math.sqrt(channel.rho_adv)
-    dec_noise = normals(seed, Role.DECODER, t0, b, n, out=ws.decoder[:b])
-    dec_noise *= math.sqrt(channel.rho_dec)
-    xs, ys = ws.codewords[:b], ws.received[:b]
-    out = []
-    encoded = None   # (transmit message,) of the codewords in ``xs``
-    for (spec, fixed_m), run_terms in zip(runs, terms):
-        ms = drawn_ms if fixed_m is None else np.full(b, fixed_m, np.int64)
-        if encoded != (fixed_m,):
-            # runs that share a transmit message share its codewords; the
-            # received rows are free to take the encoder's gathered f
-            auth_encode_batch(code, ms, g_delta,
-                              out=(xs, ws.scratch[:b], ys))
-            encoded = (fixed_m,)
-        if spec.kind == "none":
-            zs = no_attack(n)
-        else:
-            # the attack observes, and writes z, in the received rows
-            vs = np.add(xs, adv_noise, out=ys)
-            if spec.kind == "custom":
-                zs = np.stack([spec.custom(v, int(m), code)
-                               for v, m in zip(vs, ms)])
-            else:
-                zs = mmse_targeted_attack_batch(vs, run_terms, out=ys)
-        np.add(xs, zs, out=ys)
-        ys += dec_noise
+    block_ms = [drawn_ms if fixed_m is None else np.full(b, fixed_m, np.int64)
+                for _, fixed_m in runs]
+
+    def decided(i: int, ys: np.ndarray) -> Result:
         base_decoded = code.base.decode_batch(ys)
-        out.append((ms, base_decoded, detect_batch(
-            code, ys, base_decoded, channel.rho_dec, detector=detector)))
+        return block_ms[i], base_decoded, detect_batch(
+            code, ys, base_decoded, channel.rho_dec, detector=detector)
+
+    out = []
+    for c0 in range(0, b, chunk):
+        k = min(chunk, b - c0)
+        g_delta = normals(seed, Role.DELTA, t0 + c0, k, n, out=ws.delta[:k])
+        adv_noise = None
+        if ws.adversary is not None:
+            adv_noise = normals(seed, Role.ADVERSARY, t0 + c0, k, n,
+                                out=ws.adversary[:k])
+            adv_noise *= math.sqrt(channel.rho_adv)
+        dec_noise = normals(seed, Role.DECODER, t0 + c0, k, n,
+                            out=ws.decoder[:k])
+        dec_noise *= math.sqrt(channel.rho_dec)
+        xs = ws.codewords[:k]
+        encoded = None   # (transmit message,) of the codewords in ``xs``
+        for i, ((spec, fixed_m), run_terms) in enumerate(zip(runs, terms)):
+            ms = block_ms[i][c0:c0 + k]
+            ys = ws.received[0 if shared else i, c0:c0 + k]
+            if encoded != (fixed_m,):
+                # runs that share a transmit message share its codewords;
+                # the received rows are free to take the encoder's gathered f
+                auth_encode_batch(code, ms, g_delta,
+                                  out=(xs, ws.scratch[:k], ys))
+                encoded = (fixed_m,)
+            if spec.kind == "none":
+                zs = no_attack(n)
+            else:
+                # the attack observes, and writes z, in the received rows
+                vs = np.add(xs, adv_noise, out=ys)
+                if spec.kind == "custom":
+                    zs = np.stack([spec.custom(v, int(m), code)
+                                   for v, m in zip(vs, ms)])
+                else:
+                    zs = mmse_targeted_attack_batch(vs, run_terms, out=ys)
+            np.add(xs, zs, out=ys)
+            ys += dec_noise
+            if shared:
+                out.append(decided(i, ys))
+    if not shared:
+        out = [decided(i, ws.received[i, :b]) for i in range(len(runs))]
     return out
 
 
@@ -237,7 +266,7 @@ def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
     [(_, base_decoded, rejected)] = _simulate_block(
         code, channel, seed, trial_index, 1, runs,
         _attack_terms(code, channel, runs),
-        _Workspace(code.n, 1, attack.kind != "none"), detector=True)
+        _Workspace(code.n, 1, 1, attack.kind != "none"), detector=True)
     decoded: int | str = REJECT if rejected[0] else int(base_decoded[0])
     return TrialOutcome(trial_index, int(m), decoded,
                         classify(attack, int(m), decoded))
@@ -322,7 +351,8 @@ def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
     def work(block: tuple[int, int]):
         ws = getattr(local, "ws", None)
         if ws is None:
-            ws = local.ws = _Workspace(code.n, min(batch, trials), attacked)
+            ws = local.ws = _Workspace(code.n, min(batch, trials),
+                                       len(runs), attacked)
         results = _simulate_block(code, channel, seed, *block, runs, terms,
                                   ws, detector=detector, pool=pool)
         return (block[0], _count(runs, results),
@@ -504,9 +534,7 @@ def estimate(code: AuthCode, channel: ChannelParams,
     check_int("threads", threads, SimulateError)
     if batch is not None:
         check_int("batch", batch, SimulateError)
-    if not isinstance(confidence, (int, float)) or not 0.0 < confidence < 1.0:
-        raise SimulateError(f"confidence must lie in (0, 1), not "
-                            f"{confidence!r}")
+    check_reals(SimulateError, confidence=confidence)
     if not isinstance(attack, AttackSpec):
         raise SimulateError(f"attack must be an AttackSpec, not {attack!r}")
     if channel.rho_dec == 0.0:
@@ -547,7 +575,7 @@ def estimate(code: AuthCode, channel: ChannelParams,
         counts = _run_counting(code, channel, seed, trials, runs,
                                detector=detector, threads=threads,
                                batch=block_rows(code.n, code.message_count,
-                                                batch), log=log)
+                                                batch, len(runs)), log=log)
         for pos, (name, indices) in enumerate(runs_of):
             if log is not None:
                 log.write(pos)

@@ -12,10 +12,15 @@ exactly one 64-bit word.  Consequences:
   draws, which are scaled by ``sqrt(rho)`` at the point of use — runs
   at different noise powers share randomness (common random numbers).
 
-``block_rows`` sizes the blocks of trials that the estimators draw at
-once: as many rows as keep a block's n-wide arrays (draws, codewords,
-received rows) at 2**17 float64s, 1 MiB, so that they stay in cache,
-and its decode score matrix (one score per message) at 2**22.
+The estimators split their trials two ways.  A *chunk* (``chunk_rows``)
+is the rows drawn, encoded, attacked and summed together: as many as
+keep its n-wide arrays (draws, codewords, the encoder's scratch) at
+2**17 float64s, 1 MiB, so that they stay in cache.  A *block*
+(``block_rows``) is the rows decoded and detected together, in whole
+chunks: about a quarter of the message count, so that each pass of the
+decode over the codebook serves enough rows, with the received rows of
+all runs at most 2**19 values.  The decode scores a block in message
+tiles of at most 2**20 scores (``TILE_VALUES``), whatever its rows.
 ``row_chunks`` splits a table's rows into chunks of at most a given
 number of values, so that a pass over a whole code table holds no
 temporary of the table's size.
@@ -25,8 +30,9 @@ block's draws once per worker per call and reuse them in every block.
 Each single-value rule on a numeric argument is stated once, here:
 ``check_int`` tests integers (sizes, counts, seeds, trial indices),
 ``check_ids`` message ids, and ``check_reals`` real numbers (powers,
-rates, margins, ``gamma``, ``delta`` and levels), the domain of each
-real read from its name.  Rules that relate two arguments stay with
+rates, margins, ``gamma``, ``delta``, levels, probabilities and
+confidences), the domain of each real read from its name or stated as
+one of a few named intervals.  Rules that relate two arguments stay with
 the entry that states them.
 """
 
@@ -42,12 +48,14 @@ import numpy as np
 from scipy.special import ndtri
 
 _U_MIN = 2.0**-53  # smallest uniform we feed the quantile function
-ROW_VALUES = 2 ** 17     # float64 values in a block's n-wide arrays
-# scores in a block's decode score matrix: float32 in the decode's screen,
-# float64 in a block that falls back to the exact float64 scoring
-SCORE_VALUES = 2 ** 22
-# values in a chunk of a block's gathers: a chunk's arrays and a block's
-# received rows (ROW_VALUES) fit in a 2 MiB L2 cache together
+ROW_VALUES = 2 ** 17     # float64 values in a chunk's n-wide arrays
+RECEIVED_VALUES = 2 ** 19   # received rows of a block, all runs together
+# scores in a decode tile: float32 in the decode's screen, float64 in a
+# block that falls back to the exact float64 scoring
+TILE_VALUES = 2 ** 20
+SCORE_VALUES = 2 ** 22   # verdicts in a tile of the overlay's pair scan
+# values in a chunk of the detector's gathers: such a chunk's arrays and
+# ROW_VALUES of received rows fit in a 2 MiB L2 cache together
 CHUNK_VALUES = 2 ** 15
 RETRY_LIMIT = 64   # draws of a set-up table before its construction fails
 
@@ -125,13 +133,23 @@ def one_shot_rng(master_seed: int, role: int, *extra: int) -> np.random.Generato
         np.random.SeedSequence((int(master_seed), int(role), *map(int, extra))))
 
 
-def block_rows(n: int, message_count: int, batch: int | None = None) -> int:
-    """Trials per block: ``batch`` when given, else as many as keep the
-    n-wide arrays of a block at ``ROW_VALUES`` float64s and its decode
-    scores, one per message, at ``SCORE_VALUES``; at least one."""
+def chunk_rows(n: int) -> int:
+    """Rows of a chunk: as many as keep its n-wide arrays at
+    ``ROW_VALUES`` float64s; at least one."""
+    return max(1, ROW_VALUES // n)
+
+
+def block_rows(n: int, message_count: int, batch: int | None = None,
+               runs: int = 1) -> int:
+    """Trials per block: ``batch`` when given, else whole chunks, as many
+    as fit in a quarter of ``message_count`` rows and keep the received
+    rows of ``runs`` runs at ``RECEIVED_VALUES``; one chunk at least.  A
+    decode's sgemm time per row stops falling at about M/4 rows."""
     if batch is not None:
         return batch
-    return max(1, min(ROW_VALUES // n, SCORE_VALUES // message_count))
+    chunk = chunk_rows(n)
+    return chunk * max(1, min(message_count // (4 * chunk),
+                              RECEIVED_VALUES // (runs * n * chunk)))
 
 
 def row_chunks(rows: int, n: int, values: int) -> Iterator[slice]:
@@ -166,27 +184,37 @@ def check_ids(name: str, ids: Any, count: int,
     return arr
 
 
-# the domain of a real number of one of these names, and its test; any
-# other name is finite and at least 0, or above 0 when ``positive``
-_UNIT = ("lie in [0,1)", lambda v: 0 <= v < 1)
-# (exact for a Fraction gamma: a float compares with it exactly)
-_DOMAINS = {"gamma": ("lie in (1/2,1)", lambda v: 0.5 < v < 1),
-            "delta": _UNIT, "levels": _UNIT}
-_FINITE = {False: ("be a nonnegative finite number", lambda v: 0 <= v < inf),
-           True: ("be a positive finite number", lambda v: 0 < v < inf)}
+# the domains of a real number: each one's wording in a message and its test
+_DOMAINS = {
+    # exact for a Fraction gamma: a float compares with it exactly
+    "(1/2,1)": ("lie in (1/2,1)", lambda v: 0.5 < v < 1),
+    "[0,1)": ("lie in [0,1)", lambda v: 0 <= v < 1),
+    "[0,1]": ("lie in [0, 1]", lambda v: 0 <= v <= 1),
+    "(0,1)": ("lie in (0, 1)", lambda v: 0 < v < 1),
+    "finite": ("be finite and real", lambda v: -inf < v < inf),
+    "nonnegative": ("be a nonnegative finite number", lambda v: 0 <= v < inf),
+    "positive": ("be a positive finite number", lambda v: 0 < v < inf),
+}
+# the domain of a real of one of these names; an element of a sequence,
+# ``name[i]``, has its sequence's
+_NAMED = {"gamma": "(1/2,1)", "delta": "[0,1)", "levels": "[0,1)",
+          "confidence": "(0,1)", "weight_scale": "finite", "rates": "finite"}
 # the concrete types first: an instance check against the ABC is slow
 _REALS = (float, int, np.floating, np.integer, numbers.Real)
 
 
-def check_reals(error: type[Exception], *, positive: bool = False,
+def check_reals(error: type[Exception], *, domain: str | None = None,
                 **values: Any) -> None:
     """Raise ``error`` unless every named value is a real number (not a
-    bool) in the domain of its name: ``gamma`` in (1/2, 1), compared
-    exactly, ``delta`` and ``levels`` in [0, 1), any other name (a power,
-    a rate, a margin) finite and at least 0, or above 0 when
-    ``positive``.  NaN lies in no domain."""
+    bool) in its domain: ``domain`` when given, else the domain of its
+    name (``gamma`` in (1/2, 1), compared exactly, ``delta`` and
+    ``levels`` in [0, 1), ``confidence`` in (0, 1), ``weight_scale`` and
+    ``rates`` finite), else finite and at least 0 (a power, a rate, a
+    margin).  The domains are the keys of ``_DOMAINS``; ``"positive"`` is
+    finite and above 0.  NaN lies in no domain."""
     for name, value in values.items():
-        domain, holds = _DOMAINS.get(name) or _FINITE[positive]
+        wording, holds = _DOMAINS[domain or _NAMED.get(
+            name.partition("[")[0], "nonnegative")]
         if isinstance(value, bool) or not isinstance(value, _REALS) \
                 or not holds(value):
-            raise error(f"{name} must {domain}, not {value!r}")
+            raise error(f"{name} must {wording}, not {value!r}")

@@ -307,6 +307,109 @@ class TestFloat32Screen:
         assert code.decode_batch(block)[:10].tolist() == list(range(5, 15))
 
 
+class TestDecodeTiles:
+    """``decode_batch`` scores in message tiles of at most ``TILE_VALUES``
+    scores, keeping a running best per row (and, in float32, a running
+    second best); the ids must equal the float64 decode's at any tiling."""
+
+    @staticmethod
+    def tiles_of(monkeypatch, rows, messages):
+        monkeypatch.setattr(basecode, "TILE_VALUES", rows * messages)
+
+    def test_a_tile_boundary_at_every_offset(self, monkeypatch, rng):
+        code = make_random_gaussian_code(16, 24, 1.0, seed=2)
+        ys = np.vstack([code.codewords, code.codewords[rng.integers(0, 24, 16)]])
+        ys += 0.7 * rng.standard_normal(ys.shape)
+        # scores beyond float32's range: the float64 scoring, tiled too
+        huge = BaseCode(code.codewords * 1e25)
+        want = float64_decode(code.codewords, ys)
+        want_huge = float64_decode(huge.codewords, ys * 1e25)
+        assert np.array_equal(want_huge, want)
+        for step in range(1, 26):   # each message at each tile offset
+            self.tiles_of(monkeypatch, len(ys), step)
+            assert np.array_equal(code.decode_batch(ys), want), step
+            assert np.array_equal(huge.decode_batch(ys * 1e25), want), step
+
+    def test_an_exact_tie_across_two_tiles_goes_to_the_smallest_id(
+            self, monkeypatch):
+        code = plus_minus_one_code(24, 40, seed=2)
+        a, b = np.meshgrid(np.arange(16), np.arange(16, 40), indexing="ij")
+        a, b = a.ravel(), b.ravel()
+        ys = 0.5 * (code.codewords[a] + code.codewords[b])   # midpoints
+        exact = ys @ code.codewords.T   # halves and integers: no rounding
+        top = exact.max(axis=1)
+        assert np.all(exact[np.arange(len(ys)), a] == top)
+        assert np.all(exact[np.arange(len(ys)), b] == top)
+        self.tiles_of(monkeypatch, len(ys), 16)   # tiles [0,16), [16,32), ..
+        got = code.decode_batch(ys)
+        assert np.array_equal(got, np.argmax(exact, axis=1))
+        assert np.all(got <= a)
+
+    def test_one_uncertified_row_sends_a_tiled_block_to_float64(
+            self, monkeypatch):
+        # a block of three 50-row chunks in tiles of 7 messages, scored by a
+        # screen that scores message j with codeword j + 1; its one tied
+        # row, in the middle chunk, sends every row to the float64 scoring
+        code = plus_minus_one_code(24, 40, seed=2)
+        words, half, *bounds = code._screen
+        shift = np.roll(np.arange(40), -1)
+        monkeypatch.setitem(code.__dict__, "_screen",
+                            (words[shift], half[shift], *bounds))
+        clean = code.codewords[np.arange(150) % 40]
+        self.tiles_of(monkeypatch, 150, 7)
+        assert np.array_equal(code.decode_batch(clean),
+                              (np.arange(150) - 1) % 40)
+        block = clean.copy()
+        block[75] = 0.5 * (code.codewords[20] + code.codewords[30])
+        assert np.array_equal(code.decode_batch(block),
+                              float64_decode(code.codewords, block))
+        assert code.decode_batch(block)[:75].tolist() == list(
+            np.arange(75) % 40)
+
+    @pytest.mark.parametrize("spread", [1e-6, 1e-3, 0.5])
+    def test_one_message_tiles(self, monkeypatch, spread):
+        # (at spread 0 a Gaussian midpoint's two scores differ by float64
+        # rounding alone, and which one wins depends on the BLAS kernel,
+        # gemv for a one-message tile; exact ties are tested below)
+        code = make_random_gaussian_code(64, 16, 1.0, seed=3)
+        rng = np.random.default_rng(4)
+        a = rng.integers(0, 16, 300)
+        b = (a + rng.integers(1, 16, 300)) % 16
+        ys = 0.5 * (code.codewords[a] + code.codewords[b]) \
+            + spread * rng.standard_normal((300, 64))
+        want = float64_decode(code.codewords, ys)
+        self.tiles_of(monkeypatch, len(ys), 1)
+        assert np.array_equal(code.decode_batch(ys), want)
+
+    def test_one_message_tiles_keep_the_first_of_exact_ties(self,
+                                                             monkeypatch):
+        code = plus_minus_one_code(24, 40, seed=2)
+        a, b = np.triu_indices(code.message_count, 1)
+        ys = 0.5 * (code.codewords[a] + code.codewords[b])
+        self.tiles_of(monkeypatch, len(ys), 1)
+        assert np.array_equal(code.decode_batch(ys),
+                              float64_decode(code.codewords, ys))
+
+    @pytest.mark.parametrize("scale, limit", [(1.0, 5), (1e25, 9)])
+    def test_scores_take_one_tile_of_at_most_2_pow_20(self, scale, limit):
+        # 600 rows against 4096 messages: the whole score matrix would take
+        # 9.4 MiB in float32 and 18.8 MiB in float64; a tile takes at most
+        # 4 and 8 MiB
+        code = BaseCode(make_random_gaussian_code(64, 4096, 1.0, seed=1)
+                        .codewords * scale)
+        ys = code.codewords[:600] + 0.1 * scale
+        want = float64_decode(code.codewords, ys)
+        code.decode_batch(ys[:1])   # the float32 table and half-norms
+        tracemalloc.start()
+        try:
+            got = code.decode_batch(ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < limit * 2 ** 20
+
+
 class TestErrorProbability:
     def test_closed_form_value(self):
         # n=16, omega=1, rho=1: Phi(-4)

@@ -14,8 +14,10 @@ skip its table:
   its name.  The power table calls each power row with NaN, infinity,
   -1 and ``True`` (and 0 where a formula divides); the design table
   does the same for ``gamma`` in (1/2, 1), ``delta`` and levels in
-  [0, 1), rates, margins and the reals of the lemmas, with a string and
-  the values past each domain's edges too.
+  [0, 1), ``confidence`` and the arguments of ``i2`` in (0, 1), those of
+  ``h2`` and ``d2`` in [0, 1], a finite ``weight_scale`` of any sign,
+  rates, margins and the reals of the lemmas, with a string and the
+  values past each domain's edges too.
 * ``check_int``: the integer table calls each row with 1.5, ``True``
   and a value below the entry's minimum.
 
@@ -42,13 +44,14 @@ from awgnauth import (AttackError, AttackSpec, AuthCode, AuthCodeError,
                       VerifyReport, auth_encode_batch, bounds_report,
                       chi_square_tail_bound, construct_overlay, d2, decimate,
                       decimation_bounds, detect_batch, detection_margin,
-                      estimate, hypergeom_log_bound, inject_noise,
+                      estimate, h2, hypergeom_log_bound, inject_noise,
                       injection_power_bound, level_statistics,
                       make_random_gaussian_code,
                       mixed_variance_lower_tail_bound, mmse_attack_terms,
                       optimal_levels, overlay_rate_asymptotic,
                       quantization_slack, residual_variance_vector, run_trial,
-                      targeted_false_auth_bound, verify_overlay)
+                      targeted_false_auth_bound, verify_overlay,
+                      wilson_interval)
 from awgnauth.authcode import from_json_dict, to_json_dict
 
 M = 6   # messages of the ``small_auth`` fixture
@@ -249,7 +252,9 @@ CALLS = {
     "decimate": (AuthCodeError, dict(
         code=CODE, rho_dec=0.1, seed=0, rho_adv=0.1, target_size_override=3)),
     "mmse_attack_terms": (AttackError, dict(
-        code=CODE, m=0, m_target=1, rho_adv=0.1)),
+        code=CODE, m=0, m_target=1, rho_adv=0.1, weight_scale=0.5)),
+    "AttackSpec": (AttackError, dict(kind="targeted", target=1,
+                                     weight_scale=0.5)),
     "residual_variance_vector": (AttackError, dict(
         code=CODE, m=0, rho_adv=0.1, rho_dec=0.1)),
     "ChannelParams": (SimulateError, dict(
@@ -308,7 +313,7 @@ CALLS = {
                                                    gamma=0.75)),
     "estimate": (SimulateError, dict(
         code=CODE, channel=CHANNEL, metric="epsilon", trials=100, seed=0,
-        max_pairs=1, threads=1, batch=10)),
+        max_pairs=1, threads=1, batch=10, confidence=0.95)),
     "run_trial": (SimulateError, dict(
         code=CODE, channel=CHANNEL, attack=AttackSpec("none"), m=0, seed=0,
         trial_index=0)),
@@ -318,8 +323,11 @@ CALLS = {
     "mixed_variance_lower_tail_bound": (BoundsError, dict(
         tau=[1.5, 2.0], alpha=1.0, beta=2.0, gamma_frac=0.5, b=0.5, c=0.1)),
     "chi_square_tail_bound": (ValueError, dict(n=10, c=0.5)),
+    "h2": (ValueError, dict(a=0.5)),
     "d2": (ValueError, dict(a=0.5, b=0.25)),
-    "wilson_interval": (ValueError, dict(successes=5, trials=10)),
+    "i2": (ValueError, dict(a=0.5, b=0.25)),
+    "wilson_interval": (ValueError, dict(successes=5, trials=10,
+                                         confidence=0.95)),
     "binomial_se": (ValueError, dict(successes=5, trials=10)),
 }
 # a variance that no power name covers, added by hand
@@ -415,13 +423,15 @@ def _public_parameters():
 
 
 # The design table: one row per (entry, real parameter) whose domain
-# ``check_reals`` reads from its name (gamma, delta, levels), or that is
-# a rate, a margin, the radius theta or a real of a lemma, finite and at
-# least 0 (above 0 in ``POSITIVE_REALS``).  ``b``, ``c`` and ``beta`` are integers in some
-# entries: those rows are in the integer table.
+# ``check_reals`` reads from its name (gamma, delta, levels, confidence,
+# weight_scale) or is given as an interval (the probabilities of h2, d2
+# and i2), or that is a rate, a margin, the radius theta or a real of a
+# lemma, finite and at least 0 (above 0 in ``POSITIVE_REALS``).  ``a``,
+# ``b``, ``c`` and ``beta`` are integers in some entries: those rows are
+# in the integer table.
 DESIGN_PARAMS = {"gamma", "gamma_exact", "delta", "levels", "rate_h", "rate",
-                 "lam", "theta", "tau", "alpha", "beta", "gamma_frac", "b",
-                 "c", "mu", "eta"}
+                 "lam", "theta", "tau", "alpha", "beta", "gamma_frac", "a",
+                 "b", "c", "mu", "eta", "confidence", "weight_scale"}
 INT_ANNOTATIONS = {"int", "int | None", "Sequence[int] | None"}
 POSITIVE_REALS = {("mixed_variance_lower_tail_bound", p)
                   for p in ("tau", "alpha", "beta", "gamma_frac", "b")} | {
@@ -473,18 +483,25 @@ DESIGN_EDGES = {"gamma": ([0.5, 1.0, 2.0], Fraction(3, 4)),
                 "gamma_exact": ([0.5, 1.0, 2.0], Fraction(3, 4)),
                 "delta": ([1.0, 1.5], 0.0), "levels": ([1.0], 0.0),
                 ("inject_noise", "delta"): ([1.0, 1.5], 0.5),
-                ("d2", "b"): ([], None)}
+                "confidence": ([0.0, 1.0], 0.5), "weight_scale": ([], -1.0),
+                ("h2", "a"): ([1.5], 1.0), ("d2", "a"): ([1.5], 0.0),
+                ("d2", "b"): ([1.5], None), ("i2", "a"): ([0.0, 1.0], None),
+                ("i2", "b"): ([0.0, 1.0], None)}
 # the name in the message, where it is not the parameter's
 NAMES = {"gamma_exact": "gamma", "tau": "tau[0]", "radices": "radix"}
-# a domain that ``check_reals`` has no name for, tested by hand
-HAND_WRITTEN = {("i2", "b")}
+# the domain in the message, by parameter or by (entry, parameter)
+DOMAINS = {"gamma": "lie in (1/2,1)", "delta": "lie in [0,1)",
+           "levels": "lie in [0,1)", "confidence": "lie in (0, 1)",
+           "weight_scale": "be finite and real",
+           ("h2", "a"): "lie in [0, 1]", ("d2", "a"): "lie in [0, 1]",
+           ("d2", "b"): "lie in [0, 1]", ("i2", "a"): "lie in (0, 1)",
+           ("i2", "b"): "lie in (0, 1)"}
 
 
 def _design_match(entry, param):
     name = NAMES.get(param, param)
-    if name in ("gamma", "delta", "levels"):
-        domain = "lie in (1/2,1)" if name == "gamma" else "lie in [0,1)"
-    else:
+    domain = DOMAINS.get((entry, param), DOMAINS.get(name))
+    if domain is None:
         domain = "be a {} finite number".format(
             "positive" if (entry, param) in POSITIVE_REALS else "nonnegative")
     return re.escape(f"{name} must {domain}, not ")
@@ -493,7 +510,10 @@ def _design_match(entry, param):
 def _check_design_row(code, row):
     refused, accepted = DESIGN_EDGES.get(row, DESIGN_EDGES.get(
         row[1], ([0.0], None) if row in POSITIVE_REALS else ([], 0.0)))
-    for bad in BAD_POWERS + ["0.75"] + refused:
+    # a weight_scale of any sign is valid
+    bad_values = [v for v in BAD_POWERS
+                  if row[1] != "weight_scale" or v != -1.0]
+    for bad in bad_values + ["0.75"] + refused:
         error, call = _call_row(code, *row, bad)
         with pytest.raises(ValueError, match=_design_match(*row)) as info:
             call()
@@ -527,7 +547,7 @@ def test_every_design_parameter_is_in_the_table():
     assert ("targeted_false_auth_bound", "lam") in found
     assert ("OverlayCode", "gamma_exact") in found
     assert ("mixed_variance_lower_tail_bound", "b") in found
-    missing = found - set(DESIGN_ROWS) - HAND_WRITTEN
+    missing = found - set(DESIGN_ROWS)
     assert not missing, f"design parameters without a boundary row: {missing}"
 
 
@@ -649,6 +669,19 @@ LEAKS = {
         LevelSet.uniform(2.5)),
     "AuthCode-delta-bool": (AuthCodeError, lambda code:
         AuthCode(code.base, code.overlay, 1.0, False, code.t_table)),
+    "h2-a-str": (ValueError, lambda code: h2("0.5")),
+    "wilson_interval-confidence-str": (ValueError, lambda code:
+        wilson_interval(5, 10, confidence="0.9")),
+    "construct_overlay-rates-str": (OverlayError, lambda code:
+        construct_overlay(60, LEVELS, 0.75, rates_per_level=["0.1", "0.1"])),
+    "construct_overlay-rates-bool": (OverlayError, lambda code:
+        construct_overlay(60, LEVELS, 0.75, rates_per_level=[True, 0.1])),
+    "construct_overlay-slot-float": (OverlayError, lambda code:
+        construct_overlay(8, LevelSet((0.0,)), 0.75,
+                          subset_tables=[[[1.5, 2.7, 3, 4], [5, 6, 7, 8]]])),
+    "construct_overlay-slot-bool": (OverlayError, lambda code:
+        construct_overlay(8, LevelSet((0.0,)), 0.75,
+                          subset_tables=[[[True, 2, 3, 4], [5, 6, 7, 8]]])),
 }
 
 

@@ -439,6 +439,22 @@ class TestConstructionErrors:
             construct_overlay(8, LevelSet((0.0, 0.5)), 0.75,
                               subset_tables=[[{1, 2}], []])
 
+    @pytest.mark.parametrize("slot", [1.5, 2.7, True, 3.0, "3", None])
+    def test_explicit_slots_must_be_integers(self, slot):
+        # int() used to truncate slots 1.5 and 2.7 to 1 and 2 silently
+        with pytest.raises(OverlayError,
+                           match="slot must be a positive integer"):
+            construct_overlay(8, LevelSet((0.0,)), 0.75,
+                              subset_tables=[[[slot, 2, 3, 4], [5, 6, 7, 8]]])
+
+    def test_explicit_slots_may_be_numpy_integers(self):
+        tables = [[[1, 2, 3, 4], [5, 6, 7, 8]]]
+        want = construct_overlay(8, LevelSet((0.0,)), 0.75,
+                                 subset_tables=tables)
+        got = construct_overlay(8, LevelSet((0.0,)), 0.75, subset_tables=[
+            [np.array(s, dtype=np.int64) for s in tables[0]]])
+        assert np.array_equal(got.level_index, want.level_index)
+
     @pytest.mark.parametrize("cap", [-1, 0])
     def test_max_messages_per_level_must_be_positive(self, cap):
         with pytest.raises(OverlayError, match="max_messages_per_level must "

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
-from awgnauth import simulate
+from awgnauth import simulate, streams
 from awgnauth.adversary import AttackSpec
 from awgnauth.authcode import REJECT, decimate, inject_noise
 from awgnauth.basecode import (BaseCodeError, base_error_probability,
@@ -314,17 +315,37 @@ class TestOnePass:
     @pytest.mark.parametrize("n, messages", [
         (60, 6), (600, 6), (256, 64), (600, 4096), (3, 2 ** 22), (2 ** 22, 2)])
     def test_auto_block_holds_at_most_2_pow_22_values(self, n, messages):
-        # the largest row count whose n-wide arrays hold at most 2**17
-        # values and whose decode scores hold at most 2**22, floor 1
-        def fits(rows):
-            return rows * n <= 2 ** 17 and rows * messages <= 2 ** 22
+        # a block is whole chunks, the largest number of them within
+        # messages / 4 rows whose received rows, all runs together, hold at
+        # most 2**19 values, and one chunk at least; a chunk's n-wide arrays
+        # hold at most 2**17 values (floor one row) and the decode's tiles
+        # at most 2**20 (TestDecodeTiles in test_basecode), so the five
+        # chunk arrays, the received rows, their float32 copy and a score
+        # tile stay below 2**22 values
+        chunk = max(1, 2 ** 17 // n)
+        assert chunk == 1 or chunk * n <= 2 ** 17 < (chunk + 1) * n
+        for runs in (1, 4, 20):
+            def fits(chunks):
+                rows = chunks * chunk
+                return rows <= messages // 4 and rows * runs * n <= 2 ** 19
 
-        rows = block_rows(n, messages)
-        assert rows >= 1 and (rows == 1 or fits(rows)) and not fits(rows + 1)
+            rows = block_rows(n, messages, runs=runs)
+            assert rows % chunk == 0
+            assert (rows == chunk or fits(rows // chunk)) \
+                and not fits(rows // chunk + 1)
+            if chunk > 1:   # a one-chunk block's runs share one buffer
+                received = rows * n * (1 if rows == chunk else runs)
+                assert 5 * chunk * n + 1.5 * received + 2 ** 20 < 2 ** 22
 
     def test_block_rows_floor_and_explicit_batch(self):
         assert block_rows(2 ** 23, 6) == 1
         assert block_rows(600, 4096, 57) == 57
+        assert block_rows(600, 4096, 57, runs=20) == 57
+        # large_codebook: four 218-row chunks, decoded together; twenty
+        # runs keep one chunk
+        assert block_rows(600, 4096) == 872
+        assert block_rows(600, 4096, runs=20) == 218
+        assert block_rows(256, 64) == 512
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_results_do_not_depend_on_the_block_rule(self, small_auth,
@@ -371,6 +392,66 @@ class TestBoundedMemory:
                 tracemalloc.stop()
 
         assert peak(10 ** 6) <= peak(10 ** 5) + 2 ** 20
+
+
+class TestChunkedBlocks:
+    """A block is drawn in chunks and decoded once; counts and trial logs
+    must not see where the chunks and blocks end."""
+
+    @pytest.fixture(scope="class")
+    def odd_auth(self):
+        """n=60 and 42 messages: with 5-row chunks, auto blocks are two."""
+        ov = construct_overlay(60, LevelSet((0.0, 0.5)), 0.75,
+                               counts_per_level=[7, 6], seed=3)
+        return inject_noise(make_random_gaussian_code(60, 42, 1.0, seed=3),
+                            ov, rho_delta=1.0, delta=0.2, seed=3)
+
+    @pytest.mark.parametrize("fixture", ["small_auth", "odd_auth"])
+    def test_counts_and_logs_equal_at_any_chunk_and_block(
+            self, request, fixture, tmp_path, monkeypatch):
+        code = request.getfixturevalue(fixture)
+        monkeypatch.setattr(streams, "ROW_VALUES", 5 * code.n)   # 5 rows
+        pool = simulate._transmit_pool(code)
+        pairs = [(int(pool[0]), int(pool[1])), (int(pool[2]), int(pool[1]))]
+        ch = ChannelParams(rho_dec=0.1, rho_adv=0.05)
+
+        def run(batch, threads):
+            log = tmp_path / f"{batch}-{threads}.csv"
+            reports = estimate(code, ch, ["epsilon", "alpha_star", "alpha"],
+                               300, seed=6, pairs=pairs, batch=batch,
+                               threads=threads, trial_log=str(log))
+            return ([r.to_json_dict() for r in reports],
+                    hashlib.sha256(log.read_bytes()).hexdigest())
+
+        if fixture == "odd_auth":
+            assert block_rows(60, 42) == 10   # auto: two chunks
+        want = run(300, 1)   # one block of 60 chunks
+        for batch in (1, 57, 5, 17, None):   # 1 chunk, one, 4 and auto
+            for threads in (1, 2):
+                assert run(batch, threads) == want, (batch, threads)
+
+    def test_a_one_chunk_block_holds_one_received_buffer(self):
+        # 20 pairs of the README code: one 218-row chunk per block, whose
+        # runs take turns in one 1 MiB buffer of received rows; a buffer
+        # per run would hold 20 MiB
+        ov = construct_overlay(600, LevelSet((0.0, 0.5)), 0.75,
+                               counts_per_level=[3, 2], seed=7)
+        code = inject_noise(make_random_gaussian_code(600, 6, 1.0, seed=7),
+                            ov, rho_delta=1.0, delta=0.1, seed=7)
+        ch = ChannelParams(rho_dec=0.1, rho_adv=0.01)
+        assert block_rows(600, 6, runs=20) == 218
+        estimate(code, ch, "alpha", 100, seed=1, max_pairs=2)   # warm up
+        tracemalloc.start()
+        try:
+            [report, _] = estimate(code, ch, ["alpha_star", "alpha"], 1000,
+                                   seed=1, max_pairs=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.params["pairs"] == 20
+        # the workspace: five chunk arrays and one received buffer, 1 MiB
+        # each, plus per-block results and the decode's small scratch
+        assert peak < 8 * 2 ** 20
 
 
 class TestWorkspace:
