@@ -66,18 +66,15 @@ def _distinct(cw: np.ndarray) -> bool:
 
 
 def _tiled_top(ys: np.ndarray, words: np.ndarray, half: np.ndarray,
-               second: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               second: bool) -> tuple[np.ndarray, np.ndarray, Any]:
     """Per row of ``ys``, the id and value of its largest score
     ``ys @ words[m] - half[m]`` (the first on ties, NaN above all, as
     ``np.argmax`` reads a whole row) and, when ``second``, the largest of
-    its other scores.  The messages go in tiles of at most
+    its other scores (else None).  The messages go in tiles of at most
     ``TILE_VALUES`` scores, computed in one buffer allocated per call."""
     rows, count = len(ys), len(words)
     step = max(1, TILE_VALUES // max(rows, 1))
     buf = np.empty(rows * min(step, count), ys.dtype)
-    best = np.zeros(rows, np.int64)
-    top = np.full(rows, -np.inf, ys.dtype)
-    runner = np.full(rows, -np.inf, ys.dtype)
     at = np.arange(rows)
     for m0 in range(0, count, step):
         tile = slice(m0, min(m0 + step, count))
@@ -86,10 +83,17 @@ def _tiled_top(ys: np.ndarray, words: np.ndarray, half: np.ndarray,
         scores -= half[tile]
         ids = np.argmax(scores, axis=1)
         vals = scores[at, ids]
+        others = None
         if second:
             scores[at, ids] = -np.inf
+            # an argmax and a gather outrun a max over short rows
+            others = scores[at, np.argmax(scores, axis=1)]
+        if m0 == 0:
+            best, top, runner = ids, vals, others
+            continue
+        if second:
             np.maximum(runner, np.minimum(top, vals), out=runner)
-            np.maximum(runner, np.max(scores, axis=1), out=runner)
+            np.maximum(runner, others, out=runner)
         wins = (vals > top) | (np.isnan(vals) & ~np.isnan(top))
         best[wins] = ids[wins] + m0
         np.maximum(top, vals, out=top)
