@@ -75,19 +75,21 @@ def _tiled_top(ys: np.ndarray, words: np.ndarray, half: np.ndarray,
     rows, count = len(ys), len(words)
     step = max(1, TILE_VALUES // max(rows, 1))
     buf = np.empty(rows * min(step, count), ys.dtype)
-    at = np.arange(rows)
     for m0 in range(0, count, step):
         tile = slice(m0, min(m0 + step, count))
-        scores = buf[:rows * (tile.stop - m0)].reshape(rows, tile.stop - m0)
+        width = tile.stop - m0
+        flat = buf[:rows * width]   # the tile's scores, row by row
+        scores = flat.reshape(rows, width)
         np.matmul(ys, words[tile].T, out=scores)
         scores -= half[tile]
         ids = np.argmax(scores, axis=1)
-        vals = scores[at, ids]
+        starts = np.arange(0, rows * width, width)
+        vals = flat[starts + ids]   # flat gathers outrun (row, id) pairs
         others = None
         if second:
-            scores[at, ids] = -np.inf
+            flat[starts + ids] = -np.inf
             # an argmax and a gather outrun a max over short rows
-            others = scores[at, np.argmax(scores, axis=1)]
+            others = flat[starts + np.argmax(scores, axis=1)]
         if m0 == 0:
             best, top, runner = ids, vals, others
             continue
