@@ -195,8 +195,7 @@ _DOMAINS = {
     "nonnegative": ("be a nonnegative finite number", lambda v: 0 <= v < inf),
     "positive": ("be a positive finite number", lambda v: 0 < v < inf),
 }
-# the domain of a real of one of these names; an element of a sequence,
-# ``name[i]``, has its sequence's
+# the domain of a real of one of these names
 _NAMED = {"gamma": "(1/2,1)", "delta": "[0,1)", "levels": "[0,1)",
           "confidence": "(0,1)", "weight_scale": "finite", "rates": "finite"}
 # the concrete types first: an instance check against the ABC is slow
@@ -213,8 +212,7 @@ def check_reals(error: type[Exception], *, domain: str | None = None,
     margin).  The domains are the keys of ``_DOMAINS``; ``"positive"`` is
     finite and above 0.  NaN lies in no domain."""
     for name, value in values.items():
-        wording, holds = _DOMAINS[domain or _NAMED.get(
-            name.partition("[")[0], "nonnegative")]
+        wording, holds = _DOMAINS[domain or _NAMED.get(name, "nonnegative")]
         if isinstance(value, bool) or not isinstance(value, _REALS) \
                 or not holds(value):
             raise error(f"{name} must {wording}, not {value!r}")
