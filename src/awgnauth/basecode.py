@@ -65,13 +65,14 @@ def _distinct(cw: np.ndarray) -> bool:
     return True
 
 
-def _tiled_top(ys: np.ndarray, words: np.ndarray, half: np.ndarray,
+def _tiled_top(ys: np.ndarray, words: np.ndarray, half: np.ndarray | None,
                second: bool) -> tuple[np.ndarray, np.ndarray, Any]:
     """Per row of ``ys``, the id and value of its largest score
-    ``ys @ words[m] - half[m]`` (the first on ties, NaN above all, as
-    ``np.argmax`` reads a whole row) and, when ``second``, the largest of
-    its other scores (else None).  The messages go in tiles of at most
-    ``TILE_VALUES`` scores, computed in one buffer allocated per call."""
+    ``ys @ words[m] - half[m]`` (``ys @ words[m]`` when ``half`` is None;
+    the first on ties, NaN above all, as ``np.argmax`` reads a whole row)
+    and, when ``second``, the largest of its other scores (else None).
+    The messages go in tiles of at most ``TILE_VALUES`` scores, computed
+    in one buffer allocated per call."""
     rows, count = len(ys), len(words)
     step = max(1, TILE_VALUES // max(rows, 1))
     buf = np.empty(rows * min(step, count), ys.dtype)
@@ -81,7 +82,8 @@ def _tiled_top(ys: np.ndarray, words: np.ndarray, half: np.ndarray,
         flat = buf[:rows * width]   # the tile's scores, row by row
         scores = flat.reshape(rows, width)
         np.matmul(ys, words[tile].T, out=scores)
-        scores -= half[tile]
+        if half is not None:
+            scores -= half[tile]
         ids = np.argmax(scores, axis=1)
         starts = np.arange(0, rows * width, width)
         vals = flat[starts + ids]   # flat gathers outrun (row, id) pairs
@@ -177,17 +179,20 @@ class BaseCode:
         return 0.5 * _sum_squares(self.codewords)
 
     @cached_property
-    def _screen(self) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-        """The float32 codewords and half-norms, the largest codeword norm
-        X, the largest half-norm H and the relative error bound g of the
-        two scorings; computed on the first decode."""
+    def _screen(self) -> tuple[np.ndarray, float, float, float]:
+        """The float32 codewords, each row followed by its half-norm, so
+        that a received row followed by -1 scores in one matrix product;
+        the largest codeword norm X, the largest half-norm H and the
+        relative error bound g of the two scorings; computed on the first
+        decode."""
         half = self._half_norms
         hmax = float(np.max(half))
+        words = np.empty((self.message_count, self.n + 1), np.float32)
         # a code beyond float32's range never passes the range check
         with np.errstate(over="ignore"):
-            words = self.codewords.astype(np.float32)
-            half32 = half.astype(np.float32)
-        return (words, half32, math.sqrt(2.0 * hmax), hmax,
+            words[:, :-1] = self.codewords
+            words[:, -1] = half
+        return (words, math.sqrt(2.0 * hmax), hmax,
                 _gamma(self.n + 3, _U32) + _gamma(self.n + 3, _U64))
 
     def decode_batch(self, ys: np.ndarray) -> np.ndarray:
@@ -198,18 +203,22 @@ class BaseCode:
             raise BaseCodeError("ys must be a (rows, n) matrix")
         # ||y - x||^2 = ||y||^2 - 2 y.x + ||x||^2; the ||y||^2 column is
         # constant per row and can be dropped from the argmin.
-        words, half, xmax, hmax, g = self._screen
+        words, xmax, hmax, g = self._screen
         norms = np.sqrt(np.einsum("ij,ij->i", ys, ys))
-        # |y_i| <= ||y||, every partial dot sum is at most ||y|| X and every
-        # score at most ||y|| X + H: in range, nothing overflows in float32
-        # (NaN or infinite rows fail here too)
+        # |y_i| <= ||y||, every partial dot sum is at most ||y|| X + H and
+        # every score at most ||y|| X + H: in range, nothing overflows in
+        # float32 (NaN or infinite rows fail here too)
         if np.all(norms * (xmax + 1.0) + hmax < _RANGE32):
-            best, top, runner = _tiled_top(ys.astype(np.float32), words,
-                                           half, second=True)
+            ys32 = np.empty((len(ys), self.n + 1), np.float32)
+            ys32[:, :-1] = ys
+            ys32[:, -1] = -1.0
+            best, top, runner = _tiled_top(ys32, words, None, second=True)
             # Each float32 score is within err of its float64 twin (Higham
-            # 3.1: the rounding of y, x and H to float32, the n-term dot
-            # products and the subtraction of H, in both precisions, plus
-            # an absolute term for float32 underflow).  A lead above 2 err
+            # 3.1: the rounding of y, x and H to float32 and the (n+1)-term
+            # dot product of (y, -1) with (x, H); the n-term dot product
+            # and the subtraction of H in float64; plus an absolute term
+            # for float32 underflow, both within gamma_(n+3) of each
+            # precision times ||y|| X + H).  A lead above 2 err
             # makes the float64 argmax the same unique message.  The floor
             # sits 4 err below the top so that its own rounding to float32
             # (at most u (||y|| X + H) <= err / 4) keeps the lead above

@@ -292,12 +292,13 @@ class TestFloat32Screen:
     def test_one_uncertified_row_sends_its_block_to_float64(self,
                                                             monkeypatch):
         code = plus_minus_one_code(24, 40, seed=2)
-        words, half, *bounds = code._screen
-        # a screen that scores message j with codeword j + 1: every row
-        # it certifies comes back shifted by one
+        words, *bounds = code._screen
+        # a screen that scores message j with codeword j + 1 (each row of
+        # ``words`` carries its half-norm): every row it certifies comes
+        # back shifted by one
         shift = np.roll(np.arange(40), -1)
         monkeypatch.setitem(code.__dict__, "_screen",
-                            (words[shift], half[shift], *bounds))
+                            (words[shift], *bounds))
         clean = code.codewords[5:15]
         assert np.array_equal(code.decode_batch(clean), np.arange(4, 14))
         tie = 0.5 * (code.codewords[[20]] + code.codewords[[30]])
@@ -351,10 +352,10 @@ class TestDecodeTiles:
         # screen that scores message j with codeword j + 1; its one tied
         # row, in the middle chunk, sends every row to the float64 scoring
         code = plus_minus_one_code(24, 40, seed=2)
-        words, half, *bounds = code._screen
+        words, *bounds = code._screen
         shift = np.roll(np.arange(40), -1)
         monkeypatch.setitem(code.__dict__, "_screen",
-                            (words[shift], half[shift], *bounds))
+                            (words[shift], *bounds))
         clean = code.codewords[np.arange(150) % 40]
         self.tiles_of(monkeypatch, 150, 7)
         assert np.array_equal(code.decode_batch(clean),
