@@ -342,6 +342,8 @@ def decimate(code: AuthCode, rho_dec: float, seed: int = 0, *,
     check_reals(AuthCodeError, domain="positive", rho_dec=rho_dec)
     check_reals(AuthCodeError, rho_adv=0.0 if rho_adv is None else rho_adv)
     check_int("seed", seed, AuthCodeError, 0)
+    if rho_adv is None and not adversary_agnostic:
+        raise AuthCodeError("rho_adv required unless adversary_agnostic")
     if target_size_override is not None:
         check_int("target_size_override", target_size_override,
                   AuthCodeError, 2)

@@ -65,14 +65,12 @@ def _distinct(cw: np.ndarray) -> bool:
     return True
 
 
-def _tiled_top(ys: np.ndarray, words: np.ndarray, half: np.ndarray | None,
-               second: bool) -> tuple[np.ndarray, np.ndarray, Any]:
+def _tiled_top(ys: np.ndarray, words: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of ``ys``, the id and value of its largest score
-    ``ys @ words[m] - half[m]`` (``ys @ words[m]`` when ``half`` is None;
-    the first on ties, NaN above all, as ``np.argmax`` reads a whole row)
-    and, when ``second``, the largest of its other scores (else None).
-    The messages go in tiles of at most ``TILE_VALUES`` scores, computed
-    in one buffer allocated per call."""
+    ``ys @ words[m]`` (the first on ties) and the largest of its other
+    scores.  The messages go in tiles of at most ``TILE_VALUES`` scores,
+    computed in one buffer allocated per call."""
     rows, count = len(ys), len(words)
     step = max(1, TILE_VALUES // max(rows, 1))
     buf = np.empty(rows * min(step, count), ys.dtype)
@@ -82,23 +80,18 @@ def _tiled_top(ys: np.ndarray, words: np.ndarray, half: np.ndarray | None,
         flat = buf[:rows * width]   # the tile's scores, row by row
         scores = flat.reshape(rows, width)
         np.matmul(ys, words[tile].T, out=scores)
-        if half is not None:
-            scores -= half[tile]
         ids = np.argmax(scores, axis=1)
         starts = np.arange(0, rows * width, width)
         vals = flat[starts + ids]   # flat gathers outrun (row, id) pairs
-        others = None
-        if second:
-            flat[starts + ids] = -np.inf
-            # an argmax and a gather outrun a max over short rows
-            others = flat[starts + np.argmax(scores, axis=1)]
+        flat[starts + ids] = -np.inf
+        # an argmax and a gather outrun a max over short rows
+        others = flat[starts + np.argmax(scores, axis=1)]
         if m0 == 0:
             best, top, runner = ids, vals, others
             continue
-        if second:
-            np.maximum(runner, np.minimum(top, vals), out=runner)
-            np.maximum(runner, others, out=runner)
-        wins = (vals > top) | (np.isnan(vals) & ~np.isnan(top))
+        np.maximum(runner, np.minimum(top, vals), out=runner)
+        np.maximum(runner, others, out=runner)
+        wins = vals > top
         best[wins] = ids[wins] + m0
         np.maximum(top, vals, out=top)
     return best, top, runner
@@ -119,18 +112,18 @@ class BaseCode:
     message whose codeword is the zero vector.
 
     Precision contract: ``decode_batch`` returns, bit for bit, the float64
-    argmax of ``ys @ codewords.T - ||x||^2 / 2`` (ties to the smallest
-    id).  It scores a block in float32 first, against a float32 copy of
-    the codewords built on the first decode, and keeps a row's float32
-    argmax only when its lead over every other message exceeds a
+    argmax of ``codewords @ y - ||x||^2 / 2`` for each row y on its own
+    (ties to the smallest id), whatever the block size, the tiling and the
+    BLAS thread count.  It scores a block in float32, against a float32
+    copy of the codewords built on the first decode, in message tiles of
+    at most ``TILE_VALUES`` scores with a running best and second best per
+    row, so a block of any size holds one tile of scores.  A row keeps its
+    float32 argmax when its lead over every other message exceeds a
     rigorous bound on the float32 and float64 scoring errors, so that the
-    float64 argmax is provably the same unique message.  If any row of a
-    block is not certified (exact or near ties, values outside float32's
-    range or near its underflow), the whole block is scored in float64.
-    Both scorings go in message tiles of at most ``TILE_VALUES`` scores
-    and keep a running best per row, so a block of any size holds one
-    tile of scores; the float32 scoring also keeps each row's
-    second-best score, against which the row is certified."""
+    float64 argmax is provably the same unique message.  Each other row
+    (an exact or near tie, values beyond float32's range or near its
+    underflow) is decided by that float64 expression alone, one
+    matrix-vector product of the same shape whatever its block."""
 
     codewords: np.ndarray  # (message_count, n) float64
     null_id: int | None = None
@@ -204,15 +197,20 @@ class BaseCode:
         # ||y - x||^2 = ||y||^2 - 2 y.x + ||x||^2; the ||y||^2 column is
         # constant per row and can be dropped from the argmin.
         words, xmax, hmax, g = self._screen
-        norms = np.sqrt(np.einsum("ij,ij->i", ys, ys))
-        # |y_i| <= ||y||, every partial dot sum is at most ||y|| X + H and
-        # every score at most ||y|| X + H: in range, nothing overflows in
-        # float32 (NaN or infinite rows fail here too)
-        if np.all(norms * (xmax + 1.0) + hmax < _RANGE32):
-            ys32 = np.empty((len(ys), self.n + 1), np.float32)
+        ys32 = np.empty((len(ys), self.n + 1), np.float32)
+        # a code beyond float32's range scores inf or NaN, which no row
+        # certifies against
+        with np.errstate(invalid="ignore", over="ignore"):
+            norms = np.sqrt(np.einsum("ij,ij->i", ys, ys))
+            # |y_i| <= ||y||, every partial dot sum is at most ||y|| X + H
+            # and every score at most ||y|| X + H: a row in range overflows
+            # nothing in float32; a row out of range (NaN or infinite rows
+            # too) is scored as zeros and decided in float64
+            wide = ~(norms * (xmax + 1.0) + hmax < _RANGE32)
             ys32[:, :-1] = ys
+            ys32[wide] = 0.0
             ys32[:, -1] = -1.0
-            best, top, runner = _tiled_top(ys32, words, None, second=True)
+            best, top, runner = _tiled_top(ys32, words)
             # Each float32 score is within err of its float64 twin (Higham
             # 3.1: the rounding of y, x and H to float32 and the (n+1)-term
             # dot product of (y, -1) with (x, H); the n-term dot product
@@ -227,10 +225,10 @@ class BaseCode:
             err = (g * (norms * xmax + hmax) + _FLUSH32
                    * (math.sqrt(self.n) * (norms + xmax) + self.n + 2))
             floor = (top - 4.0 * err).astype(np.float32)
-            if np.all(runner < floor):
-                return best
-        return _tiled_top(ys, self.codewords, self._half_norms,
-                          second=False)[0]
+            doubt = wide | ~(runner < floor)
+        for r in np.flatnonzero(doubt):
+            best[r] = np.argmax(self.codewords @ ys[r] - self._half_norms)
+        return best
 
 
 def make_antipodal_code(n: int, omega: float) -> BaseCode:

@@ -279,8 +279,14 @@ def _check_messages(code: AuthCode, name: str, ids: Iterable[Any]) -> None:
             raise SimulateError(f"{m!r} is not a valid message of this code")
 
 
-def _check_run(code: AuthCode, spec: AttackSpec, m: int, custom: bool) -> Run:
-    """The checked run (``spec``, ``m``); ``custom`` admits a custom attack."""
+def _check_run(code: AuthCode, spec: AttackSpec, m: int | None,
+               custom: bool) -> Run:
+    """The checked run (``spec``, ``m``); ``custom`` admits a custom attack;
+    with ``m`` None only the spec's type is checked."""
+    if not isinstance(spec, AttackSpec):
+        raise SimulateError(f"attack must be an AttackSpec, not {spec!r}")
+    if m is None:
+        return spec, m
     if spec.kind == "custom" and not custom:
         raise SimulateError("alpha_star and alpha run the MMSE attack; a "
                             "custom attack runs only through run_trial")
@@ -535,14 +541,19 @@ def estimate(code: AuthCode, channel: ChannelParams,
     if batch is not None:
         check_int("batch", batch, SimulateError)
     check_reals(SimulateError, confidence=confidence)
-    if not isinstance(attack, AttackSpec):
-        raise SimulateError(f"attack must be an AttackSpec, not {attack!r}")
+    _check_run(code, attack, None, custom=True)
     if channel.rho_dec == 0.0:
         raise SimulateError("estimation needs rho_dec > 0 "
                             "(the zero sentinel is for single trials)")
     _check_budget(code, channel)
     _check_messages(code, "message", [] if message is None else [message])
-    _check_messages(code, "pairs", [m for pair in pairs or () for m in pair])
+    for pair in pairs or ():
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise SimulateError("each entry of pairs must be a (transmit, "
+                                f"target) pair, not {pair!r}") from None
+        _check_messages(code, "pairs", [a, b])
     pair_runs: list[Run] = []
     if any(name in FALSE_AUTH_METRICS for name in metrics):
         if channel.rho_adv <= 0.0:

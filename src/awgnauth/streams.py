@@ -50,9 +50,7 @@ from scipy.special import ndtri
 _U_MIN = 2.0**-53  # smallest uniform we feed the quantile function
 ROW_VALUES = 2 ** 17     # float64 values in a chunk's n-wide arrays
 RECEIVED_VALUES = 2 ** 19   # received rows of a block, all runs together
-# scores in a decode tile: float32 in the decode's screen, float64 in a
-# block that falls back to the exact float64 scoring
-TILE_VALUES = 2 ** 20
+TILE_VALUES = 2 ** 20   # float32 scores in a tile of the decode's screen
 SCORE_VALUES = 2 ** 22   # verdicts in a tile of the overlay's pair scan
 # values in a chunk of the detector's gathers: such a chunk's arrays and
 # ROW_VALUES of received rows fit in a 2 MiB L2 cache together

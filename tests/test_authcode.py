@@ -607,6 +607,10 @@ class TestDecimation:
         assert "rate term" in str(e.value)
         assert "quantization term" in str(e.value)
 
+    def test_rho_adv_required_unless_adversary_agnostic(self, small_auth):
+        with pytest.raises(AuthCodeError, match="rho_adv required unless"):
+            decimate(small_auth, 0.1, 0)
+
     def test_override_cannot_exceed_candidates(self, small_auth):
         with pytest.raises(AuthCodeError, match="exceeds available"):
             decimate(small_auth, 0.1, adversary_agnostic=True,

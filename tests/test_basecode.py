@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,31 @@ def float64_decode(codewords, ys):
     reproduce bit for bit."""
     scores = ys @ codewords.T - 0.5 * np.sum(codewords**2, axis=1)
     return np.argmax(scores, axis=1)
+
+
+# prints the sha256 of the ids that decode the midpoints of 300 pairs of
+# an n = 600, M = 4096 Gaussian code
+MIDPOINT_DIGEST = """
+import hashlib
+import numpy as np
+from awgnauth.basecode import make_random_gaussian_code
+code = make_random_gaussian_code(600, 4096, 1.0, seed=3)
+rng = np.random.default_rng(4)
+a = rng.integers(0, 4096, 300)
+b = (a + rng.integers(1, 4096, 300)) % 4096
+ys = 0.5 * (code.codewords[a] + code.codewords[b])
+print(hashlib.sha256(code.decode_batch(ys).tobytes()).hexdigest())
+"""
+
+
+def midpoints(n, message_count):
+    """The exact midpoints of 300 random pairs of distinct codewords of
+    ``make_random_gaussian_code(n, message_count, 1.0, seed=3)``."""
+    words = make_random_gaussian_code(n, message_count, 1.0, seed=3).codewords
+    rng = np.random.default_rng(4)
+    a = rng.integers(0, message_count, 300)
+    b = (a + rng.integers(1, message_count, 300)) % message_count
+    return 0.5 * (words[a] + words[b])
 
 
 def plus_minus_one_code(n, message_count, seed):
@@ -289,8 +318,7 @@ class TestFloat32Screen:
         assert np.array_equal(code.decode_batch(code.codewords),
                               np.arange(64))
 
-    def test_one_uncertified_row_sends_its_block_to_float64(self,
-                                                            monkeypatch):
+    def test_one_uncertified_row_is_decided_in_float64(self, monkeypatch):
         code = plus_minus_one_code(24, 40, seed=2)
         words, *bounds = code._screen
         # a screen that scores message j with codeword j + 1 (each row of
@@ -302,10 +330,11 @@ class TestFloat32Screen:
         clean = code.codewords[5:15]
         assert np.array_equal(code.decode_batch(clean), np.arange(4, 14))
         tie = 0.5 * (code.codewords[[20]] + code.codewords[[30]])
-        block = np.vstack([clean, tie])
-        assert np.array_equal(code.decode_batch(block),
-                              float64_decode(code.codewords, block))
-        assert code.decode_batch(block)[:10].tolist() == list(range(5, 15))
+        got = code.decode_batch(np.vstack([clean, tie]))
+        # the certified rows stay as the screen scored them; the tied row
+        # alone is decided in float64
+        assert got[:10].tolist() == list(range(4, 14))
+        assert got[10] == float64_decode(code.codewords, tie)[0] == 20
 
 
 class TestDecodeTiles:
@@ -346,11 +375,12 @@ class TestDecodeTiles:
         assert np.array_equal(got, np.argmax(exact, axis=1))
         assert np.all(got <= a)
 
-    def test_one_uncertified_row_sends_a_tiled_block_to_float64(
+    def test_one_uncertified_row_of_a_tiled_block_is_decided_in_float64(
             self, monkeypatch):
         # a block of three 50-row chunks in tiles of 7 messages, scored by a
         # screen that scores message j with codeword j + 1; its one tied
-        # row, in the middle chunk, sends every row to the float64 scoring
+        # row, in the middle chunk, is decided in float64 and every other
+        # row stays as the screen scored it
         code = plus_minus_one_code(24, 40, seed=2)
         words, *bounds = code._screen
         shift = np.roll(np.arange(40), -1)
@@ -358,29 +388,58 @@ class TestDecodeTiles:
                             (words[shift], *bounds))
         clean = code.codewords[np.arange(150) % 40]
         self.tiles_of(monkeypatch, 150, 7)
-        assert np.array_equal(code.decode_batch(clean),
-                              (np.arange(150) - 1) % 40)
+        shifted = (np.arange(150) - 1) % 40
+        assert np.array_equal(code.decode_batch(clean), shifted)
         block = clean.copy()
         block[75] = 0.5 * (code.codewords[20] + code.codewords[30])
-        assert np.array_equal(code.decode_batch(block),
-                              float64_decode(code.codewords, block))
-        assert code.decode_batch(block)[:75].tolist() == list(
-            np.arange(75) % 40)
+        got = code.decode_batch(block)
+        assert np.array_equal(np.delete(got, 75), np.delete(shifted, 75))
+        assert got[75] == float64_decode(code.codewords, block[75:76])[0]
 
-    @pytest.mark.parametrize("spread", [1e-6, 1e-3, 0.5])
+    @pytest.mark.parametrize("n, message_count", [(64, 16), (600, 4096),
+                                                  (256, 64)])
+    def test_midpoints_decode_alike_in_any_block(self, n, message_count):
+        # a Gaussian midpoint's two scores differ by float64 rounding alone:
+        # each row is decided on its own, so a block, each row alone and
+        # each 4-row window give the same ids
+        ys = midpoints(n, message_count)
+        code = make_random_gaussian_code(n, message_count, 1.0, seed=3)
+        block = code.decode_batch(ys)
+        assert [code.decode_batch(y[None])[0] for y in ys] == block.tolist()
+        assert np.array_equal(np.concatenate(
+            [code.decode_batch(ys[i:i + 4]) for i in range(0, len(ys), 4)]),
+            block)
+
+    def test_midpoint_decode_is_the_same_at_1_and_2_blas_threads(self):
+        env = dict(os.environ)
+        src = str(Path(basecode.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        digests = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-c", MIDPOINT_DIGEST], env=env,
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-6, 1e-3, 0.5])
     def test_one_message_tiles(self, monkeypatch, spread):
         # (at spread 0 a Gaussian midpoint's two scores differ by float64
-        # rounding alone, and which one wins depends on the BLAS kernel,
-        # gemv for a one-message tile; exact ties are tested below)
+        # rounding alone: the row is decided as a one-row block decodes it)
         code = make_random_gaussian_code(64, 16, 1.0, seed=3)
         rng = np.random.default_rng(4)
         a = rng.integers(0, 16, 300)
         b = (a + rng.integers(1, 16, 300)) % 16
         ys = 0.5 * (code.codewords[a] + code.codewords[b]) \
             + spread * rng.standard_normal((300, 64))
-        want = float64_decode(code.codewords, ys)
+        alone = [code.decode_batch(y[None])[0] for y in ys]
+        if spread:
+            assert alone == float64_decode(code.codewords, ys).tolist()
         self.tiles_of(monkeypatch, len(ys), 1)
-        assert np.array_equal(code.decode_batch(ys), want)
+        assert code.decode_batch(ys).tolist() == alone
 
     def test_one_message_tiles_keep_the_first_of_exact_ties(self,
                                                              monkeypatch):

@@ -173,6 +173,9 @@ class TestRunTrial:
          dict(pairs=[(0, 3)]), "0 is not the null message"),
         ("small_auth", AttackSpec("impersonation", 3), 0, {},
          "0 is not the null message"),
+        ("small_auth", None, 0, {}, "attack must be an AttackSpec, not None"),
+        ("small_auth", "none", 0, {},
+         "attack must be an AttackSpec, not 'none'"),
     ])
     def test_run_trial_and_estimate_refuse_the_same_run(
             self, request, code_name, spec, m, kwargs, message):
@@ -225,6 +228,12 @@ class TestEstimateValidation:
          "custom attack runs only through run_trial"),
         ("small_auth", dict(attack=AttackSpec("targeted", 6)),
          "6 is not a valid message"),
+        ("small_auth", dict(pairs=[(0,)]),
+         r"must be a \(transmit, target\) pair, not \(0,\)"),
+        ("small_auth", dict(pairs=[(0, 1), (0, 1, 2)]),
+         r"must be a \(transmit, target\) pair, not \(0, 1, 2\)"),
+        ("small_auth", dict(pairs=[3]),
+         r"must be a \(transmit, target\) pair, not 3"),
     ])
     def test_bad_pairs_fail_before_any_draw(self, request, monkeypatch,
                                             code_name, kwargs, message):
