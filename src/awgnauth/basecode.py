@@ -21,6 +21,12 @@ _U32, _U64 = 2.0 ** -24, 2.0 ** -53   # unit roundoffs of float32 and float64
 _FLUSH32 = 2.0 ** -125
 # magnitudes that the float32 screen's operands, sums and scores may reach
 _RANGE32 = 2.0 ** 120
+# the prefix screen's candidate splits are j n / _SPLITS, 0 < j < _SPLITS
+_SPLITS = 8
+# the prefix screen pays when it saves M (n - d) >= _PREFIX_COST n
+# multiply-adds per row: with 2 BLAS threads on a 2-core x86-64 host it
+# broke even between 300 n and 500 n at n = 128 to 600
+_PREFIX_COST = 512
 # 2**64 / golden ratio, odd: ``_distinct`` multiplies column i of a row's
 # words by (2i + 1) times it, an odd multiplier per column
 _GOLDEN64 = np.uint64(0x9E3779B97F4A7C15)
@@ -114,15 +120,25 @@ class BaseCode:
     Precision contract: ``decode_batch`` returns, bit for bit, the float64
     argmax of ``codewords @ y - ||x||^2 / 2`` for each row y on its own
     (ties to the smallest id), whatever the block size, the tiling and the
-    BLAS thread count.  It scores a block in float32, against a float32
-    copy of the codewords built on the first decode, in message tiles of
+    BLAS thread count.  It screens a block in float32, against a float32
+    table of the codewords built on the first decode, in message tiles of
     at most ``TILE_VALUES`` scores with a running best and second best per
-    row, so a block of any size holds one tile of scores.  A row keeps its
-    float32 argmax when its lead over every other message exceeds a
-    rigorous bound on the float32 and float64 scoring errors, so that the
-    float64 argmax is provably the same unique message.  Each other row
+    row, so a block of any size holds one tile of scores.  A screen keeps
+    a row's float32 argmax only when its lead over every other message
+    exceeds a rigorous bound on the float32 and float64 scoring errors, so
+    that the float64 argmax is provably the same unique message.
+
+    The first screen of a large code scores only a prefix of the d
+    leading coordinates, plus the Cauchy-Schwarz bound ||y_R|| ||x_R|| on
+    the rest: an upper bound on every score, so a winner whose float64
+    score (one row-wise dot product) beats every other message's bound is
+    the float64 argmax (partial distance search, Bei and Gray 1985).
+    ``_split`` picks d per block from the rows' norms, the mean power and
+    M, or the full width where the saved multiply-adds would not pay, as
+    they never do at M <= ``_PREFIX_COST``.  Rows that the prefix cannot
+    certify go to the full-width screen.  Each row that neither certifies
     (an exact or near tie, values beyond float32's range or near its
-    underflow) is decided by that float64 expression alone, one
+    underflow) is decided by the float64 expression alone, one
     matrix-vector product of the same shape whatever its block."""
 
     codewords: np.ndarray  # (message_count, n) float64
@@ -172,21 +188,119 @@ class BaseCode:
         return 0.5 * _sum_squares(self.codewords)
 
     @cached_property
-    def _screen(self) -> tuple[np.ndarray, float, float, float]:
-        """The float32 codewords, each row followed by its half-norm, so
-        that a received row followed by -1 scores in one matrix product;
-        the largest codeword norm X, the largest half-norm H and the
-        relative error bound g of the two scorings; computed on the first
-        decode."""
+    def _screen(self) -> tuple[np.ndarray, float, float, float, tuple[int, ...],
+                               float]:
+        """The float32 table, the largest codeword norm X, the largest
+        half-norm H, the relative error bound g of the float32 and float64
+        scorings, the prefix splits d_1 < .. < d_k and the mean power
+        omega; computed on the first decode.  Row m of the table is
+        [||x_(d_1:)||, .., ||x_(d_k:)||, ||x||^2 / 2, x]: the norm of x
+        past each split, the half-norm and the codeword.  The full screen
+        scores a received row as (-1, y) against the columns from the
+        half-norm on; the prefix screen at split d_j as (||y_(d_j:)||,
+        0, .., 0, -1, y_(:d_j)) against the columns from ||x_(d_j:)|| to
+        x_(d_j - 1).  Codes of at most ``_PREFIX_COST`` messages get no
+        splits: no split saves enough there, as M (n - d) < M n."""
         half = self._half_norms
         hmax = float(np.max(half))
-        words = np.empty((self.message_count, self.n + 1), np.float32)
+        splits = () if self.message_count <= _PREFIX_COST else tuple(
+            sorted({j * self.n // _SPLITS for j in range(1, _SPLITS)} - {0}))
+        k = len(splits)
+        words = np.empty((self.message_count, k + 1 + self.n), np.float32)
         # a code beyond float32's range never passes the range check
         with np.errstate(over="ignore"):
-            words[:, :-1] = self.codewords
-            words[:, -1] = half
+            if splits:
+                for c in row_chunks(self.message_count, self.n, ROW_VALUES):
+                    # the sums of squares between splits, summed from the end
+                    parts = np.add.reduceat(self.codewords[c] ** 2,
+                                            (0,) + splits, axis=1)
+                    tails = np.cumsum(parts[:, :0:-1], axis=1)
+                    words[c, :k] = np.sqrt(tails[:, ::-1])
+            words[:, k] = half
+            words[:, k + 1:] = self.codewords
         return (words, math.sqrt(2.0 * hmax), hmax,
-                _gamma(self.n + 3, _U32) + _gamma(self.n + 3, _U64))
+                _gamma(self.n + 3, _U32) + _gamma(self.n + 3, _U64), splits,
+                2.0 * float(np.mean(half)) / self.n)
+
+    def _split(self, norms: np.ndarray) -> int | None:
+        """The index of the split d that the prefix screen scores a block
+        at, or None for the full screen.  With mean power omega and noise
+        power s2 estimated from the rows' norms, the true codeword's score
+        leads a wrong one's bound by about d omega - (n - d)(sqrt(omega
+        (omega + s2)) - omega), with a spread of about sqrt(2 d omega
+        (omega + s2)); d is the smallest split where the lead is z spreads,
+        z = sqrt(2 ln(100 M)) so that a row seldom has any wrong codeword
+        within reach.  The prefix screen saves M (n - d) multiply-adds of
+        a row and costs about ``_PREFIX_COST`` n of them in per-row work
+        (the float64 score of the winner, the rest norm): below that
+        saving, the full screen."""
+        n, count = self.n, self.message_count
+        splits, omega = self._screen[4:]
+        if not splits or not norms.size or not omega > 0:
+            return None
+        noise = max(float(np.mean(norms ** 2)) / n - omega, 0.0)
+        reach = math.sqrt(omega * (omega + noise))
+        z = math.sqrt(2.0 * math.log(100.0 * count))
+        for j, d in enumerate(splits):
+            if d * omega - (n - d) * (reach - omega) \
+                    >= z * math.sqrt(2.0 * d * reach * reach):
+                return j if count * (n - d) >= _PREFIX_COST * n else None
+        return None
+
+    def _full_screen(self, ys: np.ndarray, wide: np.ndarray, err: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """The full float32 screen of ``ys``: each row's float32 argmax
+        and whether it is certified."""
+        words, splits = self._screen[0], self._screen[4]
+        ys32 = np.empty((len(ys), self.n + 1), np.float32)
+        ys32[:, 1:] = ys
+        ys32[wide] = 0.0
+        ys32[:, 0] = -1.0
+        best, top, runner = _tiled_top(ys32, words[:, len(splits):])
+        # The floor sits 4 err below the top so that its own rounding to
+        # float32 (at most u (||y|| X + H) <= err / 4) keeps the lead
+        # above 2 err; a row is certified when its second-best score,
+        # and so every other score, lies below its floor.
+        floor = (top - 4.0 * err).astype(np.float32)
+        return best, ~wide & (runner < floor)
+
+    def _prefix_screen(self, ys: np.ndarray, wide: np.ndarray,
+                       err: np.ndarray, j: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """The prefix float32 screen of ``ys`` at split j: each row's
+        argmax of the bound UB(x) = y_S.x_S + ||y_R|| ||x_R|| - ||x||^2 / 2
+        >= y.x - ||x||^2 / 2 (Cauchy-Schwarz on the rest R, past the
+        prefix S of d coordinates), and whether that argmax is certified
+        as the float64 decode's unique message."""
+        words, splits = self._screen[0], self._screen[4]
+        k, d = len(splits), splits[j]
+        # the columns from split j's rest norm to x_(d-1); the rest norms
+        # of the later splits score 0
+        ys32 = np.zeros((len(ys), k - j + 1 + d), np.float32)
+        ys32[:, 0] = np.sqrt(np.einsum("ij,ij->i", ys[:, d:], ys[:, d:]))
+        ys32[:, k - j] = -1.0
+        ys32[:, k - j + 1:] = ys[:, :d]
+        ys32[wide] = 0.0
+        best, _, runner = _tiled_top(ys32, words[:, j:k + 1 + d])
+        # the winner's score in float64, a row at a time, in chunks of rows
+        score = np.empty(len(ys))
+        chunk = np.empty((min(chunk_rows(self.n), len(ys)), self.n))
+        for c in row_chunks(len(ys), self.n, ROW_VALUES):
+            win = np.take(self.codewords, best[c], axis=0,
+                          out=chunk[:c.stop - c.start], mode="clip")
+            score[c] = np.einsum("ij,ij->i", ys[c], win)
+        score -= self._half_norms[best]
+        # With v = gamma_(n+3) of u64 and S = ||y|| X + H, err is at least
+        # (gamma_(n+3) of u32 + v) S plus the underflow term, and so more
+        # than 5 v S.  Each other message's float64 score is at most its
+        # exact score plus v S, at most its exact bound plus v S.  The
+        # float32 bound is within err of the bound with the rest norms as
+        # computed in float64, which are within v each of exact, so each
+        # other score is at most the runner-up's float32 bound plus err +
+        # 3 v S.  The winner's float64 score is at least the row-wise sum
+        # above minus 2 v S.  A runner-up 2 err below that sum thus leaves
+        # the winner ahead: it is the unique float64 argmax.
+        return best, ~wide & (runner < score - 2.0 * err)
 
     def decode_batch(self, ys: np.ndarray) -> np.ndarray:
         """Minimum Euclidean distance decode of a (rows, n) matrix; see the
@@ -196,8 +310,7 @@ class BaseCode:
             raise BaseCodeError("ys must be a (rows, n) matrix")
         # ||y - x||^2 = ||y||^2 - 2 y.x + ||x||^2; the ||y||^2 column is
         # constant per row and can be dropped from the argmin.
-        words, xmax, hmax, g = self._screen
-        ys32 = np.empty((len(ys), self.n + 1), np.float32)
+        xmax, hmax, g = self._screen[1:4]
         # a code beyond float32's range scores inf or NaN, which no row
         # certifies against
         with np.errstate(invalid="ignore", over="ignore"):
@@ -207,26 +320,26 @@ class BaseCode:
             # nothing in float32; a row out of range (NaN or infinite rows
             # too) is scored as zeros and decided in float64
             wide = ~(norms * (xmax + 1.0) + hmax < _RANGE32)
-            ys32[:, :-1] = ys
-            ys32[wide] = 0.0
-            ys32[:, -1] = -1.0
-            best, top, runner = _tiled_top(ys32, words)
             # Each float32 score is within err of its float64 twin (Higham
             # 3.1: the rounding of y, x and H to float32 and the (n+1)-term
-            # dot product of (y, -1) with (x, H); the n-term dot product
+            # dot product of (-1, y) with (H, x); the n-term dot product
             # and the subtraction of H in float64; plus an absolute term
             # for float32 underflow, both within gamma_(n+3) of each
             # precision times ||y|| X + H).  A lead above 2 err
-            # makes the float64 argmax the same unique message.  The floor
-            # sits 4 err below the top so that its own rounding to float32
-            # (at most u (||y|| X + H) <= err / 4) keeps the lead above
-            # 2 err; a row is certified when its second-best score, and so
-            # every other score, lies below its floor.
+            # makes the float64 argmax the same unique message.
             err = (g * (norms * xmax + hmax) + _FLUSH32
                    * (math.sqrt(self.n) * (norms + xmax) + self.n + 2))
-            floor = (top - 4.0 * err).astype(np.float32)
-            doubt = wide | ~(runner < floor)
-        for r in np.flatnonzero(doubt):
+            j = self._split(norms[~wide])
+            if j is None:
+                best, sure = self._full_screen(ys, wide, err)
+                doubt = np.flatnonzero(~sure)
+            else:
+                best, sure = self._prefix_screen(ys, wide, err, j)
+                left = np.flatnonzero(~sure)
+                best[left], sure2 = self._full_screen(ys[left], wide[left],
+                                                      err[left])
+                doubt = left[~sure2]
+        for r in doubt:
             best[r] = np.argmax(self.codewords @ ys[r] - self._half_norms)
         return best
 

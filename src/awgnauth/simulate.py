@@ -518,10 +518,11 @@ def estimate(code: AuthCode, channel: ChannelParams,
     report per name, in order, from one pass over the blocks.
     ``message`` fixes the transmit message of ``epsilon``, ``false_alarm``
     and ``genuine_acceptance``.  ``attack``, ``pairs`` and ``max_pairs``
-    define the runs of ``alpha_star`` and ``alpha``: ``pairs`` pins the
-    ordered (transmit, target) pairs, otherwise every ordered pair (aimed
-    at the attack's target, from the null message under impersonation) is
-    enumerated and subsampled to ``max_pairs``; each pair runs ``attack``
+    define the runs of ``alpha_star`` and ``alpha``: ``pairs`` (a sequence
+    or an integer array) pins the ordered (transmit, target) pairs,
+    otherwise every ordered pair (aimed at the attack's target, from the
+    null message under impersonation) is enumerated and subsampled to
+    ``max_pairs``; each pair runs ``attack``
     aimed at its target, the targeted MMSE attack under the default
     ``NO_ATTACK``.  ``message`` and every id in ``pairs`` must be valid
     messages of ``code``, and every pair passes ``_check_run``.
@@ -547,13 +548,17 @@ def estimate(code: AuthCode, channel: ChannelParams,
                             "(the zero sentinel is for single trials)")
     _check_budget(code, channel)
     _check_messages(code, "message", [] if message is None else [message])
-    for pair in pairs or ():
-        try:
-            a, b = pair
-        except (TypeError, ValueError):
-            raise SimulateError("each entry of pairs must be a (transmit, "
-                                f"target) pair, not {pair!r}") from None
-        _check_messages(code, "pairs", [a, b])
+    if pairs is not None:
+        checked = []
+        for pair in pairs:
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise SimulateError("each entry of pairs must be a (transmit,"
+                                    f" target) pair, not {pair!r}") from None
+            _check_messages(code, "pairs", [a, b])
+            checked.append((int(a), int(b)))
+        pairs = checked
     pair_runs: list[Run] = []
     if any(name in FALSE_AUTH_METRICS for name in metrics):
         if channel.rho_adv <= 0.0:

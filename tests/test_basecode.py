@@ -470,6 +470,135 @@ class TestDecodeTiles:
         assert peak < limit * 2 ** 20
 
 
+class TestPrefixScreen:
+    """A large code's first screen scores a prefix of the coordinates plus
+    the Cauchy-Schwarz bound ||y_R|| ||x_R|| on the rest; the rows it
+    certifies, and every id, must equal the float64 decode's."""
+
+    @staticmethod
+    def force(monkeypatch, j):
+        """Give every code prefix splits and screen every block at split j
+        (the last split where a code has fewer)."""
+        monkeypatch.setattr(basecode, "_PREFIX_COST", 0)
+        monkeypatch.setattr(BaseCode, "_split", lambda self, norms: min(
+            j, len(self._screen[4]) - 1))
+
+    @staticmethod
+    def record(monkeypatch):
+        """The (winners, certified) of every prefix screen, as returned."""
+        seen = []
+        screen = BaseCode._prefix_screen
+
+        def recording(self, *args):
+            best, sure = screen(self, *args)
+            seen.append((best.copy(), sure.copy()))
+            return best, sure
+
+        monkeypatch.setattr(BaseCode, "_prefix_screen", recording)
+        return seen
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(8, 40), message_count=st.integers(1, 300),
+           rows=st.integers(0, 60), noise=st.floats(0.0, 10.0),
+           j=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_a_short_prefix_equals_the_float64_decode(
+            self, n, message_count, rows, noise, j, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            self.force(mp, j)
+            seen = self.record(mp)
+            rng = np.random.default_rng(seed)
+            code = BaseCode(rng.standard_normal((message_count, n)))
+            ys = code.codewords[rng.integers(0, message_count, rows)]
+            ys += math.sqrt(noise * code.power) * rng.standard_normal(
+                ys.shape)
+            assert np.array_equal(code.decode_batch(ys),
+                                  float64_decode(code.codewords, ys))
+            assert len(seen) == 1
+
+    @pytest.mark.parametrize("j", range(7))
+    def test_midpoints_and_far_rows_at_every_split(self, monkeypatch, j):
+        self.force(monkeypatch, j)
+        code = make_random_gaussian_code(64, 16, 1.0, seed=3)
+        ys = np.vstack([midpoints(64, 16), code.codewords * 1e-3,
+                        code.codewords[:4] * 2.0 ** 130])
+        # a midpoint's two scores differ by float64 rounding alone: the
+        # row is decided as one row's matrix-vector product decides it
+        half = 0.5 * np.sum(code.codewords ** 2, axis=1)
+        assert code.decode_batch(ys).tolist() \
+            == [np.argmax(code.codewords @ y - half) for y in ys]
+
+    @pytest.mark.parametrize("j", [3, 4, 5])
+    def test_a_wrong_prefix_winner_is_never_certified(self, monkeypatch, j):
+        self.force(monkeypatch, j)
+        seen = self.record(monkeypatch)
+        code = make_random_gaussian_code(64, 300, 1.0, seed=4)
+        rng = np.random.default_rng(5)
+        ys = code.codewords[rng.integers(0, 300, 2000)] \
+            + rng.standard_normal((2000, 64))
+        want = float64_decode(code.codewords, ys)
+        assert np.array_equal(code.decode_batch(ys), want)
+        [(best, sure)] = seen
+        # the prefix picks the wrong winner in some rows and certifies
+        # others, never one of the former
+        assert np.any(best != want) and np.any(sure)
+        assert np.array_equal(best[sure], want[sure])
+
+    def test_exact_ties_split_across_prefix_and_rest_go_to_the_smallest_id(
+            self, monkeypatch):
+        self.force(monkeypatch, 3)   # d = 12 of n = 24
+        seen = self.record(monkeypatch)
+        code = plus_minus_one_code(24, 40, seed=2)
+        words = code.codewords
+        ys = []
+        for a, b in zip(*np.triu_indices(40, 1)):
+            differ = np.flatnonzero(words[a] != words[b])
+            p, q = differ[differ < 12], differ[differ >= 12]
+            if p.size and q.size:
+                # the midpoint, moved towards a on the prefix and towards b
+                # by as much on the rest: a and b tie, exactly
+                y = 0.5 * (words[a] + words[b])
+                y[p[0]] = 0.5 * words[a, p[0]]
+                y[q[0]] = 0.5 * words[b, q[0]]
+                ys.append(y)
+        ys = np.array(ys)
+        exact = ys @ words.T   # quarters and integers: no rounding
+        top = exact == exact.max(axis=1)[:, None]
+        assert np.sum(np.sum(top, axis=1) >= 2) > 100
+        got = code.decode_batch(ys)
+        assert np.array_equal(got, np.argmax(exact, axis=1))
+        [(_, sure)] = seen
+        assert not np.any(sure[np.sum(top, axis=1) >= 2])
+
+    @pytest.mark.parametrize("n, message_count", [(600, 6), (256, 64)])
+    def test_small_codes_keep_the_full_width(self, n, message_count):
+        code = make_random_gaussian_code(n, message_count, 1.0, seed=1)
+        rng = np.random.default_rng(2)
+        for noise in (0.0, 0.01, 1.0, 10.0):
+            ys = code.codewords[rng.integers(0, message_count, 500)]
+            ys += math.sqrt(noise) * rng.standard_normal(ys.shape)
+            assert code._split(np.linalg.norm(ys, axis=1)) is None
+        assert code._screen[4] == ()
+        assert code._screen[0].shape == (message_count, n + 1)
+
+    def test_a_large_code_screens_a_prefix_of_its_rest_norms(self):
+        code = make_random_gaussian_code(600, 4096, 1.0, seed=7)
+        words, splits = code._screen[0], code._screen[4]
+        assert splits == (75, 150, 225, 300, 375, 450, 525)
+        rest = np.array([np.linalg.norm(code.codewords[:, d:], axis=1)
+                         for d in splits]).T
+        assert np.allclose(words[:, :7], rest, rtol=1e-6)
+        assert np.array_equal(words[:, 7], code._half_norms.astype(
+            np.float32))
+        assert np.array_equal(words[:, 8:], code.codewords.astype(np.float32))
+        rng = np.random.default_rng(3)
+        ys = code.codewords[rng.integers(0, 4096, 872)]
+        ys += rng.standard_normal(ys.shape)
+        norms = np.linalg.norm(ys, axis=1)
+        assert 0 <= code._split(norms) < len(splits)
+        # noise that leaves no split a lead: the full width
+        assert code._split(3.0 * norms) is None
+
+
 class TestErrorProbability:
     def test_closed_form_value(self):
         # n=16, omega=1, rho=1: Phi(-4)

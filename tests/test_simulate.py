@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import math
 import sys
 import tracemalloc
@@ -216,6 +217,18 @@ class TestEstimateValidation:
                      "alpha_star", 100, pairs=[])
         with pytest.raises(SimulateError, match="must be an AttackSpec"):
             estimate(small_auth, ch, "epsilon", 100, attack=None)
+
+    def test_an_array_of_pairs_reports_as_the_equal_list(self, small_auth):
+        ch = ChannelParams(0.1, rho_adv=0.1)
+        reports = [estimate(small_auth, ch, "alpha_star", 100, seed=3,
+                            pairs=pairs).to_json_dict()
+                   for pairs in ([(0, 1), (2, 4)], np.array([[0, 1], [2, 4]]),
+                                 [[np.int64(0), 1], (np.int32(2), 4)])]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert json.dumps(reports[1]) == json.dumps(reports[0])
+        with pytest.raises(SimulateError, match="no attack pairs"):
+            estimate(small_auth, ch, "alpha_star", 100,
+                     pairs=np.empty((0, 2), int))
 
     @pytest.mark.parametrize("code_name, kwargs, message", [
         ("small_auth", dict(pairs=[(1, 1)]), "target must differ"),
