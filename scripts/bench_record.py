@@ -11,6 +11,10 @@ For every workload and every metric that ``BENCHMARK.json`` declares,
 the record gives each side's per-pair values with their median and
 quartiles, and the number of pairs in which the change was better.
 Machines, seeds, traces and thread budgets are copied from the inputs.
+Traced results (``--trace 1``), given as ``--traced-parent`` and
+``--traced-change`` pairs in the same way, are summarised apart under
+``traced``, so that their per-layer metrics sit beside the untraced
+end-to-end ones without mixing the tracing overhead into them.
 
 Only the standard library is used.
 """
@@ -89,9 +93,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", required=True)
     ap.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"),
                     help="declares each metric's unit and direction")
+    ap.add_argument("--traced-parent", nargs="+", default=[])
+    ap.add_argument("--traced-change", nargs="+", default=[])
     ap.add_argument("--note", default="", help="free text kept in the record")
     args = ap.parse_args(argv)
-    if len(args.parent) != len(args.change):
+    if len(args.parent) != len(args.change) \
+            or len(args.traced_parent) != len(args.traced_change):
         ap.error("give one change result per parent result")
     with open(args.benchmark) as fh:
         bench = json.load(fh)
@@ -99,6 +106,10 @@ def main(argv: list[str] | None = None) -> int:
     summary = record([load(p) for p in args.parent],
                      [load(c) for c in args.change], declared)
     out = {"record": f"BENCH_{args.label}", "note": args.note, **summary}
+    if args.traced_parent:
+        out["traced"] = record([load(p) for p in args.traced_parent],
+                               [load(c) for c in args.traced_change],
+                               declared)["workloads"]
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -17,7 +17,7 @@ statistics would not be chi-square with ell degrees of freedom.
 Memory: per (message, coordinate) entry a code holds the float64
 codeword and mean shift (8 bytes each), the overlay's one-byte level
 index, after the first decode the base code's float32 screen (4 bytes,
-plus per message a half-norm and, above 512 messages, seven rest norms),
+plus per message a half-norm and, above 512 messages, fifteen rest norms),
 and after the first detect the detector's column table ``_tested``, 1 or
 2 bytes on the |K| ell tested coordinates of every n; level values are
 gathered from the level index when read.  At n = 600 with two levels

@@ -22,10 +22,11 @@ _FLUSH32 = 2.0 ** -125
 # magnitudes that the float32 screen's operands, sums and scores may reach
 _RANGE32 = 2.0 ** 120
 # the prefix screen's candidate splits are j n / _SPLITS, 0 < j < _SPLITS
-_SPLITS = 8
-# the prefix screen pays when it saves M (n - d) >= _PREFIX_COST n
-# multiply-adds per row: with 2 BLAS threads on a 2-core x86-64 host it
-# broke even between 300 n and 500 n at n = 128 to 600
+_SPLITS = 16
+# the prefix screen's per-row work, in sgemm multiply-adds: with 2 BLAS
+# threads on a 2-core x86-64 host it broke even with the full screen when
+# it saved M (n - d) of them per row, between 300 n and 500 n at n = 128
+# to 600
 _PREFIX_COST = 512
 # 2**64 / golden ratio, odd: ``_distinct`` multiplies column i of a row's
 # words by (2i + 1) times it, an odd multiplier per column
@@ -134,8 +135,9 @@ class BaseCode:
     score (one row-wise dot product) beats every other message's bound is
     the float64 argmax (partial distance search, Bei and Gray 1985).
     ``_split`` picks d per block from the rows' norms, the mean power and
-    M, or the full width where the saved multiply-adds would not pay, as
-    they never do at M <= ``_PREFIX_COST``.  Rows that the prefix cannot
+    M, as the split with the fewest expected multiply-adds per row, or
+    the full width where no split saves any, as none does at M <=
+    ``_PREFIX_COST``.  Rows that the prefix cannot
     certify go to the full-width screen.  Each row that neither certifies
     (an exact or near tie, values beyond float32's range or near its
     underflow) is decided by the float64 expression alone, one
@@ -223,29 +225,35 @@ class BaseCode:
                 2.0 * float(np.mean(half)) / self.n)
 
     def _split(self, norms: np.ndarray) -> int | None:
-        """The index of the split d that the prefix screen scores a block
-        at, or None for the full screen.  With mean power omega and noise
-        power s2 estimated from the rows' norms, the true codeword's score
-        leads a wrong one's bound by about d omega - (n - d)(sqrt(omega
-        (omega + s2)) - omega), with a spread of about sqrt(2 d omega
-        (omega + s2)); d is the smallest split where the lead is z spreads,
-        z = sqrt(2 ln(100 M)) so that a row seldom has any wrong codeword
-        within reach.  The prefix screen saves M (n - d) multiply-adds of
-        a row and costs about ``_PREFIX_COST`` n of them in per-row work
-        (the float64 score of the winner, the rest norm): below that
-        saving, the full screen."""
+        """The index of the split that the prefix screen scores a block at,
+        or None for the full screen: whichever costs the fewest expected
+        multiply-adds per row.  The full screen costs M (n + 1).  The
+        prefix screen at split d costs M times its columns, ``_PREFIX_COST``
+        n for its per-row work (the float64 score of the winner, the rest
+        norm) and M (n + 1) again for each row it leaves to the full
+        screen.  With mean power omega and noise power s2 estimated from
+        the rows' norms, the true codeword's score leads a wrong one's
+        bound by about d omega - (n - d)(sqrt(omega (omega + s2)) -
+        omega), with a spread of about sqrt(2 d omega (omega + s2)); the
+        share of rows left is estimated by the union bound M Q(lead /
+        spread) over the wrong codewords."""
         n, count = self.n, self.message_count
         splits, omega = self._screen[4:]
         if not splits or not norms.size or not omega > 0:
             return None
         noise = max(float(np.mean(norms ** 2)) / n - omega, 0.0)
         reach = math.sqrt(omega * (omega + noise))
-        z = math.sqrt(2.0 * math.log(100.0 * count))
+        full = count * (n + 1)
+        cheapest, pick = full, None
         for j, d in enumerate(splits):
-            if d * omega - (n - d) * (reach - omega) \
-                    >= z * math.sqrt(2.0 * d * reach * reach):
-                return j if count * (n - d) >= _PREFIX_COST * n else None
-        return None
+            lead = d * omega - (n - d) * (reach - omega)
+            left = min(1.0, 0.5 * count * math.erfc(
+                lead / (2.0 * reach * math.sqrt(d))))
+            cost = (count * (len(splits) - j + 1 + d) + _PREFIX_COST * n
+                    + left * full)
+            if cost < cheapest:
+                cheapest, pick = cost, j
+        return pick
 
     def _full_screen(self, ys: np.ndarray, wide: np.ndarray, err: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:

@@ -500,7 +500,7 @@ class TestPrefixScreen:
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(8, 40), message_count=st.integers(1, 300),
            rows=st.integers(0, 60), noise=st.floats(0.0, 10.0),
-           j=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+           j=st.integers(0, 14), seed=st.integers(0, 2**32 - 1))
     def test_a_short_prefix_equals_the_float64_decode(
             self, n, message_count, rows, noise, j, seed):
         with pytest.MonkeyPatch.context() as mp:
@@ -515,7 +515,7 @@ class TestPrefixScreen:
                                   float64_decode(code.codewords, ys))
             assert len(seen) == 1
 
-    @pytest.mark.parametrize("j", range(7))
+    @pytest.mark.parametrize("j", range(15))
     def test_midpoints_and_far_rows_at_every_split(self, monkeypatch, j):
         self.force(monkeypatch, j)
         code = make_random_gaussian_code(64, 16, 1.0, seed=3)
@@ -527,7 +527,7 @@ class TestPrefixScreen:
         assert code.decode_batch(ys).tolist() \
             == [np.argmax(code.codewords @ y - half) for y in ys]
 
-    @pytest.mark.parametrize("j", [3, 4, 5])
+    @pytest.mark.parametrize("j", [7, 9, 11])   # d = 32, 40, 48 of 64
     def test_a_wrong_prefix_winner_is_never_certified(self, monkeypatch, j):
         self.force(monkeypatch, j)
         seen = self.record(monkeypatch)
@@ -545,9 +545,10 @@ class TestPrefixScreen:
 
     def test_exact_ties_split_across_prefix_and_rest_go_to_the_smallest_id(
             self, monkeypatch):
-        self.force(monkeypatch, 3)   # d = 12 of n = 24
+        self.force(monkeypatch, 7)   # d = 12 of n = 24
         seen = self.record(monkeypatch)
         code = plus_minus_one_code(24, 40, seed=2)
+        assert code._screen[4][7] == 12
         words = code.codewords
         ys = []
         for a, b in zip(*np.triu_indices(40, 1)):
@@ -583,13 +584,14 @@ class TestPrefixScreen:
     def test_a_large_code_screens_a_prefix_of_its_rest_norms(self):
         code = make_random_gaussian_code(600, 4096, 1.0, seed=7)
         words, splits = code._screen[0], code._screen[4]
-        assert splits == (75, 150, 225, 300, 375, 450, 525)
+        assert splits == tuple(600 * j // 16 for j in range(1, 16))
         rest = np.array([np.linalg.norm(code.codewords[:, d:], axis=1)
                          for d in splits]).T
-        assert np.allclose(words[:, :7], rest, rtol=1e-6)
-        assert np.array_equal(words[:, 7], code._half_norms.astype(
+        assert np.allclose(words[:, :15], rest, rtol=1e-6)
+        assert np.array_equal(words[:, 15], code._half_norms.astype(
             np.float32))
-        assert np.array_equal(words[:, 8:], code.codewords.astype(np.float32))
+        assert np.array_equal(words[:, 16:],
+                              code.codewords.astype(np.float32))
         rng = np.random.default_rng(3)
         ys = code.codewords[rng.integers(0, 4096, 872)]
         ys += rng.standard_normal(ys.shape)

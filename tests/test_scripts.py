@@ -53,18 +53,22 @@ def test_script_runs_and_writes_its_outputs(tmp_path, monkeypatch, capsys,
 def test_bench_record_summarises_a_parent_and_a_change(tmp_path):
     machine = {"cpu_model": "test", "nproc": 2}
 
-    def result(name, rates, rss):
+    def result(name, rates, rss, trace=False, decode_s=None):
         path = tmp_path / name
+        samples = {"trials_per_s": rates, "peak_rss_mb": rss,
+                   "not_declared": [1.0]}
+        if decode_s is not None:
+            samples["basecode.decode.s"] = decode_s
         path.write_text(json.dumps({
-            "workload": "genuine_cli", "seed": 1, "trace": False,
+            "workload": "genuine_cli", "seed": 1, "trace": trace,
             "threads": {"pool": 2, "blas": 1}, "failed": 0,
-            "machine": machine,
-            "samples": {"trials_per_s": rates, "peak_rss_mb": rss,
-                        "not_declared": [1.0]}}))
+            "machine": machine, "samples": samples}))
         return str(path)
 
     parent = result("parent.json", [100.0, 120.0, 110.0], [400.0, 410.0])
     change = result("change.json", [130.0, 150.0, 140.0], [70.0, 80.0])
+    traced = [result(f"traced_{side}.json", [90.0], [400.0], True, [s])
+              for side, s in (("parent", 0.4), ("change", 0.3))]
     out = tmp_path / "BENCH_0.json"
     env = dict(os.environ)
     src = str(Path(awgnauth.__file__).resolve().parents[1])
@@ -72,7 +76,8 @@ def test_bench_record_summarises_a_parent_and_a_change(tmp_path):
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--label",
-         "0", "--parent", parent, "--change", change, "--out", str(out)],
+         "0", "--parent", parent, "--change", change, "--out", str(out),
+         "--traced-parent", traced[0], "--traced-change", traced[1]],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rec = json.loads(out.read_text())
@@ -88,3 +93,10 @@ def test_bench_record_summarises_a_parent_and_a_change(tmp_path):
     rss = entry["metrics"]["peak_rss_mb"]
     assert (rss["better"], rss["change"]["median"]) == ("lower", 75.0)
     assert rss["change_better_pairs"] == 1
+    # traced runs apart, their per-layer metrics beside the end-to-end ones
+    traced = rec["traced"]["genuine_cli"]
+    assert traced["trace"] is True and traced["pairs"] == 1
+    decode = traced["metrics"]["basecode.decode.s"]
+    assert (decode["parent"]["median"], decode["change"]["median"]) \
+        == (0.4, 0.3)
+    assert decode["change_better_pairs"] == 1
