@@ -284,8 +284,9 @@ class BaseCode:
         k, d = len(splits), splits[j]
         # the columns from split j's rest norm to x_(d-1); the rest norms
         # of the later splits score 0
-        ys32 = np.zeros((len(ys), k - j + 1 + d), np.float32)
+        ys32 = np.empty((len(ys), k - j + 1 + d), np.float32)
         ys32[:, 0] = np.sqrt(np.einsum("ij,ij->i", ys[:, d:], ys[:, d:]))
+        ys32[:, 1:k - j] = 0.0
         ys32[:, k - j] = -1.0
         ys32[:, k - j + 1:] = ys[:, :d]
         ys32[wide] = 0.0
