@@ -137,11 +137,11 @@ class BaseCode:
     ``_split`` picks d per block from the rows' norms, the mean power and
     M, as the split with the fewest expected multiply-adds per row, or
     the full width where no split saves any, as none does at M <=
-    ``_PREFIX_COST``.  Rows that the prefix cannot
-    certify go to the full-width screen.  Each row that neither certifies
-    (an exact or near tie, values beyond float32's range or near its
-    underflow) is decided by the float64 expression alone, one
-    matrix-vector product of the same shape whatever its block."""
+    ``_PREFIX_COST``.  Rows that the prefix cannot certify go to the
+    full-width screen.  Each row that neither certifies (an exact or near
+    tie, values beyond float32's range or near its underflow) is decided
+    by the float64 expression alone, one matrix-vector product of the
+    same shape whatever its block."""
 
     codewords: np.ndarray  # (message_count, n) float64
     null_id: int | None = None
@@ -202,7 +202,8 @@ class BaseCode:
         half-norm on; the prefix screen at split d_j as (||y_(d_j:)||,
         0, .., 0, -1, y_(:d_j)) against the columns from ||x_(d_j:)|| to
         x_(d_j - 1).  Codes of at most ``_PREFIX_COST`` messages get no
-        splits: no split saves enough there, as M (n - d) < M n."""
+        splits: there the saving M (n - d) < M n never pays for the prefix
+        screen's per-row work."""
         half = self._half_norms
         hmax = float(np.max(half))
         splits = () if self.message_count <= _PREFIX_COST else tuple(
