@@ -84,7 +84,7 @@ import numpy as np
 from .adversary import (AttackSpec, mmse_attack_terms,
                         mmse_targeted_attack_batch, no_attack)
 from .authcode import REJECT, AuthCode, auth_encode_batch, detect_batch
-from .reporting import EstimateReport, binomial_se, wilson_interval  # noqa: F401
+from .reporting import EstimateReport, wilson_interval
 from .streams import (Role, block_rows, check_ids, check_int, check_reals,
                       choices, chunk_rows, draw_buffer, normals,
                       one_shot_rng)
@@ -323,8 +323,7 @@ def _count(runs: Sequence[Run], results: Sequence[Result]) -> np.ndarray:
     return counts
 
 
-def _in_block_order(work: Callable[[tuple[int, int]], Any],
-                    blocks: Sequence[tuple[int, int]],
+def _in_block_order(work: Callable[[int], Any], blocks: Sequence[int],
                     threads: int) -> Iterator[Any]:
     """``work(block)`` for each block, yielded in block order.  With
     several threads a pool runs the blocks, at most ``2 * threads`` of
@@ -354,18 +353,18 @@ def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
     attacked = any(spec.kind != "none" for spec, _ in runs)
     local = threading.local()   # one workspace per worker, dropped on return
 
-    def work(block: tuple[int, int]):
+    def work(t0: int):
         ws = getattr(local, "ws", None)
         if ws is None:
             ws = local.ws = _Workspace(code.n, min(batch, trials),
                                        len(runs), attacked)
-        results = _simulate_block(code, channel, seed, *block, runs, terms,
-                                  ws, detector=detector, pool=pool)
-        return (block[0], _count(runs, results),
-                results if log is not None else None)
+        results = _simulate_block(code, channel, seed, t0,
+                                  min(batch, trials - t0), runs, terms, ws,
+                                  detector=detector, pool=pool)
+        return t0, _count(runs, results), results if log is not None else None
 
-    blocks = [(t0, min(batch, trials - t0)) for t0 in range(0, trials, batch)]
     counts = np.zeros((len(runs), 4), np.int64)
+    blocks = range(0, trials, batch)   # each block's first trial
     for t0, block_counts, results in _in_block_order(work, blocks, threads):
         counts += block_counts
         if log is not None:

@@ -19,9 +19,9 @@ keep its n-wide arrays (draws, codewords, the encoder's scratch) at
 (``block_rows``) is the rows decoded and detected together, in whole
 chunks: about a quarter of the message count, so that each pass of the
 decode over the codebook serves enough rows, with the received rows of
-all runs at most 2**19 values.  Each float32 screen of the decode, the
-prefix screen and the full-width one alike, scores a block in message
-tiles of at most 2**20 scores (``TILE_VALUES``), whatever its rows.
+all runs at most 2**19 values.  The decode's float32 screen, at a
+prefix split or the full width alike, scores a block in message tiles
+of at most 2**20 scores (``TILE_VALUES``), whatever its rows.
 ``row_chunks`` splits a table's rows into chunks of at most a given
 number of values, so that a pass over a whole code table holds no
 temporary of the table's size.

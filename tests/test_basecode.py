@@ -320,13 +320,13 @@ class TestFloat32Screen:
 
     def test_one_uncertified_row_is_decided_in_float64(self, monkeypatch):
         code = plus_minus_one_code(24, 40, seed=2)
-        words, *bounds = code._screen
+        words = code._screen.words
         # a screen that scores message j with codeword j + 1 (each row of
         # ``words`` carries its half-norm): every row it certifies comes
         # back shifted by one
         shift = np.roll(np.arange(40), -1)
         monkeypatch.setitem(code.__dict__, "_screen",
-                            (words[shift], *bounds))
+                            code._screen._replace(words=words[shift]))
         clean = code.codewords[5:15]
         assert np.array_equal(code.decode_batch(clean), np.arange(4, 14))
         tie = 0.5 * (code.codewords[[20]] + code.codewords[[30]])
@@ -382,10 +382,10 @@ class TestDecodeTiles:
         # row, in the middle chunk, is decided in float64 and every other
         # row stays as the screen scored it
         code = plus_minus_one_code(24, 40, seed=2)
-        words, *bounds = code._screen
+        words = code._screen.words
         shift = np.roll(np.arange(40), -1)
         monkeypatch.setitem(code.__dict__, "_screen",
-                            (words[shift], *bounds))
+                            code._screen._replace(words=words[shift]))
         clean = code.codewords[np.arange(150) % 40]
         self.tiles_of(monkeypatch, 150, 7)
         shifted = (np.arange(150) - 1) % 40
@@ -477,24 +477,28 @@ class TestPrefixScreen:
 
     @staticmethod
     def force(monkeypatch, j):
-        """Give every code prefix splits and screen every block at split j
-        (the last split where a code has fewer)."""
-        monkeypatch.setattr(basecode, "_PREFIX_COST", 0)
-        monkeypatch.setattr(BaseCode, "_split", lambda self, norms: min(
-            j, len(self._screen[4]) - 1))
+        """Screen every block first at split j: j = 15 is the full width,
+        any other j the last prefix split where a code has fewer."""
+        def split(self, norms):
+            k = len(self._screen.splits) - 1
+            return k if j == 15 else min(j, k - 1)
+
+        monkeypatch.setattr(BaseCode, "_split", split)
 
     @staticmethod
     def record(monkeypatch):
-        """The (winners, certified) of every prefix screen, as returned."""
+        """The (winners, certified) of every screen at a prefix split, as
+        returned."""
         seen = []
-        screen = BaseCode._prefix_screen
+        screen = BaseCode._screen_at
 
-        def recording(self, *args):
-            best, sure = screen(self, *args)
-            seen.append((best.copy(), sure.copy()))
+        def recording(self, ys, wide, err, j):
+            best, sure = screen(self, ys, wide, err, j)
+            if self._screen.splits[j] < self.n:
+                seen.append((best.copy(), sure.copy()))
             return best, sure
 
-        monkeypatch.setattr(BaseCode, "_prefix_screen", recording)
+        monkeypatch.setattr(BaseCode, "_screen_at", recording)
         return seen
 
     @settings(max_examples=100, deadline=None)
@@ -515,9 +519,10 @@ class TestPrefixScreen:
                                   float64_decode(code.codewords, ys))
             assert len(seen) == 1
 
-    @pytest.mark.parametrize("j", range(15))
+    @pytest.mark.parametrize("j", range(16))   # j = 15: the full width
     def test_midpoints_and_far_rows_at_every_split(self, monkeypatch, j):
         self.force(monkeypatch, j)
+        seen = self.record(monkeypatch)
         code = make_random_gaussian_code(64, 16, 1.0, seed=3)
         ys = np.vstack([midpoints(64, 16), code.codewords * 1e-3,
                         code.codewords[:4] * 2.0 ** 130])
@@ -526,6 +531,7 @@ class TestPrefixScreen:
         half = 0.5 * np.sum(code.codewords ** 2, axis=1)
         assert code.decode_batch(ys).tolist() \
             == [np.argmax(code.codewords @ y - half) for y in ys]
+        assert len(seen) == (j < 15)
 
     @pytest.mark.parametrize("j", [7, 9, 11])   # d = 32, 40, 48 of 64
     def test_a_wrong_prefix_winner_is_never_certified(self, monkeypatch, j):
@@ -548,7 +554,7 @@ class TestPrefixScreen:
         self.force(monkeypatch, 7)   # d = 12 of n = 24
         seen = self.record(monkeypatch)
         code = plus_minus_one_code(24, 40, seed=2)
-        assert code._screen[4][7] == 12
+        assert code._screen.splits[7] == 12
         words = code.codewords
         ys = []
         for a, b in zip(*np.triu_indices(40, 1)):
@@ -570,23 +576,24 @@ class TestPrefixScreen:
         [(_, sure)] = seen
         assert not np.any(sure[np.sum(top, axis=1) >= 2])
 
-    @pytest.mark.parametrize("n, message_count", [(600, 6), (256, 64)])
+    @pytest.mark.parametrize("n, message_count", [(600, 6), (256, 64),
+                                                  (40, 512), (600, 512)])
     def test_small_codes_keep_the_full_width(self, n, message_count):
         code = make_random_gaussian_code(n, message_count, 1.0, seed=1)
         rng = np.random.default_rng(2)
-        for noise in (0.0, 0.01, 1.0, 10.0):
+        k = len(code._screen.splits) - 1
+        assert code._screen.splits[k] == n
+        for noise in (0.0, 0.01, 0.1, 1.0, 10.0):
             ys = code.codewords[rng.integers(0, message_count, 500)]
             ys += math.sqrt(noise) * rng.standard_normal(ys.shape)
-            assert code._split(np.linalg.norm(ys, axis=1)) is None
-        assert code._screen[4] == ()
-        assert code._screen[0].shape == (message_count, n + 1)
+            assert code._split(np.linalg.norm(ys, axis=1)) == k
 
     def test_a_large_code_screens_a_prefix_of_its_rest_norms(self):
         code = make_random_gaussian_code(600, 4096, 1.0, seed=7)
-        words, splits = code._screen[0], code._screen[4]
-        assert splits == tuple(600 * j // 16 for j in range(1, 16))
+        words, splits = code._screen.words, code._screen.splits
+        assert splits == tuple(600 * j // 16 for j in range(1, 17))
         rest = np.array([np.linalg.norm(code.codewords[:, d:], axis=1)
-                         for d in splits]).T
+                         for d in splits[:-1]]).T
         assert np.allclose(words[:, :15], rest, rtol=1e-6)
         assert np.array_equal(words[:, 15], code._half_norms.astype(
             np.float32))
@@ -596,9 +603,20 @@ class TestPrefixScreen:
         ys = code.codewords[rng.integers(0, 4096, 872)]
         ys += rng.standard_normal(ys.shape)
         norms = np.linalg.norm(ys, axis=1)
-        assert 0 <= code._split(norms) < len(splits)
+        assert 0 <= code._split(norms) < 15
         # noise that leaves no split a lead: the full width
-        assert code._split(3.0 * norms) is None
+        assert code._split(3.0 * norms) == 15
+
+    @pytest.mark.parametrize("noise, d", [(0.1, 112), (1.0, 337),
+                                          (2.0, 412), (9.0, 600)])
+    def test_the_split_picked_at_each_noise(self, noise, d):
+        # the large_codebook shape: n = 600, M = 4096, 872-row blocks
+        code = make_random_gaussian_code(600, 4096, 1.0, seed=7)
+        rng = np.random.default_rng(3)
+        ys = code.codewords[rng.integers(0, 4096, 872)]
+        ys += math.sqrt(noise) * rng.standard_normal(ys.shape)
+        j = code._split(np.linalg.norm(ys, axis=1))
+        assert code._screen.splits[j] == d
 
 
 class TestErrorProbability:

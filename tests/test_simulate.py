@@ -415,6 +415,38 @@ class TestBoundedMemory:
 
         assert peak(10 ** 6) <= peak(10 ** 5) + 2 ** 20
 
+    def test_the_block_schedule_does_not_grow_with_trials(self, small_auth,
+                                                          monkeypatch):
+        # one-row blocks of a stubbed simulation and count, with no runs:
+        # the blocks are visited, not listed (a list of them takes about
+        # 96 B a block, 17 MiB more at 2e5 blocks than at 2e4)
+        visited = 0
+
+        def stub(*args, **kwargs):
+            nonlocal visited
+            visited += 1
+            return []
+
+        monkeypatch.setattr(simulate, "_simulate_block", stub)
+        no_counts = np.zeros((0, 4), np.int64)
+        monkeypatch.setattr(simulate, "_count", lambda runs, results:
+                            no_counts)
+
+        def peak(trials):
+            nonlocal visited
+            visited = 0
+            tracemalloc.start()
+            try:
+                simulate._run_counting(small_auth, ChannelParams(rho_dec=0.1),
+                                       0, trials, [], detector=True,
+                                       threads=1, batch=1)
+                assert visited == trials
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2 * 10 ** 5) <= peak(2 * 10 ** 4) + 2 ** 20
+
 
 class TestChunkedBlocks:
     """A block is drawn in chunks and decoded once; counts and trial logs
