@@ -85,14 +85,15 @@ def _distinct(cw: np.ndarray) -> bool:
     return True
 
 
-def _tiled_top(ys: np.ndarray, words: np.ndarray
+def _tiled_top(ys: np.ndarray, words: np.ndarray, values: int
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of ``ys``, the id and value of its largest score
     ``ys @ words[m]`` (the first on ties) and the largest of its other
-    scores.  The messages go in tiles of at most ``TILE_VALUES`` scores,
-    computed in one buffer allocated per call."""
+    scores.  The messages go in tiles of at most ``values`` scores (one
+    message a tile at least), computed in one buffer allocated per
+    call."""
     rows, count = len(ys), len(words)
-    step = max(1, TILE_VALUES // max(rows, 1))
+    step = max(1, values // max(rows, 1))
     buf = np.empty(rows * min(step, count), ys.dtype)
     for m0 in range(0, count, step):
         tile = slice(m0, min(m0 + step, count))
@@ -136,8 +137,9 @@ class BaseCode:
     (ties to the smallest id), whatever the block size, the tiling and the
     BLAS thread count.  It screens a block in float32, against a float32
     table of the codewords built on the first decode, in message tiles of
-    at most ``TILE_VALUES`` scores with a running best and second best per
-    row, so a block of any size holds one tile of scores.  A screen keeps
+    at most ``TILE_VALUES`` scores (or the ``tile`` given, a worker's share
+    of it) with a running best and second best per row, so a block of any
+    size holds one tile of scores.  A screen keeps
     a row's float32 argmax only when its lead over every other message
     exceeds a rigorous bound on the float32 and float64 scoring errors, so
     that the float64 argmax is provably the same unique message.
@@ -259,13 +261,13 @@ class BaseCode:
         return pick
 
     def _screen_at(self, ys: np.ndarray, wide: np.ndarray, err: np.ndarray,
-                   j: int) -> tuple[np.ndarray, np.ndarray]:
+                   j: int, tile: int) -> tuple[np.ndarray, np.ndarray]:
         """The float32 screen of ``ys`` at split j: each row's argmax of
         the bound UB(x) = y_S.x_S + ||y_R|| ||x_R|| - ||x||^2 / 2 >= y.x -
         ||x||^2 / 2 (Cauchy-Schwarz on the rest R, past the prefix S of d
         coordinates; UB is the score itself at the full width), and
         whether that argmax is certified as the float64 decode's unique
-        message."""
+        message.  The scores go in tiles of at most ``tile``."""
         words, splits = self._screen.words, self._screen.splits
         k, d = len(splits) - 1, splits[j]
         # (||y_R||, 0, .., 0, -1, y_S) against split j's rest norm, the
@@ -277,11 +279,13 @@ class BaseCode:
         ys32[:, k - j] = -1.0
         ys32[:, k - j + 1:] = ys[:, :d]
         ys32[wide] = 0.0
-        best, score, runner = _tiled_top(ys32, words[:, j:k + 1 + d])
+        best, score, runner = _tiled_top(ys32, words[:, j:k + 1 + d], tile)
         if d < self.n:
             # the winner's score in float64, a row at a time, in chunks
             score = np.empty(len(ys))
-            chunk = np.empty((min(chunk_rows(self.n), len(ys)), self.n))
+            # rows of at most ROW_VALUES values, as ``row_chunks`` cuts them
+            chunk = np.empty((min(max(1, ROW_VALUES // self.n), len(ys)),
+                              self.n))
             for c in row_chunks(len(ys), self.n, ROW_VALUES):
                 win = np.take(self.codewords, best[c], axis=0,
                               out=chunk[:c.stop - c.start], mode="clip")
@@ -304,9 +308,15 @@ class BaseCode:
         # other float64 score by 2 err: it is the unique float64 argmax.
         return best, ~wide & (runner < score - 4.0 * err)
 
-    def decode_batch(self, ys: np.ndarray) -> np.ndarray:
+    def decode_batch(self, ys: np.ndarray, *,
+                     tile: int | None = None) -> np.ndarray:
         """Minimum Euclidean distance decode of a (rows, n) matrix; see the
-        class docstring for the precision contract."""
+        class docstring for the precision contract.  ``tile``, a positive
+        integer, bounds the scores of a tile in place of ``TILE_VALUES``;
+        it changes no id."""
+        if tile is None:
+            tile = TILE_VALUES
+        check_int("tile", tile, BaseCodeError)
         ys = np.asarray(ys, dtype=np.float64)
         if ys.ndim != 2 or ys.shape[1] != self.n:
             raise BaseCodeError("ys must be a (rows, n) matrix")
@@ -331,11 +341,11 @@ class BaseCode:
             err = (screen.g * (norms * screen.xmax + screen.hmax) + _FLUSH32
                    * (math.sqrt(self.n) * (norms + screen.xmax) + self.n + 2))
             j, k = self._split(norms[~wide]), len(screen.splits) - 1
-            best, sure = self._screen_at(ys, wide, err, j)
+            best, sure = self._screen_at(ys, wide, err, j, tile)
             doubt = np.flatnonzero(~sure)
             if j < k:
                 best[doubt], sure = self._screen_at(ys[doubt], wide[doubt],
-                                                    err[doubt], k)
+                                                    err[doubt], k, tile)
                 doubt = doubt[~sure]
         for r in doubt:
             best[r] = np.argmax(self.codewords @ ys[r] - self._half_norms)

@@ -228,6 +228,8 @@ class ExperimentConfig:
                            domain=_NONNEGATIVE)
     seed: int = _setting("run.seed", _as_int, 0, aliases=("seed",),
                          domain=_NONNEGATIVE)
+    # estimate's ``threads``: blocks run on min(threads x BLAS threads,
+    # CPUs) workers at one BLAS thread each; no count depends on it
     threads: int = _setting("run.threads", _as_int, 1, domain=_POSITIVE_INT)
     max_pairs: int = _setting("run.max_pairs", _as_int, 20,
                               domain=_POSITIVE_INT)

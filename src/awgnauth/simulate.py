@@ -43,22 +43,35 @@ arrays (draws, codewords, the encoder's scratch) hold 2**17 float64s,
 1 MiB, so that they stay in cache: each chunk is drawn, encoded,
 attacked and summed into the block's received rows, and the block is
 decoded and detected once its chunks are summed.  Unless ``batch`` is
-given, a block is whole chunks, about a quarter of the message count,
-so that the decode's pass over the codebook serves enough rows, with
-the received rows of all runs at most 2**19 values
+given, a block is whole chunks, about a quarter of the message count
+(or the rows of one chunk of the whole budget, where that is more), so
+that the decode's pass over the codebook serves enough rows, with the
+received rows of all runs at most 2**19 values
 (``streams.block_rows``).  A block of one chunk keeps one buffer of
 received rows, which its runs take in turn, each decoded right after
-its sum, so 20 attack pairs hold one buffer, not 20.  Each worker
-thread allocates these arrays once per call, in a ``_Workspace``, and
-every block it runs reuses them; the workspace is dropped when the
-call returns.
+its sum, so 20 attack pairs hold one buffer, not 20.  Each worker has
+these arrays, allocated once per call in a ``_Workspace``, and every
+block it runs reuses them; the workspace is dropped when the call
+returns.
+
+A call runs its blocks on min(``threads`` x b, CPUs) workers, b being
+the BLAS thread count when it starts and CPUs those the process may run
+on, and each worker at one BLAS thread: the call runs no more threads
+than ``threads`` workers at b BLAS threads each would, and keeps them
+all busy in the draws, encode and detect, not only in the decode's
+sgemm.  b is read and set through numpy's bundled OpenBLAS
+(``_openblas``) and restored on return, also after an error and while
+other calls run at once; where that library is not found, b is 1 and
+BLAS is left alone.  The chunk, received-row and tile budgets of
+``streams`` are per call: each worker gets its share, so that memory
+does not grow with the worker count (down to each budget's floor).
 
 Each block is reduced to four counters per run as soon as it is done:
 trials decoded correctly and accepted, decoded correctly, decoded wrongly
 and accepted, and decoded to the run's target and accepted.  Every
 metric follows from these counts, so a call holds no per-trial array
-beyond the block in hand, whatever the trial count; on several threads
-at most ``2 * threads`` blocks are in flight.  Per-trial rows exist only
+beyond the block in hand, whatever the trial count; on several workers
+at most ``2 * workers`` blocks are in flight.  Per-trial rows exist only
 while a trial log is written: each block's rows are spooled to a
 temporary file beside the log and copied into it metric by metric and
 run by run, so the log reads as if each run had been written whole.
@@ -68,6 +81,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
+import functools
 import io
 import itertools
 import math
@@ -77,6 +92,7 @@ import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -87,7 +103,7 @@ from .authcode import REJECT, AuthCode, auth_encode_batch, detect_batch
 from .reporting import EstimateReport, wilson_interval
 from .streams import (Role, block_rows, check_ids, check_int, check_reals,
                       choices, chunk_rows, draw_buffer, normals,
-                      one_shot_rng)
+                      one_shot_rng, tile_values)
 
 METRICS = ("epsilon", "false_alarm", "genuine_acceptance", "alpha_star", "alpha")
 FALSE_AUTH_METRICS = ("alpha_star", "alpha")
@@ -176,10 +192,13 @@ class _Workspace:
     A block of one chunk has one buffer of received rows, which its runs
     take in turn; a longer block has one per run, each held until the
     block is decoded.  A chunk of ``k`` rows uses the first ``k`` rows of
-    each n-wide array."""
+    each n-wide array.  Chunks and the decode's tiles take one worker's
+    share of their budgets, of ``workers`` workers."""
 
-    def __init__(self, n: int, block: int, runs: int, attacked: bool):
-        rows = min(chunk_rows(n), block)
+    def __init__(self, n: int, block: int, runs: int, attacked: bool,
+                 workers: int = 1):
+        rows = min(chunk_rows(n, workers), block)
+        self.tile = tile_values(workers)
         self.delta = draw_buffer(rows, n)
         self.adversary = draw_buffer(rows, n) if attacked else None
         self.decoder = draw_buffer(rows, n)
@@ -209,7 +228,7 @@ def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
                 for _, fixed_m in runs]
 
     def decided(i: int, ys: np.ndarray) -> Result:
-        base_decoded = code.base.decode_batch(ys)
+        base_decoded = code.base.decode_batch(ys, tile=ws.tile)
         return block_ms[i], base_decoded, detect_batch(
             code, ys, base_decoded, channel.rho_dec, detector=detector)
 
@@ -323,52 +342,141 @@ def _count(runs: Sequence[Run], results: Sequence[Result]) -> np.ndarray:
     return counts
 
 
+# the getter and setter of the thread count of numpy's bundled OpenBLAS
+_OPENBLAS_THREADS = ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_set_num_threads64_")
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The BLAS thread count's getter and setter, found once through
+    ``ctypes`` in the OpenBLAS that numpy's wheel bundles (``numpy.libs``,
+    or ``numpy/.dylibs``); None where no such library exports both."""
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                        *root.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))   # numpy's copy, already loaded
+            get, put = (getattr(lib, name) for name in _OPENBLAS_THREADS)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+class _BlasThreads:
+    """The process's BLAS thread count b, set to 1 while any ``estimate``
+    runs its blocks: the first call to enter reads b and sets 1, the last
+    to leave restores b, also when it leaves by an exception, and every
+    call in between reads that same b, not the 1 set for the others.
+    Without the OpenBLAS symbols b is 1 and BLAS is left alone."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.calls = 0   # calls inside
+        self.outside = 1   # b, as the first call inside found it
+
+    @contextlib.contextmanager
+    def one_each(self) -> Iterator[int]:
+        """Yield b, with BLAS at one thread until the block exits."""
+        blas = _openblas()
+        if blas is None:
+            yield 1
+            return
+        get, put = blas
+        with self.lock:
+            if not self.calls:
+                self.outside = get()
+                put(1)
+            self.calls += 1
+            outside = self.outside
+        try:
+            yield outside
+        finally:
+            with self.lock:
+                self.calls -= 1
+                if not self.calls:
+                    put(self.outside)
+
+
+_BLAS = _BlasThreads()
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # not on every platform
+        return os.cpu_count() or 1
+
+
 def _in_block_order(work: Callable[[int], Any], blocks: Sequence[int],
-                    threads: int) -> Iterator[Any]:
+                    workers: int) -> Iterator[Any]:
     """``work(block)`` for each block, yielded in block order.  With
-    several threads a pool runs the blocks, at most ``2 * threads`` of
-    them submitted ahead of the one being consumed."""
-    if threads == 1 or len(blocks) == 1:
+    several workers a pool runs the blocks, at most ``2 * workers`` of
+    them submitted ahead of the one being consumed; those not started
+    when the caller stops consuming are cancelled."""
+    if workers == 1 or len(blocks) == 1:
         yield from map(work, blocks)
         return
-    with ThreadPoolExecutor(max_workers=threads) as executor:
+    with ThreadPoolExecutor(max_workers=workers) as executor:
         pending: deque[Future] = deque()
-        for block in blocks:
-            if len(pending) == 2 * threads:
+        try:
+            for block in blocks:
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+                pending.append(executor.submit(work, block))
+            while pending:
                 yield pending.popleft().result()
-            pending.append(executor.submit(work, block))
-        while pending:
-            yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
                   trials: int, runs: Sequence[Run], *, detector: bool,
-                  threads: int, batch: int,
+                  threads: int, batch: int | None,
                   log: _TrialLog | None = None) -> np.ndarray:
     """The (runs, 4) counters of every run, all runs in one pass over the
-    blocks.  A block's per-trial results are dropped once counted, unless
-    ``log`` is given: it then receives them, block by block in order."""
+    blocks of ``batch`` trials (``block_rows`` when None).  A block's
+    per-trial results are dropped once counted, unless ``log`` is given:
+    it then receives them, block by block in order.  The blocks run on
+    min(``threads`` x b, CPUs) workers at one BLAS thread each, each with
+    its share of the budgets (see the module docstring)."""
     pool = _transmit_pool(code) if any(m is None for _, m in runs) else None
     terms = _attack_terms(code, channel, runs)
     attacked = any(spec.kind != "none" for spec, _ in runs)
-    local = threading.local()   # one workspace per worker, dropped on return
-
-    def work(t0: int):
-        ws = getattr(local, "ws", None)
-        if ws is None:
-            ws = local.ws = _Workspace(code.n, min(batch, trials),
-                                       len(runs), attacked)
-        results = _simulate_block(code, channel, seed, t0,
-                                  min(batch, trials - t0), runs, terms, ws,
-                                  detector=detector, pool=pool)
-        return t0, _count(runs, results), results if log is not None else None
-
     counts = np.zeros((len(runs), 4), np.int64)
-    blocks = range(0, trials, batch)   # each block's first trial
-    for t0, block_counts, results in _in_block_order(work, blocks, threads):
-        counts += block_counts
-        if log is not None:
-            log.add(t0, results)
+    with _BLAS.one_each() as blas:
+        workers = min(threads * blas, _cpus())
+        batch = block_rows(code.n, code.message_count, batch, len(runs),
+                           workers)
+        blocks = range(0, trials, batch)   # each block's first trial
+        # one workspace per worker, allocated here, not in the workers:
+        # memory the caller freed can serve them, where a new thread's
+        # allocator would take fresh pages; dropped on return
+        spare = [_Workspace(code.n, min(batch, trials), len(runs), attacked,
+                            workers) for _ in range(min(workers, len(blocks)))]
+        local = threading.local()
+
+        def work(t0: int):
+            ws = getattr(local, "ws", None)
+            if ws is None:
+                ws = local.ws = spare.pop()
+            results = _simulate_block(code, channel, seed, t0,
+                                      min(batch, trials - t0), runs, terms,
+                                      ws, detector=detector, pool=pool)
+            return (t0, _count(runs, results),
+                    results if log is not None else None)
+
+        with contextlib.closing(_in_block_order(work, blocks,
+                                                workers)) as done:
+            for t0, block_counts, results in done:
+                counts += block_counts
+                if log is not None:
+                    log.add(t0, results)
     return counts
 
 
@@ -526,7 +634,9 @@ def estimate(code: AuthCode, channel: ChannelParams,
     ``NO_ATTACK``.  ``message`` and every id in ``pairs`` must be valid
     messages of ``code``, and every pair passes ``_check_run``.
     ``trial_log`` appends one CSV row per simulated trial to that file,
-    metric by metric."""
+    metric by metric.  ``threads`` times the BLAS thread count, at most
+    the CPUs, is the number of block workers (see the module docstring);
+    no count depends on it, nor on ``batch``."""
     metrics = [metric] if isinstance(metric, str) else list(metric)
     if not metrics:
         raise SimulateError("no metric requested")
@@ -589,8 +699,7 @@ def estimate(code: AuthCode, channel: ChannelParams,
           else contextlib.nullcontext()) as log:
         counts = _run_counting(code, channel, seed, trials, runs,
                                detector=detector, threads=threads,
-                               batch=block_rows(code.n, code.message_count,
-                                                batch, len(runs)), log=log)
+                               batch=batch, log=log)
         for pos, (name, indices) in enumerate(runs_of):
             if log is not None:
                 log.write(pos)

@@ -18,10 +18,16 @@ keep its n-wide arrays (draws, codewords, the encoder's scratch) at
 2**17 float64s, 1 MiB, so that they stay in cache.  A *block*
 (``block_rows``) is the rows decoded and detected together, in whole
 chunks: about a quarter of the message count, so that each pass of the
-decode over the codebook serves enough rows, with the received rows of
-all runs at most 2**19 values.  The decode's float32 screen, at a
+decode over the codebook serves enough rows, but no fewer rows than one
+chunk of the whole 2**17 values where memory allows, with the received
+rows of all runs at most 2**19 values.  The decode's float32 screen, at a
 prefix split or the full width alike, scores a block in message tiles
-of at most 2**20 scores (``TILE_VALUES``), whatever its rows.
+of at most 2**20 scores (``tile_values``), whatever its rows.  These
+three budgets (``ROW_VALUES``, ``RECEIVED_VALUES``, ``TILE_VALUES``)
+are per call: a call that runs its blocks on w workers gives each an
+equal share (``share``), 1/w of each budget but never less than a
+quarter, so that its memory does not grow with w up to 4 workers and
+many workers do not shrink chunks to a few rows.
 ``row_chunks`` splits a table's rows into chunks of at most a given
 number of values, so that a pass over a whole code table holds no
 temporary of the table's size.
@@ -49,9 +55,15 @@ import numpy as np
 from scipy.special import ndtri
 
 _U_MIN = 2.0**-53  # smallest uniform we feed the quantile function
+# per-call budgets, shared by the workers of a call
 ROW_VALUES = 2 ** 17     # float64 values in a chunk's n-wide arrays
 RECEIVED_VALUES = 2 ** 19   # received rows of a block, all runs together
 TILE_VALUES = 2 ** 20   # float32 scores in a tile of the decode's screen
+# the least share of each budget that a worker gets (see ``share``): a
+# quarter.  One worker of ``estimate`` at 1 BLAS thread on a 2-vCPU x86-64
+# host kept 80-90% of its trials per second at a quarter of every budget
+# and 60-70% at a sixteenth, at n = 600, M = 4096 and n = 256, M = 64.
+ROW_FLOOR, RECEIVED_FLOOR, TILE_FLOOR = 2 ** 15, 2 ** 17, 2 ** 18
 SCORE_VALUES = 2 ** 22   # verdicts in a tile of the overlay's pair scan
 # values in a chunk of the detector's gathers: such a chunk's arrays and
 # ROW_VALUES of received rows fit in a 2 MiB L2 cache together
@@ -97,21 +109,27 @@ def uniforms(master_seed: int, role: int, start_trial: int, trials: int,
              width: int, out: np.ndarray | None = None) -> np.ndarray:
     """(trials, width) uniforms on [0,1); trial t is counter slice t.
     ``out``, the first ``trials`` rows of a ``draw_buffer(_, width)``,
-    receives them in place of a new array; the result is a view of it."""
-    if trials < 0 or width <= 0 or start_trial < 0:
-        raise ValueError("start_trial >= 0, trials >= 0, width >= 1 required")
+    receives them in place of a new array; the result is a view of it.
+    The seed, role, start and trial count are integers of at least 0 and
+    the width one of at least 1 (bools and floats are refused)."""
+    for name, value in (("master_seed", master_seed), ("role", role),
+                        ("start_trial", start_trial), ("trials", trials)):
+        check_int(name, value, ValueError, 0)
+    check_int("width", width, ValueError)
     stride = _stride(width)
     bg = np.random.Philox(key=_philox_key(int(master_seed), int(role)))
     if start_trial:
-        bg.advance(start_trial * stride // 4)
+        # a Python int: a numpy integer's product can wrap
+        bg.advance(int(start_trial) * stride // 4)
     u = np.random.Generator(bg).random((trials, stride), out=out)
     return u[:, :width]
 
 
 def normals(master_seed: int, role: int, start_trial: int, trials: int,
             width: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(trials, width) unit normals, counter-aligned like :func:`uniforms`;
-    computed in the uniforms' own buffer, ``out`` when given."""
+    """(trials, width) unit normals, counter-aligned like :func:`uniforms`
+    and checked like it; computed in the uniforms' own buffer, ``out``
+    when given."""
     u = uniforms(master_seed, role, start_trial, trials, width, out)
     np.maximum(u, _U_MIN, out=u)
     return ndtri(u, out=u)
@@ -119,9 +137,10 @@ def normals(master_seed: int, role: int, start_trial: int, trials: int,
 
 def choices(master_seed: int, role: int, start_trial: int, trials: int,
             count: int) -> np.ndarray:
-    """(trials,) uniform draws from {0, ..., count-1}, one per trial."""
-    if count <= 0:
-        raise ValueError("count must be positive")
+    """(trials,) uniform draws from {0, ..., count-1}, one per trial;
+    ``count`` is an integer of at least 1, the rest as in
+    :func:`uniforms`."""
+    check_int("count", count, ValueError)
     u = uniforms(master_seed, role, start_trial, trials, 1)[:, 0]
     return np.minimum((u * count).astype(np.int64), count - 1)
 
@@ -132,23 +151,42 @@ def one_shot_rng(master_seed: int, role: int, *extra: int) -> np.random.Generato
         np.random.SeedSequence((int(master_seed), int(role), *map(int, extra))))
 
 
-def chunk_rows(n: int) -> int:
-    """Rows of a chunk: as many as keep its n-wide arrays at
-    ``ROW_VALUES`` float64s; at least one."""
-    return max(1, ROW_VALUES // n)
+def share(budget: int, floor: int, workers: int) -> int:
+    """One worker's share of a per-call ``budget`` of values that
+    ``workers`` workers split: an equal share, but at least ``floor``, and
+    never more than the budget itself."""
+    return min(budget, max(floor, budget // workers))
+
+
+def chunk_rows(n: int, workers: int = 1) -> int:
+    """Rows of a chunk: as many as keep its n-wide arrays at a worker's
+    share of ``ROW_VALUES`` float64s; at least one."""
+    return max(1, share(ROW_VALUES, ROW_FLOOR, workers) // n)
 
 
 def block_rows(n: int, message_count: int, batch: int | None = None,
-               runs: int = 1) -> int:
-    """Trials per block: ``batch`` when given, else whole chunks, as many
-    as fit in a quarter of ``message_count`` rows and keep the received
-    rows of ``runs`` runs at ``RECEIVED_VALUES``; one chunk at least.  A
-    decode's sgemm time per row stops falling at about M/4 rows."""
+               runs: int = 1, workers: int = 1) -> int:
+    """Trials per block: ``batch`` when given, else whole chunks of a
+    worker's share, as many as fit in a quarter of ``message_count`` rows
+    or in the rows of one chunk of the whole ``ROW_VALUES``, whichever is
+    more, and keep the received rows of ``runs`` runs at a worker's share
+    of ``RECEIVED_VALUES``; one chunk at least.  A decode's sgemm time per
+    row stops falling at about M/4 rows; below a whole chunk's rows, the
+    fixed costs of a block (its decode, detect and hand-off between
+    workers) grow: at n = 256, M = 64 on 2 workers, blocks of one
+    half-budget chunk ran 7% fewer trials per second than blocks of two."""
     if batch is not None:
         return batch
-    chunk = chunk_rows(n)
-    return chunk * max(1, min(message_count // (4 * chunk),
-                              RECEIVED_VALUES // (runs * n * chunk)))
+    chunk = chunk_rows(n, workers)
+    received = share(RECEIVED_VALUES, RECEIVED_FLOOR, workers)
+    return chunk * max(1, min(max(message_count // 4, chunk_rows(n)) // chunk,
+                              received // (runs * n * chunk)))
+
+
+def tile_values(workers: int = 1) -> int:
+    """Scores in a tile of the decode's screen: a worker's share of
+    ``TILE_VALUES``."""
+    return share(TILE_VALUES, TILE_FLOOR, workers)
 
 
 def row_chunks(rows: int, n: int, values: int) -> Iterator[slice]:

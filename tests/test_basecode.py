@@ -492,8 +492,8 @@ class TestPrefixScreen:
         seen = []
         screen = BaseCode._screen_at
 
-        def recording(self, ys, wide, err, j):
-            best, sure = screen(self, ys, wide, err, j)
+        def recording(self, ys, wide, err, j, tile):
+            best, sure = screen(self, ys, wide, err, j, tile)
             if self._screen.splits[j] < self.n:
                 seen.append((best.copy(), sure.copy()))
             return best, sure
