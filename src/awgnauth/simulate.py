@@ -65,16 +65,18 @@ other calls run at once; where that library is not found, b is 1 and
 BLAS is left alone.  The chunk, received-row and tile budgets of
 ``streams`` are per call: each worker gets its share, so that memory
 does not grow with the worker count (down to each budget's floor).
+Each worker pulls its next block from one shared iterator, so blocks
+finish in any order; the calling thread builds the code's lazy tables.
 
 Each block is reduced to four counters per run as soon as it is done:
 trials decoded correctly and accepted, decoded correctly, decoded wrongly
 and accepted, and decoded to the run's target and accepted.  Every
-metric follows from these counts, so a call holds no per-trial array
-beyond the block in hand, whatever the trial count; on several workers
-at most ``2 * workers`` blocks are in flight.  Per-trial rows exist only
-while a trial log is written: each block's rows are spooled to a
-temporary file beside the log and copied into it metric by metric and
-run by run, so the log reads as if each run had been written whole.
+metric follows from these counts, summed per worker and then over the
+workers, so a call holds no per-trial array beyond each worker's block
+in hand, whatever the trial count.  Per-trial rows exist only while a
+trial log is written: each block's rows are spooled to a temporary file
+beside the log and copied into it metric by metric, run by run and in
+trial order, so the log reads as if each run had been written whole.
 """
 
 from __future__ import annotations
@@ -89,8 +91,7 @@ import math
 import os
 import tempfile
 import threading
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -412,29 +413,6 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_block_order(work: Callable[[int], Any], blocks: Sequence[int],
-                    workers: int) -> Iterator[Any]:
-    """``work(block)`` for each block, yielded in block order.  With
-    several workers a pool runs the blocks, at most ``2 * workers`` of
-    them submitted ahead of the one being consumed; those not started
-    when the caller stops consuming are cancelled."""
-    if workers == 1 or len(blocks) == 1:
-        yield from map(work, blocks)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        pending: deque[Future] = deque()
-        try:
-            for block in blocks:
-                if len(pending) == 2 * workers:
-                    yield pending.popleft().result()
-                pending.append(executor.submit(work, block))
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
-
-
 def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
                   trials: int, runs: Sequence[Run], *, detector: bool,
                   threads: int, batch: int | None,
@@ -442,42 +420,56 @@ def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
     """The (runs, 4) counters of every run, all runs in one pass over the
     blocks of ``batch`` trials (``block_rows`` when None).  A block's
     per-trial results are dropped once counted, unless ``log`` is given:
-    it then receives them, block by block in order.  The blocks run on
-    min(``threads`` x b, CPUs) workers at one BLAS thread each, each with
-    its share of the budgets (see the module docstring)."""
+    it then spools them.  The blocks run on min(``threads`` x b, CPUs)
+    workers at one BLAS thread each, each with its share of the budgets
+    (see the module docstring); a block that raises stops the other
+    workers at their next block, and its error reaches the caller."""
     pool = _transmit_pool(code) if any(m is None for _, m in runs) else None
     terms = _attack_terms(code, channel, runs)
     attacked = any(spec.kind != "none" for spec, _ in runs)
-    counts = np.zeros((len(runs), 4), np.int64)
+    empty = np.empty((0, code.n))   # builds the code's lazy tables here
+    detect_batch(code, empty, code.base.decode_batch(empty), channel.rho_dec,
+                 detector=detector)
     with _BLAS.one_each() as blas:
         workers = min(threads * blas, _cpus())
         batch = block_rows(code.n, code.message_count, batch, len(runs),
                            workers)
         blocks = range(0, trials, batch)   # each block's first trial
+        starts, lock, stop = iter(blocks), threading.Lock(), threading.Event()
+
+        def work(ws: _Workspace) -> np.ndarray:
+            """Count blocks pulled from ``starts`` into new counters."""
+            counts = np.zeros((len(runs), 4), np.int64)
+            try:
+                while not stop.is_set():
+                    with lock:
+                        t0 = next(starts, None)
+                    if t0 is None:
+                        break
+                    results = _simulate_block(
+                        code, channel, seed, t0, min(batch, trials - t0),
+                        runs, terms, ws, detector=detector, pool=pool)
+                    counts += _count(runs, results)
+                    if log is not None:
+                        with lock:
+                            log.add(t0, results)
+            finally:   # no blocks are left, or this one failed
+                stop.set()
+            return counts
+
         # one workspace per worker, allocated here, not in the workers:
         # memory the caller freed can serve them, where a new thread's
         # allocator would take fresh pages; dropped on return
-        spare = [_Workspace(code.n, min(batch, trials), len(runs), attacked,
-                            workers) for _ in range(min(workers, len(blocks)))]
-        local = threading.local()
-
-        def work(t0: int):
-            ws = getattr(local, "ws", None)
-            if ws is None:
-                ws = local.ws = spare.pop()
-            results = _simulate_block(code, channel, seed, t0,
-                                      min(batch, trials - t0), runs, terms,
-                                      ws, detector=detector, pool=pool)
-            return (t0, _count(runs, results),
-                    results if log is not None else None)
-
-        with contextlib.closing(_in_block_order(work, blocks,
-                                                workers)) as done:
-            for t0, block_counts, results in done:
-                counts += block_counts
-                if log is not None:
-                    log.add(t0, results)
-    return counts
+        spaces = [_Workspace(code.n, min(batch, trials), len(runs), attacked,
+                             workers)
+                  for _ in range(min(workers, len(blocks)))]
+        if len(spaces) == 1:
+            return work(spaces[0])
+        with ThreadPoolExecutor(max_workers=len(spaces)) as executor:
+            try:
+                return sum(executor.map(work, spaces))
+            finally:
+                stop.set()   # also when the caller leaves early
 
 
 TRIAL_LOG_HEADER = ["metric", "trial", "transmitted", "target", "decoded",
@@ -494,22 +486,28 @@ class _TrialLog:
     """The trial log of one ``estimate`` call: one CSV row per trial of
     each (metric, run), all of a metric's rows after those of the metrics
     before it and each run's rows after those of the runs before it, in
-    trial order.  Blocks arrive in trial order, so each block's rows are
-    spooled per (metric, run) into one temporary file beside the log, and
-    ``write`` copies a metric's spooled rows out in that order; only one
-    block's rows are ever held in memory.  ``target`` is empty for runs
-    without an attack target, and a new or empty log gets the header."""
+    trial order.  Blocks arrive in any order, so each block's rows are
+    spooled per (metric, run) into one temporary file beside the log,
+    with the block's first trial, and ``write`` copies a metric's rows
+    out sorted by trial; only one block's rows per worker are ever held
+    in memory.  ``target`` is empty for runs without an attack target,
+    and a new or empty log gets the header.  A directory, or a file in
+    a missing directory, raises ``SimulateError``."""
 
     def __init__(self, path: str, runs: Sequence[Run],
                  runs_of: Sequence[tuple[str, Sequence[int]]]):
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not os.path.isdir(folder):
+            raise SimulateError(f"trial_log {str(path)!r} must name a file "
+                                "in an existing directory")
         self.path = path
         self.runs = runs
-        # per metric, per run: (metric, run index, spooled (offset, size)s)
-        self.spooled: list[list[tuple[str, int, list[tuple[int, int]]]]] = [
+        # per metric, per run: (metric, run index, spooled (first trial,
+        # offset, size)s)
+        self.spooled: list[list[tuple[str, int, list[tuple[int, ...]]]]] = [
             [(name, i, []) for i in indices] for name, indices in runs_of]
         self.size = 0
-        self.spool = tempfile.TemporaryFile(
-            dir=os.path.dirname(os.path.abspath(path)))
+        self.spool = tempfile.TemporaryFile(dir=folder)
 
     def __enter__(self) -> "_TrialLog":
         return self
@@ -530,7 +528,7 @@ class _TrialLog:
                              classify(spec, m, decoded)])
             data = _csv_bytes(rows)
             self.spool.write(data)
-            segments.append((self.size, len(data)))
+            segments.append((t0, self.size, len(data)))
             self.size += len(data)
 
     def write(self, pos: int) -> None:
@@ -539,7 +537,7 @@ class _TrialLog:
             if fh.tell() == 0:
                 fh.write(_csv_bytes([TRIAL_LOG_HEADER]))
             for _, _, segments in self.spooled[pos]:
-                for offset, size in segments:
+                for _, offset, size in sorted(segments):
                     self.spool.seek(offset)
                     fh.write(self.spool.read(size))
 

@@ -278,9 +278,18 @@ class TestEstimateValidation:
          "integer of at least 100"),
         ("base_error_probability", dict(seed=-1), "seed must be a nonneg"),
         ("base_error_probability", dict(seed=1.5), "seed must be a nonneg"),
+        ("estimate", dict(trial_log="."),
+         r"trial_log '\.' must name a file in an existing directory"),
+        ("estimate", dict(trial_log="no_such_directory/trials.csv"),
+         "trial_log 'no_such_directory/trials.csv' must name a file in an "
+         "existing directory"),
     ])
-    def test_bad_arguments_fail_at_the_boundary(self, small_auth, fn, kwargs,
-                                                message):
+    def test_bad_arguments_fail_at_the_boundary(self, small_auth, monkeypatch,
+                                                fn, kwargs, message):
+        def no_blocks(*args, **kw):
+            raise AssertionError("ran a block before checking the arguments")
+
+        monkeypatch.setattr(simulate, "_simulate_block", no_blocks)
         calls = {
             "estimate": lambda trials=1000, **kw: estimate(
                 small_auth, ChannelParams(0.1, rho_adv=0.1), "alpha", trials,

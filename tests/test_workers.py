@@ -4,11 +4,13 @@ restored on return, and the chunk, received-row and tile budgets are
 split among the workers.  No count, report or trial log may see the
 worker count."""
 
+import functools
 import json
 import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,8 +18,9 @@ import numpy as np
 import pytest
 
 from awgnauth import simulate
-from awgnauth.authcode import inject_noise
-from awgnauth.basecode import BaseCodeError, make_random_gaussian_code
+from awgnauth.authcode import AuthCode, inject_noise
+from awgnauth.basecode import (BaseCode, BaseCodeError,
+                               make_random_gaussian_code)
 from awgnauth.overlay import LevelSet, construct_overlay
 from awgnauth.simulate import ChannelParams, estimate
 from awgnauth.streams import block_rows, chunk_rows, tile_values
@@ -228,6 +231,36 @@ class TestBlasThreads:
                 small_auth, self.CH, "epsilon", 2000,
                 seed=seed).to_json_dict()
 
+    def test_a_failing_block_stops_the_other_worker(self, small_auth,
+                                                    monkeypatch, blas_at_2):
+        # threads=2 at b = 2, within 2 CPUs: 2 workers over 20 blocks; the
+        # first block fails while the other worker is in its block, which
+        # then takes no further block (or one, pulled before it saw the
+        # failure)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+        pools = PoolSpy(monkeypatch)
+        block = simulate._simulate_block
+        started, failed = threading.Event(), threading.Event()
+        after = []   # per call: whether it started after the failure
+
+        def spy(code, channel, seed, t0, *args, **kwargs):
+            after.append(failed.is_set())
+            if t0 == 0:
+                assert started.wait(10)
+                failed.set()
+                raise RuntimeError("a block failed")
+            started.set()
+            assert failed.wait(10)
+            return block(code, channel, seed, t0, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_simulate_block", spy)
+        with pytest.raises(RuntimeError, match="a block failed"):
+            estimate(small_auth, self.CH, "epsilon", 5000, seed=1,
+                     threads=2, batch=250)
+        assert pools.workers == [2]
+        assert 2 <= len(after) <= 3 and sum(after) <= 1, after
+        assert blas_at_2() == 2
+
     def test_without_the_symbols_blas_is_left_alone(self, small_auth,
                                                     monkeypatch, blas_at_2):
         monkeypatch.setattr(simulate, "_OPENBLAS_THREADS",
@@ -256,6 +289,79 @@ def test_the_worker_count_is_capped_by_the_cpus(small_auth, monkeypatch):
     estimate(small_auth, ChannelParams(rho_dec=0.1), "epsilon", 3000,
              seed=1, threads=5, batch=500)
     assert pools.workers == [2]
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_blocks_finishing_out_of_order_log_as_in_order(small_auth,
+                                                      monkeypatch, tmp_path,
+                                                      workers):
+    # even-numbered blocks sleep, so odd blocks finish first; at a short
+    # switch interval, on as many workers as cores and on more, a block
+    # pulled twice or lost changes the blocks run, the counts or the log
+    block, finished = simulate._simulate_block, []   # per call, in order
+
+    def slow_evens(code, channel, seed, t0, *args, **kwargs):
+        if t0 // 100 % 2 == 0:
+            time.sleep(0.01)
+        results = block(code, channel, seed, t0, *args, **kwargs)
+        finished[-1].append(t0)
+        return results
+
+    def logged(threads):
+        log, reports = tmp_path / f"log-{threads}.csv", []
+        for metrics in (["epsilon", "genuine_acceptance"],
+                        ["alpha_star", "alpha"]):
+            finished.append([])
+            reports += estimate(small_auth, ChannelParams(0.1, rho_adv=0.1),
+                                metrics, 2000, seed=4, threads=threads,
+                                batch=100, pairs=[(0, 1), (2, 4)],
+                                message=3, trial_log=str(log))
+        return [r.to_json_dict() for r in reports], log.read_bytes()
+
+    want = logged(1)
+    finished.clear()
+    monkeypatch.setattr(simulate, "_openblas", lambda: None)
+    monkeypatch.setattr(simulate, "_cpus", lambda: workers)
+    monkeypatch.setattr(simulate, "_simulate_block", slow_evens)
+    pools = PoolSpy(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = logged(workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools.workers == [workers] * 2
+    for call in finished:
+        assert sorted(call) == list(range(0, 2000, 100)) != call
+    assert got == want
+
+
+def test_each_lazy_table_is_built_once_by_the_calling_thread(monkeypatch):
+    # a fresh code, whose decode and detect tables are not built yet
+    ov = construct_overlay(60, LevelSet((0.0, 0.5)), 0.75,
+                           counts_per_level=[3, 2], seed=2)
+    code = inject_noise(make_random_gaussian_code(60, 6, 1.0, seed=2), ov,
+                        rho_delta=1.0, delta=0.2, seed=2)
+    builds = {}
+    for cls, name in ((BaseCode, "_half_norms"), (BaseCode, "_screen"),
+                      (AuthCode, "_tested")):
+        def spy(self, build=getattr(cls, name).func, name=name):
+            builds.setdefault(name, []).append(threading.get_ident())
+            time.sleep(0.02)   # room for a second worker to build it too
+            return build(self)
+
+        table = functools.cached_property(spy)
+        table.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, table)
+    monkeypatch.setattr(simulate, "_openblas", lambda: None)
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+    pools = PoolSpy(monkeypatch)
+    estimate(code, ChannelParams(rho_dec=0.1), "epsilon", 2000, seed=1,
+             threads=2, batch=100)
+    assert pools.workers == [2]
+    caller = [threading.get_ident()]
+    assert builds == {"_half_norms": caller, "_screen": caller,
+                      "_tested": caller}
 
 
 def test_shares_split_the_budgets_down_to_a_floor():
