@@ -12,8 +12,7 @@ from .authcode import (REJECT, AuthCode, AuthCodeError, auth_encode_batch,
                        decimate, detect_batch, inject_noise,
                        level_statistics)
 from .basecode import (BaseCode, BaseCodeError, antipodal_error_probability,
-                       base_error_probability, make_antipodal_code,
-                       make_random_gaussian_code)
+                       make_antipodal_code, make_random_gaussian_code)
 from .bounds import (BoundsError, DecimationBounds, InjectionBounds,
                      OptimalLevels, RateGap, bounds_report, capacity,
                      decimation_bounds, decimation_rate, detection_margin,
@@ -30,7 +29,7 @@ from .overlay import (LevelSet, OverlayCode, OverlayError, VerifyReport,
                       overlay_rate_finite, verify_overlay)
 from .reporting import EstimateReport, binomial_se, wilson_interval
 from .simulate import (METRICS, ChannelParams, SimulateError, TrialOutcome,
-                       classify, estimate, run_trial)
+                       base_error_probability, classify, estimate, run_trial)
 
 __version__ = "0.1.0"
 

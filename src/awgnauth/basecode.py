@@ -1,4 +1,6 @@
-"""Deterministic channel codes used as the substrate for authentication."""
+"""Deterministic channel codes used as the substrate for authentication:
+codeword tables, their minimum-distance decode and the code builders
+(``simulate.base_error_probability`` estimates a code's decode error)."""
 
 from __future__ import annotations
 
@@ -9,11 +11,8 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .reporting import EstimateReport
-from .streams import (ROW_VALUES, TILE_VALUES, Role, block_rows,
-                      check_ids, check_int, check_reals, choices,
-                      chunk_rows, draw_buffer, normals, one_shot_rng,
-                      row_chunks)
+from .streams import (ROW_VALUES, TILE_VALUES, Role, check_ids, check_int,
+                      check_reals, one_shot_rng, row_chunks)
 
 _U32, _U64 = 2.0 ** -24, 2.0 ** -53   # unit roundoffs of float32 and float64
 # the absolute error a float32 operation may add when its result underflows,
@@ -385,51 +384,6 @@ def antipodal_error_probability(n: int, omega: float, rho_dec: float) -> float:
     check_reals(BaseCodeError, domain="positive", omega=omega,
                 rho_dec=rho_dec)
     return gaussian_cdf(-math.sqrt(n * omega / rho_dec))
-
-
-def base_error_probability(code: BaseCode, rho_dec: float, trials: int,
-                           seed: int = 0) -> EstimateReport:
-    """Monte Carlo block-error rate under AWGN of variance rho_dec with
-    messages drawn uniformly from the non-null messages (the
-    arithmetic-mean error criterion).
-
-    Channel noise is the DECODER role's unit normals scaled by
-    sqrt(rho_dec), so estimates at different rho_dec values share
-    randomness and are pointwise monotone.  Trials go in blocks sized by
-    ``streams.block_rows``, each drawn, gathered and summed in chunks of
-    ``streams.chunk_rows`` rows into the block's received rows and then
-    decoded at once; the arrays are allocated once per call.
-    """
-    check_int("trials", trials, BaseCodeError, 100)
-    check_int("seed", seed, BaseCodeError, 0)
-    check_reals(BaseCodeError, domain="positive", rho_dec=rho_dec)
-    pool = code.non_null_ids
-    scale = math.sqrt(rho_dec)
-    batch = block_rows(code.n, code.message_count)
-    # one chunk's draws and one block's received rows, reused throughout
-    rows = min(batch, trials)
-    chunk = min(chunk_rows(code.n), rows)
-    noise_buf, ys_buf = draw_buffer(chunk, code.n), np.empty((rows, code.n))
-    errors = 0
-    for t0 in range(0, trials, batch):
-        b = min(batch, trials - t0)
-        ms = pool[choices(seed, Role.MESSAGE, t0, b, pool.size)]
-        for c0 in range(0, b, chunk):
-            k = min(chunk, b - c0)
-            noise = normals(seed, Role.DECODER, t0 + c0, k, code.n,
-                            out=noise_buf[:k])
-            noise *= scale
-            # mode="clip" gathers straight into ``ys_buf`` (the default
-            # copies); the ids come from ``pool`` and are in range
-            ys = np.take(code.codewords, ms[c0:c0 + k], axis=0,
-                         out=ys_buf[c0:c0 + k], mode="clip")
-            ys += noise
-        decoded = code.decode_batch(ys_buf[:b])
-        errors += int(np.sum(decoded != ms))
-    return EstimateReport(
-        metric="base_error", successes=errors, trials=trials, seed=seed,
-        params={"rho_dec": rho_dec, "n": code.n,
-                "message_count": code.message_count})
 
 
 def to_json_dict(code: BaseCode) -> dict[str, Any]:

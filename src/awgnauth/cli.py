@@ -225,7 +225,8 @@ class ExperimentConfig:
     metrics: tuple[str, ...] = _setting("run.metrics", _as_list(_as_str),
                                         ("epsilon",), aliases=("metrics",))
     trials: int = _setting("run.trials", _as_int, 100_000, aliases=("trials",),
-                           domain=_NONNEGATIVE)
+                           domain=("be 0 or at least 100",
+                                   lambda v: v == 0 or v >= 100))
     seed: int = _setting("run.seed", _as_int, 0, aliases=("seed",),
                          domain=_NONNEGATIVE)
     # estimate's ``threads``: blocks run on min(threads x BLAS threads,

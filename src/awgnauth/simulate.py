@@ -35,48 +35,41 @@ valid message other than the transmit message, impersonation transmits
 the null message, and a custom attack runs only through ``run_trial``.
 
 One call is one pass over blocks of trials that runs each distinct run
-once: every block's streams are drawn once and every run of every metric
-reads those draws, and runs that transmit the same fixed message share
-its encoding.
-A block goes in chunks of ``streams.chunk_rows(n)`` rows, whose n-wide
-arrays (draws, codewords, the encoder's scratch) hold 2**17 float64s,
-1 MiB, so that they stay in cache: each chunk is drawn, encoded,
-attacked and summed into the block's received rows, and the block is
-decoded and detected once its chunks are summed.  Unless ``batch`` is
-given, a block is whole chunks, about a quarter of the message count
-(or the rows of one chunk of the whole budget, where that is more), so
-that the decode's pass over the codebook serves enough rows, with the
-received rows of all runs at most 2**19 values
-(``streams.block_rows``).  A block of one chunk keeps one buffer of
-received rows, which its runs take in turn, each decoded right after
-its sum, so 20 attack pairs hold one buffer, not 20.  Each worker has
-these arrays, allocated once per call in a ``_Workspace``, and every
-block it runs reuses them; the workspace is dropped when the call
-returns.
+once: every run of every metric reads the block's streams, drawn once,
+and runs that transmit the same fixed message share its encoding.  A
+block (``streams.block_rows`` trials unless ``batch`` is given) goes in
+chunks of ``streams.chunk_rows(n)`` rows, whose n-wide arrays (draws,
+codewords, the encoder's scratch) stay in cache: each chunk is drawn,
+encoded, attacked and summed into the block's received rows, and the
+block is decoded and detected once its chunks are summed.  A block of
+one chunk keeps one buffer of received rows, which its runs take in
+turn, each decoded right after its sum, so 20 attack pairs hold one
+buffer, not 20.
 
-A call runs its blocks on min(``threads`` x b, CPUs) workers, b being
-the BLAS thread count when it starts and CPUs those the process may run
-on, and each worker at one BLAS thread: the call runs no more threads
-than ``threads`` workers at b BLAS threads each would, and keeps them
-all busy in the draws, encode and detect, not only in the decode's
-sgemm.  b is read and set through numpy's bundled OpenBLAS
-(``_openblas``) and restored on return, also after an error and while
-other calls run at once; where that library is not found, b is 1 and
-BLAS is left alone.  The chunk, received-row and tile budgets of
-``streams`` are per call: each worker gets its share, so that memory
-does not grow with the worker count (down to each budget's floor).
-Each worker pulls its next block from one shared iterator, so blocks
-finish in any order; the calling thread builds the code's lazy tables.
+``_run_blocks`` runs the blocks of ``estimate`` and of
+``base_error_probability`` (a base code's decode error under AWGN) on
+min(``threads`` x b, CPUs) workers, b being the BLAS thread count at the
+call and CPUs those the process may run on, each at one BLAS thread (so
+the draws, encode and detect keep every core busy).  b is read and set
+through numpy's bundled OpenBLAS (``_openblas``) and restored on return,
+also after an error and while other calls run; without that library b
+is 1 and BLAS is left alone.  Each worker pulls its blocks from one
+shared iterator, so they finish in any order, into one ``_Workspace`` of
+the arrays above, allocated once per call, with its share of the
+budgets of ``streams``, so that memory does not grow with the worker
+count (down to each budget's floor).  The calling thread builds the
+code's lazy tables.
 
-Each block is reduced to four counters per run as soon as it is done:
-trials decoded correctly and accepted, decoded correctly, decoded wrongly
-and accepted, and decoded to the run's target and accepted.  Every
-metric follows from these counts, summed per worker and then over the
-workers, so a call holds no per-trial array beyond each worker's block
-in hand, whatever the trial count.  Per-trial rows exist only while a
-trial log is written: each block's rows are spooled to a temporary file
-beside the log and copied into it metric by metric, run by run and in
-trial order, so the log reads as if each run had been written whole.
+Each block is reduced to integer counters as soon as it is done: per
+run, trials decoded correctly and accepted, decoded correctly, decoded
+wrongly and accepted, and decoded to the run's target and accepted.
+Every metric follows from these counts, summed per worker and then over
+the workers, so a call holds no per-trial array beyond each worker's
+block in hand, whatever the trial count.  Per-trial rows exist only
+while a trial log is written: each block's rows are spooled to a
+temporary file beside the log and copied into it metric by metric, run
+by run and in trial order, so the log reads as if each run had been
+written whole.
 """
 
 from __future__ import annotations
@@ -101,6 +94,7 @@ import numpy as np
 from .adversary import (AttackSpec, mmse_attack_terms,
                         mmse_targeted_attack_batch, no_attack)
 from .authcode import REJECT, AuthCode, auth_encode_batch, detect_batch
+from .basecode import BaseCode, BaseCodeError
 from .reporting import EstimateReport, wilson_interval
 from .streams import (Role, block_rows, check_ids, check_int, check_reals,
                       choices, chunk_rows, draw_buffer, normals,
@@ -186,15 +180,13 @@ def _attack_terms(code: AuthCode, channel: ChannelParams,
 
 
 class _Workspace:
-    """The arrays of one worker's blocks, allocated once per ``estimate``
-    call and reused by every block the worker runs: a chunk's n-wide
-    arrays (the DELTA, ADVERSARY (attacked runs only) and DECODER draws,
-    the codewords and the encoder's scratch) and a block's received rows.
-    A block of one chunk has one buffer of received rows, which its runs
-    take in turn; a longer block has one per run, each held until the
-    block is decoded.  A chunk of ``k`` rows uses the first ``k`` rows of
-    each n-wide array.  Chunks and the decode's tiles take one worker's
-    share of their budgets, of ``workers`` workers."""
+    """The arrays of one worker's blocks, allocated once per call and
+    reused by every block the worker runs: a chunk's n-wide arrays (the
+    DELTA, ADVERSARY (attacked runs only) and DECODER draws, the codewords
+    and the encoder's scratch; a chunk of k rows uses their first k) and a
+    block's received rows, one buffer per run or, in a block of one chunk,
+    one that the runs take in turn.  Chunks and the decode's tiles take a
+    worker's share of their budgets, of ``workers`` workers."""
 
     def __init__(self, n: int, block: int, runs: int, attacked: bool,
                  workers: int = 1):
@@ -368,8 +360,8 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
 
 
 class _BlasThreads:
-    """The process's BLAS thread count b, set to 1 while any ``estimate``
-    runs its blocks: the first call to enter reads b and sets 1, the last
+    """The process's BLAS thread count b, set to 1 while any call runs its
+    blocks: the first call to enter reads b and sets 1, the last
     to leave restores b, also when it leaves by an exception, and every
     call in between reads that same b, not the 1 set for the others.
     Without the OpenBLAS symbols b is 1 and BLAS is left alone."""
@@ -413,46 +405,31 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
-                  trials: int, runs: Sequence[Run], *, detector: bool,
-                  threads: int, batch: int | None,
-                  log: _TrialLog | None = None) -> np.ndarray:
-    """The (runs, 4) counters of every run, all runs in one pass over the
-    blocks of ``batch`` trials (``block_rows`` when None).  A block's
-    per-trial results are dropped once counted, unless ``log`` is given:
-    it then spools them.  The blocks run on min(``threads`` x b, CPUs)
-    workers at one BLAS thread each, each with its share of the budgets
-    (see the module docstring); a block that raises stops the other
-    workers at their next block, and its error reaches the caller."""
-    pool = _transmit_pool(code) if any(m is None for _, m in runs) else None
-    terms = _attack_terms(code, channel, runs)
-    attacked = any(spec.kind != "none" for spec, _ in runs)
-    empty = np.empty((0, code.n))   # builds the code's lazy tables here
-    detect_batch(code, empty, code.base.decode_batch(empty), channel.rho_dec,
-                 detector=detector)
+def _run_blocks(code: BaseCode, trials: int, shape: tuple[int, ...],
+                step: Callable[[_Workspace, int, int], np.ndarray | int], *,
+                threads: int = 1, batch: int | None = None, runs: int = 1,
+                attacked: bool = False) -> np.ndarray:
+    """The sum of ``step(ws, t0, b)``, int64 counters of ``shape``, over
+    the blocks [t0, t0+b) of ``batch`` trials (``block_rows`` when None),
+    run by workers with a ``_Workspace`` each (see the module docstring);
+    a block that raises stops the other workers at their next block, and
+    its error reaches the caller."""
     with _BLAS.one_each() as blas:
         workers = min(threads * blas, _cpus())
-        batch = block_rows(code.n, code.message_count, batch, len(runs),
-                           workers)
+        batch = block_rows(code.n, code.message_count, batch, runs, workers)
         blocks = range(0, trials, batch)   # each block's first trial
         starts, lock, stop = iter(blocks), threading.Lock(), threading.Event()
 
         def work(ws: _Workspace) -> np.ndarray:
             """Count blocks pulled from ``starts`` into new counters."""
-            counts = np.zeros((len(runs), 4), np.int64)
+            counts = np.zeros(shape, np.int64)
             try:
                 while not stop.is_set():
                     with lock:
                         t0 = next(starts, None)
                     if t0 is None:
                         break
-                    results = _simulate_block(
-                        code, channel, seed, t0, min(batch, trials - t0),
-                        runs, terms, ws, detector=detector, pool=pool)
-                    counts += _count(runs, results)
-                    if log is not None:
-                        with lock:
-                            log.add(t0, results)
+                    counts += step(ws, t0, min(batch, trials - t0))
             finally:   # no blocks are left, or this one failed
                 stop.set()
             return counts
@@ -460,7 +437,7 @@ def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
         # one workspace per worker, allocated here, not in the workers:
         # memory the caller freed can serve them, where a new thread's
         # allocator would take fresh pages; dropped on return
-        spaces = [_Workspace(code.n, min(batch, trials), len(runs), attacked,
+        spaces = [_Workspace(code.n, min(batch, trials), runs, attacked,
                              workers)
                   for _ in range(min(workers, len(blocks)))]
         if len(spaces) == 1:
@@ -470,6 +447,75 @@ def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
                 return sum(executor.map(work, spaces))
             finally:
                 stop.set()   # also when the caller leaves early
+
+
+def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
+                  trials: int, runs: Sequence[Run], *, detector: bool,
+                  threads: int, batch: int | None,
+                  log: _TrialLog | None = None) -> np.ndarray:
+    """The (runs, 4) counters of every run, all runs in one pass of
+    ``_run_blocks``; ``log``, when given, spools each block's results."""
+    pool = _transmit_pool(code) if any(m is None for _, m in runs) else None
+    terms = _attack_terms(code, channel, runs)
+    empty = np.empty((0, code.n))   # builds the code's lazy tables here
+    detect_batch(code, empty, code.base.decode_batch(empty), channel.rho_dec,
+                 detector=detector)
+
+    def step(ws: _Workspace, t0: int, b: int) -> np.ndarray:
+        results = _simulate_block(code, channel, seed, t0, b, runs, terms,
+                                  ws, detector=detector, pool=pool)
+        if log is not None:
+            log.add(t0, results)
+        return _count(runs, results)
+
+    return _run_blocks(code.base, trials, (len(runs), 4), step,
+                       threads=threads, batch=batch, runs=len(runs),
+                       attacked=any(spec.kind != "none" for spec, _ in runs))
+
+
+def _base_errors(code: BaseCode, pool: np.ndarray, scale: float, seed: int,
+                 ws: _Workspace, t0: int, b: int) -> int:
+    """The decode errors of base-code trials [t0, t0+b): codewords of
+    messages drawn from ``pool`` plus DECODER draws times ``scale``, summed
+    chunk by chunk into the received rows of ``ws``, then decoded."""
+    ms = pool[choices(seed, Role.MESSAGE, t0, b, pool.size)]
+    ys, chunk = ws.received[0, :b], ws.decoder.shape[0]
+    for c0 in range(0, b, chunk):
+        k = min(chunk, b - c0)
+        noise = normals(seed, Role.DECODER, t0 + c0, k, code.n,
+                        out=ws.decoder[:k])
+        noise *= scale
+        # mode="clip" gathers in place (the default copies); ids are valid
+        np.take(code.codewords, ms[c0:c0 + k], axis=0, out=ys[c0:c0 + k],
+                mode="clip")
+        ys[c0:c0 + k] += noise
+    return np.count_nonzero(code.decode_batch(ys, tile=ws.tile) != ms)
+
+
+def base_error_probability(code: BaseCode, rho_dec: float, trials: int,
+                           seed: int = 0) -> EstimateReport:
+    """Monte Carlo block-error rate of a base code under AWGN of variance
+    rho_dec with messages drawn uniformly from the non-null messages (the
+    arithmetic-mean error criterion).
+
+    Channel noise is the DECODER role's unit normals scaled by
+    sqrt(rho_dec), so estimates at different rho_dec values share
+    randomness and are pointwise monotone.  The blocks run on
+    ``estimate``'s workers at its default ``threads``."""
+    check_int("trials", trials, BaseCodeError, 100)
+    check_int("seed", seed, BaseCodeError, 0)
+    check_reals(BaseCodeError, domain="positive", rho_dec=rho_dec)
+    pool = code.non_null_ids
+    if not pool.size:
+        raise BaseCodeError("the code has no message to transmit but the "
+                            "null message")
+    code.decode_batch(np.empty((0, code.n)))   # builds its lazy tables here
+    errors = _run_blocks(code, trials, (), functools.partial(
+        _base_errors, code, pool, math.sqrt(rho_dec), seed))
+    return EstimateReport(
+        metric="base_error", successes=int(errors), trials=trials, seed=seed,
+        params={"rho_dec": rho_dec, "n": code.n,
+                "message_count": code.message_count})
 
 
 TRIAL_LOG_HEADER = ["metric", "trial", "transmitted", "target", "decoded",
@@ -506,14 +552,9 @@ class _TrialLog:
         # offset, size)s)
         self.spooled: list[list[tuple[str, int, list[tuple[int, ...]]]]] = [
             [(name, i, []) for i in indices] for name, indices in runs_of]
-        self.size = 0
         self.spool = tempfile.TemporaryFile(dir=folder)
-
-    def __enter__(self) -> "_TrialLog":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.spool.close()
+        self.close = self.spool.close
+        self.lock = threading.Lock()   # workers add their blocks in turn
 
     def add(self, t0: int, results: Sequence[Result]) -> None:
         for name, i, segments in itertools.chain.from_iterable(self.spooled):
@@ -527,9 +568,9 @@ class _TrialLog:
                 rows.append([name, t, m, target, decoded,
                              classify(spec, m, decoded)])
             data = _csv_bytes(rows)
-            self.spool.write(data)
-            segments.append((t0, self.size, len(data)))
-            self.size += len(data)
+            with self.lock:
+                segments.append((t0, self.spool.tell(), len(data)))
+                self.spool.write(data)
 
     def write(self, pos: int) -> None:
         """Append the rows of the metric at position ``pos``."""
@@ -627,10 +668,10 @@ def estimate(code: AuthCode, channel: ChannelParams,
     or an integer array) pins the ordered (transmit, target) pairs,
     otherwise every ordered pair (aimed at the attack's target, from the
     null message under impersonation) is enumerated and subsampled to
-    ``max_pairs``; each pair runs ``attack``
-    aimed at its target, the targeted MMSE attack under the default
-    ``NO_ATTACK``.  ``message`` and every id in ``pairs`` must be valid
-    messages of ``code``, and every pair passes ``_check_run``.
+    ``max_pairs``; each pair runs ``attack`` aimed at its target, the
+    targeted MMSE attack under the default ``NO_ATTACK``.  ``message`` and
+    every id in ``pairs`` must be valid messages of ``code``, and every
+    pair passes ``_check_run``.
     ``trial_log`` appends one CSV row per simulated trial to that file,
     metric by metric.  ``threads`` times the BLAS thread count, at most
     the CPUs, is the number of block workers (see the module docstring);
@@ -677,6 +718,10 @@ def estimate(code: AuthCode, channel: ChannelParams,
         raise SimulateError(f"{metrics[0]} is defined under no attack")
     if "genuine_acceptance" in metrics and message is None:
         raise SimulateError("genuine_acceptance needs a fixed message")
+    if message is None and not set(metrics) <= set(FALSE_AUTH_METRICS) \
+            and not _transmit_pool(code).size:
+        raise SimulateError("the code has no message to transmit but the "
+                            "null message")
 
     # one pass over the distinct runs of every metric
     genuine_run: list[Run] = [(NO_ATTACK, message)]
@@ -693,8 +738,8 @@ def estimate(code: AuthCode, channel: ChannelParams,
         "ell": code.ell, "delta": code.delta, "rho_delta": code.rho_delta,
         "detector": detector}
     reports = []
-    with (_TrialLog(trial_log, runs, runs_of) if trial_log
-          else contextlib.nullcontext()) as log:
+    with (contextlib.closing(_TrialLog(trial_log, runs, runs_of))
+          if trial_log else contextlib.nullcontext()) as log:
         counts = _run_counting(code, channel, seed, trials, runs,
                                detector=detector, threads=threads,
                                batch=batch, log=log)

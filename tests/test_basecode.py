@@ -18,12 +18,12 @@ from awgnauth.basecode import (
     BaseCode,
     BaseCodeError,
     antipodal_error_probability,
-    base_error_probability,
     from_json_dict,
     make_antipodal_code,
     make_random_gaussian_code,
     to_json_dict,
 )
+from awgnauth.simulate import base_error_probability
 from awgnauth.streams import Role, block_rows, choices, normals, one_shot_rng
 
 try:
@@ -654,14 +654,19 @@ class TestErrorProbability:
         assert all(a <= b for a, b in zip(errs, errs[1:]))
 
     def test_replays_message_and_noise_streams(self):
-        # The estimator is exactly reproducible from its two named streams.
+        # The estimator is exactly reproducible from its two named streams,
+        # in one block and in three 8192-row blocks, the last partial, on
+        # one worker or two.
         code = make_random_gaussian_code(16, 5, 1.0, seed=4)
-        trials, rho, seed = 1000, 2.0, 13
-        rep = base_error_probability(code, rho, trials, seed)
-        ms = choices(seed, Role.MESSAGE, 0, trials, 5)
-        noise = normals(seed, Role.DECODER, 0, trials, 16)
-        decoded = code.decode_batch(code.codewords[ms] + math.sqrt(rho) * noise)
-        assert rep.successes == int(np.sum(decoded != ms))
+        rho, seed = 2.0, 13
+        assert block_rows(16, 5) == block_rows(16, 5, workers=2) == 8192
+        for trials in (1000, 20_000):
+            rep = base_error_probability(code, rho, trials, seed)
+            ms = choices(seed, Role.MESSAGE, 0, trials, 5)
+            noise = normals(seed, Role.DECODER, 0, trials, 16)
+            decoded = code.decode_batch(code.codewords[ms]
+                                        + math.sqrt(rho) * noise)
+            assert rep.successes == int(np.sum(decoded != ms))
 
     def test_null_excluded_from_transmit_pool_by_default(self):
         code = make_random_gaussian_code(16, 5, 1.0, seed=4, null_message=True)
@@ -680,8 +685,8 @@ class TestErrorProbability:
         seen = set()
         decode = BaseCode.decode_batch
 
-        def recording(self, ys):
-            decoded = decode(self, ys)
+        def recording(self, ys, **kwargs):
+            decoded = decode(self, ys, **kwargs)
             seen.update(decoded.tolist())
             return decoded
 

@@ -1,18 +1,17 @@
 """The CI workflow loads and runs ROADMAP's tier-1 command on Python 3.11,
 whose ``functools.cached_property`` takes a lock, and on 3.12, whose does
-not.  Nothing runs beyond parsing."""
+not, with the ``test`` extra installed.  Nothing runs beyond parsing."""
 
 import re
 from pathlib import Path
 
 import pytest
 
-yaml = pytest.importorskip("yaml")
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_the_workflow_runs_tier1_on_3_11_and_3_12():
+    yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load(
         (ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
@@ -22,3 +21,12 @@ def test_the_workflow_runs_tier1_on_3_11_and_3_12():
     runs = [step.get("run") for step in job["steps"]]
     assert 'python -m pip install -e ".[test]"' in runs
     assert runs[-1] == tier1
+
+
+def test_the_test_extra_installs_what_the_tests_import():
+    # without pyyaml in the extra, CI would skip the workflow check above
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+             for spec in project["optional-dependencies"]["test"]}
+    assert names == {"pytest", "hypothesis", "pyyaml"}

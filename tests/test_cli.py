@@ -122,10 +122,21 @@ class TestValidation:
             "auth.seed=-1": "auth.seed must be nonnegative",
             "mod2.seed=-1": "mod2.seed must be nonnegative",
             "run.seed=-1": "run.seed must be nonnegative",
+            "run.trials=50": "run.trials must be 0 or at least 100, got 50",
         }
         for override, message in cases.items():
             with pytest.raises(ConfigError, match=message):
                 parse_config(None, [override])
+
+    def test_too_few_trials_leave_the_trial_log_alone(self, tmp_path,
+                                                      capsys):
+        log = tmp_path / "old.csv"
+        log.write_text("kept\n")
+        rc, out, err = run_cli(["simulate", "base.n=60", "run.trials=50",
+                                f"run.trial_log={log}"], capsys)
+        assert rc == 2 and out == ""
+        assert err == "error: run.trials must be 0 or at least 100, got 50\n"
+        assert log.read_text() == "kept\n"
 
     @pytest.mark.parametrize("value", [-1, 0])
     def test_max_per_level_must_be_positive(self, value, capsys):
@@ -560,8 +571,8 @@ class TestFlagSurface:
     @pytest.mark.parametrize("args, trials", [
         (["--run.trials", "500", "run.trials=100"], 100),
         (["run.trials=100", "--run.trials", "500"], 500),
-        (["run.trials=1", "trials=2", "--run.trials=3"], 3),
-        (["trials=2", "run.trials=1", "trials=3"], 3),
+        (["run.trials=100", "trials=200", "--run.trials=300"], 300),
+        (["trials=200", "run.trials=100", "trials=300"], 300),
     ])
     def test_settings_apply_left_to_right(self, args, trials, capsys):
         rc, out, _ = run_cli(["bounds", "base.n=60", *args], capsys)
@@ -570,7 +581,8 @@ class TestFlagSurface:
 
 
 # aliased fields, their spellings and values that parse back to themselves
-ALIASED = {"trials": (("trials", "run.trials"), st.integers(0, 10**6)),
+ALIASED = {"trials": (("trials", "run.trials"),
+                      st.just(0) | st.integers(100, 10**6)),
            "n": (("n", "base.n"), st.integers(2, 10**4)),
            "out": (("out", "run.out"),
                    st.from_regex(r"[a-z]{1,6}\.json", fullmatch=True))}
@@ -614,13 +626,14 @@ class TestSettingsOrder:
 
     def test_config_file_last_line_wins(self, tmp_path):
         path = tmp_path / "exp.ini"
-        path.write_text("trials = 1\nrun.trials = 2\ntrials = 3\n")
-        assert parse_config(str(path)).trials == 3
+        path.write_text("trials = 100\nrun.trials = 200\ntrials = 300\n")
+        assert parse_config(str(path)).trials == 300
 
     def test_json_config_last_setting_wins(self, tmp_path):
         path = tmp_path / "exp.json"
-        path.write_text('{"trials": 1, "run": {"trials": 2}, "trials": 3}')
-        assert parse_config(str(path)).trials == 3
+        path.write_text('{"trials": 100, "run": {"trials": 200}, '
+                        '"trials": 300}')
+        assert parse_config(str(path)).trials == 300
 
     def test_malformed_setting_fails_even_when_replaced(self, tmp_path,
                                                         capsys):

@@ -12,8 +12,8 @@ from scipy.stats import chi2, norm
 from awgnauth import simulate, streams
 from awgnauth.adversary import AttackSpec
 from awgnauth.authcode import REJECT, decimate, inject_noise
-from awgnauth.basecode import (BaseCodeError, base_error_probability,
-                               make_antipodal_code, make_random_gaussian_code)
+from awgnauth.basecode import (BaseCode, BaseCodeError, make_antipodal_code,
+                               make_random_gaussian_code)
 from awgnauth.cli import main
 from awgnauth.overlay import LevelSet, construct_overlay
 from awgnauth.simulate import (
@@ -25,6 +25,7 @@ from awgnauth.simulate import (
     CLASS_WRONG_MESSAGE,
     ChannelParams,
     SimulateError,
+    base_error_probability,
     classify,
     estimate,
     run_trial,
@@ -35,6 +36,16 @@ try:
     import resource
 except ImportError:   # not on every platform
     resource = None
+
+
+@pytest.fixture(scope="module")
+def null_only():
+    """A code whose only message is the null message: nothing to transmit
+    under no attack."""
+    overlay = construct_overlay(60, LevelSet((0.0,)), 0.75,
+                                counts_per_level=[1], seed=1)
+    return inject_noise(BaseCode(np.zeros((1, 60)), null_id=0), overlay,
+                        rho_delta=1.0, delta=0.2, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -283,22 +294,30 @@ class TestEstimateValidation:
         ("estimate", dict(trial_log="no_such_directory/trials.csv"),
          "trial_log 'no_such_directory/trials.csv' must name a file in an "
          "existing directory"),
+        # an empty transmit pool
+        ("estimate", dict(code="null_only", metric="epsilon", trials=100),
+         "the code has no message to transmit but the null message"),
+        ("base_error_probability", dict(code="null_only", trials=100),
+         "the code has no message to transmit but the null message"),
     ])
     def test_bad_arguments_fail_at_the_boundary(self, small_auth, monkeypatch,
-                                                fn, kwargs, message):
+                                                request, fn, kwargs, message):
         def no_blocks(*args, **kw):
             raise AssertionError("ran a block before checking the arguments")
 
         monkeypatch.setattr(simulate, "_simulate_block", no_blocks)
+        monkeypatch.setattr(simulate, "_base_errors", no_blocks)
+        kwargs = {key: request.getfixturevalue(value) if key == "code"
+                  else value for key, value in kwargs.items()}
         calls = {
-            "estimate": lambda trials=1000, **kw: estimate(
-                small_auth, ChannelParams(0.1, rho_adv=0.1), "alpha", trials,
-                **kw),
+            "estimate": lambda code=small_auth, metric="alpha", trials=1000,
+                **kw: estimate(code, ChannelParams(0.1, rho_adv=0.1), metric,
+                               trials, **kw),
             "run_trial": lambda seed=0, **kw: run_trial(
                 small_auth, ChannelParams(0.1), AttackSpec("none"), 0, seed,
                 **kw),
-            "base_error_probability": lambda trials=1000, **kw:
-                base_error_probability(small_auth.base, 0.1, trials, **kw),
+            "base_error_probability": lambda code=small_auth, trials=1000,
+                **kw: base_error_probability(code.base, 0.1, trials, **kw),
         }
         error = BaseCodeError if fn == "base_error_probability" \
             else SimulateError

@@ -1,8 +1,8 @@
 """``estimate`` runs its blocks on min(threads x b, CPUs) workers, b the
-BLAS thread count at the call, each worker at one BLAS thread; b is
-restored on return, and the chunk, received-row and tile budgets are
-split among the workers.  No count, report or trial log may see the
-worker count."""
+BLAS thread count at the call, each worker at one BLAS thread, and
+``base_error_probability`` on min(b, CPUs) of them; b is restored on
+return, and the chunk, received-row and tile budgets are split among the
+workers.  No count, report or trial log may see the worker count."""
 
 import functools
 import json
@@ -59,8 +59,9 @@ def blas_at_2():
 
 
 # One genuine estimate and one over attack pairs on a code with M > 512,
-# whose genuine blocks the prefix screen decodes; prints the reports, the
-# trial log's sha256, each pool's worker count and the rule's count.
+# whose genuine blocks the prefix screen decodes, then the base code's
+# error over six blocks; prints the reports, the trial log's sha256, the
+# base errors, each pool's worker count and the rule's counts.
 EQUALITY_RUN = """
 import hashlib, json, os, sys, tempfile
 from awgnauth import basecode, simulate
@@ -103,10 +104,12 @@ with tempfile.TemporaryDirectory() as tmp:
                                  threads=threads, trial_log=log)
     with open(log, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
+errors = simulate.base_error_probability(base, 6.0, 3000, 5).successes
+cpus = len(os.sched_getaffinity(0))
 print(json.dumps({
     "reports": [r.to_json_dict() for r in reports], "log": digest,
-    "pools": pools, "prefix": any(splits),
-    "rule": min(threads * b, len(os.sched_getaffinity(0)))}))
+    "base_errors": errors, "pools": pools, "prefix": any(splits),
+    "rule": min(threads * b, cpus), "base_rule": min(b, cpus)}))
 """
 
 
@@ -126,14 +129,15 @@ def test_counts_reports_and_logs_equal_at_any_threads_and_blas_threads():
         assert proc.returncode == 0, proc.stderr
         runs[threads, blas] = out = json.loads(proc.stdout)
         assert out["prefix"]
-        # one pool per estimate, of the rule's workers; one worker, none
-        assert out["pools"] == ([] if out["rule"] == 1
-                                else [out["rule"]] * 2), (threads, blas)
+        # one pool per estimate and one for the base errors, each of its
+        # rule's workers; one worker, none
+        rules = [out["rule"]] * 2 + [out["base_rule"]]
+        assert out["pools"] == [w for w in rules if w > 1], (threads, blas)
     want = runs[1, 1]
-    assert len(want["log"]) == 64
+    assert len(want["log"]) == 64 and want["base_errors"] == 64
     for key, out in runs.items():
-        assert (out["reports"], out["log"]) == (want["reports"],
-                                                want["log"]), key
+        assert (out["reports"], out["log"], out["base_errors"]) == (
+            want["reports"], want["log"], want["base_errors"]), key
 
 
 def _blas_in_blocks(monkeypatch, seen, fail=False):
