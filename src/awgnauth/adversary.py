@@ -107,8 +107,7 @@ def mmse_attack_terms(code: AuthCode, m: int, m_target: int, rho_adv: float,
         check_ids(name, v, code.message_count, AttackError)
     if m == m_target:
         raise AttackError("target must differ from the transmitted message")
-    mean_m = code.base.codewords[m] + code.t_table[m]
-    mean_t = code.base.codewords[m_target] + code.t_table[m_target]
+    mean_m, mean_t = code._means(m), code._means(m_target)
     w = mmse_weight(code.overlay.level_matrix(m), code.rho_delta, rho_adv)
     if weight_scale is not None:
         check_reals(AttackError, weight_scale=weight_scale)

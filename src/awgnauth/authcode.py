@@ -17,12 +17,12 @@ statistics would not be chi-square with ell degrees of freedom.
 Memory: per (message, coordinate) entry a code holds the float64
 codeword and mean shift (8 bytes each), the overlay's one-byte level
 index, after the first decode the base code's float32 screen (4 bytes,
-plus per message a half-norm and up to fifteen rest norms),
-and after the first detect the detector's column table ``_tested``, 1 or
-2 bytes on the |K| ell tested coordinates of every n; level values are
-gathered from the level index when read.  At n = 600 with two levels
-below 1 that is about 22.3 bytes per entry.  Set-up works in chunks of rows and holds no whole-table
-temporary beyond the mean-shift table it draws.
+plus per message a half-norm and up to fifteen rest norms), and after
+the first detect the overlay's column table ``tested``, 1 or 2 bytes on
+the |K| ell tested coordinates of every n; level values are gathered
+from the level index when read.  At n = 600 with two levels below 1
+that is about 22.3 bytes per entry.  Set-up works in chunks of rows and
+holds no whole-table temporary beyond the mean-shift table it draws.
 
 Decimation: a uniformly chosen subset of messages survives; decoding to
 a non-survivor is rejected.  This trades a small rate loss for a
@@ -81,14 +81,9 @@ class AuthCode:
         if t.shape != self.base.codewords.shape:
             raise AuthCodeError("t_table must match the codeword table shape")
         object.__setattr__(self, "t_table", t)
-        bad = self.overlay.ell_violations()   # (level, message) pairs
-        if len(bad):
-            j, m = bad[0]
-            raise AuthCodeError(
-                f"message {m} has {self.overlay.level_counts[m, j]} "
-                f"coordinates at level "
-                f"{self.overlay.level_set.levels[j]}, expected {self.ell}: "
-                f"the detector needs exactly ell")
+        bad = self.overlay.ell_violations()
+        if bad:
+            raise AuthCodeError(f"{bad[0]}: the detector needs exactly ell")
         valid = np.full(self.message_count, self.decimated is None)
         if self.decimated is not None:
             for m in self.decimated:   # one at a time: no bool passes
@@ -114,23 +109,16 @@ class AuthCode:
     def threshold(self) -> float:
         return self.overlay.ell * (1.0 + self.delta)
 
-    @cached_property
-    def _tested(self) -> np.ndarray:
-        """(message_count, |K| ell) columns: each message's coordinates at
-        each level in K, level by level, ascending within a level, in the
-        narrowest unsigned dtype that holds n - 1 (uint8 up to n = 256,
-        uint16 up to n = 65,536).  Built on the first detect, in chunks of
-        rows, so that no (message_count, n) temporary exists."""
-        width = len(self.overlay.level_set) * self.ell
-        tested = np.empty((self.message_count, width),
-                          dtype=np.min_scalar_type(self.n - 1))
-        for c in row_chunks(self.message_count, self.n, ROW_VALUES):
-            # a stable sort of each row's level indices lists the level-0
-            # columns first, in ascending order, then level 1 and so on
-            order = np.argsort(self.overlay.level_index[c], axis=1,
-                               kind="stable")
-            tested[c] = order[:, :width]
-        return tested
+    def _means(self, ms: Any, out: np.ndarray | None = None,
+               scratch: np.ndarray | None = None) -> np.ndarray:
+        """The mean signal x(m) + t(m) of each checked id in ``ms``, into
+        ``out``, with the shifts gathered into ``scratch``: x, then t added,
+        one grouping for every caller, so that a clean received row minus
+        its mean is exactly zero (the rho_dec = 0 sentinel relies on it)."""
+        # mode="clip" gathers into ``out`` (the default copies); ids checked
+        out = np.take(self.base.codewords, ms, axis=0, out=out, mode="clip")
+        out += np.take(self.t_table, ms, axis=0, out=scratch, mode="clip")
+        return out
 
     @property
     def rate(self) -> float:
@@ -145,13 +133,13 @@ class AuthCode:
         """Exact max-message average transmit power:
         max_m (1/n)(sum (x+t)^2 + rho_delta sum f^2), computed on first
         use in chunks of rows, each row by that one expression."""
-        x, t = self.base.codewords, self.t_table
         per_row = np.empty(self.message_count)
         for c in row_chunks(self.message_count, self.n, ROW_VALUES):
-            levels = self.overlay.level_matrix(np.arange(c.start, c.stop))
-            per_row[c] = (np.sum((x[c] + t[c]) ** 2, axis=1)
-                          + self.rho_delta * np.sum(levels**2, axis=1))
-            del levels   # before the next chunk's levels exist
+            ids = np.arange(c.start, c.stop)
+            # the means, then the levels: two chunk arrays at a time
+            per_row[c] = np.sum(self._means(ids) ** 2, axis=1)
+            per_row[c] += self.rho_delta * np.sum(
+                self.overlay.level_matrix(ids) ** 2, axis=1)
         return float(np.max(per_row)) / self.n
 
     def is_valid_message(self, m: int) -> bool:
@@ -225,11 +213,7 @@ def auth_encode_batch(code: AuthCode, ms: np.ndarray, unit_delta: np.ndarray,
     if ms.ndim != 1 or np.shape(unit_delta) != (len(ms), code.n):
         raise AuthCodeError("ms must be 1-d, one id per row of unit_delta")
     xs, noise, levels = (None, None, None) if out is None else out
-    # mode="clip" gathers straight into ``out`` (the default copies);
-    # the ids are checked above
-    xs = np.take(code.base.codewords, ms, axis=0, out=xs, mode="clip")
-    noise = np.take(code.t_table, ms, axis=0, out=noise, mode="clip")
-    xs += noise
+    xs = code._means(ms, out=xs, scratch=noise)
     noise = np.multiply(unit_delta, math.sqrt(code.rho_delta), out=noise)
     noise *= code.overlay.level_matrix(ms, out=levels)
     xs += noise
@@ -242,12 +226,13 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
     ys[b] - (x(m) + t(m)) over the level-j coordinates of m =
     base_decoded[b], divided by k_j^2 rho_delta + rho_dec.
 
-    Each row's tested coordinates are gathered from the flat tables, so
-    no code loops over messages, and each row's sums do not depend on
-    the other rows.  Rows go in chunks of ``CHUNK_VALUES`` // n, so that
-    the gathered arrays (at most 2**15 values each) and the received rows
-    they read fit in a 2 MiB L2 cache together, whatever the block's
-    rows (``streams.block_rows``)."""
+    Each row's mean signal is subtracted from the whole row, and the
+    tested coordinates of that residual (the row of ``overlay.tested``)
+    are gathered, so no code loops over messages, and each row's sums do
+    not depend on the other rows.  Rows go in chunks of ``CHUNK_VALUES``
+    // n, so that the chunk's arrays (at most 2**15 values each) and the
+    received rows they read fit in a 2 MiB L2 cache together, whatever
+    the block's rows (``streams.block_rows``)."""
     check_reals(AuthCodeError, rho_dec=rho_dec)
     base_decoded = check_ids("base_decoded", base_decoded,
                              code.message_count, AuthCodeError)
@@ -256,37 +241,32 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
         # the gather below clips its indices instead of checking them
         raise AuthCodeError("ys must be a (rows, n) matrix, one row per "
                             "decoded id")
-    levels = code.overlay.level_set.levels
-    x, t = code.base.codewords, code.t_table
+    levels, tested = code.overlay.level_set.levels, code.overlay.tested
     stats = np.empty((len(base_decoded), len(levels)))
-    width = len(levels) * ell
-    # the chunk's four arrays, reused by every chunk
-    chunk = [np.empty((min(max(1, CHUNK_VALUES // n), len(base_decoded)),
-                       width), dtype)
-             for dtype in (code._tested.dtype, np.intp, np.float64,
-                           np.float64)]
+    rows = min(max(1, CHUNK_VALUES // n), len(base_decoded))
+    # the chunk's arrays, reused by every chunk; the tested values take the
+    # shifts' memory, which the means no longer need
+    resid, shifts = np.empty((rows, n)), np.empty((rows, n))
+    cols = np.empty((rows, len(levels) * ell), tested.dtype)
+    at = np.empty(cols.shape, np.intp)
+    values = shifts.reshape(-1)[:cols.size].reshape(cols.shape)
+    starts = (np.arange(rows) * n)[:, None]   # each row's first flat index
     for c in row_chunks(len(base_decoded), n, CHUNK_VALUES):
         dec = base_decoded[c]
-        cols, at, mean, resid = (a[:len(dec)] for a in chunk)
-        # mode="clip" gathers straight into the chunk's arrays (the default
-        # gathers into a temporary and copies): the ids are checked above
-        # and the indices come from ``_tested``, so all are in range
-        np.take(code._tested, dec, axis=0, out=cols, mode="clip")
-        at[...] = cols   # a cast; an add with a cast would need buffers
-        at += (dec * n)[:, None]   # flat indices into the code tables
-        # same grouping as the encoder so clean level-0 coordinates
-        # cancel bitwise (the rho_dec = 0 sentinel relies on this)
-        np.take(x, at, out=mean, mode="clip")
-        np.take(t, at, out=resid, mode="clip")
-        mean += resid
-        at += ((np.arange(len(dec)) - dec) * n)[:, None]   # into ys rows
-        np.take(ys[c], at, out=resid, mode="clip")
-        resid -= mean
-        np.square(resid, out=resid)
+        r = len(dec)
+        # y - (x + t) on every coordinate, then the tested ones; mode="clip"
+        # gathers straight into the chunk's arrays (the default copies):
+        # the ids are checked above and ``tested`` holds columns below n
+        diff = np.subtract(ys[c], code._means(dec, resid[:r], shifts[:r]),
+                           out=resid[:r])
+        np.take(tested, dec, axis=0, out=cols[:r], mode="clip")
+        at[:r] = cols[:r]   # a cast; an add with a cast would need buffers
+        at[:r] += starts[:r]
+        sq = np.take(diff, at[:r], out=values[:r], mode="clip")
+        np.square(sq, out=sq)
         # a sum over the contiguous last axis takes numpy's pairwise
         # order for every (row, level), whatever the chunk holds
-        stats[c] = np.sum(
-            resid.reshape(len(dec), len(levels), ell), axis=2)
+        stats[c] = np.sum(sq.reshape(r, len(levels), ell), axis=2)
     for j, k in enumerate(levels):
         denom = k * k * code.rho_delta + rho_dec
         # rho_dec = 0 diagnostic: a zero-variance level accepts only

@@ -11,8 +11,9 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .streams import (ROW_VALUES, TILE_VALUES, Role, check_ids, check_int,
-                      check_reals, one_shot_rng, row_chunks)
+from .streams import (CHUNK_VALUES, ROW_VALUES, TILE_VALUES, Role,
+                      check_ids, check_int, check_reals, one_shot_rng,
+                      row_chunks)
 
 _U32, _U64 = 2.0 ** -24, 2.0 ** -53   # unit roundoffs of float32 and float64
 # the absolute error a float32 operation may add when its result underflows,
@@ -138,10 +139,10 @@ class BaseCode:
     table of the codewords built on the first decode, in message tiles of
     at most ``TILE_VALUES`` scores (or the ``tile`` given, a worker's share
     of it) with a running best and second best per row, so a block of any
-    size holds one tile of scores.  A screen keeps
-    a row's float32 argmax only when its lead over every other message
-    exceeds a rigorous bound on the float32 and float64 scoring errors, so
-    that the float64 argmax is provably the same unique message.
+    size holds one tile of scores.  A screen keeps a row's float32 argmax
+    only when its lead over every other message exceeds a rigorous bound
+    on the float32 and float64 scoring errors, so that the float64 argmax
+    is provably the same unique message.
 
     A screen at split d scores the d leading coordinates, plus the
     Cauchy-Schwarz bound ||y_R|| ||x_R|| on the rest R: an upper bound on
@@ -180,10 +181,14 @@ class BaseCode:
         return self.codewords.shape[0]
 
     @cached_property
+    def _squares(self) -> np.ndarray:
+        """sum_i x_i(m)^2 per message, behind ``power`` and ``_half_norms``."""
+        return _sum_squares(self.codewords)
+
+    @cached_property
     def power(self) -> float:
-        """Max-message average power: max_m (1/n) sum_i x_i(m)^2, computed
-        on first use in chunks of rows."""
-        return float(np.max(_sum_squares(self.codewords) / self.n))
+        """Max-message average power: max_m (1/n) sum_i x_i(m)^2."""
+        return float(np.max(self._squares / self.n))
 
     @property
     def rate(self) -> float:
@@ -198,9 +203,8 @@ class BaseCode:
 
     @cached_property
     def _half_norms(self) -> np.ndarray:
-        """||x||^2 / 2 per message, computed on the first decode in chunks
-        of rows."""
-        return 0.5 * _sum_squares(self.codewords)
+        """||x||^2 / 2 per message, computed on the first decode."""
+        return 0.5 * self._squares
 
     @cached_property
     def _screen(self) -> _Screen:
@@ -282,10 +286,10 @@ class BaseCode:
         if d < self.n:
             # the winner's score in float64, a row at a time, in chunks
             score = np.empty(len(ys))
-            # rows of at most ROW_VALUES values, as ``row_chunks`` cuts them
-            chunk = np.empty((min(max(1, ROW_VALUES // self.n), len(ys)),
+            # rows of at most CHUNK_VALUES values, as ``row_chunks`` cuts them
+            chunk = np.empty((min(max(1, CHUNK_VALUES // self.n), len(ys)),
                               self.n))
-            for c in row_chunks(len(ys), self.n, ROW_VALUES):
+            for c in row_chunks(len(ys), self.n, CHUNK_VALUES):
                 win = np.take(self.codewords, best[c], axis=0,
                               out=chunk[:c.stop - c.start], mode="clip")
                 score[c] = np.einsum("ij,ij->i", ys[c], win)

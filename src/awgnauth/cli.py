@@ -34,6 +34,7 @@ three standard errors); usage and validation problems exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -41,9 +42,10 @@ import math
 import os
 import subprocess
 import sys
+import uuid
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,13 +83,9 @@ def _as_bool(key: str, value: Any) -> bool:
 
 
 def _as_int(key: str, value: Any) -> int:
-    if isinstance(value, bool):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, str):
+    # not a bool; a float only when it is whole
+    if not isinstance(value, bool) and (isinstance(value, (int, str)) or (
+            isinstance(value, float) and value.is_integer())):
         try:
             return int(value)
         except ValueError:
@@ -96,11 +94,7 @@ def _as_int(key: str, value: Any) -> int:
 
 
 def _as_float(key: str, value: Any) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
         try:
             return float(value)
         except ValueError:
@@ -517,20 +511,32 @@ def _metric_bound(cfg: ExperimentConfig, code: AuthCode,
     return None, None
 
 
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[str]:
+    """A new file beside ``path`` that replaces it if the block succeeds
+    and is removed if not: a refused or failed run leaves an old file."""
+    if os.path.isdir(path) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(path))):
+        raise ConfigError(f"run.trial_log {path!r} must name a file in an "
+                          "existing directory")
+    new = f"{path}.{uuid.uuid4().hex}.tmp"
+    open(new, "x").close()
+    try:
+        yield new
+        os.replace(new, path)
+    finally:
+        if os.path.exists(new):
+            os.remove(new)
+
+
 def run_estimates(cfg: ExperimentConfig, code: AuthCode,
                   bounds: dict[str, Any]) -> list[dict[str, Any]]:
     channel = ChannelParams(rho_dec=cfg.rho_dec, rho_adv=cfg.rho_adv,
                             power_budget=cfg.power_budget)
     attack = AttackSpec.parse(cfg.attack)
-    if cfg.trial_log:
-        # every metric appends its rows to the one log of this run
-        open(cfg.trial_log, "w").close()
-    if not cfg.metrics:
-        return []
     kwargs: dict[str, Any] = dict(
         trials=cfg.trials, seed=cfg.seed, threads=cfg.threads,
-        detector=cfg.detector, max_pairs=cfg.max_pairs,
-        trial_log=cfg.trial_log)
+        detector=cfg.detector, max_pairs=cfg.max_pairs)
     if any(m not in FALSE_AUTH_METRICS for m in cfg.metrics):
         if "genuine_acceptance" in cfg.metrics and cfg.message is None:
             raise ConfigError("run.message is required for the "
@@ -540,8 +546,11 @@ def run_estimates(cfg: ExperimentConfig, code: AuthCode,
         if attack.kind == "targeted" and cfg.message is not None:
             kwargs["pairs"] = [(cfg.message, attack.target)]
         kwargs["attack"] = replace(attack, weight_scale=cfg.weight_scale)
-    reports = _stage("simulate", estimate, code, channel, list(cfg.metrics),
-                     **kwargs)
+    with (_replacing(cfg.trial_log) if cfg.trial_log   # every metric's
+          else contextlib.nullcontext()) as log:
+        reports = (_stage("simulate", estimate, code, channel,
+                          list(cfg.metrics), trial_log=log, **kwargs)
+                   if cfg.metrics else [])
     rows = []
     for metric, report in zip(cfg.metrics, reports):
         bound, label = _metric_bound(cfg, code, bounds, metric)

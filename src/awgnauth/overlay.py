@@ -195,19 +195,35 @@ class OverlayCode:
         counts.setflags(write=False)
         return counts
 
-    def ell_violations(self) -> np.ndarray:
-        """The (level index, message) pairs, level by level and in message
-        order within a level, at which a message has other than ``ell``
-        coordinates at a level in K: none in a valid overlay."""
-        return np.argwhere(self.level_counts.T != self.ell)
+    def ell_violations(self) -> list[str]:
+        """One line per message with other than ``ell`` coordinates at a
+        level in K, level by level and in message order within a level:
+        none in a valid overlay."""
+        return [f"message {m} has {self.level_counts[m, j]} coordinates at "
+                f"level {self.level_set.levels[j]}, expected {self.ell}"
+                for j, m in np.argwhere(self.level_counts.T != self.ell)]
+
+    @cached_property
+    def tested(self) -> np.ndarray:
+        """Read-only table of each message's coordinates at the levels in K,
+        level by level, ascending within a level (a stable sort of its level
+        indices, cut at the most any message has: |K| ell), in the narrowest
+        unsigned dtype that holds n - 1; built in chunks of rows."""
+        width = int(np.max(np.sum(self.level_counts, axis=1)))
+        tested = np.empty((self.message_count, width),
+                          dtype=np.min_scalar_type(self.n - 1))
+        for c in row_chunks(self.message_count, self.n, ROW_VALUES):
+            tested[c] = np.argsort(self.level_index[c], axis=1,
+                                   kind="stable")[:, :width]
+        tested.setflags(write=False)
+        return tested
 
     def test_indices(self, m: int) -> tuple[np.ndarray, ...]:
         """Ascending 0-based coordinates of message m, one array per level
-        in K: the detector's stable sort of the row's level indices, split
-        at each level's own count."""
+        in K: the row of ``tested``, split at each level's own count."""
         check_ids("m", m, self.message_count, OverlayError)
-        order = np.argsort(self.level_index[m], kind="stable")
-        return tuple(np.split(order, np.cumsum(self.level_counts[m]))[:-1])
+        return tuple(np.split(self.tested[m].astype(np.intp),
+                              np.cumsum(self.level_counts[m]))[:-1])
 
     def level_matrix(self, rows: Any = None, *,
                      out: np.ndarray | None = None) -> np.ndarray:
@@ -548,13 +564,10 @@ def verify_overlay(code: OverlayCode) -> VerifyReport:
     so the verdict and the violations are those of the exhaustive scan
     either way.  The sizes are read from ``ell_violations``.
     ``VerifyReport.witness`` finds one pair's lowest witness on demand."""
-    ell, counts = code.ell, code.level_counts
-    violations = [f"message {m} has {counts[m, j]} coordinates at level "
-                  f"{code.level_set.levels[j]}, expected {ell}"
-                  for j, m in code.ell_violations()]
+    violations = code.ell_violations()
     if not _prefix_groups_separated(code):
         violations += _pair_failures(code)
-    return VerifyReport(passed=not violations, ell=ell,
+    return VerifyReport(passed=not violations, ell=code.ell,
                         max_overlap_allowed=code.max_overlap,
                         violations=tuple(violations), code=code)
 

@@ -49,16 +49,14 @@ buffer, not 20.
 ``_run_blocks`` runs the blocks of ``estimate`` and of
 ``base_error_probability`` (a base code's decode error under AWGN) on
 min(``threads`` x b, CPUs) workers, b being the BLAS thread count at the
-call and CPUs those the process may run on, each at one BLAS thread (so
-the draws, encode and detect keep every core busy).  b is read and set
-through numpy's bundled OpenBLAS (``_openblas``) and restored on return,
-also after an error and while other calls run; without that library b
-is 1 and BLAS is left alone.  Each worker pulls its blocks from one
-shared iterator, so they finish in any order, into one ``_Workspace`` of
-the arrays above, allocated once per call, with its share of the
-budgets of ``streams``, so that memory does not grow with the worker
-count (down to each budget's floor).  The calling thread builds the
-code's lazy tables.
+call (``_BlasThreads``) and CPUs those the process may run on, each at
+one BLAS thread (so the draws, encode and detect keep every core busy).
+Each worker pulls its blocks from one shared iterator, so they finish in
+any order, into one ``_Workspace`` of the arrays above, allocated once
+per call, with its share of the budgets of ``streams``, so that memory
+does not grow with the worker count (down to each budget's floor).
+Before any worker starts, the calling thread builds the code's lazy
+tables (``_build_tables``).
 
 Each block is reduced to integer counters as soon as it is done: per
 run, trials decoded correctly and accepted, decoded correctly, decoded
@@ -95,6 +93,7 @@ from .adversary import (AttackSpec, mmse_attack_terms,
                         mmse_targeted_attack_batch, no_attack)
 from .authcode import REJECT, AuthCode, auth_encode_batch, detect_batch
 from .basecode import BaseCode, BaseCodeError
+from .overlay import OverlayCode
 from .reporting import EstimateReport, wilson_interval
 from .streams import (Role, block_rows, check_ids, check_int, check_reals,
                       choices, chunk_rows, draw_buffer, normals,
@@ -405,6 +404,15 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _build_tables(base: BaseCode, overlay: OverlayCode | None = None) -> None:
+    """Build on the calling thread the lazy tables that workers read, as
+    ``cached_property`` takes no lock on Python 3.12."""
+    for name in ("_squares", "_half_norms", "_screen"):   # the decode's
+        getattr(base, name)
+    if overlay is not None:   # the detector's
+        getattr(overlay, "tested")
+
+
 def _run_blocks(code: BaseCode, trials: int, shape: tuple[int, ...],
                 step: Callable[[_Workspace, int, int], np.ndarray | int], *,
                 threads: int = 1, batch: int | None = None, runs: int = 1,
@@ -457,9 +465,7 @@ def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
     ``_run_blocks``; ``log``, when given, spools each block's results."""
     pool = _transmit_pool(code) if any(m is None for _, m in runs) else None
     terms = _attack_terms(code, channel, runs)
-    empty = np.empty((0, code.n))   # builds the code's lazy tables here
-    detect_batch(code, empty, code.base.decode_batch(empty), channel.rho_dec,
-                 detector=detector)
+    _build_tables(code.base, code.overlay if detector else None)
 
     def step(ws: _Workspace, t0: int, b: int) -> np.ndarray:
         results = _simulate_block(code, channel, seed, t0, b, runs, terms,
@@ -509,7 +515,7 @@ def base_error_probability(code: BaseCode, rho_dec: float, trials: int,
     if not pool.size:
         raise BaseCodeError("the code has no message to transmit but the "
                             "null message")
-    code.decode_batch(np.empty((0, code.n)))   # builds its lazy tables here
+    _build_tables(code)
     errors = _run_blocks(code, trials, (), functools.partial(
         _base_errors, code, pool, math.sqrt(rho_dec), seed))
     return EstimateReport(

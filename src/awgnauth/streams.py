@@ -65,8 +65,8 @@ TILE_VALUES = 2 ** 20   # float32 scores in a tile of the decode's screen
 # and 60-70% at a sixteenth, at n = 600, M = 4096 and n = 256, M = 64.
 ROW_FLOOR, RECEIVED_FLOOR, TILE_FLOOR = 2 ** 15, 2 ** 17, 2 ** 18
 SCORE_VALUES = 2 ** 22   # verdicts in a tile of the overlay's pair scan
-# values in a chunk of the detector's gathers: such a chunk's arrays and
-# ROW_VALUES of received rows fit in a 2 MiB L2 cache together
+# values in a chunk of the detector's gathers or the decode's rescored rows:
+# such a chunk's arrays and ROW_VALUES of received rows fit a 2 MiB L2 cache
 CHUNK_VALUES = 2 ** 15
 RETRY_LIMIT = 64   # draws of a set-up table before its construction fails
 

@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import chi2
 
 from awgnauth import authcode
+from awgnauth import overlay as overlay_mod
 from awgnauth.authcode import (
     AuthCode,
     AuthCodeError,
@@ -102,7 +103,7 @@ class TestTableMemory:
         assert len(tables) == 2
         assert any(a is base.codewords for a in tables)
         assert any(a is code.t_table for a in tables)
-        assert code._tested.dtype == np.uint16
+        assert ov.tested.dtype == np.uint16
 
     def test_inject_noise_holds_one_table_beside_its_own(self, parts):
         base, ov = parts
@@ -343,12 +344,14 @@ class TestDetector:
             level_statistics(small_auth, np.zeros(shape), dec, 0.1)
 
     def test_gathers_into_its_own_arrays(self):
-        # n=256, ell=85, |K|=2: each 128-row chunk gathers into three
-        # (128, 170) arrays of 174 KB and one (128, 170) uint8 column
-        # chunk of 22 KB; a gather through a temporary, or a chunk's
-        # arrays allocated while the last chunk's live, adds a fourth
-        # float64 array.  Beside them: the stats and numpy's ufunc buffer
-        # (one getbufsize() of values) for the broadcast row offsets.
+        # n=256, ell=85, |K|=2: each 128-row chunk gathers into two
+        # (128, 256) float64 arrays of 262 KB (the residual rows and the
+        # gathered shifts, whose memory then takes the tested values), a
+        # (128, 170) array of 174 KB (the tested columns' flat indices)
+        # and one (128, 170) uint8 column chunk of 22 KB; a gather through
+        # a temporary, or a chunk's arrays allocated while the last
+        # chunk's live, adds a float64 array.  Beside them: the stats, the
+        # row starts and numpy's ufunc buffer (one getbufsize() of values).
         ov = construct_overlay(256, LevelSet((0.0, 0.5)), 0.75,
                                counts_per_level=[8, 8], seed=0)
         code = inject_noise(make_random_gaussian_code(256, 64, 1.0, seed=0),
@@ -363,22 +366,25 @@ class TestDetector:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk, columns = 128 * 2 * 85 * 8, 128 * 2 * 85
+        rows, chunk, columns = 128 * 256 * 8, 128 * 2 * 85 * 8, 128 * 2 * 85
         assert code.ell == 85 and 2 ** 15 // 256 == 128
-        assert code._tested.dtype == np.uint8
-        assert 3 * chunk + columns <= peak \
-            < 3 * chunk + columns + 8 * np.getbufsize() + 24_000
+        assert code.overlay.tested.dtype == np.uint8
+        held = 2 * rows + chunk + columns
+        assert held <= peak < held + 8 * np.getbufsize() + 24_000
 
     def test_tested_table_is_built_in_row_chunks(self, wide_auth,
                                                  monkeypatch):
         order = np.argsort(wide_auth.overlay.level_index, axis=1,
                            kind="stable")
         whole = order[:, :2 * wide_auth.ell]
+        ov = wide_auth.overlay
         for rows in (1, 37, 512, 2000):
-            monkeypatch.setattr(authcode, "ROW_VALUES", rows * wide_auth.n)
-            tested = replace(wide_auth)._tested   # a fresh cache
+            monkeypatch.setattr(overlay_mod, "ROW_VALUES", rows * wide_auth.n)
+            tested = OverlayCode(ov.n, ov.level_set, ov.gamma_exact,
+                                 ov.level_index).tested   # a fresh cache
             assert tested.dtype == np.uint8 and wide_auth.n == 120
             assert np.array_equal(tested, whole)
+            assert not tested.flags.writeable
 
     @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16),
                                           (600, np.uint16)])
@@ -387,9 +393,9 @@ class TestDetector:
                                counts_per_level=[4, 3], seed=1)
         code = inject_noise(make_random_gaussian_code(n, 12, 1.0, seed=1),
                             ov, rho_delta=1.0, delta=0.2, seed=1)
-        assert code._tested.dtype == dtype == np.min_scalar_type(n - 1)
+        assert ov.tested.dtype == dtype == np.min_scalar_type(n - 1)
         order = np.argsort(ov.level_index, axis=1, kind="stable")
-        assert np.array_equal(code._tested, order[:, :2 * code.ell])
+        assert np.array_equal(ov.tested, order[:, :2 * code.ell])
 
     @pytest.mark.parametrize("bad", [-1, 6])
     def test_decoded_ids_must_be_message_ids(self, small_auth, bad):

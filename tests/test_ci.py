@@ -1,7 +1,10 @@
 """The CI workflow loads and runs ROADMAP's tier-1 command on Python 3.11,
 whose ``functools.cached_property`` takes a lock, and on 3.12, whose does
-not, with the ``test`` extra installed.  Nothing runs beyond parsing."""
+not, with the ``test`` extra installed at the numpy and scipy that the
+goldens were recorded with, then replays the gated benchmark workloads'
+goldens.  Nothing runs beyond parsing."""
 
+import json
 import re
 from pathlib import Path
 
@@ -19,8 +22,18 @@ def test_the_workflow_runs_tier1_on_3_11_and_3_12():
     [job] = workflow["jobs"].values()
     assert job["strategy"]["matrix"]["python-version"] == ["3.11", "3.12"]
     runs = [step.get("run") for step in job["steps"]]
-    assert 'python -m pip install -e ".[test]"' in runs
-    assert runs[-1] == tier1
+    assert ('python -m pip install -c .github/constraints.txt -e ".[test]"'
+            in runs)
+    gated = [w["name"] for w in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert runs[-1 - len(gated):] == [tier1] + [
+        f"python3 perfbench/run.py --workload {name} --seconds 0"
+        for name in gated]
+
+
+def test_ci_installs_the_versions_the_goldens_were_recorded_with():
+    pins = (ROOT / ".github" / "constraints.txt").read_text().split()
+    assert [p for p in pins if "==" in p] == ["numpy==2.4.6", "scipy==1.17.1"]
 
 
 def test_the_test_extra_installs_what_the_tests_import():

@@ -138,6 +138,34 @@ class TestValidation:
         assert err == "error: run.trials must be 0 or at least 100, got 50\n"
         assert log.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("setting, message", [
+        ("run.message=50", "simulate: message must hold message ids"),
+        ("channel.power_budget=0.01",
+         "simulate: code power 2.14146 exceeds the budget 0.01")])
+    def test_an_estimate_refusal_leaves_the_trial_log_alone(
+            self, tmp_path, capsys, setting, message):
+        # the run's rows go to a new file, which replaces the log only
+        # when every estimate succeeded
+        log = tmp_path / "old.csv"
+        log.write_bytes(b"kept\n")
+        rc, out, err = run_cli(["simulate", "base.n=60", "run.trials=100",
+                                setting, f"run.trial_log={log}"], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: {message}")
+        assert log.read_bytes() == b"kept\n"
+        assert os.listdir(tmp_path) == ["old.csv"]
+
+    @pytest.mark.parametrize("name", [".", "no_such_directory/trials.csv"])
+    def test_a_trial_log_outside_a_directory_is_refused(
+            self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run_cli(["simulate", "base.n=60", "run.trials=100",
+                                f"run.trial_log={name}"], capsys)
+        assert rc == 2 and out == ""
+        assert err == (f"error: run.trial_log {name!r} must name a file in "
+                       "an existing directory\n")
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("value", [-1, 0])
     def test_max_per_level_must_be_positive(self, value, capsys):
         rc, out, err = run_cli(["construct", "base.n=60",

@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 from awgnauth import simulate
-from awgnauth.authcode import AuthCode, inject_noise
+from awgnauth.authcode import inject_noise
 from awgnauth.basecode import (BaseCode, BaseCodeError,
                                make_random_gaussian_code)
-from awgnauth.overlay import LevelSet, construct_overlay
-from awgnauth.simulate import ChannelParams, estimate
+from awgnauth.overlay import LevelSet, OverlayCode, construct_overlay
+from awgnauth.simulate import ChannelParams, base_error_probability, estimate
 from awgnauth.streams import block_rows, chunk_rows, tile_values
 
 BLAS = simulate._openblas()
@@ -347,8 +347,8 @@ def test_each_lazy_table_is_built_once_by_the_calling_thread(monkeypatch):
     code = inject_noise(make_random_gaussian_code(60, 6, 1.0, seed=2), ov,
                         rho_delta=1.0, delta=0.2, seed=2)
     builds = {}
-    for cls, name in ((BaseCode, "_half_norms"), (BaseCode, "_screen"),
-                      (AuthCode, "_tested")):
+    for cls, name in ((BaseCode, "_squares"), (BaseCode, "_half_norms"),
+                      (BaseCode, "_screen"), (OverlayCode, "tested")):
         def spy(self, build=getattr(cls, name).func, name=name):
             builds.setdefault(name, []).append(threading.get_ident())
             time.sleep(0.02)   # room for a second worker to build it too
@@ -364,8 +364,17 @@ def test_each_lazy_table_is_built_once_by_the_calling_thread(monkeypatch):
              threads=2, batch=100)
     assert pools.workers == [2]
     caller = [threading.get_ident()]
+    # inject_noise read the base code's power: its sums were built before
     assert builds == {"_half_norms": caller, "_screen": caller,
-                      "_tested": caller}
+                      "tested": caller}
+    # a fresh base code's tables, for its decode error on 2 workers
+    builds.clear()
+    monkeypatch.setattr(simulate, "_openblas",
+                        lambda: (lambda: 2, lambda threads: None))
+    base_error_probability(BaseCode(code.base.codewords), 1.0, 20_000, 1)
+    assert pools.workers == [2, 2]
+    assert builds == {"_squares": caller, "_half_norms": caller,
+                      "_screen": caller}
 
 
 def test_shares_split_the_budgets_down_to_a_floor():
