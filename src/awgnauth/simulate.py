@@ -19,7 +19,7 @@ Metrics
                         success means accepting anything other than a.
 
 Trial ``t`` always reads slice ``t`` of the per-role counter streams,
-so estimates are reproducible bit-for-bit regardless of batch size or
+so estimates are reproducible bit-for-bit regardless of block size or
 thread count, and runs at different noise powers share randomness.
 
 ``estimate`` takes one metric name or a sequence of them.  A *run* is an
@@ -37,14 +37,13 @@ the null message, and a custom attack runs only through ``run_trial``.
 One call is one pass over blocks of trials that runs each distinct run
 once: every run of every metric reads the block's streams, drawn once,
 and runs that transmit the same fixed message share its encoding.  A
-block (``streams.block_rows`` trials unless ``batch`` is given) goes in
-chunks of ``streams.chunk_rows(n)`` rows, whose n-wide arrays (draws,
-codewords, the encoder's scratch) stay in cache: each chunk is drawn,
-encoded, attacked and summed into the block's received rows, and the
-block is decoded and detected once its chunks are summed.  A block of
+block (``streams.block_rows`` trials) goes in chunks of
+``streams.chunk_rows(n)`` rows, whose n-wide arrays (draws, codewords,
+the encoder's scratch) stay in cache: each chunk is drawn, encoded,
+attacked and summed into the block's received rows, and each run is
+decoded and detected as soon as its last chunk is summed.  A block of
 one chunk keeps one buffer of received rows, which its runs take in
-turn, each decoded right after its sum, so 20 attack pairs hold one
-buffer, not 20.
+turn, so 20 attack pairs hold one buffer, not 20.
 
 ``_run_blocks`` runs the blocks of ``estimate`` and of
 ``base_error_probability`` (a base code's decode error under AWGN) on
@@ -206,24 +205,17 @@ def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
     """(transmitted, base_decoded, rejected) of trials [t0, t0+b) for each
     run.  The block goes in chunks of the workspace's rows: each chunk's
     streams are drawn, and its channel noises scaled, once, and every run
-    reads them and sums its received rows.  A block of one chunk decodes
-    and detects each run as soon as it is summed; a longer block decodes
-    and detects each run once all its chunks are summed.  ``terms`` are
-    the runs' ``_attack_terms`` and ``pool`` is the transmit pool of the
-    runs without a fixed message.  Every array is a row prefix of ``ws``;
-    the results are new arrays, which outlive the block."""
+    reads them and sums its received rows (run i in the workspace's
+    received buffer i, modulo their count).  Each run is decoded and
+    detected as soon as its last chunk is summed.  ``terms`` are the runs'
+    ``_attack_terms`` and ``pool`` is the transmit pool of the runs
+    without a fixed message.  Every array is a row prefix of ``ws``; the
+    results are new arrays, which outlive the block."""
     n, chunk = code.n, ws.codewords.shape[0]
-    shared = b <= chunk   # one chunk: its runs take one received buffer
     drawn_ms = (None if pool is None
                 else pool[choices(seed, Role.MESSAGE, t0, b, pool.size)])
     block_ms = [drawn_ms if fixed_m is None else np.full(b, fixed_m, np.int64)
                 for _, fixed_m in runs]
-
-    def decided(i: int, ys: np.ndarray) -> Result:
-        base_decoded = code.base.decode_batch(ys, tile=ws.tile)
-        return block_ms[i], base_decoded, detect_batch(
-            code, ys, base_decoded, channel.rho_dec, detector=detector)
-
     out = []
     for c0 in range(0, b, chunk):
         k = min(chunk, b - c0)
@@ -240,7 +232,8 @@ def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
         encoded = None   # (transmit message,) of the codewords in ``xs``
         for i, ((spec, fixed_m), run_terms) in enumerate(zip(runs, terms)):
             ms = block_ms[i][c0:c0 + k]
-            ys = ws.received[0 if shared else i, c0:c0 + k]
+            received = ws.received[i % len(ws.received), :b]
+            ys = received[c0:c0 + k]
             if encoded != (fixed_m,):
                 # runs that share a transmit message share its codewords;
                 # the received rows are free to take the encoder's gathered f
@@ -259,10 +252,11 @@ def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
                     zs = mmse_targeted_attack_batch(vs, run_terms, out=ys)
             np.add(xs, zs, out=ys)
             ys += dec_noise
-            if shared:
-                out.append(decided(i, ys))
-    if not shared:
-        out = [decided(i, ws.received[i, :b]) for i in range(len(runs))]
+            if c0 + k == b:   # the run's rows are complete
+                base_decoded = code.base.decode_batch(received, tile=ws.tile)
+                out.append((block_ms[i], base_decoded, detect_batch(
+                    code, received, base_decoded, channel.rho_dec,
+                    detector=detector)))
     return out
 
 
@@ -415,17 +409,18 @@ def _build_tables(base: BaseCode, overlay: OverlayCode | None = None) -> None:
 
 def _run_blocks(code: BaseCode, trials: int, shape: tuple[int, ...],
                 step: Callable[[_Workspace, int, int], np.ndarray | int], *,
-                threads: int = 1, batch: int | None = None, runs: int = 1,
+                threads: int = 1, runs: int = 1,
                 attacked: bool = False) -> np.ndarray:
     """The sum of ``step(ws, t0, b)``, int64 counters of ``shape``, over
-    the blocks [t0, t0+b) of ``batch`` trials (``block_rows`` when None),
-    run by workers with a ``_Workspace`` each (see the module docstring);
-    a block that raises stops the other workers at their next block, and
-    its error reaches the caller."""
+    the blocks [t0, t0+b) of ``block_rows`` trials, run by workers with a
+    ``_Workspace`` each (see the module docstring); a block that raises
+    stops the other workers at their next block, and its error reaches the
+    caller."""
     with _BLAS.one_each() as blas:
         workers = min(threads * blas, _cpus())
-        batch = block_rows(code.n, code.message_count, batch, runs, workers)
-        blocks = range(0, trials, batch)   # each block's first trial
+        block = block_rows(code.n, code.message_count, runs=runs,
+                           workers=workers)
+        blocks = range(0, trials, block)   # each block's first trial
         starts, lock, stop = iter(blocks), threading.Lock(), threading.Event()
 
         def work(ws: _Workspace) -> np.ndarray:
@@ -437,7 +432,7 @@ def _run_blocks(code: BaseCode, trials: int, shape: tuple[int, ...],
                         t0 = next(starts, None)
                     if t0 is None:
                         break
-                    counts += step(ws, t0, min(batch, trials - t0))
+                    counts += step(ws, t0, min(block, trials - t0))
             finally:   # no blocks are left, or this one failed
                 stop.set()
             return counts
@@ -445,7 +440,7 @@ def _run_blocks(code: BaseCode, trials: int, shape: tuple[int, ...],
         # one workspace per worker, allocated here, not in the workers:
         # memory the caller freed can serve them, where a new thread's
         # allocator would take fresh pages; dropped on return
-        spaces = [_Workspace(code.n, min(batch, trials), runs, attacked,
+        spaces = [_Workspace(code.n, min(block, trials), runs, attacked,
                              workers)
                   for _ in range(min(workers, len(blocks)))]
         if len(spaces) == 1:
@@ -459,8 +454,7 @@ def _run_blocks(code: BaseCode, trials: int, shape: tuple[int, ...],
 
 def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
                   trials: int, runs: Sequence[Run], *, detector: bool,
-                  threads: int, batch: int | None,
-                  log: _TrialLog | None = None) -> np.ndarray:
+                  threads: int, log: _TrialLog | None = None) -> np.ndarray:
     """The (runs, 4) counters of every run, all runs in one pass of
     ``_run_blocks``; ``log``, when given, spools each block's results."""
     pool = _transmit_pool(code) if any(m is None for _, m in runs) else None
@@ -475,7 +469,7 @@ def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
         return _count(runs, results)
 
     return _run_blocks(code.base, trials, (len(runs), 4), step,
-                       threads=threads, batch=batch, runs=len(runs),
+                       threads=threads, runs=len(runs),
                        attacked=any(spec.kind != "none" for spec, _ in runs))
 
 
@@ -661,7 +655,6 @@ def estimate(code: AuthCode, channel: ChannelParams,
              max_pairs: int = 20,
              detector: bool = True,
              threads: int = 1,
-             batch: int | None = None,
              trial_log: str | None = None,
              confidence: float = 0.95
              ) -> EstimateReport | list[EstimateReport]:
@@ -681,7 +674,7 @@ def estimate(code: AuthCode, channel: ChannelParams,
     ``trial_log`` appends one CSV row per simulated trial to that file,
     metric by metric.  ``threads`` times the BLAS thread count, at most
     the CPUs, is the number of block workers (see the module docstring);
-    no count depends on it, nor on ``batch``."""
+    no count depends on it."""
     metrics = [metric] if isinstance(metric, str) else list(metric)
     if not metrics:
         raise SimulateError("no metric requested")
@@ -693,8 +686,6 @@ def estimate(code: AuthCode, channel: ChannelParams,
     check_int("seed", seed, SimulateError, 0)
     check_int("max_pairs", max_pairs, SimulateError)
     check_int("threads", threads, SimulateError)
-    if batch is not None:
-        check_int("batch", batch, SimulateError)
     check_reals(SimulateError, confidence=confidence)
     _check_run(code, attack, None, custom=True)
     if channel.rho_dec == 0.0:
@@ -747,8 +738,7 @@ def estimate(code: AuthCode, channel: ChannelParams,
     with (contextlib.closing(_TrialLog(trial_log, runs, runs_of))
           if trial_log else contextlib.nullcontext()) as log:
         counts = _run_counting(code, channel, seed, trials, runs,
-                               detector=detector, threads=threads,
-                               batch=batch, log=log)
+                               detector=detector, threads=threads, log=log)
         for pos, (name, indices) in enumerate(runs_of):
             if log is not None:
                 log.write(pos)

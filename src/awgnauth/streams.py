@@ -164,19 +164,17 @@ def chunk_rows(n: int, workers: int = 1) -> int:
     return max(1, share(ROW_VALUES, ROW_FLOOR, workers) // n)
 
 
-def block_rows(n: int, message_count: int, batch: int | None = None,
-               runs: int = 1, workers: int = 1) -> int:
-    """Trials per block: ``batch`` when given, else whole chunks of a
-    worker's share, as many as fit in a quarter of ``message_count`` rows
-    or in the rows of one chunk of the whole ``ROW_VALUES``, whichever is
-    more, and keep the received rows of ``runs`` runs at a worker's share
-    of ``RECEIVED_VALUES``; one chunk at least.  A decode's sgemm time per
-    row stops falling at about M/4 rows; below a whole chunk's rows, the
-    fixed costs of a block (its decode, detect and hand-off between
-    workers) grow: at n = 256, M = 64 on 2 workers, blocks of one
-    half-budget chunk ran 7% fewer trials per second than blocks of two."""
-    if batch is not None:
-        return batch
+def block_rows(n: int, message_count: int, *, runs: int = 1,
+               workers: int = 1) -> int:
+    """Trials per block: whole chunks of a worker's share, as many as fit
+    in a quarter of ``message_count`` rows or in the rows of one chunk of
+    the whole ``ROW_VALUES``, whichever is more, and keep the received
+    rows of ``runs`` runs at a worker's share of ``RECEIVED_VALUES``; one
+    chunk at least.  A decode's sgemm time per row stops falling at about
+    M/4 rows; below a whole chunk's rows, the fixed costs of a block (its
+    decode, detect and hand-off between workers) grow: at n = 256, M = 64
+    on 2 workers, blocks of one half-budget chunk ran 7% fewer trials per
+    second than blocks of two."""
     chunk = chunk_rows(n, workers)
     received = share(RECEIVED_VALUES, RECEIVED_FLOOR, workers)
     return chunk * max(1, min(max(message_count // 4, chunk_rows(n)) // chunk,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from awgnauth import simulate, streams
 from awgnauth.authcode import inject_noise
 from awgnauth.basecode import make_random_gaussian_code
 from awgnauth.overlay import LevelSet, construct_overlay
@@ -37,3 +38,14 @@ def null_auth():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def fixed_blocks(monkeypatch):
+    """``fixed_blocks(rows)`` makes ``simulate`` run blocks of ``rows``
+    trials (the last one shorter) in place of ``block_rows``' size, until
+    the test ends or ``fixed_blocks(None)`` brings the rule back."""
+    def fix(rows):
+        monkeypatch.setattr(simulate, "block_rows", streams.block_rows
+                            if rows is None else lambda *args, **kwargs: rows)
+    return fix

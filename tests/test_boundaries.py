@@ -313,7 +313,7 @@ CALLS = {
                                                    gamma=0.75)),
     "estimate": (SimulateError, dict(
         code=CODE, channel=CHANNEL, metric="epsilon", trials=100, seed=0,
-        max_pairs=1, threads=1, batch=10, confidence=0.95)),
+        max_pairs=1, threads=1, confidence=0.95)),
     "run_trial": (SimulateError, dict(
         code=CODE, channel=CHANNEL, attack=AttackSpec("none"), m=0, seed=0,
         trial_index=0)),
@@ -456,7 +456,6 @@ INT_ROWS = {
     ("base_error_probability", "seed"): 0,
     ("estimate", "trials"): 100, ("estimate", "seed"): 0,
     ("estimate", "max_pairs"): 1, ("estimate", "threads"): 1,
-    ("estimate", "batch"): 1,
     ("run_trial", "seed"): 0, ("run_trial", "trial_index"): 0,
     ("injection_power_bound", "n"): 1,
     ("injection_power_bound", "ktilde_size"): 2,

@@ -10,21 +10,24 @@ sha256 of the trial log, when the case writes one.  The codes are
 with a null message and (600, 4096); the calls cover genuine runs, a
 fixed message, targeted pairs with ``weight_scale``, enumerated pairs,
 impersonation, auto-sized blocks, blocks of 1 and 57 trials, blocks of
-one chunk and of several, and the base decode's error.  A change that
+one chunk and of several (sizes forced on ``simulate.block_rows``, see
+``BLOCK_ROWS``), and the base decode's error.  A change that
 alters any count, report byte or log byte fails here.  To re-record on
 purpose (and say why in ``CHANGES.md``)::
 
     PYTHONPATH=src python tests/test_estimate_goldens.py --record
 """
 
+import contextlib
 import functools
 import hashlib
 import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from awgnauth import cli
+from awgnauth import cli, simulate
 from awgnauth.adversary import AttackSpec
 from awgnauth.simulate import ChannelParams, base_error_probability, estimate
 
@@ -58,14 +61,13 @@ CASES = {
     "fixed_message": ("gauss_60_6", GENUINE,
                       ["genuine_acceptance", "epsilon"], 2000, 2,
                       {"message": 2}, True),
-    "batch_1": ("gauss_60_6", GENUINE, ["epsilon"], 300, 3, {"batch": 1},
-                True),
+    "batch_1": ("gauss_60_6", GENUINE, ["epsilon"], 300, 3, {}, True),
     "batch_57": ("gauss_60_6", GENUINE, ["epsilon", "false_alarm"], 1000, 4,
-                 {"batch": 57}, True),
+                 {}, True),
     "one_chunk": ("gauss_60_6", ATTACKED, ["epsilon", "alpha_star"], 1500, 5,
-                  {"batch": 500, "pairs": [(0, 1), (4, 3)]}, True),
+                  {"pairs": [(0, 1), (4, 3)]}, True),
     "several_chunks": ("gauss_60_6", ATTACKED, ["alpha", "epsilon"], 12000,
-                       6, {"batch": 5000, "pairs": [(1, 0), (2, 5)]}, True),
+                       6, {"pairs": [(1, 0), (2, 5)]}, True),
     "targeted_scaled": ("gauss_61_42", ATTACKED, ["alpha_star", "alpha"],
                         2000, 7, {"pairs": [(0, 1), (3, 4), (5, 1)],
                                   "attack": AttackSpec("targeted", 1,
@@ -87,6 +89,10 @@ CASES = {
                     ["alpha_star"], 300, 13, {"pairs": [(0, 1), (7, 4095)]},
                     False),
 }
+
+# case -> the trials per block it forces in place of ``block_rows``' size
+BLOCK_ROWS = {"batch_1": 1, "batch_57": 57, "one_chunk": 500,
+              "several_chunks": 5000}
 
 # name -> (code, rho_dec, trials, seed) of a base_error_probability call
 BASE_CASES = {
@@ -127,9 +133,12 @@ def results(folder):
     for name, (code, channel, metrics, trials, seed, kwargs,
                logged) in CASES.items():
         log = str(Path(folder) / f"{name}.csv") if logged else None
-        reports = [r.to_json_dict() for r in estimate(
-            _code(code), channel, metrics, trials, seed, trial_log=log,
-            **kwargs)]
+        rows = BLOCK_ROWS.get(name)
+        with (contextlib.nullcontext() if rows is None else mock.patch.object(
+                simulate, "block_rows", lambda *args, **kwargs: rows)):
+            reports = [r.to_json_dict() for r in estimate(
+                _code(code), channel, metrics, trials, seed, trial_log=log,
+                **kwargs)]
         out[name] = {"counts": _counts(reports), "reports": reports,
                      "log": _sha256(log) if logged else None}
     for name, (code, rho_dec, trials, seed) in BASE_CASES.items():

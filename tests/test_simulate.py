@@ -343,7 +343,8 @@ class TestOnePass:
         assert sorted(drawn) == [Role.DELTA, Role.ADVERSARY, Role.DECODER]
 
     def test_a_pair_does_not_depend_on_the_other_pairs(self, small_auth,
-                                                       tmp_path):
+                                                       tmp_path,
+                                                       fixed_blocks):
         ch = ChannelParams(rho_dec=0.1, rho_adv=0.05)
 
         def run(pairs, **kw):
@@ -358,7 +359,8 @@ class TestOnePass:
             return entry, rows
 
         alone = run([(0, 3)])
-        among = run(self.PAIRS, batch=57, threads=2)
+        fixed_blocks(57)
+        among = run(self.PAIRS, threads=2)
         assert alone == among
         assert len(alone[1]) == 300
 
@@ -387,10 +389,8 @@ class TestOnePass:
                 received = rows * n * (1 if rows == chunk else runs)
                 assert 5 * chunk * n + 1.5 * received + 2 ** 20 < 2 ** 22
 
-    def test_block_rows_floor_and_explicit_batch(self):
+    def test_block_rows_floor_and_sizes(self):
         assert block_rows(2 ** 23, 6) == 1
-        assert block_rows(600, 4096, 57) == 57
-        assert block_rows(600, 4096, 57, runs=20) == 57
         # large_codebook: four 218-row chunks, decoded together; twenty
         # runs keep one chunk
         assert block_rows(600, 4096) == 872
@@ -399,7 +399,8 @@ class TestOnePass:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_results_do_not_depend_on_the_block_rule(self, small_auth,
-                                                     tmp_path, threads):
+                                                     tmp_path, threads,
+                                                     fixed_blocks):
         # 3000 trials are two auto blocks at n=60 (2184 rows keep the
         # n-wide arrays at 2**17 values) and one block under a 2**22
         # rule; reports and trial logs must not see the difference
@@ -407,18 +408,18 @@ class TestOnePass:
         assert block_rows(60, 6) < trials <= 2 ** 22 // 60
         ch = ChannelParams(rho_dec=0.1, rho_adv=0.05)
 
-        def run(batch, threads, name=None):
-            log = tmp_path / f"{name or batch}-{threads}.csv"
+        def run(rows, threads, name=None):
+            log = tmp_path / f"{name or rows}-{threads}.csv"
+            fixed_blocks(rows)
             reports = estimate(small_auth, ch, ["epsilon", "alpha_star",
                                                 "false_alarm", "alpha"],
                                trials, seed=6, pairs=TestSeveralMetrics.PAIRS,
-                               batch=batch, threads=threads,
-                               trial_log=str(log))
+                               threads=threads, trial_log=str(log))
             return [r.to_json_dict() for r in reports], log.read_bytes()
 
         one_block = run(trials, 1, name="one-block")
-        for batch in (None, 57, trials):
-            assert run(batch, threads) == one_block
+        for rows in (None, 57, trials):
+            assert run(rows, threads) == one_block
 
 
 class TestBoundedMemory:
@@ -444,7 +445,8 @@ class TestBoundedMemory:
         assert peak(10 ** 6) <= peak(10 ** 5) + 2 ** 20
 
     def test_the_block_schedule_does_not_grow_with_trials(self, small_auth,
-                                                          monkeypatch):
+                                                          monkeypatch,
+                                                          fixed_blocks):
         # one-row blocks of a stubbed simulation and count, with no runs:
         # the blocks are visited, not listed (a list of them takes about
         # 96 B a block, 17 MiB more at 2e5 blocks than at 2e4)
@@ -459,6 +461,7 @@ class TestBoundedMemory:
         no_counts = np.zeros((0, 4), np.int64)
         monkeypatch.setattr(simulate, "_count", lambda runs, results:
                             no_counts)
+        fixed_blocks(1)
 
         def peak(trials):
             nonlocal visited
@@ -467,7 +470,7 @@ class TestBoundedMemory:
             try:
                 simulate._run_counting(small_auth, ChannelParams(rho_dec=0.1),
                                        0, trials, [], detector=True,
-                                       threads=1, batch=1)
+                                       threads=1)
                 assert visited == trials
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -490,32 +493,35 @@ class TestChunkedBlocks:
 
     @pytest.mark.parametrize("fixture", ["small_auth", "odd_auth"])
     def test_counts_and_logs_equal_at_any_chunk_and_block(
-            self, request, fixture, tmp_path, monkeypatch):
+            self, request, fixture, tmp_path, monkeypatch, fixed_blocks):
         code = request.getfixturevalue(fixture)
         monkeypatch.setattr(streams, "ROW_VALUES", 5 * code.n)   # 5 rows
         pool = simulate._transmit_pool(code)
         pairs = [(int(pool[0]), int(pool[1])), (int(pool[2]), int(pool[1]))]
         ch = ChannelParams(rho_dec=0.1, rho_adv=0.05)
 
-        def run(batch, threads):
-            log = tmp_path / f"{batch}-{threads}.csv"
+        def run(rows, threads):
+            log = tmp_path / f"{rows}-{threads}.csv"
+            fixed_blocks(rows)
             reports = estimate(code, ch, ["epsilon", "alpha_star", "alpha"],
-                               300, seed=6, pairs=pairs, batch=batch,
-                               threads=threads, trial_log=str(log))
+                               300, seed=6, pairs=pairs, threads=threads,
+                               trial_log=str(log))
             return ([r.to_json_dict() for r in reports],
                     hashlib.sha256(log.read_bytes()).hexdigest())
 
         if fixture == "odd_auth":
             assert block_rows(60, 42) == 10   # auto: two chunks
         want = run(300, 1)   # one block of 60 chunks
-        for batch in (1, 57, 5, 17, None):   # 1 chunk, one, 4 and auto
+        for rows in (1, 57, 5, 17, None):   # 1 chunk, one, 4 and auto
             for threads in (1, 2):
-                assert run(batch, threads) == want, (batch, threads)
+                assert run(rows, threads) == want, (rows, threads)
 
-    def test_a_one_chunk_block_holds_one_received_buffer(self):
-        # 20 pairs of the README code: one 218-row chunk per block, whose
-        # runs take turns in one 1 MiB buffer of received rows; a buffer
-        # per run would hold 20 MiB
+    def test_a_one_chunk_block_holds_one_received_buffer(self, monkeypatch):
+        # 20 pairs of the README code on one worker (without the BLAS
+        # symbols, threads=1 is one worker at any CPU count): one 218-row
+        # chunk per block, whose runs take turns in one 1 MiB buffer of
+        # received rows; a buffer per run would hold 20 MiB
+        monkeypatch.setattr(simulate, "_openblas", lambda: None)
         ov = construct_overlay(600, LevelSet((0.0, 0.5)), 0.75,
                                counts_per_level=[3, 2], seed=7)
         code = inject_noise(make_random_gaussian_code(600, 6, 1.0, seed=7),
@@ -564,20 +570,20 @@ class TestWorkspace:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_blocks_reusing_arrays_equal_trials_alone(self, small_auth,
                                                       tmp_path, replayed,
-                                                      threads):
+                                                      threads, fixed_blocks):
         assert block_rows(60, 6) < self.TRIALS
         ch = ChannelParams(rho_dec=0.1, rho_adv=0.05)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)   # interleave the workers often
         try:
             runs = []
-            for batch in (None, 57, self.TRIALS):
-                log = tmp_path / f"{batch}.csv"
+            for rows in (None, 57, self.TRIALS):
+                log = tmp_path / f"{rows}.csv"
+                fixed_blocks(rows)
                 reports = estimate(small_auth, ch,
                                    ["alpha_star", "alpha", "epsilon"],
                                    self.TRIALS, seed=6, pairs=self.PAIRS,
-                                   batch=batch, threads=threads,
-                                   trial_log=str(log))
+                                   threads=threads, trial_log=str(log))
                 runs.append(([r.to_json_dict() for r in reports],
                              log.read_bytes()))
         finally:
@@ -641,7 +647,8 @@ class TestSeveralMetrics:
         assert estimate(small_auth, ch, "epsilon", 200,
                         seed=4).to_json_dict() == listed.to_json_dict()
 
-    def test_each_block_draws_each_stream_once(self, small_auth, monkeypatch):
+    def test_each_block_draws_each_stream_once(self, small_auth, monkeypatch,
+                                              fixed_blocks):
         drawn = []
         normals = simulate.normals
 
@@ -650,9 +657,10 @@ class TestSeveralMetrics:
             return normals(seed, role, start, trials, width, **kwargs)
 
         monkeypatch.setattr(simulate, "normals", counting)
+        fixed_blocks(100)
         estimate(small_auth, ChannelParams(rho_dec=0.1, rho_adv=0.05),
                  ["epsilon", "false_alarm", "alpha_star", "alpha"], 300,
-                 seed=6, pairs=self.PAIRS, batch=100)
+                 seed=6, pairs=self.PAIRS)
         assert sorted(drawn) == sorted(
             (role, t0) for t0 in (0, 100, 200)
             for role in (Role.DELTA, Role.ADVERSARY, Role.DECODER))
@@ -681,9 +689,9 @@ class TestSeveralMetrics:
          dict(channel=ChannelParams(0.1, rho_adv=0.1)), "fixed message"),
         (["epsilon", "bias"], {}, "unknown metric 'bias'"),
         ([], {}, "no metric requested"),
-        (["epsilon"], dict(batch=-5), "batch must be a positive integer"),
-        (["epsilon"], dict(batch=0), "batch must be a positive integer"),
-        (["epsilon"], dict(batch=2.5), "batch must be a positive integer"),
+        (["epsilon"], dict(max_pairs=0), "max_pairs must be a positive"),
+        (["epsilon"], dict(seed=-1), "seed must be a nonnegative integer"),
+        (["epsilon"], dict(confidence=1.5), "confidence must lie in"),
         (["epsilon"], dict(threads=0), "threads must be a positive integer"),
         (["epsilon"], dict(threads=-1), "threads must be a positive integer"),
         ("epsilon", dict(threads=1.0), "threads must be a positive integer"),
@@ -708,11 +716,12 @@ class TestDeterminism:
         b = estimate(small_auth, ch, "alpha_star", **kw)
         assert a.to_json_dict() == b.to_json_dict()
 
-    def test_thread_and_batch_invariance(self, small_auth):
+    def test_thread_and_batch_invariance(self, small_auth, fixed_blocks):
         ch = ChannelParams(rho_dec=0.1)
         base = estimate(small_auth, ch, "epsilon", 500, seed=8)
+        fixed_blocks(57)
         threaded = estimate(small_auth, ch, "epsilon", 500, seed=8,
-                            threads=4, batch=57)
+                            threads=4)
         assert base.to_json_dict() == threaded.to_json_dict()
 
     def test_seed_changes_the_draws(self, small_auth):

@@ -159,28 +159,29 @@ class TestBlasThreads:
     CH = ChannelParams(rho_dec=0.1)
 
     def test_restored_after_a_return(self, small_auth, monkeypatch,
-                                     blas_at_2):
+                                     blas_at_2, fixed_blocks):
         seen = []
         _blas_in_blocks(monkeypatch, seen)
         pools = PoolSpy(monkeypatch)
-        estimate(small_auth, self.CH, "epsilon", 5000, seed=1, batch=500)
+        fixed_blocks(500)
+        estimate(small_auth, self.CH, "epsilon", 5000, seed=1)
         assert blas_at_2() == 2
         assert seen and set(seen) == {1}
         workers = min(1 * 2, simulate._cpus())
         assert pools.workers == ([workers] if workers > 1 else [])
 
     def test_restored_after_an_error(self, small_auth, monkeypatch,
-                                     blas_at_2):
+                                     blas_at_2, fixed_blocks):
         seen = []
         _blas_in_blocks(monkeypatch, seen, fail=True)
+        fixed_blocks(500)
         with pytest.raises(RuntimeError, match="a block failed"):
-            estimate(small_auth, self.CH, "epsilon", 5000, seed=1,
-                     batch=500)
+            estimate(small_auth, self.CH, "epsilon", 5000, seed=1)
         assert seen and set(seen) == {1}
         assert blas_at_2() == 2
 
     def test_restored_after_two_calls_at_once(self, small_auth, monkeypatch,
-                                              blas_at_2):
+                                              blas_at_2, fixed_blocks):
         # call B enters while call A holds BLAS at 1, and leaves after A
         # has returned: B must still find b = 2, and restore it
         entered = {1: threading.Event(), 2: threading.Event()}
@@ -198,12 +199,13 @@ class TestBlasThreads:
 
         monkeypatch.setattr(simulate, "_simulate_block", spy)
         pools = PoolSpy(monkeypatch)
+        fixed_blocks(500)
         results, errors = {}, []
 
         def call(seed):
             try:
                 results[seed] = estimate(small_auth, self.CH, "epsilon",
-                                         2000, seed=seed, batch=500)
+                                         2000, seed=seed)
             except Exception as exc:   # reported by the main thread
                 errors.append(exc)
             finally:
@@ -230,13 +232,15 @@ class TestBlasThreads:
         assert pools.workers == ([workers] * 2 if workers > 1 else [])
         assert set(seen[1]) == set(seen[2]) == {1}
         assert blas_at_2() == 2
+        fixed_blocks(None)
         for seed in (1, 2):
             assert results[seed].to_json_dict() == estimate(
                 small_auth, self.CH, "epsilon", 2000,
                 seed=seed).to_json_dict()
 
     def test_a_failing_block_stops_the_other_worker(self, small_auth,
-                                                    monkeypatch, blas_at_2):
+                                                    monkeypatch, blas_at_2,
+                                                    fixed_blocks):
         # threads=2 at b = 2, within 2 CPUs: 2 workers over 20 blocks; the
         # first block fails while the other worker is in its block, which
         # then takes no further block (or one, pulled before it saw the
@@ -258,15 +262,17 @@ class TestBlasThreads:
             return block(code, channel, seed, t0, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "_simulate_block", spy)
+        fixed_blocks(250)
         with pytest.raises(RuntimeError, match="a block failed"):
             estimate(small_auth, self.CH, "epsilon", 5000, seed=1,
-                     threads=2, batch=250)
+                     threads=2)
         assert pools.workers == [2]
         assert 2 <= len(after) <= 3 and sum(after) <= 1, after
         assert blas_at_2() == 2
 
     def test_without_the_symbols_blas_is_left_alone(self, small_auth,
-                                                    monkeypatch, blas_at_2):
+                                                    monkeypatch, blas_at_2,
+                                                    fixed_blocks):
         monkeypatch.setattr(simulate, "_OPENBLAS_THREADS",
                             ("no_such_get_symbol", "no_such_set_symbol"))
         simulate._openblas.cache_clear()
@@ -276,8 +282,9 @@ class TestBlasThreads:
             _blas_in_blocks(monkeypatch, seen)
             pools = PoolSpy(monkeypatch)
             monkeypatch.setattr(simulate, "_cpus", lambda: 4)
+            fixed_blocks(500)
             estimate(small_auth, self.CH, "epsilon", 5000, seed=1,
-                     threads=3, batch=500)
+                     threads=3)
         finally:
             monkeypatch.undo()
             simulate._openblas.cache_clear()
@@ -286,19 +293,21 @@ class TestBlasThreads:
         assert blas_at_2() == 2
 
 
-def test_the_worker_count_is_capped_by_the_cpus(small_auth, monkeypatch):
+def test_the_worker_count_is_capped_by_the_cpus(small_auth, monkeypatch,
+                                                 fixed_blocks):
     pools = PoolSpy(monkeypatch)
     monkeypatch.setattr(simulate, "_openblas", lambda: None)
     monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+    fixed_blocks(500)
     estimate(small_auth, ChannelParams(rho_dec=0.1), "epsilon", 3000,
-             seed=1, threads=5, batch=500)
+             seed=1, threads=5)
     assert pools.workers == [2]
 
 
 @pytest.mark.parametrize("workers", [2, 4])
 def test_blocks_finishing_out_of_order_log_as_in_order(small_auth,
                                                       monkeypatch, tmp_path,
-                                                      workers):
+                                                      workers, fixed_blocks):
     # even-numbered blocks sleep, so odd blocks finish first; at a short
     # switch interval, on as many workers as cores and on more, a block
     # pulled twice or lost changes the blocks run, the counts or the log
@@ -318,9 +327,11 @@ def test_blocks_finishing_out_of_order_log_as_in_order(small_auth,
             finished.append([])
             reports += estimate(small_auth, ChannelParams(0.1, rho_adv=0.1),
                                 metrics, 2000, seed=4, threads=threads,
-                                batch=100, pairs=[(0, 1), (2, 4)],
-                                message=3, trial_log=str(log))
+                                pairs=[(0, 1), (2, 4)], message=3,
+                                trial_log=str(log))
         return [r.to_json_dict() for r in reports], log.read_bytes()
+
+    fixed_blocks(100)
 
     want = logged(1)
     finished.clear()
@@ -340,7 +351,8 @@ def test_blocks_finishing_out_of_order_log_as_in_order(small_auth,
     assert got == want
 
 
-def test_each_lazy_table_is_built_once_by_the_calling_thread(monkeypatch):
+def test_each_lazy_table_is_built_once_by_the_calling_thread(monkeypatch,
+                                                            fixed_blocks):
     # a fresh code, whose decode and detect tables are not built yet
     ov = construct_overlay(60, LevelSet((0.0, 0.5)), 0.75,
                            counts_per_level=[3, 2], seed=2)
@@ -360,8 +372,9 @@ def test_each_lazy_table_is_built_once_by_the_calling_thread(monkeypatch):
     monkeypatch.setattr(simulate, "_openblas", lambda: None)
     monkeypatch.setattr(simulate, "_cpus", lambda: 2)
     pools = PoolSpy(monkeypatch)
+    fixed_blocks(100)
     estimate(code, ChannelParams(rho_dec=0.1), "epsilon", 2000, seed=1,
-             threads=2, batch=100)
+             threads=2)
     assert pools.workers == [2]
     caller = [threading.get_ident()]
     # inject_noise read the base code's power: its sums were built before
@@ -369,6 +382,7 @@ def test_each_lazy_table_is_built_once_by_the_calling_thread(monkeypatch):
                       "tested": caller}
     # a fresh base code's tables, for its decode error on 2 workers
     builds.clear()
+    fixed_blocks(None)
     monkeypatch.setattr(simulate, "_openblas",
                         lambda: (lambda: 2, lambda threads: None))
     base_error_probability(BaseCode(code.base.codewords), 1.0, 20_000, 1)
@@ -387,7 +401,6 @@ def test_shares_split_the_budgets_down_to_a_floor():
         assert (chunk_rows(600, workers), block_rows(600, 4096,
                                                      workers=workers),
                 tile_values(workers)) == (54, 216, 2 ** 18)
-    assert block_rows(600, 4096, 57, workers=2) == 57
     # a block keeps a whole chunk's rows where the received share allows:
     # two half chunks at n = 256, M = 64; one with 20 runs, which share one
     # received buffer
