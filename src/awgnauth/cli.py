@@ -6,8 +6,11 @@ taken from a config file and then from the command line (``key=value``,
 ``--key value`` or ``--key=value``; ``--out FILE`` is ``run.out``), and
 applied in the order written: the last setting of a field wins, whatever
 its spelling, and a malformed setting exits 2 even when a later one
-replaces it.  ``sweep`` checks every point and builds its code before it
-runs any; points with one ``code_key`` share one code.
+replaces it.  Each field declares its setting's domain in ``streams``'
+terms, so a bad value exits 2 in the library's words under its key
+(``channel.rho_adv must be a nonnegative finite number, not -1.0``)
+before any code is built.  ``sweep`` checks every point and builds its
+code before it runs any; points with one ``code_key`` share one code.
 
 Config grammar (line oriented; ``#`` starts a comment)::
 
@@ -45,7 +48,7 @@ import sys
 import uuid
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -57,7 +60,9 @@ from .basecode import BaseCode, antipodal_error_probability, make_antipodal_code
 from .overlay import (LevelSet, OverlayCode, construct_overlay, verify_overlay)
 from .overlay import to_json_dict as overlay_to_json
 from .overlay import from_json_dict as overlay_from_json
-from .simulate import FALSE_AUTH_METRICS, METRICS, ChannelParams, estimate
+from .simulate import (FALSE_AUTH_METRICS, METRICS, MIN_TRIALS, ChannelParams,
+                       estimate)
+from .streams import check_int, check_reals
 
 OUTPUT_DIR_ENV = "AWGNAUTH_OUTPUT_DIR"
 SCHEMA_VERSION = 1
@@ -138,21 +143,17 @@ def _as_gamma(key: str, value: Any):
     return _as_float(key, value)
 
 
-# A domain is a (description, predicate) pair and a value is valid when
-# the predicate is true, so NaN fails every comparison-based domain.
-_POSITIVE = ("be positive and finite", lambda v: 0.0 < v < math.inf)
-_POSITIVE_INT = ("be positive", lambda v: v >= 1)
-_NONNEGATIVE = ("be nonnegative", lambda v: v >= 0)
-
-
 def _setting(key: str, parse, default: Any = None, *, aliases=(),
-             domain: tuple[str, Callable[[Any], bool]] | None = None,
+             domain: str | int | tuple[str, ...] | None = None,
              sweep: bool = False, hashed: bool = True) -> Any:
     """Declare one config setting as an ``ExperimentConfig`` field:
     ``key`` is its dotted name (the prefix is its section), ``aliases``
     further names, ``parse(key, raw)`` its parser, ``domain`` must hold
     unless the value is None, ``sweep`` makes it a ``sweep --axis`` and
-    ``hashed`` puts it in ``canonical()`` and so in ``config_hash``."""
+    ``hashed`` puts it in ``canonical()`` and so in ``config_hash``.
+    A real's ``domain`` is a ``streams.check_reals`` domain name, an
+    integer's its minimum and a string's the tuple of its choices; a
+    list's holds for each of its items."""
     return field(default=default, metadata={
         "key": key, "aliases": aliases, "parse": parse, "domain": domain,
         "sweep": sweep, "hashed": hashed})
@@ -162,74 +163,69 @@ def _setting(key: str, parse, default: Any = None, *, aliases=(),
 class ExperimentConfig:
     """One experiment; each field is the only declaration of its setting."""
 
-    base_kind: str = _setting("base.kind", _as_str, "antipodal", domain=(
-        "be antipodal or gaussian", lambda v: v in ("antipodal", "gaussian")))
+    base_kind: str = _setting("base.kind", _as_str, "antipodal",
+                              domain=("antipodal", "gaussian"))
     n: int = _setting("base.n", _as_int, 64, aliases=("n",), sweep=True,
-                      domain=("be at least 2", lambda v: v >= 2))
-    base_messages: int = _setting("base.messages", _as_int, 8)
+                      domain=2)
+    base_messages: int = _setting("base.messages", _as_int, 8, domain=1)
     base_omega: float = _setting("base.omega", _as_float, 1.0,
-                                 domain=_POSITIVE)
+                                 domain="positive")
     base_null: bool = _setting("base.null", _as_bool, False)
-    base_seed: int = _setting("base.seed", _as_int, 0, domain=_NONNEGATIVE)
+    base_seed: int = _setting("base.seed", _as_int, 0, domain=0)
 
-    # a tuple of floats, or "auto"
+    # a tuple of floats, or "auto"; a list is checked as a LevelSet
     overlay_levels: Any = _setting("overlay.levels", _as_levels, (0.0, 0.5))
-    overlay_auto_count: int = _setting(
-        "overlay.auto_count", _as_int, 2, domain=_POSITIVE_INT)
-    # a float, or a "p/q" string
+    overlay_auto_count: int = _setting("overlay.auto_count", _as_int, 2,
+                                       domain=1)
+    # a float, or a "p/q" string; checked in (1/2,1) as gamma_value()
     gamma: Any = _setting("overlay.gamma", _as_gamma, 0.75, aliases=("gamma",))
     overlay_counts: tuple[int, ...] | None = _setting(
-        "overlay.counts", _as_opt(_as_list(_as_int)))
+        "overlay.counts", _as_opt(_as_list(_as_int)), domain=1)
     overlay_rates: tuple[float, ...] | None = _setting(
-        "overlay.rates", _as_opt(_as_list(_as_float)), domain=(
-            "be finite", lambda v: all(map(math.isfinite, v))))
+        "overlay.rates", _as_opt(_as_list(_as_float)), domain="finite")
     overlay_max_per_level: int | None = _setting(
-        "overlay.max_per_level", _as_opt(_as_int), domain=_POSITIVE_INT)
-    overlay_seed: int = _setting("overlay.seed", _as_int, 0,
-                                 domain=_NONNEGATIVE)
+        "overlay.max_per_level", _as_opt(_as_int), domain=1)
+    overlay_seed: int = _setting("overlay.seed", _as_int, 0, domain=0)
 
     rho_delta: float = _setting("auth.rho_delta", _as_float, 1.0, sweep=True,
-                                aliases=("rho_delta",), domain=_POSITIVE)
+                                aliases=("rho_delta",), domain="positive")
     delta: float = _setting("auth.delta", _as_float, 0.2, sweep=True,
-                            aliases=("delta",),
-                            domain=("lie in (0,1)", lambda v: 0.0 < v < 1.0))
+                            aliases=("delta",), domain="(0,1)")
     t_zero: bool = _setting("auth.t_zero", _as_bool, False)
     auth_enforce: bool = _setting("auth.enforce_bounds", _as_bool, True)
-    auth_seed: int = _setting("auth.seed", _as_int, 0, domain=_NONNEGATIVE)
+    auth_seed: int = _setting("auth.seed", _as_int, 0, domain=0)
 
     mod2_enabled: bool = _setting("mod2.enabled", _as_bool, False)
     mod2_agnostic: bool = _setting("mod2.agnostic", _as_bool, False)
     mod2_target: int | None = _setting("mod2.target_override",
-                                       _as_opt(_as_int))
-    mod2_seed: int = _setting("mod2.seed", _as_int, 0, domain=_NONNEGATIVE)
+                                       _as_opt(_as_int), domain=2)
+    mod2_seed: int = _setting("mod2.seed", _as_int, 0, domain=0)
 
     rho_dec: float = _setting("channel.rho_dec", _as_float, 0.1,
-                              aliases=("rho_dec",), domain=_POSITIVE)
-    rho_adv: float = _setting(
-        "channel.rho_adv", _as_float, 0.0, aliases=("rho_adv",), sweep=True,
-        domain=("be nonnegative and finite", lambda v: 0.0 <= v < math.inf))
+                              aliases=("rho_dec",), domain="positive")
+    rho_adv: float = _setting("channel.rho_adv", _as_float, 0.0,
+                              aliases=("rho_adv",), sweep=True,
+                              domain="nonnegative")
     power_budget: float | None = _setting(
-        "channel.power_budget", _as_opt(_as_float), domain=_POSITIVE)
+        "channel.power_budget", _as_opt(_as_float), domain="positive")
 
     attack: str = _setting("attack.spec", _as_str, "none", aliases=("attack",))
     weight_scale: float | None = _setting(
         "attack.weight_scale", _as_opt(_as_float), sweep=True,
-        domain=("be finite", math.isfinite))
+        domain="finite")
 
     metrics: tuple[str, ...] = _setting("run.metrics", _as_list(_as_str),
-                                        ("epsilon",), aliases=("metrics",))
+                                        ("epsilon",), aliases=("metrics",),
+                                        domain=METRICS)
+    # 0 skips the estimates; any other count is at least MIN_TRIALS
     trials: int = _setting("run.trials", _as_int, 100_000, aliases=("trials",),
-                           domain=("be 0 or at least 100",
-                                   lambda v: v == 0 or v >= 100))
-    seed: int = _setting("run.seed", _as_int, 0, aliases=("seed",),
-                         domain=_NONNEGATIVE)
+                           domain=0)
+    seed: int = _setting("run.seed", _as_int, 0, aliases=("seed",), domain=0)
     # estimate's ``threads``: blocks run on min(threads x BLAS threads,
     # CPUs) workers at one BLAS thread each; no count depends on it
-    threads: int = _setting("run.threads", _as_int, 1, domain=_POSITIVE_INT)
-    max_pairs: int = _setting("run.max_pairs", _as_int, 20,
-                              domain=_POSITIVE_INT)
-    message: int | None = _setting("run.message", _as_opt(_as_int),
-                                   domain=_NONNEGATIVE)
+    threads: int = _setting("run.threads", _as_int, 1, domain=1)
+    max_pairs: int = _setting("run.max_pairs", _as_int, 20, domain=1)
+    message: int | None = _setting("run.message", _as_opt(_as_int), domain=0)
     detector: bool = _setting("run.detector", _as_bool, True)
     out: str | None = _setting("run.out", _as_opt(_as_str), aliases=("out",),
                                hashed=False)
@@ -359,33 +355,37 @@ def parse_config(path: str | None = None,
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Check every declared domain, then the checks no single field owns."""
+    """Check each declared domain with ``streams``' checks (a list's on
+    each item, and a list must not be empty), then the checks that no
+    single field owns; every refusal is a ``ConfigError`` naming its key."""
     for f in fields(cfg):
-        value, domain = getattr(cfg, f.name), f.metadata["domain"]
-        if domain is not None and value is not None and not domain[1](value):
-            raise ConfigError(
-                f"{f.metadata['key']} must {domain[0]}, got {value!r}")
-    if isinstance(cfg.overlay_levels, str):
-        if cfg.overlay_levels != "auto":
-            raise ConfigError("overlay.levels must be a list or 'auto'")
-    else:
-        for k in cfg.overlay_levels:
-            if not 0.0 <= k < 1.0:
-                raise ConfigError(f"levels must lie in [0,1), got {k}")
-        if list(cfg.overlay_levels) != sorted(set(cfg.overlay_levels)):
-            raise ConfigError("levels must be strictly increasing")
-    g = cfg.gamma_value()
-    if not Fraction(1, 2) < g < 1:
-        raise ConfigError(
-            f"overlay.gamma must lie strictly between 1/2 and 1, got {g}")
-    for metric in cfg.metrics:
-        if metric not in METRICS:
-            raise ConfigError(f"run.metrics: unknown metric {metric!r}; "
-                              f"choose from {METRICS}")
-    try:
-        AttackSpec.parse(cfg.attack)
-    except ValueError as e:
-        raise ConfigError(f"attack.spec: {e}") from e
+        key, value, domain = (f.metadata["key"], getattr(cfg, f.name),
+                              f.metadata["domain"])
+        if domain is None or value is None:
+            continue
+        items = value if isinstance(value, tuple) else (value,)
+        if not items:
+            raise ConfigError(f"{key} must hold at least one value")
+        for item in items:
+            if isinstance(domain, str):
+                check_reals(ConfigError, domain=domain, **{key: item})
+            elif isinstance(domain, int):
+                check_int(key, item, ConfigError, domain)
+            elif item not in domain:
+                raise ConfigError(f"{key} must be one of "
+                                  f"{', '.join(domain)}, not {item!r}")
+    if cfg.trials:
+        check_int("run.trials", cfg.trials, ConfigError, MIN_TRIALS)
+    check_reals(ConfigError, domain="(1/2,1)",
+                **{"overlay.gamma": cfg.gamma_value()})
+    checks = [("attack.spec", AttackSpec.parse, cfg.attack)]
+    if not isinstance(cfg.overlay_levels, str):   # "auto" is resolved later
+        checks.append(("overlay.levels", LevelSet, cfg.overlay_levels))
+    for key, check, value in checks:
+        try:
+            check(value)
+        except ValueError as e:
+            raise ConfigError(f"{key}: {e}") from e
 
 
 def _stage(stage: str, fn, *args, **kwargs):
@@ -425,9 +425,8 @@ def build_overlay(cfg: ExperimentConfig, base: BaseCode) -> OverlayCode:
     if counts is None and cfg.overlay_rates is None:
         counts = (base.message_count,) + (1,) * (len(levels) - 1)
     code = _stage("overlay", construct_overlay, cfg.n, levels,
-                  cfg.gamma_value(),
-                  rates_per_level=cfg.overlay_rates or None,
-                  counts_per_level=counts or None,
+                  cfg.gamma_value(), rates_per_level=cfg.overlay_rates,
+                  counts_per_level=counts,
                   max_messages_per_level=cfg.overlay_max_per_level,
                   seed=cfg.overlay_seed)
     if code.message_count != base.message_count:
@@ -548,9 +547,8 @@ def run_estimates(cfg: ExperimentConfig, code: AuthCode,
         kwargs["attack"] = replace(attack, weight_scale=cfg.weight_scale)
     with (_replacing(cfg.trial_log) if cfg.trial_log   # every metric's
           else contextlib.nullcontext()) as log:
-        reports = (_stage("simulate", estimate, code, channel,
-                          list(cfg.metrics), trial_log=log, **kwargs)
-                   if cfg.metrics else [])
+        reports = _stage("simulate", estimate, code, channel,
+                         list(cfg.metrics), trial_log=log, **kwargs)
     rows = []
     for metric, report in zip(cfg.metrics, reports):
         bound, label = _metric_bound(cfg, code, bounds, metric)

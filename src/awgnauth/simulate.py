@@ -100,6 +100,7 @@ from .streams import (Role, block_rows, check_ids, check_int, check_reals,
 
 METRICS = ("epsilon", "false_alarm", "genuine_acceptance", "alpha_star", "alpha")
 FALSE_AUTH_METRICS = ("alpha_star", "alpha")
+MIN_TRIALS = 100   # the fewest trials an estimate runs
 NO_ATTACK = AttackSpec("none")   # ``estimate``'s attack unless one is given
 
 CLASS_CORRECT = "correct"
@@ -502,7 +503,7 @@ def base_error_probability(code: BaseCode, rho_dec: float, trials: int,
     sqrt(rho_dec), so estimates at different rho_dec values share
     randomness and are pointwise monotone.  The blocks run on
     ``estimate``'s workers at its default ``threads``."""
-    check_int("trials", trials, BaseCodeError, 100)
+    check_int("trials", trials, BaseCodeError, MIN_TRIALS)
     check_int("seed", seed, BaseCodeError, 0)
     check_reals(BaseCodeError, domain="positive", rho_dec=rho_dec)
     pool = code.non_null_ids
@@ -682,7 +683,7 @@ def estimate(code: AuthCode, channel: ChannelParams,
         if name not in METRICS:
             raise SimulateError(f"unknown metric {name!r}; "
                                 f"choose from {METRICS}")
-    check_int("trials", trials, SimulateError, 100)
+    check_int("trials", trials, SimulateError, MIN_TRIALS)
     check_int("seed", seed, SimulateError, 0)
     check_int("max_pairs", max_pairs, SimulateError)
     check_int("threads", threads, SimulateError)

@@ -101,32 +101,65 @@ class TestConfigGrammar:
 
 
 class TestValidation:
-    def test_exact_messages(self):
+    def test_exact_messages(self, capsys, monkeypatch):
+        # every refusal exits 2 from parse_config, before any code is built
+        def no_build(cfg):
+            raise AssertionError("a refused config was built")
+
+        monkeypatch.setattr(cli, "build_pipeline", no_build)
         cases = {
-            "overlay.levels=[0.0, 1.0]": r"levels must lie in \[0,1\), got 1.0",
-            "overlay.gamma=0.5": "must lie strictly between 1/2 and 1",
-            'run.metrics=["bogus"]': "unknown metric 'bogus'",
-            "attack=targeted": "needs ':<target id>'",
-            "base.n=1": "base.n must be at least 2",
-            "auth.delta=1.5": r"auth.delta must lie in \(0,1\)",
-            "channel.rho_dec=0": "rho_dec must be positive",
-            "overlay.levels=[0.5, 0.25]": "strictly increasing",
-            "run.message=-3": "run.message must be nonnegative",
-            "auth.rho_delta=Infinity": "auth.rho_delta must be positive",
-            "channel.power_budget=NaN": "channel.power_budget must be positive",
-            "attack.weight_scale=nan": "attack.weight_scale must be finite",
-            "run.max_pairs=-1": "run.max_pairs must be positive",
-            "run.max_pairs=0": "run.max_pairs must be positive",
-            "base.seed=-1": "base.seed must be nonnegative",
-            "overlay.seed=-1": "overlay.seed must be nonnegative",
-            "auth.seed=-1": "auth.seed must be nonnegative",
-            "mod2.seed=-1": "mod2.seed must be nonnegative",
-            "run.seed=-1": "run.seed must be nonnegative",
-            "run.trials=50": "run.trials must be 0 or at least 100, got 50",
+            "overlay.levels=[0.0, 1.0]":
+                "overlay.levels: levels must lie in [0,1), not 1.0",
+            "overlay.levels=[]":
+                "overlay.levels: at least one level below 1 is required",
+            "overlay.gamma=0.5": "overlay.gamma must lie in (1/2,1), not 0.5",
+            'run.metrics=["bogus"]':
+                "run.metrics must be one of epsilon, false_alarm, "
+                "genuine_acceptance, alpha_star, alpha, not 'bogus'",
+            "run.metrics=[]": "run.metrics must hold at least one value",
+            "overlay.counts=[]": "overlay.counts must hold at least one value",
+            "overlay.rates=[]": "overlay.rates must hold at least one value",
+            "attack=targeted":
+                "attack.spec: targeted attack needs ':<target id>'",
+            "base.kind=bpsk":
+                "base.kind must be one of antipodal, gaussian, not 'bpsk'",
+            "base.n=1": "base.n must be an integer of at least 2, not 1",
+            "auth.delta=1.5": "auth.delta must lie in (0, 1), not 1.5",
+            "channel.rho_dec=0":
+                "channel.rho_dec must be a positive finite number, not 0.0",
+            "overlay.levels=[0.5, 0.25]":
+                "overlay.levels: levels must be strictly increasing, "
+                "got (0.5, 0.25)",
+            "run.message=-3": "run.message must be a nonnegative integer, "
+                              "not -3",
+            "auth.rho_delta=Infinity":
+                "auth.rho_delta must be a positive finite number, not inf",
+            "channel.power_budget=NaN":
+                "channel.power_budget must be a positive finite number, "
+                "not nan",
+            "attack.weight_scale=nan":
+                "attack.weight_scale must be finite and real, not nan",
+            "run.max_pairs=-1": "run.max_pairs must be a positive integer, "
+                                "not -1",
+            "run.max_pairs=0": "run.max_pairs must be a positive integer, "
+                               "not 0",
+            "base.seed=-1": "base.seed must be a nonnegative integer, not -1",
+            "overlay.seed=-1":
+                "overlay.seed must be a nonnegative integer, not -1",
+            "auth.seed=-1": "auth.seed must be a nonnegative integer, not -1",
+            "mod2.seed=-1": "mod2.seed must be a nonnegative integer, not -1",
+            "run.seed=-1": "run.seed must be a nonnegative integer, not -1",
+            "run.trials=-1": "run.trials must be a nonnegative integer, "
+                             "not -1",
+            "run.trials=50": "run.trials must be an integer of at least 100, "
+                             "not 50",
         }
         for override, message in cases.items():
-            with pytest.raises(ConfigError, match=message):
+            with pytest.raises(ConfigError) as info:
                 parse_config(None, [override])
+            assert str(info.value) == message, override
+            rc, out, err = run_cli(["construct", override], capsys)
+            assert (rc, out, err) == (2, "", f"error: {message}\n"), override
 
     def test_too_few_trials_leave_the_trial_log_alone(self, tmp_path,
                                                       capsys):
@@ -135,7 +168,8 @@ class TestValidation:
         rc, out, err = run_cli(["simulate", "base.n=60", "run.trials=50",
                                 f"run.trial_log={log}"], capsys)
         assert rc == 2 and out == ""
-        assert err == "error: run.trials must be 0 or at least 100, got 50\n"
+        assert err == ("error: run.trials must be an integer of at least 100, "
+                       "not 50\n")
         assert log.read_text() == "kept\n"
 
     @pytest.mark.parametrize("setting, message", [
@@ -171,8 +205,8 @@ class TestValidation:
         rc, out, err = run_cli(["construct", "base.n=60",
                                 f"overlay.max_per_level={value}"], capsys)
         assert rc == 2 and out == ""
-        assert err == ("error: overlay.max_per_level must be positive, "
-                       f"got {value}\n")
+        assert err == ("error: overlay.max_per_level must be a positive "
+                       f"integer, not {value}\n")
 
     @pytest.mark.parametrize("raw, expected", [
         (0, False), (1, True), ("0", False), ("1", True), (True, True),
@@ -193,7 +227,8 @@ class TestValidation:
                                 "base.messages=2", f"overlay.rates={rates}"],
                                capsys)
         assert rc == 2 and out == ""
-        assert err.startswith("error: overlay.rates must be finite, got (")
+        assert err.startswith("error: overlay.rates must be finite and real, "
+                              "not ")
 
     def test_integer_boolean_overrides(self):
         cfg = parse_config(None, ["run.detector=0", "base.null=1"])
@@ -438,8 +473,8 @@ class TestSweepCommand:
                                 "--values", "0.1,-1", "base.n=60",
                                 "run.trials=100"], capsys)
         assert rc == 2 and out == ""
-        assert err == ("error: channel.rho_adv must be nonnegative and "
-                       "finite, got -1.0\n")
+        assert err == ("error: channel.rho_adv must be a nonnegative finite "
+                       "number, not -1.0\n")
 
     def test_every_point_is_built_before_any_runs(self, capsys, monkeypatch):
         # n = 2 passes the config check but not the overlay construction

@@ -14,6 +14,7 @@ from awgnauth.cli import (
     parse_config,
     parse_config_text,
 )
+from awgnauth.streams import _DOMAINS
 
 SETTINGS = fields(ExperimentConfig)
 
@@ -29,6 +30,18 @@ def test_keys_and_aliases_are_unique():
              for k in (f.metadata["key"], *f.metadata["aliases"])]
     assert len(names) == len(set(names)) == 47
     assert sum(1 for f in SETTINGS for _ in f.metadata["aliases"]) == 11
+
+
+def test_numeric_domains_are_streams_domains():
+    # a real's domain is a streams.check_reals domain name and an
+    # integer's its minimum, so no numeric range is stated in cli.py
+    for f in SETTINGS:
+        domain = f.metadata["domain"]
+        assert not callable(domain), f.name
+        if "float" in f.type:
+            assert domain in _DOMAINS, f.name
+        elif "int" in f.type:
+            assert type(domain) is int, f.name
 
 
 def test_sweep_axes():
