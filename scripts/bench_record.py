@@ -9,7 +9,11 @@ one pair (two runs made one after the other, alternating which side ran
 first).  A file's value for a metric is the median over its executions.
 For every workload and every metric that ``BENCHMARK.json`` declares,
 the record gives each side's per-pair values with their median and
-quartiles, and the number of pairs in which the change was better.
+quartiles, and the number of pairs in which the change was better and
+in which it was worse (the rest are ties).  Each end-to-end metric also
+gets ``within_bound``: whether the change's median is worse than the
+parent's by no more than the metric's ``bound``, a fraction of the
+parent's median.
 Machines, seeds, traces and thread budgets are copied from the inputs.
 Traced results (``--trace 1``), given as ``--traced-parent`` and
 ``--traced-change`` pairs in the same way, are summarised apart under
@@ -70,13 +74,19 @@ def record(parents: list[dict[str, Any]], changes: list[dict[str, Any]],
         metrics = {}
         for name, pairs in entry.pop("pair_values").items():
             sign = 1 if declared[name]["better"] == "higher" else -1
-            metrics[name] = {
+            metrics[name] = m = {
                 "unit": declared[name]["unit"],
                 "better": declared[name]["better"],
                 "parent": spread([p for p, _ in pairs]),
                 "change": spread([c for _, c in pairs]),
                 "change_better_pairs": sum(sign * (c - p) > 0
-                                           for p, c in pairs)}
+                                           for p, c in pairs),
+                "change_worse_pairs": sum(sign * (c - p) < 0
+                                          for p, c in pairs)}
+            if "bound" in declared[name]:   # an end-to-end metric
+                before, after = m["parent"]["median"], m["change"]["median"]
+                m["within_bound"] = (sign * (before - after)
+                                     <= declared[name]["bound"] * before)
         entry["metrics"] = metrics
     machines = [r["machine"] for r in parents + changes]
     return {"machine": machines[0],
@@ -115,9 +125,14 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n")
     for workload, entry in out["workloads"].items():
         for name, m in entry["metrics"].items():
+            verdict = ("" if "within_bound" not in m else
+                       "; within bound" if m["within_bound"] else
+                       "; OUTSIDE BOUND")
             print(f"{workload:15s} {name:28s} parent {m['parent']['median']:.6g}"
                   f" change {m['change']['median']:.6g} (change better in "
-                  f"{m['change_better_pairs']}/{entry['pairs']} pairs)")
+                  f"{m['change_better_pairs']}, worse in "
+                  f"{m['change_worse_pairs']} of {entry['pairs']} pairs"
+                  f"{verdict})")
     return 0
 
 

@@ -118,6 +118,17 @@ class InjectionBounds:
     alpha_star_vacuous: bool
 
 
+def _error_bounds(epsilon_h: float, n: int, rate_h: float, ell: int,
+                  delta: float, k_size: int) -> tuple[float, float, dict]:
+    """The injected code's error bound, its variant and their terms."""
+    tail = math.exp(-n * rate_h)
+    terms = {"base": epsilon_h, "concentration": math.sqrt(n / 2.0 * tail),
+             "concentration_variant": math.sqrt(2.0 * n * tail),
+             "detector": k_size * math.exp(-ell * delta * delta / 8.0)}
+    base, concentration, variant, detector = terms.values()
+    return base + concentration + detector, base + variant + detector, terms
+
+
 def injection_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
                      rho_delta: float, rho_adv: float, rho_dec: float,
                      omega_h: float, rate_h: float, epsilon_h: float,
@@ -135,9 +146,7 @@ def injection_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
                 for k in level_set.extended}
     nxt = {k: level_set.next_above(k) for k in level_set.levels}
     k_size = len(level_set)
-    concentration = math.sqrt(n / 2.0 * math.exp(-n * rate_h))
-    concentration_var = math.sqrt(2.0 * n * math.exp(-n * rate_h))
-    detector = k_size * math.exp(-ell * delta * delta / 8.0)
+    eps, eps_v, terms = _error_bounds(epsilon_h, n, rate_h, ell, delta, k_size)
     alpha_star = targeted_false_auth_bound(ell, gamma, lam)
     if t_zero:
         power = power_var = omega_h + rho_delta
@@ -151,11 +160,7 @@ def injection_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
         lam=lam, lam_argmin_level=argmin, residual_by_level=residual,
         next_level=nxt, rate=rate_h,
         power_bound=power, power_bound_variant=power_var,
-        epsilon_bound=epsilon_h + concentration + detector,
-        epsilon_bound_variant=epsilon_h + concentration_var + detector,
-        epsilon_terms={"base": epsilon_h, "concentration": concentration,
-                       "concentration_variant": concentration_var,
-                       "detector": detector},
+        epsilon_bound=eps, epsilon_bound_variant=eps_v, epsilon_terms=terms,
         alpha_star_bound=alpha_star, alpha_star_vacuous=alpha_star >= 1.0)
 
 
@@ -173,6 +178,14 @@ def quantization_radius(n: int, omega: float, rho_delta: float,
     return max(1.0, math.sqrt(3.0 * n * inner))
 
 
+def _rate_terms(n: int, rate_h: float, gamma: float, ell: int, lam: float,
+                theta: float) -> dict[str, float]:
+    """The terms of ``decimation_rate``: the rate less the others."""
+    return {"rate_term": (1.0 - 1.0 / n) * rate_h,
+            "margin_term": (1.0 - gamma) * ell / (4.0 * n) * lam * lam,
+            "quantization_term": (2.0 + math.log(2.0 * theta)) / n}
+
+
 def decimation_rate(n: int, rate_h: float, gamma: float, ell: int,
                     lam: float, theta: float) -> float:
     """Surviving rate after decimation:
@@ -181,9 +194,9 @@ def decimation_rate(n: int, rate_h: float, gamma: float, ell: int,
     check_int("ell", ell, BoundsError)
     check_reals(BoundsError, rate_h=rate_h, gamma=gamma, lam=lam)
     check_reals(BoundsError, domain="positive", theta=theta)
-    return ((1.0 - 1.0 / n) * rate_h
-            - (1.0 - gamma) * ell / (4.0 * n) * lam * lam
-            - (2.0 + math.log(2.0 * theta)) / n)
+    rate, margin, quantization = _rate_terms(n, rate_h, gamma, ell, lam,
+                                             theta).values()
+    return rate - margin - quantization
 
 
 @dataclass(frozen=True)
@@ -234,9 +247,7 @@ def decimation_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
                   - (rate_h + 2.0 + math.log(4.0 * n * theta)) / n)
     alpha = ((2.0 * n + 1.0 / (2.0 * math.sqrt(n * rho_dec)))
              * math.exp(-(1.0 - gamma) * ell * lam * lam / 8.0))
-    k_size = len(level_set)
-    eps = (epsilon_h + math.sqrt(2.0 * n * math.exp(-n * rate_h))
-           + k_size * math.exp(-ell * delta * delta / 8.0))
+    _, eps, _ = _error_bounds(epsilon_h, n, rate_h, ell, delta, len(level_set))
     lhs = (n - 1.0) * rate_h
     rhs = (1.0 - gamma) * ell * lam * lam / 4.0 + 2.0 + math.log(4.0 * n * theta)
     return DecimationBounds(
@@ -244,11 +255,7 @@ def decimation_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
         rate_bound=rate_bound, alpha_bound=alpha, alpha_vacuous=alpha >= 1.0,
         epsilon_bound=eps, feasible=lhs >= rhs,
         precondition_lhs=lhs, precondition_rhs=rhs,
-        terms={
-            "rate_term": (1.0 - 1.0 / n) * rate_h,
-            "margin_term": (1.0 - gamma) * ell / (4.0 * n) * lam * lam,
-            "quantization_term": (2.0 + math.log(2.0 * theta)) / n,
-        })
+        terms=_rate_terms(n, rate_h, gamma, ell, lam, theta))
 
 
 def capacity(rho: float, rho_dec: float, rho_adv: float) -> float:

@@ -378,6 +378,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         check_int("run.trials", cfg.trials, ConfigError, MIN_TRIALS)
     check_reals(ConfigError, domain="(1/2,1)",
                 **{"overlay.gamma": cfg.gamma_value()})
+    if cfg.overlay_counts is not None and cfg.overlay_rates is not None:
+        raise ConfigError("overlay.counts and overlay.rates: give only one")
     checks = [("attack.spec", AttackSpec.parse, cfg.attack)]
     if not isinstance(cfg.overlay_levels, str):   # "auto" is resolved later
         checks.append(("overlay.levels", LevelSet, cfg.overlay_levels))

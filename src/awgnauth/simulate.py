@@ -50,12 +50,12 @@ turn, so 20 attack pairs hold one buffer, not 20.
 min(``threads`` x b, CPUs) workers, b being the BLAS thread count at the
 call (``_BlasThreads``) and CPUs those the process may run on, each at
 one BLAS thread (so the draws, encode and detect keep every core busy).
-Each worker pulls its blocks from one shared iterator, so they finish in
-any order, into one ``_Workspace`` of the arrays above, allocated once
-per call, with its share of the budgets of ``streams``, so that memory
-does not grow with the worker count (down to each budget's floor).
-Before any worker starts, the calling thread builds the code's lazy
-tables (``_build_tables``).
+The calling thread builds the code's lazy tables (``_build_tables``),
+then runs one worker, and a pool thread runs each other one.  Each pulls
+its blocks from one shared iterator, so they finish in any order, into
+one ``_Workspace`` of the arrays above, allocated once per call, with its
+share of the budgets of ``streams``, so that memory does not grow with
+the worker count (up to 4 workers).
 
 Each block is reduced to integer counters as soon as it is done: per
 run, trials decoded correctly and accepted, decoded correctly, decoded
@@ -94,9 +94,9 @@ from .authcode import REJECT, AuthCode, auth_encode_batch, detect_batch
 from .basecode import BaseCode, BaseCodeError
 from .overlay import OverlayCode
 from .reporting import EstimateReport, wilson_interval
-from .streams import (Role, block_rows, check_ids, check_int, check_reals,
-                      choices, chunk_rows, draw_buffer, normals,
-                      one_shot_rng, tile_values)
+from .streams import (TILE_VALUES, Role, block_rows, check_ids, check_int,
+                      check_reals, choices, chunk_rows, draw_buffer, normals,
+                      one_shot_rng, share)
 
 METRICS = ("epsilon", "false_alarm", "genuine_acceptance", "alpha_star", "alpha")
 FALSE_AUTH_METRICS = ("alpha_star", "alpha")
@@ -190,7 +190,7 @@ class _Workspace:
     def __init__(self, n: int, block: int, runs: int, attacked: bool,
                  workers: int = 1):
         rows = min(chunk_rows(n, workers), block)
-        self.tile = tile_values(workers)
+        self.tile = share(TILE_VALUES, workers)
         self.delta = draw_buffer(rows, n)
         self.adversary = draw_buffer(rows, n) if attacked else None
         self.decoder = draw_buffer(rows, n)
@@ -410,13 +410,14 @@ def _build_tables(base: BaseCode, overlay: OverlayCode | None = None) -> None:
 
 def _run_blocks(code: BaseCode, trials: int, shape: tuple[int, ...],
                 step: Callable[[_Workspace, int, int], np.ndarray | int], *,
-                threads: int = 1, runs: int = 1,
-                attacked: bool = False) -> np.ndarray:
+                overlay: OverlayCode | None = None, threads: int = 1,
+                runs: int = 1, attacked: bool = False) -> np.ndarray:
     """The sum of ``step(ws, t0, b)``, int64 counters of ``shape``, over
     the blocks [t0, t0+b) of ``block_rows`` trials, run by workers with a
-    ``_Workspace`` each (see the module docstring); a block that raises
-    stops the other workers at their next block, and its error reaches the
-    caller."""
+    ``_Workspace`` each, once the lazy tables of ``code`` and ``overlay``
+    are built (see the module docstring); a block that raises stops the
+    other workers at their next block, and its error reaches the caller."""
+    _build_tables(code, overlay)
     with _BLAS.one_each() as blas:
         workers = min(threads * blas, _cpus())
         block = block_rows(code.n, code.message_count, runs=runs,
@@ -438,17 +439,15 @@ def _run_blocks(code: BaseCode, trials: int, shape: tuple[int, ...],
                 stop.set()
             return counts
 
-        # one workspace per worker, allocated here, not in the workers:
-        # memory the caller freed can serve them, where a new thread's
-        # allocator would take fresh pages; dropped on return
+        # every workspace is allocated here and the first worker runs here,
+        # so they reuse memory the caller freed, where a pool thread's own
+        # malloc arena takes fresh pages; the pool starts w - 1 threads
         spaces = [_Workspace(code.n, min(block, trials), runs, attacked,
                              workers)
                   for _ in range(min(workers, len(blocks)))]
-        if len(spaces) == 1:
-            return work(spaces[0])
         with ThreadPoolExecutor(max_workers=len(spaces)) as executor:
-            try:
-                return sum(executor.map(work, spaces))
+            try:   # map submits the others before this thread runs one
+                return sum(executor.map(work, spaces[1:]), work(spaces[0]))
             finally:
                 stop.set()   # also when the caller leaves early
 
@@ -460,7 +459,6 @@ def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
     ``_run_blocks``; ``log``, when given, spools each block's results."""
     pool = _transmit_pool(code) if any(m is None for _, m in runs) else None
     terms = _attack_terms(code, channel, runs)
-    _build_tables(code.base, code.overlay if detector else None)
 
     def step(ws: _Workspace, t0: int, b: int) -> np.ndarray:
         results = _simulate_block(code, channel, seed, t0, b, runs, terms,
@@ -470,6 +468,7 @@ def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
         return _count(runs, results)
 
     return _run_blocks(code.base, trials, (len(runs), 4), step,
+                       overlay=code.overlay if detector else None,
                        threads=threads, runs=len(runs),
                        attacked=any(spec.kind != "none" for spec, _ in runs))
 
@@ -510,7 +509,6 @@ def base_error_probability(code: BaseCode, rho_dec: float, trials: int,
     if not pool.size:
         raise BaseCodeError("the code has no message to transmit but the "
                             "null message")
-    _build_tables(code)
     errors = _run_blocks(code, trials, (), functools.partial(
         _base_errors, code, pool, math.sqrt(rho_dec), seed))
     return EstimateReport(

@@ -22,12 +22,12 @@ decode over the codebook serves enough rows, but no fewer rows than one
 chunk of the whole 2**17 values where memory allows, with the received
 rows of all runs at most 2**19 values.  The decode's float32 screen, at a
 prefix split or the full width alike, scores a block in message tiles
-of at most 2**20 scores (``tile_values``), whatever its rows.  These
+of at most 2**20 scores (``TILE_VALUES``), whatever its rows.  These
 three budgets (``ROW_VALUES``, ``RECEIVED_VALUES``, ``TILE_VALUES``)
-are per call: a call that runs its blocks on w workers gives each an
-equal share (``share``), 1/w of each budget but never less than a
-quarter, so that its memory does not grow with w up to 4 workers and
-many workers do not shrink chunks to a few rows.
+are per call: each of a call's w workers gets 1/w of each budget, but
+at least a quarter, which is the whole floor rule (``share``), so that
+memory does not grow with w up to 4 workers and many workers do not
+shrink chunks to a few rows.
 ``row_chunks`` splits a table's rows into chunks of at most a given
 number of values, so that a pass over a whole code table holds no
 temporary of the table's size.
@@ -59,11 +59,6 @@ _U_MIN = 2.0**-53  # smallest uniform we feed the quantile function
 ROW_VALUES = 2 ** 17     # float64 values in a chunk's n-wide arrays
 RECEIVED_VALUES = 2 ** 19   # received rows of a block, all runs together
 TILE_VALUES = 2 ** 20   # float32 scores in a tile of the decode's screen
-# the least share of each budget that a worker gets (see ``share``): a
-# quarter.  One worker of ``estimate`` at 1 BLAS thread on a 2-vCPU x86-64
-# host kept 80-90% of its trials per second at a quarter of every budget
-# and 60-70% at a sixteenth, at n = 600, M = 4096 and n = 256, M = 64.
-ROW_FLOOR, RECEIVED_FLOOR, TILE_FLOOR = 2 ** 15, 2 ** 17, 2 ** 18
 SCORE_VALUES = 2 ** 22   # verdicts in a tile of the overlay's pair scan
 # values in a chunk of the detector's gathers or the decode's rescored rows:
 # such a chunk's arrays and ROW_VALUES of received rows fit a 2 MiB L2 cache
@@ -151,17 +146,19 @@ def one_shot_rng(master_seed: int, role: int, *extra: int) -> np.random.Generato
         np.random.SeedSequence((int(master_seed), int(role), *map(int, extra))))
 
 
-def share(budget: int, floor: int, workers: int) -> int:
-    """One worker's share of a per-call ``budget`` of values that
-    ``workers`` workers split: an equal share, but at least ``floor``, and
-    never more than the budget itself."""
-    return min(budget, max(floor, budget // workers))
+def share(budget: int, workers: int) -> int:
+    """One of ``workers`` workers' share of a per-call ``budget``: an
+    equal share, but at least a quarter.  One worker of ``estimate`` at 1
+    BLAS thread on a 2-vCPU x86-64 host kept 80-90% of its trials per
+    second at a quarter of every budget and 60-70% at a sixteenth, at
+    n = 600, M = 4096 and n = 256, M = 64."""
+    return max(budget // 4, budget // workers)
 
 
 def chunk_rows(n: int, workers: int = 1) -> int:
     """Rows of a chunk: as many as keep its n-wide arrays at a worker's
     share of ``ROW_VALUES`` float64s; at least one."""
-    return max(1, share(ROW_VALUES, ROW_FLOOR, workers) // n)
+    return max(1, share(ROW_VALUES, workers) // n)
 
 
 def block_rows(n: int, message_count: int, *, runs: int = 1,
@@ -176,15 +173,9 @@ def block_rows(n: int, message_count: int, *, runs: int = 1,
     on 2 workers, blocks of one half-budget chunk ran 7% fewer trials per
     second than blocks of two."""
     chunk = chunk_rows(n, workers)
-    received = share(RECEIVED_VALUES, RECEIVED_FLOOR, workers)
+    received = share(RECEIVED_VALUES, workers)
     return chunk * max(1, min(max(message_count // 4, chunk_rows(n)) // chunk,
                               received // (runs * n * chunk)))
-
-
-def tile_values(workers: int = 1) -> int:
-    """Scores in a tile of the decode's screen: a worker's share of
-    ``TILE_VALUES``."""
-    return share(TILE_VALUES, TILE_FLOOR, workers)
 
 
 def row_chunks(rows: int, n: int, values: int) -> Iterator[slice]:

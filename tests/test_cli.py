@@ -153,12 +153,17 @@ class TestValidation:
                              "not -1",
             "run.trials=50": "run.trials must be an integer of at least 100, "
                              "not 50",
+            ("base.kind=gaussian", "base.messages=4", "base.n=60",
+             "overlay.counts=[2,2]", "overlay.rates=[0.1,0.1]"):
+                "overlay.counts and overlay.rates: give only one",
         }
         for override, message in cases.items():
+            overrides = [override] if isinstance(override, str) \
+                else list(override)
             with pytest.raises(ConfigError) as info:
-                parse_config(None, [override])
+                parse_config(None, overrides)
             assert str(info.value) == message, override
-            rc, out, err = run_cli(["construct", override], capsys)
+            rc, out, err = run_cli(["construct", *overrides], capsys)
             assert (rc, out, err) == (2, "", f"error: {message}\n"), override
 
     def test_too_few_trials_leave_the_trial_log_alone(self, tmp_path,

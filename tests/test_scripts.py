@@ -53,20 +53,26 @@ def test_script_runs_and_writes_its_outputs(tmp_path, monkeypatch, capsys,
 def test_bench_record_summarises_a_parent_and_a_change(tmp_path):
     machine = {"cpu_model": "test", "nproc": 2}
 
-    def result(name, rates, rss, trace=False, decode_s=None):
+    def result(name, rates, rss, trace=False, decode_s=None,
+               workload="genuine_cli"):
         path = tmp_path / name
         samples = {"trials_per_s": rates, "peak_rss_mb": rss,
                    "not_declared": [1.0]}
         if decode_s is not None:
             samples["basecode.decode.s"] = decode_s
         path.write_text(json.dumps({
-            "workload": "genuine_cli", "seed": 1, "trace": trace,
+            "workload": workload, "seed": 1, "trace": trace,
             "threads": {"pool": 2, "blas": 1}, "failed": 0,
             "machine": machine, "samples": samples}))
         return str(path)
 
     parent = result("parent.json", [100.0, 120.0, 110.0], [400.0, 410.0])
     change = result("change.json", [130.0, 150.0, 140.0], [70.0, 80.0])
+    # a second workload: a tie in rate, and 11% more memory against a
+    # bound of 10%
+    tied = [result(f"{side}_large.json", [100.0], [rss],
+                   workload="large_codebook")
+            for side, rss in (("parent", 100.0), ("change", 111.0))]
     traced = [result(f"traced_{side}.json", [90.0], [400.0], True, [s])
               for side, s in (("parent", 0.4), ("change", 0.3))]
     out = tmp_path / "BENCH_0.json"
@@ -76,7 +82,8 @@ def test_bench_record_summarises_a_parent_and_a_change(tmp_path):
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--label",
-         "0", "--parent", parent, "--change", change, "--out", str(out),
+         "0", "--parent", parent, tied[0], "--change", change, tied[1],
+         "--out", str(out),
          "--traced-parent", traced[0], "--traced-change", traced[1]],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -89,10 +96,18 @@ def test_bench_record_summarises_a_parent_and_a_change(tmp_path):
     assert rate["parent"]["median"] == 110.0
     assert rate["change"] == {"median": 140.0, "q1": 140.0, "q3": 140.0,
                               "runs": [140.0]}
-    assert rate["change_better_pairs"] == 1
+    assert (rate["change_better_pairs"], rate["change_worse_pairs"],
+            rate["within_bound"]) == (1, 0, True)
     rss = entry["metrics"]["peak_rss_mb"]
     assert (rss["better"], rss["change"]["median"]) == ("lower", 75.0)
-    assert rss["change_better_pairs"] == 1
+    assert (rss["change_better_pairs"], rss["change_worse_pairs"],
+            rss["within_bound"]) == (1, 0, True)
+    large = rec["workloads"]["large_codebook"]["metrics"]
+    assert [(m["change_better_pairs"], m["change_worse_pairs"],
+             m["within_bound"])
+            for m in (large["trials_per_s"], large["peak_rss_mb"])] \
+        == [(0, 0, True), (0, 1, False)]
+    assert "worse in 1 of 1 pairs; OUTSIDE BOUND" in proc.stdout
     # traced runs apart, their per-layer metrics beside the end-to-end ones
     traced = rec["traced"]["genuine_cli"]
     assert traced["trace"] is True and traced["pairs"] == 1
@@ -100,3 +115,4 @@ def test_bench_record_summarises_a_parent_and_a_change(tmp_path):
     assert (decode["parent"]["median"], decode["change"]["median"]) \
         == (0.4, 0.3)
     assert decode["change_better_pairs"] == 1
+    assert "within_bound" not in decode   # a per-layer metric has no bound

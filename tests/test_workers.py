@@ -1,6 +1,7 @@
 """``estimate`` runs its blocks on min(threads x b, CPUs) workers, b the
 BLAS thread count at the call, each worker at one BLAS thread, and
-``base_error_probability`` on min(b, CPUs) of them; b is restored on
+``base_error_probability`` on min(b, CPUs) of them; the calling thread
+runs one worker and a pool thread each other one.  b is restored on
 return, and the chunk, received-row and tile budgets are split among the
 workers.  No count, report or trial log may see the worker count."""
 
@@ -23,7 +24,7 @@ from awgnauth.basecode import (BaseCode, BaseCodeError,
                                make_random_gaussian_code)
 from awgnauth.overlay import LevelSet, OverlayCode, construct_overlay
 from awgnauth.simulate import ChannelParams, base_error_probability, estimate
-from awgnauth.streams import block_rows, chunk_rows, tile_values
+from awgnauth.streams import TILE_VALUES, block_rows, chunk_rows, share
 
 BLAS = simulate._openblas()
 needs_blas = pytest.mark.skipif(BLAS is None,
@@ -32,7 +33,8 @@ needs_blas = pytest.mark.skipif(BLAS is None,
 
 class PoolSpy:
     """Stands in for ``ThreadPoolExecutor`` in ``simulate`` and records
-    the worker count of each pool made."""
+    the worker count of each pool made: its ``max_workers``, the calling
+    thread's worker and one pool thread per other worker."""
 
     def __init__(self, monkeypatch):
         self.workers = []
@@ -61,7 +63,8 @@ def blas_at_2():
 # One genuine estimate and one over attack pairs on a code with M > 512,
 # whose genuine blocks the prefix screen decodes, then the base code's
 # error over six blocks; prints the reports, the trial log's sha256, the
-# base errors, each pool's worker count and the rule's counts.
+# base errors, each pool's worker count (the calling thread's worker
+# included) and the rule's counts.
 EQUALITY_RUN = """
 import hashlib, json, os, sys, tempfile
 from awgnauth import basecode, simulate
@@ -130,9 +133,9 @@ def test_counts_reports_and_logs_equal_at_any_threads_and_blas_threads():
         runs[threads, blas] = out = json.loads(proc.stdout)
         assert out["prefix"]
         # one pool per estimate and one for the base errors, each of its
-        # rule's workers; one worker, none
+        # rule's workers, one worker included
         rules = [out["rule"]] * 2 + [out["base_rule"]]
-        assert out["pools"] == [w for w in rules if w > 1], (threads, blas)
+        assert out["pools"] == rules, (threads, blas)
     want = runs[1, 1]
     assert len(want["log"]) == 64 and want["base_errors"] == 64
     for key, out in runs.items():
@@ -167,8 +170,7 @@ class TestBlasThreads:
         estimate(small_auth, self.CH, "epsilon", 5000, seed=1)
         assert blas_at_2() == 2
         assert seen and set(seen) == {1}
-        workers = min(1 * 2, simulate._cpus())
-        assert pools.workers == ([workers] if workers > 1 else [])
+        assert pools.workers == [min(1 * 2, simulate._cpus())]
 
     def test_restored_after_an_error(self, small_auth, monkeypatch,
                                      blas_at_2, fixed_blocks):
@@ -228,8 +230,7 @@ class TestBlasThreads:
         assert not errors, errors
         assert set(results) == {1, 2}
         # both calls read b = 2: 2 workers each, within the CPUs
-        workers = min(1 * 2, simulate._cpus())
-        assert pools.workers == ([workers] * 2 if workers > 1 else [])
+        assert pools.workers == [min(1 * 2, simulate._cpus())] * 2
         assert set(seen[1]) == set(seen[2]) == {1}
         assert blas_at_2() == 2
         fixed_blocks(None)
@@ -302,6 +303,73 @@ def test_the_worker_count_is_capped_by_the_cpus(small_auth, monkeypatch,
     estimate(small_auth, ChannelParams(rho_dec=0.1), "epsilon", 3000,
              seed=1, threads=5)
     assert pools.workers == [2]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_calling_thread_runs_a_worker(small_auth, monkeypatch,
+                                          fixed_blocks, workers):
+    # each worker's first block waits for every worker's first block, so
+    # each of the w workers runs one block at least
+    monkeypatch.setattr(simulate, "_openblas", lambda: None)
+    monkeypatch.setattr(simulate, "_cpus", lambda: 4)
+    block, ran = simulate._simulate_block, []   # each thread that ran a block
+    start, started = threading.Thread.start, []   # the threads started
+    first = threading.Barrier(workers, timeout=30)
+
+    def spy(*args, **kwargs):
+        me = threading.get_ident()
+        if me not in ran:
+            ran.append(me)
+            first.wait()
+        return block(*args, **kwargs)
+
+    def start_spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(simulate, "_simulate_block", spy)
+    monkeypatch.setattr(threading.Thread, "start", start_spy)
+    fixed_blocks(100)
+    estimate(small_auth, ChannelParams(rho_dec=0.1), "epsilon", 2000,
+             seed=1, threads=workers)
+    caller = threading.get_ident()
+    assert caller in ran and len(ran) == workers
+    # the pool started a thread per other worker: none for one worker
+    assert len(started) == workers - 1
+    assert {thread.ident for thread in started} == set(ran) - {caller}
+    assert not any(thread.is_alive() for thread in started)
+
+
+@pytest.mark.parametrize("fails_on", ["caller", "pool"])
+def test_a_failing_block_on_either_thread_reaches_the_caller(
+        small_auth, monkeypatch, fixed_blocks, fails_on):
+    # 2 workers over 20 blocks: the first block of one of them raises once
+    # both are in a block, and the other then takes no further block
+    monkeypatch.setattr(simulate, "_openblas", lambda: None)
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+    caller, block = threading.get_ident(), simulate._simulate_block
+    both = threading.Barrier(2, timeout=30)
+    failed = threading.Event()
+    ran = []   # per block: whether the calling thread ran it
+
+    def spy(*args, **kwargs):
+        on_caller = threading.get_ident() == caller
+        ran.append(on_caller)
+        if len(ran) <= 2:
+            both.wait()
+            if on_caller == (fails_on == "caller"):
+                failed.set()
+                raise RuntimeError("a block failed")
+            assert failed.wait(30)
+        return block(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_simulate_block", spy)
+    fixed_blocks(100)
+    with pytest.raises(RuntimeError, match="a block failed"):
+        estimate(small_auth, ChannelParams(rho_dec=0.1), "epsilon", 2000,
+                 seed=1, threads=2)
+    # one block each, and at most one more, pulled before the failure
+    assert sorted(ran[:2]) == [False, True] and len(ran) <= 3, ran
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -393,14 +461,14 @@ def test_each_lazy_table_is_built_once_by_the_calling_thread(monkeypatch,
 
 def test_shares_split_the_budgets_down_to_a_floor():
     # one worker: the whole budgets; 2: halves; many: a quarter each
-    assert (chunk_rows(600), block_rows(600, 4096), tile_values()) \
+    assert (chunk_rows(600), block_rows(600, 4096), share(TILE_VALUES, 1)) \
         == (218, 872, 2 ** 20)
     assert (chunk_rows(600, 2), block_rows(600, 4096, workers=2),
-            tile_values(2)) == (109, 436, 2 ** 19)
+            share(TILE_VALUES, 2)) == (109, 436, 2 ** 19)
     for workers in (4, 64):
         assert (chunk_rows(600, workers), block_rows(600, 4096,
                                                      workers=workers),
-                tile_values(workers)) == (54, 216, 2 ** 18)
+                share(TILE_VALUES, workers)) == (54, 216, 2 ** 18)
     # a block keeps a whole chunk's rows where the received share allows:
     # two half chunks at n = 256, M = 64; one with 20 runs, which share one
     # received buffer
@@ -432,7 +500,7 @@ def test_two_workers_peak_no_higher_than_one(monkeypatch):
             tracemalloc.stop()
 
     (one, alone), (two, shared) = peak(1), peak(2)
-    assert pools.workers == [2]
+    assert pools.workers == [1, 2]
     assert alone == shared
     assert two <= one + 2 ** 20, (one, two)
 
