@@ -60,7 +60,7 @@ from .basecode import BaseCode, antipodal_error_probability, make_antipodal_code
 from .overlay import (LevelSet, OverlayCode, construct_overlay, verify_overlay)
 from .overlay import to_json_dict as overlay_to_json
 from .overlay import from_json_dict as overlay_from_json
-from .simulate import (FALSE_AUTH_METRICS, METRICS, MIN_TRIALS, ChannelParams,
+from .simulate import (METRICS, MIN_TRIALS, ChannelParams, check_request,
                        estimate)
 from .streams import check_int, check_reals
 
@@ -240,6 +240,13 @@ class ExperimentConfig:
                 raise ConfigError(f"overlay.gamma: cannot parse {self.gamma!r}") from e
         return float(self.gamma)
 
+    def attack_spec(self) -> AttackSpec:   # parsed, weight_scale applied
+        try:
+            return replace(AttackSpec.parse(self.attack),
+                           weight_scale=self.weight_scale)
+        except ValueError as e:
+            raise ConfigError(f"attack.spec: {e}") from e
+
     def canonical(self) -> dict[str, Any]:
         """Nested plain-data view of the hashed settings, by section."""
         out: dict[str, dict[str, Any]] = {}
@@ -356,8 +363,8 @@ def parse_config(path: str | None = None,
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Check each declared domain with ``streams``' checks (a list's on
-    each item, and a list must not be empty), then the checks that no
-    single field owns; every refusal is a ``ConfigError`` naming its key."""
+    each item, and a list must not be empty), then the checks no single
+    field owns, ``check_request``'s too; every refusal is a ConfigError."""
     for f in fields(cfg):
         key, value, domain = (f.metadata["key"], getattr(cfg, f.name),
                               f.metadata["domain"])
@@ -380,14 +387,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 **{"overlay.gamma": cfg.gamma_value()})
     if cfg.overlay_counts is not None and cfg.overlay_rates is not None:
         raise ConfigError("overlay.counts and overlay.rates: give only one")
-    checks = [("attack.spec", AttackSpec.parse, cfg.attack)]
     if not isinstance(cfg.overlay_levels, str):   # "auto" is resolved later
-        checks.append(("overlay.levels", LevelSet, cfg.overlay_levels))
-    for key, check, value in checks:
         try:
-            check(value)
+            LevelSet(cfg.overlay_levels)
         except ValueError as e:
-            raise ConfigError(f"{key}: {e}") from e
+            raise ConfigError(f"overlay.levels: {e}") from e
+    check_request(ConfigError, cfg.metrics, cfg.attack_spec(), cfg.message)
+    if cfg.trial_log and (os.path.isdir(cfg.trial_log) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(cfg.trial_log)))):
+        raise ConfigError(f"run.trial_log {cfg.trial_log!r} must name a file "
+                          "in an existing directory")
 
 
 def _stage(stage: str, fn, *args, **kwargs):
@@ -516,10 +525,6 @@ def _metric_bound(cfg: ExperimentConfig, code: AuthCode,
 def _replacing(path: str) -> Iterator[str]:
     """A new file beside ``path`` that replaces it if the block succeeds
     and is removed if not: a refused or failed run leaves an old file."""
-    if os.path.isdir(path) or not os.path.isdir(
-            os.path.dirname(os.path.abspath(path))):
-        raise ConfigError(f"run.trial_log {path!r} must name a file in an "
-                          "existing directory")
     new = f"{path}.{uuid.uuid4().hex}.tmp"
     open(new, "x").close()
     try:
@@ -532,25 +537,13 @@ def _replacing(path: str) -> Iterator[str]:
 
 def run_estimates(cfg: ExperimentConfig, code: AuthCode,
                   bounds: dict[str, Any]) -> list[dict[str, Any]]:
-    channel = ChannelParams(rho_dec=cfg.rho_dec, rho_adv=cfg.rho_adv,
-                            power_budget=cfg.power_budget)
-    attack = AttackSpec.parse(cfg.attack)
-    kwargs: dict[str, Any] = dict(
-        trials=cfg.trials, seed=cfg.seed, threads=cfg.threads,
-        detector=cfg.detector, max_pairs=cfg.max_pairs)
-    if any(m not in FALSE_AUTH_METRICS for m in cfg.metrics):
-        if "genuine_acceptance" in cfg.metrics and cfg.message is None:
-            raise ConfigError("run.message is required for the "
-                              "genuine_acceptance metric")
-        kwargs["message"] = cfg.message
-    if any(m in FALSE_AUTH_METRICS for m in cfg.metrics):
-        if attack.kind == "targeted" and cfg.message is not None:
-            kwargs["pairs"] = [(cfg.message, attack.target)]
-        kwargs["attack"] = replace(attack, weight_scale=cfg.weight_scale)
     with (_replacing(cfg.trial_log) if cfg.trial_log   # every metric's
           else contextlib.nullcontext()) as log:
-        reports = _stage("simulate", estimate, code, channel,
-                         list(cfg.metrics), trial_log=log, **kwargs)
+        reports = _stage("simulate", estimate, code, ChannelParams(
+            cfg.rho_dec, cfg.rho_adv, cfg.power_budget), list(cfg.metrics),
+            cfg.trials, cfg.seed, attack=cfg.attack_spec(),
+            message=cfg.message, max_pairs=cfg.max_pairs,
+            detector=cfg.detector, threads=cfg.threads, trial_log=log)
     rows = []
     for metric, report in zip(cfg.metrics, reports):
         bound, label = _metric_bound(cfg, code, bounds, metric)

@@ -24,15 +24,16 @@ thread count, and runs at different noise powers share randomness.
 
 ``estimate`` takes one metric name or a sequence of them.  A *run* is an
 attack with its fixed transmit message (or messages drawn per trial):
-the first three metrics share one run under no attack, at ``message``
-if given; ``alpha_star`` and ``alpha`` share one run per attack pair,
-set by ``attack``, ``pairs`` and ``max_pairs``.  Each pair's spec is
+the first three metrics share one run under no attack, ``alpha_star``
+and ``alpha`` one run per attack pair, and ``message``, if given,
+transmits in every run that ``pairs`` does not pin.  Each pair's spec is
 ``attack`` aimed at the pair's target, so its ``weight_scale`` reaches
-every pair, and the default ``NO_ATTACK`` gives the targeted MMSE
-attack.  ``_check_run`` is the one check of a run, for ``run_trial``
-and for every pair alike, and raises ``SimulateError``: the target is a
-valid message other than the transmit message, impersonation transmits
-the null message, and a custom attack runs only through ``run_trial``.
+every pair, and ``NO_ATTACK`` gives the targeted MMSE attack.
+``check_request`` holds the rules that need no code, for the CLI too,
+and ``_check_run`` the one check of a run, for ``run_trial`` and every
+pair alike, with one ``SimulateError``: the target is a valid message
+other than the transmit message, impersonation transmits the null
+message, and a custom attack runs only through ``run_trial``.
 
 One call is one pass over blocks of trials that runs each distinct run
 once: every run of every metric reads the block's streams, drawn once,
@@ -305,6 +306,23 @@ def _check_run(code: AuthCode, spec: AttackSpec, m: int | None,
         raise SimulateError(f"impersonation transmits the null message; "
                             f"{m} is not the null message of this code")
     return spec, m
+
+
+def check_request(error: type[Exception], metrics: Sequence[str],
+                  attack: AttackSpec, message: int | None) -> None:
+    """Raise ``error`` unless the metrics are known, one at least, a
+    message is fixed for ``genuine_acceptance`` and an attack other than
+    none, or a ``weight_scale``, comes with ``alpha_star`` or ``alpha``."""
+    if not metrics:
+        raise error("no metric requested")
+    for name in metrics:
+        if name not in METRICS:
+            raise error(f"unknown metric {name!r}; choose from {METRICS}")
+    if "genuine_acceptance" in metrics and message is None:
+        raise error("genuine_acceptance needs a fixed message")
+    if attack != NO_ATTACK and not set(metrics) & set(FALSE_AUTH_METRICS):
+        raise error(f"{metrics[0]} is defined under no attack; an attack or "
+                    "a weight_scale needs alpha_star or alpha")
 
 
 def _check_budget(code: AuthCode, channel: ChannelParams) -> None:
@@ -582,20 +600,21 @@ class _TrialLog:
                     fh.write(self.spool.read(size))
 
 
-def _attack_runs(code: AuthCode, attack: AttackSpec,
+def _attack_runs(code: AuthCode, attack: AttackSpec, message: int | None,
                  pairs: Sequence[tuple[int, int]] | None, max_pairs: int,
                  seed: int) -> list[Run]:
     """One run per (transmit, target) pair, ``attack`` aimed at the target
-    (targeted when none): the given ``pairs``, or every ordered pair
-    (aimed at the attack's target, from the null message under
-    impersonation if the code has one) subsampled to ``max_pairs``."""
-    null = code.base.null_id
+    (targeted when none): the given ``pairs``, or those from ``message``
+    (any, or the null message under impersonation) to the attack's target
+    (any), distinct unless both are given, subsampled to ``max_pairs``."""
     if pairs is None:
         pool = [int(m) for m in _transmit_pool(code)]
-        sources = ([null] if attack.kind == "impersonation"
-                   and null is not None else pool)
+        if message is None and attack.kind == "impersonation":
+            message = code.base.null_id
+        sources = pool if message is None else [message]
         targets = pool if attack.target is None else [attack.target]
-        pairs = [(a, b) for a in sources for b in targets if a != b]
+        pairs = [(a, b) for a in sources for b in targets
+                 if a != b or (a, b) == (message, attack.target)]
         if len(pairs) > max_pairs:
             rng = one_shot_rng(seed, Role.MESSAGE, 1)
             keep = rng.choice(len(pairs), size=max_pairs, replace=False)
@@ -657,36 +676,28 @@ def estimate(code: AuthCode, channel: ChannelParams,
              trial_log: str | None = None,
              confidence: float = 0.95
              ) -> EstimateReport | list[EstimateReport]:
-    """Estimate one operational measure, or a sequence of them (see the
-    module docstring): one name gives one report, a sequence gives one
-    report per name, in order, from one pass over the blocks.
-    ``message`` fixes the transmit message of ``epsilon``, ``false_alarm``
-    and ``genuine_acceptance``.  ``attack``, ``pairs`` and ``max_pairs``
-    define the runs of ``alpha_star`` and ``alpha``: ``pairs`` (a sequence
-    or an integer array) pins the ordered (transmit, target) pairs,
-    otherwise every ordered pair (aimed at the attack's target, from the
-    null message under impersonation) is enumerated and subsampled to
-    ``max_pairs``; each pair runs ``attack`` aimed at its target, the
-    targeted MMSE attack under the default ``NO_ATTACK``.  ``message`` and
-    every id in ``pairs`` must be valid messages of ``code``, and every
+    """Estimate one operational measure, or a sequence of them: one name
+    gives one report, a sequence one report per name, in order, from one
+    pass over the blocks (see the module docstring).  ``message``
+    transmits in every run that ``pairs`` does not pin.  ``pairs`` (a
+    sequence or an integer array) pins the (transmit, target) pairs of
+    ``alpha_star`` and ``alpha``; otherwise every ordered pair (from
+    ``message``, or else from the null message under impersonation, to
+    the attack's target) is enumerated and subsampled to ``max_pairs``.
+    Each pair runs ``attack`` aimed at its target.  The request passes
+    ``check_request``, every id is a valid message of ``code`` and every
     pair passes ``_check_run``.
     ``trial_log`` appends one CSV row per simulated trial to that file,
     metric by metric.  ``threads`` times the BLAS thread count, at most
-    the CPUs, is the number of block workers (see the module docstring);
-    no count depends on it."""
+    the CPUs, is the number of block workers; no count depends on it."""
     metrics = [metric] if isinstance(metric, str) else list(metric)
-    if not metrics:
-        raise SimulateError("no metric requested")
-    for name in metrics:
-        if name not in METRICS:
-            raise SimulateError(f"unknown metric {name!r}; "
-                                f"choose from {METRICS}")
+    _check_run(code, attack, None, custom=True)
+    check_request(SimulateError, metrics, attack, message)
     check_int("trials", trials, SimulateError, MIN_TRIALS)
     check_int("seed", seed, SimulateError, 0)
     check_int("max_pairs", max_pairs, SimulateError)
     check_int("threads", threads, SimulateError)
     check_reals(SimulateError, confidence=confidence)
-    _check_run(code, attack, None, custom=True)
     if channel.rho_dec == 0.0:
         raise SimulateError("estimation needs rho_dec > 0 "
                             "(the zero sentinel is for single trials)")
@@ -707,13 +718,9 @@ def estimate(code: AuthCode, channel: ChannelParams,
     if any(name in FALSE_AUTH_METRICS for name in metrics):
         if channel.rho_adv <= 0.0:
             raise SimulateError("false-authentication metrics need rho_adv > 0")
-        pair_runs = _attack_runs(code, attack, pairs, max_pairs, seed)
+        pair_runs = _attack_runs(code, attack, message, pairs, max_pairs, seed)
         if not pair_runs:
             raise SimulateError("no attack pairs to run")
-    elif attack.kind != "none":
-        raise SimulateError(f"{metrics[0]} is defined under no attack")
-    if "genuine_acceptance" in metrics and message is None:
-        raise SimulateError("genuine_acceptance needs a fixed message")
     if message is None and not set(metrics) <= set(FALSE_AUTH_METRICS) \
             and not _transmit_pool(code).size:
         raise SimulateError("the code has no message to transmit but the "

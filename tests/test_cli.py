@@ -103,10 +103,10 @@ class TestConfigGrammar:
 class TestValidation:
     def test_exact_messages(self, capsys, monkeypatch):
         # every refusal exits 2 from parse_config, before any code is built
-        def no_build(cfg):
-            raise AssertionError("a refused config was built")
-
-        monkeypatch.setattr(cli, "build_pipeline", no_build)
+        built = []
+        monkeypatch.setattr(cli, "build_pipeline", built.append)
+        under_no_attack = ("epsilon is defined under no attack; an attack "
+                           "or a weight_scale needs alpha_star or alpha")
         cases = {
             "overlay.levels=[0.0, 1.0]":
                 "overlay.levels: levels must lie in [0,1), not 1.0",
@@ -156,6 +156,19 @@ class TestValidation:
             ("base.kind=gaussian", "base.messages=4", "base.n=60",
              "overlay.counts=[2,2]", "overlay.rates=[0.1,0.1]"):
                 "overlay.counts and overlay.rates: give only one",
+            # estimate's code-free request rules, in the library's words
+            "attack=targeted:1": under_no_attack,
+            "attack.weight_scale=0.5": under_no_attack,
+            ("attack=impersonation:0",
+             'run.metrics=["epsilon","genuine_acceptance"]', "run.message=0"):
+                under_no_attack,
+            'run.metrics=["genuine_acceptance"]':
+                "genuine_acceptance needs a fixed message",
+            "run.trial_log=.": "run.trial_log '.' must name a file in an "
+                               "existing directory",
+            "run.trial_log=no_such_directory/trials.csv":
+                "run.trial_log 'no_such_directory/trials.csv' must name a "
+                "file in an existing directory",
         }
         for override, message in cases.items():
             overrides = [override] if isinstance(override, str) \
@@ -165,6 +178,17 @@ class TestValidation:
             assert str(info.value) == message, override
             rc, out, err = run_cli(["construct", *overrides], capsys)
             assert (rc, out, err) == (2, "", f"error: {message}\n"), override
+        assert built == []
+
+    def test_a_message_equal_to_the_target_is_a_bad_run(self, capsys):
+        # the pair (1, 1) passes the config check and fails _check_run
+        rc, out, err = run_cli(["simulate", "base.n=60", "run.trials=100",
+                                "channel.rho_adv=0.1", "attack=targeted:1",
+                                "run.message=1", 'run.metrics=["alpha_star"]'],
+                               capsys)
+        assert (rc, out, err) == (2, "", "error: simulate: run (1, 1): the "
+                                  "target must differ from the transmitted "
+                                  "message\n")
 
     def test_too_few_trials_leave_the_trial_log_alone(self, tmp_path,
                                                       capsys):
@@ -376,32 +400,50 @@ class TestSimulateCommand:
         assert row["estimate"] > row["bound"]
         assert row["bound"] < 1.0
 
-    def test_targeted_attack_without_message_keeps_its_target(self, capsys):
-        rc, out, _ = run_cli(["simulate", "base.kind=gaussian", "base.n=60",
-                              "base.messages=6", "overlay.counts=[3,2]",
-                              "channel.rho_adv=0.1", "attack=targeted:3",
-                              'run.metrics=["alpha_star"]', "run.trials=100"],
-                             capsys)
-        (row,) = json.loads(out)["estimates"]
-        assert [(p["transmit"], p["target"])
-                for p in row["detail"]["per_pair"]] == [
-            (0, 3), (1, 3), (2, 3), (4, 3), (5, 3)]
+    GAUSS = ["base.kind=gaussian", "base.n=60", "base.messages=6",
+             "overlay.counts=[3,2]", "channel.rho_adv=0.1", "run.trials=100",
+             'run.metrics=["epsilon","alpha_star","alpha"]']
+    NULL = ["base.null=true", "overlay.counts=[7,1]"]   # message 6 is null
 
-    def test_impersonation_matches_the_library(self, capsys):
-        args = ["base.kind=gaussian", "base.n=60", "base.messages=6",
-                "base.null=true", "overlay.counts=[7,1]",
-                "channel.rho_adv=0.1", "attack=impersonation:0",
-                'run.metrics=["alpha_star"]', "run.trials=100"]
+    @pytest.mark.parametrize("settings, kwargs, pairs", [
+        # every ordered pair, subsampled to max_pairs
+        (["run.max_pairs=4"], dict(max_pairs=4), 4),
+        # a message transmits in every run, the enumerated pairs' too
+        (["run.message=2"], dict(message=2),
+         [(2, 0), (2, 1), (2, 3), (2, 4), (2, 5)]),
+        (["attack=targeted:3", "run.message=1"],
+         dict(attack=AttackSpec("targeted", 3), message=1), [(1, 3)]),
+        (["attack=targeted:3"], dict(attack=AttackSpec("targeted", 3)),
+         [(0, 3), (1, 3), (2, 3), (4, 3), (5, 3)]),
+        ([*NULL, "attack=impersonation:0"],
+         dict(attack=AttackSpec("impersonation", 0)), [(6, 0)]),
+        ([*NULL, "attack=impersonation:0", "run.message=6"],
+         dict(attack=AttackSpec("impersonation", 0), message=6), [(6, 0)]),
+        (["attack.weight_scale=0.5", "run.max_pairs=4"],
+         dict(attack=AttackSpec("none", weight_scale=0.5), max_pairs=4), 4),
+        (["attack=targeted:3", "attack.weight_scale=0.5", "run.message=1"],
+         dict(attack=AttackSpec("targeted", 3, weight_scale=0.5), message=1),
+         [(1, 3)]),
+    ], ids=["none", "none-message", "targeted-message", "targeted",
+            "impersonation", "impersonation-message", "scaled",
+            "targeted-scaled"])
+    def test_estimates_equal_the_library_call(self, capsys, settings, kwargs,
+                                              pairs):
+        # the run settings reach estimate unchanged: the report's rows are
+        # the library's reports with the same message, attack and metrics
+        args = [*self.GAUSS, *settings]
         rc, out, _ = run_cli(["simulate", *args], capsys)
-        (row,) = json.loads(out)["estimates"]
-        cfg = parse_config(None, args)
-        report = estimate(build_pipeline(cfg),
-                          ChannelParams(cfg.rho_dec, cfg.rho_adv),
-                          "alpha_star", cfg.trials, cfg.seed,
-                          attack=AttackSpec.parse(cfg.attack))
-        assert row["detail"]["per_pair"] == report.detail["per_pair"]
-        assert [(p["transmit"], p["target"])
-                for p in report.detail["per_pair"]] == [(6, 0)]
+        assert rc in (0, 1)
+        rows = [{k: v for k, v in row.items()
+                 if k not in ("bound", "bound_label", "dominated")}
+                for row in json.loads(out)["estimates"]]
+        reports = estimate(build_pipeline(parse_config(None, args)),
+                           ChannelParams(rho_dec=0.1, rho_adv=0.1),
+                           ["epsilon", "alpha_star", "alpha"], 100, **kwargs)
+        assert rows == [cli._sanitize(r.to_json_dict()) for r in reports]
+        run = [(p["transmit"], p["target"])
+               for p in reports[1].detail["per_pair"]]
+        assert run == pairs if isinstance(pairs, list) else len(run) == pairs
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -506,7 +548,8 @@ class TestSweepCommand:
         for axis, values, args, builds in [
             # the channel's adversary and the attack's weight build no code
             ("channel.rho_adv", "0.0,0.1,0.2", [], 1),
-            ("attack.weight_scale", "0.5,1.0,2.0", ["channel.rho_adv=0.1"], 1),
+            ("attack.weight_scale", "0.5,1.0,2.0",
+             ["channel.rho_adv=0.1", 'run.metrics=["alpha_star"]'], 1),
             ("base.n", "60,64,68", [], 3),
             # decimation reads rho_adv unless it is adversary-agnostic
             ("channel.rho_adv", "0.05,0.1,0.2", self.MOD2, 3),

@@ -17,10 +17,17 @@ def fenced(language):
 
 
 def commands():
-    """Each ``awgnauth`` command of the CLI block, continuations joined."""
-    text = fenced("sh").replace("\\\n", " ")
+    """Each ``awgnauth`` command of every ``sh`` block from the CLI section
+    on, continuations joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", CLI_SECTION, re.S)
+    text = "".join(blocks).replace("\\\n", " ")
     return [shlex.split(line)[1:] for line in text.splitlines()
             if line.startswith("awgnauth ")]
+
+
+def test_every_command_is_found():
+    # the CLI block's and the experiment sweeps alike
+    assert len(commands()) == CLI_SECTION.count("\nawgnauth ")
 
 
 def test_ini_example_parses(tmp_path):
@@ -36,8 +43,11 @@ def test_cli_examples_parse(tmp_path):
     for argv in commands():
         args, extras = cli.build_parser().parse_known_args(argv)
         config = str(ini) if args.config == "exp.ini" else args.config
-        cli.parse_config(config, extras)
-        if args.command == "sweep":
+        cfg = cli.parse_config(config, extras)
+        if args.command == "sweep":   # every point passes the config check
             assert args.axis in cli.SWEEPABLE
+            for value in args.values.split(","):
+                cli.validate_config(cli.apply_settings(
+                    cfg, [(args.axis, cli._parse_value(value))]))
         seen.add(args.command)
     assert seen == {"construct", "verify", "bounds", "simulate", "sweep"}

@@ -695,6 +695,8 @@ class TestSeveralMetrics:
         (["epsilon"], dict(threads=0), "threads must be a positive integer"),
         (["epsilon"], dict(threads=-1), "threads must be a positive integer"),
         ("epsilon", dict(threads=1.0), "threads must be a positive integer"),
+        (["epsilon"], dict(attack=AttackSpec("none", weight_scale=0.5)),
+         "a weight_scale needs alpha_star or alpha"),
     ])
     def test_bad_calls_fail_before_any_draw(self, small_auth, monkeypatch,
                                             metrics, kwargs, message):
