@@ -1,7 +1,8 @@
 """Summarise parent and change benchmark results into one BENCH record.
 
     python3 scripts/bench_record.py --label 8 --out BENCH_8.json \\
-        --parent p1.json p2.json ... --change c1.json c2.json ...
+        --parent p1.json p2.json ... --change c1.json c2.json ... \\
+        [--tier1 junit.xml]
 
 Each input is a ``perfbench/out/result-*.json`` file written by
 ``perfbench/run.py``; the i-th parent file and the i-th change file are
@@ -19,6 +20,9 @@ Traced results (``--trace 1``), given as ``--traced-parent`` and
 ``--traced-change`` pairs in the same way, are summarised apart under
 ``traced``, so that their per-layer metrics sit beside the untraced
 end-to-end ones without mixing the tracing overhead into them.
+``--tier1`` reads a ``pytest --junitxml`` file of the tier-1 suite and
+keeps, under ``tier1``, its wall time, its counts of tests, failures,
+errors and skips, and its five slowest tests.
 
 Only the standard library is used.
 """
@@ -29,6 +33,7 @@ import argparse
 import json
 import statistics
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Any
 
@@ -42,6 +47,23 @@ def load(path: str) -> dict[str, Any]:
         if key not in result:
             raise SystemExit(f"{path}: not a perfbench result (no {key!r})")
     return result
+
+
+def tier1(path: str) -> dict[str, Any]:
+    """The wall time, outcome counts and five slowest tests of the suite
+    run that the JUnit XML file at ``path`` describes."""
+    root = ET.parse(path).getroot()
+    suites = [root] if root.tag == "testsuite" else root.findall("testsuite")
+    if not suites:
+        raise SystemExit(f"{path}: not a JUnit XML file (no testsuite)")
+    cases = sorted((-float(case.get("time", 0)),
+                    f"{case.get('classname')}::{case.get('name')}")
+                   for suite in suites for case in suite.iter("testcase"))
+    return {"wall_s": sum(float(suite.get("time", 0)) for suite in suites),
+            **{key: sum(int(suite.get(key, 0)) for suite in suites)
+               for key in ("tests", "failures", "errors", "skipped")},
+            "slowest": [{"test": name, "s": -minus_s}
+                        for minus_s, name in cases[:5]]}
 
 
 def spread(values: list[float]) -> dict[str, Any]:
@@ -106,6 +128,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--traced-parent", nargs="+", default=[])
     ap.add_argument("--traced-change", nargs="+", default=[])
     ap.add_argument("--note", default="", help="free text kept in the record")
+    ap.add_argument("--tier1", metavar="JUNIT_XML",
+                    help="a pytest --junitxml file of the tier-1 suite")
     args = ap.parse_args(argv)
     if len(args.parent) != len(args.change) \
             or len(args.traced_parent) != len(args.traced_change):
@@ -120,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
         out["traced"] = record([load(p) for p in args.traced_parent],
                                [load(c) for c in args.traced_change],
                                declared)["workloads"]
+    if args.tier1:
+        out["tier1"] = tier1(args.tier1)
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -58,16 +58,16 @@ one ``_Workspace`` of the arrays above, allocated once per call, with its
 share of the budgets of ``streams``, so that memory does not grow with
 the worker count (up to 4 workers).
 
-Each block is reduced to integer counters as soon as it is done: per
-run, trials decoded correctly and accepted, decoded correctly, decoded
-wrongly and accepted, and decoded to the run's target and accepted.
-Every metric follows from these counts, summed per worker and then over
-the workers, so a call holds no per-trial array beyond each worker's
-block in hand, whatever the trial count.  Per-trial rows exist only
-while a trial log is written: each block's rows are spooled to a
-temporary file beside the log and copied into it metric by metric, run
-by run and in trial order, so the log reads as if each run had been
-written whole.
+Each trial falls in one of five cells (``_cells``): correct & accepted,
+correct & rejected, target & accepted, other & accepted, wrong &
+rejected.  Every metric is a sum of cells and every class a name per
+cell.  Each block is reduced to its per-run cell counts as soon as it is
+done, summed per worker and then over the workers, so a call holds no
+per-trial array beyond each worker's block in hand, whatever the trial
+count.  Per-trial rows exist only while a trial log is written: each
+block's rows of each run are spooled once to a temporary file beside the
+log and copied into it metric by metric, run by run and in trial order,
+so the log reads as if each run had been written whole.
 """
 
 from __future__ import annotations
@@ -141,18 +141,38 @@ class TrialOutcome:
     classification: str
 
 
+# A trial's cell, by its decode (the transmit message, the run's target or
+# another) and the verdict: 0 correct & accepted, 1 correct & rejected,
+# 2 target & accepted, 3 other & accepted, 4 wrong & rejected.
+_CELLS = 5
+# each metric's success cells; false_alarm's trials are the correct cells
+_SUCCESSES = {"epsilon": [1, 2, 3, 4], "false_alarm": [1],
+              "genuine_acceptance": [0], "alpha_star": [2], "alpha": [2, 3]}
+_CORRECT = [0, 1]
+# each cell's class under no attack (row 0) and under an attack (row 1)
+_CLASSES = np.array([
+    [CLASS_CORRECT, CLASS_MISS, CLASS_WRONG_MESSAGE, CLASS_WRONG_MESSAGE,
+     CLASS_MISS],
+    [CLASS_CORRECT, CLASS_CORRECT_REJECT, CLASS_FALSE_AUTH_TARGET,
+     CLASS_FALSE_AUTH_OTHER, CLASS_CORRECT_REJECT]], dtype=object)
+
+
+def _cells(spec: AttackSpec, ms: np.ndarray, dec: np.ndarray,
+           rej: np.ndarray) -> np.ndarray:
+    """Each trial's cell from its transmit message, decode and rejection."""
+    wrong = dec != ms
+    cells = 3 * wrong + rej
+    if spec.target is not None:   # other & accepted to target & accepted
+        cells -= wrong & ~rej & (dec == spec.target)
+    return cells
+
+
 def classify(attack: AttackSpec, transmitted: int,
              decoded: int | str) -> str:
-    attacked = attack.kind != "none"
-    if decoded == REJECT:
-        return CLASS_CORRECT_REJECT if attacked else CLASS_MISS
-    if decoded == transmitted:
-        return CLASS_CORRECT
-    if not attacked:
-        return CLASS_WRONG_MESSAGE
-    if attack.target is not None and decoded == attack.target:
-        return CLASS_FALSE_AUTH_TARGET
-    return CLASS_FALSE_AUTH_OTHER
+    rejected = decoded == REJECT
+    [cell] = _cells(attack, np.array([transmitted]), np.array(
+        [transmitted if rejected else decoded]), np.array([rejected]))
+    return _CLASSES[int(attack.kind != "none"), cell]
 
 
 def _transmit_pool(code: AuthCode) -> np.ndarray:
@@ -165,9 +185,6 @@ def _transmit_pool(code: AuthCode) -> np.ndarray:
 Run = tuple[AttackSpec, int | None]
 Result = tuple[np.ndarray, np.ndarray, np.ndarray]
 AttackTerms = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-# A run's counters: column i of a (runs, 4) count array.
-CORRECT_ACCEPTED, CORRECT, WRONG_ACCEPTED, TARGET_ACCEPTED = range(4)
 
 
 def _attack_terms(code: AuthCode, channel: ChannelParams,
@@ -309,10 +326,12 @@ def _check_run(code: AuthCode, spec: AttackSpec, m: int | None,
 
 
 def check_request(error: type[Exception], metrics: Sequence[str],
-                  attack: AttackSpec, message: int | None) -> None:
+                  attack: AttackSpec, message: int | None,
+                  trial_log: str | None) -> None:
     """Raise ``error`` unless the metrics are known, one at least, a
-    message is fixed for ``genuine_acceptance`` and an attack other than
-    none, or a ``weight_scale``, comes with ``alpha_star`` or ``alpha``."""
+    message is fixed for ``genuine_acceptance``, an attack other than
+    none, or a ``weight_scale``, comes with ``alpha_star`` or ``alpha``,
+    and a trial log names a file in an existing directory."""
     if not metrics:
         raise error("no metric requested")
     for name in metrics:
@@ -323,6 +342,10 @@ def check_request(error: type[Exception], metrics: Sequence[str],
     if attack != NO_ATTACK and not set(metrics) & set(FALSE_AUTH_METRICS):
         raise error(f"{metrics[0]} is defined under no attack; an attack or "
                     "a weight_scale needs alpha_star or alpha")
+    if trial_log and (os.path.isdir(trial_log) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(trial_log)))):
+        raise error(f"trial_log {str(trial_log)!r} must name a file in an "
+                    "existing directory")
 
 
 def _check_budget(code: AuthCode, channel: ChannelParams) -> None:
@@ -333,18 +356,10 @@ def _check_budget(code: AuthCode, channel: ChannelParams) -> None:
 
 
 def _count(runs: Sequence[Run], results: Sequence[Result]) -> np.ndarray:
-    """The (runs, 4) counters of one block's results."""
-    counts = np.zeros((len(runs), 4), np.int64)
-    for row, ((spec, _), (ms, dec, rej)) in zip(counts, zip(runs, results)):
-        accepted = ~rej
-        correct = dec == ms
-        row[CORRECT_ACCEPTED] = np.count_nonzero(correct & accepted)
-        row[CORRECT] = np.count_nonzero(correct)
-        row[WRONG_ACCEPTED] = np.count_nonzero(~correct & accepted)
-        if spec.target is not None:
-            row[TARGET_ACCEPTED] = np.count_nonzero(
-                (dec == spec.target) & accepted)
-    return counts
+    """The cell counts, a row per run, of one block's results."""
+    return np.array([np.bincount(_cells(spec, *result), minlength=_CELLS)
+                     for (spec, _), result in zip(runs, results)],
+                    np.int64).reshape(-1, _CELLS)
 
 
 # the getter and setter of the thread count of numpy's bundled OpenBLAS
@@ -473,8 +488,8 @@ def _run_blocks(code: BaseCode, trials: int, shape: tuple[int, ...],
 def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
                   trials: int, runs: Sequence[Run], *, detector: bool,
                   threads: int, log: _TrialLog | None = None) -> np.ndarray:
-    """The (runs, 4) counters of every run, all runs in one pass of
-    ``_run_blocks``; ``log``, when given, spools each block's results."""
+    """The cell counts, a row per run, of every run, all runs in one pass
+    of ``_run_blocks``; ``log``, when given, spools each block's results."""
     pool = _transmit_pool(code) if any(m is None for _, m in runs) else None
     terms = _attack_terms(code, channel, runs)
 
@@ -485,7 +500,7 @@ def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
             log.add(t0, results)
         return _count(runs, results)
 
-    return _run_blocks(code.base, trials, (len(runs), 4), step,
+    return _run_blocks(code.base, trials, (len(runs), _CELLS), step,
                        overlay=code.overlay if detector else None,
                        threads=threads, runs=len(runs),
                        attacked=any(spec.kind != "none" for spec, _ in runs))
@@ -549,55 +564,48 @@ class _TrialLog:
     """The trial log of one ``estimate`` call: one CSV row per trial of
     each (metric, run), all of a metric's rows after those of the metrics
     before it and each run's rows after those of the runs before it, in
-    trial order.  Blocks arrive in any order, so each block's rows are
-    spooled per (metric, run) into one temporary file beside the log,
-    with the block's first trial, and ``write`` copies a metric's rows
-    out sorted by trial; only one block's rows per worker are ever held
-    in memory.  ``target`` is empty for runs without an attack target,
-    and a new or empty log gets the header.  A directory, or a file in
-    a missing directory, raises ``SimulateError``."""
+    trial order.  Blocks arrive in any order, so each run's rows of each
+    block are spooled once, without the metric, into one temporary file
+    beside the log, and ``write`` copies a metric's rows out sorted by
+    trial, each headed by the metric; only one block's rows per worker
+    are ever held in memory.  ``target`` is empty for runs without an
+    attack target, and a new or empty log gets the header."""
 
-    def __init__(self, path: str, runs: Sequence[Run],
-                 runs_of: Sequence[tuple[str, Sequence[int]]]):
-        folder = os.path.dirname(os.path.abspath(path))
-        if os.path.isdir(path) or not os.path.isdir(folder):
-            raise SimulateError(f"trial_log {str(path)!r} must name a file "
-                                "in an existing directory")
+    def __init__(self, path: str, runs: Sequence[Run]):
         self.path = path
         self.runs = runs
-        # per metric, per run: (metric, run index, spooled (first trial,
-        # offset, size)s)
-        self.spooled: list[list[tuple[str, int, list[tuple[int, ...]]]]] = [
-            [(name, i, []) for i in indices] for name, indices in runs_of]
-        self.spool = tempfile.TemporaryFile(dir=folder)
+        # per run: its spooled (first trial, offset, size)s
+        self.spooled: list[list[tuple[int, int, int]]] = [[] for _ in runs]
+        self.spool = tempfile.TemporaryFile(
+            dir=os.path.dirname(os.path.abspath(path)))
         self.close = self.spool.close
         self.lock = threading.Lock()   # workers add their blocks in turn
 
     def add(self, t0: int, results: Sequence[Result]) -> None:
-        for name, i, segments in itertools.chain.from_iterable(self.spooled):
-            spec = self.runs[i][0]
-            target = "" if spec.target is None else spec.target
-            ms, dec, rej = results[i]
-            rows = []
-            for t, (m, d, r) in enumerate(zip(ms.tolist(), dec.tolist(),
-                                              rej.tolist()), t0):
-                decoded = REJECT if r else d
-                rows.append([name, t, m, target, decoded,
-                             classify(spec, m, decoded)])
-            data = _csv_bytes(rows)
+        for (spec, _), (ms, dec, rej), segments in zip(self.runs, results,
+                                                        self.spooled):
+            decoded = dec.astype(object)
+            decoded[rej] = REJECT
+            data = _csv_bytes(zip(
+                range(t0, t0 + ms.size), ms.tolist(),
+                itertools.repeat("" if spec.target is None else spec.target),
+                decoded.tolist(), _CLASSES[int(spec.kind != "none"), _cells(
+                    spec, ms, dec, rej)].tolist()))
             with self.lock:
                 segments.append((t0, self.spool.tell(), len(data)))
                 self.spool.write(data)
 
-    def write(self, pos: int) -> None:
-        """Append the rows of the metric at position ``pos``."""
+    def write(self, name: str, indices: Sequence[int]) -> None:
+        """Append the rows of metric ``name``, of the runs at ``indices``."""
+        head = f"{name},".encode()
         with open(self.path, "ab") as fh:
             if fh.tell() == 0:
                 fh.write(_csv_bytes([TRIAL_LOG_HEADER]))
-            for _, _, segments in self.spooled[pos]:
-                for _, offset, size in sorted(segments):
+            for i in indices:
+                for _, offset, size in sorted(self.spooled[i]):
                     self.spool.seek(offset)
-                    fh.write(self.spool.read(size))
+                    fh.writelines(head + row for row in self.spool.read(
+                        size).splitlines(keepends=True))
 
 
 def _attack_runs(code: AuthCode, attack: AttackSpec, message: int | None,
@@ -627,32 +635,26 @@ def _attack_runs(code: AuthCode, attack: AttackSpec, message: int | None,
 def _report(metric: str, runs: Sequence[Run], counts: np.ndarray, *,
             trials: int, seed: int, message: int | None, confidence: float,
             params: dict[str, Any]) -> EstimateReport:
-    """One metric's report from the (runs, 4) counters of its runs;
-    ``params`` holds the entries that every metric reports."""
+    """One metric's report from the cell counts, a row per run, of its
+    runs; ``params`` holds the entries that every metric reports."""
     params = dict(params)
     detail: dict[str, Any] = {}
-    first = [int(c) for c in counts[0]]
-    eff_trials = trials
-    if metric == "epsilon":   # rejected or wrongly decoded
-        successes = trials - first[CORRECT_ACCEPTED]
-    elif metric == "false_alarm":   # rejected among the correctly decoded
-        successes = first[CORRECT] - first[CORRECT_ACCEPTED]
-        eff_trials = first[CORRECT]
+    per_run = counts[:, _SUCCESSES[metric]].sum(axis=1).tolist()
+    successes, eff_trials = per_run[0], trials
+    if metric == "false_alarm":   # rejected among the correctly decoded
+        eff_trials = int(counts[0, _CORRECT].sum())
         params["raw_trials"] = trials
         if eff_trials == 0:
             raise SimulateError("no correctly decoded trials to condition on")
     elif metric == "genuine_acceptance":   # the run transmits ``message``
-        successes = first[CORRECT_ACCEPTED]
         params["message"] = message
-    else:  # alpha_star / alpha
+    elif metric in FALSE_AUTH_METRICS:
         per_pair = []
-        column = TARGET_ACCEPTED if metric == "alpha_star" else WRONG_ACCEPTED
-        for (spec, a), run_counts in zip(runs, counts):
-            b_t = spec.target
-            succ = int(run_counts[column])
+        for (spec, a), succ in zip(runs, per_run):
             lo, hi = wilson_interval(succ, trials, confidence)
-            per_pair.append({"transmit": a, "target": b_t, "successes": succ,
-                             "trials": trials, "estimate": succ / trials,
+            per_pair.append({"transmit": a, "target": spec.target,
+                             "successes": succ, "trials": trials,
+                             "estimate": succ / trials,
                              "ci_lo": lo, "ci_hi": hi})
         best = max(per_pair, key=lambda p: p["successes"])
         successes = best["successes"]
@@ -692,7 +694,7 @@ def estimate(code: AuthCode, channel: ChannelParams,
     the CPUs, is the number of block workers; no count depends on it."""
     metrics = [metric] if isinstance(metric, str) else list(metric)
     _check_run(code, attack, None, custom=True)
-    check_request(SimulateError, metrics, attack, message)
+    check_request(SimulateError, metrics, attack, message, trial_log)
     check_int("trials", trials, SimulateError, MIN_TRIALS)
     check_int("seed", seed, SimulateError, 0)
     check_int("max_pairs", max_pairs, SimulateError)
@@ -741,13 +743,13 @@ def estimate(code: AuthCode, channel: ChannelParams,
         "ell": code.ell, "delta": code.delta, "rho_delta": code.rho_delta,
         "detector": detector}
     reports = []
-    with (contextlib.closing(_TrialLog(trial_log, runs, runs_of))
+    with (contextlib.closing(_TrialLog(trial_log, runs))
           if trial_log else contextlib.nullcontext()) as log:
         counts = _run_counting(code, channel, seed, trials, runs,
                                detector=detector, threads=threads, log=log)
-        for pos, (name, indices) in enumerate(runs_of):
+        for name, indices in runs_of:
             if log is not None:
-                log.write(pos)
+                log.write(name, indices)
             reports.append(_report(name, [runs[i] for i in indices],
                                    counts[indices], trials=trials, seed=seed,
                                    message=message, confidence=confidence,

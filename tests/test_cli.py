@@ -114,9 +114,9 @@ class TestValidation:
                 "overlay.levels: at least one level below 1 is required",
             "overlay.gamma=0.5": "overlay.gamma must lie in (1/2,1), not 0.5",
             'run.metrics=["bogus"]':
-                "run.metrics must be one of epsilon, false_alarm, "
-                "genuine_acceptance, alpha_star, alpha, not 'bogus'",
-            "run.metrics=[]": "run.metrics must hold at least one value",
+                "unknown metric 'bogus'; choose from ('epsilon', "
+                "'false_alarm', 'genuine_acceptance', 'alpha_star', 'alpha')",
+            "run.metrics=[]": "no metric requested",
             "overlay.counts=[]": "overlay.counts must hold at least one value",
             "overlay.rates=[]": "overlay.rates must hold at least one value",
             "attack=targeted":
@@ -164,10 +164,10 @@ class TestValidation:
                 under_no_attack,
             'run.metrics=["genuine_acceptance"]':
                 "genuine_acceptance needs a fixed message",
-            "run.trial_log=.": "run.trial_log '.' must name a file in an "
+            "run.trial_log=.": "trial_log '.' must name a file in an "
                                "existing directory",
             "run.trial_log=no_such_directory/trials.csv":
-                "run.trial_log 'no_such_directory/trials.csv' must name a "
+                "trial_log 'no_such_directory/trials.csv' must name a "
                 "file in an existing directory",
         }
         for override, message in cases.items():
@@ -225,7 +225,7 @@ class TestValidation:
         rc, out, err = run_cli(["simulate", "base.n=60", "run.trials=100",
                                 f"run.trial_log={name}"], capsys)
         assert rc == 2 and out == ""
-        assert err == (f"error: run.trial_log {name!r} must name a file in "
+        assert err == (f"error: trial_log {name!r} must name a file in "
                        "an existing directory\n")
         assert os.listdir(tmp_path) == []
 

@@ -116,3 +116,30 @@ def test_bench_record_summarises_a_parent_and_a_change(tmp_path):
         == (0.4, 0.3)
     assert decode["change_better_pairs"] == 1
     assert "within_bound" not in decode   # a per-layer metric has no bound
+
+
+def test_bench_record_keeps_the_tier1_time_and_slowest_tests(tmp_path):
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({
+        "workload": "genuine_cli", "seed": 1, "machine": {"nproc": 2},
+        "samples": {"wall_s": [2.0]}}))
+    times = [0.5, 3.0, 0.25, 7.5, 1.0, 2.0, 0.125]
+    cases = "".join(f'<testcase classname="tests.test_x" name="test_{i}" '
+                    f'time="{t}" />' for i, t in enumerate(times))
+    junit = tmp_path / "junit.xml"
+    junit.write_text(
+        '<?xml version="1.0" encoding="utf-8"?><testsuites name="pytest '
+        'tests"><testsuite name="pytest" errors="0" failures="1" '
+        f'skipped="2" tests="7" time="42.5">{cases}</testsuite>'
+        '</testsuites>')
+    out = tmp_path / "BENCH_0.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--label",
+         "0", "--parent", str(result), "--change", str(result), "--out",
+         str(out), "--tier1", str(junit)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["tier1"] == {
+        "wall_s": 42.5, "tests": 7, "failures": 1, "errors": 0, "skipped": 2,
+        "slowest": [{"test": f"tests.test_x::test_{i}", "s": times[i]}
+                    for i in (3, 1, 5, 4, 0)]}

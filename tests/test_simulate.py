@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ def null_only():
                                 counts_per_level=[1], seed=1)
     return inject_noise(BaseCode(np.zeros((1, 60)), null_id=0), overlay,
                         rho_delta=1.0, delta=0.2, seed=1)
+
+
+@pytest.fixture(scope="module")
+def decimated_42():
+    """n=60, 42 messages decimated to 20: decodes outside them reject."""
+    ov = construct_overlay(60, LevelSet((0.0, 0.5)), 0.75,
+                           counts_per_level=[7, 6], seed=3)
+    code = inject_noise(make_random_gaussian_code(60, 42, 1.0, seed=3), ov,
+                        rho_delta=1.0, delta=0.2, seed=3)
+    return decimate(code, 0.5, seed=3, adversary_agnostic=True,
+                    target_size_override=20)
 
 
 @pytest.fixture(scope="module")
@@ -458,7 +470,7 @@ class TestBoundedMemory:
             return []
 
         monkeypatch.setattr(simulate, "_simulate_block", stub)
-        no_counts = np.zeros((0, 4), np.int64)
+        no_counts = np.zeros((0, 5), np.int64)
         monkeypatch.setattr(simulate, "_count", lambda runs, results:
                             no_counts)
         fixed_blocks(1)
@@ -895,3 +907,51 @@ class TestTrialLog:
         assert [r["metric"] for r in rows] == (["epsilon"] * 200
                                                + ["false_alarm"] * 200)
         assert [int(r["trial"]) for r in rows] == list(range(200)) * 2
+
+    @pytest.mark.parametrize("fixture, metrics, kwargs", [
+        ("small_auth", ["epsilon", "genuine_acceptance"], dict(message=2)),
+        ("small_auth", ["alpha_star", "epsilon", "alpha"],
+         dict(pairs=[(0, 1), (3, 1), (2, 5)],
+              attack=AttackSpec("targeted", 1, weight_scale=0.8))),
+        ("decimated_42", ["epsilon", "alpha", "alpha_star"],
+         dict(max_pairs=4)),
+        ("null_auth", ["alpha_star", "alpha", "epsilon"],
+         dict(attack=AttackSpec("impersonation", 3))),
+    ])
+    def test_the_log_and_the_counts_tell_the_same_story(
+            self, request, tmp_path, fixture, metrics, kwargs):
+        # every report's successes are the class counts of its own rows
+        path = tmp_path / "log.csv"
+        reports = estimate(request.getfixturevalue(fixture),
+                           ChannelParams(rho_dec=4.0, rho_adv=2.0), metrics,
+                           400, seed=7, trial_log=str(path), **kwargs)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == sum(400 * r.params.get("pairs", 1)
+                                for r in reports)
+        classes = Counter((r["metric"], r["classification"]) for r in rows)
+        of_pair = Counter((r["metric"], int(r["transmitted"]),
+                           int(r["target"]), r["classification"])
+                          for r in rows if r["target"])
+        for report in reports:
+            name = report.metric
+            if name == "epsilon":
+                assert report.successes == 400 - classes[name, CLASS_CORRECT]
+            elif name == "genuine_acceptance":
+                assert report.successes == classes[name, CLASS_CORRECT]
+            else:
+                wanted = ([CLASS_FALSE_AUTH_TARGET] if name == "alpha_star"
+                          else [CLASS_FALSE_AUTH_TARGET,
+                                CLASS_FALSE_AUTH_OTHER])
+                for pair in report.detail["per_pair"]:
+                    assert pair["successes"] == sum(
+                        of_pair[name, pair["transmit"], pair["target"], c]
+                        for c in wanted), (name, pair)
+        # a noisy channel: every case reaches the classes of epsilon's run,
+        # each attacked case a rejection and a target, the decimated code's
+        # pairs a wrong message other than the target
+        seen = {c for _, c in classes}
+        assert seen >= {CLASS_CORRECT, CLASS_MISS, CLASS_WRONG_MESSAGE}
+        if "alpha" in metrics:
+            assert seen >= {CLASS_CORRECT_REJECT, CLASS_FALSE_AUTH_TARGET}
+        assert (CLASS_FALSE_AUTH_OTHER in seen) == (fixture == "decimated_42")
