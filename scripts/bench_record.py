@@ -2,7 +2,7 @@
 
     python3 scripts/bench_record.py --label 8 --out BENCH_8.json \\
         --parent p1.json p2.json ... --change c1.json c2.json ... \\
-        [--tier1 junit.xml]
+        [--tier1 junit.xml] [--sweeps parent_sweeps.json change_sweeps.json]
 
 Each input is a ``perfbench/out/result-*.json`` file written by
 ``perfbench/run.py``; the i-th parent file and the i-th change file are
@@ -22,7 +22,9 @@ Traced results (``--trace 1``), given as ``--traced-parent`` and
 end-to-end ones without mixing the tracing overhead into them.
 ``--tier1`` reads a ``pytest --junitxml`` file of the tier-1 suite and
 keeps, under ``tier1``, its wall time, its counts of tests, failures,
-errors and skips, and its five slowest tests.
+errors and skips, and its five slowest tests.  ``--sweeps`` reads the
+``scripts/time_sweeps.py`` output of each side (parent first) and keeps
+both, as they are, under ``sweeps``.
 
 Only the standard library is used.
 """
@@ -130,6 +132,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--note", default="", help="free text kept in the record")
     ap.add_argument("--tier1", metavar="JUNIT_XML",
                     help="a pytest --junitxml file of the tier-1 suite")
+    ap.add_argument("--sweeps", nargs=2, metavar=("PARENT", "CHANGE"),
+                    help="scripts/time_sweeps.py outputs of the two sides")
     args = ap.parse_args(argv)
     if len(args.parent) != len(args.change) \
             or len(args.traced_parent) != len(args.traced_change):
@@ -146,6 +150,13 @@ def main(argv: list[str] | None = None) -> int:
                                declared)["workloads"]
     if args.tier1:
         out["tier1"] = tier1(args.tier1)
+    if args.sweeps:
+        out["sweeps"] = {}
+        for side, path in zip(("parent", "change"), args.sweeps):
+            with open(path) as fh:
+                out["sweeps"][side] = json.load(fh)
+            if "sweeps" not in out["sweeps"][side]:
+                raise SystemExit(f"{path}: not a time_sweeps.py output")
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -31,7 +31,8 @@ from .overlay import (LevelSet, OverlayCode, OverlayError, VerifyReport,
                       overlay_rate_finite, verify_overlay)
 from .reporting import EstimateReport, binomial_se, wilson_interval
 from .simulate import (METRICS, ChannelParams, SimulateError, TrialOutcome,
-                       base_error_probability, classify, estimate, run_trial)
+                       base_error_probability, classify, estimate,
+                       estimate_points, run_trial)
 
 __version__ = "0.1.0"
 

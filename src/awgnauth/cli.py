@@ -10,7 +10,8 @@ replaces it.  Each field declares its setting's domain in ``streams``'
 terms, so a bad value exits 2 in the library's words under its key
 (``channel.rho_adv must be a nonnegative finite number, not -1.0``)
 before any code is built.  ``sweep`` checks every point and builds its
-code before it runs any; points with one ``code_key`` share one code.
+code before it runs any; points with one ``code_key`` share one code, and
+run in one ``estimate_points`` pass.
 
 Config grammar (line oriented; ``#`` starts a comment)::
 
@@ -60,7 +61,9 @@ from .basecode import BaseCode, antipodal_error_probability, make_antipodal_code
 from .overlay import (LevelSet, OverlayCode, construct_overlay, verify_overlay)
 from .overlay import to_json_dict as overlay_to_json
 from .overlay import from_json_dict as overlay_from_json
-from .simulate import MIN_TRIALS, ChannelParams, check_request, estimate
+from .reporting import EstimateReport
+from .simulate import (MIN_TRIALS, ChannelParams, check_request, estimate,
+                       estimate_points)
 from .streams import check_int, check_reals
 
 OUTPUT_DIR_ENV = "AWGNAUTH_OUTPUT_DIR"
@@ -144,7 +147,8 @@ def _as_gamma(key: str, value: Any):
 
 def _setting(key: str, parse, default: Any = None, *, aliases=(),
              domain: str | int | tuple[str, ...] | None = None,
-             sweep: bool = False, hashed: bool = True) -> Any:
+             sweep: bool = False, hashed: bool = True,
+             read_when: tuple[str, Any] | None = None) -> Any:
     """Declare one config setting as an ``ExperimentConfig`` field:
     ``key`` is its dotted name (the prefix is its section), ``aliases``
     further names, ``parse(key, raw)`` its parser, ``domain`` must hold
@@ -152,10 +156,18 @@ def _setting(key: str, parse, default: Any = None, *, aliases=(),
     ``hashed`` puts it in ``canonical()`` and so in ``config_hash``.
     A real's ``domain`` is a ``streams.check_reals`` domain name, an
     integer's its minimum and a string's the tuple of its choices; a
-    list's holds for each of its items."""
+    list's holds for each of its items.  ``read_when`` is (key, value):
+    the setting is read only when that setting has that value, and may
+    not leave its default otherwise."""
     return field(default=default, metadata={
         "key": key, "aliases": aliases, "parse": parse, "domain": domain,
-        "sweep": sweep, "hashed": hashed})
+        "sweep": sweep, "hashed": hashed, "read_when": read_when})
+
+
+# the settings that some settings are read under
+_GAUSSIAN = ("base.kind", "gaussian")
+_RANDOM_T = ("auth.t_zero", False)
+_DECIMATED = ("mod2.enabled", True)
 
 
 @dataclass(frozen=True)
@@ -166,16 +178,19 @@ class ExperimentConfig:
                               domain=("antipodal", "gaussian"))
     n: int = _setting("base.n", _as_int, 64, aliases=("n",), sweep=True,
                       domain=2)
-    base_messages: int = _setting("base.messages", _as_int, 8, domain=1)
+    base_messages: int = _setting("base.messages", _as_int, 8, domain=1,
+                                  read_when=_GAUSSIAN)
     base_omega: float = _setting("base.omega", _as_float, 1.0,
                                  domain="positive")
     base_null: bool = _setting("base.null", _as_bool, False)
-    base_seed: int = _setting("base.seed", _as_int, 0, domain=0)
+    base_seed: int = _setting("base.seed", _as_int, 0, domain=0,
+                              read_when=_GAUSSIAN)
 
     # a tuple of floats, or "auto"; a list is checked as a LevelSet
     overlay_levels: Any = _setting("overlay.levels", _as_levels, (0.0, 0.5))
     overlay_auto_count: int = _setting("overlay.auto_count", _as_int, 2,
-                                       domain=1)
+                                       domain=1,
+                                       read_when=("overlay.levels", "auto"))
     # a float, or a "p/q" string; checked in (1/2,1) as gamma_value()
     gamma: Any = _setting("overlay.gamma", _as_gamma, 0.75, aliases=("gamma",))
     overlay_counts: tuple[int, ...] | None = _setting(
@@ -191,14 +206,19 @@ class ExperimentConfig:
     delta: float = _setting("auth.delta", _as_float, 0.2, sweep=True,
                             aliases=("delta",), domain="(0,1)")
     t_zero: bool = _setting("auth.t_zero", _as_bool, False)
-    auth_enforce: bool = _setting("auth.enforce_bounds", _as_bool, True)
-    auth_seed: int = _setting("auth.seed", _as_int, 0, domain=0)
+    auth_enforce: bool = _setting("auth.enforce_bounds", _as_bool, True,
+                                  read_when=_RANDOM_T)
+    auth_seed: int = _setting("auth.seed", _as_int, 0, domain=0,
+                              read_when=_RANDOM_T)
 
     mod2_enabled: bool = _setting("mod2.enabled", _as_bool, False)
-    mod2_agnostic: bool = _setting("mod2.agnostic", _as_bool, False)
+    mod2_agnostic: bool = _setting("mod2.agnostic", _as_bool, False,
+                                   read_when=_DECIMATED)
     mod2_target: int | None = _setting("mod2.target_override",
-                                       _as_opt(_as_int), domain=2)
-    mod2_seed: int = _setting("mod2.seed", _as_int, 0, domain=0)
+                                       _as_opt(_as_int), domain=2,
+                                       read_when=_DECIMATED)
+    mod2_seed: int = _setting("mod2.seed", _as_int, 0, domain=0,
+                              read_when=_DECIMATED)
 
     rho_dec: float = _setting("channel.rho_dec", _as_float, 0.1,
                               aliases=("rho_dec",), domain="positive")
@@ -238,6 +258,13 @@ class ExperimentConfig:
             except (ValueError, ZeroDivisionError) as e:
                 raise ConfigError(f"overlay.gamma: cannot parse {self.gamma!r}") from e
         return float(self.gamma)
+
+    def channel(self) -> ChannelParams:
+        return ChannelParams(self.rho_dec, self.rho_adv, self.power_budget)
+
+    def run_settings(self) -> dict[str, Any]:   # passed to estimate unchanged
+        return dict(message=self.message, max_pairs=self.max_pairs,
+                    detector=self.detector, threads=self.threads)
 
     def attack_spec(self) -> AttackSpec:   # parsed, weight_scale applied
         try:
@@ -362,7 +389,8 @@ def parse_config(path: str | None = None,
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Check each declared domain with ``streams``' checks (a list's on
-    each item, and a list must not be empty), then the checks no single
+    each item, and a list must not be empty), then that no setting that
+    ``cfg`` does not read leaves its default, then the checks no single
     field owns, ``check_request``'s too; every refusal is a ConfigError."""
     for f in fields(cfg):
         key, value, domain = (f.metadata["key"], getattr(cfg, f.name),
@@ -380,6 +408,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             elif item not in domain:
                 raise ConfigError(f"{key} must be one of "
                                   f"{', '.join(domain)}, not {item!r}")
+    for f in fields(cfg):
+        when = f.metadata["read_when"]
+        if when and getattr(cfg, _SETTINGS[when[0]].name) != when[1] \
+                and getattr(cfg, f.name) != f.default:
+            raise ConfigError(f"{f.metadata['key']} is read only under "
+                              f"{when[0]}={str(when[1]).lower()}")
     if cfg.trials:
         check_int("run.trials", cfg.trials, ConfigError, MIN_TRIALS)
     check_reals(ConfigError, domain="(1/2,1)",
@@ -531,22 +565,14 @@ def _replacing(path: str) -> Iterator[str]:
             os.remove(new)
 
 
-def run_estimates(cfg: ExperimentConfig, code: AuthCode,
-                  bounds: dict[str, Any]) -> list[dict[str, Any]]:
+def run_estimates(cfg: ExperimentConfig,
+                  code: AuthCode) -> list[EstimateReport]:
     with (_replacing(cfg.trial_log) if cfg.trial_log   # every metric's
           else contextlib.nullcontext()) as log:
-        reports = _stage("simulate", estimate, code, ChannelParams(
-            cfg.rho_dec, cfg.rho_adv, cfg.power_budget), list(cfg.metrics),
-            cfg.trials, cfg.seed, attack=cfg.attack_spec(),
-            message=cfg.message, max_pairs=cfg.max_pairs,
-            detector=cfg.detector, threads=cfg.threads, trial_log=log)
-    rows = []
-    for metric, report in zip(cfg.metrics, reports):
-        bound, label = _metric_bound(cfg, code, bounds, metric)
-        if bound is not None:
-            report = report.with_bound(bound, label)
-        rows.append(report.to_json_dict())
-    return rows
+        return _stage("simulate", estimate, code, cfg.channel(),
+                      list(cfg.metrics), cfg.trials, cfg.seed,
+                      attack=cfg.attack_spec(), trial_log=log,
+                      **cfg.run_settings())
 
 
 @functools.cache
@@ -624,12 +650,20 @@ def summarize_code(code: AuthCode) -> dict[str, Any]:
 
 
 def make_report(cfg: ExperimentConfig, code: AuthCode, *,
-                estimates: bool = True) -> dict[str, Any]:
+                reports: list[EstimateReport] | None = None
+                ) -> dict[str, Any]:
     """The report of ``cfg`` on ``code``, the code that
-    ``build_pipeline(cfg)`` built."""
+    ``build_pipeline(cfg)`` built, with the estimates ``reports``, or
+    else those of ``run_estimates`` (none at ``run.trials=0``)."""
     bounds = bounds_payload(cfg, code)
-    rows = (run_estimates(cfg, code, bounds)
-            if estimates and cfg.trials > 0 else [])
+    if reports is None:
+        reports = run_estimates(cfg, code) if cfg.trials > 0 else []
+    rows = []
+    for metric, report in zip(cfg.metrics, reports):
+        bound, label = _metric_bound(cfg, code, bounds, metric)
+        if bound is not None:
+            report = report.with_bound(bound, label)
+        rows.append(report.to_json_dict())
     checks = [r["dominated"] for r in rows if "dominated" in r]
     report = {
         **_header(cfg),
@@ -697,7 +731,7 @@ def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
-    emit_json(make_report(cfg, build_pipeline(cfg), estimates=False), cfg.out)
+    emit_json(make_report(cfg, build_pipeline(cfg), reports=[]), cfg.out)
     return 0
 
 
@@ -711,21 +745,32 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.axis not in _SETTINGS or not _SETTINGS[args.axis].metadata["sweep"]:
         raise ConfigError(f"axis {args.axis!r} is not sweepable; choose from "
                           f"{sorted(SWEEPABLE)}")
-    if cfg.trial_log:   # each point would truncate the one before's rows
+    if cfg.trial_log:   # refused before any point is built
         raise ConfigError("run.trial_log is not supported by sweep: the log "
                           "has no point column")
     values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
     points = [apply_settings(cfg, [(args.axis, v)]) for v in values]
-    codes: dict[str, AuthCode] = {}
+    keys, codes = [], {}   # each point's code_key, and each key's code
     for point in points:   # every point is checked and built before any runs
         validate_config(point)
-        key = code_key(point)
-        if key not in codes:
-            codes[key] = build_pipeline(point)
+        keys.append(code_key(point))
+        if keys[-1] not in codes:
+            codes[keys[-1]] = build_pipeline(point)
+    reports: list[list[EstimateReport]] = [[] for _ in points]
+    # one pass per code, of its points; run.trials=0 runs none
+    for key, code in codes.items() if cfg.trials else ():
+        mine = [i for i, k in enumerate(keys) if k == key]
+        got = _stage("simulate", estimate_points, code,
+                     [(points[i].channel(), points[i].attack_spec())
+                      for i in mine],
+                     list(cfg.metrics), cfg.trials, cfg.seed,
+                     **cfg.run_settings())
+        for i, point_reports in zip(mine, got):
+            reports[i] = point_reports
     lines = [",".join(SWEEP_HEADER)]
     passed = True
-    for value, point in zip(values, points):
-        report = make_report(point, codes[code_key(point)])
+    for value, point, key, got in zip(values, points, keys, reports):
+        report = make_report(point, codes[key], reports=got)
         passed &= report["pass"]
         for row in report["estimates"]:
             bound = row.get("bound")

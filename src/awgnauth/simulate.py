@@ -22,29 +22,35 @@ Trial ``t`` always reads slice ``t`` of the per-role counter streams,
 so estimates are reproducible bit-for-bit regardless of block size or
 thread count, and runs at different noise powers share randomness.
 
-``estimate`` takes one metric name or a sequence of them.  A *run* is an
-attack with its fixed transmit message (or messages drawn per trial):
-the first three metrics share one run under no attack, ``alpha_star``
-and ``alpha`` one run per attack pair, and ``message``, if given,
-transmits in every run that ``pairs`` does not pin.  Each pair's spec is
-``attack`` aimed at the pair's target, so its ``weight_scale`` reaches
-every pair, and ``NO_ATTACK`` gives the targeted MMSE attack.
-``check_request`` holds the rules that need no code, for the CLI too,
-and ``_check_run`` the one check of a run, for ``run_trial`` and every
-pair alike, with one ``SimulateError``: the target is a valid message
-other than the transmit message, impersonation transmits the null
-message, and a custom attack runs only through ``run_trial``.
+``estimate`` takes one metric name or a sequence of them.  A *run*
+(``Run``) is an attack, its fixed transmit message (or messages drawn
+per trial) and the channel it reads (an unattacked run reads no
+``rho_adv``): the first three metrics share one run under no attack,
+``alpha_star`` and ``alpha`` one run per attack pair, and ``message``,
+if given, transmits in every run that ``pairs`` does not pin.  Each
+pair's spec is ``attack`` aimed at the pair's target, so its
+``weight_scale`` reaches every pair, and ``NO_ATTACK`` gives the
+targeted MMSE attack.  ``check_request`` holds the rules that need no
+code, for the CLI too, and ``_check_run`` the one check of a run, for
+``run_trial`` and every pair alike, with one ``SimulateError``: the
+target is a valid message other than the transmit message, impersonation
+transmits the null message, and a custom attack runs only through
+``run_trial``.
 
-One call is one pass over blocks of trials that runs each distinct run
-once: every run of every metric reads the block's streams, drawn once,
-and runs that transmit the same fixed message share its encoding.  A
-block (``streams.block_rows`` trials) goes in chunks of
+A call is one point, a (channel, attack) pair, or more:
+``estimate_points`` takes several and ``estimate`` is its one-point
+call.  One call is one pass over blocks of trials that runs each distinct
+run once: every run of every metric of every point reads the block's
+streams, drawn once, and scaled once per distinct channel (in place
+where the call has one power, else into a spare chunk), and runs of one
+channel that transmit the same fixed message in turn share its encoding.
+A block (``streams.block_rows`` trials) goes in chunks of
 ``streams.chunk_rows(n)`` rows, whose n-wide arrays (draws, codewords,
 the encoder's scratch) stay in cache: each chunk is drawn, encoded,
 attacked and summed into the block's received rows, and each run is
-decoded and detected as soon as its last chunk is summed.  A block of
-one chunk keeps one buffer of received rows, which its runs take in
-turn, so 20 attack pairs hold one buffer, not 20.
+decoded and detected as soon as its last chunk is summed.  A block of one
+chunk keeps one buffer of received rows, which its runs take in turn, so
+20 attack pairs hold one buffer, not 20.
 
 ``_run_blocks`` runs the blocks of ``estimate`` and of
 ``base_error_probability`` (a base code's decode error under AWGN) on
@@ -85,7 +91,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,76 +187,107 @@ def _transmit_pool(code: AuthCode) -> np.ndarray:
     return code.base.non_null_ids
 
 
-# A run is an attack and its fixed transmit message (None: drawn per trial).
-Run = tuple[AttackSpec, int | None]
+class Run(NamedTuple):
+    """An attack, its fixed transmit message (None: drawn per trial) and
+    the channel it reads: an unattacked run reads no ``rho_adv`` (it
+    holds 0), and no run reads the power budget, which its call checks."""
+
+    spec: AttackSpec
+    message: int | None
+    channel: ChannelParams
+
+
 Result = tuple[np.ndarray, np.ndarray, np.ndarray]
 AttackTerms = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _attack_terms(code: AuthCode, channel: ChannelParams,
+def _attack_terms(code: AuthCode,
                   runs: Sequence[Run]) -> list[AttackTerms | None]:
-    """The MMSE attack constants of each attacked run, once per run."""
-    return [mmse_attack_terms(code, m, spec.target, channel.rho_adv,
-                              spec.weight_scale)
-            if spec.kind in ("targeted", "impersonation") else None
-            for spec, m in runs]
+    """The MMSE attack constants of each attacked run, once per run; the
+    runs of one (transmit, target) pair share its shift and mean."""
+    out: list[AttackTerms | None] = []
+    pairs: dict[tuple[Any, Any], list[np.ndarray]] = {}   # shift, mean
+    for spec, m, channel in runs:
+        if spec.kind in ("targeted", "impersonation"):
+            *means, w = mmse_attack_terms(code, m, spec.target,
+                                          channel.rho_adv, spec.weight_scale)
+            out.append((*pairs.setdefault((m, spec.target), means), w))
+        else:
+            out.append(None)
+    return out
 
 
 class _Workspace:
-    """The arrays of one worker's blocks, allocated once per call and
-    reused by every block the worker runs: a chunk's n-wide arrays (the
-    DELTA, ADVERSARY (attacked runs only) and DECODER draws, the codewords
-    and the encoder's scratch; a chunk of k rows uses their first k) and a
-    block's received rows, one buffer per run or, in a block of one chunk,
-    one that the runs take in turn.  Chunks and the decode's tiles take a
-    worker's share of their budgets, of ``workers`` workers."""
+    """The arrays of one worker's blocks of ``runs`` (none for a base
+    code's trials), allocated once per call and reused by every block the
+    worker runs: a chunk's n-wide arrays (the DELTA, ADVERSARY (attacked
+    runs only) and DECODER draws, a spare for each of the last two that
+    the runs scale by more than one power, the codewords and the encoder's
+    scratch; a chunk of k rows uses their first k) and a block's received
+    rows, one buffer per run or, in a block of one chunk, one that the
+    runs take in turn.  Chunks and the decode's tiles take a worker's
+    share of their budgets, of ``workers`` workers."""
 
-    def __init__(self, n: int, block: int, runs: int, attacked: bool,
+    def __init__(self, n: int, block: int, runs: Sequence[Run],
                  workers: int = 1):
         rows = min(chunk_rows(n, workers), block)
         self.tile = share(TILE_VALUES, workers)
-        self.delta = draw_buffer(rows, n)
-        self.adversary = draw_buffer(rows, n) if attacked else None
-        self.decoder = draw_buffer(rows, n)
+        powers = {Role.ADVERSARY: {run.channel.rho_adv for run in runs
+                                   if run.spec.kind != "none"},
+                  Role.DECODER: {run.channel.rho_dec for run in runs}}
+        self.draws = {role: draw_buffer(rows, n) for role in (
+            Role.DELTA, Role.ADVERSARY, Role.DECODER)
+            if role != Role.ADVERSARY or powers[role]}
+        self.spares = {role: np.empty((rows, n))
+                       for role, values in powers.items() if len(values) > 1}
         self.codewords, self.scratch = (np.empty((rows, n)) for _ in range(2))
-        self.received = np.empty((1 if block <= rows else runs, block, n))
+        self.received = np.empty((1 if block <= rows else max(1, len(runs)),
+                                  block, n))
 
 
-def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
-                    t0: int, b: int, runs: Sequence[Run],
-                    terms: Sequence[AttackTerms | None], ws: _Workspace, *,
-                    detector: bool,
+def _simulate_block(code: AuthCode, seed: int, t0: int, b: int,
+                    runs: Sequence[Run], terms: Sequence[AttackTerms | None],
+                    ws: _Workspace, *, detector: bool,
                     pool: np.ndarray | None = None) -> list[Result]:
     """(transmitted, base_decoded, rejected) of trials [t0, t0+b) for each
     run.  The block goes in chunks of the workspace's rows: each chunk's
-    streams are drawn, and its channel noises scaled, once, and every run
-    reads them and sums its received rows (run i in the workspace's
-    received buffer i, modulo their count).  Each run is decoded and
-    detected as soon as its last chunk is summed.  ``terms`` are the runs'
+    streams are drawn once, and every run reads them and sums its received
+    rows (run i in the workspace's received buffer i, modulo their count).
+    The runs go grouped by channel, so that a role's draws are scaled once
+    per distinct channel: in place, or into the role's spare where the
+    runs have more than one power.  Each run is decoded and detected as
+    soon as its last chunk is summed.  ``terms`` are the runs'
     ``_attack_terms`` and ``pool`` is the transmit pool of the runs
     without a fixed message.  Every array is a row prefix of ``ws``; the
     results are new arrays, which outlive the block."""
     n, chunk = code.n, ws.codewords.shape[0]
     drawn_ms = (None if pool is None
                 else pool[choices(seed, Role.MESSAGE, t0, b, pool.size)])
-    block_ms = [drawn_ms if fixed_m is None else np.full(b, fixed_m, np.int64)
-                for _, fixed_m in runs]
-    out = []
+    block_ms = {m: drawn_ms if m is None else np.full(b, m, np.int64)
+                for m in {run.message for run in runs}}
+    out: list[Any] = [None] * len(runs)   # each run's Result, in run order
+    order = sorted(range(len(runs)), key=lambda i: (runs[i].channel.rho_dec,
+                                                    runs[i].channel.rho_adv))
     for c0 in range(0, b, chunk):
         k = min(chunk, b - c0)
-        g_delta = normals(seed, Role.DELTA, t0 + c0, k, n, out=ws.delta[:k])
-        adv_noise = None
-        if ws.adversary is not None:
-            adv_noise = normals(seed, Role.ADVERSARY, t0 + c0, k, n,
-                                out=ws.adversary[:k])
-            adv_noise *= math.sqrt(channel.rho_adv)
-        dec_noise = normals(seed, Role.DECODER, t0 + c0, k, n,
-                            out=ws.decoder[:k])
-        dec_noise *= math.sqrt(channel.rho_dec)
-        xs = ws.codewords[:k]
+        draws = {role: normals(seed, role, t0 + c0, k, n, out=buf[:k])
+                 for role, buf in ws.draws.items()}
+        scaled: dict[Role, tuple[float, np.ndarray]] = {}
+
+        def noise(role: Role, power: float) -> np.ndarray:
+            """The chunk's ``role`` draws times sqrt(``power``)."""
+            if role not in scaled or scaled[role][0] != power:
+                spare = ws.spares.get(role)
+                scaled[role] = power, np.multiply(
+                    draws[role], math.sqrt(power),
+                    out=draws[role] if spare is None else spare[:k])
+            return scaled[role][1]
+
+        g_delta, xs = draws[Role.DELTA], ws.codewords[:k]
         encoded = None   # (transmit message,) of the codewords in ``xs``
-        for i, ((spec, fixed_m), run_terms) in enumerate(zip(runs, terms)):
-            ms = block_ms[i][c0:c0 + k]
+        for i in order:
+            (spec, fixed_m, channel), run_terms = runs[i], terms[i]
+            ms = block_ms[fixed_m][c0:c0 + k]
             received = ws.received[i % len(ws.received), :b]
             ys = received[c0:c0 + k]
             if encoded != (fixed_m,):
@@ -263,19 +300,19 @@ def _simulate_block(code: AuthCode, channel: ChannelParams, seed: int,
                 zs = no_attack(n)
             else:
                 # the attack observes, and writes z, in the received rows
-                vs = np.add(xs, adv_noise, out=ys)
+                vs = np.add(xs, noise(Role.ADVERSARY, channel.rho_adv), out=ys)
                 if spec.kind == "custom":
                     zs = np.stack([spec.custom(v, int(m), code)
                                    for v, m in zip(vs, ms)])
                 else:
                     zs = mmse_targeted_attack_batch(vs, run_terms, out=ys)
             np.add(xs, zs, out=ys)
-            ys += dec_noise
+            ys += noise(Role.DECODER, channel.rho_dec)
             if c0 + k == b:   # the run's rows are complete
                 base_decoded = code.base.decode_batch(received, tile=ws.tile)
-                out.append((block_ms[i], base_decoded, detect_batch(
+                out[i] = (block_ms[fixed_m], base_decoded, detect_batch(
                     code, received, base_decoded, channel.rho_dec,
-                    detector=detector)))
+                    detector=detector))
     return out
 
 
@@ -286,11 +323,10 @@ def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
     check_int("trial_index", trial_index, SimulateError, 0)
     _check_budget(code, channel)
     _check_messages(code, "m", [m])
-    runs = [_check_run(code, attack, m, custom=True)]
+    runs = [_check_run(code, attack, m, channel, custom=True)]
     [(_, base_decoded, rejected)] = _simulate_block(
-        code, channel, seed, trial_index, 1, runs,
-        _attack_terms(code, channel, runs),
-        _Workspace(code.n, 1, 1, attack.kind != "none"), detector=True)
+        code, seed, trial_index, 1, runs, _attack_terms(code, runs),
+        _Workspace(code.n, 1, runs), detector=True)
     decoded: int | str = REJECT if rejected[0] else int(base_decoded[0])
     return TrialOutcome(trial_index, int(m), decoded,
                         classify(attack, int(m), decoded))
@@ -304,13 +340,16 @@ def _check_messages(code: AuthCode, name: str, ids: Iterable[Any]) -> None:
 
 
 def _check_run(code: AuthCode, spec: AttackSpec, m: int | None,
-               custom: bool) -> Run:
-    """The checked run (``spec``, ``m``); ``custom`` admits a custom attack;
-    with ``m`` None only the spec's type is checked."""
+               channel: ChannelParams, custom: bool) -> Run:
+    """The checked run of ``spec`` from ``m`` on what it reads of
+    ``channel``; ``custom`` admits a custom attack; with ``m`` None only
+    the spec's type is checked."""
     if not isinstance(spec, AttackSpec):
         raise SimulateError(f"attack must be an AttackSpec, not {spec!r}")
+    run = Run(spec, m, ChannelParams(
+        channel.rho_dec, 0.0 if spec.kind == "none" else channel.rho_adv))
     if m is None:
-        return spec, m
+        return run
     if spec.kind == "custom" and not custom:
         raise SimulateError("alpha_star and alpha run the MMSE attack; a "
                             "custom attack runs only through run_trial")
@@ -322,7 +361,7 @@ def _check_run(code: AuthCode, spec: AttackSpec, m: int | None,
     if spec.kind == "impersonation" and m != code.base.null_id:
         raise SimulateError(f"impersonation transmits the null message; "
                             f"{m} is not the null message of this code")
-    return spec, m
+    return run
 
 
 def check_request(error: type[Exception], metrics: Sequence[str],
@@ -357,8 +396,8 @@ def _check_budget(code: AuthCode, channel: ChannelParams) -> None:
 
 def _count(runs: Sequence[Run], results: Sequence[Result]) -> np.ndarray:
     """The cell counts, a row per run, of one block's results."""
-    return np.array([np.bincount(_cells(spec, *result), minlength=_CELLS)
-                     for (spec, _), result in zip(runs, results)],
+    return np.array([np.bincount(_cells(run.spec, *result), minlength=_CELLS)
+                     for run, result in zip(runs, results)],
                     np.int64).reshape(-1, _CELLS)
 
 
@@ -444,16 +483,17 @@ def _build_tables(base: BaseCode, overlay: OverlayCode | None = None) -> None:
 def _run_blocks(code: BaseCode, trials: int, shape: tuple[int, ...],
                 step: Callable[[_Workspace, int, int], np.ndarray | int], *,
                 overlay: OverlayCode | None = None, threads: int = 1,
-                runs: int = 1, attacked: bool = False) -> np.ndarray:
+                runs: Sequence[Run] = ()) -> np.ndarray:
     """The sum of ``step(ws, t0, b)``, int64 counters of ``shape``, over
     the blocks [t0, t0+b) of ``block_rows`` trials, run by workers with a
-    ``_Workspace`` each, once the lazy tables of ``code`` and ``overlay``
-    are built (see the module docstring); a block that raises stops the
-    other workers at their next block, and its error reaches the caller."""
+    ``_Workspace`` of ``runs`` each, once the lazy tables of ``code`` and
+    ``overlay`` are built (see the module docstring); a block that raises
+    stops the other workers at their next block, and its error reaches
+    the caller."""
     _build_tables(code, overlay)
     with _BLAS.one_each() as blas:
         workers = min(threads * blas, _cpus())
-        block = block_rows(code.n, code.message_count, runs=runs,
+        block = block_rows(code.n, code.message_count, runs=max(1, len(runs)),
                            workers=workers)
         blocks = range(0, trials, block)   # each block's first trial
         starts, lock, stop = iter(blocks), threading.Lock(), threading.Event()
@@ -475,8 +515,7 @@ def _run_blocks(code: BaseCode, trials: int, shape: tuple[int, ...],
         # every workspace is allocated here and the first worker runs here,
         # so they reuse memory the caller freed, where a pool thread's own
         # malloc arena takes fresh pages; the pool starts w - 1 threads
-        spaces = [_Workspace(code.n, min(block, trials), runs, attacked,
-                             workers)
+        spaces = [_Workspace(code.n, min(block, trials), runs, workers)
                   for _ in range(min(workers, len(blocks)))]
         with ThreadPoolExecutor(max_workers=len(spaces)) as executor:
             try:   # map submits the others before this thread runs one
@@ -485,25 +524,25 @@ def _run_blocks(code: BaseCode, trials: int, shape: tuple[int, ...],
                 stop.set()   # also when the caller leaves early
 
 
-def _run_counting(code: AuthCode, channel: ChannelParams, seed: int,
-                  trials: int, runs: Sequence[Run], *, detector: bool,
-                  threads: int, log: _TrialLog | None = None) -> np.ndarray:
+def _run_counting(code: AuthCode, seed: int, trials: int,
+                  runs: Sequence[Run], *, detector: bool, threads: int,
+                  log: _TrialLog | None = None) -> np.ndarray:
     """The cell counts, a row per run, of every run, all runs in one pass
     of ``_run_blocks``; ``log``, when given, spools each block's results."""
-    pool = _transmit_pool(code) if any(m is None for _, m in runs) else None
-    terms = _attack_terms(code, channel, runs)
+    pool = _transmit_pool(code) if any(
+        run.message is None for run in runs) else None
+    terms = _attack_terms(code, runs)
 
     def step(ws: _Workspace, t0: int, b: int) -> np.ndarray:
-        results = _simulate_block(code, channel, seed, t0, b, runs, terms,
-                                  ws, detector=detector, pool=pool)
+        results = _simulate_block(code, seed, t0, b, runs, terms, ws,
+                                  detector=detector, pool=pool)
         if log is not None:
             log.add(t0, results)
         return _count(runs, results)
 
     return _run_blocks(code.base, trials, (len(runs), _CELLS), step,
                        overlay=code.overlay if detector else None,
-                       threads=threads, runs=len(runs),
-                       attacked=any(spec.kind != "none" for spec, _ in runs))
+                       threads=threads, runs=runs)
 
 
 def _base_errors(code: BaseCode, pool: np.ndarray, scale: float, seed: int,
@@ -512,11 +551,11 @@ def _base_errors(code: BaseCode, pool: np.ndarray, scale: float, seed: int,
     messages drawn from ``pool`` plus DECODER draws times ``scale``, summed
     chunk by chunk into the received rows of ``ws``, then decoded."""
     ms = pool[choices(seed, Role.MESSAGE, t0, b, pool.size)]
-    ys, chunk = ws.received[0, :b], ws.decoder.shape[0]
+    ys, chunk = ws.received[0, :b], ws.codewords.shape[0]
     for c0 in range(0, b, chunk):
         k = min(chunk, b - c0)
         noise = normals(seed, Role.DECODER, t0 + c0, k, code.n,
-                        out=ws.decoder[:k])
+                        out=ws.draws[Role.DECODER][:k])
         noise *= scale
         # mode="clip" gathers in place (the default copies); ids are valid
         np.take(code.codewords, ms[c0:c0 + k], axis=0, out=ys[c0:c0 + k],
@@ -582,8 +621,8 @@ class _TrialLog:
         self.lock = threading.Lock()   # workers add their blocks in turn
 
     def add(self, t0: int, results: Sequence[Result]) -> None:
-        for (spec, _), (ms, dec, rej), segments in zip(self.runs, results,
-                                                        self.spooled):
+        for (spec, *_), (ms, dec, rej), segments in zip(self.runs, results,
+                                                         self.spooled):
             decoded = dec.astype(object)
             decoded[rej] = REJECT
             data = _csv_bytes(zip(
@@ -608,13 +647,14 @@ class _TrialLog:
                         size).splitlines(keepends=True))
 
 
-def _attack_runs(code: AuthCode, attack: AttackSpec, message: int | None,
-                 pairs: Sequence[tuple[int, int]] | None, max_pairs: int,
-                 seed: int) -> list[Run]:
-    """One run per (transmit, target) pair, ``attack`` aimed at the target
-    (targeted when none): the given ``pairs``, or those from ``message``
-    (any, or the null message under impersonation) to the attack's target
-    (any), distinct unless both are given, subsampled to ``max_pairs``."""
+def _attack_runs(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
+                 message: int | None, pairs: Sequence[tuple[int, int]] | None,
+                 max_pairs: int, seed: int) -> list[Run]:
+    """One run per (transmit, target) pair on ``channel``, ``attack`` aimed
+    at the target (targeted when none): the given ``pairs``, or those from
+    ``message`` (any, or the null message under impersonation) to the
+    attack's target (any), distinct unless both are given, subsampled to
+    ``max_pairs``."""
     if pairs is None:
         pool = [int(m) for m in _transmit_pool(code)]
         if message is None and attack.kind == "impersonation":
@@ -629,7 +669,7 @@ def _attack_runs(code: AuthCode, attack: AttackSpec, message: int | None,
             pairs = [pairs[int(i)] for i in sorted(keep)]
     kind = "targeted" if attack.kind == "none" else attack.kind
     return [_check_run(code, replace(attack, kind=kind, target=b), a,
-                       custom=False) for a, b in pairs]
+                       channel, custom=False) for a, b in pairs]
 
 
 def _report(metric: str, runs: Sequence[Run], counts: np.ndarray, *,
@@ -650,7 +690,7 @@ def _report(metric: str, runs: Sequence[Run], counts: np.ndarray, *,
         params["message"] = message
     elif metric in FALSE_AUTH_METRICS:
         per_pair = []
-        for (spec, a), succ in zip(runs, per_run):
+        for (spec, a, _), succ in zip(runs, per_run):
             lo, hi = wilson_interval(succ, trials, confidence)
             per_pair.append({"transmit": a, "target": spec.target,
                              "successes": succ, "trials": trials,
@@ -692,18 +732,47 @@ def estimate(code: AuthCode, channel: ChannelParams,
     ``trial_log`` appends one CSV row per simulated trial to that file,
     metric by metric.  ``threads`` times the BLAS thread count, at most
     the CPUs, is the number of block workers; no count depends on it."""
+    return estimate_points(
+        code, [(channel, attack)], metric, trials, seed, message=message,
+        pairs=pairs, max_pairs=max_pairs, detector=detector, threads=threads,
+        trial_log=trial_log, confidence=confidence)[0]
+
+
+def estimate_points(code: AuthCode,
+                    points: Sequence[tuple[ChannelParams, AttackSpec]],
+                    metric: str | Sequence[str], trials: int, seed: int = 0,
+                    *, message: int | None = None,
+                    pairs: Sequence[tuple[int, int]] | None = None,
+                    max_pairs: int = 20, detector: bool = True,
+                    threads: int = 1, trial_log: str | None = None,
+                    confidence: float = 0.95
+                    ) -> list[EstimateReport | list[EstimateReport]]:
+    """What ``estimate`` returns at each point's (channel, attack), from
+    one pass that runs each distinct run of every point once, on the same
+    draws: the genuine run of points that differ only in ``rho_adv`` runs
+    once.  A ``trial_log`` has no point column, so it takes one point."""
     metrics = [metric] if isinstance(metric, str) else list(metric)
-    _check_run(code, attack, None, custom=True)
-    check_request(SimulateError, metrics, attack, message, trial_log)
+    if not points:
+        raise SimulateError("no point to estimate")
+    if trial_log and len(points) > 1:
+        raise SimulateError("a trial_log has no point column; give one point")
+    for point in points:
+        if not (isinstance(point, tuple) and len(point) == 2
+                and isinstance(point[0], ChannelParams)):
+            raise SimulateError("each point must be a (ChannelParams, "
+                                f"AttackSpec) pair, not {point!r}")
+        _check_run(code, point[1], None, point[0], custom=True)
+        check_request(SimulateError, metrics, point[1], message, trial_log)
     check_int("trials", trials, SimulateError, MIN_TRIALS)
     check_int("seed", seed, SimulateError, 0)
     check_int("max_pairs", max_pairs, SimulateError)
     check_int("threads", threads, SimulateError)
     check_reals(SimulateError, confidence=confidence)
-    if channel.rho_dec == 0.0:
-        raise SimulateError("estimation needs rho_dec > 0 "
-                            "(the zero sentinel is for single trials)")
-    _check_budget(code, channel)
+    for channel, _ in points:
+        if channel.rho_dec == 0.0:
+            raise SimulateError("estimation needs rho_dec > 0 "
+                                "(the zero sentinel is for single trials)")
+        _check_budget(code, channel)
     _check_messages(code, "message", [] if message is None else [message])
     if pairs is not None:
         checked = []
@@ -716,42 +785,48 @@ def estimate(code: AuthCode, channel: ChannelParams,
             _check_messages(code, "pairs", [a, b])
             checked.append((int(a), int(b)))
         pairs = checked
-    pair_runs: list[Run] = []
-    if any(name in FALSE_AUTH_METRICS for name in metrics):
-        if channel.rho_adv <= 0.0:
-            raise SimulateError("false-authentication metrics need rho_adv > 0")
-        pair_runs = _attack_runs(code, attack, message, pairs, max_pairs, seed)
-        if not pair_runs:
-            raise SimulateError("no attack pairs to run")
+
+    # one pass over the distinct runs of every metric of every point
+    index: dict[Run, int] = {}
+    runs_of: list[list[tuple[str, list[int]]]] = []   # per point and metric
+    for channel, attack in points:
+        genuine = [_check_run(code, NO_ATTACK, message, channel, custom=False)]
+        pair_runs: list[Run] = []
+        if set(metrics) & set(FALSE_AUTH_METRICS):
+            if channel.rho_adv <= 0.0:
+                raise SimulateError("false-authentication metrics need "
+                                    "rho_adv > 0")
+            pair_runs = _attack_runs(code, channel, attack, message, pairs,
+                                     max_pairs, seed)
+            if not pair_runs:
+                raise SimulateError("no attack pairs to run")
+        runs_of.append([(name, [
+            index.setdefault(run, len(index)) for run in (
+                pair_runs if name in FALSE_AUTH_METRICS else genuine)])
+            for name in metrics])
     if message is None and not set(metrics) <= set(FALSE_AUTH_METRICS) \
             and not _transmit_pool(code).size:
         raise SimulateError("the code has no message to transmit but the "
                             "null message")
-
-    # one pass over the distinct runs of every metric
-    genuine_run: list[Run] = [(NO_ATTACK, message)]
-    index: dict[Run, int] = {}
-    runs_of: list[tuple[str, list[int]]] = []
-    for name in metrics:
-        own = pair_runs if name in FALSE_AUTH_METRICS else genuine_run
-        runs_of.append((name, [index.setdefault(run, len(index))
-                               for run in own]))
     runs = list(index)
 
-    params: dict[str, Any] = {
-        "rho_dec": channel.rho_dec, "rho_adv": channel.rho_adv, "n": code.n,
-        "ell": code.ell, "delta": code.delta, "rho_delta": code.rho_delta,
-        "detector": detector}
-    reports = []
+    out = []
     with (contextlib.closing(_TrialLog(trial_log, runs))
           if trial_log else contextlib.nullcontext()) as log:
-        counts = _run_counting(code, channel, seed, trials, runs,
-                               detector=detector, threads=threads, log=log)
-        for name, indices in runs_of:
-            if log is not None:
-                log.write(name, indices)
-            reports.append(_report(name, [runs[i] for i in indices],
-                                   counts[indices], trials=trials, seed=seed,
-                                   message=message, confidence=confidence,
-                                   params=params))
-    return reports[0] if isinstance(metric, str) else reports
+        counts = _run_counting(code, seed, trials, runs, detector=detector,
+                               threads=threads, log=log)
+        for (channel, _), point in zip(points, runs_of):
+            params: dict[str, Any] = {
+                "rho_dec": channel.rho_dec, "rho_adv": channel.rho_adv,
+                "n": code.n, "ell": code.ell, "delta": code.delta,
+                "rho_delta": code.rho_delta, "detector": detector}
+            reports = []
+            for name, indices in point:
+                if log is not None:
+                    log.write(name, indices)
+                reports.append(_report(
+                    name, [runs[i] for i in indices], counts[indices],
+                    trials=trials, seed=seed, message=message,
+                    confidence=confidence, params=params))
+            out.append(reports[0] if isinstance(metric, str) else reports)
+    return out

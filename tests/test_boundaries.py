@@ -44,7 +44,8 @@ from awgnauth import (AttackError, AttackSpec, AuthCode, AuthCodeError,
                       VerifyReport, auth_encode_batch, bounds_report,
                       chi_square_tail_bound, construct_overlay, d2, decimate,
                       decimation_bounds, detect_batch, detection_margin,
-                      estimate, h2, hypergeom_log_bound, inject_noise,
+                      estimate, estimate_points, h2, hypergeom_log_bound,
+                      inject_noise,
                       injection_power_bound, level_statistics,
                       make_random_gaussian_code,
                       mixed_variance_lower_tail_bound, mmse_attack_terms,
@@ -101,6 +102,14 @@ TABLE = {
         SimulateError, lambda code, bad:
         estimate(code, CHANNEL, "alpha_star", 100,
                  attack=AttackSpec("targeted", bad))),
+    ("estimate_points", "message"): (
+        SimulateError, lambda code, bad:
+        estimate_points(code, [(CHANNEL, AttackSpec("none"))], "epsilon",
+                        100, message=bad)),
+    ("estimate_points", "pairs"): (
+        SimulateError, lambda code, bad:
+        estimate_points(code, [(CHANNEL, AttackSpec("none"))], "alpha_star",
+                        100, pairs=[(0, bad)])),
     ("OverlayCode.level_matrix", "rows"): (
         OverlayError, lambda code, bad:
         code.overlay.level_matrix(bad)),
@@ -314,6 +323,9 @@ CALLS = {
     "estimate": (SimulateError, dict(
         code=CODE, channel=CHANNEL, metric="epsilon", trials=100, seed=0,
         max_pairs=1, threads=1, confidence=0.95)),
+    "estimate_points": (SimulateError, dict(
+        code=CODE, points=[(CHANNEL, AttackSpec("none"))], metric="epsilon",
+        trials=100, seed=0, max_pairs=1, threads=1, confidence=0.95)),
     "run_trial": (SimulateError, dict(
         code=CODE, channel=CHANNEL, attack=AttackSpec("none"), m=0, seed=0,
         trial_index=0)),
@@ -456,6 +468,8 @@ INT_ROWS = {
     ("base_error_probability", "seed"): 0,
     ("estimate", "trials"): 100, ("estimate", "seed"): 0,
     ("estimate", "max_pairs"): 1, ("estimate", "threads"): 1,
+    ("estimate_points", "trials"): 100, ("estimate_points", "seed"): 0,
+    ("estimate_points", "max_pairs"): 1, ("estimate_points", "threads"): 1,
     ("run_trial", "seed"): 0, ("run_trial", "trial_index"): 0,
     ("injection_power_bound", "n"): 1,
     ("injection_power_bound", "ktilde_size"): 2,

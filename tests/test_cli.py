@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awgnauth import cli
+from awgnauth import cli, simulate
 from awgnauth.adversary import AttackSpec
 from awgnauth.cli import (
     SWEEP_HEADER,
@@ -169,6 +169,21 @@ class TestValidation:
             "run.trial_log=no_such_directory/trials.csv":
                 "trial_log 'no_such_directory/trials.csv' must name a "
                 "file in an existing directory",
+            # a setting that the config does not read keeps its default
+            "base.messages=16":
+                "base.messages is read only under base.kind=gaussian",
+            "base.seed=3": "base.seed is read only under base.kind=gaussian",
+            "overlay.auto_count=3":
+                "overlay.auto_count is read only under overlay.levels=auto",
+            "mod2.agnostic=true":
+                "mod2.agnostic is read only under mod2.enabled=true",
+            ("mod2.target_override=5", "mod2.seed=3"):
+                "mod2.target_override is read only under mod2.enabled=true",
+            "mod2.seed=3": "mod2.seed is read only under mod2.enabled=true",
+            ("auth.t_zero=true", "auth.seed=5"):
+                "auth.seed is read only under auth.t_zero=false",
+            ("auth.t_zero=true", "auth.enforce_bounds=false"):
+                "auth.enforce_bounds is read only under auth.t_zero=false",
         }
         for override, message in cases.items():
             overrides = [override] if isinstance(override, str) \
@@ -501,6 +516,7 @@ class TestSweepCommand:
             raise AssertionError("a sweep point ran")
 
         monkeypatch.setattr(cli, "make_report", no_point)
+        monkeypatch.setattr(cli, "estimate_points", no_point)
         log = tmp_path / "trials.csv"
         rc, out, err = run_cli(["sweep", "--axis", "channel.rho_adv",
                                 "--values", "0.0,0.1", "base.n=60",
@@ -516,6 +532,7 @@ class TestSweepCommand:
             raise AssertionError("a sweep point ran")
 
         monkeypatch.setattr(cli, "make_report", no_point)
+        monkeypatch.setattr(cli, "estimate_points", no_point)
         rc, out, err = run_cli(["sweep", "--axis", "channel.rho_adv",
                                 "--values", "0.1,-1", "base.n=60",
                                 "run.trials=100"], capsys)
@@ -529,6 +546,7 @@ class TestSweepCommand:
             raise AssertionError("a sweep point ran")
 
         monkeypatch.setattr(cli, "make_report", no_point)
+        monkeypatch.setattr(cli, "estimate_points", no_point)
         rc, out, err = run_cli(["sweep", "--axis", "base.n", "--values",
                                 "64,2", "run.trials=20000"], capsys)
         assert rc == 2 and out == ""
@@ -565,6 +583,50 @@ class TestSweepCommand:
         assert run_cli(["simulate", "base.n=60", "run.trials=100"],
                        capsys)[0] == 0
         assert calls == ["build_pipeline", "make_report"]
+
+    @pytest.mark.parametrize("axis, values, args", [
+        ("channel.rho_adv", "0.05,0.1,0.2", []),
+        ("attack.weight_scale", "0.5,1.0,2.0", ["channel.rho_adv=0.1"]),
+    ])
+    def test_points_of_one_code_draw_once(self, capsys, monkeypatch, axis,
+                                          values, args):
+        # three points of one code draw the streams of one simulate run
+        drawn = []
+
+        def counting(*args, **kwargs):
+            drawn.append(args[1:3])
+            return normals(*args, **kwargs)
+
+        normals = simulate.normals
+        monkeypatch.setattr(simulate, "normals", counting)
+        args = ["base.n=60", "run.trials=300", *args,
+                'run.metrics=["epsilon","alpha_star"]']
+        assert run_cli(["simulate", *args, f"{axis}={values.split(',')[0]}"],
+                       capsys)[0] == 0
+        once, drawn[:] = sorted(drawn), []
+        assert run_cli(["sweep", "--axis", axis, "--values", values, *args],
+                       capsys)[0] == 0
+        assert sorted(drawn) == once and len(once) > 0
+
+    def test_a_run_that_every_point_shares_runs_once(self, capsys,
+                                                     monkeypatch):
+        # epsilon's genuine run reads no rho_adv: three rho_adv points
+        # simulate it once, beside each point's own attack pairs
+        passes, counting = [], simulate._run_counting
+
+        def spy(code, seed, trials, runs, **kwargs):
+            passes.append(runs)
+            return counting(code, seed, trials, runs, **kwargs)
+
+        monkeypatch.setattr(simulate, "_run_counting", spy)
+        assert run_cli(["sweep", "--axis", "channel.rho_adv", "--values",
+                        "0.05,0.1,0.2", "base.n=60", "run.trials=100",
+                        "run.max_pairs=2",
+                        'run.metrics=["epsilon","alpha_star"]'],
+                       capsys)[0] == 0
+        [runs] = passes
+        assert [run.spec.kind for run in runs] == ["none"] + ["targeted"] * 6
+        assert len({run.channel for run in runs}) == 4
 
     def sweep_and_points(self, axis, values, args, capsys):
         """The sweep's CSV lines, and the lines that one-point ``simulate``

@@ -44,6 +44,57 @@ def test_numeric_domains_are_streams_domains():
             assert type(domain) is int, f.name
 
 
+# the settings read only under another setting's value, a value each
+# may take there, and the (setting, value) it is read under
+CONDITIONAL = {
+    "base.messages": (16, ("base.kind", "gaussian")),
+    "base.seed": (3, ("base.kind", "gaussian")),
+    "overlay.auto_count": (3, ("overlay.levels", "auto")),
+    "auth.enforce_bounds": (False, ("auth.t_zero", False)),
+    "auth.seed": (5, ("auth.t_zero", False)),
+    "mod2.agnostic": (True, ("mod2.enabled", True)),
+    "mod2.target_override": (5, ("mod2.enabled", True)),
+    "mod2.seed": (3, ("mod2.enabled", True)),
+}
+# every other setting: read by every config (run.out and run.trial_log
+# name where output goes)
+ALWAYS_READ = {
+    "base.kind", "base.n", "base.omega", "base.null", "overlay.levels",
+    "overlay.gamma", "overlay.counts", "overlay.rates",
+    "overlay.max_per_level", "overlay.seed", "auth.rho_delta", "auth.delta",
+    "auth.t_zero", "mod2.enabled", "channel.rho_dec", "channel.rho_adv",
+    "channel.power_budget", "attack.spec", "attack.weight_scale",
+    "run.metrics", "run.trials", "run.seed", "run.threads", "run.max_pairs",
+    "run.message", "run.detector", "run.out", "run.trial_log"}
+
+
+def test_every_setting_is_always_read_or_declares_when():
+    # a new setting must be classified here
+    rules = {f.metadata["key"]: f.metadata["read_when"] for f in SETTINGS}
+    assert {key for key, rule in rules.items() if rule is None} == ALWAYS_READ
+    assert {key: rule for key, rule in rules.items() if rule} == {
+        key: rule for key, (_, rule) in CONDITIONAL.items()}
+
+
+@pytest.mark.parametrize("key", sorted(CONDITIONAL))
+def test_a_setting_is_refused_only_where_it_is_not_read(key):
+    value, (when, needed) = CONDITIONAL[key]
+    default = {f.metadata["key"]: f.default for f in SETTINGS}
+
+    def setting(k, v):
+        return f"{k}={str(v).lower()}"
+
+    # a boolean condition that holds by default is turned off
+    off = [setting(when, not needed)] if default[when] == needed else []
+    with pytest.raises(ConfigError, match=f"^{key} is read only under "
+                       f"{setting(when, needed)}$"):
+        parse_config(None, [*off, setting(key, value)])
+    parse_config(None, [*off, setting(key, default[key])])   # the default
+    cfg = parse_config(None, [setting(when, needed), setting(key, value)])
+    section, name = key.split(".")
+    assert cfg.canonical()[section][name] == value
+
+
 def test_sweep_axes():
     assert SWEEPABLE == ("base.n", "auth.rho_delta", "auth.delta",
                          "channel.rho_adv", "attack.weight_scale")

@@ -1,5 +1,11 @@
 """The README's experiments run through the CLI at a small trial count,
-and the benchmark record script summarises synthetic results."""
+and at their documented settings give the CSVs recorded in
+``readme_sweeps.json``; the sweep timer runs them in fresh processes, and
+the benchmark record script summarises synthetic results.  To re-record
+the CSVs on purpose (and say why in ``CHANGES.md``)::
+
+    PYTHONPATH=src python tests/test_scripts.py --record
+"""
 
 import json
 import os
@@ -7,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,6 +22,7 @@ import awgnauth
 from awgnauth import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+SWEEP_CSVS = Path(__file__).with_name("readme_sweeps.json")
 
 
 def readme_experiments():
@@ -48,6 +56,39 @@ def test_script_runs_and_writes_its_outputs(tmp_path, monkeypatch, capsys,
         assert cli.main([*outs[out], "run.trials=100"]) == 0, \
             capsys.readouterr().err
         assert (tmp_path / out).stat().st_size > 0
+
+
+def sweep_csvs(folder):
+    """{axis: CSV text} of the README's sweeps, written in ``folder``."""
+    csvs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(cli.OUTPUT_DIR_ENV, str(folder))
+        for argv in readme_experiments():
+            assert cli.main(argv) in (0, 1)
+            out = Path(folder) / argv[argv.index("--out") + 1]
+            csvs[argv[argv.index("--axis") + 1]] = out.read_text()
+    return csvs
+
+
+def test_readme_sweeps_give_the_recorded_csvs(tmp_path):
+    assert sweep_csvs(tmp_path) == json.loads(SWEEP_CSVS.read_text())
+
+
+def test_sweep_timer_runs_every_readme_sweep():
+    env = dict(os.environ)
+    env.pop(cli.OUTPUT_DIR_ENV, None)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "time_sweeps.py"),
+         "--repeat", "1", "run.trials=100"],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    timed = json.loads(proc.stdout)
+    assert (timed["repeat"], timed["settings"]) == (1, ["run.trials=100"])
+    assert sorted(timed["sweeps"]) == sorted(
+        argv[argv.index("--axis") + 1] for argv in readme_experiments())
+    for sweep in timed["sweeps"].values():
+        assert len(sweep["runs"]) == 1 and sweep["median_s"] > 0
+        assert len(sweep["csv_sha256"]) == 64
 
 
 def test_bench_record_summarises_a_parent_and_a_change(tmp_path):
@@ -143,3 +184,40 @@ def test_bench_record_keeps_the_tier1_time_and_slowest_tests(tmp_path):
         "wall_s": 42.5, "tests": 7, "failures": 1, "errors": 0, "skipped": 2,
         "slowest": [{"test": f"tests.test_x::test_{i}", "s": times[i]}
                     for i in (3, 1, 5, 4, 0)]}
+
+
+
+def test_bench_record_keeps_both_sides_sweep_times(tmp_path):
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({
+        "workload": "genuine_cli", "seed": 1, "machine": {"nproc": 2},
+        "samples": {"wall_s": [2.0]}}))
+    sides = {}
+    for side, s in (("parent", 3.5), ("change", 1.25)):
+        sides[side] = {"repeat": 1, "settings": [], "sweeps": {
+            "channel.rho_adv": {"runs": [s], "median_s": s}}}
+        (tmp_path / f"{side}.json").write_text(json.dumps(sides[side]))
+    out = tmp_path / "BENCH_0.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--label",
+         "0", "--parent", str(result), "--change", str(result), "--out",
+         str(out), "--sweeps", str(tmp_path / "parent.json"),
+         str(tmp_path / "change.json")],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["sweeps"] == sides
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--label",
+         "0", "--parent", str(result), "--change", str(result), "--out",
+         str(out), "--sweeps", str(result), str(result)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode != 0
+    assert "not a time_sweeps.py output" in proc.stderr
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_scripts.py --record")
+    with tempfile.TemporaryDirectory() as tmp:
+        SWEEP_CSVS.write_text(json.dumps(sweep_csvs(tmp), indent=1,
+                                         sort_keys=True) + "\n")

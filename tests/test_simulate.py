@@ -29,9 +29,10 @@ from awgnauth.simulate import (
     base_error_probability,
     classify,
     estimate,
+    estimate_points,
     run_trial,
 )
-from awgnauth.streams import Role, block_rows, choices
+from awgnauth.streams import Role, block_rows, chunk_rows, choices
 
 try:
     import resource
@@ -480,15 +481,43 @@ class TestBoundedMemory:
             visited = 0
             tracemalloc.start()
             try:
-                simulate._run_counting(small_auth, ChannelParams(rho_dec=0.1),
-                                       0, trials, [], detector=True,
-                                       threads=1)
+                simulate._run_counting(small_auth, 0, trials, [],
+                                       detector=True, threads=1)
                 assert visited == trials
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(2 * 10 ** 5) <= peak(2 * 10 ** 4) + 2 ** 20
+
+
+    def test_points_add_one_chunk_buffer(self, monkeypatch):
+        # 4 points of 20 pairs each on one worker: one spare chunk of
+        # ADVERSARY draws, scaled per point, beside the 1-point call's
+        # arrays (the DECODER draws, at one rho_dec, scale in place)
+        monkeypatch.setattr(simulate, "_openblas", lambda: None)
+        ov = construct_overlay(600, LevelSet((0.0, 0.5)), 0.75,
+                               counts_per_level=[3, 2], seed=7)
+        code = inject_noise(make_random_gaussian_code(600, 6, 1.0, seed=7),
+                            ov, rho_delta=1.0, delta=0.1, seed=7)
+
+        def peak(powers):
+            points = [(ChannelParams(0.1, rho_adv=p), AttackSpec("none"))
+                      for p in powers]
+            tracemalloc.start()
+            try:
+                reports = estimate_points(code, points,
+                                          ["alpha_star", "alpha"], 1000,
+                                          seed=1, max_pairs=20)
+                assert [r[0].params["pairs"] for r in reports] == [20] * len(
+                    powers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak([0.01])   # warm up
+        chunk = chunk_rows(600) * 600 * 8
+        assert peak([0.001, 0.01, 0.1, 1.0]) <= peak([0.01]) + chunk + 2 ** 20
 
 
 class TestChunkedBlocks:
@@ -720,6 +749,62 @@ class TestSeveralMetrics:
         channel = kwargs.pop("channel", ChannelParams(rho_dec=0.1))
         with pytest.raises(SimulateError, match=message):
             estimate(small_auth, channel, metrics, 100, **kwargs)
+
+
+class TestEstimatePoints:
+    PAIRS = [(0, 1), (0, 2), (3, 1)]
+    # rho_adv, then the attack, then rho_dec vary; the last point repeats
+    # the first one's channel with another attack
+    POINTS = [(ChannelParams(0.1, rho_adv=0.05), AttackSpec("none")),
+              (ChannelParams(0.1, rho_adv=0.2), AttackSpec("none")),
+              (ChannelParams(0.1, rho_adv=0.2),
+               AttackSpec("targeted", 1, weight_scale=0.5)),
+              (ChannelParams(0.3, rho_adv=0.2), AttackSpec("none")),
+              (ChannelParams(0.1, rho_adv=0.05),
+               AttackSpec("none", weight_scale=2.0))]
+
+    @pytest.mark.parametrize("rows, chunk", [(None, None), (17, 5)])
+    def test_each_point_equals_its_own_estimate(self, small_auth, monkeypatch,
+                                                fixed_blocks, rows, chunk):
+        if chunk:
+            monkeypatch.setattr(streams, "ROW_VALUES", chunk * small_auth.n)
+        fixed_blocks(rows)
+        metrics = ["epsilon", "alpha_star", "alpha"]
+        together = estimate_points(small_auth, self.POINTS, metrics, 300,
+                                   seed=6, pairs=self.PAIRS, threads=2)
+        assert len(together) == len(self.POINTS)
+        for (channel, attack), reports in zip(self.POINTS, together):
+            alone = estimate(small_auth, channel, metrics, 300, seed=6,
+                             attack=attack, pairs=self.PAIRS)
+            assert [r.to_json_dict() for r in reports] \
+                == [r.to_json_dict() for r in alone], (channel, attack)
+
+    def test_one_name_gives_one_report_per_point(self, small_auth):
+        reports = estimate_points(small_auth, self.POINTS[:2], "epsilon", 200,
+                                  seed=4)
+        assert [r.metric for r in reports] == ["epsilon", "epsilon"]
+
+    @pytest.mark.parametrize("points, kwargs, message", [
+        ([], {}, "no point to estimate"),
+        (POINTS[:2], dict(trial_log="trials.csv"),
+         "a trial_log has no point column; give one point"),
+        ([(ChannelParams(0.1), AttackSpec("none"))], {}, "rho_adv > 0"),
+        ([POINTS[0], (ChannelParams(0.1, rho_adv=0.1), None)], {},
+         "attack must be an AttackSpec"),
+        ([(ChannelParams(0.1, rho_adv=0.1),)], {}, "each point must be a"),
+        ([(0.1, AttackSpec("none"))], {}, "each point must be a"),
+        ([ChannelParams(0.1, rho_adv=0.1)], {}, "each point must be a"),
+    ])
+    def test_bad_points_fail_before_any_draw(self, small_auth, monkeypatch,
+                                             tmp_path, points, kwargs,
+                                             message):
+        def no_draws(*args, **kw):
+            raise AssertionError("drew streams before validating the call")
+
+        monkeypatch.setattr(simulate, "normals", no_draws)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SimulateError, match=message):
+            estimate_points(small_auth, points, "alpha", 100, **kwargs)
 
 
 class TestDeterminism:

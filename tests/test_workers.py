@@ -191,13 +191,13 @@ class TestBlasThreads:
         seen = {1: [], 2: []}
         block = simulate._simulate_block
 
-        def spy(code, channel, seed, *args, **kwargs):
+        def spy(code, seed, *args, **kwargs):
             entered[seed].set()
             assert entered[3 - seed].wait(30)
             if seed == 2:
                 assert a_done.wait(30)
             seen[seed].append(BLAS[0]())
-            return block(code, channel, seed, *args, **kwargs)
+            return block(code, seed, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "_simulate_block", spy)
         pools = PoolSpy(monkeypatch)
@@ -252,7 +252,7 @@ class TestBlasThreads:
         started, failed = threading.Event(), threading.Event()
         after = []   # per call: whether it started after the failure
 
-        def spy(code, channel, seed, t0, *args, **kwargs):
+        def spy(code, seed, t0, *args, **kwargs):
             after.append(failed.is_set())
             if t0 == 0:
                 assert started.wait(10)
@@ -260,7 +260,7 @@ class TestBlasThreads:
                 raise RuntimeError("a block failed")
             started.set()
             assert failed.wait(10)
-            return block(code, channel, seed, t0, *args, **kwargs)
+            return block(code, seed, t0, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "_simulate_block", spy)
         fixed_blocks(250)
@@ -381,10 +381,10 @@ def test_blocks_finishing_out_of_order_log_as_in_order(small_auth,
     # pulled twice or lost changes the blocks run, the counts or the log
     block, finished = simulate._simulate_block, []   # per call, in order
 
-    def slow_evens(code, channel, seed, t0, *args, **kwargs):
+    def slow_evens(code, seed, t0, *args, **kwargs):
         if t0 // 100 % 2 == 0:
             time.sleep(0.01)
-        results = block(code, channel, seed, t0, *args, **kwargs)
+        results = block(code, seed, t0, *args, **kwargs)
         finished[-1].append(t0)
         return results
 
