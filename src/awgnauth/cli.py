@@ -62,8 +62,8 @@ from .overlay import (LevelSet, OverlayCode, construct_overlay, verify_overlay)
 from .overlay import to_json_dict as overlay_to_json
 from .overlay import from_json_dict as overlay_from_json
 from .reporting import EstimateReport
-from .simulate import (MIN_TRIALS, ChannelParams, check_request, estimate,
-                       estimate_points)
+from .simulate import (FALSE_AUTH_METRICS, MIN_TRIALS, ChannelParams,
+                       check_request, estimate, estimate_points)
 from .streams import check_int, check_reals
 
 OUTPUT_DIR_ENV = "AWGNAUTH_OUTPUT_DIR"
@@ -391,7 +391,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     """Check each declared domain with ``streams``' checks (a list's on
     each item, and a list must not be empty), then that no setting that
     ``cfg`` does not read leaves its default, then the checks no single
-    field owns, ``check_request``'s too; every refusal is a ConfigError."""
+    field owns, ``check_request``'s too, and last that ``run.max_pairs``
+    leaves its default where no pairs are enumerated; every refusal is a
+    ConfigError."""
     for f in fields(cfg):
         key, value, domain = (f.metadata["key"], getattr(cfg, f.name),
                               f.metadata["domain"])
@@ -425,8 +427,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
             LevelSet(cfg.overlay_levels)
         except ValueError as e:
             raise ConfigError(f"overlay.levels: {e}") from e
-    check_request(ConfigError, cfg.metrics, cfg.attack_spec(), cfg.message,
-                  cfg.trial_log)
+    attack = cfg.attack_spec()
+    check_request(ConfigError, cfg.metrics, attack, cfg.message, cfg.trial_log)
+    # a target and a fixed transmit message pin the one pair
+    pinned = attack.target is not None and (
+        cfg.message is not None or attack.kind == "impersonation")
+    if cfg.max_pairs != _SETTINGS["run.max_pairs"].default and (
+            pinned or not set(cfg.metrics) & set(FALSE_AUTH_METRICS)):
+        raise ConfigError("run.max_pairs is read only where alpha_star or "
+                          "alpha enumerates the attack pairs")
 
 
 def _stage(stage: str, fn, *args, **kwargs):

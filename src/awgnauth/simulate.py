@@ -40,13 +40,12 @@ transmits the null message, and a custom attack runs only through
 A call is one point, a (channel, attack) pair, or more:
 ``estimate_points`` takes several and ``estimate`` is its one-point
 call.  One call is one pass over blocks of trials that runs each distinct
-run once: every run of every metric of every point reads the block's
-streams, drawn once, and scaled once per distinct channel (in place
-where the call has one power, else into a spare chunk), and runs of one
-channel that transmit the same fixed message in turn share its encoding.
-A block (``streams.block_rows`` trials) goes in chunks of
-``streams.chunk_rows(n)`` rows, whose n-wide arrays (draws, codewords,
-the encoder's scratch) stay in cache: each chunk is drawn, encoded,
+run once: every run of every metric of every point reads the block's unit
+streams, drawn once, and scales the draws it reads into its own rows, and
+the runs that transmit one message share its encoding.  A block
+(``streams.block_rows`` trials) goes in chunks of ``streams.chunk_rows(n)``
+rows, whose n-wide arrays (draws, codewords, the encoder's scratch) stay
+in cache: each chunk is drawn, encoded once per transmit message,
 attacked and summed into the block's received rows, and each run is
 decoded and detected as soon as its last chunk is summed.  A block of one
 chunk keeps one buffer of received rows, which its runs take in turn, so
@@ -218,29 +217,26 @@ def _attack_terms(code: AuthCode,
 
 
 class _Workspace:
-    """The arrays of one worker's blocks of ``runs`` (none for a base
-    code's trials), allocated once per call and reused by every block the
-    worker runs: a chunk's n-wide arrays (the DELTA, ADVERSARY (attacked
-    runs only) and DECODER draws, a spare for each of the last two that
-    the runs scale by more than one power, the codewords and the encoder's
-    scratch; a chunk of k rows uses their first k) and a block's received
-    rows, one buffer per run or, in a block of one chunk, one that the
-    runs take in turn.  Chunks and the decode's tiles take a worker's
-    share of their budgets, of ``workers`` workers."""
+    """The arrays that one worker's blocks of ``runs`` read (a base code's
+    trials, with no runs, read only the DECODER draws and the received
+    rows), allocated once per call and reused by every block the worker
+    runs: a chunk's n-wide arrays (the DELTA, ADVERSARY (attacked runs
+    only) and DECODER draws, the codewords and the encoder's scratch; a
+    chunk of k rows uses their first k) and a block's received rows, one
+    buffer per run or, in a block of one chunk, one that the runs take in
+    turn.  Chunks and the decode's tiles take a worker's share of their
+    budgets, of ``workers`` workers."""
 
     def __init__(self, n: int, block: int, runs: Sequence[Run],
                  workers: int = 1):
-        rows = min(chunk_rows(n, workers), block)
+        self.rows = rows = min(chunk_rows(n, workers), block)
         self.tile = share(TILE_VALUES, workers)
-        powers = {Role.ADVERSARY: {run.channel.rho_adv for run in runs
-                                   if run.spec.kind != "none"},
-                  Role.DECODER: {run.channel.rho_dec for run in runs}}
-        self.draws = {role: draw_buffer(rows, n) for role in (
-            Role.DELTA, Role.ADVERSARY, Role.DECODER)
-            if role != Role.ADVERSARY or powers[role]}
-        self.spares = {role: np.empty((rows, n))
-                       for role, values in powers.items() if len(values) > 1}
-        self.codewords, self.scratch = (np.empty((rows, n)) for _ in range(2))
+        attacked = any(run.spec.kind != "none" for run in runs)
+        self.draws = {role: draw_buffer(rows, n) for role, read in (
+            (Role.DELTA, runs), (Role.ADVERSARY, attacked),
+            (Role.DECODER, True)) if read}
+        self.codewords, self.scratch = (np.empty((rows if runs else 0, n))
+                                        for _ in range(2))
         self.received = np.empty((1 if block <= rows else max(1, len(runs)),
                                   block, n))
 
@@ -251,68 +247,61 @@ def _simulate_block(code: AuthCode, seed: int, t0: int, b: int,
                     pool: np.ndarray | None = None) -> list[Result]:
     """(transmitted, base_decoded, rejected) of trials [t0, t0+b) for each
     run.  The block goes in chunks of the workspace's rows: each chunk's
-    streams are drawn once, and every run reads them and sums its received
-    rows (run i in the workspace's received buffer i, modulo their count).
-    The runs go grouped by channel, so that a role's draws are scaled once
-    per distinct channel: in place, or into the role's spare where the
-    runs have more than one power.  Each run is decoded and detected as
-    soon as its last chunk is summed.  ``terms`` are the runs'
-    ``_attack_terms`` and ``pool`` is the transmit pool of the runs
-    without a fixed message.  Every array is a row prefix of ``ws``; the
-    results are new arrays, which outlive the block."""
-    n, chunk = code.n, ws.codewords.shape[0]
+    unit streams are drawn once and each transmit message is encoded
+    once, for the runs that transmit it in turn.  Each run sums its
+    received rows (run i in the workspace's received buffer i, modulo
+    their count) and scales the unit draws it reads into arrays it owns
+    for the chunk: the ADVERSARY draws into its received rows, where the
+    attack observes and writes z, and the DECODER draws into the
+    encoder's scratch.  Each run is decoded and detected as soon as its
+    last chunk is summed.  ``terms`` are the runs' ``_attack_terms`` and
+    ``pool`` is the transmit pool of the runs without a fixed message.
+    Every array is a row prefix of ``ws``; the results are new arrays,
+    which outlive the block."""
+    n, chunk = code.n, ws.rows
+    by_message: dict[int | None, list[int]] = {}   # run indices
+    for i, run in enumerate(runs):
+        by_message.setdefault(run.message, []).append(i)
     drawn_ms = (None if pool is None
                 else pool[choices(seed, Role.MESSAGE, t0, b, pool.size)])
     block_ms = {m: drawn_ms if m is None else np.full(b, m, np.int64)
-                for m in {run.message for run in runs}}
+                for m in by_message}
     out: list[Any] = [None] * len(runs)   # each run's Result, in run order
-    order = sorted(range(len(runs)), key=lambda i: (runs[i].channel.rho_dec,
-                                                    runs[i].channel.rho_adv))
     for c0 in range(0, b, chunk):
         k = min(chunk, b - c0)
         draws = {role: normals(seed, role, t0 + c0, k, n, out=buf[:k])
                  for role, buf in ws.draws.items()}
-        scaled: dict[Role, tuple[float, np.ndarray]] = {}
-
-        def noise(role: Role, power: float) -> np.ndarray:
-            """The chunk's ``role`` draws times sqrt(``power``)."""
-            if role not in scaled or scaled[role][0] != power:
-                spare = ws.spares.get(role)
-                scaled[role] = power, np.multiply(
-                    draws[role], math.sqrt(power),
-                    out=draws[role] if spare is None else spare[:k])
-            return scaled[role][1]
-
-        g_delta, xs = draws[Role.DELTA], ws.codewords[:k]
-        encoded = None   # (transmit message,) of the codewords in ``xs``
-        for i in order:
-            (spec, fixed_m, channel), run_terms = runs[i], terms[i]
+        xs, scratch = ws.codewords[:k], ws.scratch[:k]
+        for fixed_m, indices in by_message.items():
             ms = block_ms[fixed_m][c0:c0 + k]
-            received = ws.received[i % len(ws.received), :b]
-            ys = received[c0:c0 + k]
-            if encoded != (fixed_m,):
-                # runs that share a transmit message share its codewords;
-                # the received rows are free to take the encoder's gathered f
-                auth_encode_batch(code, ms, g_delta,
-                                  out=(xs, ws.scratch[:k], ys))
-                encoded = (fixed_m,)
-            if spec.kind == "none":
-                zs = no_attack(n)
-            else:
-                # the attack observes, and writes z, in the received rows
-                vs = np.add(xs, noise(Role.ADVERSARY, channel.rho_adv), out=ys)
-                if spec.kind == "custom":
-                    zs = np.stack([spec.custom(v, int(m), code)
-                                   for v, m in zip(vs, ms)])
+            for i in indices:
+                (spec, _, channel), run_terms = runs[i], terms[i]
+                received = ws.received[i % len(ws.received), :b]
+                ys = received[c0:c0 + k]
+                if i == indices[0]:   # its rows take the encoder's gathered f
+                    auth_encode_batch(code, ms, draws[Role.DELTA],
+                                      out=(xs, scratch, ys))
+                if spec.kind == "none":
+                    zs = no_attack(n)
                 else:
-                    zs = mmse_targeted_attack_batch(vs, run_terms, out=ys)
-            np.add(xs, zs, out=ys)
-            ys += noise(Role.DECODER, channel.rho_dec)
-            if c0 + k == b:   # the run's rows are complete
-                base_decoded = code.base.decode_batch(received, tile=ws.tile)
-                out[i] = (block_ms[fixed_m], base_decoded, detect_batch(
-                    code, received, base_decoded, channel.rho_dec,
-                    detector=detector))
+                    # the attack observes, and writes z, in the received rows
+                    vs = np.multiply(draws[Role.ADVERSARY],
+                                     math.sqrt(channel.rho_adv), out=ys)
+                    vs += xs
+                    if spec.kind == "custom":
+                        zs = np.stack([spec.custom(v, int(m), code)
+                                       for v, m in zip(vs, ms)])
+                    else:
+                        zs = mmse_targeted_attack_batch(vs, run_terms, out=ys)
+                np.add(xs, zs, out=ys)
+                ys += np.multiply(draws[Role.DECODER],
+                                  math.sqrt(channel.rho_dec), out=scratch)
+                if c0 + k == b:   # the run's rows are complete
+                    base_decoded = code.base.decode_batch(received,
+                                                          tile=ws.tile)
+                    out[i] = (block_ms[fixed_m], base_decoded, detect_batch(
+                        code, received, base_decoded, channel.rho_dec,
+                        detector=detector))
     return out
 
 
@@ -551,7 +540,7 @@ def _base_errors(code: BaseCode, pool: np.ndarray, scale: float, seed: int,
     messages drawn from ``pool`` plus DECODER draws times ``scale``, summed
     chunk by chunk into the received rows of ``ws``, then decoded."""
     ms = pool[choices(seed, Role.MESSAGE, t0, b, pool.size)]
-    ys, chunk = ws.received[0, :b], ws.codewords.shape[0]
+    ys, chunk = ws.received[0, :b], ws.rows
     for c0 in range(0, b, chunk):
         k = min(chunk, b - c0)
         noise = normals(seed, Role.DECODER, t0 + c0, k, code.n,

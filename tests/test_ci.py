@@ -1,8 +1,9 @@
 """The CI workflow loads and runs ROADMAP's tier-1 command on Python 3.11,
 whose ``functools.cached_property`` takes a lock, and on 3.12, whose does
 not, with the ``test`` extra installed at the numpy and scipy that the
-goldens were recorded with, then replays the gated benchmark workloads'
-goldens.  Nothing runs beyond parsing."""
+goldens were recorded with, then replays the goldens of the gated
+benchmark workloads and of ``attack_pairs``, the one workload that runs
+the attacked path.  Nothing runs beyond parsing."""
 
 import json
 import re
@@ -24,11 +25,11 @@ def test_the_workflow_runs_tier1_on_3_11_and_3_12():
     runs = [step.get("run") for step in job["steps"]]
     assert ('python -m pip install -c .github/constraints.txt -e ".[test]"'
             in runs)
-    gated = [w["name"] for w in json.loads(
-        (ROOT / "BENCHMARK.json").read_text())["workloads"]]
-    assert runs[-1 - len(gated):] == [tier1] + [
+    replayed = [w["name"] for w in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["workloads"]] + ["attack_pairs"]
+    assert runs[-1 - len(replayed):] == [tier1] + [
         f"python3 perfbench/run.py --workload {name} --seconds 0"
-        for name in gated]
+        for name in replayed]
 
 
 def test_ci_installs_the_versions_the_goldens_were_recorded_with():

@@ -107,6 +107,8 @@ class TestValidation:
         monkeypatch.setattr(cli, "build_pipeline", built.append)
         under_no_attack = ("epsilon is defined under no attack; an attack "
                            "or a weight_scale needs alpha_star or alpha")
+        no_pairs = ("run.max_pairs is read only where alpha_star or alpha "
+                    "enumerates the attack pairs")
         cases = {
             "overlay.levels=[0.0, 1.0]":
                 "overlay.levels: levels must lie in [0,1), not 1.0",
@@ -184,6 +186,13 @@ class TestValidation:
                 "auth.seed is read only under auth.t_zero=false",
             ("auth.t_zero=true", "auth.enforce_bounds=false"):
                 "auth.enforce_bounds is read only under auth.t_zero=false",
+            # run.max_pairs, where no pairs are enumerated, or one is pinned
+            ("base.n=60", "run.trials=100", "run.max_pairs=5"): no_pairs,
+            ("attack=targeted:3", "run.message=1",
+             'run.metrics=["alpha_star"]', "run.max_pairs=5"): no_pairs,
+            ("base.null=true", "overlay.counts=[7,1]",
+             "attack=impersonation:0", 'run.metrics=["alpha"]',
+             "run.max_pairs=5"): no_pairs,
         }
         for override, message in cases.items():
             overrides = [override] if isinstance(override, str) \

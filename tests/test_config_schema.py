@@ -57,7 +57,8 @@ CONDITIONAL = {
     "mod2.seed": (3, ("mod2.enabled", True)),
 }
 # every other setting: read by every config (run.out and run.trial_log
-# name where output goes)
+# name where output goes), but run.max_pairs, which validate_config
+# refuses by its own rule where no attack pairs are enumerated
 ALWAYS_READ = {
     "base.kind", "base.n", "base.omega", "base.null", "overlay.levels",
     "overlay.gamma", "overlay.counts", "overlay.rates",

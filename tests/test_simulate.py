@@ -32,7 +32,7 @@ from awgnauth.simulate import (
     estimate_points,
     run_trial,
 )
-from awgnauth.streams import Role, block_rows, chunk_rows, choices
+from awgnauth.streams import Role, block_rows, choices
 
 try:
     import resource
@@ -435,6 +435,15 @@ class TestOnePass:
             assert run(rows, threads) == one_block
 
 
+@pytest.fixture(scope="module")
+def readme_code():
+    """The README quick start's code: n=600, 6 messages."""
+    ov = construct_overlay(600, LevelSet((0.0, 0.5)), 0.75,
+                           counts_per_level=[3, 2], seed=7)
+    return inject_noise(make_random_gaussian_code(600, 6, 1.0, seed=7), ov,
+                        rho_delta=1.0, delta=0.1, seed=7)
+
+
 class TestBoundedMemory:
     def test_peak_memory_does_not_grow_with_trials(self):
         # counts, not per-trial rows, are kept: ten times the trials over
@@ -491,33 +500,48 @@ class TestBoundedMemory:
         assert peak(2 * 10 ** 5) <= peak(2 * 10 ** 4) + 2 ** 20
 
 
-    def test_points_add_one_chunk_buffer(self, monkeypatch):
-        # 4 points of 20 pairs each on one worker: one spare chunk of
-        # ADVERSARY draws, scaled per point, beside the 1-point call's
-        # arrays (the DECODER draws, at one rho_dec, scale in place)
+    @pytest.mark.parametrize("channels", [
+        [(0.1, 0.001), (0.1, 0.01), (0.1, 0.1), (0.1, 1.0)],
+        [(0.05, 0.001), (0.1, 0.01), (0.2, 0.1), (0.4, 1.0)],
+    ], ids=["rho_adv", "rho_dec-and-rho_adv"])
+    def test_points_add_no_chunk_buffer(self, monkeypatch, readme_code,
+                                        channels):
+        # 4 points of 20 pairs each on one worker hold the 1-point call's
+        # arrays: each run scales the draws it reads into its received
+        # rows and the encoder's scratch, whatever powers the points take
         monkeypatch.setattr(simulate, "_openblas", lambda: None)
-        ov = construct_overlay(600, LevelSet((0.0, 0.5)), 0.75,
-                               counts_per_level=[3, 2], seed=7)
-        code = inject_noise(make_random_gaussian_code(600, 6, 1.0, seed=7),
-                            ov, rho_delta=1.0, delta=0.1, seed=7)
 
-        def peak(powers):
-            points = [(ChannelParams(0.1, rho_adv=p), AttackSpec("none"))
-                      for p in powers]
+        def peak(channels):
+            points = [(ChannelParams(d, rho_adv=a), AttackSpec("none"))
+                      for d, a in channels]
             tracemalloc.start()
             try:
-                reports = estimate_points(code, points,
+                reports = estimate_points(readme_code, points,
                                           ["alpha_star", "alpha"], 1000,
                                           seed=1, max_pairs=20)
                 assert [r[0].params["pairs"] for r in reports] == [20] * len(
-                    powers)
+                    channels)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak([0.01])   # warm up
-        chunk = chunk_rows(600) * 600 * 8
-        assert peak([0.001, 0.01, 0.1, 1.0]) <= peak([0.01]) + chunk + 2 ** 20
+        peak(channels[1:2])   # warm up
+        assert peak(channels) <= peak(channels[1:2]) + 2 ** 20
+
+    def test_a_base_code_holds_its_decoder_draws_and_received_rows(
+            self, monkeypatch, readme_code):
+        # with no runs, a workspace holds one chunk of DECODER draws and
+        # the received rows, 1 MiB each, beside the decode's scratch; the
+        # DELTA draws, codewords and scratch of runs would add 3 MiB
+        monkeypatch.setattr(simulate, "_openblas", lambda: None)
+        base_error_probability(readme_code.base, 0.1, 1000, seed=1)
+        tracemalloc.start()
+        try:
+            base_error_probability(readme_code.base, 0.1, 1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2 ** 20
 
 
 class TestChunkedBlocks:
@@ -719,6 +743,31 @@ class TestSeveralMetrics:
         estimate(small_auth, ChannelParams(rho_dec=0.1, rho_adv=0.05),
                  ["alpha_star", "alpha"], 300, seed=6, pairs=self.PAIRS)
         assert encoded == [[0], [3]]
+
+    def test_points_encode_each_transmit_message_once_a_chunk(
+            self, small_auth, monkeypatch, fixed_blocks):
+        # three points that vary rho_adv and rho_dec, in 50-row chunks of
+        # 100-row blocks on one worker: each chunk encodes the drawn
+        # messages of the genuine runs and the transmit messages 0 and 3
+        # of the pairs once
+        encoded = []
+        encode = simulate.auth_encode_batch
+
+        def counting(code, ms, g_delta, **kwargs):
+            encoded.append(ms.size if ms.min() < ms.max() else int(ms[0]))
+            return encode(code, ms, g_delta, **kwargs)
+
+        monkeypatch.setattr(simulate, "auth_encode_batch", counting)
+        monkeypatch.setattr(simulate, "_openblas", lambda: None)
+        monkeypatch.setattr(streams, "ROW_VALUES", 50 * small_auth.n)
+        fixed_blocks(100)
+        points = [(ChannelParams(0.1, rho_adv=0.05), AttackSpec("none")),
+                  (ChannelParams(0.1, rho_adv=0.2), AttackSpec("none")),
+                  (ChannelParams(0.3, rho_adv=0.2), AttackSpec("none"))]
+        estimate_points(small_auth, points, ["epsilon", "alpha_star", "alpha"],
+                        300, seed=6, pairs=self.PAIRS)
+        # a chunk of drawn messages is logged by its size, 50 rows
+        assert encoded == [50, 0, 3] * 6
 
     @pytest.mark.parametrize("metrics, kwargs, message", [
         (["epsilon", "alpha"], {}, "rho_adv > 0"),
