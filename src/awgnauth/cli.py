@@ -62,8 +62,8 @@ from .overlay import (LevelSet, OverlayCode, construct_overlay, verify_overlay)
 from .overlay import to_json_dict as overlay_to_json
 from .overlay import from_json_dict as overlay_from_json
 from .reporting import EstimateReport
-from .simulate import (FALSE_AUTH_METRICS, MIN_TRIALS, ChannelParams,
-                       check_request, estimate, estimate_points)
+from .simulate import (MAX_PAIRS, MIN_TRIALS, ChannelParams, check_request,
+                       estimate, estimate_points)
 from .streams import check_int, check_reals
 
 OUTPUT_DIR_ENV = "AWGNAUTH_OUTPUT_DIR"
@@ -243,7 +243,7 @@ class ExperimentConfig:
     # estimate's ``threads``: blocks run on min(threads x BLAS threads,
     # CPUs) workers at one BLAS thread each; no count depends on it
     threads: int = _setting("run.threads", _as_int, 1, domain=1)
-    max_pairs: int = _setting("run.max_pairs", _as_int, 20, domain=1)
+    max_pairs: int = _setting("run.max_pairs", _as_int, MAX_PAIRS, domain=1)
     message: int | None = _setting("run.message", _as_opt(_as_int), domain=0)
     detector: bool = _setting("run.detector", _as_bool, True)
     out: str | None = _setting("run.out", _as_opt(_as_str), aliases=("out",),
@@ -259,19 +259,18 @@ class ExperimentConfig:
                 raise ConfigError(f"overlay.gamma: cannot parse {self.gamma!r}") from e
         return float(self.gamma)
 
-    def channel(self) -> ChannelParams:
-        return ChannelParams(self.rho_dec, self.rho_adv, self.power_budget)
-
     def run_settings(self) -> dict[str, Any]:   # passed to estimate unchanged
         return dict(message=self.message, max_pairs=self.max_pairs,
                     detector=self.detector, threads=self.threads)
 
-    def attack_spec(self) -> AttackSpec:   # parsed, weight_scale applied
-        try:
-            return replace(AttackSpec.parse(self.attack),
-                           weight_scale=self.weight_scale)
+    def point(self) -> tuple[ChannelParams, AttackSpec]:   # estimate's
+        try:   # the attack parsed, weight_scale applied
+            attack = replace(AttackSpec.parse(self.attack),
+                             weight_scale=self.weight_scale)
         except ValueError as e:
             raise ConfigError(f"attack.spec: {e}") from e
+        return ChannelParams(self.rho_dec, self.rho_adv,
+                             self.power_budget), attack
 
     def canonical(self) -> dict[str, Any]:
         """Nested plain-data view of the hashed settings, by section."""
@@ -359,11 +358,11 @@ def apply_settings(cfg: ExperimentConfig,
     return replace(cfg, **updates)
 
 
-def parse_config(path: str | None = None,
-                 overrides: Sequence[str] = ()) -> ExperimentConfig:
-    """Build a validated config from an optional file, then command-line
-    arguments ``key=value``, ``--key value`` or ``--key=value``; every
-    setting applies in the order written (see ``apply_settings``)."""
+def parse_config(path: str | None = None, overrides: Sequence[str] = (),
+                 validate: bool = True) -> ExperimentConfig:
+    """Build a config from an optional file, then command-line arguments
+    ``key=value``, ``--key value`` or ``--key=value``, each applied in the
+    order written (see ``apply_settings``), and validate it if asked."""
     settings: Settings = []
     if path is not None:
         try:
@@ -383,7 +382,8 @@ def parse_config(path: str | None = None,
                               "key=value or --key value")
         settings.append((key.strip(), _parse_value(value)))
     cfg = apply_settings(ExperimentConfig(), settings)
-    validate_config(cfg)
+    if validate:
+        validate_config(cfg)
     return cfg
 
 
@@ -391,9 +391,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     """Check each declared domain with ``streams``' checks (a list's on
     each item, and a list must not be empty), then that no setting that
     ``cfg`` does not read leaves its default, then the checks no single
-    field owns, ``check_request``'s too, and last that ``run.max_pairs``
-    leaves its default where no pairs are enumerated; every refusal is a
-    ConfigError."""
+    field owns, and last ``check_request`` on the config's one point;
+    every refusal is a ConfigError."""
     for f in fields(cfg):
         key, value, domain = (f.metadata["key"], getattr(cfg, f.name),
                               f.metadata["domain"])
@@ -427,15 +426,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             LevelSet(cfg.overlay_levels)
         except ValueError as e:
             raise ConfigError(f"overlay.levels: {e}") from e
-    attack = cfg.attack_spec()
-    check_request(ConfigError, cfg.metrics, attack, cfg.message, cfg.trial_log)
-    # a target and a fixed transmit message pin the one pair
-    pinned = attack.target is not None and (
-        cfg.message is not None or attack.kind == "impersonation")
-    if cfg.max_pairs != _SETTINGS["run.max_pairs"].default and (
-            pinned or not set(cfg.metrics) & set(FALSE_AUTH_METRICS)):
-        raise ConfigError("run.max_pairs is read only where alpha_star or "
-                          "alpha enumerates the attack pairs")
+    check_request(ConfigError, cfg.metrics, [cfg.point()], message=cfg.message,
+                  max_pairs=cfg.max_pairs, trial_log=cfg.trial_log)
 
 
 def _stage(stage: str, fn, *args, **kwargs):
@@ -578,9 +570,9 @@ def run_estimates(cfg: ExperimentConfig,
                   code: AuthCode) -> list[EstimateReport]:
     with (_replacing(cfg.trial_log) if cfg.trial_log   # every metric's
           else contextlib.nullcontext()) as log:
-        return _stage("simulate", estimate, code, cfg.channel(),
-                      list(cfg.metrics), cfg.trials, cfg.seed,
-                      attack=cfg.attack_spec(), trial_log=log,
+        channel, attack = cfg.point()
+        return _stage("simulate", estimate, code, channel, list(cfg.metrics),
+                      cfg.trials, cfg.seed, attack=attack, trial_log=log,
                       **cfg.run_settings())
 
 
@@ -759,6 +751,8 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                           "has no point column")
     values = [_parse_value(v) for v in args.values.split(",") if v.strip()]
     points = [apply_settings(cfg, [(args.axis, v)]) for v in values]
+    if not points:   # else each point is checked, its axis value in place
+        validate_config(cfg)
     keys, codes = [], {}   # each point's code_key, and each key's code
     for point in points:   # every point is checked and built before any runs
         validate_config(point)
@@ -770,10 +764,8 @@ def cmd_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     for key, code in codes.items() if cfg.trials else ():
         mine = [i for i, k in enumerate(keys) if k == key]
         got = _stage("simulate", estimate_points, code,
-                     [(points[i].channel(), points[i].attack_spec())
-                      for i in mine],
-                     list(cfg.metrics), cfg.trials, cfg.seed,
-                     **cfg.run_settings())
+                     [points[i].point() for i in mine], list(cfg.metrics),
+                     cfg.trials, cfg.seed, **cfg.run_settings())
         for i, point_reports in zip(mine, got):
             reports[i] = point_reports
     lines = [",".join(SWEEP_HEADER)]
@@ -837,7 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args, extras = build_parser().parse_known_args(argv)
     try:
-        return args.handler(parse_config(args.config, extras), args)
+        return args.handler(parse_config(
+            args.config, extras, validate=args.command != "sweep"), args)
     except (ConfigError, StageError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -22,25 +22,18 @@ Trial ``t`` always reads slice ``t`` of the per-role counter streams,
 so estimates are reproducible bit-for-bit regardless of block size or
 thread count, and runs at different noise powers share randomness.
 
-``estimate`` takes one metric name or a sequence of them.  A *run*
+``estimate`` takes one metric name or a sequence of them at one point, a
+(channel, attack) pair, and ``estimate_points`` at several.  A *run*
 (``Run``) is an attack, its fixed transmit message (or messages drawn
 per trial) and the channel it reads (an unattacked run reads no
 ``rho_adv``): the first three metrics share one run under no attack,
-``alpha_star`` and ``alpha`` one run per attack pair, and ``message``,
-if given, transmits in every run that ``pairs`` does not pin.  Each
-pair's spec is ``attack`` aimed at the pair's target, so its
-``weight_scale`` reaches every pair, and ``NO_ATTACK`` gives the
-targeted MMSE attack.  ``check_request`` holds the rules that need no
-code, for the CLI too, and ``_check_run`` the one check of a run, for
-``run_trial`` and every pair alike, with one ``SimulateError``: the
-target is a valid message other than the transmit message, impersonation
-transmits the null message, and a custom attack runs only through
-``run_trial``.
+and ``alpha_star`` and ``alpha`` have one run per attack pair, the pairs
+by ``estimate``'s rule.  ``check_request`` lists every rule that needs no
+code, for the CLI too, and ``_check_run`` those of one run, for
+``run_trial`` and every pair alike.
 
-A call is one point, a (channel, attack) pair, or more:
-``estimate_points`` takes several and ``estimate`` is its one-point
-call.  One call is one pass over blocks of trials that runs each distinct
-run once: every run of every metric of every point reads the block's unit
+One call is one pass over blocks of trials that runs each distinct run
+once: every run of every metric of every point reads the block's unit
 streams, drawn once, and scales the draws it reads into its own rows, and
 the runs that transmit one message share its encoding.  A block
 (``streams.block_rows`` trials) goes in chunks of ``streams.chunk_rows(n)``
@@ -107,6 +100,7 @@ from .streams import (TILE_VALUES, Role, block_rows, check_ids, check_int,
 METRICS = ("epsilon", "false_alarm", "genuine_acceptance", "alpha_star", "alpha")
 FALSE_AUTH_METRICS = ("alpha_star", "alpha")
 MIN_TRIALS = 100   # the fewest trials an estimate runs
+MAX_PAIRS = 20   # the attack pairs an estimate enumerates at most, by default
 NO_ATTACK = AttackSpec("none")   # ``estimate``'s attack unless one is given
 
 CLASS_CORRECT = "correct"
@@ -328,17 +322,13 @@ def _check_messages(code: AuthCode, name: str, ids: Iterable[Any]) -> None:
             raise SimulateError(f"{m!r} is not a valid message of this code")
 
 
-def _check_run(code: AuthCode, spec: AttackSpec, m: int | None,
+def _check_run(code: AuthCode, spec: AttackSpec, m: int,
                channel: ChannelParams, custom: bool) -> Run:
-    """The checked run of ``spec`` from ``m`` on what it reads of
-    ``channel``; ``custom`` admits a custom attack; with ``m`` None only
-    the spec's type is checked."""
+    """The run of ``spec`` from ``m`` on what it reads of ``channel``, if
+    the target is a valid message other than ``m``, impersonation transmits
+    the null message and a custom attack comes with ``custom``."""
     if not isinstance(spec, AttackSpec):
         raise SimulateError(f"attack must be an AttackSpec, not {spec!r}")
-    run = Run(spec, m, ChannelParams(
-        channel.rho_dec, 0.0 if spec.kind == "none" else channel.rho_adv))
-    if m is None:
-        return run
     if spec.kind == "custom" and not custom:
         raise SimulateError("alpha_star and alpha run the MMSE attack; a "
                             "custom attack runs only through run_trial")
@@ -350,16 +340,33 @@ def _check_run(code: AuthCode, spec: AttackSpec, m: int | None,
     if spec.kind == "impersonation" and m != code.base.null_id:
         raise SimulateError(f"impersonation transmits the null message; "
                             f"{m} is not the null message of this code")
-    return run
+    return Run(spec, m, ChannelParams(
+        channel.rho_dec, 0.0 if spec.kind == "none" else channel.rho_adv))
+
+
+def _pinned(attack: AttackSpec, message: int | None) -> bool:
+    return attack.target is not None and (
+        message is not None or attack.kind == "impersonation")
 
 
 def check_request(error: type[Exception], metrics: Sequence[str],
-                  attack: AttackSpec, message: int | None,
-                  trial_log: str | None) -> None:
-    """Raise ``error`` unless the metrics are known, one at least, a
-    message is fixed for ``genuine_acceptance``, an attack other than
-    none, or a ``weight_scale``, comes with ``alpha_star`` or ``alpha``,
-    and a trial log names a file in an existing directory."""
+                  points: Sequence[tuple[ChannelParams, AttackSpec]], *,
+                  message: int | None = None,
+                  pairs: Sequence[tuple[int, int]] | None = None,
+                  max_pairs: int = MAX_PAIRS,
+                  trial_log: str | None = None) -> None:
+    """Raise ``error`` unless the request keeps each rule that needs no
+    code (a false-auth metric is ``alpha_star`` or ``alpha``):
+
+    - the metrics are known, one at least;
+    - ``genuine_acceptance`` has a ``message``;
+    - each point is a (``ChannelParams``, ``AttackSpec``) pair, one at least;
+    - an attack (not none) or a ``weight_scale`` needs a false-auth metric;
+    - ``rho_dec`` > 0, and ``rho_adv`` > 0 under a false-auth metric;
+    - ``max_pairs`` is a positive integer, other than ``MAX_PAIRS`` only
+      where pairs are enumerated: under a false-auth metric, without
+      ``pairs``, at a target that neither ``message`` nor impersonation pins;
+    - a ``trial_log`` names a file in an existing directory, for one point."""
     if not metrics:
         raise error("no metric requested")
     for name in metrics:
@@ -367,9 +374,32 @@ def check_request(error: type[Exception], metrics: Sequence[str],
             raise error(f"unknown metric {name!r}; choose from {METRICS}")
     if "genuine_acceptance" in metrics and message is None:
         raise error("genuine_acceptance needs a fixed message")
-    if attack != NO_ATTACK and not set(metrics) & set(FALSE_AUTH_METRICS):
-        raise error(f"{metrics[0]} is defined under no attack; an attack or "
-                    "a weight_scale needs alpha_star or alpha")
+    false_auth = bool(set(metrics) & set(FALSE_AUTH_METRICS))
+    if not points:
+        raise error("no point to estimate")
+    for point in points:
+        if not (isinstance(point, tuple) and len(point) == 2
+                and isinstance(point[0], ChannelParams)):
+            raise error("each point must be a (ChannelParams, AttackSpec) "
+                        f"pair, not {point!r}")
+        channel, attack = point
+        if not isinstance(attack, AttackSpec):
+            raise error(f"attack must be an AttackSpec, not {attack!r}")
+        if attack != NO_ATTACK and not false_auth:
+            raise error(f"{metrics[0]} is defined under no attack; an attack "
+                        "or a weight_scale needs alpha_star or alpha")
+        if channel.rho_dec == 0.0:
+            raise error("estimation needs rho_dec > 0 "
+                        "(the zero sentinel is for single trials)")
+        if false_auth and channel.rho_adv <= 0.0:
+            raise error("false-authentication metrics need rho_adv > 0")
+    check_int("max_pairs", max_pairs, error)
+    if max_pairs != MAX_PAIRS and (not false_auth or pairs is not None or all(
+            _pinned(attack, message) for _, attack in points)):
+        raise error("max_pairs is read only where alpha_star or alpha "
+                    "enumerates the attack pairs")
+    if trial_log and len(points) > 1:
+        raise error("a trial_log has no point column; give one point")
     if trial_log and (os.path.isdir(trial_log) or not os.path.isdir(
             os.path.dirname(os.path.abspath(trial_log)))):
         raise error(f"trial_log {str(trial_log)!r} must name a file in an "
@@ -640,22 +670,22 @@ def _attack_runs(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
                  message: int | None, pairs: Sequence[tuple[int, int]] | None,
                  max_pairs: int, seed: int) -> list[Run]:
     """One run per (transmit, target) pair on ``channel``, ``attack`` aimed
-    at the target (targeted when none): the given ``pairs``, or those from
-    ``message`` (any, or the null message under impersonation) to the
-    attack's target (any), distinct unless both are given, subsampled to
-    ``max_pairs``."""
+    at the target (targeted when none), the pairs by ``estimate``'s rule."""
+    if message is None and attack.kind == "impersonation":
+        message = code.base.null_id   # None on a code without one
+    if pairs is None and message is not None and _pinned(attack, message):
+        pairs = [(message, attack.target)]
     if pairs is None:
         pool = [int(m) for m in _transmit_pool(code)]
-        if message is None and attack.kind == "impersonation":
-            message = code.base.null_id
         sources = pool if message is None else [message]
         targets = pool if attack.target is None else [attack.target]
-        pairs = [(a, b) for a in sources for b in targets
-                 if a != b or (a, b) == (message, attack.target)]
+        pairs = [(a, b) for a in sources for b in targets if a != b]
         if len(pairs) > max_pairs:
             rng = one_shot_rng(seed, Role.MESSAGE, 1)
             keep = rng.choice(len(pairs), size=max_pairs, replace=False)
             pairs = [pairs[int(i)] for i in sorted(keep)]
+    if not pairs:
+        raise SimulateError("no attack pairs to run")
     kind = "targeted" if attack.kind == "none" else attack.kind
     return [_check_run(code, replace(attack, kind=kind, target=b), a,
                        channel, custom=False) for a, b in pairs]
@@ -698,13 +728,10 @@ def _report(metric: str, runs: Sequence[Run], counts: np.ndarray, *,
 
 def estimate(code: AuthCode, channel: ChannelParams,
              metric: str | Sequence[str], trials: int, seed: int = 0, *,
-             attack: AttackSpec = NO_ATTACK,
-             message: int | None = None,
+             attack: AttackSpec = NO_ATTACK, message: int | None = None,
              pairs: Sequence[tuple[int, int]] | None = None,
-             max_pairs: int = 20,
-             detector: bool = True,
-             threads: int = 1,
-             trial_log: str | None = None,
+             max_pairs: int = MAX_PAIRS, detector: bool = True,
+             threads: int = 1, trial_log: str | None = None,
              confidence: float = 0.95
              ) -> EstimateReport | list[EstimateReport]:
     """Estimate one operational measure, or a sequence of them: one name
@@ -715,12 +742,13 @@ def estimate(code: AuthCode, channel: ChannelParams,
     ``alpha_star`` and ``alpha``; otherwise every ordered pair (from
     ``message``, or else from the null message under impersonation, to
     the attack's target) is enumerated and subsampled to ``max_pairs``.
-    Each pair runs ``attack`` aimed at its target.  The request passes
-    ``check_request``, every id is a valid message of ``code`` and every
-    pair passes ``_check_run``.
-    ``trial_log`` appends one CSV row per simulated trial to that file,
-    metric by metric.  ``threads`` times the BLAS thread count, at most
-    the CPUs, is the number of block workers; no count depends on it."""
+    Each pair runs ``attack`` aimed at its target, so its ``weight_scale``
+    reaches every pair (``NO_ATTACK``: the targeted MMSE attack).  The
+    request passes ``check_request``, every id is a valid message of
+    ``code`` and every pair passes ``_check_run``.  ``trial_log`` appends
+    one CSV row per simulated trial to that file, metric by metric.
+    ``threads`` times the BLAS thread count, at most the CPUs, is the
+    number of block workers; no count depends on it."""
     return estimate_points(
         code, [(channel, attack)], metric, trials, seed, message=message,
         pairs=pairs, max_pairs=max_pairs, detector=detector, threads=threads,
@@ -732,36 +760,20 @@ def estimate_points(code: AuthCode,
                     metric: str | Sequence[str], trials: int, seed: int = 0,
                     *, message: int | None = None,
                     pairs: Sequence[tuple[int, int]] | None = None,
-                    max_pairs: int = 20, detector: bool = True,
+                    max_pairs: int = MAX_PAIRS, detector: bool = True,
                     threads: int = 1, trial_log: str | None = None,
                     confidence: float = 0.95
                     ) -> list[EstimateReport | list[EstimateReport]]:
-    """What ``estimate`` returns at each point's (channel, attack), from
-    one pass that runs each distinct run of every point once, on the same
-    draws: the genuine run of points that differ only in ``rho_adv`` runs
-    once.  A ``trial_log`` has no point column, so it takes one point."""
+    """What ``estimate`` returns at each point's (channel, attack), from one
+    pass that runs each distinct run of every point once, on the same draws:
+    the genuine run of points that differ only in ``rho_adv`` runs once."""
     metrics = [metric] if isinstance(metric, str) else list(metric)
-    if not points:
-        raise SimulateError("no point to estimate")
-    if trial_log and len(points) > 1:
-        raise SimulateError("a trial_log has no point column; give one point")
-    for point in points:
-        if not (isinstance(point, tuple) and len(point) == 2
-                and isinstance(point[0], ChannelParams)):
-            raise SimulateError("each point must be a (ChannelParams, "
-                                f"AttackSpec) pair, not {point!r}")
-        _check_run(code, point[1], None, point[0], custom=True)
-        check_request(SimulateError, metrics, point[1], message, trial_log)
+    check_request(SimulateError, metrics, points, message=message,
+                  pairs=pairs, max_pairs=max_pairs, trial_log=trial_log)
     check_int("trials", trials, SimulateError, MIN_TRIALS)
     check_int("seed", seed, SimulateError, 0)
-    check_int("max_pairs", max_pairs, SimulateError)
     check_int("threads", threads, SimulateError)
     check_reals(SimulateError, confidence=confidence)
-    for channel, _ in points:
-        if channel.rho_dec == 0.0:
-            raise SimulateError("estimation needs rho_dec > 0 "
-                                "(the zero sentinel is for single trials)")
-        _check_budget(code, channel)
     _check_messages(code, "message", [] if message is None else [message])
     if pairs is not None:
         checked = []
@@ -778,17 +790,12 @@ def estimate_points(code: AuthCode,
     # one pass over the distinct runs of every metric of every point
     index: dict[Run, int] = {}
     runs_of: list[list[tuple[str, list[int]]]] = []   # per point and metric
+    false_auth = bool(set(metrics) & set(FALSE_AUTH_METRICS))
     for channel, attack in points:
-        genuine = [_check_run(code, NO_ATTACK, message, channel, custom=False)]
-        pair_runs: list[Run] = []
-        if set(metrics) & set(FALSE_AUTH_METRICS):
-            if channel.rho_adv <= 0.0:
-                raise SimulateError("false-authentication metrics need "
-                                    "rho_adv > 0")
-            pair_runs = _attack_runs(code, channel, attack, message, pairs,
-                                     max_pairs, seed)
-            if not pair_runs:
-                raise SimulateError("no attack pairs to run")
+        _check_budget(code, channel)
+        genuine = [Run(NO_ATTACK, message, ChannelParams(channel.rho_dec))]
+        pair_runs = _attack_runs(code, channel, attack, message, pairs,
+                                 max_pairs, seed) if false_auth else []
         runs_of.append([(name, [
             index.setdefault(run, len(index)) for run in (
                 pair_runs if name in FALSE_AUTH_METRICS else genuine)])

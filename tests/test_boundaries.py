@@ -320,12 +320,13 @@ CALLS = {
         n=60, level_set=LEVELS, gamma=0.75)),
     "overlay_rate_asymptotic": (OverlayError, dict(ktilde_size=3,
                                                    gamma=0.75)),
+    # max_pairs keeps its default: epsilon enumerates no attack pairs
     "estimate": (SimulateError, dict(
         code=CODE, channel=CHANNEL, metric="epsilon", trials=100, seed=0,
-        max_pairs=1, threads=1, confidence=0.95)),
+        threads=1, confidence=0.95)),
     "estimate_points": (SimulateError, dict(
         code=CODE, points=[(CHANNEL, AttackSpec("none"))], metric="epsilon",
-        trials=100, seed=0, max_pairs=1, threads=1, confidence=0.95)),
+        trials=100, seed=0, threads=1, confidence=0.95)),
     "run_trial": (SimulateError, dict(
         code=CODE, channel=CHANNEL, attack=AttackSpec("none"), m=0, seed=0,
         trial_index=0)),

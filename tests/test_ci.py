@@ -3,7 +3,8 @@ whose ``functools.cached_property`` takes a lock, and on 3.12, whose does
 not, with the ``test`` extra installed at the numpy and scipy that the
 goldens were recorded with, then replays the goldens of the gated
 benchmark workloads and of ``attack_pairs``, the one workload that runs
-the attacked path.  Nothing runs beyond parsing."""
+the attacked path, traced too, so that an instrumented call site that is
+no longer called fails CI.  Nothing runs beyond parsing."""
 
 import json
 import re
@@ -28,7 +29,7 @@ def test_the_workflow_runs_tier1_on_3_11_and_3_12():
     replayed = [w["name"] for w in json.loads(
         (ROOT / "BENCHMARK.json").read_text())["workloads"]] + ["attack_pairs"]
     assert runs[-1 - len(replayed):] == [tier1] + [
-        f"python3 perfbench/run.py --workload {name} --seconds 0"
+        f"python3 perfbench/run.py --workload {name} --seconds 0 --trace 1"
         for name in replayed]
 
 

@@ -107,7 +107,7 @@ class TestValidation:
         monkeypatch.setattr(cli, "build_pipeline", built.append)
         under_no_attack = ("epsilon is defined under no attack; an attack "
                            "or a weight_scale needs alpha_star or alpha")
-        no_pairs = ("run.max_pairs is read only where alpha_star or alpha "
+        no_pairs = ("max_pairs is read only where alpha_star or alpha "
                     "enumerates the attack pairs")
         cases = {
             "overlay.levels=[0.0, 1.0]":
@@ -171,6 +171,10 @@ class TestValidation:
             "run.trial_log=no_such_directory/trials.csv":
                 "trial_log 'no_such_directory/trials.csv' must name a "
                 "file in an existing directory",
+            'run.metrics=["alpha_star"]':
+                "false-authentication metrics need rho_adv > 0",
+            ("channel.rho_adv=0", 'run.metrics=["epsilon","alpha"]'):
+                "false-authentication metrics need rho_adv > 0",
             # a setting that the config does not read keeps its default
             "base.messages=16":
                 "base.messages is read only under base.kind=gaussian",
@@ -188,9 +192,9 @@ class TestValidation:
                 "auth.enforce_bounds is read only under auth.t_zero=false",
             # run.max_pairs, where no pairs are enumerated, or one is pinned
             ("base.n=60", "run.trials=100", "run.max_pairs=5"): no_pairs,
-            ("attack=targeted:3", "run.message=1",
+            ("channel.rho_adv=0.1", "attack=targeted:3", "run.message=1",
              'run.metrics=["alpha_star"]', "run.max_pairs=5"): no_pairs,
-            ("base.null=true", "overlay.counts=[7,1]",
+            ("base.null=true", "overlay.counts=[7,1]", "channel.rho_adv=0.1",
              "attack=impersonation:0", 'run.metrics=["alpha"]',
              "run.max_pairs=5"): no_pairs,
         }
@@ -548,6 +552,26 @@ class TestSweepCommand:
         assert rc == 2 and out == ""
         assert err == ("error: channel.rho_adv must be a nonnegative finite "
                        "number, not -1.0\n")
+
+    @pytest.mark.parametrize("values, args, message", [
+        # the base config's rho_adv = 0 is the axis's, which every point
+        # replaces; the point at 0 is refused before any code is built
+        ("0,0.1", ['run.metrics=["alpha_star"]'],
+         "false-authentication metrics need rho_adv > 0"),
+        # without points the base config itself is checked
+        ("", ["run.trials=50"],
+         "run.trials must be an integer of at least 100, not 50"),
+    ])
+    def test_points_are_checked_with_their_axis_value(self, capsys,
+                                                      monkeypatch, values,
+                                                      args, message):
+        built = []
+        monkeypatch.setattr(cli, "build_pipeline", built.append)
+        rc, out, err = run_cli(["sweep", "--axis", "channel.rho_adv",
+                                "--values", values, "base.n=60", *args],
+                               capsys)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+        assert built == []
 
     def test_every_point_is_built_before_any_runs(self, capsys, monkeypatch):
         # n = 2 passes the config check but not the overlay construction

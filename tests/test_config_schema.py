@@ -57,7 +57,7 @@ CONDITIONAL = {
     "mod2.seed": (3, ("mod2.enabled", True)),
 }
 # every other setting: read by every config (run.out and run.trial_log
-# name where output goes), but run.max_pairs, which validate_config
+# name where output goes), but run.max_pairs, which check_request
 # refuses by its own rule where no attack pairs are enumerated
 ALWAYS_READ = {
     "base.kind", "base.n", "base.omega", "base.null", "overlay.levels",
@@ -106,7 +106,7 @@ def test_sweep_axes():
     ["base.kind=gaussian", "base.messages=8", "overlay.gamma=2/3",
      "overlay.levels=[0.0, 0.25, 0.5]", "overlay.counts=[2,2,2]",
      "mod2.enabled=true", "mod2.target_override=4",
-     "channel.power_budget=4.5", "attack=targeted:1",
+     "channel.power_budget=4.5", "channel.rho_adv=0.1", "attack=targeted:1",
      "run.metrics=alpha_star,epsilon", "run.message=3",
      "run.detector=false"],
 ])

@@ -43,7 +43,9 @@ def test_cli_examples_parse(tmp_path):
     for argv in commands():
         args, extras = cli.build_parser().parse_known_args(argv)
         config = str(ini) if args.config == "exp.ini" else args.config
-        cfg = cli.parse_config(config, extras)
+        # as in main: a sweep checks its points, each with its axis value
+        cfg = cli.parse_config(config, extras,
+                               validate=args.command != "sweep")
         if args.command == "sweep":   # every point passes the config check
             assert args.axis in cli.SWEEPABLE
             for value in args.values.split(","):

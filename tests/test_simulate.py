@@ -24,6 +24,7 @@ from awgnauth.simulate import (
     CLASS_FALSE_AUTH_TARGET,
     CLASS_MISS,
     CLASS_WRONG_MESSAGE,
+    MAX_PAIRS,
     ChannelParams,
     SimulateError,
     base_error_probability,
@@ -680,6 +681,10 @@ class TestWorkspace:
         assert many - few < 64 * extra_blocks
 
 
+ENUMERATES = ("max_pairs is read only where alpha_star or alpha enumerates "
+              "the attack pairs")
+
+
 class TestSeveralMetrics:
     PAIRS = [(0, 1), (0, 2), (3, 1)]
 
@@ -787,6 +792,19 @@ class TestSeveralMetrics:
         ("epsilon", dict(threads=1.0), "threads must be a positive integer"),
         (["epsilon"], dict(attack=AttackSpec("none", weight_scale=0.5)),
          "a weight_scale needs alpha_star or alpha"),
+        (["epsilon"], dict(channel=ChannelParams(0.0)), "needs rho_dec > 0"),
+        # max_pairs is read only where alpha_star or alpha enumerates pairs
+        (["epsilon"], dict(max_pairs=5), ENUMERATES),
+        (["alpha_star"], dict(channel=ChannelParams(0.1, rho_adv=0.1),
+                              attack=AttackSpec("targeted", 3), message=1,
+                              max_pairs=5), ENUMERATES),
+        (["alpha"], dict(channel=ChannelParams(0.1, rho_adv=0.1),
+                         attack=AttackSpec("impersonation", 3),
+                         max_pairs=5), ENUMERATES),
+        (["alpha_star", "epsilon"],
+         dict(channel=ChannelParams(0.1, rho_adv=0.1), pairs=PAIRS,
+              max_pairs=5), ENUMERATES),
+        (["false_alarm"], dict(max_pairs=MAX_PAIRS + 1), ENUMERATES),
     ])
     def test_bad_calls_fail_before_any_draw(self, small_auth, monkeypatch,
                                             metrics, kwargs, message):
@@ -833,6 +851,19 @@ class TestEstimatePoints:
                                   seed=4)
         assert [r.metric for r in reports] == ["epsilon", "epsilon"]
 
+    def test_max_pairs_is_read_where_any_point_enumerates(self, small_auth):
+        # the first point enumerates the pairs from message 1, the second
+        # pins the pair (1, 3)
+        channel, attack = self.POINTS[0]
+        pinned = (ChannelParams(0.1, rho_adv=0.2), AttackSpec("targeted", 3))
+        reports = estimate_points(small_auth, [(channel, attack), pinned],
+                                  "alpha_star", 100, message=1, max_pairs=2)
+        assert [r.params["pairs"] for r in reports] == [2, 1]
+        assert reports[1].params["argmax_pair"] == [1, 3]
+        alone = estimate(small_auth, channel, "alpha_star", 100,
+                         attack=attack, message=1, max_pairs=2)
+        assert reports[0].to_json_dict() == alone.to_json_dict()
+
     @pytest.mark.parametrize("points, kwargs, message", [
         ([], {}, "no point to estimate"),
         (POINTS[:2], dict(trial_log="trials.csv"),
@@ -843,6 +874,11 @@ class TestEstimatePoints:
         ([(ChannelParams(0.1, rho_adv=0.1),)], {}, "each point must be a"),
         ([(0.1, AttackSpec("none"))], {}, "each point must be a"),
         ([ChannelParams(0.1, rho_adv=0.1)], {}, "each point must be a"),
+        ([POINTS[0], (ChannelParams(0.0, rho_adv=0.1), AttackSpec("none"))],
+         {}, "needs rho_dec > 0"),
+        ([(channel, AttackSpec("targeted", 3)) for channel, _ in POINTS[:2]],
+         dict(message=1, max_pairs=5), ENUMERATES),
+        (POINTS[:2], dict(pairs=PAIRS, max_pairs=5), ENUMERATES),
     ])
     def test_bad_points_fail_before_any_draw(self, small_auth, monkeypatch,
                                              tmp_path, points, kwargs,
