@@ -15,15 +15,13 @@ from .authcode import (REJECT, AuthCode, AuthCodeError, auth_encode_batch,
                        level_statistics)
 from .basecode import (BaseCode, BaseCodeError, antipodal_error_probability,
                        make_antipodal_code, make_random_gaussian_code)
-from .bounds import (BoundsError, DecimationBounds, InjectionBounds,
-                     OptimalLevels, RateGap, bounds_report, capacity,
-                     decimation_bounds, decimation_rate, detection_margin,
-                     hoeffding_wo_replacement_bound, hypergeom_log_bound,
-                     injection_bounds, injection_power_bound,
-                     mixed_variance_lower_tail_bound, mmse_weight,
-                     optimal_levels,
-                     quantization_radius, rate_gap, residual_variance,
-                     targeted_false_auth_bound)
+from .bounds import (BoundsError, OptimalLevels, RateGap, bounds_report,
+                     capacity, decimation_bounds, decimation_rate,
+                     detection_margin, hoeffding_wo_replacement_bound,
+                     hypergeom_log_bound, injection_bounds,
+                     injection_power_bound, mixed_variance_lower_tail_bound,
+                     mmse_weight, optimal_levels, quantization_radius,
+                     rate_gap, residual_variance, targeted_false_auth_bound)
 from .numerics import (chi_square_tail_bound, d2, gaussian_cdf,
                        gaussian_posterior, h2, i2, quantization_slack)
 from .overlay import (LevelSet, OverlayCode, OverlayError, VerifyReport,

@@ -55,7 +55,10 @@ class AuthCodeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class AuthCode:
-    """A base code wrapped with overlay noise (and optionally decimated)."""
+    """A base code wrapped with overlay noise (and optionally decimated:
+    ``decimation_info`` is then the ``bounds.decimation_bounds`` dict,
+    ``decimated_target_size``, ``decimated_rate``, ``decimation_terms``,
+    ``decimation_analysed_rate_feasible`` and the bounds)."""
 
     base: BaseCode
     overlay: OverlayCode
@@ -64,7 +67,7 @@ class AuthCode:
     t_table: np.ndarray             # (message_count, n)
     t_zero: bool = False
     decimated: frozenset[int] | None = None
-    decimation_info: bounds_mod.DecimationBounds | None = None
+    decimation_info: dict[str, Any] | None = None
     attempts: int = 1
     # a decode to m passes the decimation filter iff valid_mask[m]
     valid_mask: np.ndarray = field(init=False, repr=False)
@@ -311,12 +314,14 @@ def decimate(code: AuthCode, rho_dec: float, seed: int = 0, *,
     of floor(exp(n r')) messages where r' is the decimated rate, and
     reject any decode outside it (the null message always survives).
 
-    Raises with a per-term diagnostic when r' <= 0 or the surviving set
-    would have fewer than two messages.  The analysed-rate precondition
-    is evaluated and recorded on the result's ``decimation_info`` (its
-    ``feasible`` flag) rather than enforced, since it needs message
-    counts far beyond anything materialisable.  ``target_size_override``
-    substitutes an explicit survivor count for diagnostic experiments.
+    The size and r' are the ``decimated_target_size`` and
+    ``decimated_rate`` of ``bounds.decimation_bounds``' dict, the result's
+    ``decimation_info``.  Raises with its ``decimation_terms`` when r' <= 0
+    or fewer than two messages would survive.  Its
+    ``decimation_analysed_rate_feasible`` is recorded, not enforced: the
+    analysed-rate precondition needs message counts far beyond anything
+    materialisable.  ``target_size_override`` substitutes an explicit
+    survivor count for diagnostic experiments.
     """
     if code.decimated is not None:
         raise AuthCodeError("code is already decimated")
@@ -332,15 +337,14 @@ def decimate(code: AuthCode, rho_dec: float, seed: int = 0, *,
         code.n, code.overlay.level_set, code.overlay.gamma, code.delta,
         code.rho_delta, rho_dec, code.power, code.base.rate,
         rho_adv=rho_adv, adversary_agnostic=adversary_agnostic)
-    size = target_size_override if target_size_override is not None \
-        else info.target_size
-    if target_size_override is None and (size < 2 or info.r_decimated <= 0):
+    rate, terms = info["decimated_rate"], info["decimation_terms"]
+    size = target_size_override or info["decimated_target_size"]
+    if target_size_override is None and (size < 2 or rate <= 0):
         raise AuthCodeError(
-            "decimation infeasible: surviving rate "
-            f"{info.r_decimated:.6g} (rate term {info.terms['rate_term']:.6g} "
-            f"- margin term {info.terms['margin_term']:.6g} "
-            f"- quantization term {info.terms['quantization_term']:.6g}) "
-            f"gives target size {info.target_size}")
+            f"decimation infeasible: surviving rate {rate:.6g} (rate term "
+            f"{terms['rate_term']:.6g} - margin term {terms['margin_term']:.6g}"
+            f" - quantization term {terms['quantization_term']:.6g}) "
+            f"gives target size {size}")
     rng = one_shot_rng(seed, Role.DECIMATION)
     surviving = sample_decimation_subset(code.message_count, size, rng,
                                          exclude=code.base.null_id)

@@ -6,6 +6,8 @@ residual variances it leaves, the detection margin that drives the
 false-authentication exponents, power/error/rate bounds for the two
 code modifications, capacity and rate-gap references, and the
 combinatorial tail bounds the analysis rests on.
+``injection_bounds`` and ``decimation_bounds`` return their blocks of
+``bounds_report``'s payload, under its keys.
 
 Every entry checks each argument on its own with ``streams.check_int``
 (sizes ``n``, ``ell``, ``count`` and the lemmas' integers) or
@@ -18,7 +20,7 @@ only rules that relate two arguments are written out here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -100,24 +102,6 @@ def targeted_false_auth_bound(ell: int, gamma: float, lam: float) -> float:
             + math.exp(-ell * gamma * lam * lam / 8.0))
 
 
-@dataclass(frozen=True)
-class InjectionBounds:
-    """Guarantees for the noise-injection modification."""
-
-    lam: float
-    lam_argmin_level: float
-    residual_by_level: dict[float, float]
-    next_level: dict[float, float]
-    rate: float                       # unchanged by the modification
-    power_bound: float
-    power_bound_variant: float
-    epsilon_bound: float
-    epsilon_bound_variant: float
-    epsilon_terms: dict[str, float]
-    alpha_star_bound: float
-    alpha_star_vacuous: bool
-
-
 def _error_bounds(epsilon_h: float, n: int, rate_h: float, ell: int,
                   delta: float, k_size: int) -> tuple[float, float, dict]:
     """The injected code's error bound, its variant and their terms."""
@@ -132,36 +116,37 @@ def _error_bounds(epsilon_h: float, n: int, rate_h: float, ell: int,
 def injection_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
                      rho_delta: float, rho_adv: float, rho_dec: float,
                      omega_h: float, rate_h: float, epsilon_h: float,
-                     t_zero: bool = False) -> InjectionBounds:
-    """Evaluate the rate/power/error/false-authentication guarantees of
-    the noise-injection modification.  ``epsilon_h`` must be the base
-    code's error probability at combined noise rho_dec + rho_delta."""
+                     t_zero: bool = False) -> dict[str, Any]:
+    """The rate/power/error/false-authentication guarantees of the
+    noise-injection modification, as ``bounds_report``'s entries of
+    them.  ``epsilon_h`` must be the base code's error probability at
+    combined noise rho_dec + rho_delta."""
     check_int("n", n, BoundsError)   # with t_zero, no power bound checks n
     check_reals(BoundsError, omega_h=omega_h, gamma=gamma, delta=delta,
                 rate_h=rate_h)
     ell = n // len(level_set.extended)
     lam, argmin = detection_margin(level_set, gamma, delta, rho_delta,
                                    rho_adv, rho_dec)
-    residual = {k: residual_variance(k, rho_delta, rho_adv, rho_dec)
-                for k in level_set.extended}
-    nxt = {k: level_set.next_above(k) for k in level_set.levels}
     k_size = len(level_set)
     eps, eps_v, terms = _error_bounds(epsilon_h, n, rate_h, ell, delta, k_size)
     alpha_star = targeted_false_auth_bound(ell, gamma, lam)
     if t_zero:
         power = power_var = omega_h + rho_delta
     else:
-        power = injection_power_bound(omega_h, rate_h, rho_delta, n,
-                                      len(level_set.extended), k_size)
-        power_var = injection_power_bound(omega_h, rate_h, rho_delta, n,
-                                          len(level_set.extended), k_size,
-                                          variant=True)
-    return InjectionBounds(
-        lam=lam, lam_argmin_level=argmin, residual_by_level=residual,
-        next_level=nxt, rate=rate_h,
-        power_bound=power, power_bound_variant=power_var,
-        epsilon_bound=eps, epsilon_bound_variant=eps_v, epsilon_terms=terms,
-        alpha_star_bound=alpha_star, alpha_star_vacuous=alpha_star >= 1.0)
+        power, power_var = (injection_power_bound(
+            omega_h, rate_h, rho_delta, n, len(level_set.extended), k_size,
+            variant=variant) for variant in (False, True))
+    return {
+        "detection_margin": lam, "detection_margin_argmin_level": argmin,
+        "residual_variance_by_level": {
+            repr(k): residual_variance(k, rho_delta, rho_adv, rho_dec)
+            for k in level_set.extended},
+        "injected_rate": rate_h,   # unchanged by the modification
+        "injected_power_bound": power, "injected_power_bound_variant": power_var,
+        "injected_error_bound": eps, "injected_error_bound_variant": eps_v,
+        "injected_error_terms": terms,
+        "targeted_false_auth_bound": alpha_star,
+        "targeted_false_auth_bound_vacuous": alpha_star >= 1.0}
 
 
 def quantization_radius(n: int, omega: float, rho_delta: float,
@@ -199,63 +184,48 @@ def decimation_rate(n: int, rate_h: float, gamma: float, ell: int,
     return rate - margin - quantization
 
 
-@dataclass(frozen=True)
-class DecimationBounds:
-    """Guarantees (and feasibility diagnostics) for the decimation
-    modification."""
-
-    lam: float
-    theta: float
-    r_decimated: float
-    target_size: int
-    rate_bound: float
-    alpha_bound: float
-    alpha_vacuous: bool
-    epsilon_bound: float
-    feasible: bool                  # the analysed-rate precondition
-    precondition_lhs: float
-    precondition_rhs: float
-    terms: dict[str, float] = field(default_factory=dict)
-
-
 def decimation_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
                       rho_delta: float, rho_dec: float,
                       omega_wrapped: float, rate_h: float,
                       epsilon_h: float = math.nan,
                       rho_adv: float | None = None,
-                      adversary_agnostic: bool = False) -> DecimationBounds:
-    """Evaluate the decimated code's guarantees.  ``omega_wrapped`` is
-    the (exactly computable) power of the noise-injected code; in
-    adversary-agnostic mode lambda is pinned to 0 and no rho_adv is
-    needed."""
+                      adversary_agnostic: bool = False) -> dict[str, Any]:
+    """``bounds_report``'s decimation entries, a decimated code's
+    ``decimation_info``: the guarantees, the survivor count
+    ``decimated_target_size`` at ``decimated_rate`` and its
+    ``decimation_terms``, and the analysed-rate precondition
+    ``decimation_analysed_rate_feasible``.  ``omega_wrapped`` is the
+    (exactly computable) power of the noise-injected code; in
+    adversary-agnostic mode lambda is pinned to 0 and no rho_adv is needed."""
     check_int("n", n, BoundsError)
     check_reals(BoundsError, domain="positive", rho_dec=rho_dec)
     check_reals(BoundsError, gamma=gamma, delta=delta, rate_h=rate_h)
-    if adversary_agnostic:
-        lam = 0.0
-    else:
-        if rho_adv is None:
-            raise BoundsError("rho_adv required unless adversary_agnostic")
-        lam, _ = detection_margin(level_set, gamma, delta, rho_delta,
-                                  rho_adv, rho_dec)
+    if rho_adv is None and not adversary_agnostic:
+        raise BoundsError("rho_adv required unless adversary_agnostic")
+    lam = 0.0 if adversary_agnostic else detection_margin(
+        level_set, gamma, delta, rho_delta, rho_adv, rho_dec)[0]
     ell = n // len(level_set.extended)
     theta = quantization_radius(n, omega_wrapped, rho_delta, rho_dec, delta,
                                 lam, rate_h)
     r_dd = decimation_rate(n, rate_h, gamma, ell, lam, theta)
-    target = math.floor(math.exp(n * r_dd)) if r_dd > 0 else 0
-    rate_bound = (rate_h - (1.0 - gamma) * ell / (4.0 * n) * lam * lam
-                  - (rate_h + 2.0 + math.log(4.0 * n * theta)) / n)
     alpha = ((2.0 * n + 1.0 / (2.0 * math.sqrt(n * rho_dec)))
              * math.exp(-(1.0 - gamma) * ell * lam * lam / 8.0))
     _, eps, _ = _error_bounds(epsilon_h, n, rate_h, ell, delta, len(level_set))
-    lhs = (n - 1.0) * rate_h
-    rhs = (1.0 - gamma) * ell * lam * lam / 4.0 + 2.0 + math.log(4.0 * n * theta)
-    return DecimationBounds(
-        lam=lam, theta=theta, r_decimated=r_dd, target_size=target,
-        rate_bound=rate_bound, alpha_bound=alpha, alpha_vacuous=alpha >= 1.0,
-        epsilon_bound=eps, feasible=lhs >= rhs,
-        precondition_lhs=lhs, precondition_rhs=rhs,
-        terms=_rate_terms(n, rate_h, gamma, ell, lam, theta))
+    return {
+        "decimation_margin": lam, "decimation_quantization_radius": theta,
+        "decimated_rate": r_dd,
+        "decimated_target_size": (math.floor(math.exp(n * r_dd)) if r_dd > 0
+                                  else 0),
+        "decimated_rate_bound": (
+            rate_h - (1.0 - gamma) * ell / (4.0 * n) * lam * lam
+            - (rate_h + 2.0 + math.log(4.0 * n * theta)) / n),
+        "decimated_false_auth_bound": alpha,
+        "decimated_false_auth_bound_vacuous": alpha >= 1.0,
+        "decimated_error_bound": eps,
+        "decimation_analysed_rate_feasible": (
+            (n - 1.0) * rate_h >= (1.0 - gamma) * ell * lam * lam / 4.0
+            + 2.0 + math.log(4.0 * n * theta)),
+        "decimation_terms": _rate_terms(n, rate_h, gamma, ell, lam, theta)}
 
 
 def capacity(rho: float, rho_dec: float, rho_adv: float) -> float:
@@ -443,32 +413,12 @@ def bounds_report(n: int, level_set: LevelSet, gamma: float, delta: float,
                                rho_adv, rho_dec, omega_h, rate_h, epsilon_h,
                                t_zero=t_zero)
         out["capacity"] = capacity(omega_h + rho_delta, rho_dec, rho_adv)
-        out["detection_margin"] = inj.lam
-        out["detection_margin_argmin_level"] = inj.lam_argmin_level
-        out["residual_variance_by_level"] = {
-            repr(k): v for k, v in inj.residual_by_level.items()}
-        out["injected_rate"] = inj.rate
-        out["injected_power_bound"] = inj.power_bound
-        out["injected_power_bound_variant"] = inj.power_bound_variant
-        out["injected_error_bound"] = inj.epsilon_bound
-        out["injected_error_bound_variant"] = inj.epsilon_bound_variant
-        out["injected_error_terms"] = inj.epsilon_terms
-        out["targeted_false_auth_bound"] = inj.alpha_star_bound
-        out["targeted_false_auth_bound_vacuous"] = inj.alpha_star_vacuous
-    dec = decimation_bounds(n, level_set, gamma, delta, rho_delta, rho_dec,
-                            omega_wrapped if omega_wrapped is not None else omega_h,
-                            rate_h, epsilon_h, rho_adv=rho_adv,
-                            adversary_agnostic=adversary_agnostic or rho_adv is None)
-    out["decimation_margin"] = dec.lam
-    out["decimation_quantization_radius"] = dec.theta
-    out["decimated_rate"] = dec.r_decimated
-    out["decimated_target_size"] = dec.target_size
-    out["decimated_rate_bound"] = dec.rate_bound
-    out["decimated_false_auth_bound"] = dec.alpha_bound
-    out["decimated_false_auth_bound_vacuous"] = dec.alpha_vacuous
-    out["decimated_error_bound"] = dec.epsilon_bound
-    out["decimation_analysed_rate_feasible"] = dec.feasible
-    out["decimation_terms"] = dec.terms
+        out |= inj
+    out |= decimation_bounds(
+        n, level_set, gamma, delta, rho_delta, rho_dec,
+        omega_wrapped if omega_wrapped is not None else omega_h, rate_h,
+        epsilon_h, rho_adv=rho_adv,
+        adversary_agnostic=adversary_agnostic or rho_adv is None)
     out["rate_gap_exact"] = (rate_gap(omega_h + rho_delta, rho_dec, rho_delta).exact
                              if omega_h + rho_delta > rho_delta else None)
     return out

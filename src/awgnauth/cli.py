@@ -391,8 +391,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     """Check each declared domain with ``streams``' checks (a list's on
     each item, and a list must not be empty), then that no setting that
     ``cfg`` does not read leaves its default, then the checks no single
-    field owns, and last ``check_request`` on the config's one point;
-    every refusal is a ConfigError."""
+    field owns, and last ``check_request`` on the config's one point and
+    impersonation's null message; every refusal is a ConfigError."""
     for f in fields(cfg):
         key, value, domain = (f.metadata["key"], getattr(cfg, f.name),
                               f.metadata["domain"])
@@ -428,6 +428,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"overlay.levels: {e}") from e
     check_request(ConfigError, cfg.metrics, [cfg.point()], message=cfg.message,
                   max_pairs=cfg.max_pairs, trial_log=cfg.trial_log)
+    if cfg.point()[1].kind == "impersonation" and not cfg.base_null:
+        raise ConfigError("impersonation transmits the null message, which "
+                          "needs base.null=true")
 
 
 def _stage(stage: str, fn, *args, **kwargs):
@@ -645,8 +648,8 @@ def summarize_code(code: AuthCode) -> dict[str, Any]:
                  "attempts": code.attempts,
                  "decimated": (None if code.decimated is None
                                else len(code.decimated)),
-                 "decimation_feasible": (None if code.decimation_info is None
-                                         else code.decimation_info.feasible)},
+                 "decimation_feasible": (code.decimation_info or {}).get(
+                     "decimation_analysed_rate_feasible")},
     }
 
 

@@ -338,8 +338,9 @@ def _check_run(code: AuthCode, spec: AttackSpec, m: int,
         raise SimulateError(f"run ({m}, {spec.target}): the target must "
                             "differ from the transmitted message")
     if spec.kind == "impersonation" and m != code.base.null_id:
-        raise SimulateError(f"impersonation transmits the null message; "
-                            f"{m} is not the null message of this code")
+        raise SimulateError("impersonation transmits the null message; " + (
+            "this code has no null message" if code.base.null_id is None
+            else f"{m} is not the null message of this code"))
     return Run(spec, m, ChannelParams(
         channel.rho_dec, 0.0 if spec.kind == "none" else channel.rho_adv))
 
@@ -363,6 +364,7 @@ def check_request(error: type[Exception], metrics: Sequence[str],
     - each point is a (``ChannelParams``, ``AttackSpec``) pair, one at least;
     - an attack (not none) or a ``weight_scale`` needs a false-auth metric;
     - ``rho_dec`` > 0, and ``rho_adv`` > 0 under a false-auth metric;
+    - ``pairs`` only under a false-auth metric;
     - ``max_pairs`` is a positive integer, other than ``MAX_PAIRS`` only
       where pairs are enumerated: under a false-auth metric, without
       ``pairs``, at a target that neither ``message`` nor impersonation pins;
@@ -393,6 +395,9 @@ def check_request(error: type[Exception], metrics: Sequence[str],
                         "(the zero sentinel is for single trials)")
         if false_auth and channel.rho_adv <= 0.0:
             raise error("false-authentication metrics need rho_adv > 0")
+    if pairs is not None and not false_auth:
+        raise error("pairs are read only where alpha_star or alpha runs the "
+                    "attack pairs")
     check_int("max_pairs", max_pairs, error)
     if max_pairs != MAX_PAIRS and (not false_auth or pairs is not None or all(
             _pinned(attack, message) for _, attack in points)):

@@ -551,7 +551,7 @@ class TestDecimation:
         assert code.decimated is not None and len(code.decimated) == 3
         assert code.rate == pytest.approx(math.log(3) / 60)
         assert code.decimation_info is not None
-        assert code.decimation_info.lam == 0.0
+        assert code.decimation_info["decimation_margin"] == 0.0
         for m in range(code.message_count):
             assert code.is_valid_message(m) == (m in code.decimated)
 

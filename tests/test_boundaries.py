@@ -420,8 +420,8 @@ def test_a_nan_margin_term_is_refused(level_set, gamma, delta):
 
 
 # the results the package returns; no entry takes their fields as input
-RECORDS = {"DecimationBounds", "EstimateReport", "InjectionBounds",
-           "OptimalLevels", "RateGap", "TrialOutcome", "VerifyReport"}
+RECORDS = {"EstimateReport", "OptimalLevels", "RateGap", "TrialOutcome",
+           "VerifyReport"}
 
 
 def _public_parameters():

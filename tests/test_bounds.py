@@ -130,29 +130,30 @@ class TestInjectionBounds:
         inj = injection_bounds(1000, K0, 0.75, 0.0, 1.0, 0.1, 0.1,
                                omega_h=1.0, rate_h=0.5, epsilon_h=0.01,
                                t_zero=True)
-        assert inj.power_bound == 1.0 + 1.0
-        assert inj.power_bound_variant == 1.0 + 1.0
+        assert inj["injected_power_bound"] == 1.0 + 1.0
+        assert inj["injected_power_bound_variant"] == 1.0 + 1.0
 
     def test_report_fields_consistent(self):
         inj = injection_bounds(1000, K0, 0.75, 0.0, 1.0, 0.1, 0.1,
                                omega_h=1.0, rate_h=0.5, epsilon_h=0.01)
-        assert inj.lam == pytest.approx(LAM_K0, rel=1e-12)
-        assert inj.rate == 0.5
-        assert inj.alpha_star_bound == pytest.approx(
-            targeted_false_auth_bound(500, 0.75, inj.lam), rel=1e-12)
-        assert not inj.alpha_star_vacuous
-        t = inj.epsilon_terms
-        assert inj.epsilon_bound == t["base"] + t["concentration"] + t["detector"]
-        assert inj.epsilon_bound_variant == (
+        lam = inj["detection_margin"]
+        assert lam == pytest.approx(LAM_K0, rel=1e-12)
+        assert inj["injected_rate"] == 0.5
+        assert inj["targeted_false_auth_bound"] == pytest.approx(
+            targeted_false_auth_bound(500, 0.75, lam), rel=1e-12)
+        assert not inj["targeted_false_auth_bound_vacuous"]
+        t = inj["injected_error_terms"]
+        assert inj["injected_error_bound"] == (
+            t["base"] + t["concentration"] + t["detector"])
+        assert inj["injected_error_bound_variant"] == (
             t["base"] + t["concentration_variant"] + t["detector"])
-        assert set(inj.residual_by_level) == {0.0, 1.0}
-        assert inj.next_level == {0.0: 1.0}
+        assert set(inj["residual_variance_by_level"]) == {"0.0", "1.0"}
 
     def test_vacuous_flag(self):
         inj = injection_bounds(40, K2, 0.75, 0.0, 1.0, 0.01, 1.0,
                                omega_h=1.0, rate_h=0.05, epsilon_h=0.0)
-        assert inj.alpha_star_bound >= 1.0
-        assert inj.alpha_star_vacuous
+        assert inj["targeted_false_auth_bound"] >= 1.0
+        assert inj["targeted_false_auth_bound_vacuous"]
 
 
 class TestDecimation:
@@ -173,38 +174,40 @@ class TestDecimation:
         dec = decimation_bounds(1000, K0, 0.75, 0.1, 0.1, 0.1,
                                 omega_wrapped=1.0, rate_h=0.5,
                                 epsilon_h=0.01, adversary_agnostic=True)
-        assert dec.lam == 0.0
-        assert dec.theta == pytest.approx(THETA_1000, rel=1e-12)
+        assert dec["decimation_margin"] == 0.0
+        theta = dec["decimation_quantization_radius"]
+        assert theta == pytest.approx(THETA_1000, rel=1e-12)
         n, ell = 1000, 500
-        assert dec.r_decimated == pytest.approx(
-            decimation_rate(n, 0.5, 0.75, ell, 0.0, dec.theta), rel=1e-12)
-        assert dec.target_size == math.floor(math.exp(n * dec.r_decimated))
-        assert dec.rate_bound == pytest.approx(
-            0.5 - dec.terms["margin_term"] * (n / n)
-            - (0.5 + 2.0 + math.log(4.0 * n * dec.theta)) / n, rel=1e-12)
-        assert dec.terms["margin_term"] == 0.0
-        assert dec.terms["rate_term"] == pytest.approx(0.4995, rel=1e-12)
-        assert dec.feasible
-        assert dec.precondition_lhs == pytest.approx(999.0 * 0.5, rel=1e-12)
+        rate, terms = dec["decimated_rate"], dec["decimation_terms"]
+        assert rate == pytest.approx(
+            decimation_rate(n, 0.5, 0.75, ell, 0.0, theta), rel=1e-12)
+        assert dec["decimated_target_size"] == math.floor(math.exp(n * rate))
+        assert dec["decimated_rate_bound"] == pytest.approx(
+            0.5 - terms["margin_term"] * (n / n)
+            - (0.5 + 2.0 + math.log(4.0 * n * theta)) / n, rel=1e-12)
+        assert terms["margin_term"] == 0.0
+        assert terms["rate_term"] == pytest.approx(0.4995, rel=1e-12)
+        assert dec["decimation_analysed_rate_feasible"]
 
     def test_alpha_bound_closed_form(self):
         n, ell = 1000, 500
         dec = decimation_bounds(n, K0, 0.75, 0.0, 1.0, 0.1,
                                 omega_wrapped=2.0, rate_h=0.5,
                                 epsilon_h=0.0, rho_adv=0.1)
-        assert dec.lam == pytest.approx(LAM_K0, rel=1e-12)
+        lam, alpha = dec["decimation_margin"], dec["decimated_false_auth_bound"]
+        assert lam == pytest.approx(LAM_K0, rel=1e-12)
         want = ((2.0 * n + 1.0 / (2.0 * math.sqrt(n * 0.1)))
-                * math.exp(-0.25 * ell * dec.lam ** 2 / 8.0))
-        assert dec.alpha_bound == pytest.approx(want, rel=1e-12)
-        assert dec.alpha_vacuous == (dec.alpha_bound >= 1.0)
+                * math.exp(-0.25 * ell * lam ** 2 / 8.0))
+        assert alpha == pytest.approx(want, rel=1e-12)
+        assert dec["decimated_false_auth_bound_vacuous"] == (alpha >= 1.0)
 
     def test_infeasible_at_small_blocklength(self):
         dec = decimation_bounds(60, K2, 0.75, 0.2, 1.0, 0.1,
                                 omega_wrapped=2.5, rate_h=math.log(6) / 60,
                                 epsilon_h=0.0, rho_adv=0.1)
-        assert not dec.feasible
-        assert dec.r_decimated < 0.0
-        assert dec.target_size == 0
+        assert not dec["decimation_analysed_rate_feasible"]
+        assert dec["decimated_rate"] < 0.0
+        assert dec["decimated_target_size"] == 0
 
     def test_rho_adv_required(self):
         with pytest.raises(BoundsError, match="rho_adv required"):
@@ -425,8 +428,30 @@ class TestBoundsReport:
         dec = decimation_bounds(1000, K0, 0.75, 0.1, 0.1, 0.1,
                                 omega_wrapped=1.2, rate_h=0.5,
                                 epsilon_h=0.01, rho_adv=0.1)
-        assert rep["decimated_rate"] == pytest.approx(dec.r_decimated,
+        assert rep["decimated_rate"] == pytest.approx(dec["decimated_rate"],
                                                       rel=1e-12)
-        assert rep["decimated_target_size"] == dec.target_size
+        assert rep["decimated_target_size"] == dec["decimated_target_size"]
         assert rep["rate_gap_exact"] == pytest.approx(
             rate_gap(1.1, 0.1, 0.1).exact, rel=1e-12)
+
+    @pytest.mark.parametrize("rho_adv, kwargs", [
+        (0.1, dict(omega_wrapped=1.2)), (0.1, dict(t_zero=True)),
+        (0.1, dict(adversary_agnostic=True)), (None, {})])
+    def test_is_its_header_and_the_two_blocks(self, rho_adv, kwargs):
+        # beside the header, capacity and the rate gap, every entry is one
+        # that injection_bounds or decimation_bounds returns, under its key
+        rep = bounds_report(rho_adv=rho_adv, **kwargs, **self.COMMON)
+        point = (1000, K0, 0.75, 0.1, 0.1)   # n, levels, gamma, delta, rho_D
+        want = {"ell": 500, "levels": [0.0], "gamma": 0.75, "delta": 0.1,
+                "rho_delta": 0.1, "rho_dec": 0.1, "rho_adv": rho_adv}
+        if rho_adv is not None:
+            want["capacity"] = capacity(1.1, 0.1, rho_adv)
+            want |= injection_bounds(*point, rho_adv, 0.1, 1.0, 0.5, 0.01,
+                                     t_zero=kwargs.get("t_zero", False))
+        want |= decimation_bounds(
+            *point, 0.1, kwargs.get("omega_wrapped", 1.0), 0.5, 0.01,
+            rho_adv=rho_adv, adversary_agnostic=rho_adv is None
+            or kwargs.get("adversary_agnostic", False))
+        want["rate_gap_exact"] = rate_gap(1.1, 0.1, 0.1).exact
+        assert list(rep) == list(want)
+        assert rep == want

@@ -45,3 +45,18 @@ def test_the_test_extra_installs_what_the_tests_import():
     names = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
              for spec in project["optional-dependencies"]["test"]}
     assert names == {"pytest", "hypothesis", "pyyaml"}
+
+
+def test_requires_python_starts_at_the_lowest_version_ci_runs():
+    # the pinned numpy and scipy need 3.11, the lowest version CI runs
+    yaml = pytest.importorskip("yaml")
+    tomllib = pytest.importorskip("tomllib")
+    floor = tomllib.loads((ROOT / "pyproject.toml").read_text())[
+        "project"]["requires-python"]
+    workflow = yaml.safe_load(
+        (ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    [job] = workflow["jobs"].values()
+    lowest = min(job["strategy"]["matrix"]["python-version"],
+                 key=lambda v: tuple(map(int, v.split("."))))
+    assert floor == f">={lowest}"
+    assert f"Requires Python ≥ {lowest}," in (ROOT / "README.md").read_text()

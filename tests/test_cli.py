@@ -197,6 +197,12 @@ class TestValidation:
             ("base.null=true", "overlay.counts=[7,1]", "channel.rho_adv=0.1",
              "attack=impersonation:0", 'run.metrics=["alpha"]',
              "run.max_pairs=5"): no_pairs,
+            # impersonation transmits the null message, which the code
+            # has only under base.null=true
+            ("channel.rho_adv=0.1", "attack=impersonation:0",
+             'run.metrics=["alpha"]'):
+                "impersonation transmits the null message, which needs "
+                "base.null=true",
         }
         for override, message in cases.items():
             overrides = [override] if isinstance(override, str) \

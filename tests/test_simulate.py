@@ -183,9 +183,10 @@ class TestRunTrial:
                                                       null_auth):
         ch = ChannelParams(rho_dec=0.1, rho_adv=0.1)
         attack = AttackSpec(kind="impersonation", target=2)
-        for code in (small_auth, null_auth):
-            with pytest.raises(SimulateError, match="0 is not the null"):
-                run_trial(code, ch, attack, 0, seed=1)
+        with pytest.raises(SimulateError, match="this code has no null"):
+            run_trial(small_auth, ch, attack, 0, seed=1)
+        with pytest.raises(SimulateError, match="0 is not the null"):
+            run_trial(null_auth, ch, attack, 0, seed=1)
         null = null_auth.base.null_id
         assert run_trial(null_auth, ch, attack, null, seed=1).transmitted \
             == null
@@ -198,7 +199,8 @@ class TestRunTrial:
         ("null_auth", AttackSpec("impersonation", 3), 0,
          dict(pairs=[(0, 3)]), "0 is not the null message"),
         ("small_auth", AttackSpec("impersonation", 3), 0, {},
-         "0 is not the null message"),
+         "impersonation transmits the null message; this code has no null "
+         "message"),
         ("small_auth", None, 0, {}, "attack must be an AttackSpec, not None"),
         ("small_auth", "none", 0, {},
          "attack must be an AttackSpec, not 'none'"),
@@ -704,7 +706,7 @@ class TestSeveralMetrics:
         singles = [estimate(small_auth, ch, name, 300, seed=4,
                             trial_log=str(apart),
                             **{k: v for k, v in kwargs.items()
-                               if k != "attack"
+                               if k not in ("attack", "pairs")
                                or name in simulate.FALSE_AUTH_METRICS})
                    for name in metrics]
         assert [r.to_json_dict() for r in reports] == [
@@ -805,6 +807,10 @@ class TestSeveralMetrics:
          dict(channel=ChannelParams(0.1, rho_adv=0.1), pairs=PAIRS,
               max_pairs=5), ENUMERATES),
         (["false_alarm"], dict(max_pairs=MAX_PAIRS + 1), ENUMERATES),
+        # so are pairs
+        (["epsilon", "false_alarm"], dict(pairs=PAIRS),
+         "pairs are read only where alpha_star or alpha runs the attack "
+         "pairs"),
     ])
     def test_bad_calls_fail_before_any_draw(self, small_auth, monkeypatch,
                                             metrics, kwargs, message):

@@ -390,13 +390,12 @@ def test_blocks_finishing_out_of_order_log_as_in_order(small_auth,
 
     def logged(threads):
         log, reports = tmp_path / f"log-{threads}.csv", []
-        for metrics in (["epsilon", "genuine_acceptance"],
-                        ["alpha_star", "alpha"]):
+        for metrics, pairs in ((["epsilon", "genuine_acceptance"], None),
+                               (["alpha_star", "alpha"], [(0, 1), (2, 4)])):
             finished.append([])
             reports += estimate(small_auth, ChannelParams(0.1, rho_adv=0.1),
                                 metrics, 2000, seed=4, threads=threads,
-                                pairs=[(0, 1), (2, 4)], message=3,
-                                trial_log=str(log))
+                                pairs=pairs, message=3, trial_log=str(log))
         return [r.to_json_dict() for r in reports], log.read_bytes()
 
     fixed_blocks(100)
