@@ -12,9 +12,16 @@ For every workload and every metric that ``BENCHMARK.json`` declares,
 the record gives each side's per-pair values with their median and
 quartiles, and the number of pairs in which the change was better and
 in which it was worse (the rest are ties).  Each end-to-end metric also
-gets ``within_bound``: whether the change's median is worse than the
-parent's by no more than the metric's ``bound``, a fraction of the
-parent's median.
+gets three verdicts:
+
+* ``within_bound``: the change's median is worse than the parent's by no
+  more than the metric's ``bound``, a fraction of the parent's median;
+* ``gain_met``: the change is better in at least 9 of 10 pairs (ties
+  count for neither side) and its median is better than the parent's by
+  more than the parent's interquartile range;
+* ``unresolved``: the runs spread too widely to tell, that is either
+  side's interquartile range is wider than ``bound`` times its median,
+  unless every change run is better than every parent run.
 Machines, seeds, traces and thread budgets are copied from the inputs.
 Traced results (``--trace 1``), given as ``--traced-parent`` and
 ``--traced-change`` pairs in the same way, are summarised apart under
@@ -108,9 +115,18 @@ def record(parents: list[dict[str, Any]], changes: list[dict[str, Any]],
                 "change_worse_pairs": sum(sign * (c - p) < 0
                                           for p, c in pairs)}
             if "bound" in declared[name]:   # an end-to-end metric
-                before, after = m["parent"]["median"], m["change"]["median"]
-                m["within_bound"] = (sign * (before - after)
-                                     <= declared[name]["bound"] * before)
+                bound = declared[name]["bound"]
+                parent, change = m["parent"], m["change"]
+                before, after = parent["median"], change["median"]
+                m["within_bound"] = sign * (before - after) <= bound * before
+                m["gain_met"] = (
+                    m["change_better_pairs"] >= 0.9 * len(pairs)
+                    and sign * (after - before) > parent["q3"] - parent["q1"])
+                m["unresolved"] = any(
+                    side["q3"] - side["q1"] > bound * side["median"]
+                    for side in (parent, change)) and not all(
+                    sign * (c - p) > 0
+                    for p in parent["runs"] for c in change["runs"])
         entry["metrics"] = metrics
     machines = [r["machine"] for r in parents + changes]
     return {"machine": machines[0],
@@ -163,8 +179,10 @@ def main(argv: list[str] | None = None) -> int:
     for workload, entry in out["workloads"].items():
         for name, m in entry["metrics"].items():
             verdict = ("" if "within_bound" not in m else
-                       "; within bound" if m["within_bound"] else
-                       "; OUTSIDE BOUND")
+                       ("; within bound" if m["within_bound"] else
+                        "; OUTSIDE BOUND")
+                       + ("; gain met" if m["gain_met"] else "")
+                       + ("; UNRESOLVED" if m["unresolved"] else ""))
             print(f"{workload:15s} {name:28s} parent {m['parent']['median']:.6g}"
                   f" change {m['change']['median']:.6g} (change better in "
                   f"{m['change_better_pairs']}, worse in "

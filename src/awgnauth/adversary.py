@@ -19,11 +19,12 @@ where the scalar residual-variance law uses it too.
 ``attack.spec`` string (``AttackSpec.parse``) to the simulator's runs;
 ``AttackSpec("none")`` (``simulate.NO_ATTACK``) is the only spelling of
 "no chosen attack".  A malformed spec raises ``AttackError``: an unknown
-kind, a missing or non-integer target, a target on a none attack, a
-callable on any attack but a custom one, or a ``weight_scale`` that is
-not a finite real number (a bool is refused).
-Whether a spec fits a run (its target, its transmit message) is checked
-by ``simulate``, once per run.
+kind, a missing target, a target that is not a nonnegative integer (a
+bool is refused), a target on a none attack, a callable on any attack but
+a custom one, or a ``weight_scale`` that is not a finite real number (a
+bool is refused).
+Whether a spec fits a run (its target a message of the code, its
+transmit message) is checked by ``simulate``, once per run.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .authcode import AuthCode
 from .bounds import mmse_weight
-from .streams import check_ids, check_reals
+from .streams import check_ids, check_int, check_reals
 
 
 class AttackError(ValueError):
@@ -49,7 +50,7 @@ class AttackSpec:
     """The one description of an attack: 'none', 'targeted',
     'impersonation', or 'custom' (a callable of (v, transmitted m, code)
     -> z).  A targeted or impersonation attack names its target message,
-    a 'none' attack names none; ``weight_scale``, a finite real number,
+    a nonnegative integer, a 'none' attack names none; ``weight_scale``, a finite real number,
     scales the MMSE weight of every MMSE attack run under this spec."""
 
     kind: str
@@ -64,6 +65,8 @@ class AttackSpec:
             raise AttackError(f"{self.kind} attack needs a target message")
         if self.kind == "none" and self.target is not None:
             raise AttackError("a none attack takes no target message")
+        if self.target is not None:
+            check_int("target", self.target, AttackError, 0)
         if self.kind == "custom" and self.custom is None:
             raise AttackError("custom attack needs a callable")
         if self.kind != "custom" and self.custom is not None:

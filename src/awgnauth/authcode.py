@@ -367,9 +367,19 @@ def to_json_dict(code: AuthCode, base_ref: str, overlay_ref: str) -> dict[str, A
 
 def from_json_dict(data: dict[str, Any], base: BaseCode,
                    overlay: OverlayCode) -> AuthCode:
-    decim = data.get("decimated_ids")
-    return AuthCode(base, overlay, float(data["rho_delta"]),
-                    float(data["delta"]),
-                    np.asarray(data["t_table"], dtype=np.float64),
-                    t_zero=bool(data.get("t_zero", False)),
-                    decimated=frozenset(decim) if decim is not None else None)
+    """Inverse of ``to_json_dict`` on the given base code and overlay;
+    malformed input (a missing key, a value of the wrong type or shape)
+    raises ``AuthCodeError``."""
+    try:
+        decim = data.get("decimated_ids")
+        return AuthCode(base, overlay, float(data["rho_delta"]),
+                        float(data["delta"]),
+                        np.asarray(data["t_table"], dtype=np.float64),
+                        t_zero=bool(data.get("t_zero", False)),
+                        decimated=None if decim is None else frozenset(decim))
+    except AuthCodeError:
+        raise
+    except KeyError as e:
+        raise AuthCodeError(f"auth code JSON lacks the key {e}") from None
+    except (TypeError, AttributeError, ValueError) as e:
+        raise AuthCodeError(f"malformed auth code JSON: {e}") from None

@@ -402,5 +402,14 @@ def to_json_dict(code: BaseCode) -> dict[str, Any]:
 
 
 def from_json_dict(data: dict[str, Any]) -> BaseCode:
-    return BaseCode(np.asarray(data["codewords"], dtype=np.float64),
-                    null_id=data.get("null_id"))
+    """Inverse of ``to_json_dict``; malformed input (a missing key, a
+    value of the wrong type or shape) raises ``BaseCodeError``."""
+    try:
+        return BaseCode(np.asarray(data["codewords"], dtype=np.float64),
+                        null_id=data.get("null_id"))
+    except BaseCodeError:
+        raise
+    except KeyError as e:
+        raise BaseCodeError(f"base code JSON lacks the key {e}") from None
+    except (TypeError, AttributeError, ValueError) as e:
+        raise BaseCodeError(f"malformed base code JSON: {e}") from None

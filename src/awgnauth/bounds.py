@@ -13,7 +13,9 @@ Every entry checks each argument on its own with ``streams.check_int``
 (sizes ``n``, ``ell``, ``count`` and the lemmas' integers) or
 ``streams.check_reals`` (powers, rates, margins, the radius ``theta``,
 ``gamma``, ``delta`` and the lemmas' reals), raising ``BoundsError``;
-only rules that relate two arguments are written out here.
+only rules that relate two arguments are written out here, and the
+``level`` of ``mmse_weight`` and ``residual_variance``, one real in
+[0, 1] or an array of them, which one array test checks.
 ``epsilon_h`` may be NaN.
 """
 
@@ -40,7 +42,12 @@ def mmse_weight(level: float | np.ndarray, rho_delta: float,
     elementwise over an array of levels; zero where the coordinate
     carries no injected noise and the observation is noiseless."""
     check_reals(BoundsError, rho_delta=rho_delta, rho_adv=rho_adv)
-    level = np.asarray(level, dtype=np.float64)
+    levels = np.asarray(level)
+    # one test for a scalar and an array: a bool, a string or NaN fails it
+    if levels.dtype.kind not in "fiu" \
+            or not (levels.min() >= 0.0 and levels.max() <= 1.0):
+        raise BoundsError(f"level must lie in [0, 1], not {level!r}")
+    level = levels.astype(np.float64, copy=False)
     injected = level * level * rho_delta
     total = injected + rho_adv
     with np.errstate(invalid="ignore"):   # [()]: a scalar for a scalar level
@@ -241,20 +248,18 @@ def capacity(rho: float, rho_dec: float, rho_adv: float) -> float:
 @dataclass(frozen=True)
 class OptimalLevels:
     """Asymptotically optimal level-set candidate plus the predicted
-    false-authentication factor (reported verbatim, which omits the
-    per-level coordinate count, and rescaled by a supplied ell)."""
+    false-authentication factor, per tested coordinate: a code with ell
+    coordinates per level has ``false_auth_factor ** ell``."""
 
     levels: tuple[float, ...]
     valid: bool
     invalid_levels: tuple[float, ...]
     c: float
     false_auth_factor: float
-    false_auth_factor_scaled: float | None
 
 
 def optimal_levels(count: int, gamma: float, rho_delta: float,
-                   rho_dec: float, delta: float = 0.0,
-                   ell: int | None = None) -> OptimalLevels:
+                   rho_dec: float, delta: float = 0.0) -> OptimalLevels:
     """Candidate K = {0, k_(1), ..., k_(count-1)} with
     k_(a) = ((1 - c gamma)/(c (1-gamma)))^(a-1) rho_dec/rho_delta and
     c = rho_dec^(1/count) / (gamma rho_dec^(1/count)
@@ -263,8 +268,6 @@ def optimal_levels(count: int, gamma: float, rho_delta: float,
     Levels landing outside [0,1) are flagged invalid, never clamped.
     """
     check_int("count", count, BoundsError)
-    if ell is not None:
-        check_int("ell", ell, BoundsError)
     check_reals(BoundsError, gamma=gamma, delta=delta)
     check_reals(BoundsError, domain="positive", rho_delta=rho_delta,
                 rho_dec=rho_dec)
@@ -277,13 +280,10 @@ def optimal_levels(count: int, gamma: float, rho_delta: float,
     invalid = tuple(k for k in ks if not 0.0 <= k < 1.0)
     increasing = all(a < b for a, b in zip(ks, ks[1:]))
     factor = math.exp(-(1.0 - gamma) * (1.0 - (1.0 + delta) * c)**2 / 8.0)
-    scaled = (math.exp(-ell * (1.0 - gamma) * (1.0 - (1.0 + delta) * c)**2 / 8.0)
-              if ell is not None else None)
     return OptimalLevels(levels=tuple(ks),
                          valid=not invalid and increasing,
                          invalid_levels=invalid, c=c,
-                         false_auth_factor=factor,
-                         false_auth_factor_scaled=scaled)
+                         false_auth_factor=factor)
 
 
 @dataclass(frozen=True)

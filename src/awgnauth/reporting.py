@@ -10,6 +10,8 @@ from scipy.special import ndtri
 
 from .streams import check_int, check_reals
 
+CONFIDENCE = 0.95   # the level of every interval an estimate reports
+
 
 def _check_counts(successes: int, trials: int) -> None:
     check_int("trials", trials, ValueError)
@@ -24,7 +26,7 @@ def _z_value(confidence: float) -> float:
 
 
 def wilson_interval(successes: int, trials: int,
-                    confidence: float = 0.95) -> tuple[float, float]:
+                    confidence: float = CONFIDENCE) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     _check_counts(successes, trials)
     z = _z_value(confidence)
@@ -47,17 +49,21 @@ def binomial_se(successes: int, trials: int) -> float:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """A Monte Carlo estimate with its interval and optional bound pairing."""
+    """A Monte Carlo estimate with its interval and optional bound pairing;
+    its counts are checked as ``wilson_interval`` checks them."""
 
     metric: str
     successes: int
     trials: int
-    confidence: float = 0.95
+    confidence: float = CONFIDENCE
     seed: int | None = None
     params: dict[str, Any] = field(default_factory=dict)
     bound: float | None = None
     bound_label: str | None = None
     detail: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _check_counts(self.successes, self.trials)
 
     @property
     def estimate(self) -> float:

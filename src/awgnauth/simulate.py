@@ -66,6 +66,11 @@ count.  Per-trial rows exist only while a trial log is written: each
 block's rows of each run are spooled once to a temporary file beside the
 log and copied into it metric by metric, run by run and in trial order,
 so the log reads as if each run had been written whole.
+
+Every interval a report carries, per-pair ones included, is a Wilson
+interval at ``reporting.CONFIDENCE`` (0.95); another level is
+``reporting.wilson_interval(successes, trials, confidence)`` on a
+report's counts.
 """
 
 from __future__ import annotations
@@ -697,7 +702,7 @@ def _attack_runs(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
 
 
 def _report(metric: str, runs: Sequence[Run], counts: np.ndarray, *,
-            trials: int, seed: int, message: int | None, confidence: float,
+            trials: int, seed: int, message: int | None,
             params: dict[str, Any]) -> EstimateReport:
     """One metric's report from the cell counts, a row per run, of its
     runs; ``params`` holds the entries that every metric reports."""
@@ -715,7 +720,7 @@ def _report(metric: str, runs: Sequence[Run], counts: np.ndarray, *,
     elif metric in FALSE_AUTH_METRICS:
         per_pair = []
         for (spec, a, _), succ in zip(runs, per_run):
-            lo, hi = wilson_interval(succ, trials, confidence)
+            lo, hi = wilson_interval(succ, trials)
             per_pair.append({"transmit": a, "target": spec.target,
                              "successes": succ, "trials": trials,
                              "estimate": succ / trials,
@@ -727,8 +732,8 @@ def _report(metric: str, runs: Sequence[Run], counts: np.ndarray, *,
                        "max_is_lower_confidence_bound": True})
         detail = {"per_pair": per_pair}
     return EstimateReport(metric=metric, successes=successes,
-                          trials=eff_trials, confidence=confidence,
-                          seed=seed, params=params, detail=detail)
+                          trials=eff_trials, seed=seed, params=params,
+                          detail=detail)
 
 
 def estimate(code: AuthCode, channel: ChannelParams,
@@ -736,8 +741,7 @@ def estimate(code: AuthCode, channel: ChannelParams,
              attack: AttackSpec = NO_ATTACK, message: int | None = None,
              pairs: Sequence[tuple[int, int]] | None = None,
              max_pairs: int = MAX_PAIRS, detector: bool = True,
-             threads: int = 1, trial_log: str | None = None,
-             confidence: float = 0.95
+             threads: int = 1, trial_log: str | None = None
              ) -> EstimateReport | list[EstimateReport]:
     """Estimate one operational measure, or a sequence of them: one name
     gives one report, a sequence one report per name, in order, from one
@@ -757,7 +761,7 @@ def estimate(code: AuthCode, channel: ChannelParams,
     return estimate_points(
         code, [(channel, attack)], metric, trials, seed, message=message,
         pairs=pairs, max_pairs=max_pairs, detector=detector, threads=threads,
-        trial_log=trial_log, confidence=confidence)[0]
+        trial_log=trial_log)[0]
 
 
 def estimate_points(code: AuthCode,
@@ -766,8 +770,7 @@ def estimate_points(code: AuthCode,
                     *, message: int | None = None,
                     pairs: Sequence[tuple[int, int]] | None = None,
                     max_pairs: int = MAX_PAIRS, detector: bool = True,
-                    threads: int = 1, trial_log: str | None = None,
-                    confidence: float = 0.95
+                    threads: int = 1, trial_log: str | None = None
                     ) -> list[EstimateReport | list[EstimateReport]]:
     """What ``estimate`` returns at each point's (channel, attack), from one
     pass that runs each distinct run of every point once, on the same draws:
@@ -778,7 +781,6 @@ def estimate_points(code: AuthCode,
     check_int("trials", trials, SimulateError, MIN_TRIALS)
     check_int("seed", seed, SimulateError, 0)
     check_int("threads", threads, SimulateError)
-    check_reals(SimulateError, confidence=confidence)
     _check_messages(code, "message", [] if message is None else [message])
     if pairs is not None:
         checked = []
@@ -828,6 +830,6 @@ def estimate_points(code: AuthCode,
                 reports.append(_report(
                     name, [runs[i] for i in indices], counts[indices],
                     trials=trials, seed=seed, message=message,
-                    confidence=confidence, params=params))
+                    params=params))
             out.append(reports[0] if isinstance(metric, str) else reports)
     return out

@@ -15,11 +15,15 @@ skip its table:
   -1 and ``True`` (and 0 where a formula divides); the design table
   does the same for ``gamma`` in (1/2, 1), ``delta`` and levels in
   [0, 1), ``confidence`` and the arguments of ``i2`` in (0, 1), those of
-  ``h2`` and ``d2`` in [0, 1], a finite ``weight_scale`` of any sign,
+  ``h2`` and ``d2`` and the one ``level`` of ``mmse_weight`` and
+  ``residual_variance`` in [0, 1], a finite ``weight_scale`` of any sign,
   rates, margins and the reals of the lemmas, with a string and the
   values past each domain's edges too.
 * ``check_int``: the integer table calls each row with 1.5, ``True``
-  and a value below the entry's minimum.
+  and a value below the entry's minimum.  An attack's target is an
+  integer of at least 0, checked by ``AttackSpec``; a run checks that it
+  is a message of the code, so the id table's attack target rows see
+  ``AttackError`` for every bad id but M.
 
 ``b``, ``c`` and ``beta`` are integers in some entries and reals in
 others, so both tables are keyed by (entry, parameter).  The last test
@@ -49,11 +53,12 @@ from awgnauth import (AttackError, AttackSpec, AuthCode, AuthCodeError,
                       injection_power_bound, level_statistics,
                       make_random_gaussian_code,
                       mixed_variance_lower_tail_bound, mmse_attack_terms,
-                      optimal_levels, overlay_rate_asymptotic,
+                      mmse_weight, optimal_levels, overlay_rate_asymptotic,
                       quantization_slack, residual_variance_vector, run_trial,
                       targeted_false_auth_bound, verify_overlay,
                       wilson_interval)
 from awgnauth.authcode import from_json_dict, to_json_dict
+from awgnauth.basecode import from_json_dict as base_from_json
 
 M = 6   # messages of the ``small_auth`` fixture
 BAD_IDS = [-1, M, True, 1.0, np.array([1.5]), np.array([True])]
@@ -131,9 +136,14 @@ TABLE = {
     ("BaseCode", "null_id"): (
         BaseCodeError, lambda code, bad:
         BaseCode(code.base.codewords, null_id=bad)),
+    ("AttackSpec", "target"): (
+        AttackError, lambda code, bad: AttackSpec("targeted", bad)),
 }
 # a predicate: an integer out of range is no valid message, not an error
 PREDICATES = {("AuthCode.is_valid_message", "m")}
+# the attack spec types a target; only a run knows that M is out of range
+SPEC_ROWS = {("AttackSpec", "target"), ("run_trial", "attack target"),
+             ("estimate", "attack target")}
 
 
 @pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
@@ -143,6 +153,14 @@ def test_bad_ids_raise_the_module_error(small_auth, key, bad):
     assert issubclass(error, ValueError)
     if key in PREDICATES and isinstance(bad, int) and bad is not True:
         assert call(small_auth, bad) is False
+        return
+    if key in SPEC_ROWS and not (type(bad) is int and bad >= 0):
+        with pytest.raises(AttackError,
+                           match="target must be a nonnegative integer"):
+            call(small_auth, bad)
+        return
+    if key == ("AttackSpec", "target"):
+        assert call(small_auth, bad).target == bad
         return
     with pytest.raises(error, match="must hold message ids"):
         call(small_auth, bad)
@@ -298,7 +316,7 @@ CALLS = {
         epsilon_h=math.nan, rho_adv=0.1, omega_wrapped=1.5)),
     "capacity": (BoundsError, dict(rho=1.0, rho_dec=0.1, rho_adv=0.1)),
     "optimal_levels": (BoundsError, dict(
-        count=2, gamma=0.75, rho_delta=1.0, rho_dec=0.1, delta=0.2, ell=16)),
+        count=2, gamma=0.75, rho_delta=1.0, rho_dec=0.1, delta=0.2)),
     "targeted_false_auth_bound": (BoundsError, dict(
         ell=16, gamma=0.75, lam=0.1)),
     "decimation_rate": (BoundsError, dict(
@@ -323,10 +341,10 @@ CALLS = {
     # max_pairs keeps its default: epsilon enumerates no attack pairs
     "estimate": (SimulateError, dict(
         code=CODE, channel=CHANNEL, metric="epsilon", trials=100, seed=0,
-        threads=1, confidence=0.95)),
+        threads=1)),
     "estimate_points": (SimulateError, dict(
         code=CODE, points=[(CHANNEL, AttackSpec("none"))], metric="epsilon",
-        trials=100, seed=0, threads=1, confidence=0.95)),
+        trials=100, seed=0, threads=1)),
     "run_trial": (SimulateError, dict(
         code=CODE, channel=CHANNEL, attack=AttackSpec("none"), m=0, seed=0,
         trial_index=0)),
@@ -438,13 +456,15 @@ def _public_parameters():
 # The design table: one row per (entry, real parameter) whose domain
 # ``check_reals`` reads from its name (gamma, delta, levels, confidence,
 # weight_scale) or is given as an interval (the probabilities of h2, d2
-# and i2), or that is a rate, a margin, the radius theta or a real of a
+# and i2, and the one level of mmse_weight and residual_variance, which
+# an array test checks), or that is a rate, a margin, the radius theta or a real of a
 # lemma, finite and at least 0 (above 0 in ``POSITIVE_REALS``).  ``a``,
 # ``b``, ``c`` and ``beta`` are integers in some entries: those rows are
 # in the integer table.
 DESIGN_PARAMS = {"gamma", "gamma_exact", "delta", "levels", "rate_h", "rate",
                  "lam", "theta", "tau", "alpha", "beta", "gamma_frac", "a",
-                 "b", "c", "mu", "eta", "confidence", "weight_scale"}
+                 "b", "c", "mu", "eta", "confidence", "weight_scale",
+                 "level"}
 INT_ANNOTATIONS = {"int", "int | None", "Sequence[int] | None"}
 POSITIVE_REALS = {("mixed_variance_lower_tail_bound", p)
                   for p in ("tau", "alpha", "beta", "gamma_frac", "b")} | {
@@ -479,7 +499,6 @@ INT_ROWS = {
     ("quantization_radius", "n"): 1, ("decimation_rate", "n"): 1,
     ("decimation_rate", "ell"): 1, ("decimation_bounds", "n"): 1,
     ("bounds_report", "n"): 1, ("optimal_levels", "count"): 1,
-    ("optimal_levels", "ell"): 1,
     ("hypergeom_log_bound", "a"): 1, ("hypergeom_log_bound", "b"): 1,
     ("hypergeom_log_bound", "c"): 1,
     ("hoeffding_wo_replacement_bound", "set_size"): 1,
@@ -498,6 +517,7 @@ DESIGN_EDGES = {"gamma": ([0.5, 1.0, 2.0], Fraction(3, 4)),
                 "delta": ([1.0, 1.5], 0.0), "levels": ([1.0], 0.0),
                 ("inject_noise", "delta"): ([1.0, 1.5], 0.5),
                 "confidence": ([0.0, 1.0], 0.5), "weight_scale": ([], -1.0),
+                "level": ([1.5], 1.0),
                 ("h2", "a"): ([1.5], 1.0), ("d2", "a"): ([1.5], 0.0),
                 ("d2", "b"): ([1.5], None), ("i2", "a"): ([0.0, 1.0], None),
                 ("i2", "b"): ([0.0, 1.0], None)}
@@ -506,7 +526,7 @@ NAMES = {"gamma_exact": "gamma", "tau": "tau[0]", "radices": "radix"}
 # the domain in the message, by parameter or by (entry, parameter)
 DOMAINS = {"gamma": "lie in (1/2,1)", "delta": "lie in [0,1)",
            "levels": "lie in [0,1)", "confidence": "lie in (0, 1)",
-           "weight_scale": "be finite and real",
+           "weight_scale": "be finite and real", "level": "lie in [0, 1]",
            ("h2", "a"): "lie in [0, 1]", ("d2", "a"): "lie in [0, 1]",
            ("d2", "b"): "lie in [0, 1]", ("i2", "a"): "lie in (0, 1)",
            ("i2", "b"): "lie in (0, 1)"}
@@ -696,6 +716,13 @@ LEAKS = {
     "construct_overlay-slot-bool": (OverlayError, lambda code:
         construct_overlay(8, LevelSet((0.0,)), 0.75,
                           subset_tables=[[[True, 2, 3, 4], [5, 6, 7, 8]]])),
+    # the design table's scalar rows aside: a NaN among an attacked
+    # message's levels gave weight 0
+    "mmse_weight-level-array": (BoundsError, lambda code:
+        mmse_weight(np.array([0.5, NAN]), 1.0, 0.1)),
+    # the id table's rows aside: a spec built and only a run refused it
+    "AttackSpec-target-str": (AttackError, lambda code:
+        AttackSpec("impersonation", "3")),
 }
 
 
@@ -703,5 +730,35 @@ LEAKS = {
 def test_a_leak_raises_the_module_error(small_auth, leak):
     error, call = LEAKS[leak]
     with pytest.raises(ValueError) as info:
+        call(small_auth)
+    assert type(info.value) is error
+
+
+def _auth_blob(code, **changes):
+    blob = {**to_json_dict(code, "base.json", "overlay.json"), **changes}
+    return {k: v for k, v in blob.items() if v is not None}
+
+
+# A loader's bad JSON raised a bare KeyError or numpy's ValueError; it
+# raises its module's error, in the overlay loader's words.
+JSON_CASES = {
+    "base-key": (BaseCodeError, "base code JSON lacks the key 'codewords'",
+                 lambda code: base_from_json({"n": 60})),
+    "base-ragged": (BaseCodeError, "malformed base code JSON: ",
+                    lambda code: base_from_json(
+                        {"n": 2, "codewords": [[1.0, 2.0], [1.0]]})),
+    "auth-key": (AuthCodeError, "auth code JSON lacks the key 'rho_delta'",
+                 lambda code: from_json_dict(_auth_blob(code, rho_delta=None),
+                                             code.base, code.overlay)),
+    "auth-value": (AuthCodeError, "malformed auth code JSON: ",
+                   lambda code: from_json_dict(_auth_blob(code, rho_delta="x"),
+                                               code.base, code.overlay)),
+}
+
+
+@pytest.mark.parametrize("case", JSON_CASES)
+def test_a_loader_refuses_bad_json_with_its_module_error(small_auth, case):
+    error, message, call = JSON_CASES[case]
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
         call(small_auth)
     assert type(info.value) is error

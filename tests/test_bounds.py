@@ -276,18 +276,12 @@ class TestOptimalLevels:
         assert out.valid
         assert out.false_auth_factor == pytest.approx(
             math.exp(-0.25 * (1.0 - c) ** 2 / 8.0), rel=1e-12)
-        assert out.false_auth_factor_scaled is None
 
     def test_geometric_spacing(self):
         out = optimal_levels(4, 0.75, 1.0, 1e-4)
         ks = out.levels
         ratios = [ks[i + 1] / ks[i] for i in range(1, 3)]
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
-
-    def test_scaled_factor(self):
-        out = optimal_levels(2, 0.75, 1.0, 0.01, delta=0.1, ell=500)
-        assert out.false_auth_factor_scaled == pytest.approx(
-            out.false_auth_factor ** 500, rel=1e-9)
 
     def test_invalid_levels_flagged_not_clamped(self):
         out = optimal_levels(2, 0.75, 0.01, 1.0)

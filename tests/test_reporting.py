@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -95,3 +96,15 @@ class TestEstimateReport:
         assert d["bound_label"] == "lbl"
         assert d["dominated"] is True
         assert d["detail"] == {"per_pair": []}
+
+    @pytest.mark.parametrize("successes, trials, message", [
+        (0, 0, "trials must be a positive integer, not 0"),
+        (5, 3, "successes must lie in [0, 3], got 5"),
+        (-1, 10, "successes must be a nonnegative integer, not -1"),
+        (1, 10.0, "trials must be a positive integer, not 10.0"),
+    ])
+    def test_counts_are_checked_when_built(self, successes, trials, message):
+        # (0, 0) raised ZeroDivisionError on .estimate, and (5, 3) built
+        # and failed only in to_json_dict
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EstimateReport("epsilon", successes, trials)

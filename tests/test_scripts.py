@@ -215,6 +215,69 @@ def test_bench_record_keeps_both_sides_sweep_times(tmp_path):
     assert "not a time_sweeps.py output" in proc.stderr
 
 
+def _rate_record(tmp_path, parent_rates, change_rates):
+    """The trials_per_s entry and the printed summary of a record of one
+    genuine_cli pair per (parent, change) rate."""
+    paths = {}
+    for side, rates in (("parent", parent_rates), ("change", change_rates)):
+        paths[side] = []
+        for i, rate in enumerate(rates):
+            path = tmp_path / f"{side}_{i}.json"
+            path.write_text(json.dumps({
+                "workload": "genuine_cli", "seed": i, "machine": {"nproc": 2},
+                "samples": {"trials_per_s": [rate]}}))
+            paths[side].append(str(path))
+    out = tmp_path / "BENCH_0.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--label",
+         "0", "--parent", *paths["parent"], "--change", *paths["change"],
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(out.read_text())["workloads"]["genuine_cli"]["metrics"]
+    return metrics["trials_per_s"], proc.stdout
+
+
+PARENT_RATES = [100.0 + i for i in range(10)]   # quartiles 102.25, 106.75
+
+
+@pytest.mark.parametrize("change_rates, met", [
+    # better in 9 of 10 pairs, the median 9 above: more than the parent's
+    # interquartile range of 4.5
+    ([r + 10.0 for r in PARENT_RATES[:9]] + [108.0], True),
+    # better in 8 of 10 pairs
+    ([r + 10.0 for r in PARENT_RATES[:8]] + [100.0, 100.0], False),
+    # better in 10 of 10 pairs, by less than the parent's quartile spread
+    ([r + 1.0 for r in PARENT_RATES], False),
+    # better in 8 pairs and tied in 2: a tie counts for neither side
+    ([r + 10.0 for r in PARENT_RATES[:8]] + [108.0, 109.0], False),
+])
+def test_bench_record_states_whether_a_gain_is_met(tmp_path, change_rates,
+                                                   met):
+    rate, stdout = _rate_record(tmp_path, PARENT_RATES, change_rates)
+    assert rate["gain_met"] is met
+    assert ("; gain met" in stdout) is met
+
+
+WIDE = [50.0, 150.0, 100.0, 60.0, 140.0]   # quartile spread 80, median 100
+
+
+@pytest.mark.parametrize("parent_rates, change_rates, unresolved", [
+    (WIDE, [100.0] * 5, True),
+    ([100.0] * 5, WIDE, True),
+    # every change run beats every parent run
+    (WIDE, [200.0, 210.0, 205.0, 201.0, 202.0], False),
+    # spreads of 20 and 10, within 0.25 of the medians
+    ([90.0, 110.0, 100.0, 100.0, 100.0], [95.0, 105.0, 100.0, 100.0, 99.0],
+     False),
+])
+def test_bench_record_states_whether_the_runs_are_unresolved(
+        tmp_path, parent_rates, change_rates, unresolved):
+    rate, stdout = _rate_record(tmp_path, parent_rates, change_rates)
+    assert rate["unresolved"] is unresolved
+    assert ("; UNRESOLVED" in stdout) is unresolved
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_scripts.py --record")

@@ -292,9 +292,10 @@ class TestEstimateValidation:
          "least 100"),
         ("estimate", dict(seed=-1), "seed must be a nonnegative integer"),
         ("estimate", dict(seed=1.5), "seed must be a nonnegative integer"),
-        ("estimate", dict(confidence=1.5), r"confidence must lie in \(0, 1\)"),
-        ("estimate", dict(confidence=math.nan), "confidence must lie"),
-        ("estimate", dict(confidence="0.9"), "confidence must lie"),
+        ("estimate", dict(trials=99), "trials must be an integer of at "
+         "least 100"),
+        ("estimate", dict(seed=True), "seed must be a nonnegative integer"),
+        ("estimate", dict(threads=1.5), "threads must be a positive integer"),
         ("estimate", dict(max_pairs=2.5), "max_pairs must be a positive int"),
         ("estimate", dict(max_pairs=True), "max_pairs must be a positive int"),
         ("estimate", dict(message=True), "True is not a valid message"),
@@ -788,7 +789,7 @@ class TestSeveralMetrics:
         ([], {}, "no metric requested"),
         (["epsilon"], dict(max_pairs=0), "max_pairs must be a positive"),
         (["epsilon"], dict(seed=-1), "seed must be a nonnegative integer"),
-        (["epsilon"], dict(confidence=1.5), "confidence must lie in"),
+        (["epsilon"], dict(seed=1.5), "seed must be a nonnegative integer"),
         (["epsilon"], dict(threads=0), "threads must be a positive integer"),
         (["epsilon"], dict(threads=-1), "threads must be a positive integer"),
         ("epsilon", dict(threads=1.0), "threads must be a positive integer"),
