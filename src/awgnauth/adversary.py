@@ -20,9 +20,8 @@ where the scalar residual-variance law uses it too.
 ``AttackSpec("none")`` (``simulate.NO_ATTACK``) is the only spelling of
 "no chosen attack".  A malformed spec raises ``AttackError``: an unknown
 kind, a missing target, a target that is not a nonnegative integer (a
-bool is refused), a target on a none attack, a callable on any attack but
-a custom one, or a ``weight_scale`` that is not a finite real number (a
-bool is refused).
+bool is refused), a target on a none attack, or a ``weight_scale`` that
+is not a finite real number (a bool is refused).
 Whether a spec fits a run (its target a message of the code, its
 transmit message) is checked by ``simulate``, once per run.
 """
@@ -30,7 +29,6 @@ transmit message) is checked by ``simulate``, once per run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,24 +40,21 @@ from .streams import check_ids, check_int, check_reals
 class AttackError(ValueError):
     pass
 
-CustomAttack = Callable[[np.ndarray, int, AuthCode], np.ndarray]
-
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """The one description of an attack: 'none', 'targeted',
-    'impersonation', or 'custom' (a callable of (v, transmitted m, code)
-    -> z).  A targeted or impersonation attack names its target message,
-    a nonnegative integer, a 'none' attack names none; ``weight_scale``, a finite real number,
-    scales the MMSE weight of every MMSE attack run under this spec."""
+    """The one description of an attack: 'none', 'targeted' or
+    'impersonation'.  A targeted or impersonation attack names its target
+    message, a nonnegative integer, a 'none' attack names none;
+    ``weight_scale``, a finite real number, scales the MMSE weight of
+    every MMSE attack run under this spec."""
 
     kind: str
     target: int | None = None
-    custom: CustomAttack | None = None
     weight_scale: float | None = None   # scales the MMSE weight (grid tests)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "targeted", "impersonation", "custom"):
+        if self.kind not in ("none", "targeted", "impersonation"):
             raise AttackError(f"unknown attack kind {self.kind!r}")
         if self.kind in ("targeted", "impersonation") and self.target is None:
             raise AttackError(f"{self.kind} attack needs a target message")
@@ -67,11 +62,6 @@ class AttackSpec:
             raise AttackError("a none attack takes no target message")
         if self.target is not None:
             check_int("target", self.target, AttackError, 0)
-        if self.kind == "custom" and self.custom is None:
-            raise AttackError("custom attack needs a callable")
-        if self.kind != "custom" and self.custom is not None:
-            raise AttackError(f"a {self.kind} attack takes no callable; only "
-                              "a custom attack does")
         if self.weight_scale is not None:
             check_reals(AttackError, weight_scale=self.weight_scale)
 

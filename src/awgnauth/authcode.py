@@ -65,7 +65,6 @@ class AuthCode:
     rho_delta: float
     delta: float
     t_table: np.ndarray             # (message_count, n)
-    t_zero: bool = False
     decimated: frozenset[int] | None = None
     decimation_info: dict[str, Any] | None = None
     attempts: int = 1
@@ -109,6 +108,11 @@ class AuthCode:
         return self.overlay.ell
 
     @property
+    def t_zero(self) -> bool:
+        """Whether the mean-shift table is zero (the derandomised variant)."""
+        return not self.t_table.any()
+
+    @property
     def threshold(self) -> float:
         return self.overlay.ell * (1.0 + self.delta)
 
@@ -117,7 +121,7 @@ class AuthCode:
         """The mean signal x(m) + t(m) of each checked id in ``ms``, into
         ``out``, with the shifts gathered into ``scratch``: x, then t added,
         one grouping for every caller, so that a clean received row minus
-        its mean is exactly zero (the rho_dec = 0 sentinel relies on it)."""
+        its mean is exactly zero."""
         # mode="clip" gathers into ``out`` (the default copies); ids checked
         out = np.take(self.base.codewords, ms, axis=0, out=out, mode="clip")
         out += np.take(self.t_table, ms, axis=0, out=scratch, mode="clip")
@@ -173,7 +177,7 @@ def inject_noise(base: BaseCode, overlay: OverlayCode, rho_delta: float,
     if delta == 0:   # a code may carry delta = 0; a build may not
         raise AuthCodeError("delta must lie in (0,1) for a build, not 0")
     code = AuthCode(base, overlay, rho_delta, delta,   # checks the rest
-                    np.zeros(base.codewords.shape), t_zero=True)
+                    np.zeros(base.codewords.shape))
     if t_zero:
         return code
 
@@ -236,7 +240,7 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
     // n, so that the chunk's arrays (at most 2**15 values each) and the
     received rows they read fit in a 2 MiB L2 cache together, whatever
     the block's rows (``streams.block_rows``)."""
-    check_reals(AuthCodeError, rho_dec=rho_dec)
+    check_reals(AuthCodeError, domain="positive", rho_dec=rho_dec)
     base_decoded = check_ids("base_decoded", base_decoded,
                              code.message_count, AuthCodeError)
     n, ell = code.n, code.ell
@@ -270,12 +274,7 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
         # a sum over the contiguous last axis takes numpy's pairwise
         # order for every (row, level), whatever the chunk holds
         stats[c] = np.sum(sq.reshape(r, len(levels), ell), axis=2)
-    for j, k in enumerate(levels):
-        denom = k * k * code.rho_delta + rho_dec
-        # rho_dec = 0 diagnostic: a zero-variance level accepts only
-        # exactly-zero residuals.
-        stats[:, j] = (np.where(stats[:, j] == 0.0, 0.0, np.inf)
-                       if denom == 0.0 else stats[:, j] / denom)
+    stats /= [k * k * code.rho_delta + rho_dec for k in levels]
     return stats
 
 
@@ -368,15 +367,19 @@ def to_json_dict(code: AuthCode, base_ref: str, overlay_ref: str) -> dict[str, A
 def from_json_dict(data: dict[str, Any], base: BaseCode,
                    overlay: OverlayCode) -> AuthCode:
     """Inverse of ``to_json_dict`` on the given base code and overlay;
-    malformed input (a missing key, a value of the wrong type or shape)
-    raises ``AuthCodeError``."""
+    malformed input (a missing key, a value of the wrong type or shape, a
+    ``t_zero`` that is not a bool or disagrees with the table) raises
+    ``AuthCodeError``."""
     try:
         decim = data.get("decimated_ids")
-        return AuthCode(base, overlay, float(data["rho_delta"]),
+        code = AuthCode(base, overlay, float(data["rho_delta"]),
                         float(data["delta"]),
                         np.asarray(data["t_table"], dtype=np.float64),
-                        t_zero=bool(data.get("t_zero", False)),
                         decimated=None if decim is None else frozenset(decim))
+        if data.get("t_zero", code.t_zero) is not code.t_zero:
+            raise AuthCodeError(f"t_zero must be {str(code.t_zero).lower()} "
+                                f"for this t_table, not {data['t_zero']!r}")
+        return code
     except AuthCodeError:
         raise
     except KeyError as e:

@@ -403,10 +403,18 @@ def to_json_dict(code: BaseCode) -> dict[str, Any]:
 
 def from_json_dict(data: dict[str, Any]) -> BaseCode:
     """Inverse of ``to_json_dict``; malformed input (a missing key, a
-    value of the wrong type or shape) raises ``BaseCodeError``."""
+    value of the wrong type or shape, an ``n`` other than the codewords'
+    width or an ``omega`` other than their power) raises
+    ``BaseCodeError``."""
     try:
-        return BaseCode(np.asarray(data["codewords"], dtype=np.float64),
+        code = BaseCode(np.asarray(data["codewords"], dtype=np.float64),
                         null_id=data.get("null_id"))
+        n, omega = data["n"], data["omega"]
+        if n != code.n or omega != code.power:   # to_json_dict writes these
+            raise BaseCodeError(
+                f"n {n!r} and omega {omega!r} disagree with the codewords' "
+                f"width {code.n} and power {code.power!r}")
+        return code
     except BaseCodeError:
         raise
     except KeyError as e:

@@ -12,9 +12,12 @@ Metrics
                         and accepted (used for paired comparisons).
 ``alpha_star``          targeted false authentication: per ordered pair
                         (a, b) the adversary runs its optimal attack and
-                        success means decoding exactly b; the reported
-                        point is the max over enumerated pairs (a lower
-                        confidence bound on the true maximum).
+                        success means decoding exactly b; the report is
+                        the enumerated pair of most successes, with its
+                        own count and interval.  After the maximum that
+                        interval covers less than stated (ROADMAP.md,
+                        item 2), whatever ``max_is_lower_confidence_bound``
+                        says.
 ``alpha``               any-message false authentication: same runs,
                         success means accepting anything other than a.
 
@@ -122,16 +125,16 @@ class SimulateError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Decoder- and adversary-side noise powers, optional power budget."""
+    """Decoder- and adversary-side noise powers, optional power budget; the
+    decoder always sees noise (``rho_dec`` > 0)."""
 
     rho_dec: float
     rho_adv: float = 0.0
     power_budget: float | None = None
 
     def __post_init__(self) -> None:
-        # rho_dec = 0 is allowed as a noiseless-pipe diagnostic for single
-        # trials; the estimators require a positive value.
-        check_reals(SimulateError, rho_dec=self.rho_dec, rho_adv=self.rho_adv)
+        check_reals(SimulateError, domain="positive", rho_dec=self.rho_dec)
+        check_reals(SimulateError, rho_adv=self.rho_adv)
         if self.power_budget is not None:
             check_reals(SimulateError, domain="positive",
                          power_budget=self.power_budget)
@@ -287,11 +290,7 @@ def _simulate_block(code: AuthCode, seed: int, t0: int, b: int,
                     vs = np.multiply(draws[Role.ADVERSARY],
                                      math.sqrt(channel.rho_adv), out=ys)
                     vs += xs
-                    if spec.kind == "custom":
-                        zs = np.stack([spec.custom(v, int(m), code)
-                                       for v, m in zip(vs, ms)])
-                    else:
-                        zs = mmse_targeted_attack_batch(vs, run_terms, out=ys)
+                    zs = mmse_targeted_attack_batch(vs, run_terms, out=ys)
                 np.add(xs, zs, out=ys)
                 ys += np.multiply(draws[Role.DECODER],
                                   math.sqrt(channel.rho_dec), out=scratch)
@@ -306,12 +305,13 @@ def _simulate_block(code: AuthCode, seed: int, t0: int, b: int,
 
 def run_trial(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
               m: int, seed: int, trial_index: int = 0) -> TrialOutcome:
-    """A single trial, identical to row ``trial_index`` of a batched run."""
+    """A single trial of the run of ``attack`` from ``m``, any run that
+    ``estimate`` runs, identical to row ``trial_index`` of a batched run."""
     check_int("seed", seed, SimulateError, 0)
     check_int("trial_index", trial_index, SimulateError, 0)
     _check_budget(code, channel)
     _check_messages(code, "m", [m])
-    runs = [_check_run(code, attack, m, channel, custom=True)]
+    runs = [_check_run(code, attack, m, channel)]
     [(_, base_decoded, rejected)] = _simulate_block(
         code, seed, trial_index, 1, runs, _attack_terms(code, runs),
         _Workspace(code.n, 1, runs), detector=True)
@@ -328,15 +328,12 @@ def _check_messages(code: AuthCode, name: str, ids: Iterable[Any]) -> None:
 
 
 def _check_run(code: AuthCode, spec: AttackSpec, m: int,
-               channel: ChannelParams, custom: bool) -> Run:
+               channel: ChannelParams) -> Run:
     """The run of ``spec`` from ``m`` on what it reads of ``channel``, if
-    the target is a valid message other than ``m``, impersonation transmits
-    the null message and a custom attack comes with ``custom``."""
+    the target is a valid message other than ``m`` and impersonation
+    transmits the null message."""
     if not isinstance(spec, AttackSpec):
         raise SimulateError(f"attack must be an AttackSpec, not {spec!r}")
-    if spec.kind == "custom" and not custom:
-        raise SimulateError("alpha_star and alpha run the MMSE attack; a "
-                            "custom attack runs only through run_trial")
     _check_messages(code, "attack target",
                     [] if spec.target is None else [spec.target])
     if spec.target == m:
@@ -368,7 +365,7 @@ def check_request(error: type[Exception], metrics: Sequence[str],
     - ``genuine_acceptance`` has a ``message``;
     - each point is a (``ChannelParams``, ``AttackSpec``) pair, one at least;
     - an attack (not none) or a ``weight_scale`` needs a false-auth metric;
-    - ``rho_dec`` > 0, and ``rho_adv`` > 0 under a false-auth metric;
+    - ``rho_adv`` > 0 under a false-auth metric;
     - ``pairs`` only under a false-auth metric;
     - ``max_pairs`` is a positive integer, other than ``MAX_PAIRS`` only
       where pairs are enumerated: under a false-auth metric, without
@@ -395,9 +392,6 @@ def check_request(error: type[Exception], metrics: Sequence[str],
         if attack != NO_ATTACK and not false_auth:
             raise error(f"{metrics[0]} is defined under no attack; an attack "
                         "or a weight_scale needs alpha_star or alpha")
-        if channel.rho_dec == 0.0:
-            raise error("estimation needs rho_dec > 0 "
-                        "(the zero sentinel is for single trials)")
         if false_auth and channel.rho_adv <= 0.0:
             raise error("false-authentication metrics need rho_adv > 0")
     if pairs is not None and not false_auth:
@@ -697,8 +691,8 @@ def _attack_runs(code: AuthCode, channel: ChannelParams, attack: AttackSpec,
     if not pairs:
         raise SimulateError("no attack pairs to run")
     kind = "targeted" if attack.kind == "none" else attack.kind
-    return [_check_run(code, replace(attack, kind=kind, target=b), a,
-                       channel, custom=False) for a, b in pairs]
+    return [_check_run(code, replace(attack, kind=kind, target=b), a, channel)
+            for a, b in pairs]
 
 
 def _report(metric: str, runs: Sequence[Run], counts: np.ndarray, *,

@@ -42,11 +42,11 @@ class TestAttackSpec:
     def test_constructor_validation(self):
         with pytest.raises(AttackError, match="needs a target"):
             AttackSpec(kind="targeted")
-        with pytest.raises(AttackError, match="needs a callable"):
-            AttackSpec(kind="custom")
         with pytest.raises(AttackError, match="unknown attack kind"):
             AttackSpec(kind="jamming")
-        AttackSpec(kind="custom", custom=lambda v, m, code: np.zeros_like(v))
+        # the MMSE attack is the one attack: a callable names no kind
+        with pytest.raises(AttackError, match="unknown attack kind 'custom'"):
+            AttackSpec(kind="custom")
 
     @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
     def test_weight_scale_must_be_finite(self, scale):
@@ -81,12 +81,15 @@ class TestAttackSpec:
     @pytest.mark.parametrize("kind, target", [("none", None),
                                               ("targeted", 1),
                                               ("impersonation", 1)])
-    def test_only_a_custom_attack_takes_a_callable(self, kind, target):
-        # the MMSE path would ignore the callable
-        with pytest.raises(AttackError, match=f"a {kind} attack takes no "
-                                              "callable"):
-            AttackSpec(kind=kind, target=target,
-                       custom=lambda v, m, code: np.zeros_like(v))
+    def test_no_attack_takes_a_callable(self, kind, target):
+        # weight_scale is the third field: a callable there is refused
+        def jam(v, m, code):
+            return np.zeros_like(v)
+
+        with pytest.raises(AttackError, match="weight_scale must be finite"):
+            AttackSpec(kind, target, jam)
+        with pytest.raises(TypeError, match="custom"):
+            AttackSpec(kind=kind, target=target, custom=jam)
 
 
 class TestMmseWeight:

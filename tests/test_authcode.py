@@ -321,21 +321,31 @@ class TestDetector:
         assert np.all(detect_batch(code, ys, dec, 0.1))
 
     def test_zero_decoder_noise_sentinel(self, small_auth):
+        # the row x(m) + t(m) minus its own mean is exactly zero at any
+        # rho_dec > 0, and rho_dec = 0 is no detector input: every level
+        # statistic divides by k^2 rho_delta + rho_dec, zero at level 0
         code = small_auth
         m = np.array([1])
         y = code.base.codewords[m] + code.t_table[m]
-        assert level_statistics(code, y, m, rho_dec=0.0)[0, 0] == 0.0
-        assert not detect_batch(code, y, m, 0.0)[0]
-        # any energy on a zero-variance level is conclusive evidence
+        for rho_dec in (1e-300, 0.1, 10.0):
+            assert level_statistics(code, y, m, rho_dec)[0].tolist() \
+                == [0.0, 0.0]
+            assert not detect_batch(code, y, m, rho_dec)[0]
+        # a little energy on level 0 is a small finite statistic, no longer
+        # conclusive evidence
         bad = y.copy()
         bad[0, code.overlay.test_indices(1)[0][0]] += 1e-9
         assert code.base.decode_batch(bad)[0] == 1
-        assert level_statistics(code, bad, m, rho_dec=0.0)[0, 0] == math.inf
-        assert detect_batch(code, bad, m, 0.0)[0]
-        with pytest.raises(AuthCodeError, match="nonnegative"):
-            level_statistics(code, y, m, rho_dec=-0.1)
-        with pytest.raises(AuthCodeError, match="nonnegative"):
-            detect_batch(code, y, m, -0.1)
+        assert level_statistics(code, bad, m, 0.1)[0, 0] \
+            == pytest.approx(1e-17)
+        assert not detect_batch(code, bad, m, 0.1)[0]
+        for rho_dec in (0.0, -0.1):
+            with pytest.raises(AuthCodeError, match="rho_dec must be a "
+                                                    "positive finite number"):
+                level_statistics(code, y, m, rho_dec)
+            with pytest.raises(AuthCodeError, match="rho_dec must be a "
+                                                    "positive finite number"):
+                detect_batch(code, y, m, rho_dec)
 
     @pytest.mark.parametrize("shape", [(3, 59), (3, 61), (2, 60), (180,)])
     def test_rows_must_match_the_decoded_ids(self, small_auth, shape):
@@ -420,9 +430,7 @@ def reference_statistics(code, ys, base_decoded, rho_dec):
         for j, (k, idx) in enumerate(zip(levels,
                                          code.overlay.test_indices(int(m)))):
             ssq = np.sum(resid[:, idx] ** 2, axis=1)
-            denom = k * k * code.rho_delta + rho_dec
-            stats[sel, j] = (np.where(ssq == 0.0, 0.0, np.inf)
-                             if denom == 0.0 else ssq / denom)
+            stats[sel, j] = ssq / (k * k * code.rho_delta + rho_dec)
     return stats
 
 
@@ -467,7 +475,7 @@ class TestAgainstReferenceLoop:
         ms = rng.integers(0, code.message_count, size=rows)
         ys = auth_encode_batch(code, ms, rng.standard_normal((rows, code.n)))
         ys += math.sqrt(max(rho_dec, 0.05)) * rng.standard_normal(ys.shape)
-        # exact centres, so rho_dec = 0 meets both of its outcomes
+        # exact centres, whose statistics are exactly 0 at any rho_dec
         ys[::7] = code.base.codewords[ms[::7]] + code.t_table[ms[::7]]
         dec = code.base.decode_batch(ys)
         dec[::5] = ms[::5]    # some rows tested against the wrong message
@@ -475,10 +483,10 @@ class TestAgainstReferenceLoop:
 
     @pytest.mark.parametrize("name, rows, rho_dec", [
         ("small_auth", 10000, 0.1),
-        ("small_auth", 5000, 0.0),
+        ("small_auth", 5000, 0.001),
         ("decimated_null_auth", 9000, 0.1),
         ("wide_auth", 5000, 0.1),
-        ("wide_auth", 300, 0.0),
+        ("wide_auth", 300, 0.001),
         ("wide_auth", 300, 0.1),
     ])
     def test_equal_to_the_loop(self, request, name, rows, rho_dec):
@@ -542,6 +550,14 @@ class TestRateAndPower:
         assert code.t_zero
         assert not np.any(code.t_table)
         assert code.power <= small_base.power + code.rho_delta
+
+    def test_t_zero_is_read_from_the_table(self, small_auth):
+        # no flag can disagree with the table: t_zero is not a field
+        assert not small_auth.t_zero
+        assert replace(small_auth,
+                       t_table=np.zeros_like(small_auth.t_table)).t_zero
+        with pytest.raises(TypeError, match="t_zero"):
+            replace(small_auth, t_zero=True)
 
 
 class TestDecimation:

@@ -368,6 +368,8 @@ POWER_ROWS = sorted({(entry, p) for entry, (_, kwargs) in CALLS.items()
 # rows whose formula divides by the power: 0 is refused too
 POSITIVE = {("AuthCode", "rho_delta"), ("inject_noise", "rho_delta"),
             ("decimate", "rho_dec"), ("ChannelParams", "power_budget"),
+            ("ChannelParams", "rho_dec"), ("level_statistics", "rho_dec"),
+            ("detect_batch", "rho_dec"),
             ("base_error_probability", "rho_dec"),
             ("make_antipodal_code", "omega"),
             ("make_random_gaussian_code", "omega"),
@@ -753,6 +755,28 @@ JSON_CASES = {
     "auth-value": (AuthCodeError, "malformed auth code JSON: ",
                    lambda code: from_json_dict(_auth_blob(code, rho_delta="x"),
                                                code.base, code.overlay)),
+    # keys the writer writes and the reader ignored: an n = 2 code loaded
+    # as n = 60, "false" read as true, a flag beside a nonzero table
+    "base-n": (BaseCodeError, "n 60 and omega 1.0 disagree with the "
+               "codewords' width 2 and power 1.0",
+               lambda code: base_from_json({"n": 60, "omega": 1.0, "codewords":
+                                            [[1.0, 1.0], [1.0, -1.0]]})),
+    "base-omega": (BaseCodeError,
+                   "n 2 and omega 5.0 disagree with the codewords' width 2 "
+                   "and power 1.0",
+                   lambda code: base_from_json({"n": 2, "omega": 5.0,
+                                                "codewords": [[1.0, 1.0],
+                                                              [1.0, -1.0]]})),
+    "auth-t_zero-str": (AuthCodeError, "t_zero must be false for this "
+                        "t_table, not 'false'",
+                        lambda code: from_json_dict(
+                            _auth_blob(code, t_zero="false"), code.base,
+                            code.overlay)),
+    "auth-t_zero-table": (AuthCodeError,
+                          "t_zero must be false for this t_table, not True",
+                          lambda code: from_json_dict(
+                              _auth_blob(code, t_zero=True), code.base,
+                              code.overlay)),
 }
 
 

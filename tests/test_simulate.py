@@ -11,8 +11,10 @@ import pytest
 from scipy.stats import chi2, norm
 
 from awgnauth import simulate, streams
-from awgnauth.adversary import AttackSpec
-from awgnauth.authcode import REJECT, decimate, inject_noise
+from awgnauth.adversary import (AttackSpec, mmse_attack_terms,
+                                mmse_targeted_attack_batch)
+from awgnauth.authcode import (REJECT, auth_encode_batch, decimate,
+                               detect_batch, inject_noise, level_statistics)
 from awgnauth.basecode import (BaseCode, BaseCodeError, make_antipodal_code,
                                make_random_gaussian_code)
 from awgnauth.cli import main
@@ -79,7 +81,11 @@ class TestChannelParams:
             ChannelParams(rho_dec=0.1, rho_adv=-1.0)
         with pytest.raises(SimulateError, match="power_budget"):
             ChannelParams(rho_dec=0.1, power_budget=0.0)
-        ChannelParams(rho_dec=0.0)  # noiseless diagnostic is allowed
+        # the decoder always sees noise: capacity divides by rho_dec
+        with pytest.raises(SimulateError, match="rho_dec must be a positive "
+                                                "finite number, not 0.0"):
+            ChannelParams(rho_dec=0.0)
+        ChannelParams(rho_dec=0.1)   # an unattacked channel: rho_adv = 0
 
     @pytest.mark.parametrize("kwargs", [
         dict(rho_dec=math.nan), dict(rho_dec=math.inf),
@@ -136,13 +142,17 @@ class TestClassify:
 
 class TestRunTrial:
     def test_noiseless_pipe_classifies_correct(self, small_auth):
-        channel = ChannelParams(rho_dec=0.0)
-        for m in (0, 3, 5):
-            out = run_trial(small_auth, channel, AttackSpec(kind="none"), m,
-                            seed=4)
-            assert out.transmitted == m
-            assert out.decoded == m
-            assert out.classification == CLASS_CORRECT
+        # the rows x(m) + t(m), with no noise at all, decode to m, and their
+        # statistics are exactly 0.0 at a decoder noise rho_dec > 0
+        code, ms = small_auth, np.array([0, 3, 5])
+        ys = code.base.codewords[ms] + code.t_table[ms]
+        decoded = code.base.decode_batch(ys)
+        assert decoded.tolist() == ms.tolist()
+        assert level_statistics(code, ys, decoded, 0.1).tolist() \
+            == [[0.0, 0.0]] * 3
+        assert not detect_batch(code, ys, decoded, 0.1).any()
+        for m in ms.tolist():
+            assert classify(AttackSpec("none"), m, m) == CLASS_CORRECT
 
     def test_matches_batched_rows(self, small_auth, tmp_path):
         # Trial t of a batched run is bit-identical to a run_trial at the
@@ -160,24 +170,36 @@ class TestRunTrial:
             assert str(single.decoded) == rows[t]["decoded"]
             assert single.classification == rows[t]["classification"]
 
-    def test_custom_attack_sees_full_observation(self, small_auth):
-        # The attacker callable is handed the complete (non-causal) v and
-        # its z reaches the channel: a saturating attack forces rejection.
-        seen = {}
-
-        def grab_and_jam(v, m, code):
-            seen["len"] = v.shape[0]
-            seen["m"] = m
-            z = np.zeros_like(v)
-            z[0] = v[-1] + 1e6
-            return z
-
-        out = run_trial(small_auth, ChannelParams(rho_dec=0.1, rho_adv=0.5),
-                        AttackSpec(kind="custom", custom=grab_and_jam),
-                        1, seed=3)
-        assert seen == {"len": 60, "m": 1}
-        assert out.decoded == REJECT
-        assert out.classification == CLASS_CORRECT_REJECT
+    @pytest.mark.parametrize("code_name, attack, m", [
+        ("small_auth", AttackSpec("targeted", 4), 1),
+        ("null_auth", AttackSpec("impersonation", 2), 6),
+    ], ids=["targeted", "impersonation"])
+    def test_an_attacked_trial_replays_by_hand(self, request, code_name,
+                                               attack, m):
+        # run_trial is the encoder, the MMSE attack on the full observation
+        # v = x + sqrt(rho_adv) G_adv, the channel and the detector, each on
+        # the trial's own slice of the DELTA, ADVERSARY and DECODER streams
+        code = request.getfixturevalue(code_name)
+        ch, seed = ChannelParams(rho_dec=0.1, rho_adv=0.02), 3
+        terms = mmse_attack_terms(code, m, attack.target, ch.rho_adv)
+        classes = set()
+        for t in range(40):
+            g_delta, g_adv, g_dec = (streams.normals(seed, role, t, 1, code.n)
+                                     for role in (Role.DELTA, Role.ADVERSARY,
+                                                  Role.DECODER))
+            x = auth_encode_batch(code, np.array([m]), g_delta)
+            v = x + math.sqrt(ch.rho_adv) * g_adv
+            z = mmse_targeted_attack_batch(v, terms)
+            y = x + z + math.sqrt(ch.rho_dec) * g_dec
+            dec = code.base.decode_batch(y)
+            want = REJECT if detect_batch(code, y, dec, ch.rho_dec)[0] \
+                else int(dec[0])
+            out = run_trial(code, ch, attack, m, seed, trial_index=t)
+            assert (out.decoded, out.classification) \
+                == (want, classify(attack, m, want)), t
+            classes.add(out.classification)
+        # the attack both lands and is caught among these trials
+        assert classes == {CLASS_FALSE_AUTH_TARGET, CLASS_CORRECT_REJECT}
 
     def test_impersonation_transmits_the_null_message(self, small_auth,
                                                       null_auth):
@@ -230,8 +252,6 @@ class TestEstimateValidation:
             estimate(small_auth, ch, "bias", 100)
         with pytest.raises(SimulateError, match="at least 100"):
             estimate(small_auth, ch, "epsilon", 99)
-        with pytest.raises(SimulateError, match="rho_dec > 0"):
-            estimate(small_auth, ChannelParams(rho_dec=0.0), "epsilon", 100)
         with pytest.raises(SimulateError, match="no attack"):
             estimate(small_auth, ch, "epsilon", 100,
                      attack=AttackSpec(kind="targeted", target=1))
@@ -263,9 +283,8 @@ class TestEstimateValidation:
         ("small_auth", dict(max_pairs=0), "max_pairs must be a positive int"),
         ("null_auth", dict(pairs=[(0, 3)], attack=AttackSpec(
             kind="impersonation", target=3)), "transmits the null message"),
-        ("small_auth", dict(attack=AttackSpec(
-            "custom", custom=lambda v, m, code: np.zeros(code.n))),
-         "custom attack runs only through run_trial"),
+        ("small_auth", dict(pairs=[(0, True)]),
+         "pairs must hold message ids, .*: True is not a valid message"),
         ("small_auth", dict(attack=AttackSpec("targeted", 6)),
          "6 is not a valid message"),
         ("small_auth", dict(pairs=[(0,)]),
@@ -795,7 +814,8 @@ class TestSeveralMetrics:
         ("epsilon", dict(threads=1.0), "threads must be a positive integer"),
         (["epsilon"], dict(attack=AttackSpec("none", weight_scale=0.5)),
          "a weight_scale needs alpha_star or alpha"),
-        (["epsilon"], dict(channel=ChannelParams(0.0)), "needs rho_dec > 0"),
+        (["epsilon"], dict(channel=0.0),
+         r"each point must be a \(ChannelParams, AttackSpec\) pair"),
         # max_pairs is read only where alpha_star or alpha enumerates pairs
         (["epsilon"], dict(max_pairs=5), ENUMERATES),
         (["alpha_star"], dict(channel=ChannelParams(0.1, rho_adv=0.1),
@@ -881,8 +901,8 @@ class TestEstimatePoints:
         ([(ChannelParams(0.1, rho_adv=0.1),)], {}, "each point must be a"),
         ([(0.1, AttackSpec("none"))], {}, "each point must be a"),
         ([ChannelParams(0.1, rho_adv=0.1)], {}, "each point must be a"),
-        ([POINTS[0], (ChannelParams(0.0, rho_adv=0.1), AttackSpec("none"))],
-         {}, "needs rho_dec > 0"),
+        ([POINTS[0], (ChannelParams(0.1), AttackSpec("none"))], {},
+         "rho_adv > 0"),
         ([(channel, AttackSpec("targeted", 3)) for channel, _ in POINTS[:2]],
          dict(message=1, max_pairs=5), ENUMERATES),
         (POINTS[:2], dict(pairs=PAIRS, max_pairs=5), ENUMERATES),
