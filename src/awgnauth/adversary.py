@@ -34,7 +34,7 @@ import numpy as np
 
 from .authcode import AuthCode
 from .bounds import mmse_weight
-from .streams import check_ids, check_int, check_reals
+from .streams import check_ids, check_int, check_reals, check_rows
 
 
 class AttackError(ValueError):
@@ -115,8 +115,10 @@ def mmse_targeted_attack_batch(
     from the ``mmse_attack_terms`` of (m, m').  This nulls the
     conditional mean of Y - x(m') - t(m') given (V, Z).  ``out``, an
     array of the shape of ``vs`` (``vs`` itself included), receives z in
-    place of a new array."""
+    place of a new array.  ``vs`` is a (rows, n) array of real numbers,
+    n the width of the terms."""
     shift, mean_m, w = terms
+    vs = check_rows("vs", vs, len(shift), AttackError)
     zs = np.subtract(vs, mean_m, out=out)
     zs *= w
     return np.subtract(shift, zs, out=zs)

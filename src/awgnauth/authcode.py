@@ -43,8 +43,8 @@ from . import bounds as bounds_mod
 from .basecode import BaseCode
 from .overlay import OverlayCode
 from .streams import (CHUNK_VALUES, RETRY_LIMIT, ROW_VALUES, Role,
-                      check_ids, check_int, check_reals, one_shot_rng,
-                      row_chunks)
+                      check_finite_rows, check_ids, check_int, check_reals,
+                      check_rows, one_shot_rng, row_chunks)
 
 REJECT = "!"
 
@@ -79,9 +79,13 @@ class AuthCode:
             raise AuthCodeError("base and overlay must agree on message count")
         if self.base.n != self.overlay.n:
             raise AuthCodeError("base and overlay must agree on n")
-        t = np.asarray(self.t_table, dtype=np.float64)
-        if t.shape != self.base.codewords.shape:
-            raise AuthCodeError("t_table must match the codeword table shape")
+        t = check_rows("t_table", self.t_table, self.n, AuthCodeError,
+                       self.message_count)
+        # one pass, no temporary, and no BLAS call, whose idle threads
+        # slowed the estimate that follows a build
+        if not math.isfinite(np.einsum("ij,ij->", t, t)):
+            raise AuthCodeError("t_table must be finite with a finite sum "
+                                "of squares")
         object.__setattr__(self, "t_table", t)
         bad = self.overlay.ell_violations()
         if bad:
@@ -217,14 +221,31 @@ def auth_encode_batch(code: AuthCode, ms: np.ndarray, unit_delta: np.ndarray,
     arrays used in place of new ones: the codewords are written to the
     first and returned, the other two are scratch."""
     ms = check_ids("ms", ms, code.message_count, AuthCodeError)
-    if ms.ndim != 1 or np.shape(unit_delta) != (len(ms), code.n):
+    if ms.ndim != 1:
         raise AuthCodeError("ms must be 1-d, one id per row of unit_delta")
+    unit_delta = check_rows("unit_delta", unit_delta, code.n, AuthCodeError,
+                            len(ms))
     xs, noise, levels = (None, None, None) if out is None else out
     xs = code._means(ms, out=xs, scratch=noise)
     noise = np.multiply(unit_delta, math.sqrt(code.rho_delta), out=noise)
     noise *= code.overlay.level_matrix(ms, out=levels)
     xs += noise
     return xs
+
+
+def _checked_batch(code: AuthCode, ys: Any, base_decoded: Any,
+                   rho_dec: float) -> tuple[np.ndarray, np.ndarray]:
+    """The received rows and their decoded ids, checked: ``rho_dec`` a
+    positive power, one (checked) id per row of ``ys``."""
+    check_reals(AuthCodeError, domain="positive", rho_dec=rho_dec)
+    base_decoded = check_ids("base_decoded", base_decoded,
+                             code.message_count, AuthCodeError)
+    if base_decoded.ndim != 1:
+        raise AuthCodeError("base_decoded must be 1-d, one row per decoded "
+                            "id")
+    # the gathers clip their indices instead of checking them
+    return check_rows("ys", ys, code.n, AuthCodeError,
+                      len(base_decoded)), base_decoded
 
 
 def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
@@ -239,15 +260,17 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
     not depend on the other rows.  Rows go in chunks of ``CHUNK_VALUES``
     // n, so that the chunk's arrays (at most 2**15 values each) and the
     received rows they read fit in a 2 MiB L2 cache together, whatever
-    the block's rows (``streams.block_rows``)."""
-    check_reals(AuthCodeError, domain="positive", rho_dec=rho_dec)
-    base_decoded = check_ids("base_decoded", base_decoded,
-                             code.message_count, AuthCodeError)
+    the block's rows (``streams.block_rows``).  A row whose statistics
+    are not finite for a NaN or an infinity among its values is refused
+    with ``AuthCodeError``."""
+    ys, base_decoded = _checked_batch(code, ys, base_decoded, rho_dec)
+    return _statistics(code, ys, base_decoded, rho_dec)
+
+
+def _statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
+                rho_dec: float) -> np.ndarray:
+    """``level_statistics`` of checked arguments."""
     n, ell = code.n, code.ell
-    if base_decoded.ndim != 1 or np.shape(ys) != (len(base_decoded), n):
-        # the gather below clips its indices instead of checking them
-        raise AuthCodeError("ys must be a (rows, n) matrix, one row per "
-                            "decoded id")
     levels, tested = code.overlay.level_set.levels, code.overlay.tested
     stats = np.empty((len(base_decoded), len(levels)))
     rows = min(max(1, CHUNK_VALUES // n), len(base_decoded))
@@ -275,6 +298,9 @@ def level_statistics(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
         # order for every (row, level), whatever the chunk holds
         stats[c] = np.sum(sq.reshape(r, len(levels), ell), axis=2)
     stats /= [k * k * code.rho_delta + rho_dec for k in levels]
+    # the tables are finite: an infinite statistic of a finite row is an
+    # overflow, which the threshold rejects
+    check_finite_rows("ys", ys, stats, AuthCodeError)
     return stats
 
 
@@ -283,12 +309,12 @@ def detect_batch(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
     """Rejection mask for a batch: the decimation filter, or'd with any
     level statistic above the threshold ell (1 + delta).  Level 1 is never
     tested; ``detector=False`` (the delta -> infinity sentinel) leaves only
-    the decimation filter."""
-    base_decoded = check_ids("base_decoded", base_decoded,
-                             code.message_count, AuthCodeError)
+    the decimation filter.  The arguments are checked as
+    ``level_statistics`` checks them, whatever ``detector`` says."""
+    ys, base_decoded = _checked_batch(code, ys, base_decoded, rho_dec)
     rejected = ~code.valid_mask[base_decoded]
     if detector:
-        stats = level_statistics(code, ys, base_decoded, rho_dec)
+        stats = _statistics(code, ys, base_decoded, rho_dec)
         rejected |= np.any(stats > code.threshold, axis=1)
     return rejected
 
@@ -374,7 +400,7 @@ def from_json_dict(data: dict[str, Any], base: BaseCode,
         decim = data.get("decimated_ids")
         code = AuthCode(base, overlay, float(data["rho_delta"]),
                         float(data["delta"]),
-                        np.asarray(data["t_table"], dtype=np.float64),
+                        np.asarray(data["t_table"]),
                         decimated=None if decim is None else frozenset(decim))
         if data.get("t_zero", code.t_zero) is not code.t_zero:
             raise AuthCodeError(f"t_zero must be {str(code.t_zero).lower()} "

@@ -12,8 +12,8 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .streams import (CHUNK_VALUES, ROW_VALUES, TILE_VALUES, Role,
-                      check_ids, check_int, check_reals, one_shot_rng,
-                      row_chunks)
+                      check_finite_rows, check_ids, check_int, check_reals,
+                      check_rows, one_shot_rng, row_chunks)
 
 _U32, _U64 = 2.0 ** -24, 2.0 ** -53   # unit roundoffs of float32 and float64
 # the absolute error a float32 operation may add when its result underflows,
@@ -153,18 +153,28 @@ class BaseCode:
     split with the fewest expected multiply-adds per row; no prefix
     saves any at M <= ``_PREFIX_COST``.  Rows that a prefix cannot
     certify are screened again at the full width.  Each row that no
-    screen certifies (an exact or near tie, values beyond float32's range
-    or near its underflow) is decided by the float64 expression alone,
-    one matrix-vector product of the same shape whatever its block."""
+    screen certifies (an exact or near tie, finite values beyond float32's
+    range or near its underflow) is decided by the float64 expression
+    alone, one matrix-vector product of the same shape whatever its block.
+
+    The codewords are checked by ``streams.check_rows``, and must be
+    finite with a finite power; a batch to decode is checked likewise,
+    and a row holding a NaN or an infinity is refused, not decided."""
 
     codewords: np.ndarray  # (message_count, n) float64
     null_id: int | None = None
 
     def __post_init__(self) -> None:
-        cw = np.asarray(self.codewords, dtype=np.float64)
-        if cw.ndim != 2 or cw.shape[0] < 1 or cw.shape[1] < 1:
-            raise BaseCodeError("codewords must be a (messages, n) matrix")
+        cw = check_rows("codewords", self.codewords, None, BaseCodeError)
+        if not cw.size:
+            raise BaseCodeError("codewords must hold at least one message "
+                                f"and one coordinate, not shape {cw.shape}")
         object.__setattr__(self, "codewords", cw)
+        with np.errstate(over="ignore"):   # a power that overflows is inf
+            power = self.power
+        if not math.isfinite(power):
+            raise BaseCodeError("codewords must be finite with a finite "
+                                f"power, not a table of power {power}")
         if self.null_id is not None:
             check_ids("null_id", self.null_id, cw.shape[0], BaseCodeError)
             if np.any(cw[self.null_id]):
@@ -320,9 +330,7 @@ class BaseCode:
         if tile is None:
             tile = TILE_VALUES
         check_int("tile", tile, BaseCodeError)
-        ys = np.asarray(ys, dtype=np.float64)
-        if ys.ndim != 2 or ys.shape[1] != self.n:
-            raise BaseCodeError("ys must be a (rows, n) matrix")
+        ys = check_rows("ys", ys, self.n, BaseCodeError)
         # ||y - x||^2 = ||y||^2 - 2 y.x + ||x||^2; the ||y||^2 column is
         # constant per row and can be dropped from the argmin.
         screen = self._screen
@@ -330,10 +338,13 @@ class BaseCode:
         # certifies against
         with np.errstate(invalid="ignore", over="ignore"):
             norms = np.sqrt(np.einsum("ij,ij->i", ys, ys))
+            # no decode may rule on a NaN or an infinity; finite values
+            # whose squares overflow are decided in float64
+            check_finite_rows("ys", ys, norms, BaseCodeError)
             # |y_i| <= ||y||, every partial dot sum is at most ||y|| X + H
             # and every score at most ||y|| X + H: a row in range overflows
-            # nothing in float32; a row out of range (NaN or infinite rows
-            # too) is scored as zeros and decided in float64
+            # nothing in float32; a row out of range is scored as zeros
+            # and decided in float64
             wide = ~(norms * (screen.xmax + 1.0) + screen.hmax < _RANGE32)
             # Each float32 score is within err of its float64 twin (Higham
             # 3.1: the rounding of y, x and H to float32 and the (n+1)-term
@@ -407,7 +418,7 @@ def from_json_dict(data: dict[str, Any]) -> BaseCode:
     width or an ``omega`` other than their power) raises
     ``BaseCodeError``."""
     try:
-        code = BaseCode(np.asarray(data["codewords"], dtype=np.float64),
+        code = BaseCode(np.asarray(data["codewords"]),
                         null_id=data.get("null_id"))
         n, omega = data["n"], data["omega"]
         if n != code.n or omega != code.power:   # to_json_dict writes these

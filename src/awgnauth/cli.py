@@ -259,6 +259,12 @@ class ExperimentConfig:
                 raise ConfigError(f"overlay.gamma: cannot parse {self.gamma!r}") from e
         return float(self.gamma)
 
+    def message_count(self) -> int:
+        """The base code's message count: 2 antipodal, ``base.messages``
+        Gaussian, and the null message besides under ``base.null``."""
+        return (2 if self.base_kind == "antipodal"
+                else self.base_messages) + self.base_null
+
     def run_settings(self) -> dict[str, Any]:   # passed to estimate unchanged
         return dict(message=self.message, max_pairs=self.max_pairs,
                     detector=self.detector, threads=self.threads)
@@ -391,8 +397,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     """Check each declared domain with ``streams``' checks (a list's on
     each item, and a list must not be empty), then that no setting that
     ``cfg`` does not read leaves its default, then the checks no single
-    field owns, and last ``check_request`` on the config's one point and
-    impersonation's null message; every refusal is a ConfigError."""
+    field owns, then ``check_request`` on the config's one point and
+    impersonation's null message, and last ``overlay.counts`` against the
+    levels and the base code's ``message_count``, in the words of the
+    build; every refusal is a ConfigError."""
     for f in fields(cfg):
         key, value, domain = (f.metadata["key"], getattr(cfg, f.name),
                               f.metadata["domain"])
@@ -431,6 +439,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.point()[1].kind == "impersonation" and not cfg.base_null:
         raise ConfigError("impersonation transmits the null message, which "
                           "needs base.null=true")
+    if cfg.overlay_counts is not None:   # in the words of the build
+        levels = (cfg.overlay_auto_count if isinstance(cfg.overlay_levels, str)
+                  else len(cfg.overlay_levels))
+        if len(cfg.overlay_counts) != levels:
+            raise ConfigError("overlay: one message count per level in K is "
+                              "required")
+        cap = cfg.overlay_max_per_level or math.inf
+        count = math.prod(min(c, cap) for c in cfg.overlay_counts)
+        if count != cfg.message_count():
+            raise ConfigError(_count_mismatch(count, cfg.message_count()))
 
 
 def _stage(stage: str, fn, *args, **kwargs):
@@ -464,6 +482,12 @@ def resolve_levels(cfg: ExperimentConfig) -> LevelSet:
     return _stage("overlay", LevelSet, tuple(sorted(opt.levels)))
 
 
+def _count_mismatch(overlay: int, base: int) -> str:
+    return (f"overlay: message count {overlay} does not match the base "
+            f"code's {base}; set overlay.counts so their product equals the "
+            f"base message count")
+
+
 def build_overlay(cfg: ExperimentConfig, base: BaseCode) -> OverlayCode:
     levels = resolve_levels(cfg)
     counts = cfg.overlay_counts
@@ -475,10 +499,8 @@ def build_overlay(cfg: ExperimentConfig, base: BaseCode) -> OverlayCode:
                   max_messages_per_level=cfg.overlay_max_per_level,
                   seed=cfg.overlay_seed)
     if code.message_count != base.message_count:
-        raise StageError(
-            f"overlay: message count {code.message_count} does not match the "
-            f"base code's {base.message_count}; set overlay.counts so their "
-            f"product equals the base message count")
+        raise StageError(_count_mismatch(code.message_count,
+                                         base.message_count))
     return code
 
 

@@ -34,12 +34,16 @@ temporary of the table's size.
 ``uniforms`` and ``normals`` draw into an ``out=`` array from
 ``draw_buffer`` when given one, so that the estimators allocate a
 block's draws once per worker per call and reuse them in every block.
-Each single-value rule on a numeric argument is stated once, here:
+Each rule on a numeric argument is stated once, here, in four checks:
 ``check_int`` tests integers (sizes, counts, seeds, trial indices),
-``check_ids`` message ids, and ``check_reals`` real numbers (powers,
+``check_ids`` message ids, ``check_reals`` real numbers (powers,
 rates, margins, ``gamma``, ``delta``, levels, probabilities and
 confidences), the domain of each real read from its name or stated as
-one of a few named intervals.  Rules that relate two arguments stay with
+one of a few named intervals, and ``check_rows`` arrays of rows (code
+tables and batches of received, observed or noise rows), by shape and
+dtype, with ``check_finite_rows`` beside it for their values: a row
+holding a NaN or an infinity is refused where the sums that an entry
+computes from it show one.  Rules that relate two arguments stay with
 the entry that states them.
 """
 
@@ -226,6 +230,44 @@ _NAMED = {"gamma": "(1/2,1)", "delta": "[0,1)", "levels": "[0,1)",
           "confidence": "(0,1)", "weight_scale": "finite", "rates": "finite"}
 # the concrete types first: an instance check against the ABC is slow
 _REALS = (float, int, np.floating, np.integer, numbers.Real)
+
+
+def check_rows(name: str, rows: Any, n: int | None, error: type[Exception],
+               count: int | None = None) -> np.ndarray:
+    """``rows`` as a float64 array (itself when it is one); raise ``error``
+    unless it is a 2-d array of ``n`` columns (any number when ``n`` is
+    None), and ``count`` rows when given, of a real dtype: integers and
+    floats pass, bools, complex numbers and objects fail.  No value is
+    read: see ``check_finite_rows``."""
+    try:
+        arr = np.asarray(rows)
+    except ValueError:   # a ragged sequence
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != 2 \
+            or n is not None and arr.shape[1] != n \
+            or count is not None and len(arr) != count:
+        got = ("a ragged sequence" if arr is None else
+               f"an array of shape {arr.shape} and dtype {arr.dtype}")
+        raise error(f"{name} must be a ({'rows' if count is None else count}"
+                    f", {'n' if n is None else n}) array of real numbers, "
+                    f"not {got}")
+    return arr.astype(np.float64, copy=False)
+
+
+def check_finite_rows(name: str, rows: np.ndarray, sums: np.ndarray,
+                      error: type[Exception]) -> None:
+    """Raise ``error`` if a row of ``rows`` holds a NaN or an infinity.
+    ``sums`` holds one value, or one row of values, per row, computed
+    from it (a norm, statistics): a NaN or an infinity in a row makes them
+    so, and only the rows whose sums are not finite are tested value by
+    value, so that a finite row whose sums overflow passes."""
+    finite = np.isfinite(sums).all(axis=tuple(range(1, sums.ndim)))
+    odd = np.flatnonzero(~finite)
+    if odd.size:
+        bad = odd[~np.isfinite(rows[odd]).all(axis=1)]
+        if bad.size:
+            raise error(f"{name} must be finite: row {bad[0]} holds a NaN "
+                        "or an infinity")
 
 
 def check_reals(error: type[Exception], *, domain: str | None = None,

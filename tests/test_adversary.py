@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,16 @@ class TestResidualNulling:
             mmse_attack_terms(small_auth, 0, 1, -0.5)
         with pytest.raises(AttackError, match="differ"):
             mmse_attack_terms(small_auth, 2, 2, 0.5)
+
+    @pytest.mark.parametrize("shape", [(5, 1), (5, 59), (60,)])
+    def test_observations_are_rows_of_the_terms_width(self, small_auth,
+                                                       shape):
+        # a (5, 1) batch broadcast to (5, 60) and returned an attack
+        terms = mmse_attack_terms(small_auth, 0, 1, 0.1)
+        with pytest.raises(AttackError, match=re.escape(
+                f"vs must be a (rows, 60) array of real numbers, not an "
+                f"array of shape {shape}")):
+            mmse_targeted_attack_batch(np.zeros(shape), terms)
 
 
 class TestResidualVarianceLaw:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -350,7 +351,9 @@ class TestDetector:
     @pytest.mark.parametrize("shape", [(3, 59), (3, 61), (2, 60), (180,)])
     def test_rows_must_match_the_decoded_ids(self, small_auth, shape):
         dec = np.array([0, 1, 2])
-        with pytest.raises(AuthCodeError, match="one row per decoded id"):
+        with pytest.raises(AuthCodeError, match=re.escape(
+                "ys must be a (3, 60) array of real numbers, not an array "
+                f"of shape {shape} and dtype float64")):
             level_statistics(small_auth, np.zeros(shape), dec, 0.1)
 
     def test_gathers_into_its_own_arrays(self):
@@ -682,6 +685,15 @@ class TestAuthCodeValidation:
     def test_t_table_shape(self, small_base, small_overlay):
         with pytest.raises(AuthCodeError, match="shape"):
             AuthCode(small_base, small_overlay, 1.0, 0.2, np.zeros((6, 59)))
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, 1e200])
+    def test_t_table_must_be_finite(self, small_base, small_overlay, value):
+        # a table holding a NaN built a code of power nan
+        t = np.zeros((6, 60))
+        t[4, 7] = value
+        with pytest.raises(AuthCodeError, match="t_table must be finite "
+                           "with a finite sum of squares"):
+            AuthCode(small_base, small_overlay, 1.0, 0.2, t)
 
     def test_level_sets_of_other_than_ell_coordinates(self, small_base,
                                                       small_overlay):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -204,6 +205,15 @@ class TestBaseCodeValidation:
         with pytest.raises(BaseCodeError):
             BaseCode(np.zeros((0, 4)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200])
+    def test_rejects_a_table_of_no_finite_power(self, value):
+        # a NaN or infinite table built, of power nan or inf
+        cw = np.eye(3)
+        cw[1, 2] = value
+        with pytest.raises(BaseCodeError, match="codewords must be finite "
+                           "with a finite power, not a table of power"):
+            BaseCode(cw)
+
     def test_null_id_range(self):
         with pytest.raises(BaseCodeError,
                            match="null_id must hold message ids"):
@@ -253,6 +263,32 @@ class TestDecoding:
         code = make_antipodal_code(4, 1.0)
         with pytest.raises(BaseCodeError, match="ys must be a"):
             code.decode_batch(ys)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_row_holding_nan_or_inf_is_refused(self, value):
+        # it decoded, with a RuntimeWarning, to the smallest id
+        code = make_random_gaussian_code(8, 5, 1.0, seed=3)
+        ys = code.codewords.copy()
+        ys[3, 2] = value
+        with pytest.raises(BaseCodeError,
+                           match="ys must be finite: row 3 holds a NaN"):
+            code.decode_batch(ys)
+
+    def test_finite_rows_whose_squares_overflow_decode_in_float64(self):
+        # their norms are infinite: each is tested elementwise, found
+        # finite and decided by the float64 expression
+        code = make_antipodal_code(4, 1.0)
+        ys = np.array([[1e200] * 4, [-1e200] * 4, [1.0] * 4])
+        with np.errstate(over="ignore"):
+            assert code.decode_batch(ys).tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("dtype", [bool, complex, object])
+    def test_rows_must_be_real(self, dtype):
+        code = make_antipodal_code(4, 1.0)
+        with pytest.raises(BaseCodeError, match=re.escape(
+                f"ys must be a (rows, 4) array of real numbers, not an array "
+                f"of shape (2, 4) and dtype {np.dtype(dtype)}")):
+            code.decode_batch(np.ones((2, 4), dtype))
 
 
 class TestFloat32Screen:

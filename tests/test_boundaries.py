@@ -2,10 +2,10 @@
 module's error, never a raw ``IndexError``, ``TypeError``,
 ``OverflowError`` or ``ZeroDivisionError``, a NaN or a result.
 
-``streams`` states each single-value rule once, in one of three checks,
-and each has a table here with one row per (entry, parameter) and a
-guard that scans ``awgnauth.__all__``, so that a new parameter cannot
-skip its table:
+``streams`` states each rule on a numeric argument once, in one of four
+checks, and each has a table here with one row per (entry, parameter)
+and a guard that scans ``awgnauth.__all__``, so that a new parameter
+cannot skip its table:
 
 * ``check_ids``: a message id is an integer (not a bool) in [0, M).
   Each id row is called with ids that wrap, overflow, pass as a bool or
@@ -24,6 +24,11 @@ skip its table:
   integer of at least 0, checked by ``AttackSpec``; a run checks that it
   is a message of the code, so the id table's attack target rows see
   ``AttackError`` for every bad id but M.
+* ``check_rows``: an array of rows is 2-d, ``n`` wide, one row per id
+  where ids come with it, of an integer or float dtype.  The array
+  table calls each row with a 1-d row, the wrong width and row count,
+  bools, complex numbers, and a NaN and an infinity, which an entry
+  refuses where they would decide something.
 
 ``b``, ``c`` and ``beta`` are integers in some entries and reals in
 others, so both tables are keyed by (entry, parameter).  The last test
@@ -53,7 +58,8 @@ from awgnauth import (AttackError, AttackSpec, AuthCode, AuthCodeError,
                       injection_power_bound, level_statistics,
                       make_random_gaussian_code,
                       mixed_variance_lower_tail_bound, mmse_attack_terms,
-                      mmse_weight, optimal_levels, overlay_rate_asymptotic,
+                      mmse_targeted_attack_batch, mmse_weight,
+                      optimal_levels, overlay_rate_asymptotic,
                       quantization_slack, residual_variance_vector, run_trial,
                       targeted_false_auth_bound, verify_overlay,
                       wilson_interval)
@@ -239,8 +245,10 @@ def test_the_predicate_types_an_id_before_its_range(small_auth, bad):
 @pytest.mark.parametrize("ms", [3, np.array([[3]]), np.array([3, 4])],
                          ids=repr)
 def test_the_encoder_needs_one_id_per_row(small_auth, ms):
-    # one id for one row raised numpy's non-broadcastable output error
-    with pytest.raises(AuthCodeError, match="one id per row of unit_delta"):
+    # one id for one row raised numpy's non-broadcastable output error;
+    # two ids for one row are a unit_delta of the wrong row count
+    with pytest.raises(AuthCodeError, match=r"one id per row of unit_delta"
+                       r"|unit_delta must be a \(2, 60\) array"):
         auth_encode_batch(small_auth, ms, np.zeros((1, small_auth.n)))
 
 
@@ -617,6 +625,116 @@ def test_every_integer_parameter_is_in_the_table():
     assert not missing, f"integer parameters without a boundary row: {missing}"
 
 
+# The array table: (entry, parameter) -> (error, call of (code, rows),
+# the good rows of the fixture's code).  The good rows are the six mean
+# signals x(m) + t(m), one per message id, which every row call passes
+# along with them; a NaN or an infinity goes on a tested coordinate of
+# message 0.
+def _means(code):
+    return code._means(np.arange(M))
+
+
+ARRAYS = {
+    ("BaseCode", "codewords"): (
+        BaseCodeError, lambda code, rows: BaseCode(rows),
+        lambda code: code.base.codewords),
+    ("BaseCode.decode_batch", "ys"): (
+        BaseCodeError, lambda code, rows: code.base.decode_batch(rows),
+        _means),
+    ("AuthCode", "t_table"): (
+        AuthCodeError, lambda code, rows: replace(code, t_table=rows),
+        attrgetter("t_table")),
+    ("auth_encode_batch", "unit_delta"): (
+        AuthCodeError, lambda code, rows:
+        auth_encode_batch(code, np.arange(M), rows), _means),
+    ("level_statistics", "ys"): (
+        AuthCodeError, lambda code, rows:
+        level_statistics(code, rows, np.arange(M), 0.1), _means),
+    ("detect_batch", "ys"): (
+        AuthCodeError, lambda code, rows:
+        detect_batch(code, rows, np.arange(M), 0.1), _means),
+    ("mmse_targeted_attack_batch", "vs"): (
+        AttackError, lambda code, rows:
+        mmse_targeted_attack_batch(rows, mmse_attack_terms(code, 0, 1, 0.1)),
+        _means),
+}
+# rows of any count and any width: the code tables' own shape
+ANY_COUNT = {("BaseCode", "codewords"), ("BaseCode.decode_batch", "ys"),
+             ("mmse_targeted_attack_batch", "vs")}
+# entries that decide nothing from a row's values: a NaN or an infinity
+# passes to the result
+CARRIES = {("auth_encode_batch", "unit_delta"),
+           ("mmse_targeted_attack_batch", "vs")}
+BAD_ROWS = ["1-d", "width", "count", "bool", "complex", "nan", "inf"]
+
+
+def _bad_rows(code, row, bad):
+    rows = ARRAYS[row][2](code).copy()
+    if bad == "1-d":
+        return rows[0]
+    if bad == "width":   # a code table's only wrong width is none
+        return rows[:, :0] if row == ("BaseCode", "codewords") \
+            else rows[:, :-1]
+    if bad == "count":   # a code table's only wrong count is none
+        return rows[:0] if row == ("BaseCode", "codewords") else rows[:-1]
+    if bad == "bool":
+        return rows > 0
+    if bad == "complex":
+        return rows + 0j
+    rows[0, code.overlay.test_indices(0)[0][0]] = getattr(math, bad)
+    return rows
+
+
+@pytest.mark.parametrize("bad", BAD_ROWS)
+@pytest.mark.parametrize("row", sorted(ARRAYS), ids=lambda row: "-".join(row))
+def test_bad_rows_raise_the_module_error(small_auth, row, bad):
+    # a bool or complex batch was cast, a (5, 1) attack batch broadcast,
+    # a table of NaN built (power nan) and a NaN row decoded and accepted
+    error, call, _ = ARRAYS[row]
+    rows = _bad_rows(small_auth, row, bad)
+    if bad == "count" and row in ANY_COUNT and row[1] != "codewords":
+        assert len(call(small_auth, rows)) == M - 1
+        return
+    if bad in ("nan", "inf") and row in CARRIES:
+        with np.errstate(invalid="ignore"):   # inf times a zero level
+            assert not np.isfinite(call(small_auth, rows)[0]).all()
+        return
+    match = {"nan": "must be finite", "inf": "must be finite"}.get(
+        bad, f"{row[1]} must (be a|hold at least one message)")
+    with pytest.raises(ValueError, match=match) as info:
+        call(small_auth, rows)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("row", sorted(ARRAYS), ids=lambda row: "-".join(row))
+def test_the_array_table_calls_succeed_at_good_rows(small_auth, row):
+    # so that a row's error comes from its bad rows alone; integer rows
+    # pass as their float64 values
+    _, call, good = ARRAYS[row]
+    call(small_auth, good(small_auth))
+    call(small_auth, np.rint(good(small_auth) * 1e6).astype(np.int64))
+
+
+ARRAY_PARAMS = {"ys", "vs", "unit_delta", "codewords", "t_table"}
+
+
+def test_every_array_parameter_is_in_the_table():
+    found = {(name, p) for name, p, _ in _public_parameters()
+             if p in ARRAY_PARAMS}
+    for name in awgnauth.__all__:
+        cls = getattr(awgnauth, name)
+        if inspect.isclass(cls):
+            found |= {(f"{name}.{method}", p) for method, fn in
+                      inspect.getmembers(cls, inspect.isfunction)
+                      if not method.startswith("_")
+                      for p in inspect.signature(fn).parameters
+                      if p in ARRAY_PARAMS}
+    assert ("BaseCode.decode_batch", "ys") in found
+    assert ("AuthCode", "t_table") in found
+    missing = found - set(ARRAYS)
+    assert not missing, f"array parameters without a boundary row: {missing}"
+
+
 @pytest.mark.parametrize("rho_dec", [math.nan, 0.0], ids=repr)
 def test_adversary_agnostic_decimation_checks_rho_dec(rho_dec):
     # NaN gave theta 1 and a NaN alpha bound marked not vacuous; 0 a
@@ -725,7 +843,35 @@ LEAKS = {
     # the id table's rows aside: a spec built and only a run refused it
     "AttackSpec-target-str": (AttackError, lambda code:
         AttackSpec("impersonation", "3")),
+    # the array table's rows aside: without the detector nothing was
+    # checked, and a (5, 1) observation broadcast to (5, n)
+    "detect_batch-detector-off": (AuthCodeError, lambda code:
+        detect_batch(code, np.zeros((5, 3)), np.array([0, 1]), NAN,
+                     detector=False)),
+    "mmse_targeted_attack_batch-vs-column": (AttackError, lambda code:
+        mmse_targeted_attack_batch(np.zeros((5, 1)),
+                                   mmse_attack_terms(code, 0, 1, 0.1))),
 }
+
+
+def test_a_row_the_decoder_cannot_read_gets_no_verdict():
+    # message 0's mean signal with a NaN on a level-1 coordinate, which no
+    # statistic reads, decoded as 0 with a RuntimeWarning and was accepted
+    base = make_random_gaussian_code(60, 6, 1.0, seed=7)
+    overlay = construct_overlay(60, LEVELS, 0.75, counts_per_level=[3, 2],
+                                seed=7)
+    code = inject_noise(base, overlay, 1.0, 0.2, seed=7)
+    ys = code._means(np.array([0, 1]))
+    ys[0, np.flatnonzero(overlay.level_index[0] == 2)[0]] = NAN
+    with pytest.raises(BaseCodeError,
+                       match="ys must be finite: row 0 holds a NaN"):
+        base.decode_batch(ys)
+    assert base.decode_batch(ys[1:]).tolist() == [1]
+    # on a tested coordinate the statistics refuse it too
+    ys[0, overlay.test_indices(0)[0][0]] = INF
+    with pytest.raises(AuthCodeError,
+                       match="ys must be finite: row 0 holds a NaN"):
+        detect_batch(code, ys, np.array([0, 1]), 0.1)
 
 
 @pytest.mark.parametrize("leak", LEAKS)
@@ -739,6 +885,13 @@ def test_a_leak_raises_the_module_error(small_auth, leak):
 def _auth_blob(code, **changes):
     blob = {**to_json_dict(code, "base.json", "overlay.json"), **changes}
     return {k: v for k, v in blob.items() if v is not None}
+
+
+def _table_with(code, value):
+    """The code's mean-shift table as JSON lists, ``value`` at [0][0]."""
+    table = code.t_table.copy()
+    table[0, 0] = value
+    return table.tolist()
 
 
 # A loader's bad JSON raised a bare KeyError or numpy's ValueError; it
@@ -767,6 +920,25 @@ JSON_CASES = {
                    lambda code: base_from_json({"n": 2, "omega": 5.0,
                                                 "codewords": [[1.0, 1.0],
                                                               [1.0, -1.0]]})),
+    # a table of NaN or infinities loaded, of power nan or inf
+    "base-nan": (BaseCodeError, "codewords must be finite with a finite "
+                 "power, not a table of power nan",
+                 lambda code: base_from_json({"n": 2, "omega": 1.0,
+                                              "codewords": [[1.0, 1.0],
+                                                            [1.0, NAN]]})),
+    "base-inf": (BaseCodeError, "codewords must be finite with a finite "
+                 "power, not a table of power inf",
+                 lambda code: base_from_json({"n": 2, "omega": 1.0,
+                                              "codewords": [[1.0, 1.0],
+                                                            [-INF, 1.0]]})),
+    "auth-t_table-nan": (AuthCodeError, "t_table must be finite",
+                         lambda code: from_json_dict(_auth_blob(
+                             code, t_table=_table_with(code, NAN)),
+                             code.base, code.overlay)),
+    "auth-t_table-inf": (AuthCodeError, "t_table must be finite",
+                         lambda code: from_json_dict(_auth_blob(
+                             code, t_table=_table_with(code, -INF)),
+                             code.base, code.overlay)),
     "auth-t_zero-str": (AuthCodeError, "t_zero must be false for this "
                         "t_table, not 'false'",
                         lambda code: from_json_dict(

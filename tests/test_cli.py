@@ -109,6 +109,13 @@ class TestValidation:
                            "or a weight_scale needs alpha_star or alpha")
         no_pairs = ("max_pairs is read only where alpha_star or alpha "
                     "enumerates the attack pairs")
+        one_per_level = "overlay: one message count per level in K is required"
+
+        def mismatch(overlay, base):
+            return (f"overlay: message count {overlay} does not match the "
+                    f"base code's {base}; set overlay.counts so their "
+                    "product equals the base message count")
+
         cases = {
             "overlay.levels=[0.0, 1.0]":
                 "overlay.levels: levels must lie in [0,1), not 1.0",
@@ -203,6 +210,19 @@ class TestValidation:
              'run.metrics=["alpha"]'):
                 "impersonation transmits the null message, which needs "
                 "base.null=true",
+            # overlay.counts against the levels and the base code, which
+            # were built first: one count per level, their product
+            # (after overlay.max_per_level) the base message count
+            "overlay.counts=[3]": one_per_level,
+            ("overlay.counts=[2,1,1]", "overlay.levels=[0.0,0.25,0.5]",
+             "overlay.max_per_level=1"): mismatch(1, 2),
+            ("overlay.levels=auto", "overlay.auto_count=3",
+             "overlay.counts=[2,1]"): one_per_level,
+            ("base.kind=gaussian", "base.messages=64",
+             "overlay.counts=[8,4]"): mismatch(32, 64),
+            ("base.kind=gaussian", "base.messages=64", "base.null=true",
+             "overlay.counts=[8,8]"): mismatch(64, 65),
+            ("base.null=true", "overlay.counts=[2,1]"): mismatch(2, 3),
         }
         for override, message in cases.items():
             overrides = [override] if isinstance(override, str) \

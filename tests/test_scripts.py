@@ -1,13 +1,15 @@
 """The README's experiments run through the CLI at a small trial count,
 and at their documented settings give the CSVs recorded in
-``readme_sweeps.json``; the sweep timer runs them in fresh processes, and
-the benchmark record script summarises synthetic results.  To re-record
+``readme_sweeps.json``; the sweep timer runs them in fresh processes, the
+layer timer times every layer on tiny codes, and the benchmark record
+script summarises synthetic results.  To re-record
 the CSVs on purpose (and say why in ``CHANGES.md``)::
 
     PYTHONPATH=src python tests/test_scripts.py --record
 """
 
 import json
+import math
 import os
 import re
 import shlex
@@ -89,6 +91,30 @@ def test_sweep_timer_runs_every_readme_sweep():
     for sweep in timed["sweeps"].values():
         assert len(sweep["runs"]) == 1 and sweep["median_s"] > 0
         assert len(sweep["csv_sha256"]) == 64
+
+
+def test_layer_timer_times_every_layer_of_both_shapes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "time_layers.py"), "--quick",
+         "--repeat", "1"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    timed = json.loads(proc.stdout)
+    assert (timed["repeat"], timed["quick"], timed["threads"]) == (1, True, 1)
+    assert sorted(timed["shapes"]) == ["genuine_cli", "large_codebook"]
+    for shape in timed["shapes"].values():
+        assert sorted(shape["ns_per_value"]) == ["ndtri", "uniforms"]
+        assert sorted(shape["us_per_row"]) == [
+            "auth_encode_batch", "decode_batch", "detect_batch",
+            "mmse_targeted_attack_batch"]
+        assert sorted(shape["ms"]) == [
+            "construct_overlay", "inject_noise", "make_random_gaussian_code",
+            "verify_overlay"]
+        assert all(v > 0 for group in ("us_per_row", "ms")
+                   for v in shape[group].values())
+        # the transform is a difference of two timings: of any sign
+        assert shape["ns_per_value"]["uniforms"] > 0
+        assert math.isfinite(shape["ns_per_value"]["ndtri"])
+        assert shape["block_rows"] % shape["chunk_rows"] == 0
 
 
 def test_bench_record_summarises_a_parent_and_a_change(tmp_path):

@@ -68,3 +68,38 @@ class TestIntegerArguments:
         assert got.dtype == np.int64 and got.tolist() == want.tolist()
         assert uniforms(3, Role.DELTA, np.uint8(200), 2, 5).tobytes() \
             == uniforms(3, Role.DELTA, 200, 2, 5).tobytes()
+
+
+class TestRowArrays:
+    def test_float64_rows_are_returned_as_they_are(self):
+        # no copy: the simulation attacks in place over its observations
+        rows = np.zeros((4, 6))[:, :3]
+        assert streams.check_rows("ys", rows, 3, ValueError) is rows
+        got = streams.check_rows("ys", np.arange(6, dtype=np.int8)
+                                 .reshape(2, 3), 3, ValueError, 2)
+        assert got.dtype == np.float64 and got.tolist() == [[0, 1, 2],
+                                                            [3, 4, 5]]
+
+    @pytest.mark.parametrize("rows, got", [
+        ([[1.0, 2.0], [3.0]], "a ragged sequence"),
+        ("ab", "an array of shape () and dtype <U2"),
+        (np.zeros((2, 3), np.float16) > 0,
+         "an array of shape (2, 3) and dtype bool"),
+        (np.zeros((1, 2, 3)), "an array of shape (1, 2, 3) and dtype float64"),
+    ], ids=["ragged", "str", "bool", "3-d"])
+    def test_what_is_not_rows_of_reals(self, rows, got):
+        with pytest.raises(KeyError, match=re.escape(
+                f"ys must be a (rows, n) array of real numbers, not {got}")):
+            streams.check_rows("ys", rows, None, KeyError)
+
+    def test_a_row_is_read_only_where_its_sums_are_not_finite(self):
+        rows = np.array([[1e200, 1e200], [1.0, np.nan], [np.inf, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = np.einsum("ij,ij->i", rows, rows)
+        with pytest.raises(ValueError, match="ys must be finite: row 1 "):
+            streams.check_finite_rows("ys", rows, sums, ValueError)
+        # the overflowing row is finite; a NaN that no sum reads passes
+        streams.check_finite_rows("ys", rows[:1], sums[:1], ValueError)
+        streams.check_finite_rows("ys", rows[1:], np.zeros((2, 2)),
+                                  ValueError)
+        streams.check_finite_rows("ys", rows[:0], sums[:0], ValueError)
