@@ -9,7 +9,7 @@ operational measures, and closed-form evaluation of every guarantee.
 import types
 
 from .adversary import (AttackError, AttackSpec, mmse_attack_terms,
-                        mmse_targeted_attack_batch, residual_variance_vector)
+                        mmse_targeted_attack_batch)
 from .authcode import (REJECT, AuthCode, AuthCodeError, auth_encode_batch,
                        decimate, detect_batch, inject_noise,
                        level_statistics)

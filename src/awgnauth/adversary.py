@@ -12,8 +12,10 @@ transmitted message to one target once, and the batch function applies
 them to each block of observations; impersonation is the same attack
 launched from the null message.  ``weight_scale`` scales the
 per-coordinate cancellation weight so tests can confirm the MMSE choice
-actually maximises acceptance.  ``mmse_weight`` lives in ``bounds``,
-where the scalar residual-variance law uses it too.
+actually maximises acceptance.  ``mmse_weight`` and the residual-variance
+law it gives, ``residual_variance``, live in ``bounds``: the law of an
+attack on a transmission of m is ``residual_variance`` of m's level
+row, ``code.overlay.level_matrix(m)``.
 
 ``AttackSpec`` is the one description of an attack, from a config's
 ``attack.spec`` string (``AttackSpec.parse``) to the simulator's runs;
@@ -34,7 +36,7 @@ import numpy as np
 
 from .authcode import AuthCode
 from .bounds import mmse_weight
-from .streams import check_ids, check_int, check_reals, check_rows
+from .streams import check_ids, check_int, check_out, check_reals, check_rows
 
 
 class AttackError(ValueError):
@@ -113,23 +115,14 @@ def mmse_targeted_attack_batch(
         out: np.ndarray | None = None) -> np.ndarray:
     """z = x(m') + t(m') - x(m) - t(m) - w . (v - x(m) - t(m)) rowwise,
     from the ``mmse_attack_terms`` of (m, m').  This nulls the
-    conditional mean of Y - x(m') - t(m') given (V, Z).  ``out``, an
-    array of the shape of ``vs`` (``vs`` itself included), receives z in
-    place of a new array.  ``vs`` is a (rows, n) array of real numbers,
-    n the width of the terms."""
+    conditional mean of Y - x(m') - t(m') given (V, Z).  ``out``, a
+    float64 array of the shape of ``vs`` (``vs`` itself included),
+    receives z in place of a new array.  ``vs`` is a (rows, n) array of
+    real numbers, n the width of the terms."""
     shift, mean_m, w = terms
     vs = check_rows("vs", vs, len(shift), AttackError)
+    if out is not None:
+        check_out("out", out, vs.shape, AttackError)
     zs = np.subtract(vs, mean_m, out=out)
     zs *= w
     return np.subtract(shift, zs, out=zs)
-
-
-def residual_variance_vector(code: AuthCode, m: int, rho_adv: float,
-                             rho_dec: float) -> np.ndarray:
-    """Per-coordinate variance of Y - x(m') - t(m') under the MMSE
-    attack: the residual-variance law evaluated at f(m), that is the
-    cancelled share w rho_adv of the injected noise plus rho_dec."""
-    check_reals(AttackError, rho_adv=rho_adv, rho_dec=rho_dec)
-    check_ids("m", m, code.message_count, AttackError)
-    w = mmse_weight(code.overlay.level_matrix(m), code.rho_delta, rho_adv)
-    return w * rho_adv + rho_dec

@@ -27,7 +27,7 @@ holds no whole-table temporary beyond the mean-shift table it draws.
 Decimation: a uniformly chosen subset of messages survives; decoding to
 a non-survivor is rejected.  This trades a small rate loss for a
 false-authentication guarantee that holds for *any* wrong message, not
-just a targeted one.
+just a targeted one; ``rho_adv=None`` is its adversary-agnostic design.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from . import bounds as bounds_mod
 from .basecode import BaseCode
 from .overlay import OverlayCode
 from .streams import (CHUNK_VALUES, RETRY_LIMIT, ROW_VALUES, Role,
-                      check_finite_rows, check_ids, check_int, check_reals,
-                      check_rows, one_shot_rng, row_chunks)
+                      check_finite_rows, check_ids, check_int, check_out,
+                      check_reals, check_rows, one_shot_rng, row_chunks)
 
 REJECT = "!"
 
@@ -217,14 +217,18 @@ def auth_encode_batch(code: AuthCode, ms: np.ndarray, unit_delta: np.ndarray,
                       = None) -> np.ndarray:
     """Vectorised encoder x(m) + t(m) + f(m) . G_delta; ``unit_delta``
     holds unit normals (B, n).  The sum is formed in place, in the order
-    (x + t) + (sqrt(rho_delta) G_delta) f.  ``out`` holds three (B, n)
-    arrays used in place of new ones: the codewords are written to the
-    first and returned, the other two are scratch."""
+    (x + t) + (sqrt(rho_delta) G_delta) f.  ``out`` holds three float64
+    (B, n) arrays used in place of new ones: the codewords are written to
+    the first and returned, the other two are scratch."""
     ms = check_ids("ms", ms, code.message_count, AuthCodeError)
     if ms.ndim != 1:
         raise AuthCodeError("ms must be 1-d, one id per row of unit_delta")
     unit_delta = check_rows("unit_delta", unit_delta, code.n, AuthCodeError,
                             len(ms))
+    if out is not None and len(out) != 3:
+        raise AuthCodeError(f"out must hold three arrays, not {len(out)}")
+    for i, arr in enumerate(() if out is None else out):
+        check_out(f"out[{i}]", arr, unit_delta.shape, AuthCodeError)
     xs, noise, levels = (None, None, None) if out is None else out
     xs = code._means(ms, out=xs, scratch=noise)
     noise = np.multiply(unit_delta, math.sqrt(code.rho_delta), out=noise)
@@ -319,12 +323,9 @@ def detect_batch(code: AuthCode, ys: np.ndarray, base_decoded: np.ndarray,
     return rejected
 
 
-def sample_decimation_subset(message_count: int, size: int,
-                             rng: np.random.Generator,
-                             exclude: int | None = None) -> frozenset[int]:
-    """Uniformly random size-``size`` subset of message ids (optionally
-    excluding the null id)."""
-    pool = np.array([m for m in range(message_count) if m != exclude])
+def sample_decimation_subset(pool: np.ndarray, size: int,
+                             rng: np.random.Generator) -> frozenset[int]:
+    """Uniformly random size-``size`` subset of the message ids in pool."""
     if size > pool.size:
         raise AuthCodeError(f"target size {size} exceeds available messages "
                             f"{pool.size}")
@@ -332,36 +333,33 @@ def sample_decimation_subset(message_count: int, size: int,
 
 
 def decimate(code: AuthCode, rho_dec: float, seed: int = 0, *,
-             rho_adv: float | None = None,
-             adversary_agnostic: bool = False,
+             rho_adv: float | None,
              target_size_override: int | None = None) -> AuthCode:
     """Apply the decimation modification: keep a uniformly random subset
     of floor(exp(n r')) messages where r' is the decimated rate, and
-    reject any decode outside it (the null message always survives).
+    reject any decode outside it (the null message, never drawn, survives).
 
     The size and r' are the ``decimated_target_size`` and
     ``decimated_rate`` of ``bounds.decimation_bounds``' dict, the result's
-    ``decimation_info``.  Raises with its ``decimation_terms`` when r' <= 0
-    or fewer than two messages would survive.  Its
-    ``decimation_analysed_rate_feasible`` is recorded, not enforced: the
-    analysed-rate precondition needs message counts far beyond anything
-    materialisable.  ``target_size_override`` substitutes an explicit
-    survivor count for diagnostic experiments.
+    ``decimation_info``, at ``rho_adv``: None is the adversary-agnostic
+    design, whose margin lambda is 0.  Raises with its
+    ``decimation_terms`` when r' <= 0 or fewer than two messages would
+    survive.  Its ``decimation_analysed_rate_feasible`` is recorded, not
+    enforced: the analysed-rate precondition needs message counts far
+    beyond anything materialisable.  ``target_size_override`` substitutes
+    an explicit survivor count for diagnostic experiments.
     """
     if code.decimated is not None:
         raise AuthCodeError("code is already decimated")
     check_reals(AuthCodeError, domain="positive", rho_dec=rho_dec)
     check_reals(AuthCodeError, rho_adv=0.0 if rho_adv is None else rho_adv)
     check_int("seed", seed, AuthCodeError, 0)
-    if rho_adv is None and not adversary_agnostic:
-        raise AuthCodeError("rho_adv required unless adversary_agnostic")
     if target_size_override is not None:
         check_int("target_size_override", target_size_override,
                   AuthCodeError, 2)
     info = bounds_mod.decimation_bounds(
         code.n, code.overlay.level_set, code.overlay.gamma, code.delta,
-        code.rho_delta, rho_dec, code.power, code.base.rate,
-        rho_adv=rho_adv, adversary_agnostic=adversary_agnostic)
+        code.rho_delta, rho_dec, code.power, code.base.rate, rho_adv=rho_adv)
     rate, terms = info["decimated_rate"], info["decimation_terms"]
     size = target_size_override or info["decimated_target_size"]
     if target_size_override is None and (size < 2 or rate <= 0):
@@ -371,15 +369,15 @@ def decimate(code: AuthCode, rho_dec: float, seed: int = 0, *,
             f" - quantization term {terms['quantization_term']:.6g}) "
             f"gives target size {size}")
     rng = one_shot_rng(seed, Role.DECIMATION)
-    surviving = sample_decimation_subset(code.message_count, size, rng,
-                                         exclude=code.base.null_id)
+    surviving = sample_decimation_subset(code.base.non_null_ids, size, rng)
     return replace(code, decimated=surviving, decimation_info=info)
 
 
-def to_json_dict(code: AuthCode, base_ref: str, overlay_ref: str) -> dict[str, Any]:
+def to_json_dict(code: AuthCode) -> dict[str, Any]:
+    """The code's own tables; its base code and overlay go beside them."""
     out: dict[str, Any] = {
-        "base_ref": base_ref,
-        "overlay_ref": overlay_ref,
+        "base_ref": "inline",
+        "overlay_ref": "inline",
         "rho_delta": code.rho_delta,
         "delta": code.delta,
         "t_table": code.t_table.tolist(),

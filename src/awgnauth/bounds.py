@@ -1,16 +1,18 @@
 """Closed-form performance bounds and design helpers.
 
-Everything here is scalar arithmetic: the MMSE cancellation weight
-(``mmse_weight``, which the adversary applies elementwise) and the
-residual variances it leaves, the detection margin that drives the
-false-authentication exponents, power/error/rate bounds for the two
-code modifications, capacity and rate-gap references, and the
+Everything here is closed-form arithmetic: the MMSE cancellation weight
+``mmse_weight`` and the residual-variance law ``residual_variance``, of a
+level or elementwise of an array of levels, the detection margin that
+drives the false-authentication exponents, power/error/rate bounds for
+the two code modifications, capacity and rate-gap references, and the
 combinatorial tail bounds the analysis rests on.
 ``injection_bounds`` and ``decimation_bounds`` return their blocks of
-``bounds_report``'s payload, under its keys.
+``bounds_report``'s payload, under its keys; ``rho_adv=None`` is the
+adversary-agnostic design (lambda = 0).
 
 Every entry checks each argument on its own with ``streams.check_int``
-(sizes ``n``, ``ell``, ``count`` and the lemmas' integers) or
+(sizes ``n``, at least |K~| where ``overlay._ell`` reads ell from it,
+``ell``, ``count`` and the lemmas' integers) or
 ``streams.check_reals`` (powers, rates, margins, the radius ``theta``,
 ``gamma``, ``delta`` and the lemmas' reals), raising ``BoundsError``;
 only rules that relate two arguments are written out here, and the
@@ -28,7 +30,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import numerics
-from .overlay import LevelSet
+from .overlay import LevelSet, _ell
 from .streams import check_int, check_reals
 
 
@@ -54,15 +56,17 @@ def mmse_weight(level: float | np.ndarray, rho_delta: float,
         return np.where(total > 0.0, injected / total, 0.0)[()]
 
 
-def residual_variance(level: float, rho_delta: float, rho_adv: float,
-                      rho_dec: float) -> float:
+def residual_variance(level: float | np.ndarray, rho_delta: float,
+                      rho_adv: float, rho_dec: float) -> float | np.ndarray:
     """Decoder-side variance left on a level-``a`` coordinate after the
     adversary's best cancellation: w rho_A + rho_dec with w the
     ``mmse_weight`` of ``a``, that is a^2 rho_D rho_A / (a^2 rho_D +
-    rho_A) + rho_dec.  Degenerates to rho_dec when the coordinate carries
-    no injected noise or the adversary observes noiselessly."""
+    rho_A) + rho_dec; a float for a level, an array for an array (such as
+    a message's level row).  Degenerates to rho_dec when the coordinate
+    carries no injected noise or the adversary observes noiselessly."""
     check_reals(BoundsError, domain="positive", rho_dec=rho_dec)
-    return float(mmse_weight(level, rho_delta, rho_adv) * rho_adv + rho_dec)
+    law = mmse_weight(level, rho_delta, rho_adv) * rho_adv + rho_dec
+    return law if isinstance(law, np.ndarray) else float(law)
 
 
 def detection_margin(level_set: LevelSet, gamma: float, delta: float,
@@ -128,10 +132,9 @@ def injection_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
     noise-injection modification, as ``bounds_report``'s entries of
     them.  ``epsilon_h`` must be the base code's error probability at
     combined noise rho_dec + rho_delta."""
-    check_int("n", n, BoundsError)   # with t_zero, no power bound checks n
+    ell = _ell(n, level_set, BoundsError)
     check_reals(BoundsError, omega_h=omega_h, gamma=gamma, delta=delta,
                 rate_h=rate_h)
-    ell = n // len(level_set.extended)
     lam, argmin = detection_margin(level_set, gamma, delta, rho_delta,
                                    rho_adv, rho_dec)
     k_size = len(level_set)
@@ -194,24 +197,20 @@ def decimation_rate(n: int, rate_h: float, gamma: float, ell: int,
 def decimation_bounds(n: int, level_set: LevelSet, gamma: float, delta: float,
                       rho_delta: float, rho_dec: float,
                       omega_wrapped: float, rate_h: float,
-                      epsilon_h: float = math.nan,
-                      rho_adv: float | None = None,
-                      adversary_agnostic: bool = False) -> dict[str, Any]:
+                      epsilon_h: float = math.nan, *,
+                      rho_adv: float | None) -> dict[str, Any]:
     """``bounds_report``'s decimation entries, a decimated code's
     ``decimation_info``: the guarantees, the survivor count
     ``decimated_target_size`` at ``decimated_rate`` and its
     ``decimation_terms``, and the analysed-rate precondition
     ``decimation_analysed_rate_feasible``.  ``omega_wrapped`` is the
-    (exactly computable) power of the noise-injected code; in
-    adversary-agnostic mode lambda is pinned to 0 and no rho_adv is needed."""
-    check_int("n", n, BoundsError)
+    (exactly computable) power of the noise-injected code.  ``rho_adv``
+    None is the adversary-agnostic design: lambda is pinned to 0."""
+    ell = _ell(n, level_set, BoundsError)
     check_reals(BoundsError, domain="positive", rho_dec=rho_dec)
     check_reals(BoundsError, gamma=gamma, delta=delta, rate_h=rate_h)
-    if rho_adv is None and not adversary_agnostic:
-        raise BoundsError("rho_adv required unless adversary_agnostic")
-    lam = 0.0 if adversary_agnostic else detection_margin(
+    lam = 0.0 if rho_adv is None else detection_margin(
         level_set, gamma, delta, rho_delta, rho_adv, rho_dec)[0]
-    ell = n // len(level_set.extended)
     theta = quantization_radius(n, omega_wrapped, rho_delta, rho_dec, delta,
                                 lam, rate_h)
     r_dd = decimation_rate(n, rate_h, gamma, ell, lam, theta)
@@ -397,13 +396,14 @@ def bounds_report(n: int, level_set: LevelSet, gamma: float, delta: float,
                   adversary_agnostic: bool = False) -> dict[str, Any]:
     """Flat, labelled report of every closed-form quantity for a
     parameter point; the injection block needs rho_adv, the decimation
-    block runs with lambda = 0 when adversary-agnostic."""
-    check_int("n", n, BoundsError)
+    block runs at rho_adv, or with lambda = 0 when adversary-agnostic (an
+    agnostic block can sit beside an injection block) or rho_adv is None."""
+    ell = _ell(n, level_set, BoundsError)
     # a NaN omega_h would skip the rate gap
     check_reals(BoundsError, omega_h=omega_h, gamma=gamma, delta=delta,
                 rate_h=rate_h)
     out: dict[str, Any] = {
-        "ell": n // len(level_set.extended),
+        "ell": ell,
         "levels": list(level_set.levels),
         "gamma": gamma, "delta": delta,
         "rho_delta": rho_delta, "rho_dec": rho_dec, "rho_adv": rho_adv,
@@ -417,8 +417,7 @@ def bounds_report(n: int, level_set: LevelSet, gamma: float, delta: float,
     out |= decimation_bounds(
         n, level_set, gamma, delta, rho_delta, rho_dec,
         omega_wrapped if omega_wrapped is not None else omega_h, rate_h,
-        epsilon_h, rho_adv=rho_adv,
-        adversary_agnostic=adversary_agnostic or rho_adv is None)
+        epsilon_h, rho_adv=None if adversary_agnostic else rho_adv)
     out["rate_gap_exact"] = (rate_gap(omega_h + rho_delta, rho_dec, rho_delta).exact
                              if omega_h + rho_delta > rho_delta else None)
     return out

@@ -265,6 +265,9 @@ class ExperimentConfig:
         return (2 if self.base_kind == "antipodal"
                 else self.base_messages) + self.base_null
 
+    def decimation_rho_adv(self) -> float | None:   # decimate's rho_adv
+        return None if self.mod2_agnostic else self.rho_adv
+
     def run_settings(self) -> dict[str, Any]:   # passed to estimate unchanged
         return dict(message=self.message, max_pairs=self.max_pairs,
                     detector=self.detector, threads=self.threads)
@@ -511,8 +514,7 @@ def build_auth(cfg: ExperimentConfig, base: BaseCode,
                   enforce_bounds=cfg.auth_enforce)
     if cfg.mod2_enabled:
         code = _stage("decimate", decimate, code, cfg.rho_dec, cfg.mod2_seed,
-                      rho_adv=(None if cfg.mod2_agnostic else cfg.rho_adv),
-                      adversary_agnostic=cfg.mod2_agnostic,
+                      rho_adv=cfg.decimation_rho_adv(),
                       target_size_override=cfg.mod2_target)
     return code
 
@@ -527,13 +529,13 @@ def code_key(cfg: ExperimentConfig) -> str:
     """The settings ``build_pipeline`` reads, so configs with one key
     build one code: the ``base``, ``overlay``, ``auth`` and ``mod2``
     sections and ``channel.rho_dec``, plus ``channel.rho_adv`` when
-    ``mod2.enabled`` is set and ``mod2.agnostic`` is not, the one case
-    where ``decimate`` reads it."""
+    ``mod2.enabled`` is set and ``decimate`` reads a ``rho_adv`` (not
+    under ``mod2.agnostic``)."""
     canon = cfg.canonical()
     key = {s: canon[s] for s in ("base", "overlay", "auth", "mod2")}
     key["channel"] = {"rho_dec": cfg.rho_dec}
-    if cfg.mod2_enabled and not cfg.mod2_agnostic:
-        key["channel"]["rho_adv"] = cfg.rho_adv
+    if cfg.mod2_enabled and cfg.decimation_rho_adv() is not None:
+        key["channel"]["rho_adv"] = cfg.decimation_rho_adv()
     return json.dumps(key, sort_keys=True)
 
 
@@ -728,7 +730,7 @@ def cmd_construct(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         "summary": summarize_code(code),
         "base": basecode_mod.to_json_dict(code.base),
         "overlay": overlay_to_json(code.overlay),
-        "auth": auth_to_json(code, "inline", "inline"),
+        "auth": auth_to_json(code),
     })
     emit_json(payload, cfg.out)
     return 0

@@ -25,9 +25,9 @@ prove.  Built codes are resampled until the pairwise property holds.
 
 Arguments: gamma and the levels go through ``streams.check_reals``,
 sizes, counts and seeds through ``streams.check_int``, and ``_ell``
-states the rule n >= |K~| once.  ``OverlayCode.ell_violations`` lists
-the messages whose level set is not ell coordinates; ``verify_overlay``
-and ``AuthCode`` read it.
+states the rule n >= |K~| once, here and in ``bounds``.
+``OverlayCode.ell_violations`` lists the messages whose level set is not
+ell coordinates; ``verify_overlay`` and ``AuthCode`` read it.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ import numpy as np
 
 from . import numerics
 from .streams import (CHUNK_VALUES, RETRY_LIMIT, ROW_VALUES, SCORE_VALUES,
-                      Role, check_ids, check_int, check_reals, one_shot_rng,
-                      row_chunks)
+                      Role, check_ids, check_int, check_out, check_reals,
+                      one_shot_rng, row_chunks)
 
 MAX_TOTAL_MESSAGES = 1 << 20  # materialization guard
 DEFECT_COEFF = {"construction": 1.0 / 3.0, "theorem": 4.0 / 3.0}
@@ -90,10 +90,10 @@ class LevelSet:
         raise OverlayError(f"no level above {k}")
 
 
-def _ell(n: int, level_set: LevelSet) -> int:
+def _ell(n: int, level_set: LevelSet, error: type = OverlayError) -> int:
     """ell = floor(n / |K~|) of an n of at least |K~|, the extended level
-    count, so that every level in K gets a coordinate."""
-    check_int("n", n, OverlayError, len(level_set.extended))
+    count, so that every level in K gets a coordinate; else ``error``."""
+    check_int("n", n, error, len(level_set.extended))
     return n // len(level_set.extended)
 
 
@@ -244,8 +244,8 @@ class OverlayCode:
         shape = ids.shape + (self.n,)
         if out is None:
             out = np.empty(shape)
-        elif out.shape != shape or out.dtype != np.float64:
-            raise OverlayError(f"out must be a float64 array of shape {shape}")
+        else:
+            check_out("out", out, shape, OverlayError)
         flat, by_row = ids.reshape(-1), out if ids.ndim else out[None]
         values = np.asarray(self.level_set.extended)
         # mode="clip" gathers straight into ``out`` (the default copies):
@@ -304,12 +304,11 @@ def _level_exponents(n: int, level_set: LevelSet, gamma: float | Fraction,
 
 
 def default_level_message_counts(n: int, level_set: LevelSet,
-                                 gamma: float | Fraction,
-                                 defect: str = "construction") -> list[int]:
+                                 gamma: float | Fraction) -> list[int]:
     """Per-level message counts floor(exp(n_k * r_k)) of the displayed
-    per-level rate r_k (see ``_level_exponents``)."""
+    per-level rate r_k, construction defect (see ``_level_exponents``)."""
     counts = []
-    for exponent in _level_exponents(n, level_set, gamma, defect):
+    for exponent in _level_exponents(n, level_set, gamma, "construction"):
         if exponent > math.log(MAX_TOTAL_MESSAGES) + 1:
             counts.append(MAX_TOTAL_MESSAGES + 1)  # triggers the guard upstream
         else:

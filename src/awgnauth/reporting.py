@@ -20,16 +20,12 @@ def _check_counts(successes: int, trials: int) -> None:
         raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
 
 
-def _z_value(confidence: float) -> float:
-    check_reals(ValueError, confidence=confidence)
-    return float(ndtri(0.5 + confidence / 2.0))
-
-
 def wilson_interval(successes: int, trials: int,
                     confidence: float = CONFIDENCE) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     _check_counts(successes, trials)
-    z = _z_value(confidence)
+    check_reals(ValueError, confidence=confidence)
+    z = float(ndtri(0.5 + confidence / 2.0))
     p = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -49,13 +45,13 @@ def binomial_se(successes: int, trials: int) -> float:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """A Monte Carlo estimate with its interval and optional bound pairing;
-    its counts are checked as ``wilson_interval`` checks them."""
+    """A Monte Carlo estimate with its ``CONFIDENCE`` interval and optional
+    bound pairing; its counts are checked as ``wilson_interval`` checks
+    them."""
 
     metric: str
     successes: int
     trials: int
-    confidence: float = CONFIDENCE
     seed: int | None = None
     params: dict[str, Any] = field(default_factory=dict)
     bound: float | None = None
@@ -71,7 +67,7 @@ class EstimateReport:
 
     @property
     def interval(self) -> tuple[float, float]:
-        return wilson_interval(self.successes, self.trials, self.confidence)
+        return wilson_interval(self.successes, self.trials)
 
     @property
     def se(self) -> float:
@@ -96,7 +92,7 @@ class EstimateReport:
             "trials": self.trials,
             "ci_lo": lo,
             "ci_hi": hi,
-            "confidence": self.confidence,
+            "confidence": CONFIDENCE,
             "seed": self.seed,
             "params": self.params,
         }

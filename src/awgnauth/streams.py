@@ -43,8 +43,9 @@ one of a few named intervals, and ``check_rows`` arrays of rows (code
 tables and batches of received, observed or noise rows), by shape and
 dtype, with ``check_finite_rows`` beside it for their values: a row
 holding a NaN or an infinity is refused where the sums that an entry
-computes from it show one.  Rules that relate two arguments stay with
-the entry that states them.
+computes from it show one, and ``check_out`` for the ``out=`` arrays
+that receive rows, float64 and of the rows' shape.  Rules that relate
+two arguments stay with the entry that states them.
 """
 
 from __future__ import annotations
@@ -252,6 +253,16 @@ def check_rows(name: str, rows: Any, n: int | None, error: type[Exception],
                     f", {'n' if n is None else n}) array of real numbers, "
                     f"not {got}")
     return arr.astype(np.float64, copy=False)
+
+
+def check_out(name: str, out: Any, shape: tuple[int, ...],
+              error: type[Exception]) -> None:
+    """Raise ``error`` unless ``out``, an ``out=`` array for rows of
+    ``shape``, is a float64 array of that shape; no value is read."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == shape):
+        raise error(f"{name} must be a float64 array of shape {shape}, not "
+                    f"{getattr(out, 'dtype', type(out))} of {np.shape(out)}")
 
 
 def check_finite_rows(name: str, rows: np.ndarray, sums: np.ndarray,

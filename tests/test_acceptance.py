@@ -16,15 +16,15 @@ import numpy as np
 from scipy.stats import hypergeom
 
 from awgnauth.adversary import (AttackSpec, mmse_attack_terms,
-                                mmse_targeted_attack_batch,
-                                residual_variance_vector)
+                                mmse_targeted_attack_batch)
 from awgnauth.authcode import (auth_encode_batch, inject_noise,
                                sample_decimation_subset)
 from awgnauth.basecode import make_antipodal_code, make_random_gaussian_code
 from awgnauth.bounds import (capacity, decimation_rate, detection_margin,
                              hoeffding_wo_replacement_bound,
                              hypergeom_log_bound, quantization_radius,
-                             rate_gap, targeted_false_auth_bound)
+                             rate_gap, residual_variance,
+                             targeted_false_auth_bound)
 from awgnauth.cli import main as cli_main
 from awgnauth.numerics import chi_square_tail_bound, gaussian_posterior
 from awgnauth.overlay import LevelSet, construct_overlay, verify_overlay
@@ -201,7 +201,8 @@ def test_criterion_07_residual_variance_law():
                                 counts_per_level=[3, 2], seed=7)
     code = inject_noise(base, overlay, rho_delta=1.0, delta=0.2, seed=7)
     a, b = 0, 4
-    law = residual_variance_vector(code, a, rho_adv, rho_dec)
+    law = residual_variance(code.overlay.level_matrix(a), code.rho_delta,
+                            rho_adv, rho_dec)
     masks = {level: code.overlay.level_matrix()[a] == level
              for level in (0.0, 0.5, 1.0)}
     expect = {0.0: 0.1, 0.5: 0.3, 1.0: 0.6}
@@ -259,7 +260,7 @@ def test_criterion_09_decimation_machinery():
     radius arithmetic matches hand-evaluated values to 1e-9.  <30 s."""
     rng = np.random.default_rng(9)
     draws = 100_000
-    counts = Counter(sample_decimation_subset(6, 3, rng)
+    counts = Counter(sample_decimation_subset(np.arange(6), 3, rng)
                      for _ in range(draws))
     assert len(counts) == 20
     se = math.sqrt(0.05 * 0.95 / draws)

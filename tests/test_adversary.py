@@ -12,7 +12,6 @@ from awgnauth.adversary import (
     mmse_targeted_attack_batch,
     mmse_weight,
     no_attack,
-    residual_variance_vector,
 )
 from awgnauth.authcode import auth_encode_batch, detect_batch
 from awgnauth.bounds import residual_variance
@@ -164,9 +163,14 @@ class TestResidualNulling:
 
 
 class TestResidualVarianceLaw:
+    @staticmethod
+    def law(code, m, rho_adv, rho_dec):
+        """The per-coordinate law of an attack on a transmission of m."""
+        return residual_variance(code.overlay.level_matrix(m),
+                                 code.rho_delta, rho_adv, rho_dec)
+
     def test_vector_matches_frozen_values(self, small_auth):
-        vec = residual_variance_vector(small_auth, m=2, rho_adv=1.0,
-                                       rho_dec=0.1)
+        vec = self.law(small_auth, 2, rho_adv=1.0, rho_dec=0.1)
         f = small_auth.overlay.level_matrix()[2]
         assert np.allclose(vec[f == 0.0], 0.1, rtol=1e-12)
         assert np.allclose(vec[f == 0.5], 0.3, rtol=1e-12)
@@ -175,7 +179,8 @@ class TestResidualVarianceLaw:
     @pytest.mark.parametrize("rho_delta", [0.0, 0.3, 1.0, 2.5])
     def test_scalar_law_equals_the_vector_bitwise(self, rho_delta):
         # one formula, w rho_adv + rho_dec, for the scalar law of the
-        # bounds and the per-coordinate law of the attack
+        # bounds and the per-coordinate law of the attack: a float for a
+        # level, an array for an array of levels (which raised TypeError)
         levels = np.array([0.0, 0.1, 0.25, 1 / 3, 0.5, 0.7, 0.9, 1.0])
         for rho_adv in (0.0, 1e-12, 1e-3, 0.01, 0.05, 0.3, 1.0, 7.5):
             for rho_dec in (1e-3, 0.1, 0.7, 4.0):
@@ -183,18 +188,21 @@ class TestResidualVarianceLaw:
                                             rho_dec) for f in levels]
                 vector = (mmse_weight(levels, rho_delta, rho_adv) * rho_adv
                           + rho_dec)
+                law = residual_variance(levels, rho_delta, rho_adv, rho_dec)
+                assert all(type(v) is float for v in scalar)
                 assert scalar == vector.tolist()
+                assert law.tobytes() == vector.tobytes()
 
     def test_code_vector_equals_the_scalar_law(self, small_auth):
         f = small_auth.overlay.level_matrix()[2]
         for rho_adv, rho_dec in ((0.0, 0.1), (0.05, 0.1), (1.0, 0.3)):
-            vec = residual_variance_vector(small_auth, 2, rho_adv, rho_dec)
+            vec = self.law(small_auth, 2, rho_adv, rho_dec)
             assert vec.tolist() == [
                 residual_variance(float(k), small_auth.rho_delta, rho_adv,
                                   rho_dec) for k in f]
 
     def test_monotone_in_level(self, small_auth):
-        vec = residual_variance_vector(small_auth, 0, 0.1, 0.1)
+        vec = self.law(small_auth, 0, 0.1, 0.1)
         f = small_auth.overlay.level_matrix()[0]
         assert np.all(vec[f == 0.0] < vec[f == 0.5][0])
         assert np.all(vec[f == 0.5] < vec[f == 1.0][0])

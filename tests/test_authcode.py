@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -125,7 +126,7 @@ class TestTableMemory:
         code = inject_noise(base, ov, rho_delta=1.0, delta=0.2, seed=2)
         for build in (
                 lambda: AuthCode(base, ov, 1.0, 0.2, code.t_table),
-                lambda: decimate(code, 0.1, seed=2, adversary_agnostic=True,
+                lambda: decimate(code, 0.1, seed=2, rho_adv=None,
                                  target_size_override=64)):
             tracemalloc.start()
             try:
@@ -495,7 +496,7 @@ class TestAgainstReferenceLoop:
     def test_equal_to_the_loop(self, request, name, rows, rho_dec):
         if name == "decimated_null_auth":
             code = decimate(request.getfixturevalue("null_auth"), 0.1,
-                            seed=5, adversary_agnostic=True,
+                            seed=5, rho_adv=None,
                             target_size_override=3)
         else:
             code = request.getfixturevalue(name)
@@ -566,7 +567,7 @@ class TestRateAndPower:
 class TestDecimation:
     def test_override_survivors(self, small_auth):
         code = decimate(small_auth, rho_dec=0.1, seed=3,
-                        adversary_agnostic=True, target_size_override=3)
+                        rho_adv=None, target_size_override=3)
         assert code.decimated is not None and len(code.decimated) == 3
         assert code.rate == pytest.approx(math.log(3) / 60)
         assert code.decimation_info is not None
@@ -576,7 +577,7 @@ class TestDecimation:
 
     def test_decimation_rejects_non_survivors(self, small_auth):
         code = decimate(small_auth, rho_dec=0.1, seed=3,
-                        adversary_agnostic=True, target_size_override=3)
+                        rho_adv=None, target_size_override=3)
         assert code.decimated is not None
         dead = next(m for m in range(code.message_count)
                     if m not in code.decimated)
@@ -590,7 +591,7 @@ class TestDecimation:
 
     def test_batch_filter_matches_surviving_set(self, null_auth):
         code = decimate(null_auth, rho_dec=0.1, seed=5,
-                        adversary_agnostic=True, target_size_override=3)
+                        rho_adv=None, target_size_override=3)
         dec = np.repeat(np.arange(code.message_count), 2)
         ys = np.zeros((dec.size, code.n))
         rejected = detect_batch(code, ys, dec, 0.1, detector=False)
@@ -604,7 +605,7 @@ class TestDecimation:
 
     def test_null_always_survives_decoding(self, null_auth):
         code = decimate(null_auth, rho_dec=0.1, seed=5,
-                        adversary_agnostic=True, target_size_override=3)
+                        rho_adv=None, target_size_override=3)
         null = code.base.null_id
         assert null is not None
         assert null not in code.decimated  # never drawn...
@@ -615,11 +616,11 @@ class TestDecimation:
         assert not detect_batch(code, y, ms, 0.1)[0]
 
     def test_seed_determinism(self, small_auth):
-        a = decimate(small_auth, 0.1, seed=9, adversary_agnostic=True,
+        a = decimate(small_auth, 0.1, seed=9, rho_adv=None,
                      target_size_override=3)
-        b = decimate(small_auth, 0.1, seed=9, adversary_agnostic=True,
+        b = decimate(small_auth, 0.1, seed=9, rho_adv=None,
                      target_size_override=3)
-        c = decimate(small_auth, 0.1, seed=10, adversary_agnostic=True,
+        c = decimate(small_auth, 0.1, seed=10, rho_adv=None,
                      target_size_override=4)
         assert a.decimated == b.decimated
         assert len(c.decimated) == 4
@@ -628,46 +629,77 @@ class TestDecimation:
         # At n=60 the decimated rate is deeply negative; the error spells
         # out the three competing terms.
         with pytest.raises(AuthCodeError, match="decimation infeasible") as e:
-            decimate(small_auth, rho_dec=0.1, adversary_agnostic=True)
+            decimate(small_auth, rho_dec=0.1, rho_adv=None)
         assert "rate term" in str(e.value)
         assert "quantization term" in str(e.value)
 
     def test_rho_adv_required_unless_adversary_agnostic(self, small_auth):
-        with pytest.raises(AuthCodeError, match="rho_adv required unless"):
+        # rho_adv has no default: the agnostic design is rho_adv=None
+        with pytest.raises(TypeError, match="missing 1 required "
+                           "keyword-only argument: 'rho_adv'"):
             decimate(small_auth, 0.1, 0)
+
+    def test_no_second_spelling_of_the_agnostic_design(self, small_auth):
+        # adversary_agnostic=True took a rho_adv and never read it
+        with pytest.raises(TypeError, match="adversary_agnostic"):
+            decimate(small_auth, 0.1, rho_adv=0.5, adversary_agnostic=True,
+                     target_size_override=3)
+
+    # (fixture, seed, survivor count) -> the survivors and the sha256
+    # prefix of the sorted-key JSON of ``decimation_info`` that the former
+    # ``adversary_agnostic=True`` call gave, with or without a rho_adv
+    AGNOSTIC = {("small_auth", 0, 3): ([1, 2, 4], "8a3c0de22c00ce09"),
+                ("small_auth", 9, 4): ([0, 2, 3, 5], "8a3c0de22c00ce09"),
+                ("null_auth", 3, 3): ([0, 4, 5], "d92249ded2f75866"),
+                ("null_auth", 10, 2): ([3, 5], "d92249ded2f75866")}
+
+    @pytest.mark.parametrize("key", AGNOSTIC, ids=str)
+    def test_rho_adv_none_is_the_former_agnostic_call(self, request, key):
+        name, seed, size = key
+        code = decimate(request.getfixturevalue(name), 0.1, seed=seed,
+                        rho_adv=None, target_size_override=size)
+        info = json.dumps(code.decimation_info, sort_keys=True).encode()
+        assert (sorted(code.decimated),
+                hashlib.sha256(info).hexdigest()[:16]) == self.AGNOSTIC[key]
+        assert code.decimation_info["decimation_margin"] == 0.0
 
     def test_override_cannot_exceed_candidates(self, small_auth):
         with pytest.raises(AuthCodeError, match="exceeds available"):
-            decimate(small_auth, 0.1, adversary_agnostic=True,
+            decimate(small_auth, 0.1, rho_adv=None,
                      target_size_override=7)
 
     def test_double_decimation_rejected(self, small_auth):
-        once = decimate(small_auth, 0.1, adversary_agnostic=True,
+        once = decimate(small_auth, 0.1, rho_adv=None,
                         target_size_override=3)
         with pytest.raises(AuthCodeError, match="already decimated"):
-            decimate(once, 0.1, adversary_agnostic=True,
+            decimate(once, 0.1, rho_adv=None,
                      target_size_override=2)
 
     def test_subset_sampler_covers_all_subsets(self):
         rng = one_shot_rng(0, 5)
-        seen = {sample_decimation_subset(6, 3, rng) for _ in range(2000)}
+        seen = {sample_decimation_subset(np.arange(6), 3, rng)
+                for _ in range(2000)}
         assert len(seen) == math.comb(6, 3)
 
-    def test_subset_sampler_exclusion(self):
+    def test_subset_sampler_exclusion(self, null_auth):
+        # the sampler draws from the pool it is given: decimate's is the
+        # base code's non-null ids
         rng = one_shot_rng(1, 5)
+        pool = np.delete(np.arange(6), 2)
         for _ in range(50):
-            assert 2 not in sample_decimation_subset(6, 3, rng, exclude=2)
+            assert 2 not in sample_decimation_subset(pool, 3, rng)
         with pytest.raises(AuthCodeError, match="exceeds"):
-            sample_decimation_subset(4, 4, rng, exclude=1)
+            sample_decimation_subset(np.delete(np.arange(4), 1), 4, rng)
+        code = decimate(null_auth, 0.1, rho_adv=None, target_size_override=6)
+        assert code.decimated == frozenset(null_auth.base.non_null_ids)
 
 
 class TestJsonRoundTrip:
     def test_round_trip(self, small_auth, small_base, small_overlay):
-        code = decimate(small_auth, 0.1, seed=2, adversary_agnostic=True,
+        code = decimate(small_auth, 0.1, seed=2, rho_adv=None,
                         target_size_override=3)
-        blob = json.loads(json.dumps(to_json_dict(code, "base.json",
-                                                  "overlay.json")))
-        assert blob["base_ref"] == "base.json"
+        blob = json.loads(json.dumps(to_json_dict(code)))
+        assert blob["base_ref"] == blob["overlay_ref"] == "inline"
         back = from_json_dict(blob, small_base, small_overlay)
         assert np.array_equal(back.t_table, code.t_table)
         assert back.decimated == code.decimated
@@ -675,7 +707,7 @@ class TestJsonRoundTrip:
 
     def test_round_trip_t_zero(self, small_base, small_overlay):
         code = inject_noise(small_base, small_overlay, 1.0, 0.2, t_zero=True)
-        blob = json.loads(json.dumps(to_json_dict(code, "b", "o")))
+        blob = json.loads(json.dumps(to_json_dict(code)))
         back = from_json_dict(blob, small_base, small_overlay)
         assert back.t_zero
         assert not np.any(back.t_table)

@@ -28,7 +28,9 @@ cannot skip its table:
   where ids come with it, of an integer or float dtype.  The array
   table calls each row with a 1-d row, the wrong width and row count,
   bools, complex numbers, and a NaN and an infinity, which an entry
-  refuses where they would decide something.
+  refuses where they would decide something.  Its ``out=`` rows go
+  through ``check_out``: a float64 array of the rows' shape, whose
+  values are not read.
 
 ``b``, ``c`` and ``beta`` are integers in some entries and reals in
 others, so both tables are keyed by (entry, parameter).  The last test
@@ -60,7 +62,7 @@ from awgnauth import (AttackError, AttackSpec, AuthCode, AuthCodeError,
                       mixed_variance_lower_tail_bound, mmse_attack_terms,
                       mmse_targeted_attack_batch, mmse_weight,
                       optimal_levels, overlay_rate_asymptotic,
-                      quantization_slack, residual_variance_vector, run_trial,
+                      quantization_slack, run_trial,
                       targeted_false_auth_bound, verify_overlay,
                       wilson_interval)
 from awgnauth.authcode import from_json_dict, to_json_dict
@@ -94,9 +96,6 @@ TABLE = {
     ("mmse_attack_terms", "m_target"): (
         AttackError, lambda code, bad:
         mmse_attack_terms(code, 0, bad, 0.1)),
-    ("residual_variance_vector", "m"): (
-        AttackError, lambda code, bad:
-        residual_variance_vector(code, bad, 0.1, 0.1)),
     ("run_trial", "m"): (
         SimulateError, lambda code, bad:
         run_trial(code, CHANNEL, AttackSpec("none"), bad, seed=0)),
@@ -227,8 +226,6 @@ def test_noise_powers_must_be_finite(small_auth, rho):
         (AuthCodeError, lambda: inject_noise(code.base, code.overlay, rho,
                                              0.1)),
         (AttackError, lambda: mmse_attack_terms(code, 0, 1, rho)),
-        (AttackError, lambda: residual_variance_vector(code, 0, rho, 0.1)),
-        (AttackError, lambda: residual_variance_vector(code, 0, 0.1, rho)),
     ]
     for error, call in calls:
         with pytest.raises(error, match="finite"):
@@ -290,8 +287,6 @@ CALLS = {
         code=CODE, m=0, m_target=1, rho_adv=0.1, weight_scale=0.5)),
     "AttackSpec": (AttackError, dict(kind="targeted", target=1,
                                      weight_scale=0.5)),
-    "residual_variance_vector": (AttackError, dict(
-        code=CODE, m=0, rho_adv=0.1, rho_dec=0.1)),
     "ChannelParams": (SimulateError, dict(
         rho_dec=0.1, rho_adv=0.1, power_budget=2.0)),
     "base_error_probability": (BaseCodeError, dict(
@@ -505,10 +500,11 @@ INT_ROWS = {
     ("injection_power_bound", "n"): 1,
     ("injection_power_bound", "ktilde_size"): 2,
     ("injection_power_bound", "k_size"): 1,
-    ("targeted_false_auth_bound", "ell"): 1, ("injection_bounds", "n"): 1,
+    # ell = n // |K~| with n >= |K~|, 3 for the table's two levels
+    ("targeted_false_auth_bound", "ell"): 1, ("injection_bounds", "n"): 3,
     ("quantization_radius", "n"): 1, ("decimation_rate", "n"): 1,
-    ("decimation_rate", "ell"): 1, ("decimation_bounds", "n"): 1,
-    ("bounds_report", "n"): 1, ("optimal_levels", "count"): 1,
+    ("decimation_rate", "ell"): 1, ("decimation_bounds", "n"): 3,
+    ("bounds_report", "n"): 3, ("optimal_levels", "count"): 1,
     ("hypergeom_log_bound", "a"): 1, ("hypergeom_log_bound", "b"): 1,
     ("hypergeom_log_bound", "c"): 1,
     ("hoeffding_wo_replacement_bound", "set_size"): 1,
@@ -657,7 +653,21 @@ ARRAYS = {
         AttackError, lambda code, rows:
         mmse_targeted_attack_batch(rows, mmse_attack_terms(code, 0, 1, 0.1)),
         _means),
+    # the ``out=`` arrays; the encoder's bad one is its third
+    ("auth_encode_batch", "out"): (
+        AuthCodeError, lambda code, rows: auth_encode_batch(
+            code, np.arange(M), _means(code),
+            out=(np.empty((M, code.n)), np.empty((M, code.n)), rows)),
+        _means),
+    ("mmse_targeted_attack_batch", "out"): (
+        AttackError, lambda code, rows: mmse_targeted_attack_batch(
+            _means(code), mmse_attack_terms(code, 0, 1, 0.1), out=rows),
+        _means),
+    ("OverlayCode.level_matrix", "out"): (
+        OverlayError, lambda code, rows:
+        code.overlay.level_matrix(np.arange(M), out=rows), _means),
 }
+OUTS = {row for row in ARRAYS if row[1] == "out"}
 # rows of any count and any width: the code tables' own shape
 ANY_COUNT = {("BaseCode", "codewords"), ("BaseCode.decode_batch", "ys"),
              ("mmse_targeted_attack_batch", "vs")}
@@ -699,8 +709,11 @@ def test_bad_rows_raise_the_module_error(small_auth, row, bad):
         with np.errstate(invalid="ignore"):   # inf times a zero level
             assert not np.isfinite(call(small_auth, rows)[0]).all()
         return
+    if bad in ("nan", "inf") and row in OUTS:   # written over, not read
+        assert np.isfinite(call(small_auth, rows)).all()
+        return
     match = {"nan": "must be finite", "inf": "must be finite"}.get(
-        bad, f"{row[1]} must (be a|hold at least one message)")
+        bad, rf"{row[1]}(\[2\])? must (be a|hold at least one message)")
     with pytest.raises(ValueError, match=match) as info:
         call(small_auth, rows)
     assert type(info.value) is error
@@ -709,13 +722,25 @@ def test_bad_rows_raise_the_module_error(small_auth, row, bad):
 @pytest.mark.parametrize("row", sorted(ARRAYS), ids=lambda row: "-".join(row))
 def test_the_array_table_calls_succeed_at_good_rows(small_auth, row):
     # so that a row's error comes from its bad rows alone; integer rows
-    # pass as their float64 values
+    # pass as their float64 values, except as an out array
     _, call, good = ARRAYS[row]
     call(small_auth, good(small_auth))
-    call(small_auth, np.rint(good(small_auth) * 1e6).astype(np.int64))
+    if row not in OUTS:
+        call(small_auth, np.rint(good(small_auth) * 1e6).astype(np.int64))
 
 
-ARRAY_PARAMS = {"ys", "vs", "unit_delta", "codewords", "t_table"}
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+@pytest.mark.parametrize("row", sorted(OUTS), ids=lambda row: "-".join(row))
+def test_an_out_array_must_be_float64(small_auth, row, dtype):
+    # a float32 out took the encoder's codewords rounded to float32
+    error, call, good = ARRAYS[row]
+    with pytest.raises(error, match=r"out(\[2\])? must be a float64 "
+                       rf"array of shape \(6, 60\), not {np.dtype(dtype)} "
+                       r"of \(6, 60\)"):
+        call(small_auth, good(small_auth).astype(dtype))
+
+
+ARRAY_PARAMS = {"ys", "vs", "unit_delta", "codewords", "t_table", "out"}
 
 
 def test_every_array_parameter_is_in_the_table():
@@ -731,6 +756,7 @@ def test_every_array_parameter_is_in_the_table():
                       if p in ARRAY_PARAMS}
     assert ("BaseCode.decode_batch", "ys") in found
     assert ("AuthCode", "t_table") in found
+    assert ("OverlayCode.level_matrix", "out") in found
     missing = found - set(ARRAYS)
     assert not missing, f"array parameters without a boundary row: {missing}"
 
@@ -741,7 +767,7 @@ def test_adversary_agnostic_decimation_checks_rho_dec(rho_dec):
     # ZeroDivisionError
     with pytest.raises(BoundsError, match="rho_dec must be a positive"):
         decimation_bounds(64, LEVELS, 0.75, 0.2, 1.0, rho_dec, 1.5, 0.03,
-                          adversary_agnostic=True)
+                          rho_adv=None)
 
 
 @pytest.mark.parametrize("delta", [-0.1, 1.0, 7.0, math.nan], ids=repr)
@@ -750,7 +776,7 @@ def test_the_code_owns_its_delta(small_auth, delta):
     code = small_auth
     with pytest.raises(AuthCodeError, match=r"delta must lie in \[0,1\)"):
         AuthCode(code.base, code.overlay, 1.0, delta, code.t_table)
-    blob = to_json_dict(code, "base.json", "overlay.json")
+    blob = to_json_dict(code)
     with pytest.raises(AuthCodeError, match=r"delta must lie in \[0,1\)"):
         from_json_dict({**blob, "delta": delta}, code.base, code.overlay)
     with pytest.raises(AuthCodeError, match=r"delta must lie in \[0,1\)"):
@@ -808,14 +834,14 @@ LEAKS = {
     "inject_noise-seed-negative": (AuthCodeError, lambda code:
         inject_noise(code.base, code.overlay, 1.0, 0.2, seed=-1)),
     "decimate-seed-negative": (AuthCodeError, lambda code:
-        decimate(code, 0.1, seed=-1, adversary_agnostic=True,
+        decimate(code, 0.1, seed=-1, rho_adv=None,
                  target_size_override=3)),
     "make_random_gaussian_code-seed-negative": (BaseCodeError, lambda code:
         make_random_gaussian_code(8, 4, 1.0, seed=-1)),
     "construct_overlay-counts-float": (OverlayError, lambda code:
         construct_overlay(60, LEVELS, 0.75, counts_per_level=[2.5, 2])),
     "decimate-target_size_override-float": (AuthCodeError, lambda code:
-        decimate(code, 0.1, adversary_agnostic=True,
+        decimate(code, 0.1, rho_adv=None,
                  target_size_override=3.5)),
     "construct_overlay-n-float": (OverlayError, lambda code:
         construct_overlay(60.0, LEVELS, 0.75, counts_per_level=[3, 2])),
@@ -851,6 +877,11 @@ LEAKS = {
     "mmse_targeted_attack_batch-vs-column": (AttackError, lambda code:
         mmse_targeted_attack_batch(np.zeros((5, 1)),
                                    mmse_attack_terms(code, 0, 1, 0.1))),
+    # the array table's rows aside: two out arrays for three raised an
+    # unpacking ValueError
+    "auth_encode_batch-out-two-arrays": (AuthCodeError, lambda code:
+        auth_encode_batch(code, np.arange(3), np.zeros((3, 60)),
+                          out=(np.empty((3, 60)), np.empty((3, 60))))),
 }
 
 
@@ -883,7 +914,7 @@ def test_a_leak_raises_the_module_error(small_auth, leak):
 
 
 def _auth_blob(code, **changes):
-    blob = {**to_json_dict(code, "base.json", "overlay.json"), **changes}
+    blob = {**to_json_dict(code), **changes}
     return {k: v for k, v in blob.items() if v is not None}
 
 

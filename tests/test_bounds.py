@@ -173,7 +173,7 @@ class TestDecimation:
     def test_bounds_cross_field_identities(self):
         dec = decimation_bounds(1000, K0, 0.75, 0.1, 0.1, 0.1,
                                 omega_wrapped=1.0, rate_h=0.5,
-                                epsilon_h=0.01, adversary_agnostic=True)
+                                epsilon_h=0.01, rho_adv=None)
         assert dec["decimation_margin"] == 0.0
         theta = dec["decimation_quantization_radius"]
         assert theta == pytest.approx(THETA_1000, rel=1e-12)
@@ -210,9 +210,15 @@ class TestDecimation:
         assert dec["decimated_target_size"] == 0
 
     def test_rho_adv_required(self):
-        with pytest.raises(BoundsError, match="rho_adv required"):
+        # a required keyword; None is the agnostic design, the only one
+        with pytest.raises(TypeError, match="missing 1 required "
+                           "keyword-only argument: 'rho_adv'"):
             decimation_bounds(1000, K0, 0.75, 0.0, 1.0, 0.1,
                               omega_wrapped=1.0, rate_h=0.5)
+        with pytest.raises(TypeError, match="adversary_agnostic"):
+            decimation_bounds(1000, K0, 0.75, 0.0, 1.0, 0.1,
+                              omega_wrapped=1.0, rate_h=0.5, rho_adv=0.1,
+                              adversary_agnostic=True)
 
 
 class TestCapacity:
@@ -444,8 +450,7 @@ class TestBoundsReport:
                                      t_zero=kwargs.get("t_zero", False))
         want |= decimation_bounds(
             *point, 0.1, kwargs.get("omega_wrapped", 1.0), 0.5, 0.01,
-            rho_adv=rho_adv, adversary_agnostic=rho_adv is None
-            or kwargs.get("adversary_agnostic", False))
+            rho_adv=None if kwargs.get("adversary_agnostic") else rho_adv)
         want["rate_gap_exact"] = rate_gap(1.1, 0.1, 0.1).exact
         assert list(rep) == list(want)
         assert rep == want

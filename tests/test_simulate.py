@@ -60,7 +60,7 @@ def decimated_42():
                            counts_per_level=[7, 6], seed=3)
     code = inject_noise(make_random_gaussian_code(60, 42, 1.0, seed=3), ov,
                         rho_delta=1.0, delta=0.2, seed=3)
-    return decimate(code, 0.5, seed=3, adversary_agnostic=True,
+    return decimate(code, 0.5, seed=3, rho_adv=None,
                     target_size_override=20)
 
 
@@ -114,7 +114,7 @@ class TestMessageValidation:
 
     def test_decimated_away_message_is_invalid(self, small_auth):
         code = decimate(small_auth, rho_dec=0.1, seed=3,
-                        adversary_agnostic=True, target_size_override=3)
+                        rho_adv=None, target_size_override=3)
         dead = next(m for m in range(code.message_count)
                     if m not in code.decimated)
         with pytest.raises(SimulateError, match="not a valid message"):
